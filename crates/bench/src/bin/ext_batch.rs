@@ -17,8 +17,8 @@
 //! Before any number is reported the binary *proves* lane equivalence
 //! on this design, across the whole execution matrix: a reference
 //! per-lane trace is recorded from 64 independent single-lane runs,
-//! and a full-width 64-lane batch must reproduce it bit for bit under
-//! `{interpreted, compiled} × {1, 4} threads`.
+//! and a full-width 64-lane batch must reproduce it bit for bit at 1
+//! and 4 threads.
 //!
 //! Records `BENCH_batch.json` (plus the usual
 //! `target/gem-experiments/ext_batch.json`). The recorded run must show
@@ -29,7 +29,7 @@
 //!         [--scale 1] [--cycles 256]`
 
 use gem_bench::{arg, compile_design, fmt_hz, suite, write_record};
-use gem_core::{ExecBackend, GemSimulator};
+use gem_core::GemSimulator;
 use gem_netlist::Bits;
 use gem_sim::FuzzRng;
 use gem_telemetry::Json;
@@ -96,40 +96,36 @@ fn main() {
         }
         trace
     };
-    // The full-width batch must reproduce the reference per lane, under
-    // both backends and both thread counts.
-    for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-        for threads in [1usize, 4] {
-            let mut batch = GemSimulator::new(&compiled).expect("loads");
-            batch.set_backend(backend);
-            batch.set_threads(threads);
-            batch.set_lanes(LANES as u32).expect("64 lanes");
-            let mut rngs: Vec<FuzzRng> = (0..LANES).map(lane_rng).collect();
-            for (cycle, want) in reference.iter().enumerate() {
-                for (lane, rng) in rngs.iter_mut().enumerate() {
-                    for (name, width) in &inputs {
-                        batch.set_input_lane(name, lane as u32, rng.bits(*width));
-                    }
+    // The full-width batch must reproduce the reference per lane, at
+    // both thread counts.
+    for threads in [1usize, 4] {
+        let mut batch = GemSimulator::new(&compiled).expect("loads");
+        batch.set_threads(threads);
+        batch.set_lanes(LANES as u32).expect("64 lanes");
+        let mut rngs: Vec<FuzzRng> = (0..LANES).map(lane_rng).collect();
+        for (cycle, want) in reference.iter().enumerate() {
+            for (lane, rng) in rngs.iter_mut().enumerate() {
+                for (name, width) in &inputs {
+                    batch.set_input_lane(name, lane as u32, rng.bits(*width));
                 }
-                batch.step();
-                for (pi, p) in compiled.io.outputs.iter().enumerate() {
-                    for (lane, lane_want) in want.iter().enumerate() {
-                        assert_eq!(
-                            batch.output_lane(&p.name, lane as u32),
-                            lane_want[pi],
-                            "{} backend, {threads} thread(s), cycle {cycle}: lane {lane} \
-                             diverged from its independent run on {}",
-                            backend.name(),
-                            p.name
-                        );
-                    }
+            }
+            batch.step();
+            for (pi, p) in compiled.io.outputs.iter().enumerate() {
+                for (lane, lane_want) in want.iter().enumerate() {
+                    assert_eq!(
+                        batch.output_lane(&p.name, lane as u32),
+                        lane_want[pi],
+                        "{threads} thread(s), cycle {cycle}: lane {lane} \
+                         diverged from its independent run on {}",
+                        p.name
+                    );
                 }
             }
         }
     }
     println!(
         "  equivalence: {LANES}-lane batch == {LANES} independent runs over \
-         {PROOF_CYCLES} cycles, {{interpreted, compiled}} x {{1, 4}} threads ✓"
+         {PROOF_CYCLES} cycles, {{1, 4}} threads ✓"
     );
 
     let mut rec = Json::object();

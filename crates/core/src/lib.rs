@@ -51,7 +51,7 @@ pub use compile::{
     IoMap, PortIndices,
 };
 pub use gem_isa::ScheduleCert;
-pub use gem_vgpu::{ExecBackend, ExecMode, ExecStats};
+pub use gem_vgpu::{ExecMode, ExecStats};
 pub use package::{
     cert_from_json, cert_to_json, device_from_json, device_to_json, io_from_json, io_to_json,
     report_from_json, Package, ParsePackageError,

@@ -15,15 +15,15 @@
 //!   core idle time at each stage boundary (the load-imbalance cost the
 //!   satellite fix in `ExecStats` now splits per stage).
 //!
-//! The report is the data argument for the ROADMAP's compiled-backend
-//! and re-partitioning items: `gem profile <design.v>` prints
+//! The report is the data argument for the ROADMAP's re-partitioning
+//! items: `gem profile <design.v>` prints
 //! [`ProfileReport::render_table`], and the server's `profile` wire op
 //! returns [`ProfileReport::to_json`].
 
 use crate::compile::Compiled;
 use crate::simulator::GemSimulator;
 use gem_telemetry::Json;
-use gem_vgpu::{ExecBackend, GpuSpec, MachineError, TimingModel};
+use gem_vgpu::{GpuSpec, MachineError, TimingModel};
 use std::time::Instant;
 
 /// Knobs for a profiling run.
@@ -33,13 +33,6 @@ pub struct ProfileOptions {
     pub cycles: u64,
     /// Execution-engine threads (0 = process default, 1 = serial).
     pub threads: usize,
-    /// Core evaluation backend the measured numbers come from
-    /// (`None` = process default, i.e. `GEM_BACKEND` or interpreted).
-    /// The *modeled* columns are backend-invariant — counters are
-    /// bit-identical across backends — but `wall_seconds`, `actual_hz`,
-    /// and the barrier table are wall clock, so the report labels which
-    /// backend produced them.
-    pub backend: Option<ExecBackend>,
     /// GPU the modeled timing targets.
     pub spec: GpuSpec,
 }
@@ -49,7 +42,6 @@ impl Default for ProfileOptions {
         ProfileOptions {
             cycles: 256,
             threads: 0,
-            backend: None,
             spec: GpuSpec::a100(),
         }
     }
@@ -113,10 +105,6 @@ pub struct ProfileReport {
     pub cycles: u64,
     /// Execution-engine threads used.
     pub threads: usize,
-    /// Core evaluation backend the measured numbers (wall clock,
-    /// barrier waits) were produced under — canonical name from
-    /// [`ExecBackend::name`].
-    pub backend: String,
     /// GPU the modeled numbers target.
     pub gpu: String,
     /// Measured wall-clock seconds for the run.
@@ -149,9 +137,6 @@ pub fn profile(
 ) -> Result<ProfileReport, MachineError> {
     let mut sim = GemSimulator::new(compiled)?;
     sim.set_threads(opts.threads);
-    if let Some(backend) = opts.backend {
-        sim.set_backend(backend);
-    }
     let cycles = opts.cycles.max(1);
     let started = Instant::now();
     for _ in 0..cycles {
@@ -258,7 +243,6 @@ pub fn profile(
         design: design.to_string(),
         cycles,
         threads: sim.threads(),
-        backend: sim.backend().name().to_string(),
         gpu: opts.spec.name.to_string(),
         wall_seconds,
         actual_hz: if wall_seconds > 0.0 {
@@ -278,12 +262,12 @@ impl ProfileReport {
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "profile: {} — {} cycles, {} thread(s), {} backend, modeled on {}\n",
-            self.design, self.cycles, self.threads, self.backend, self.gpu
+            "profile: {} — {} cycles, {} thread(s), modeled on {}\n",
+            self.design, self.cycles, self.threads, self.gpu
         ));
         out.push_str(&format!(
-            "wall {:.3} s ({:.0} cyc/s actual, {} backend)   modeled {:.0} cyc/s\n\n",
-            self.wall_seconds, self.actual_hz, self.backend, self.modeled_hz
+            "wall {:.3} s ({:.0} cyc/s actual)   modeled {:.0} cyc/s\n\n",
+            self.wall_seconds, self.actual_hz, self.modeled_hz
         ));
         out.push_str("partitions (modeled, most expensive first; * bounds its stage)\n");
         out.push_str("  stage core   us/cycle  share  bytes/cyc  ops/cyc\n");
@@ -310,10 +294,7 @@ impl ProfileReport {
                 l.share * 100.0
             ));
         }
-        out.push_str(&format!(
-            "\nstage barriers (measured under the {} backend; empty when serial)\n",
-            self.backend
-        ));
+        out.push_str("\nstage barriers (measured; empty when serial)\n");
         out.push_str("  stage  barriers  coord_wait_ms  core_idle_ms  tasks\n");
         for b in &self.barriers {
             out.push_str(&format!(
@@ -330,7 +311,6 @@ impl ProfileReport {
         o.set("design", self.design.as_str());
         o.set("cycles", self.cycles);
         o.set("threads", self.threads as u64);
-        o.set("backend", self.backend.as_str());
         o.set("gpu", self.gpu.as_str());
         o.set("wall_seconds", self.wall_seconds);
         o.set("actual_hz", self.actual_hz);
@@ -455,57 +435,6 @@ mod tests {
             .as_array()
             .unwrap()
             .is_empty());
-    }
-
-    /// Regression on the report shape: the hotspot tables must label
-    /// which backend produced the measured numbers, in the header line,
-    /// the barrier section, and the JSON payload — for each backend.
-    #[test]
-    fn report_labels_the_measuring_backend() {
-        let c = compiled_acc();
-        for (backend, name) in [
-            (ExecBackend::Interpreted, "interpreted"),
-            (ExecBackend::Compiled, "compiled"),
-        ] {
-            let rep = profile(
-                &c,
-                "acc",
-                &ProfileOptions {
-                    cycles: 8,
-                    threads: 2,
-                    backend: Some(backend),
-                    ..ProfileOptions::default()
-                },
-            )
-            .expect("profiles");
-            assert_eq!(rep.backend, name);
-            let table = rep.render_table();
-            let header = table.lines().next().unwrap();
-            assert!(
-                header.contains(&format!("{name} backend")),
-                "header must carry the backend: {header}"
-            );
-            assert!(
-                table.contains(&format!(
-                    "stage barriers (measured under the {name} backend"
-                )),
-                "barrier table must carry the backend"
-            );
-            let parsed = gem_telemetry::parse_json(&rep.to_json().to_string()).expect("parses");
-            assert_eq!(parsed.get("backend").unwrap().as_str(), Some(name));
-        }
-        // Leaving the knob at None resolves to the process default.
-        let rep = profile(
-            &c,
-            "acc",
-            &ProfileOptions {
-                cycles: 2,
-                threads: 1,
-                ..ProfileOptions::default()
-            },
-        )
-        .expect("profiles");
-        assert_eq!(rep.backend, ExecBackend::resolved_default().name());
     }
 
     #[test]

@@ -5,8 +5,7 @@ use gem_netlist::Bits;
 use gem_place::Word;
 use gem_telemetry::{MetricFamily, MetricKind, MetricsSink, MetricsSnapshot, Sample};
 use gem_vgpu::{
-    CounterBreakdown, ExecBackend, ExecMode, ExecStats, GemGpu, GpuSnapshot, KernelCounters,
-    MachineError,
+    CounterBreakdown, ExecMode, ExecStats, GemGpu, GpuSnapshot, KernelCounters, MachineError,
 };
 use std::fmt;
 
@@ -89,7 +88,6 @@ impl GemSimulator {
     ) -> Result<Self, MachineError> {
         let mut gpu = GemGpu::load(bitstream, device)?;
         gpu.set_exec_mode(ExecMode::resolved_default());
-        gpu.set_backend(ExecBackend::resolved_default());
         Ok(GemSimulator {
             gpu,
             io,
@@ -115,22 +113,6 @@ impl GemSimulator {
     /// Worker threads the execution engine currently uses (1 = serial).
     pub fn threads(&self) -> usize {
         self.gpu.exec_mode().threads()
-    }
-
-    /// Selects the core evaluation backend:
-    /// [`ExecBackend::Interpreted`] re-walks the decoded bitstream every
-    /// cycle, [`ExecBackend::Compiled`] executes the threaded-code form
-    /// specialized at load. Waveforms and counters are bit-identical
-    /// across backends (`docs/COMPILED.md`); only wall clock changes.
-    /// Composes freely with [`set_threads`](Self::set_threads) and
-    /// [`set_lanes`](Self::set_lanes), and may be switched mid-run.
-    pub fn set_backend(&mut self, backend: ExecBackend) {
-        self.gpu.set_backend(backend);
-    }
-
-    /// The core evaluation backend currently in use.
-    pub fn backend(&self) -> ExecBackend {
-        self.gpu.backend()
     }
 
     /// Host-side execution statistics (barrier waits, fan-out counts).
@@ -486,40 +468,6 @@ mod tests {
         // `set_threads(0)` resolves to *some* executable default.
         serial.set_threads(0);
         assert!(serial.threads() >= 1);
-    }
-
-    #[test]
-    fn backend_knob_is_waveform_invisible() {
-        // A real compiled design run interpreted and compiled must agree
-        // bit-for-bit every cycle, including counters and breakdowns —
-        // the simulator-level face of the backend-equivalence contract.
-        let mut b = ModuleBuilder::new("acc");
-        let d = b.input("d", 16);
-        let q = b.dff(16);
-        let nxt = b.add(q, d);
-        b.connect_dff(q, nxt);
-        b.output("q", q);
-        let m = b.finish().expect("valid");
-        let c = compile(&m, &CompileOptions::small()).expect("compiles");
-        let mut interp = GemSimulator::new(&c).expect("loads");
-        let mut comp = GemSimulator::new(&c).expect("loads");
-        interp.set_backend(ExecBackend::Interpreted);
-        comp.set_backend(ExecBackend::Compiled);
-        assert_eq!(comp.backend(), ExecBackend::Compiled);
-        for i in 0..20u64 {
-            let d = Bits::from_u64(i.wrapping_mul(0x4321) & 0xFFFF, 16);
-            interp.set_input("d", d.clone());
-            comp.set_input("d", d);
-            interp.step();
-            comp.step();
-            assert_eq!(interp.output("q"), comp.output("q"), "cycle {i}");
-        }
-        assert_eq!(interp.counters(), comp.counters());
-        assert_eq!(interp.breakdown(), comp.breakdown());
-        // The backend shows up in the exported metrics.
-        let fam = comp.metrics();
-        let fam = fam.family("gem_vgpu_backend").unwrap();
-        assert_eq!(fam.samples[0].labels[0].1, "compiled");
     }
 
     #[test]

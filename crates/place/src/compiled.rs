@@ -1,14 +1,13 @@
-//! Threaded-code lowering of boomerang layers (the compiled execution
-//! backend's program form; see `docs/COMPILED.md`).
+//! Threaded-code lowering of boomerang layers: the program form the
+//! virtual GPU executes (DESIGN.md §7).
 //!
 //! [`BoomerangLayer`] is the *authoritative* program representation: an
 //! enum-tagged permutation, per-slot `bool` fold constants, and a dense
-//! `Option` writeback plan. The reference executors
-//! ([`BoomerangLayer::execute`] / [`execute_words`]) re-interpret those
-//! tags every cycle — an enum match per gathered bit, a `bool → Word`
-//! splat per fold operand, and an `Option` test per fold slot, millions
-//! of times per simulated second. That per-instruction dispatch is
-//! exactly what BENCH_parallel.json shows dominating wall clock.
+//! `Option` writeback plan. Its scalar executor
+//! ([`BoomerangLayer::execute`]) is the executable spec, but walking
+//! those tags every cycle costs an enum match per gathered bit, a
+//! `bool → Word` splat per fold operand, and an `Option` test per fold
+//! slot, millions of times per simulated second.
 //!
 //! [`CompiledLayer::lower`] resolves all of it **once**:
 //!
@@ -25,11 +24,10 @@
 //!   vectorizable zip) — zero allocations per layer per cycle.
 //!
 //! The lowering is a pure data transformation: no semantic choice is
-//! made here, so equivalence with the interpreter reduces to the
-//! mechanical claims above, which `gem-sim`'s backend-equivalence fuzz
-//! matrix and the golden VCD corpus check end to end.
-//!
-//! [`execute_words`]: BoomerangLayer::execute_words
+//! made here, so equivalence with the scalar spec reduces to the
+//! mechanical claims above, which the unit tests below check per lane
+//! and `gem-sim`'s differential fuzz suite and the golden VCD corpus
+//! check end to end.
 
 use crate::layer::{splat, BoomerangLayer, PermSource, Word};
 
@@ -48,7 +46,7 @@ pub struct FoldOp {
     /// OR mask on operand B after the XOR (`Word::MAX` bypasses B).
     pub ob: Box<[Word]>,
     /// `(slot, state address)` pairs that write back, in slot order
-    /// (matching the interpreter's within-level write order).
+    /// (matching the scalar spec's within-level write order).
     pub writeback: Box<[(u32, u32)]>,
 }
 
@@ -101,8 +99,8 @@ impl CompiledLayer {
 
     /// Rewrites constant-zero gather slots ([`PERM_CONST`]) to load from
     /// `zero_slot` instead — a real state address the caller guarantees
-    /// holds zero (the virtual GPU's compiled backend appends one slot
-    /// past the core width). The sentinel compare in the gather then
+    /// holds zero (the virtual GPU appends one slot past the core
+    /// width). The sentinel compare in the gather then
     /// never fires, and every padding slot loads the same hot cache
     /// line instead of taking the branch.
     pub fn redirect_consts(&mut self, zero_slot: u32) {
@@ -140,9 +138,9 @@ impl CompiledLayer {
     /// Executes the lowered layer lane-wise against `state`, using
     /// `row` and `next` as reusable ping-pong fold buffers (cleared and
     /// refilled; their capacity is retained across calls so steady-state
-    /// execution allocates nothing). Bit-identical to
-    /// [`BoomerangLayer::execute_words`] on the layer it was lowered
-    /// from.
+    /// execution allocates nothing). Lane `k` of the result equals
+    /// [`BoomerangLayer::execute`] run on lane `k` of the input, for
+    /// the layer this was lowered from.
     ///
     /// The two-buffer shape is deliberate: each level reads adjacent
     /// pairs from `row` and writes disjoint slots of `next`, so the
@@ -227,12 +225,18 @@ mod tests {
         layer
     }
 
-    /// The compiled executor must be bit-identical to `execute_words`
-    /// on randomized layers, including the state left behind by
-    /// aliasing writebacks, and the ping-pong buffers must be reusable
-    /// across layers without cross-talk.
+    /// Unpacks one lane of a word vector into the scalar spec's state.
+    fn lane_of(words: &[Word], lane: u32) -> Vec<bool> {
+        words.iter().map(|&w| (w >> lane) & 1 == 1).collect()
+    }
+
+    /// Every one of the 64 lanes of the lowered executor must equal the
+    /// scalar spec run on that lane alone, on randomized layers —
+    /// including the state left behind by aliasing writebacks — and the
+    /// ping-pong buffers must be reusable across layers without
+    /// cross-talk.
     #[test]
-    fn compiled_layer_matches_interpreter_bit_exactly() {
+    fn compiled_layer_matches_scalar_spec_per_lane() {
         let state_size = 40usize;
         let mut row = Vec::new();
         let mut next = Vec::new();
@@ -242,12 +246,70 @@ mod tests {
             let comp = CompiledLayer::lower(&layer);
             let mut x = trial.wrapping_mul(0x5851_F42D_4C95_7F2D) + 1;
             let words: Vec<Word> = (0..state_size).map(|_| xorshift(&mut x)).collect();
-            let mut want = words.clone();
-            layer.execute_words(&mut want);
-            let mut got = words;
+            let mut got = words.clone();
             comp.execute_words_into(&mut got, &mut row, &mut next);
-            assert_eq!(got, want, "trial {trial} width {width} diverged");
+            for lane in 0..Word::BITS {
+                let mut want = lane_of(&words, lane);
+                layer.execute(&mut want);
+                assert_eq!(
+                    lane_of(&got, lane),
+                    want,
+                    "trial {trial} width {width} lane {lane} diverged"
+                );
+            }
         }
+    }
+
+    /// `splat` must equal poking the constant into each of the 64 lanes
+    /// individually — the lowered masks are built from nothing else.
+    #[test]
+    fn splat_equals_per_lane_poke() {
+        for v in [false, true] {
+            let poked = (0..Word::BITS).fold(0, |w: Word, lane| w | (Word::from(v) << lane));
+            assert_eq!(splat(v), poked);
+        }
+    }
+
+    /// Lane 63 must actually flow through the lowered fold — guards
+    /// against a silent truncation to fewer lanes anywhere in the path —
+    /// and must never leak into the lanes below it.
+    #[test]
+    fn lane_63_is_live_and_confined() {
+        let (mut row, mut next) = (Vec::new(), Vec::new());
+        let mut x = 0xA11_1A9E5u64;
+        let state_size = 16usize;
+        for trial in 0..16u64 {
+            let comp = CompiledLayer::lower(&random_layer(0x63 ^ trial, 16, state_size));
+            let addr = (xorshift(&mut x) % state_size as u64) as usize;
+            let mut a: Vec<Word> = (0..state_size).map(|_| xorshift(&mut x)).collect();
+            let mut b = a.clone();
+            b[addr] ^= 1 << 63;
+            comp.execute_words_into(&mut a, &mut row, &mut next);
+            comp.execute_words_into(&mut b, &mut row, &mut next);
+            for (i, (wa, wb)) in a.iter().zip(&b).enumerate() {
+                assert_eq!(
+                    (wa ^ wb) & (Word::MAX >> 1),
+                    0,
+                    "low lanes leaked at state {i}"
+                );
+            }
+        }
+        // A pass-through layer (ob bypass) carries lane 63 from the
+        // source to the writeback target.
+        let mut layer = BoomerangLayer::new(2);
+        layer.perm = vec![PermSource::State(0), PermSource::ConstFalse];
+        layer.folds[0].ob[0] = true; // B forced 1 → out = A
+        layer.writeback[0][0] = Some(1);
+        let mut state: Vec<Word> = vec![1 << 63, 0];
+        CompiledLayer::lower(&layer).execute_words_into(&mut state, &mut row, &mut next);
+        assert_eq!(state[1], 1 << 63, "lane 63 dropped by pass-through fold");
+    }
+
+    /// The default core width divides evenly into lane words — the ISA
+    /// row shapes don't depend on the word width.
+    #[test]
+    fn core_width_is_word_aligned() {
+        assert_eq!(crate::CORE_WIDTH % Word::BITS, 0);
     }
 
     #[test]

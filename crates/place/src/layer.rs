@@ -1,5 +1,7 @@
-//! Boomerang layer and core program data structures, plus a reference
-//! executor used for placement verification and by the virtual GPU.
+//! Boomerang layer and core program data structures, plus the scalar
+//! reference executor: the executable spec that placement is verified
+//! with and that the lowered form ([`crate::CompiledLayer`]) is tested
+//! against.
 
 use gem_aig::NodeId;
 
@@ -106,101 +108,22 @@ impl BoomerangLayer {
 
 /// The machine lane word: every bit carries one independent simulation.
 ///
-/// This alias is the *single* place the lane width is chosen. The whole
-/// execution stack (`gem-vgpu` machine state, the compiled backend's
-/// masks and scratch, `GemSimulator`'s lane APIs, `gem_sim::lanes`
-/// pack/unpack) is written against `Word` + the [`LaneWord`] bit-ops,
-/// so a future widening (e.g. a SIMD `u64x4`) is a one-file change.
+/// This alias is the *single* place the lane width is chosen; the whole
+/// execution stack (`gem-vgpu` machine state, the lowered layers' masks
+/// and scratch, `GemSimulator`'s lane APIs, `gem_sim::lanes`
+/// pack/unpack) is written against `Word`.
 pub type Word = u64;
 
-/// Bit-ops surface a lane word must provide.
-///
-/// Implemented for `u32` (the historical 32-lane word, kept so the
-/// word-fold property suite can prove the `u64` fold equals two glued
-/// `u32`-half folds) and `u64` (the current [`Word`]).
-pub trait LaneWord:
-    Copy
-    + Eq
-    + std::fmt::Debug
-    + std::ops::BitAnd<Output = Self>
-    + std::ops::BitOr<Output = Self>
-    + std::ops::BitXor<Output = Self>
-    + std::ops::Not<Output = Self>
-{
-    /// Independent bit-lanes one word carries.
-    const LANES: u32;
-    /// All-lanes-zero word.
-    const ZERO: Self;
-    /// All-lanes-one word.
-    const ONES: Self;
-
-    /// Broadcasts a Boolean constant across all bit-lanes.
-    ///
-    /// The lane-batched executor (`gem-vgpu`) keeps one simulation per
-    /// bit of a word; layer constants apply identically to every lane,
-    /// so they splat to all-ones/all-zeros masks.
-    #[inline]
-    fn broadcast(v: bool) -> Self {
-        if v {
-            Self::ONES
-        } else {
-            Self::ZERO
-        }
-    }
-}
-
-impl LaneWord for u32 {
-    const LANES: u32 = 32;
-    const ZERO: Self = 0;
-    const ONES: Self = u32::MAX;
-}
-
-impl LaneWord for u64 {
-    const LANES: u32 = 64;
-    const ZERO: Self = 0;
-    const ONES: Self = u64::MAX;
-}
-
 /// Broadcasts a Boolean constant across all bit-lanes of the machine
-/// [`Word`] (see [`LaneWord::broadcast`]).
+/// [`Word`]. The lane-batched executor (`gem-vgpu`) keeps one simulation
+/// per bit of a word; layer constants apply identically to every lane,
+/// so they splat to all-ones/all-zeros masks.
 #[inline]
 pub fn splat(v: bool) -> Word {
-    Word::broadcast(v)
-}
-
-impl BoomerangLayer {
-    /// Word-parallel twin of [`execute`](Self::execute): every word in
-    /// `state` carries `W::LANES` independent bit-lanes and the fold
-    /// semantics `out = (a ^ xa) & ((b ^ xb) | ob)` are applied
-    /// lane-wise. Lane `k` of the output equals what
-    /// [`execute`](Self::execute) would produce from lane `k` of the
-    /// input — the fold network is pure bitwise logic, so the scalar
-    /// executor stays the single source of truth and this is a
-    /// mechanical widening. Generic over [`LaneWord`] so the property
-    /// suite can compare the `u64` fold against two `u32`-half folds.
-    pub fn execute_words<W: LaneWord>(&self, state: &mut [W]) {
-        let mut row: Vec<W> = self
-            .perm
-            .iter()
-            .map(|s| match s {
-                PermSource::State(a) => state[*a as usize],
-                PermSource::ConstFalse => W::ZERO,
-            })
-            .collect();
-        for (k, fc) in self.folds.iter().enumerate() {
-            let slots = row.len() / 2;
-            let mut next = Vec::with_capacity(slots);
-            for j in 0..slots {
-                let a = row[2 * j] ^ W::broadcast(fc.xa[j]);
-                let b = (row[2 * j + 1] ^ W::broadcast(fc.xb[j])) | W::broadcast(fc.ob[j]);
-                let v = a & b;
-                if let Some(addr) = self.writeback[k][j] {
-                    state[addr as usize] = v;
-                }
-                next.push(v);
-            }
-            row = next;
-        }
+    if v {
+        Word::MAX
+    } else {
+        0
     }
 }
 
@@ -341,76 +264,5 @@ mod tests {
     #[should_panic(expected = "bad layer width")]
     fn non_power_of_two_width_rejected() {
         let _ = BoomerangLayer::new(6);
-    }
-
-    fn xorshift(x: &mut u64) -> u64 {
-        *x = x.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = *x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn random_layer(x: &mut u64, width: u32, state_size: usize) -> BoomerangLayer {
-        let mut layer = BoomerangLayer::new(width);
-        for p in layer.perm.iter_mut() {
-            *p = if xorshift(x).is_multiple_of(4) {
-                PermSource::ConstFalse
-            } else {
-                PermSource::State((xorshift(x) % state_size as u64) as u32)
-            };
-        }
-        for fc in layer.folds.iter_mut() {
-            for j in 0..fc.xa.len() {
-                fc.xa[j] = xorshift(x) & 1 == 1;
-                fc.xb[j] = xorshift(x) & 1 == 1;
-                fc.ob[j] = xorshift(x) & 1 == 1;
-            }
-        }
-        for wb in layer.writeback.iter_mut() {
-            for slot in wb.iter_mut() {
-                if xorshift(x).is_multiple_of(2) {
-                    *slot = Some((xorshift(x) % state_size as u64) as u32);
-                }
-            }
-        }
-        layer
-    }
-
-    /// `execute_words::<W>` lane `k` must match `execute` run on lane
-    /// `k` alone, for every lane, on randomized layers — at both lane
-    /// widths the trait implements.
-    fn word_executor_matches_scalar<W: LaneWord + Into<u64>>(seed: u64, to_word: fn(u64) -> W) {
-        let mut x = seed;
-        let width = 16u32;
-        let state_size = 24usize;
-        for _trial in 0..32 {
-            let layer = random_layer(&mut x, width, state_size);
-            let words: Vec<W> = (0..state_size).map(|_| to_word(xorshift(&mut x))).collect();
-            let mut got = words.clone();
-            layer.execute_words(&mut got);
-            for lane in 0..W::LANES {
-                let mut scalar: Vec<bool> =
-                    words.iter().map(|&w| (w.into() >> lane) & 1 == 1).collect();
-                layer.execute(&mut scalar);
-                for (i, &b) in scalar.iter().enumerate() {
-                    assert_eq!(
-                        (got[i].into() >> lane) & 1 == 1,
-                        b,
-                        "lane {lane} state {i} diverged"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn word_executor_matches_scalar_per_lane() {
-        word_executor_matches_scalar::<u64>(0x9E3779B97F4A7C15, |r| r);
-    }
-
-    #[test]
-    fn word_executor_matches_scalar_per_lane_u32() {
-        word_executor_matches_scalar::<u32>(0x0DDB_1A5E_5BAD_5EED, |r| r as u32);
     }
 }

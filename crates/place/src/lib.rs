@@ -34,9 +34,7 @@ pub mod layer;
 pub mod placer;
 
 pub use compiled::{CompiledLayer, FoldOp, PERM_CONST};
-pub use layer::{
-    splat, BoomerangLayer, CoreProgram, FoldConsts, LaneWord, OutputSource, PermSource, Word,
-};
+pub use layer::{splat, BoomerangLayer, CoreProgram, FoldConsts, OutputSource, PermSource, Word};
 pub use placer::{place_partition, PlaceError, PlaceOptions, PlaceStats};
 
 /// Default core width in bits (256 GPU threads × 32-bit words).

@@ -21,9 +21,7 @@
 //! (`docs/SERVER.md`); `client` drives one against a running server.
 
 use gem_analyze::Severity;
-use gem_core::{
-    compile, CompileOptions, ExecBackend, GemSimulator, Package, ProfileOptions, VcdStimulus,
-};
+use gem_core::{compile, CompileOptions, GemSimulator, Package, ProfileOptions, VcdStimulus};
 use gem_netlist::vcd::VcdWriter;
 use gem_netlist::{verilog, Bits};
 use gem_server::{ClientError, GemClient, Server, ServerConfig};
@@ -69,7 +67,7 @@ USAGE:
               [--emit-metrics out.json]
   gem run     <design.gemb|design.v> [--cycles N] [--poke port=hex ...]
               [--reset port] [--stimulus in.vcd] [--vcd out.vcd]
-              [--gpu a100|3090] [--threads N] [--backend interpreted|compiled]
+              [--gpu a100|3090] [--threads N]
               [--emit-metrics out.json] [--trace-out trace.json]
   gem stats   <design.v> [--emit-metrics out.json]
   gem lint    <design.v|design.gemb> [--json] [--deny warnings]
@@ -78,13 +76,11 @@ USAGE:
   gem verify  <design.gemb|design.v> [--width N] [--parts N] [--stages N]
               [--fault SEED] [--emit-metrics out.json]
   gem profile <design.v> [--cycles N] [--threads N]
-              [--backend interpreted|compiled]
               [--gpu a100|3090] [--width N] [--parts N] [--stages N]
               [--json out.json] [--trace-out trace.json]
   gem trace-check <trace.json>
   gem serve   [--addr 127.0.0.1:0] [--workers 4] [--queue 32] [--cache 8]
-              [--idle-ms 300000] [--sim-threads N]
-              [--sim-backend interpreted|compiled] [--port-file path]
+              [--idle-ms 300000] [--sim-threads N] [--port-file path]
               [--emit-metrics out.json]
   gem client  --addr host:port <action>
       ping     [--delay-ms N]
@@ -102,13 +98,6 @@ USAGE:
 GEM_THREADS env var, else host parallelism; 1 = serial). Waveforms and
 counters are identical for every setting. --sim-threads is the same
 knob per server session (0 = auto-budgeted against --workers).
-
---backend picks the execution engine: `interpreted` re-decodes the
-boomerang program every cycle; `compiled` runs the pre-resolved
-threaded-code form (docs/COMPILED.md) — same waveforms, same counters,
-faster wall clock. Default: GEM_BACKEND env var, else interpreted.
---sim-backend is the per-server-session default; clients can override
-it with the `backend` open option.
 
 --emit-metrics writes a JSON document with the per-stage compile
 timings/sizes (when the design is compiled in this invocation) and the
@@ -155,18 +144,6 @@ fn flag_u64(args: &[String], name: &str, default: u64) -> Result<u64, String> {
         Some(v) => v
             .parse()
             .map_err(|_| format!("{name} expects a number, got {v:?}")),
-    }
-}
-
-/// Parses an optional backend flag (`--backend` / `--sim-backend`).
-/// Absent → `None`, letting the caller fall back to the process default
-/// (`GEM_BACKEND`, else interpreted).
-fn flag_backend(args: &[String], name: &str) -> Result<Option<ExecBackend>, String> {
-    match flag(args, name) {
-        None => Ok(None),
-        Some(v) => ExecBackend::parse(&v)
-            .map(Some)
-            .ok_or_else(|| format!("{name} expects \"interpreted\" or \"compiled\", got {v:?}")),
     }
 }
 
@@ -527,7 +504,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let opts = ProfileOptions {
         cycles: flag_u64(args, "--cycles", 256)?,
         threads: flag_u64(args, "--threads", 0)? as usize,
-        backend: flag_backend(args, "--backend")?,
         spec: match flag(args, "--gpu").as_deref() {
             Some("3090" | "rtx3090") => GpuSpec::rtx3090(),
             _ => GpuSpec::a100(),
@@ -583,9 +559,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         (sim, io, doc)
     };
     sim.set_threads(flag_u64(args, "--threads", 0)? as usize);
-    if let Some(backend) = flag_backend(args, "--backend")? {
-        sim.set_backend(backend);
-    }
     // Pokes: --poke name=hex (applied every cycle).
     let mut pokes: Vec<(String, Bits)> = Vec::new();
     for (i, a) in args.iter().enumerate() {
@@ -708,7 +681,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         cache: flag_u64(args, "--cache", 8)? as usize,
         idle_timeout: Duration::from_millis(flag_u64(args, "--idle-ms", 300_000)?),
         sim_threads: flag_u64(args, "--sim-threads", 0)? as usize,
-        sim_backend: flag_backend(args, "--sim-backend")?,
         ..ServerConfig::default()
     };
     let server = Server::bind(cfg).map_err(|e| format!("cannot bind: {e}"))?;

@@ -170,26 +170,6 @@ impl GemClient {
         )
     }
 
-    /// Opens a session under an explicit execution backend
-    /// (`"interpreted"` or `"compiled"`); a plain [`open`](Self::open)
-    /// takes the server's default. Returns the full response (`session`,
-    /// `backend`, `key`, `cached`, `report`).
-    pub fn open_backend(
-        &mut self,
-        source: &str,
-        opts: Json,
-        backend: &str,
-    ) -> Result<Json, ClientError> {
-        self.request(
-            "open",
-            vec![
-                ("source", Json::Str(source.into())),
-                ("opts", opts),
-                ("backend", Json::Str(backend.into())),
-            ],
-        )
-    }
-
     /// Sets an input port to a hex value for upcoming cycles.
     pub fn poke(&mut self, session: u64, port: &str, hex: &str) -> Result<(), ClientError> {
         self.request(

@@ -33,9 +33,6 @@ pub mod codes {
     /// A lane count outside `1..=64`, or a lane index at or beyond the
     /// session's lane count.
     pub const BAD_LANES: &str = "bad_lanes";
-    /// An unknown execution-backend name in the `backend` option
-    /// (`"interpreted"` and `"compiled"` are accepted).
-    pub const BAD_BACKEND: &str = "bad_backend";
     /// Unexpected server-side failure.
     pub const INTERNAL: &str = "internal";
 }

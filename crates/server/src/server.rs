@@ -20,7 +20,7 @@ use crate::metrics::{dec, inc, ServerMetrics};
 use crate::pool::{SubmitError, WorkerPool};
 use crate::protocol::{self, codes};
 use crate::session::SessionTable;
-use gem_core::{CompileOptions, ExecBackend, GemSimulator, ProfileOptions, VcdStimulus};
+use gem_core::{CompileOptions, GemSimulator, ProfileOptions, VcdStimulus};
 use gem_netlist::vcd::VcdWriter;
 use gem_telemetry::span;
 use gem_telemetry::{read_frame, write_frame, FrameError, Json, DEFAULT_MAX_FRAME};
@@ -56,12 +56,6 @@ pub struct ServerConfig {
     /// oversubscribing it `workers`-fold (see docs/PARALLEL.md §4).
     /// `1` forces the serial engine.
     pub sim_threads: usize,
-    /// Execution backend new sessions start under. `None` (the default)
-    /// defers to the process default (`GEM_BACKEND`, else interpreted);
-    /// clients can still override per session with the `backend` open
-    /// option. Purely a host-side engine choice — waveforms and counters
-    /// are bit-identical either way (docs/COMPILED.md).
-    pub sim_backend: Option<ExecBackend>,
 }
 
 impl ServerConfig {
@@ -72,12 +66,6 @@ impl ServerConfig {
         }
         let target = gem_vgpu::ExecMode::resolved_default().threads();
         (target / self.workers.max(1)).max(1)
-    }
-
-    /// Resolves `sim_backend` to the backend new sessions start under.
-    pub fn resolved_sim_backend(&self) -> ExecBackend {
-        self.sim_backend
-            .unwrap_or_else(ExecBackend::resolved_default)
     }
 }
 
@@ -92,7 +80,6 @@ impl Default for ServerConfig {
             max_frame: DEFAULT_MAX_FRAME,
             reap_interval: Duration::from_millis(100),
             sim_threads: 0,
-            sim_backend: None,
         }
     }
 }
@@ -444,13 +431,6 @@ fn cmd_open(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
         ));
     }
     let lanes = lanes as u32;
-    // Optional execution backend (`"backend": "interpreted"|"compiled"`):
-    // absent falls back to the server's configured default. Validated
-    // here for the same cheap-typed-error reason as `lanes`.
-    let backend = match opt_backend(req)? {
-        Some(b) => b,
-        None => state.cfg.resolved_sim_backend(),
-    };
     let state2 = Arc::clone(state);
     run_on_pool(state, "open", move || {
         let (key, result, cached) = state2.cache.get_or_compile(&source, &opts);
@@ -463,7 +443,6 @@ fn cmd_open(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
             Err(e) => return protocol::err_response(id, codes::INTERNAL, &e.to_string()),
         };
         sim.set_threads(state2.cfg.resolved_sim_threads());
-        sim.set_backend(backend);
         if let Err(e) = sim.set_lanes(lanes) {
             return protocol::err_response(id, codes::BAD_LANES, &e.to_string());
         }
@@ -471,32 +450,11 @@ fn cmd_open(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
         let mut r = protocol::ok_response(id);
         r.set("session", session);
         r.set("lanes", lanes as u64);
-        r.set("backend", backend.name());
         r.set("key", format!("{key:016x}"));
         r.set("cached", cached);
         r.set("report", design.report.to_json());
         r
     })
-}
-
-/// Parses the optional `backend` field of `open`/`profile` requests.
-/// `None` means the field was absent (caller picks its default).
-fn opt_backend(req: &Json) -> Result<Option<ExecBackend>, (String, String)> {
-    match req.get("backend") {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => {
-            let name = v
-                .as_str()
-                .ok_or_else(|| bad("non-string field \"backend\""))?;
-            match ExecBackend::parse(name) {
-                Some(b) => Ok(Some(b)),
-                None => Err((
-                    codes::BAD_BACKEND.to_string(),
-                    format!("unknown backend {name:?}: expected \"interpreted\" or \"compiled\""),
-                )),
-            }
-        }
-    }
 }
 
 /// Parses the optional `lane` field of `poke`/`peek` requests and
@@ -783,10 +741,6 @@ fn cmd_profile(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
     let opts = compile_opts(req)?;
     let cycles = protocol::opt_u64(req, "cycles", 256).map_err(bad)?;
     let threads = protocol::opt_u64(req, "threads", 0).map_err(bad)? as usize;
-    let backend = match opt_backend(req)? {
-        Some(b) => Some(b),
-        None => state.cfg.sim_backend,
-    };
     let design_name = req
         .get("design")
         .and_then(Json::as_str)
@@ -802,7 +756,6 @@ fn cmd_profile(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
         let popts = ProfileOptions {
             cycles,
             threads,
-            backend,
             ..ProfileOptions::default()
         };
         match gem_core::profile(&design, &design_name, &popts) {

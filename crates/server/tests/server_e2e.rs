@@ -946,92 +946,6 @@ fn parallel_engine_sessions_share_design_without_bleed() {
     shutdown_and_join(addr, server);
 }
 
-/// The `backend` open option: a compiled-backend session must produce
-/// the same waveform as an interpreted one over the wire, the response
-/// echoes the backend, an unknown name is a typed `bad_backend` error,
-/// and the `profile` command labels its report with the backend that
-/// measured it.
-#[test]
-fn backend_option_selects_engine_without_changing_waveforms() {
-    let (addr, server) = start_server(ServerConfig::default());
-    let mut c = GemClient::connect(addr).expect("connect");
-
-    let mut sessions = Vec::new();
-    for backend in ["interpreted", "compiled"] {
-        let resp = c
-            .open_backend(DESIGN_B, wire_opts(), backend)
-            .expect("open with backend");
-        assert_eq!(
-            resp.get("backend").and_then(Json::as_str),
-            Some(backend),
-            "open response must echo the session's backend"
-        );
-        sessions.push(resp.get("session").and_then(Json::as_u64).unwrap());
-    }
-
-    for cycle in 0..24u64 {
-        let a = format!("{:02x}", (cycle * 37 + 5) & 0xFF);
-        let b = format!("{:02x}", (cycle * 91 + 11) & 0xFF);
-        let mut outs = Vec::new();
-        for &session in &sessions {
-            let resp = c
-                .step(session, 1, vec![("a", a.as_str()), ("b", b.as_str())])
-                .expect("step");
-            outs.push((out_u64(&resp, "x"), out_u64(&resp, "r")));
-        }
-        assert_eq!(
-            outs[0], outs[1],
-            "backends diverged over the wire at cycle {cycle}"
-        );
-    }
-    for session in sessions {
-        c.close(session).expect("close");
-    }
-
-    // Unknown backend name: rejected before any pool work, typed code.
-    let err = c
-        .open_backend(DESIGN_B, wire_opts(), "warp")
-        .expect_err("bogus backend must be rejected");
-    match err {
-        gem_server::ClientError::Server { code, message, .. } => {
-            assert_eq!(code, "bad_backend");
-            assert!(
-                message.contains("warp"),
-                "message names the input: {message}"
-            );
-        }
-        other => panic!("expected typed server error, got {other}"),
-    }
-
-    // `profile` with an explicit backend labels the report it returns.
-    let resp = c
-        .request(
-            "profile",
-            vec![
-                ("source", Json::Str(DESIGN_B.into())),
-                ("opts", wire_opts()),
-                ("cycles", Json::U64(16)),
-                ("backend", Json::Str("compiled".into())),
-            ],
-        )
-        .expect("profile with backend");
-    let profile = resp.get("profile").expect("profile report");
-    assert_eq!(
-        profile.get("backend").and_then(Json::as_str),
-        Some("compiled"),
-        "profile report must name the measuring backend"
-    );
-    assert!(
-        resp.get("table")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .contains("compiled backend"),
-        "rendered table must label the backend"
-    );
-
-    shutdown_and_join(addr, server);
-}
-
 /// The `lint` wire op returns typed diagnostics and a schedule
 /// certificate for clean designs, and names the offending nets — with
 /// no compile attempted — for designs with error-severity findings.

@@ -1,6 +1,7 @@
-//! Property tests for the compiled backend's threaded-code lowering
-//! (`gem_vgpu::CompiledCore` / `gem_place::CompiledLayer`), driven by
-//! the same random-design corpus as the differential fuzz suite:
+//! Property tests for the threaded-code lowering the virtual GPU
+//! executes (`gem_vgpu::CompiledCore` / `gem_place::CompiledLayer`),
+//! driven by the same random-design corpus as the differential fuzz
+//! suite:
 //!
 //! * **totality** — every decoded program the compiler emits lowers
 //!   without panicking, and the lowered shape reconciles with the
@@ -8,16 +9,18 @@
 //! * **cost-model reconciliation** — the lowered op counts are exactly
 //!   the per-cycle `KernelCounters` charges the machine attributes to
 //!   each core, summed over a real simulation step;
-//! * **snapshot portability** — a mid-run snapshot taken under one
-//!   backend restores under the other and continues bit-identically:
-//!   the backend is host configuration, not simulation state.
+//! * **scalar-spec equivalence** — every lowered core, run on random
+//!   64-lane globals, publishes exactly what the scalar spec
+//!   (`BoomerangLayer::execute` between a read gather and a write
+//!   publish) computes for each lane alone.
 //!
 //! Failure messages carry the seed, which reproduces the design and the
 //! stimulus deterministically.
 
-use gem_core::{compile, CompileOptions, ExecBackend, GemSimulator};
-use gem_isa::disassemble_core_exact;
-use gem_sim::{random_module, EaigSim, FuzzConfig, FuzzRng};
+use gem_core::{compile, CompileOptions, GemSimulator};
+use gem_isa::{disassemble_core_exact, DecodedCore, WriteSrc};
+use gem_sim::{random_module, FuzzConfig, FuzzRng};
+use gem_vgpu::compiled::Scratch;
 use gem_vgpu::CompiledCore;
 
 fn compile_seed(seed: u64) -> gem_core::Compiled {
@@ -81,7 +84,7 @@ fn every_fuzz_program_lowers_and_preserves_shape() {
 /// The lowered op counts *are* the cost model: one simulated step (no
 /// pruning can fire on the first cycle) charges exactly the sum of
 /// `layer_op_totals()` over every core, for shared accesses, fold ALU
-/// ops, and block syncs — under both backends.
+/// ops, and block syncs.
 #[test]
 fn lowered_op_counts_reconcile_with_kernel_counters() {
     for seed in 0..12u64 {
@@ -97,117 +100,94 @@ fn lowered_op_counts_reconcile_with_kernel_counters() {
                 syncs += y;
             }
         }
-        for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-            let mut sim =
-                GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            sim.set_backend(backend);
-            sim.step();
-            let c = sim.counters();
-            assert_eq!(
-                c.shared_accesses,
-                shared,
-                "seed {seed}: shared accesses under {}",
-                backend.name()
-            );
-            assert_eq!(
-                c.alu_ops,
-                alu,
-                "seed {seed}: alu ops under {}",
-                backend.name()
-            );
-            assert_eq!(
-                c.block_syncs,
-                syncs,
-                "seed {seed}: block syncs under {}",
-                backend.name()
-            );
-        }
+        let mut sim = GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        sim.step();
+        let c = sim.counters();
+        assert_eq!(c.shared_accesses, shared, "seed {seed}: shared accesses");
+        assert_eq!(c.alu_ops, alu, "seed {seed}: alu ops");
+        assert_eq!(c.block_syncs, syncs, "seed {seed}: block syncs");
     }
 }
 
-/// A snapshot taken mid-run under one backend restores and continues
-/// bit-identically under the other — in both directions, checked
-/// against the golden E-AIG model throughout. The backend knob is host
-/// configuration, never serialized state.
-#[test]
-fn snapshots_port_across_backends() {
-    for (seed, first, second) in [
-        (3u64, ExecBackend::Interpreted, ExecBackend::Compiled),
-        (7u64, ExecBackend::Compiled, ExecBackend::Interpreted),
-    ] {
-        let m = random_module(seed, &FuzzConfig::for_seed(seed));
-        let compiled = compile_seed(seed);
-        let mut gold = EaigSim::new(&compiled.eaig);
-        let mut sim = GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        sim.set_backend(first);
+/// `(global index, value)` pairs one core publishes for one lane.
+type LaneWrites = Vec<(u32, bool)>;
 
-        let n_in = compiled.eaig.inputs().len();
-        let mut stim = FuzzRng::new(seed ^ 0x5717_B0B5);
-        let drive = |sim: &mut GemSimulator, gold: &mut EaigSim<'_>, stim: &mut FuzzRng| {
-            let mut bitvec = vec![false; n_in];
-            for p in m.inputs() {
-                let w = m.width(p.net);
-                let v = stim.bits(w);
-                sim.set_input(&p.name, v.clone());
-                let pb = compiled
-                    .eaig_inputs
-                    .iter()
-                    .find(|pb| pb.name == p.name)
-                    .unwrap();
-                for i in 0..w {
-                    bitvec[pb.lsb_index + i as usize] = v.bit(i);
-                }
-            }
-            for (i, &v) in bitvec.iter().enumerate() {
-                gold.set_input(i, v);
-            }
+/// One lane of the lane words a lowered core published.
+fn lane_of(words: &[(u32, u64)], lane: u32) -> LaneWrites {
+    words
+        .iter()
+        .map(|&(g, w)| (g, (w >> lane) & 1 == 1))
+        .collect()
+}
+
+/// The scalar spec of one core cycle on one lane of `global`: gather
+/// `reads`, run every layer's scalar executor, publish `writes` as
+/// (immediate, deferred) lists in program order.
+fn scalar_core(dec: &DecodedCore, global: &[u64], lane: u32) -> (LaneWrites, LaneWrites) {
+    let mut state = vec![false; dec.width as usize];
+    for r in &dec.reads {
+        state[r.state as usize] = (global[r.global as usize] >> lane) & 1 == 1;
+    }
+    for layer in &dec.layers {
+        layer.execute(&mut state);
+    }
+    let (mut imm, mut def) = (Vec::new(), Vec::new());
+    for w in &dec.writes {
+        let v = match w.src {
+            WriteSrc::State { addr, invert } => state[addr as usize] ^ invert,
+            WriteSrc::Const(c) => c,
         };
-        let check = |sim: &GemSimulator, gold: &mut EaigSim<'_>, cycle: usize| {
-            for pb in compiled.eaig_outputs.iter() {
-                let v = sim.output(&pb.name);
-                for i in 0..pb.width {
+        if w.deferred {
+            def.push((w.global, v));
+        } else {
+            imm.push((w.global, v));
+        }
+    }
+    (imm, def)
+}
+
+/// The direct check of the read gather, the layers as wired into a core
+/// (const-slot redirect included) and the immediate/deferred write
+/// split: for every core of the corpus, each lane of what
+/// `CompiledCore::execute_words_into` publishes from random 64-lane
+/// globals equals the scalar spec run on that lane alone — same
+/// destinations, same values, same order. (Compiler output never lets a
+/// constant slot's value reach a writeback; `gem-vgpu`'s unit tests pin
+/// that a redirected slot reads zero.)
+#[test]
+fn lowered_core_matches_scalar_spec_per_lane() {
+    let mut scratch = Scratch::default();
+    for seed in 0..20u64 {
+        let compiled = compile_seed(seed);
+        let mut rng = FuzzRng::new(seed ^ 0x5CA1_A25B);
+        let global: Vec<u64> = (0..compiled.device.global_bits)
+            .map(|_| rng.next_u64())
+            .collect();
+        for (si, stage) in compiled.bitstream.stages.iter().enumerate() {
+            for (ci, bytes) in stage.iter().enumerate() {
+                let dec = disassemble_core_exact(bytes)
+                    .unwrap_or_else(|e| panic!("seed {seed}: decode failed: {e}"));
+                let (mut imm, mut def) = (Vec::new(), Vec::new());
+                CompiledCore::lower(&dec).execute_words_into(
+                    &global,
+                    &mut scratch,
+                    &mut imm,
+                    &mut def,
+                );
+                for lane in 0..u64::BITS {
+                    let (want_imm, want_def) = scalar_core(&dec, &global, lane);
                     assert_eq!(
-                        v.bit(i),
-                        gold.output(pb.lsb_index + i as usize),
-                        "seed {seed} cycle {cycle}: {}[{i}] diverged after restore",
-                        pb.name
+                        lane_of(&imm, lane),
+                        want_imm,
+                        "seed {seed} stage {si} core {ci} lane {lane}: immediate writes"
+                    );
+                    assert_eq!(
+                        lane_of(&def, lane),
+                        want_def,
+                        "seed {seed} stage {si} core {ci} lane {lane}: deferred writes"
                     );
                 }
             }
-        };
-
-        for cycle in 0..8 {
-            drive(&mut sim, &mut gold, &mut stim);
-            gold.eval();
-            sim.step();
-            check(&sim, &mut gold, cycle);
-            gold.step();
-        }
-        let snap = sim.snapshot();
-        let counters_at_snap = sim.counters();
-
-        // Fresh simulator, opposite backend, restored mid-run state.
-        let mut sim2 = GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        sim2.set_backend(second);
-        sim2.restore(&snap)
-            .unwrap_or_else(|e| panic!("seed {seed}: restore failed: {e}"));
-        assert_eq!(
-            sim2.backend(),
-            second,
-            "seed {seed}: restore must not change the configured backend"
-        );
-        assert_eq!(
-            sim2.counters(),
-            counters_at_snap,
-            "seed {seed}: counters did not survive the snapshot"
-        );
-
-        for cycle in 8..16 {
-            drive(&mut sim2, &mut gold, &mut stim);
-            gold.eval();
-            sim2.step();
-            check(&sim2, &mut gold, cycle);
-            gold.step();
         }
     }
 }

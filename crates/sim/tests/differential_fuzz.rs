@@ -3,11 +3,11 @@
 //!
 //! For every seed the suite builds a random module
 //! ([`gem_sim::random_module`]), compiles it, and runs the same random
-//! stimulus through the golden [`EaigSim`] and **twelve** `GemSimulator`
+//! stimulus through the golden [`EaigSim`] and **six** `GemSimulator`
 //! configurations in lockstep — every point of
 //!
 //! ```text
-//! {interpreted, compiled} × {1, 4} threads × {1, 32, 64} lanes
+//! {1, 4} threads × {1, 32, 64} lanes
 //! ```
 //!
 //! asserting, every cycle:
@@ -21,7 +21,7 @@
 //! * identical architectural counters within each lane-count group
 //!   (RAM-phase counters are lane-dependent, so the 1-, 32- and 64-lane
 //!   groups are compared separately) — the determinism contract for
-//!   both the thread knob and the backend knob,
+//!   the thread knob,
 //! * the PR-1 counter-reconciliation invariants on the merged breakdown.
 //!
 //! `fuzz_smoke` (a small seed range) runs in the tier-1 suite; the full
@@ -35,7 +35,7 @@
 //! configuration, which reproduce the design, the stimulus, and the
 //! divergence deterministically.
 
-use gem_core::{compile, CompileOptions, ExecBackend, GemSimulator};
+use gem_core::{compile, CompileOptions, GemSimulator};
 use gem_sim::{random_module, EaigSim, FuzzConfig, FuzzRng};
 
 /// Salt for the noise streams driving lanes 1..64 of batch sims (lane 0
@@ -45,24 +45,18 @@ const NOISE_SALT: u64 = 0xBADC_AB1E;
 /// One point of the execution matrix.
 struct MatrixSim {
     sim: GemSimulator,
-    backend: ExecBackend,
     threads: usize,
     lanes: u32,
 }
 
 impl MatrixSim {
     fn describe(&self) -> String {
-        format!(
-            "{} backend, {} thread(s), {} lane(s)",
-            self.backend.name(),
-            self.threads,
-            self.lanes
-        )
+        format!("{} thread(s), {} lane(s)", self.threads, self.lanes)
     }
 }
 
-/// Runs one seed through the golden model and the full backend ×
-/// threads × lanes matrix. Returns the pool tasks the parallel engines
+/// Runs one seed through the golden model and the full threads × lanes
+/// matrix. Returns the pool tasks the parallel engines
 /// dispatched, so callers can assert the sweep really fanned out
 /// (stages with a single core bypass the pool, and a 256-bit core
 /// swallows every fuzz design whole — 64 bits is the widest core that
@@ -101,22 +95,18 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> u64 {
     );
     let mut gold = EaigSim::new(&compiled.eaig);
     let mut sims = Vec::new();
-    for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-        for threads in [1usize, 4] {
-            for lanes in [1u32, 32, 64] {
-                let mut sim =
-                    GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-                sim.set_threads(threads);
-                sim.set_backend(backend);
-                sim.set_lanes(lanes)
-                    .unwrap_or_else(|e| panic!("seed {seed}: set_lanes({lanes}): {e}"));
-                sims.push(MatrixSim {
-                    sim,
-                    backend,
-                    threads,
-                    lanes,
-                });
-            }
+    for threads in [1usize, 4] {
+        for lanes in [1u32, 32, 64] {
+            let mut sim =
+                GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            sim.set_threads(threads);
+            sim.set_lanes(lanes)
+                .unwrap_or_else(|e| panic!("seed {seed}: set_lanes({lanes}): {e}"));
+            sims.push(MatrixSim {
+                sim,
+                threads,
+                lanes,
+            });
         }
     }
 
@@ -188,14 +178,14 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> u64 {
             }
         }
         // Noise lanes must agree across every batch configuration that
-        // runs them: the backend-equivalence claim covers all 64
+        // runs them: the determinism claim covers all 64
         // stimulus streams, not just the golden-checked lane 0. Lanes
         // 1..32 are cross-checked over every batch sim; lanes 32..64
         // only among the full-width (64-lane) sims.
         for pb in compiled.eaig_outputs.iter() {
             for lane in 1..GemSimulator::MAX_LANES {
                 let group: Vec<&MatrixSim> = sims.iter().filter(|s| s.lanes > lane).collect();
-                assert!(group.len() >= 4, "lane {lane}: matrix lost its sims");
+                assert!(group.len() >= 2, "lane {lane}: matrix lost its sims");
                 let want = group[0].sim.output_lane(&pb.name, lane);
                 for s in &group[1..] {
                     assert_eq!(
@@ -210,7 +200,7 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> u64 {
             }
         }
         // Determinism contract: merged counters identical across
-        // backends and thread counts, every cycle — within each lane
+        // thread counts, every cycle — within each lane
         // group (the RAM phase touches every active lane, so 32-lane
         // counters legitimately differ from 1-lane ones).
         for lanes in [1u32, 32, 64] {
@@ -267,7 +257,7 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> u64 {
 }
 
 /// Tier-1 smoke subset: a couple dozen random designs, short stimuli,
-/// full backend × threads × lanes matrix per seed. The corpus must
+/// full threads × lanes matrix per seed. The corpus must
 /// contain at least one multi-core placement, or the "parallel" engine
 /// under test silently degrades to serial.
 #[test]
@@ -283,7 +273,7 @@ fn fuzz_smoke() {
 /// design has at least one memory and every memory carries both a sync
 /// and an async read port. The plain corpus only hits memories
 /// probabilistically; this subset pins both RAM read paths (and their
-/// verifier checks) in every run — under both backends.
+/// verifier checks) in every run.
 #[test]
 fn ram_smoke() {
     for seed in 0..15 {
@@ -294,8 +284,7 @@ fn ram_smoke() {
 }
 
 /// Full sweep: ≥200 random designs × multi-cycle stimuli × the full
-/// execution matrix. Run with `--ignored` (CI runs it in the
-/// backend-determinism job).
+/// execution matrix. Run with `--ignored`.
 #[test]
 #[ignore = "full sweep; run with --ignored"]
 fn fuzz_sweep() {

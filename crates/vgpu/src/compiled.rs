@@ -1,26 +1,26 @@
-//! Per-core threaded-code specialization for the compiled execution
-//! backend (`docs/COMPILED.md`).
+//! Per-core threaded-code lowering: the form the virtual GPU executes
+//! (DESIGN.md §7).
 //!
 //! [`CompiledCore::lower`] runs once per core at bitstream load and
-//! resolves everything [`execute_core`] would otherwise re-derive every
+//! resolves everything the per-cycle `execute_core` step of
+//! [`GemGpu`](crate::machine::GemGpu) would otherwise re-derive every
 //! cycle: global↔state operand indices for the read gather, the layer
 //! programs (via [`gem_place::CompiledLayer`]), and the write plan —
 //! split into immediate and deferred lists with the `State`/`Const`
 //! source tags and invert flags folded into a per-entry XOR mask, so
 //! the publish loop is branch-free.
 //!
-//! The backend also removes the interpreter's per-core-per-cycle heap
-//! traffic: each executing thread (the stepping thread and every
-//! `gem-vcore` worker) owns one thread-local [`Scratch`] whose state
-//! and row buffers are recycled across cores and cycles.
+//! Steady-state execution allocates nothing inside the fold network:
+//! each executing thread (the stepping thread and every `gem-vcore`
+//! worker) owns one thread-local [`Scratch`] whose state and row
+//! buffers are recycled across cores and cycles.
 //!
-//! Equivalence contract: for any decoded core, the compiled execution
-//! produces exactly the interpreter's immediate writes, deferred
-//! writes, and counter deltas, in the same order — the backend matrix
-//! in `gem-sim`'s differential fuzz suite and the golden VCD corpus
-//! hold both backends to that, bit for bit.
-//!
-//! [`execute_core`]: crate::machine::GemGpu
+//! Equivalence contract: for any decoded core, execution produces
+//! exactly the writes of the scalar spec — gather `reads`, run
+//! [`gem_place::BoomerangLayer::execute`] per layer, publish `writes` —
+//! per lane and in program order. `gem-sim`'s `compiled_lowering` suite
+//! checks that directly; the differential fuzz suite and the golden VCD
+//! corpus check it end to end.
 
 use gem_isa::{DecodedCore, WriteSrc};
 use gem_place::{splat, CompiledLayer, Word};
@@ -170,8 +170,8 @@ impl CompiledCore {
 
 /// Reusable per-thread execution buffers: the core state vector and the
 /// two ping-pong fold rows. Capacity survives across cores and cycles,
-/// so the compiled backend's steady state performs no heap allocation
-/// inside the fold network.
+/// so steady-state execution performs no heap allocation inside the
+/// fold network.
 #[derive(Debug, Default)]
 pub struct Scratch {
     state: Vec<Word>,
@@ -268,6 +268,29 @@ mod tests {
         with_scratch(|s| comp.execute_words_into(&global, s, &mut imm, &mut def));
         assert_eq!(imm, vec![(7, !(0b1010 as Word & 0b1100))]);
         assert_eq!(def, vec![(8, Word::MAX)]);
+    }
+
+    /// A redirected constant gather slot must read zero even when the
+    /// recycled scratch last held a wider core whose state covered the
+    /// narrow core's zero slot with ones.
+    #[test]
+    fn redirected_const_slots_read_zero_from_recycled_scratch() {
+        let mut wide = sample_core();
+        wide.width = 8;
+        wide.layers = vec![BoomerangLayer::new(8)];
+        wide.reads[1].state = 4; // the 4-wide core's zero slot
+        let mut narrow = sample_core();
+        narrow.layers[0].perm[1] = PermSource::ConstFalse;
+        narrow.layers[0].folds[0].xb[0] = true; // out = a & !const
+        let mut global: Vec<Word> = vec![0; 9];
+        global[5] = 0b1010;
+        global[6] = Word::MAX;
+        let mut scratch = Scratch::default();
+        let (mut imm, mut def) = (Vec::new(), Vec::new());
+        CompiledCore::lower(&wide).execute_words_into(&global, &mut scratch, &mut imm, &mut def);
+        imm.clear();
+        CompiledCore::lower(&narrow).execute_words_into(&global, &mut scratch, &mut imm, &mut def);
+        assert_eq!(imm, vec![(7, !(0b1010 as Word))]);
     }
 
     #[test]

@@ -78,63 +78,6 @@ impl ExecMode {
     }
 }
 
-/// How the virtual GPU evaluates one core's program: the backend axis,
-/// orthogonal to [`ExecMode`] (threads) and to lane batching. Both
-/// backends execute the same decoded bitstream with identical
-/// semantics and identical [`crate::KernelCounters`]; only host
-/// wall-clock differs (see `docs/COMPILED.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecBackend {
-    /// Walk the decoded program every cycle, re-interpreting enum tags,
-    /// `bool` constants, and `Option` writeback slots — the reference
-    /// executor ([`gem_place::BoomerangLayer::execute_words`] under the
-    /// hood).
-    #[default]
-    Interpreted,
-    /// Execute the threaded-code form lowered once at load: flat
-    /// operand index arrays, pre-splatted fold masks, sparse writeback
-    /// lists, reusable scratch buffers — no per-cycle dispatch or
-    /// allocation (see [`crate::CompiledCore`]).
-    Compiled,
-}
-
-impl ExecBackend {
-    /// Parses a backend name as accepted by the `--backend` CLI flags,
-    /// the server's `backend` open option, and `GEM_BACKEND`.
-    pub fn parse(s: &str) -> Option<ExecBackend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "interpreted" | "interp" => Some(ExecBackend::Interpreted),
-            "compiled" | "threaded" => Some(ExecBackend::Compiled),
-            _ => None,
-        }
-    }
-
-    /// Canonical name (what [`parse`](Self::parse) round-trips).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecBackend::Interpreted => "interpreted",
-            ExecBackend::Compiled => "compiled",
-        }
-    }
-
-    /// The process-wide default: the `GEM_BACKEND` environment variable
-    /// when it names a backend (unset or unparsable falls back to
-    /// [`Interpreted`](ExecBackend::Interpreted)). This is the knob CI
-    /// uses to run the whole suite under each backend.
-    pub fn resolved_default() -> ExecBackend {
-        std::env::var("GEM_BACKEND")
-            .ok()
-            .and_then(|v| ExecBackend::parse(&v))
-            .unwrap_or_default()
-    }
-}
-
-impl std::fmt::Display for ExecBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Host-side execution statistics of one machine (not part of the
 /// simulated architecture: wall-clock barrier waits are *measured*, so
 /// they are excluded from [`crate::GpuSnapshot`] and from the
@@ -144,10 +87,6 @@ impl std::fmt::Display for ExecBackend {
 pub struct ExecStats {
     /// Configured worker threads (1 when serial).
     pub threads: usize,
-    /// Configured execution backend (interpreted or compiled threaded
-    /// code). Like `threads`, this is host configuration, not simulated
-    /// state: it never enters a snapshot.
-    pub backend: ExecBackend,
     /// Active stimulus bit-lanes each step advances (1 when
     /// single-stimulus; see `docs/BATCH.md`). Lanes multiply with
     /// threads: a stage fans out `cores` tasks regardless of lanes, and
@@ -331,25 +270,6 @@ mod tests {
         assert_eq!(ExecMode::Parallel(4).threads(), 4);
         // The default resolves to *something* executable.
         assert!(ExecMode::resolved_default().threads() >= 1);
-    }
-
-    #[test]
-    fn backend_parse_round_trips_and_defaults() {
-        assert_eq!(
-            ExecBackend::parse("interpreted"),
-            Some(ExecBackend::Interpreted)
-        );
-        assert_eq!(ExecBackend::parse("Compiled"), Some(ExecBackend::Compiled));
-        assert_eq!(
-            ExecBackend::parse(" threaded "),
-            Some(ExecBackend::Compiled)
-        );
-        assert_eq!(ExecBackend::parse("cuda"), None);
-        for b in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-            assert_eq!(ExecBackend::parse(b.name()), Some(b));
-            assert_eq!(b.to_string(), b.name());
-        }
-        assert_eq!(ExecBackend::default(), ExecBackend::Interpreted);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub use compiled::{CompiledCore, CompiledWrite, WRITE_CONST};
 pub use counters::{
     CounterBreakdown, KernelCounters, KernelRates, LayerCounters, PartitionCounters,
 };
-pub use exec::{ExecBackend, ExecMode, ExecStats, StageWait};
+pub use exec::{ExecMode, ExecStats, StageWait};
 pub use gl0am::Gl0amModel;
 pub use machine::{DeviceConfig, GemGpu, GpuSnapshot, MachineError, RamBinding};
 pub use spec::GpuSpec;

@@ -1,8 +1,9 @@
 //! The virtual GPU executing GEM bitstreams.
 //!
 //! [`GemGpu`] is the reproduction's stand-in for the paper's CUDA
-//! interpreter kernel. It executes each core's decoded VLIW program with
-//! the exact shared-memory fold semantics of
+//! interpreter kernel. It lowers each core's decoded VLIW program once at
+//! load ([`CompiledCore`]) and executes that form every cycle with the
+//! exact shared-memory fold semantics of
 //! [`gem_place::BoomerangLayer::execute`], maintains the device-global
 //! signal array, performs RAM block operations, and accumulates
 //! [`KernelCounters`] whose per-cycle values drive the timing model.
@@ -26,10 +27,11 @@
 //!
 //! **Lane batching** (`docs/BATCH.md`): every global signal is stored as
 //! a machine-word ([`gem_place::Word`], a `u64`) *lane word* — bit `k`
-//! is the signal's value in independent simulation `k`. The fold network is pure bitwise logic
-//! ([`gem_place::BoomerangLayer::execute_words`]), so one [`step_cycle`]
-//! advances up to [`GemGpu::MAX_LANES`] stimulus streams at the cost of
-//! one. The scalar API ([`poke`]/[`peek`]) stays the single-stimulus
+//! is the signal's value in independent simulation `k`. The fold network
+//! is pure bitwise logic
+//! ([`gem_place::CompiledLayer::execute_words_into`]), so one
+//! [`step_cycle`] advances up to [`GemGpu::MAX_LANES`] stimulus streams
+//! at the cost of one. The scalar API ([`poke`]/[`peek`]) stays the single-stimulus
 //! view: pokes broadcast to every lane, peeks read lane 0 — a machine
 //! never touched by the lane API behaves exactly as before. Inactive
 //! lanes (≥ [`lanes`]) always *mirror lane 0* — broadcast pokes, pure
@@ -42,10 +44,10 @@
 //! [`lanes`]: GemGpu::lanes
 //! [`set_lanes`]: GemGpu::set_lanes
 
-use crate::compiled::{with_scratch, CompiledCore};
+use crate::compiled::{with_scratch, CompiledCore, WRITE_CONST};
 use crate::counters::{CounterBreakdown, KernelCounters, LayerCounters, PartitionCounters};
-use crate::exec::{CorePool, ExecBackend, ExecMode, ExecStats};
-use gem_isa::{disassemble_core, Bitstream, DecodeError, DecodedCore, WriteSrc};
+use crate::exec::{CorePool, ExecMode, ExecStats};
+use gem_isa::{disassemble_core, Bitstream, DecodeError, WriteSrc};
 use gem_place::{splat, Word};
 use gem_telemetry::span;
 use gem_telemetry::{MetricFamily, MetricKind, MetricsSnapshot, Sample};
@@ -126,16 +128,11 @@ impl From<DecodeError> for MachineError {
     }
 }
 
-/// One loaded core: decoded program plus its precomputed per-cycle
-/// counter contribution.
+/// One loaded core: the program lowered once to threaded-code form
+/// (DESIGN.md §7) plus its precomputed per-cycle counter
+/// contribution. The decoded program is validated at load and dropped.
 #[derive(Debug, Clone)]
 struct LoadedCore {
-    dec: DecodedCore,
-    /// The same program lowered once to threaded-code form — what the
-    /// compiled backend executes (see `docs/COMPILED.md`). Built
-    /// unconditionally at load so [`GemGpu::set_backend`] is a pure
-    /// engine switch with no recompilation, mirroring
-    /// [`GemGpu::set_exec_mode`].
     comp: CompiledCore,
     delta: KernelCounters,
     /// Static cost of one boomerang layer of this core (all layers of a
@@ -155,7 +152,7 @@ struct LoadedCore {
 #[derive(Debug, Clone)]
 pub struct GemGpu {
     cfg: DeviceConfig,
-    /// Shared read-only bitstream: decoded programs plus static costs.
+    /// Shared read-only bitstream: lowered programs plus static costs.
     stages: Arc<Vec<Vec<LoadedCore>>>,
     /// Global signal array as lane words: bit `k` of `global[i]` is
     /// signal `i` in simulation lane `k`.
@@ -185,10 +182,6 @@ pub struct GemGpu {
     input_cache: Vec<Vec<Option<Vec<Word>>>>,
     /// Worker pool when the mode is parallel (shared by clones).
     pool: Option<Arc<CorePool>>,
-    /// Core evaluation backend (interpreted or compiled threaded code).
-    /// Host configuration like the pool, not simulated state: snapshots
-    /// neither capture nor reset it.
-    backend: ExecBackend,
     /// Host-side fan-out statistics (not simulated state; see
     /// [`ExecStats`]).
     exec_stats: ExecStats,
@@ -305,20 +298,17 @@ struct CoreOutbox {
 }
 
 /// Executes one core as a pure function of the stage-start global array.
-/// Both execution engines and both backends call exactly this, which is
-/// the structural reason serial/parallel and interpreted/compiled runs
-/// cannot diverge: the pruning decision, counter deltas, and write
-/// buffering are shared, and the backends differ only in how the fold
-/// network is evaluated.
+/// Serial and parallel stages call exactly this, which is the structural
+/// reason they cannot diverge: the pruning decision, counter deltas, and
+/// write buffering are shared.
 fn execute_core(
     core: &LoadedCore,
     global: &[Word],
-    backend: ExecBackend,
     pruning: bool,
     prev_cache: Option<Vec<Word>>,
     ci: usize,
 ) -> CoreOutbox {
-    let width = core.dec.width as usize;
+    let comp = &core.comp;
     let mut out = CoreOutbox {
         ci,
         immediate: Vec::new(),
@@ -328,11 +318,10 @@ fn execute_core(
         cache: None,
     };
     if pruning {
-        let inputs: Vec<Word> = core
-            .dec
+        let inputs: Vec<Word> = comp
             .reads
             .iter()
-            .map(|r| global[r.global as usize])
+            .map(|&(g, _)| global[g as usize])
             .collect();
         if prev_cache.as_ref() == Some(&inputs) {
             // Unchanged read set: outputs are guaranteed identical and
@@ -341,64 +330,38 @@ fn execute_core(
             // input gather, not the bitstream stream or the folds.
             out.delta = KernelCounters {
                 blocks_skipped: 1,
-                global_bytes: WORD_BYTES * core.dec.reads.len() as u64,
-                global_transactions: 1 + core.dec.reads.len() as u64
-                    / (LINE_BITS / (8 * WORD_BYTES)),
+                global_bytes: WORD_BYTES * comp.reads.len() as u64,
+                global_transactions: 1 + comp.reads.len() as u64 / (LINE_BITS / (8 * WORD_BYTES)),
                 ..Default::default()
             };
             out.skipped = true;
             // Deferred writes must still commit (FF next-states equal
             // their current values, but outputs may feed the testbench).
-            for w in &core.dec.writes {
-                if w.deferred {
-                    let v = match w.src {
-                        WriteSrc::State { .. } => {
-                            // Value unchanged ⇒ current global content
-                            // is already correct; re-commit it.
-                            global[w.global as usize]
-                        }
-                        WriteSrc::Const(c) => splat(c),
-                    };
-                    out.deferred.push((w.global, v));
-                }
+            for w in comp.deferred.iter() {
+                let v = if w.addr == WRITE_CONST {
+                    w.xor
+                } else {
+                    // Value unchanged ⇒ current global content is
+                    // already correct; re-commit it.
+                    global[w.global as usize]
+                };
+                out.deferred.push((w.global, v));
             }
             out.cache = prev_cache;
             return out;
         }
         out.cache = Some(inputs);
     }
-    match backend {
-        ExecBackend::Interpreted => {
-            let mut state = vec![Word::MIN; width];
-            for r in &core.dec.reads {
-                state[r.state as usize] = global[r.global as usize];
-            }
-            for layer in &core.dec.layers {
-                layer.execute_words(&mut state);
-            }
-            for w in &core.dec.writes {
-                let v = match w.src {
-                    WriteSrc::State { addr, invert } => state[addr as usize] ^ splat(invert),
-                    WriteSrc::Const(c) => splat(c),
-                };
-                if w.deferred {
-                    out.deferred.push((w.global, v));
-                } else {
-                    out.immediate.push((w.global, v));
-                }
-            }
-        }
-        ExecBackend::Compiled => with_scratch(|scratch| {
-            core.comp
-                .execute_words_into(global, scratch, &mut out.immediate, &mut out.deferred);
-        }),
-    }
+    with_scratch(|scratch| {
+        comp.execute_words_into(global, scratch, &mut out.immediate, &mut out.deferred);
+    });
     out.delta = core.delta;
     out
 }
 
 impl GemGpu {
-    /// Decodes and validates a bitstream against a device configuration.
+    /// Decodes, validates and lowers a bitstream against a device
+    /// configuration.
     ///
     /// # Errors
     ///
@@ -471,10 +434,8 @@ impl GemGpu {
                     delta.alu_ops += layer_cost.1;
                     delta.block_syncs += layer_cost.2;
                 }
-                let comp = CompiledCore::lower(&dec);
                 cores.push(LoadedCore {
-                    dec,
-                    comp,
+                    comp: CompiledCore::lower(&dec),
                     delta,
                     layer_cost,
                 });
@@ -526,7 +487,7 @@ impl GemGpu {
         let max_layers = stages
             .iter()
             .flatten()
-            .map(|c| c.dec.layers.len())
+            .map(|c| c.comp.layers.len())
             .max()
             .unwrap_or(0);
         let layer_counters = (0..max_layers)
@@ -548,7 +509,6 @@ impl GemGpu {
             stages: Arc::new(stages),
             cfg,
             pool: None,
-            backend: ExecBackend::Interpreted,
             exec_stats: ExecStats {
                 threads: 1,
                 lanes: 1,
@@ -595,24 +555,6 @@ impl GemGpu {
             Some(p) => ExecMode::Parallel(p.threads()),
             None => ExecMode::Serial,
         }
-    }
-
-    /// Selects the core evaluation backend.
-    /// [`ExecBackend::Interpreted`] walks the decoded program;
-    /// [`ExecBackend::Compiled`] runs the threaded-code form lowered at
-    /// load. Results are bit-identical either way (waveforms *and*
-    /// counters — see `docs/COMPILED.md`); only host wall clock
-    /// differs. Switching backends mid-simulation is allowed and
-    /// composes freely with [`set_exec_mode`](Self::set_exec_mode) and
-    /// lane batching.
-    pub fn set_backend(&mut self, backend: ExecBackend) {
-        self.backend = backend;
-        self.exec_stats.backend = backend;
-    }
-
-    /// The current core evaluation backend.
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
     }
 
     /// Host-side fan-out statistics (barrier waits, tasks dispatched).
@@ -836,14 +778,7 @@ impl GemGpu {
         for (ci, core) in stage.iter().enumerate() {
             let cache = std::mem::take(&mut self.input_cache[si][ci]);
             let started = Instant::now();
-            outboxes.push(execute_core(
-                core,
-                &self.global,
-                self.backend,
-                self.pruning,
-                cache,
-                ci,
-            ));
+            outboxes.push(execute_core(core, &self.global, self.pruning, cache, ci));
             if traced {
                 span::complete(
                     format!("core s{si}c{ci}"),
@@ -880,11 +815,10 @@ impl GemGpu {
             let global = Arc::clone(&global);
             let cache = std::mem::take(&mut self.input_cache[si][ci]);
             let pruning = self.pruning;
-            let backend = self.backend;
             let tx = tx.clone();
             pool.submit(Box::new(move || {
                 let started = Instant::now();
-                let out = execute_core(&stages[si][ci], &global, backend, pruning, cache, ci);
+                let out = execute_core(&stages[si][ci], &global, pruning, cache, ci);
                 // Release the snapshot handle *before* reporting so the
                 // coordinator can take the array back without a copy.
                 drop(global);
@@ -961,7 +895,7 @@ impl GemGpu {
             if !out.skipped {
                 let core = &stage[ci];
                 let (shared, alu, syncs) = core.layer_cost;
-                for lc in self.layer_counters[..core.dec.layers.len()].iter_mut() {
+                for lc in self.layer_counters[..core.comp.layers.len()].iter_mut() {
                     lc.shared_accesses += shared;
                     lc.alu_ops += alu;
                     lc.block_syncs += syncs;
@@ -1019,15 +953,6 @@ impl GemGpu {
             MetricKind::Gauge,
             self.lanes as f64,
         );
-        snap.push(MetricFamily {
-            name: "gem_vgpu_backend".to_string(),
-            help: "Configured core evaluation backend (1 on the active label)".to_string(),
-            kind: MetricKind::Gauge,
-            samples: vec![Sample {
-                labels: vec![("backend".to_string(), self.backend.name().to_string())],
-                value: 1.0,
-            }],
-        });
         snap.push_scalar(
             "gem_vgpu_parallel_tasks_total",
             "Core executions dispatched to the worker pool",
@@ -1416,7 +1341,7 @@ mod parallel_tests {
     /// One stage of `n` AND cores: core `i` computes
     /// `g[2n+i] = g[2i] & g[2i+1]`, alternating immediate and deferred
     /// writes so the merge path sees both write classes.
-    pub(super) fn wide_machine(n: u32) -> GemGpu {
+    fn wide_machine(n: u32) -> GemGpu {
         let width = 16u32;
         let mut cores = Vec::new();
         for i in 0..n {
@@ -1472,7 +1397,7 @@ mod parallel_tests {
 
     /// Drives `serial` and `parallel` with an identical input pattern and
     /// asserts bit-identical observable state and counters every cycle.
-    pub(super) fn assert_lockstep(serial: &mut GemGpu, parallel: &mut GemGpu, n: u32, cycles: u64) {
+    fn assert_lockstep(serial: &mut GemGpu, parallel: &mut GemGpu, n: u32, cycles: u64) {
         for c in 0..cycles {
             for i in 0..2 * n {
                 let v = (c.wrapping_mul(0x9E37) >> i) & 1 == 1;
@@ -1695,143 +1620,6 @@ mod parallel_tests {
             assert_eq!(ser.peek(g), par.peek(g));
         }
         assert_eq!(ser.counters(), par.counters());
-    }
-}
-
-#[cfg(test)]
-mod backend_tests {
-    use super::parallel_tests::{assert_lockstep, wide_machine};
-    use super::*;
-    use crate::exec::{ExecBackend, ExecMode};
-
-    #[test]
-    fn compiled_backend_is_bit_identical_to_interpreted() {
-        let n = 6;
-        for threads in [1usize, 4] {
-            let mut interp = wide_machine(n);
-            let mut comp = wide_machine(n);
-            comp.set_backend(ExecBackend::Compiled);
-            comp.set_threads(threads);
-            assert_eq!(comp.backend(), ExecBackend::Compiled);
-            assert_eq!(comp.exec_stats().backend, ExecBackend::Compiled);
-            assert_eq!(interp.backend(), ExecBackend::Interpreted);
-            assert_lockstep(&mut interp, &mut comp, n, 32);
-        }
-    }
-
-    #[test]
-    fn compiled_backend_is_bit_identical_with_pruning() {
-        let n = 4;
-        let mut interp = wide_machine(n);
-        let mut comp = wide_machine(n);
-        interp.set_pruning(true);
-        comp.set_pruning(true);
-        comp.set_backend(ExecBackend::Compiled);
-        assert_lockstep(&mut interp, &mut comp, n, 24);
-        assert!(
-            comp.counters().blocks_skipped > 0,
-            "the pattern repeats, so pruning must fire under the compiled backend too"
-        );
-    }
-
-    #[test]
-    fn backend_switch_mid_simulation_keeps_the_trajectory() {
-        let n = 5;
-        let mut reference = wide_machine(n);
-        let mut switching = wide_machine(n);
-        assert_lockstep(&mut reference, &mut switching, n, 8);
-        switching.set_backend(ExecBackend::Compiled);
-        assert_lockstep(&mut reference, &mut switching, n, 8);
-        switching.set_exec_mode(ExecMode::Parallel(2));
-        assert_lockstep(&mut reference, &mut switching, n, 8);
-        switching.set_backend(ExecBackend::Interpreted);
-        assert_lockstep(&mut reference, &mut switching, n, 8);
-    }
-
-    /// Backends × lanes: a full-width (64-lane) compiled batch tracks
-    /// the interpreted batch on every lane under divergent stimulus.
-    #[test]
-    fn compiled_lane_batch_matches_interpreted_per_lane() {
-        let n = 4;
-        let mut interp = wide_machine(n);
-        let mut comp = wide_machine(n);
-        comp.set_backend(ExecBackend::Compiled);
-        interp.set_lanes(GemGpu::MAX_LANES).expect("max lanes");
-        comp.set_lanes(GemGpu::MAX_LANES).expect("max lanes");
-        for c in 0u64..16 {
-            for i in 0..2 * n {
-                for lane in 0..GemGpu::MAX_LANES {
-                    let v = c.wrapping_mul(0x9E37).wrapping_shr(i + lane) & 1 == 1;
-                    interp.poke_lane(i, lane, v);
-                    comp.poke_lane(i, lane, v);
-                }
-            }
-            interp.step_cycle();
-            comp.step_cycle();
-            for g in 0..3 * n {
-                assert_eq!(
-                    interp.peek_lanes(g),
-                    comp.peek_lanes(g),
-                    "cycle {c}: lane word of global {g} diverged"
-                );
-            }
-            assert_eq!(interp.counters(), comp.counters(), "cycle {c} counters");
-        }
-    }
-
-    /// A snapshot is backend-agnostic in both directions: state taken
-    /// under one backend restores under the other and continues the
-    /// identical trajectory, and restore never resets the configured
-    /// backend (it is host configuration, like the thread count).
-    #[test]
-    fn snapshot_restore_is_backend_agnostic() {
-        let n = 4;
-        let mut comp = wide_machine(n);
-        comp.set_backend(ExecBackend::Compiled);
-        for i in 0..2 * n {
-            comp.poke(i, i % 3 == 0);
-        }
-        for _ in 0..5 {
-            comp.step_cycle();
-        }
-        let snap = comp.snapshot();
-        let mut interp = wide_machine(n);
-        interp.restore(&snap).expect("restores");
-        assert_eq!(
-            interp.backend(),
-            ExecBackend::Interpreted,
-            "restore must not change the configured backend"
-        );
-        assert_eq!(comp.backend(), ExecBackend::Compiled);
-        for i in 0..2 * n {
-            interp.poke(i, i % 3 == 0);
-            comp.poke(i, i % 3 == 0);
-        }
-        interp.step_cycle();
-        comp.step_cycle();
-        for g in 0..3 * n {
-            assert_eq!(interp.peek(g), comp.peek(g));
-        }
-        assert_eq!(interp.counters(), comp.counters());
-    }
-
-    #[test]
-    fn backend_metric_exported() {
-        let mut gpu = wide_machine(2);
-        let snap = gpu.metrics_snapshot();
-        let fam = snap.family("gem_vgpu_backend").unwrap();
-        assert_eq!(
-            fam.samples[0].labels,
-            vec![("backend".to_string(), "interpreted".to_string())]
-        );
-        gpu.set_backend(ExecBackend::Compiled);
-        let snap = gpu.metrics_snapshot();
-        let fam = snap.family("gem_vgpu_backend").unwrap();
-        assert_eq!(
-            fam.samples[0].labels,
-            vec![("backend".to_string(), "compiled".to_string())]
-        );
-        assert_eq!(fam.total(), 1.0);
     }
 }
 

@@ -7,12 +7,6 @@
 //! encoding, or the simulator that alters observable behavior shows up
 //! as a digest mismatch naming the design.
 //!
-//! Every waveform is produced under **both** execution backends
-//! (interpreted and compiled) and must hash identically: the backends
-//! share one golden corpus, there is no per-backend digest set. Blessing
-//! writes the interpreted digest; the compiled run is compared against
-//! it, never blessed from.
-//!
 //! To re-bless after an *intentional* behavioral change:
 //!
 //! ```text
@@ -21,7 +15,7 @@
 //!
 //! then review the `.digest` diff like any other golden-file change.
 
-use gem_core::{compile, CompileOptions, ExecBackend, GemSimulator};
+use gem_core::{compile, CompileOptions, GemSimulator};
 use gem_netlist::vcd::VcdWriter;
 use gem_netlist::verilog;
 use gem_sim::FuzzRng;
@@ -41,8 +35,8 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 /// Compiles one design and records its outputs for [`CYCLES`] cycles of
-/// seeded random stimulus into a VCD document, under the given backend.
-fn waveform(path: &Path, backend: ExecBackend) -> String {
+/// seeded random stimulus into a VCD document.
+fn waveform(path: &Path) -> String {
     let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let name = path.file_stem().unwrap().to_string_lossy().into_owned();
     let module = verilog::parse(&src).unwrap_or_else(|e| panic!("{name}: parse failed: {e}"));
@@ -61,7 +55,6 @@ fn waveform(path: &Path, backend: ExecBackend) -> String {
         .collect();
     w.begin();
     let mut sim = GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("{name}: {e}"));
-    sim.set_backend(backend);
     // The stimulus seed is part of the golden contract — changing it
     // invalidates every digest.
     let mut stim = FuzzRng::new(0x601D);
@@ -83,7 +76,7 @@ fn waveform(path: &Path, backend: ExecBackend) -> String {
 /// lane runs its own unrelated stream. The digest must match the scalar
 /// run's — lane batching must not perturb observable behavior, at any
 /// machine word width.
-fn lane_zero_waveform(path: &Path, backend: ExecBackend) -> String {
+fn lane_zero_waveform(path: &Path) -> String {
     const LANES: u32 = GemSimulator::MAX_LANES;
     let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let name = path.file_stem().unwrap().to_string_lossy().into_owned();
@@ -102,7 +95,6 @@ fn lane_zero_waveform(path: &Path, backend: ExecBackend) -> String {
         .collect();
     w.begin();
     let mut sim = GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("{name}: {e}"));
-    sim.set_backend(backend);
     sim.set_lanes(LANES)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     // Lane 0 replays the golden stimulus seed; the other 63 lanes run
@@ -139,16 +131,11 @@ fn lane_zero_of_batch_matches_golden_digests() {
         let path = root.join(format!("examples/designs/{name}.v"));
         let want = std::fs::read_to_string(golden_dir.join(format!("{name}.digest")))
             .unwrap_or_else(|_| panic!("{name}: no pinned golden digest"));
-        for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-            let digest = format!("{:016x}\n", fnv1a(&lane_zero_waveform(&path, backend)));
-            assert_eq!(
-                digest,
-                want,
-                "{name}: lane 0 of a {LANES}-lane batch under the {} backend diverged \
-                 from the pinned scalar waveform",
-                backend.name()
-            );
-        }
+        let digest = format!("{:016x}\n", fnv1a(&lane_zero_waveform(&path)));
+        assert_eq!(
+            digest, want,
+            "{name}: lane 0 of a {LANES}-lane batch diverged from the pinned scalar waveform"
+        );
     }
 }
 
@@ -174,17 +161,7 @@ fn example_designs_match_golden_digests() {
     let mut mismatches = Vec::new();
     for path in &paths {
         let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let digest = format!(
-            "{:016x}\n",
-            fnv1a(&waveform(path, ExecBackend::Interpreted))
-        );
-        // The compiled backend shares the corpus: its waveform must hash
-        // to the *same* digest, before either is compared to the pin.
-        let compiled_digest = format!("{:016x}\n", fnv1a(&waveform(path, ExecBackend::Compiled)));
-        assert_eq!(
-            digest, compiled_digest,
-            "{name}: compiled backend produced a different waveform than interpreted"
-        );
+        let digest = format!("{:016x}\n", fnv1a(&waveform(path)));
         let golden_path = golden_dir.join(format!("{name}.digest"));
         if bless {
             std::fs::create_dir_all(&golden_dir).expect("mkdir tests/golden");
@@ -212,13 +189,13 @@ fn example_designs_match_golden_digests() {
     );
 }
 
-/// A full-width 64-lane snapshot is portable across execution backends:
-/// state captured mid-run under one backend resumes bit-exactly under
-/// the other, per lane. And a snapshot whose lane word is a different
-/// width than the machine's (a stale 32-wide capture) is rejected with
-/// the typed error, not silently reinterpreted.
+/// A full-width 64-lane snapshot resumes bit-exactly, per lane: a fresh
+/// simulator restored from a mid-run capture tracks the original run
+/// cycle for cycle. And a snapshot whose lane word is a different width
+/// than the machine's (a stale 32-wide capture) is rejected with the
+/// typed error, not silently reinterpreted.
 #[test]
-fn full_width_snapshots_are_backend_portable_and_width_checked() {
+fn full_width_snapshots_resume_bit_exactly_and_are_width_checked() {
     const LANES: u32 = GemSimulator::MAX_LANES;
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let path = root.join("examples/designs/alu.v");
@@ -231,41 +208,11 @@ fn full_width_snapshots_are_backend_portable_and_width_checked() {
     };
     let compiled = compile(&module, &opts).expect("compile");
 
+    // Steps `cycles` cycles of per-lane stimulus and records every lane
+    // of every output after each.
     let drive = |sim: &mut GemSimulator, stims: &mut [FuzzRng], cycles: u64| {
-        for _ in 0..cycles {
-            for p in module.inputs() {
-                let width = module.width(p.net);
-                for (lane, rng) in stims.iter_mut().enumerate() {
-                    sim.set_input_lane(&p.name, lane as u32, rng.bits(width));
-                }
-            }
-            sim.step();
-        }
-    };
-    let mut stims: Vec<FuzzRng> = (0..LANES)
-        .map(|lane| FuzzRng::new(0x5A9_5407 ^ u64::from(lane)))
-        .collect();
-
-    // Warm up under the interpreted backend, snapshot mid-run.
-    let mut sim = GemSimulator::new(&compiled).expect("sim");
-    sim.set_backend(ExecBackend::Interpreted);
-    sim.set_lanes(LANES).expect("lanes");
-    drive(&mut sim, &mut stims, 8);
-    let snap = sim.snapshot();
-
-    // Resume the snapshot under BOTH backends with identical further
-    // stimulus; every lane of every output must agree cycle for cycle.
-    let mut resumed: Vec<Vec<Vec<gem_netlist::Bits>>> = Vec::new();
-    for backend in [ExecBackend::Interpreted, ExecBackend::Compiled] {
-        let mut sim = GemSimulator::new(&compiled).expect("sim");
-        sim.set_backend(backend);
-        sim.set_lanes(LANES).expect("lanes");
-        sim.restore(&snap).expect("restore");
-        let mut stims: Vec<FuzzRng> = (0..LANES)
-            .map(|lane| FuzzRng::new(0x7E57_0002 ^ u64::from(lane)))
-            .collect();
         let mut trace = Vec::new();
-        for _ in 0..8 {
+        for _ in 0..cycles {
             for p in module.inputs() {
                 let width = module.width(p.net);
                 for (lane, rng) in stims.iter_mut().enumerate() {
@@ -280,11 +227,30 @@ fn full_width_snapshots_are_backend_portable_and_width_checked() {
                     .collect::<Vec<_>>(),
             );
         }
-        resumed.push(trace);
-    }
+        trace
+    };
+    let stims = |salt: u64| -> Vec<FuzzRng> {
+        (0..LANES)
+            .map(|lane| FuzzRng::new(salt ^ u64::from(lane)))
+            .collect()
+    };
+
+    // Warm up, snapshot mid-run, then continue the original run.
+    let mut sim = GemSimulator::new(&compiled).expect("sim");
+    sim.set_lanes(LANES).expect("lanes");
+    drive(&mut sim, &mut stims(0x5A9_5407), 8);
+    let snap = sim.snapshot();
+    let continued = drive(&mut sim, &mut stims(0x7E57_0002), 8);
+
+    // A fresh simulator restored from the snapshot, given the identical
+    // further stimulus, must agree on every lane of every output.
+    let mut fresh = GemSimulator::new(&compiled).expect("sim");
+    fresh.set_lanes(LANES).expect("lanes");
+    fresh.restore(&snap).expect("restore");
+    let resumed = drive(&mut fresh, &mut stims(0x7E57_0002), 8);
     assert_eq!(
-        resumed[0], resumed[1],
-        "a restored 64-lane snapshot diverged between backends"
+        resumed, continued,
+        "a restored 64-lane snapshot diverged from the run it was taken from"
     );
     assert_eq!(
         snap.word_bits(),
