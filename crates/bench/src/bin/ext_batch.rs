@@ -15,10 +15,9 @@
 //!   round-robin — the honest no-lane way to run 64 streams.
 //!
 //! Before any number is reported the binary *proves* lane equivalence
-//! on this design, across the whole execution matrix: a reference
-//! per-lane trace is recorded from 64 independent single-lane runs,
-//! and a full-width 64-lane batch must reproduce it bit for bit at 1
-//! and 4 threads.
+//! on this design: a reference per-lane trace is recorded from 64
+//! independent single-lane runs, and a full-width 64-lane batch must
+//! reproduce it bit for bit.
 //!
 //! Records `BENCH_batch.json` (plus the usual
 //! `target/gem-experiments/ext_batch.json`). The recorded run must show
@@ -96,36 +95,31 @@ fn main() {
         }
         trace
     };
-    // The full-width batch must reproduce the reference per lane, at
-    // both thread counts.
-    for threads in [1usize, 4] {
-        let mut batch = GemSimulator::new(&compiled).expect("loads");
-        batch.set_threads(threads);
-        batch.set_lanes(LANES as u32).expect("64 lanes");
-        let mut rngs: Vec<FuzzRng> = (0..LANES).map(lane_rng).collect();
-        for (cycle, want) in reference.iter().enumerate() {
-            for (lane, rng) in rngs.iter_mut().enumerate() {
-                for (name, width) in &inputs {
-                    batch.set_input_lane(name, lane as u32, rng.bits(*width));
-                }
+    // The full-width batch must reproduce the reference per lane.
+    let mut batch = GemSimulator::new(&compiled).expect("loads");
+    batch.set_lanes(LANES as u32).expect("64 lanes");
+    let mut rngs: Vec<FuzzRng> = (0..LANES).map(lane_rng).collect();
+    for (cycle, want) in reference.iter().enumerate() {
+        for (lane, rng) in rngs.iter_mut().enumerate() {
+            for (name, width) in &inputs {
+                batch.set_input_lane(name, lane as u32, rng.bits(*width));
             }
-            batch.step();
-            for (pi, p) in compiled.io.outputs.iter().enumerate() {
-                for (lane, lane_want) in want.iter().enumerate() {
-                    assert_eq!(
-                        batch.output_lane(&p.name, lane as u32),
-                        lane_want[pi],
-                        "{threads} thread(s), cycle {cycle}: lane {lane} \
-                         diverged from its independent run on {}",
-                        p.name
-                    );
-                }
+        }
+        batch.step();
+        for (pi, p) in compiled.io.outputs.iter().enumerate() {
+            for (lane, lane_want) in want.iter().enumerate() {
+                assert_eq!(
+                    batch.output_lane(&p.name, lane as u32),
+                    lane_want[pi],
+                    "cycle {cycle}: lane {lane} diverged from its independent run on {}",
+                    p.name
+                );
             }
         }
     }
     println!(
         "  equivalence: {LANES}-lane batch == {LANES} independent runs over \
-         {PROOF_CYCLES} cycles, {{1, 4}} threads ✓"
+         {PROOF_CYCLES} cycles ✓"
     );
 
     let mut rec = Json::object();

@@ -51,14 +51,11 @@ pub use compile::{
     IoMap, PortIndices,
 };
 pub use gem_isa::ScheduleCert;
-pub use gem_vgpu::{ExecMode, ExecStats};
 pub use package::{
     cert_from_json, cert_to_json, device_from_json, device_to_json, io_from_json, io_to_json,
     report_from_json, Package, ParsePackageError,
 };
-pub use profile::{
-    profile, BarrierProfile, LayerProfile, PartitionProfile, ProfileOptions, ProfileReport,
-};
+pub use profile::{profile, LayerProfile, PartitionProfile, ProfileOptions, ProfileReport};
 pub use replay::{StimulusError, VcdStimulus};
 pub use simulator::GemSimulator;
 pub use verify::{verify, verify_metrics};

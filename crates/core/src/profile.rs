@@ -1,9 +1,9 @@
 //! Hotspot attribution: where does a design's simulation time go?
 //!
 //! [`profile`] runs a compiled design for N cycles and attributes the
-//! cost three ways, combining the modeled GPU timing (deterministic,
-//! from [`gem_vgpu::KernelCounters`]) with the measured execution-engine
-//! waits ([`gem_vgpu::ExecStats`], wall clock):
+//! modeled GPU timing (deterministic, from
+//! [`gem_vgpu::KernelCounters`]) two ways, next to the measured wall
+//! clock of the run:
 //!
 //! * **per partition** — each virtual core's modeled µs/cycle from its
 //!   own counter refinement (memory traffic vs. compute, whichever
@@ -11,9 +11,6 @@
 //!   the slowest partition of each stage bounds that stage.
 //! * **per boomerang layer** — compute cost share by layer, localizing
 //!   hot logic depth.
-//! * **per stage barrier** — measured coordinator wait and summed
-//!   core idle time at each stage boundary (the load-imbalance cost the
-//!   satellite fix in `ExecStats` now splits per stage).
 //!
 //! The report is the data argument for the ROADMAP's re-partitioning
 //! items: `gem profile <design.v>` prints
@@ -31,8 +28,6 @@ use std::time::Instant;
 pub struct ProfileOptions {
     /// Simulated cycles to run (clamped to at least 1).
     pub cycles: u64,
-    /// Execution-engine threads (0 = process default, 1 = serial).
-    pub threads: usize,
     /// GPU the modeled timing targets.
     pub spec: GpuSpec,
 }
@@ -41,7 +36,6 @@ impl Default for ProfileOptions {
     fn default() -> Self {
         ProfileOptions {
             cycles: 256,
-            threads: 0,
             spec: GpuSpec::a100(),
         }
     }
@@ -80,22 +74,6 @@ pub struct LayerProfile {
     pub share: f64,
 }
 
-/// Measured waits at one stage barrier (wall clock, host-side).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BarrierProfile {
-    /// Pipeline stage index.
-    pub stage: u32,
-    /// Barriers crossed.
-    pub barriers: u64,
-    /// Coordinator blocking time at this barrier, milliseconds.
-    pub coordinator_wait_ms: f64,
-    /// Summed core idle time waiting for the stage's slowest peer,
-    /// milliseconds.
-    pub core_idle_ms: f64,
-    /// Core tasks fanned out at this stage.
-    pub tasks: u64,
-}
-
 /// The full attribution report of one profiling run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
@@ -103,8 +81,6 @@ pub struct ProfileReport {
     pub design: String,
     /// Cycles simulated.
     pub cycles: u64,
-    /// Execution-engine threads used.
-    pub threads: usize,
     /// GPU the modeled numbers target.
     pub gpu: String,
     /// Measured wall-clock seconds for the run.
@@ -117,8 +93,6 @@ pub struct ProfileReport {
     pub partitions: Vec<PartitionProfile>,
     /// Boomerang layers, widest (layer 0) first.
     pub layers: Vec<LayerProfile>,
-    /// Stage barriers in stage order.
-    pub barriers: Vec<BarrierProfile>,
 }
 
 /// Compiles nothing, simulates everything: runs `compiled` for
@@ -136,7 +110,6 @@ pub fn profile(
     opts: &ProfileOptions,
 ) -> Result<ProfileReport, MachineError> {
     let mut sim = GemSimulator::new(compiled)?;
-    sim.set_threads(opts.threads);
     let cycles = opts.cycles.max(1);
     let started = Instant::now();
     for _ in 0..cycles {
@@ -225,24 +198,9 @@ pub fn profile(
         })
         .collect();
 
-    // Measured barrier waits (empty in serial mode — no barriers).
-    let barriers = sim
-        .exec_stats()
-        .per_stage
-        .iter()
-        .map(|s| BarrierProfile {
-            stage: s.stage,
-            barriers: s.barriers,
-            coordinator_wait_ms: s.wait_nanos as f64 / 1e6,
-            core_idle_ms: s.idle_nanos as f64 / 1e6,
-            tasks: s.tasks,
-        })
-        .collect();
-
     Ok(ProfileReport {
         design: design.to_string(),
         cycles,
-        threads: sim.threads(),
         gpu: opts.spec.name.to_string(),
         wall_seconds,
         actual_hz: if wall_seconds > 0.0 {
@@ -253,7 +211,6 @@ pub fn profile(
         modeled_hz: model.hz_total(sim.counters()),
         partitions,
         layers,
-        barriers,
     })
 }
 
@@ -262,8 +219,8 @@ impl ProfileReport {
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "profile: {} — {} cycles, {} thread(s), modeled on {}\n",
-            self.design, self.cycles, self.threads, self.gpu
+            "profile: {} — {} cycles, modeled on {}\n",
+            self.design, self.cycles, self.gpu
         ));
         out.push_str(&format!(
             "wall {:.3} s ({:.0} cyc/s actual)   modeled {:.0} cyc/s\n\n",
@@ -294,14 +251,6 @@ impl ProfileReport {
                 l.share * 100.0
             ));
         }
-        out.push_str("\nstage barriers (measured; empty when serial)\n");
-        out.push_str("  stage  barriers  coord_wait_ms  core_idle_ms  tasks\n");
-        for b in &self.barriers {
-            out.push_str(&format!(
-                "  {:>5} {:>9} {:>14.3} {:>13.3} {:>6}\n",
-                b.stage, b.barriers, b.coordinator_wait_ms, b.core_idle_ms, b.tasks
-            ));
-        }
         out
     }
 
@@ -310,7 +259,6 @@ impl ProfileReport {
         let mut o = Json::object();
         o.set("design", self.design.as_str());
         o.set("cycles", self.cycles);
-        o.set("threads", self.threads as u64);
         o.set("gpu", self.gpu.as_str());
         o.set("wall_seconds", self.wall_seconds);
         o.set("actual_hz", self.actual_hz);
@@ -344,20 +292,6 @@ impl ProfileReport {
             })
             .collect();
         o.set("layers", Json::Array(layers));
-        let barriers: Vec<Json> = self
-            .barriers
-            .iter()
-            .map(|b| {
-                let mut j = Json::object();
-                j.set("stage", u64::from(b.stage));
-                j.set("barriers", b.barriers);
-                j.set("coordinator_wait_ms", b.coordinator_wait_ms);
-                j.set("core_idle_ms", b.core_idle_ms);
-                j.set("tasks", b.tasks);
-                j
-            })
-            .collect();
-        o.set("barriers", Json::Array(barriers));
         o
     }
 }
@@ -380,20 +314,18 @@ mod tests {
     }
 
     #[test]
-    fn profile_attributes_partitions_layers_and_barriers() {
+    fn profile_attributes_partitions_and_layers() {
         let c = compiled_acc();
         let rep = profile(
             &c,
             "acc",
             &ProfileOptions {
                 cycles: 16,
-                threads: 2,
                 ..ProfileOptions::default()
             },
         )
         .expect("profiles");
         assert_eq!(rep.cycles, 16);
-        assert_eq!(rep.threads, 2);
         assert!(!rep.partitions.is_empty());
         // Shares sum to ~1 and the list is sorted descending.
         let share_sum: f64 = rep.partitions.iter().map(|p| p.share).sum();
@@ -417,15 +349,11 @@ mod tests {
         assert!(!rep.layers.is_empty());
         let layer_sum: f64 = rep.layers.iter().map(|l| l.share).sum();
         assert!((layer_sum - 1.0).abs() < 1e-9);
-        // Parallel run with >1 core per stage crosses real barriers.
-        if rep.barriers.iter().any(|b| b.barriers > 0) {
-            assert!(rep.modeled_hz > 0.0);
-        }
+        assert!(rep.modeled_hz > 0.0);
         // Table renders every section.
         let table = rep.render_table();
         assert!(table.contains("partitions"));
         assert!(table.contains("layers"));
-        assert!(table.contains("stage barriers"));
         // JSON round-trips through the parser.
         let parsed = gem_telemetry::parse_json(&rep.to_json().to_string()).expect("parses");
         assert_eq!(parsed.get("design").unwrap().as_str(), Some("acc"));
@@ -435,22 +363,5 @@ mod tests {
             .as_array()
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn serial_profile_has_no_barrier_rows() {
-        let c = compiled_acc();
-        let rep = profile(
-            &c,
-            "acc",
-            &ProfileOptions {
-                cycles: 4,
-                threads: 1,
-                ..ProfileOptions::default()
-            },
-        )
-        .expect("profiles");
-        assert!(rep.barriers.is_empty(), "serial mode crosses no barriers");
-        assert!(rep.modeled_hz > 0.0);
     }
 }

@@ -4,9 +4,7 @@ use crate::compile::Compiled;
 use gem_netlist::Bits;
 use gem_place::Word;
 use gem_telemetry::{MetricFamily, MetricKind, MetricsSink, MetricsSnapshot, Sample};
-use gem_vgpu::{
-    CounterBreakdown, ExecMode, ExecStats, GemGpu, GpuSnapshot, KernelCounters, MachineError,
-};
+use gem_vgpu::{CounterBreakdown, GemGpu, GpuSnapshot, KernelCounters, MachineError};
 use std::fmt;
 
 /// Runs a compiled design cycle by cycle.
@@ -86,39 +84,12 @@ impl GemSimulator {
         device: gem_vgpu::DeviceConfig,
         io: crate::IoMap,
     ) -> Result<Self, MachineError> {
-        let mut gpu = GemGpu::load(bitstream, device)?;
-        gpu.set_exec_mode(ExecMode::resolved_default());
         Ok(GemSimulator {
-            gpu,
+            gpu: GemGpu::load(bitstream, device)?,
             io,
             sink: None,
             lane_steps: [0; GemGpu::MAX_LANES as usize],
         })
-    }
-
-    /// Sets the execution engine shape: `0` picks the process default
-    /// (`GEM_THREADS` env var, else host parallelism), `1` forces serial,
-    /// `n ≥ 2` fans the cores of each pipeline stage out over `n`
-    /// persistent worker threads. Waveforms and counters are bit-identical
-    /// across all settings — only wall-clock changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        let mode = if threads == 0 {
-            ExecMode::resolved_default()
-        } else {
-            ExecMode::from_threads(threads)
-        };
-        self.gpu.set_exec_mode(mode);
-    }
-
-    /// Worker threads the execution engine currently uses (1 = serial).
-    pub fn threads(&self) -> usize {
-        self.gpu.exec_mode().threads()
-    }
-
-    /// Host-side execution statistics (barrier waits, fan-out counts).
-    /// Wall-clock measurements — not part of the determinism contract.
-    pub fn exec_stats(&self) -> &ExecStats {
-        self.gpu.exec_stats()
     }
 
     /// Sets an input port for the upcoming cycle(s).
@@ -434,40 +405,6 @@ mod tests {
         assert_send::<crate::IoMap>();
         assert_send_static::<GemSimulator>();
         assert_send_static::<Compiled>();
-    }
-
-    #[test]
-    fn thread_knob_is_waveform_invisible() {
-        // A real compiled design (multi-partition, registered) run serial
-        // and with a 4-thread pool must agree bit-for-bit every cycle,
-        // including the merged architectural counters.
-        let mut b = ModuleBuilder::new("acc");
-        let d = b.input("d", 16);
-        let q = b.dff(16);
-        let nxt = b.add(q, d);
-        b.connect_dff(q, nxt);
-        b.output("q", q);
-        let m = b.finish().expect("valid");
-        let c = compile(&m, &CompileOptions::small()).expect("compiles");
-        let mut serial = GemSimulator::new(&c).expect("loads");
-        let mut parallel = GemSimulator::new(&c).expect("loads");
-        serial.set_threads(1);
-        parallel.set_threads(4);
-        assert_eq!(serial.threads(), 1);
-        assert_eq!(parallel.threads(), 4);
-        for i in 0..20u64 {
-            let d = Bits::from_u64(i.wrapping_mul(0x1234) & 0xFFFF, 16);
-            serial.set_input("d", d.clone());
-            parallel.set_input("d", d);
-            serial.step();
-            parallel.step();
-            assert_eq!(serial.output("q"), parallel.output("q"), "cycle {i}");
-        }
-        assert_eq!(serial.counters(), parallel.counters());
-        assert_eq!(serial.breakdown(), parallel.breakdown());
-        // `set_threads(0)` resolves to *some* executable default.
-        serial.set_threads(0);
-        assert!(serial.threads() >= 1);
     }
 
     #[test]

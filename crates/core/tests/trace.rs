@@ -28,7 +28,6 @@ fn compile_and_run_produce_a_valid_nested_timeline() {
     let m = acc_module();
     let compiled = compile(&m, &CompileOptions::small()).expect("compiles");
     let mut sim = GemSimulator::new(&compiled).expect("loads");
-    sim.set_threads(2);
     for _ in 0..4 {
         sim.step();
     }
@@ -49,7 +48,7 @@ fn compile_and_run_produce_a_valid_nested_timeline() {
         assert_eq!(b.parent_id, root.span_id, "{stage} must nest under compile");
     }
     // The engine emitted cycle spans with nested stage spans, plus
-    // per-core complete events and barrier waits (threads=2 → parallel).
+    // per-core complete events.
     let cycle = events
         .iter()
         .find(|e| e.name == "cycle" && e.ph == Phase::Begin)

@@ -67,7 +67,7 @@ USAGE:
               [--emit-metrics out.json]
   gem run     <design.gemb|design.v> [--cycles N] [--poke port=hex ...]
               [--reset port] [--stimulus in.vcd] [--vcd out.vcd]
-              [--gpu a100|3090] [--threads N]
+              [--gpu a100|3090]
               [--emit-metrics out.json] [--trace-out trace.json]
   gem stats   <design.v> [--emit-metrics out.json]
   gem lint    <design.v|design.gemb> [--json] [--deny warnings]
@@ -75,12 +75,12 @@ USAGE:
               [--emit-metrics out.json]
   gem verify  <design.gemb|design.v> [--width N] [--parts N] [--stages N]
               [--fault SEED] [--emit-metrics out.json]
-  gem profile <design.v> [--cycles N] [--threads N]
+  gem profile <design.v> [--cycles N]
               [--gpu a100|3090] [--width N] [--parts N] [--stages N]
               [--json out.json] [--trace-out trace.json]
   gem trace-check <trace.json>
   gem serve   [--addr 127.0.0.1:0] [--workers 4] [--queue 32] [--cache 8]
-              [--idle-ms 300000] [--sim-threads N] [--port-file path]
+              [--idle-ms 300000] [--port-file path]
               [--emit-metrics out.json]
   gem client  --addr host:port <action>
       ping     [--delay-ms N]
@@ -93,11 +93,6 @@ USAGE:
       profile  <design.v> [--cycles N] [--width N] [--parts N] [--stages N]
       close    --session N
       stats | shutdown
-
---threads picks the virtual GPU's execution-engine width (0 = auto:
-GEM_THREADS env var, else host parallelism; 1 = serial). Waveforms and
-counters are identical for every setting. --sim-threads is the same
-knob per server session (0 = auto-budgeted against --workers).
 
 --emit-metrics writes a JSON document with the per-stage compile
 timings/sizes (when the design is compiled in this invocation) and the
@@ -121,11 +116,11 @@ exits nonzero on any violation. --fault SEED injects a seeded mutation
 first (the command must then FAIL — a gate self-test).
 
 `profile` compiles (or loads) a design, runs it for --cycles cycles,
-and prints hotspot attribution: time by partition, by boomerang layer,
-and per-stage barrier costs (docs/OBSERVABILITY.md §6).
+and prints hotspot attribution: modeled time by partition and by
+boomerang layer (docs/OBSERVABILITY.md §6).
 
 --trace-out records every span the invocation produces (compile
-stages, per-cycle execution, per-core work, barriers) and writes a
+stages, per-cycle execution, per-stage and per-core work) and writes a
 Chrome-trace JSON file loadable in Perfetto (ui.perfetto.dev) or
 chrome://tracing. `trace-check` validates such a file: well-formed
 JSON, balanced begin/end pairs, monotonic per-thread timestamps.
@@ -503,7 +498,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let compiled = compile_verilog(input, args)?;
     let opts = ProfileOptions {
         cycles: flag_u64(args, "--cycles", 256)?,
-        threads: flag_u64(args, "--threads", 0)? as usize,
         spec: match flag(args, "--gpu").as_deref() {
             Some("3090" | "rtx3090") => GpuSpec::rtx3090(),
             _ => GpuSpec::a100(),
@@ -558,7 +552,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         let sim = GemSimulator::new(&compiled).map_err(|e| format!("load failed: {e}"))?;
         (sim, io, doc)
     };
-    sim.set_threads(flag_u64(args, "--threads", 0)? as usize);
     // Pokes: --poke name=hex (applied every cycle).
     let mut pokes: Vec<(String, Bits)> = Vec::new();
     for (i, a) in args.iter().enumerate() {
@@ -680,7 +673,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         queue: flag_u64(args, "--queue", 32)? as usize,
         cache: flag_u64(args, "--cache", 8)? as usize,
         idle_timeout: Duration::from_millis(flag_u64(args, "--idle-ms", 300_000)?),
-        sim_threads: flag_u64(args, "--sim-threads", 0)? as usize,
         ..ServerConfig::default()
     };
     let server = Server::bind(cfg).map_err(|e| format!("cannot bind: {e}"))?;

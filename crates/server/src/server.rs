@@ -48,25 +48,6 @@ pub struct ServerConfig {
     pub max_frame: usize,
     /// How often the reaper scans for idle sessions.
     pub reap_interval: Duration,
-    /// Worker threads *inside each session's* virtual-GPU execution
-    /// engine. `0` (the default) budgets automatically: the process-wide
-    /// thread target (`GEM_THREADS`, else host parallelism) divided by
-    /// `workers`, floored at 1 — so `workers` concurrently stepping
-    /// sessions together use about the host's parallelism instead of
-    /// oversubscribing it `workers`-fold (see docs/PARALLEL.md §4).
-    /// `1` forces the serial engine.
-    pub sim_threads: usize,
-}
-
-impl ServerConfig {
-    /// Resolves `sim_threads` to the per-session engine thread count.
-    pub fn resolved_sim_threads(&self) -> usize {
-        if self.sim_threads > 0 {
-            return self.sim_threads;
-        }
-        let target = gem_vgpu::ExecMode::resolved_default().threads();
-        (target / self.workers.max(1)).max(1)
-    }
 }
 
 impl Default for ServerConfig {
@@ -79,7 +60,6 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(300),
             max_frame: DEFAULT_MAX_FRAME,
             reap_interval: Duration::from_millis(100),
-            sim_threads: 0,
         }
     }
 }
@@ -442,7 +422,6 @@ fn cmd_open(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
             Ok(s) => s,
             Err(e) => return protocol::err_response(id, codes::INTERNAL, &e.to_string()),
         };
-        sim.set_threads(state2.cfg.resolved_sim_threads());
         if let Err(e) = sim.set_lanes(lanes) {
             return protocol::err_response(id, codes::BAD_LANES, &e.to_string());
         }
@@ -740,7 +719,6 @@ fn cmd_profile(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
     let source = protocol::req_str(req, "source").map_err(bad)?.to_string();
     let opts = compile_opts(req)?;
     let cycles = protocol::opt_u64(req, "cycles", 256).map_err(bad)?;
-    let threads = protocol::opt_u64(req, "threads", 0).map_err(bad)? as usize;
     let design_name = req
         .get("design")
         .and_then(Json::as_str)
@@ -755,7 +733,6 @@ fn cmd_profile(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
         };
         let popts = ProfileOptions {
             cycles,
-            threads,
             ..ProfileOptions::default()
         };
         match gem_core::profile(&design, &design_name, &popts) {

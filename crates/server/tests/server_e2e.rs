@@ -859,89 +859,51 @@ fn full_width_batch_matches_independent_sessions() {
     shutdown_and_join(addr, server);
 }
 
-/// Two sessions on the *same cached compiled design*, both running the
-/// parallel vGPU engine (`sim_threads: 3`), stepping simultaneously
-/// from two client threads with different stimuli. Guards the
-/// PR-3 invariants: sharing a compiled design and an execution pool
-/// must not bleed state across sessions, outputs must stay bit-exact
-/// against per-session golden models, and the `gem_server_*` metrics
-/// must reconcile exactly afterwards.
+/// The `profile` wire op end to end: the response carries the cache
+/// key, the rendered table and a report with per-partition and
+/// per-layer attribution. A legacy `"threads"` field (removed with the
+/// host thread axis) is an unknown field like any other: the request
+/// succeeds with identical exact counters, and no report names threads
+/// or barriers.
 #[test]
-fn parallel_engine_sessions_share_design_without_bleed() {
-    let (addr, server) = start_server(ServerConfig {
-        workers: 4,
-        queue: 16,
-        cache: 4,
-        // Force the parallel engine in every session (auto-budgeting
-        // would pick 1 thread on a small CI host, which would bypass
-        // the code path under test).
-        sim_threads: 3,
-        ..ServerConfig::default()
-    });
+fn profile_op_reports_attribution_and_ignores_legacy_threads() {
+    let (addr, server) = start_server(ServerConfig::default());
+    let mut client = GemClient::connect(addr).expect("connect");
 
-    let mut clients: Vec<GemClient> = Vec::new();
-    let mut sessions = Vec::new();
-    for i in 0..2 {
-        let mut c = GemClient::connect(addr).expect("connect");
-        let resp = c.open(DESIGN_A, wire_opts()).expect("open");
-        let cached = resp.get("cached").and_then(Json::as_bool).unwrap();
-        assert_eq!(cached, i == 1, "second open must hit the compile cache");
-        sessions.push(resp.get("session").and_then(Json::as_u64).unwrap());
-        clients.push(c);
+    let plain = client.profile(DESIGN_A, wire_opts(), 16).expect("profile");
+    let legacy = client
+        .request(
+            "profile",
+            vec![
+                ("source", Json::Str(DESIGN_A.into())),
+                ("opts", wire_opts()),
+                ("cycles", Json::U64(16)),
+                ("threads", Json::U64(4)),
+            ],
+        )
+        .expect("profile with legacy threads field");
+
+    assert_eq!(plain.get("cached").and_then(Json::as_bool), Some(false));
+    assert_eq!(legacy.get("cached").and_then(Json::as_bool), Some(true));
+    assert_eq!(plain.get("key"), legacy.get("key"));
+    assert!(plain.get("key").and_then(Json::as_str).is_some());
+    let report = |resp: &Json| -> Json {
+        let table = resp.get("table").and_then(Json::as_str).expect("table");
+        assert!(table.contains("partitions") && table.contains("layers"));
+        let rep = resp.get("profile").expect("profile report").clone();
+        for section in ["partitions", "layers"] {
+            let rows = rep.get(section).and_then(Json::as_array);
+            assert!(rows.is_some_and(|r| !r.is_empty()), "empty {section}");
+        }
+        assert!(rep.get("threads").is_none() && rep.get("barriers").is_none());
+        rep
+    };
+    let (plain, legacy) = (report(&plain), report(&legacy));
+    // Everything but the measured wall clock derives from exact counters.
+    for exact in ["cycles", "gpu", "modeled_hz", "partitions", "layers"] {
+        assert_eq!(plain.get(exact), legacy.get(exact), "{exact}");
     }
-
-    let compiled = Arc::new(compile(&verilog::parse(DESIGN_A).unwrap(), &small_opts()).unwrap());
-    let barrier = Arc::new(Barrier::new(2));
-    let drivers: Vec<_> = clients
-        .into_iter()
-        .zip(sessions)
-        .enumerate()
-        .map(|(i, (mut client, session))| {
-            let compiled = Arc::clone(&compiled);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut golden = EaigSim::new(&compiled.eaig);
-                barrier.wait(); // step the two sessions truly concurrently
-                for cycle in 0..30u64 {
-                    // Deliberately different stimuli per session: any
-                    // cross-session bleed diverges from the golden model
-                    // within a cycle.
-                    let en = !(cycle + 2 * i as u64).is_multiple_of(3);
-                    let delta = (cycle * 31 + i as u64 * 101) & 0xFF;
-                    let delta_hex = format!("{delta:02x}");
-                    let resp = client
-                        .step(
-                            session,
-                            1,
-                            vec![("en", if en { "1" } else { "0" }), ("delta", &delta_hex)],
-                        )
-                        .expect("step");
-                    golden_set(&mut golden, &compiled, "en", en as u64);
-                    golden_set(&mut golden, &compiled, "delta", delta);
-                    assert_eq!(
-                        out_u64(&resp, "acc"),
-                        golden_get(&mut golden, &compiled, "acc"),
-                        "session {i} diverged at cycle {cycle}"
-                    );
-                    golden.step();
-                }
-                client.close(session).expect("close");
-                client
-            })
-        })
-        .collect();
-    let mut clients: Vec<_> = drivers
-        .into_iter()
-        .map(|t| t.join().expect("driver thread"))
-        .collect();
-
-    let stats = quiesced_stats(&mut clients[0]);
-    assert_eq!(metric(&stats, "gem_server_compiles_total"), 1.0);
-    assert_eq!(metric(&stats, "gem_server_cache_hits_total"), 1.0);
-    assert_eq!(metric(&stats, "gem_server_sessions_opened_total"), 2.0);
-    assert_eq!(metric(&stats, "gem_server_sessions_closed_total"), 2.0);
-    assert_eq!(metric(&stats, "gem_server_sessions_active"), 0.0);
-    assert_eq!(metric(&stats, "gem_server_cycles_total"), 60.0);
+    assert_eq!(plain.get("cycles").and_then(Json::as_u64), Some(16));
 
     shutdown_and_join(addr, server);
 }

@@ -10,8 +10,8 @@
 //!
 //! The intended consumer is the differential fuzz suite
 //! (`crates/sim/tests/differential_fuzz.rs`): golden
-//! [`crate::EaigSim`] vs the compiled design on the virtual GPU at 1
-//! and N threads, bit-exact every cycle.
+//! [`crate::EaigSim`] vs the compiled design on the virtual GPU at 1,
+//! 32 and 64 lanes, bit-exact every cycle.
 
 use gem_netlist::{Bits, Module, ModuleBuilder, NetId, ReadKind};
 

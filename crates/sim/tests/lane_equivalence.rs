@@ -10,10 +10,9 @@
 //! * 64 independent single-lane `GemSimulator`s — the reference bank,
 //!
 //! through the engine-agnostic [`gem_sim::LaneTarget`] surface, and
-//! [`gem_sim::lanes::first_divergence`] diffs the per-lane traces. Both
-//! shapes run at 1 thread and at 4 threads, so lanes × threads is
-//! covered (the composition ISSUE 7 promises). A third of the lanes get
-//! a per-lane start skew, exercising the hold-then-replay path.
+//! [`gem_sim::lanes::first_divergence`] diffs the per-lane traces. A
+//! third of the lanes get a per-lane start skew, exercising the
+//! hold-then-replay path.
 //!
 //! `lane_smoke` runs in the tier-1 suite; the full sweep is
 //! `lane_sweep` behind `--ignored`:
@@ -113,8 +112,8 @@ fn batch_for(compiled: &Compiled, seed: u64, cycles: u64) -> LaneBatch {
     LaneBatch::new(streams).expect("64 lanes fit")
 }
 
-/// Runs one seed: batch vs bank at `threads`, trace-diffed per lane.
-fn run_lane_equivalence(seed: u64, cycles: u64, threads: usize, cfg: &FuzzConfig) {
+/// Runs one seed: batch vs bank, trace-diffed per lane.
+fn run_lane_equivalence(seed: u64, cycles: u64, cfg: &FuzzConfig) {
     let compiled = compile_seed(seed, cfg);
     let batch = batch_for(&compiled, seed, cycles);
     let watch: Vec<&str> = compiled
@@ -124,25 +123,20 @@ fn run_lane_equivalence(seed: u64, cycles: u64, threads: usize, cfg: &FuzzConfig
         .collect();
 
     let mut sim = GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    sim.set_threads(threads);
     sim.set_lanes(LANES as u32)
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     let mut batched = BatchTarget { sim };
     let batch_trace = batch.run(&mut batched, &watch);
 
     let sims = (0..LANES)
-        .map(|_| {
-            let mut s = GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            s.set_threads(threads);
-            s
-        })
+        .map(|_| GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}")))
         .collect();
     let mut bank = BankTarget { sims };
     let bank_trace = batch.run(&mut bank, &watch);
 
     if let Some(d) = first_divergence(&batch_trace, &bank_trace) {
         panic!(
-            "seed {seed} threads {threads}: lane {} diverged from its independent run \
+            "seed {seed}: lane {} diverged from its independent run \
              at cycle {} on output {:?} (batch {:?}, independent {:?})",
             d.lane,
             d.cycle,
@@ -169,30 +163,25 @@ fn run_lane_equivalence(seed: u64, cycles: u64, threads: usize, cfg: &FuzzConfig
     );
 }
 
-/// Tier-1 smoke: a handful of seeds, both engine shapes, plus one
-/// RAM-heavy seed so per-lane RAM images are always covered.
+/// Tier-1 smoke: a handful of seeds, plus one RAM-heavy seed so
+/// per-lane RAM images are always covered.
 #[test]
 fn lane_smoke() {
-    for threads in [1usize, 4] {
-        for seed in 0..6 {
-            run_lane_equivalence(seed, 10, threads, &FuzzConfig::for_seed(seed));
-        }
-        run_lane_equivalence(3, 8, threads, &FuzzConfig::ram_heavy(3));
+    for seed in 0..6 {
+        run_lane_equivalence(seed, 10, &FuzzConfig::for_seed(seed));
     }
+    run_lane_equivalence(3, 8, &FuzzConfig::ram_heavy(3));
 }
 
-/// Full sweep: more seeds × longer stimuli × both engine shapes, plus a
-/// RAM-heavy band. Run with `--ignored` (CI runs it in the
-/// lane-determinism job).
+/// Full sweep: more seeds × longer stimuli, plus a RAM-heavy band. Run
+/// with `--ignored` (CI runs it in the lane-determinism job).
 #[test]
 #[ignore = "full sweep; run with --ignored"]
 fn lane_sweep() {
-    for threads in [1usize, 4] {
-        for seed in 0..40 {
-            run_lane_equivalence(seed, 20, threads, &FuzzConfig::for_seed(seed));
-        }
-        for seed in 0..8 {
-            run_lane_equivalence(seed, 16, threads, &FuzzConfig::ram_heavy(seed));
-        }
+    for seed in 0..40 {
+        run_lane_equivalence(seed, 20, &FuzzConfig::for_seed(seed));
+    }
+    for seed in 0..8 {
+        run_lane_equivalence(seed, 16, &FuzzConfig::ram_heavy(seed));
     }
 }

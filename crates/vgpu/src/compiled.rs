@@ -11,9 +11,9 @@
 //! the publish loop is branch-free.
 //!
 //! Steady-state execution allocates nothing inside the fold network:
-//! each executing thread (the stepping thread and every `gem-vcore`
-//! worker) owns one thread-local [`Scratch`] whose state and row
-//! buffers are recycled across cores and cycles.
+//! each stepping thread (server workers step different sessions) owns
+//! one thread-local [`Scratch`] whose state and row buffers are
+//! recycled across cores and cycles.
 //!
 //! Equivalence contract: for any decoded core, execution produces
 //! exactly the writes of the scalar spec — gather `reads`, run

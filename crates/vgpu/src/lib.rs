@@ -22,7 +22,6 @@
 
 pub mod compiled;
 pub mod counters;
-pub mod exec;
 pub mod gl0am;
 pub mod machine;
 pub mod spec;
@@ -32,7 +31,6 @@ pub use compiled::{CompiledCore, CompiledWrite, WRITE_CONST};
 pub use counters::{
     CounterBreakdown, KernelCounters, KernelRates, LayerCounters, PartitionCounters,
 };
-pub use exec::{ExecMode, ExecStats, StageWait};
 pub use gl0am::Gl0amModel;
 pub use machine::{DeviceConfig, GemGpu, GpuSnapshot, MachineError, RamBinding};
 pub use spec::GpuSpec;

@@ -15,15 +15,16 @@
 //! registered RAM read data, primary outputs) commit at the cycle
 //! boundary, which is what makes full-cycle semantics race-free.
 //!
-//! Execution shape: the cores of a stage are mutually independent
-//! (replication-aided partitioning removes intra-stage communication),
-//! so each core runs as a *pure function* of the stage-start global
-//! array — [`execute_core`] reads an immutable snapshot and returns a
-//! [`CoreOutbox`] of buffered writes and counter deltas. The outboxes
-//! are merged in core order at the stage barrier. This holds for both
-//! [`ExecMode::Serial`] and [`ExecMode::Parallel`], which is what makes
-//! 1-thread and N-thread runs bit-identical (waveforms *and* merged
-//! counters; see `docs/PARALLEL.md`).
+//! Execution shape (DESIGN.md §7): [`step_cycle`] runs the cores of a
+//! stage in order on the calling thread. Every core of a stage reads the
+//! *stage-start* global array — its immediate writes are buffered and
+//! land only after the stage's last core has run — so a core's result
+//! never depends on its position in the stage, exactly as thread blocks
+//! between two device-wide synchronizations cannot see each other's
+//! writes. Compiler output has no intra-stage communication anyway
+//! (replication-aided partitioning removes it), but [`GemGpu::load`]
+//! accepts any in-bounds bitstream, so the buffering is what defines
+//! the semantics.
 //!
 //! **Lane batching** (`docs/BATCH.md`): every global signal is stored as
 //! a machine-word ([`gem_place::Word`], a `u64`) *lane word* — bit `k`
@@ -46,13 +47,12 @@
 
 use crate::compiled::{with_scratch, CompiledCore, WRITE_CONST};
 use crate::counters::{CounterBreakdown, KernelCounters, LayerCounters, PartitionCounters};
-use crate::exec::{CorePool, ExecMode, ExecStats};
 use gem_isa::{disassemble_core, Bitstream, DecodeError, WriteSrc};
 use gem_place::{splat, Word};
 use gem_telemetry::span;
-use gem_telemetry::{MetricFamily, MetricKind, MetricsSnapshot, Sample};
+use gem_telemetry::{MetricKind, MetricsSnapshot};
 use std::fmt;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Global-memory binding of one RAM block (all indices are bit positions
@@ -143,12 +143,10 @@ struct LoadedCore {
 
 /// The virtual GPU; see the module docs.
 ///
-/// Cloning is cheap on the program side: the decoded bitstream is
-/// shared read-only (`Arc`), as is the worker pool of a parallel
-/// machine — only the mutable state (signals, RAMs, counters) is
-/// deep-copied. Two clones stepping concurrently from different threads
-/// are safe: every stage barrier collects results over a private
-/// channel.
+/// Cloning is cheap on the program side: the lowered bitstream is
+/// shared read-only (`Arc`) — only the mutable state (signals, RAMs,
+/// counters) is deep-copied, so clones step independently, from
+/// different threads if need be.
 #[derive(Debug, Clone)]
 pub struct GemGpu {
     cfg: DeviceConfig,
@@ -157,6 +155,9 @@ pub struct GemGpu {
     /// Global signal array as lane words: bit `k` of `global[i]` is
     /// signal `i` in simulation lane `k`.
     global: Vec<Word>,
+    /// Immediate writes of the stage in flight, applied at the stage
+    /// boundary (empty between stages, so never part of a snapshot).
+    immediate: Vec<(u32, Word)>,
     deferred: Vec<(u32, Word)>,
     /// RAM contents per block, one image per active lane
     /// (`ram_mem[ram][lane]`); inactive lanes read image 0.
@@ -180,11 +181,6 @@ pub struct GemGpu {
     /// unchanged, which keeps pruning conservative (never wrong) under
     /// lane batching.
     input_cache: Vec<Vec<Option<Vec<Word>>>>,
-    /// Worker pool when the mode is parallel (shared by clones).
-    pool: Option<Arc<CorePool>>,
-    /// Host-side fan-out statistics (not simulated state; see
-    /// [`ExecStats`]).
-    exec_stats: ExecStats,
 }
 
 /// A saved point-in-time copy of everything mutable in a [`GemGpu`]:
@@ -272,91 +268,6 @@ fn line_transactions(mut indices: Vec<u64>) -> u64 {
     indices.sort_unstable();
     indices.dedup();
     indices.len() as u64
-}
-
-/// Everything one core produces in one cycle, buffered so nothing
-/// touches shared state while a stage is in flight. Outboxes are merged
-/// at the stage barrier in core order ([`GemGpu::merge_stage`]).
-struct CoreOutbox {
-    /// Core index within its stage (restores order after a parallel
-    /// stage, where completion order is nondeterministic).
-    ci: usize,
-    /// Immediate writes (full lane words): visible to later stages after
-    /// the barrier.
-    immediate: Vec<(u32, Word)>,
-    /// Deferred writes (full lane words): committed at the cycle
-    /// boundary.
-    deferred: Vec<(u32, Word)>,
-    /// Counter events charged to this core this cycle.
-    delta: KernelCounters,
-    /// Whether pruning skipped the fold work (layer counters then don't
-    /// record an execution).
-    skipped: bool,
-    /// New pruning input-cache value for this core (`None` when pruning
-    /// is off).
-    cache: Option<Vec<Word>>,
-}
-
-/// Executes one core as a pure function of the stage-start global array.
-/// Serial and parallel stages call exactly this, which is the structural
-/// reason they cannot diverge: the pruning decision, counter deltas, and
-/// write buffering are shared.
-fn execute_core(
-    core: &LoadedCore,
-    global: &[Word],
-    pruning: bool,
-    prev_cache: Option<Vec<Word>>,
-    ci: usize,
-) -> CoreOutbox {
-    let comp = &core.comp;
-    let mut out = CoreOutbox {
-        ci,
-        immediate: Vec::new(),
-        deferred: Vec::new(),
-        delta: KernelCounters::default(),
-        skipped: false,
-        cache: None,
-    };
-    if pruning {
-        let inputs: Vec<Word> = comp
-            .reads
-            .iter()
-            .map(|&(g, _)| global[g as usize])
-            .collect();
-        if prev_cache.as_ref() == Some(&inputs) {
-            // Unchanged read set: outputs are guaranteed identical and
-            // already present in the global array (immediate writes) or
-            // re-commit the same values (deferred). Charge only the
-            // input gather, not the bitstream stream or the folds.
-            out.delta = KernelCounters {
-                blocks_skipped: 1,
-                global_bytes: WORD_BYTES * comp.reads.len() as u64,
-                global_transactions: 1 + comp.reads.len() as u64 / (LINE_BITS / (8 * WORD_BYTES)),
-                ..Default::default()
-            };
-            out.skipped = true;
-            // Deferred writes must still commit (FF next-states equal
-            // their current values, but outputs may feed the testbench).
-            for w in comp.deferred.iter() {
-                let v = if w.addr == WRITE_CONST {
-                    w.xor
-                } else {
-                    // Value unchanged ⇒ current global content is
-                    // already correct; re-commit it.
-                    global[w.global as usize]
-                };
-                out.deferred.push((w.global, v));
-            }
-            out.cache = prev_cache;
-            return out;
-        }
-        out.cache = Some(inputs);
-    }
-    with_scratch(|scratch| {
-        comp.execute_words_into(global, scratch, &mut out.immediate, &mut out.deferred);
-    });
-    out.delta = core.delta;
-    out
 }
 
 impl GemGpu {
@@ -498,6 +409,7 @@ impl GemGpu {
             .collect();
         Ok(GemGpu {
             global,
+            immediate: Vec::new(),
             deferred: Vec::new(),
             ram_mem,
             lanes: 1,
@@ -508,58 +420,7 @@ impl GemGpu {
             pruning: false,
             stages: Arc::new(stages),
             cfg,
-            pool: None,
-            exec_stats: ExecStats {
-                threads: 1,
-                lanes: 1,
-                ..ExecStats::default()
-            },
         })
-    }
-
-    /// Selects the execution engine: [`ExecMode::Serial`] steps every
-    /// core on the calling thread; [`ExecMode::Parallel(n)`] fans the
-    /// cores of each stage out over `n` persistent worker threads with a
-    /// barrier at the stage boundary. Execution results are bit-identical
-    /// in either mode (see the module docs); only host wall-clock
-    /// behaviour differs. Switching modes mid-simulation is allowed.
-    ///
-    /// [`ExecMode::Parallel(n)`]: ExecMode::Parallel
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        match mode {
-            ExecMode::Serial => {
-                self.pool = None;
-                self.exec_stats.threads = 1;
-            }
-            ExecMode::Parallel(n) => {
-                let n = n.max(2);
-                if self.pool.as_ref().map(|p| p.threads()) != Some(n) {
-                    self.pool = Some(Arc::new(CorePool::new(n)));
-                }
-                self.exec_stats.threads = n;
-            }
-        }
-    }
-
-    /// Convenience thread-count form of [`set_exec_mode`]
-    /// (`0`/`1` → serial).
-    ///
-    /// [`set_exec_mode`]: Self::set_exec_mode
-    pub fn set_threads(&mut self, threads: usize) {
-        self.set_exec_mode(ExecMode::from_threads(threads));
-    }
-
-    /// The current execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        match &self.pool {
-            Some(p) => ExecMode::Parallel(p.threads()),
-            None => ExecMode::Serial,
-        }
-    }
-
-    /// Host-side fan-out statistics (barrier waits, tasks dispatched).
-    pub fn exec_stats(&self) -> &ExecStats {
-        &self.exec_stats
     }
 
     /// Enables or disables event-based pruning (off by default; the
@@ -617,7 +478,6 @@ impl GemGpu {
             return Ok(());
         }
         self.lanes = lanes;
-        self.exec_stats.lanes = lanes;
         // Re-mirror lane 0 into the now-inactive lanes so the invariant
         // holds no matter what the lanes held while active.
         let amask = lane_mask(lanes);
@@ -694,23 +554,34 @@ impl GemGpu {
     /// then the deferred commit.
     pub fn step_cycle(&mut self) {
         let stages = Arc::clone(&self.stages);
+        let traced = span::enabled();
         for (si, stage) in stages.iter().enumerate() {
-            // Ends at the close of this loop body, i.e. after the merge —
-            // the stage span covers fan-out, barrier, and merge.
-            let _stage_span = if span::enabled() {
+            // Ends at the close of this loop body: the stage span covers
+            // every core and the stage-boundary publish.
+            let _stage_span = traced.then(|| {
                 let mut sp = span::span(format!("stage{si}"), "vgpu");
                 sp.arg("cores", stage.len() as u64);
-                Some(sp)
-            } else {
-                None
-            };
-            let outboxes = match self.pool.clone() {
-                Some(pool) if stage.len() > 1 => self.run_stage_parallel(&pool, si, stage),
-                _ => self.run_stage_serial(si, stage),
-            };
-            self.merge_stage(si, stage, outboxes);
+                sp
+            });
+            for (ci, core) in stage.iter().enumerate() {
+                let started = traced.then(Instant::now);
+                self.run_core(si, ci, core);
+                if let Some(started) = started {
+                    span::complete(
+                        format!("core s{si}c{ci}"),
+                        "vgpu",
+                        started,
+                        started.elapsed(),
+                        Vec::new(),
+                    );
+                }
+            }
             // Stage boundary: device-wide synchronization makes immediate
-            // writes visible.
+            // writes visible. Not before — every core of the stage has
+            // read the stage-start array.
+            for (g, v) in self.immediate.drain(..) {
+                self.global[g as usize] = v;
+            }
             self.counters.device_syncs += 1;
         }
         // RAM phase (read-first): capture read data, then apply writes —
@@ -771,138 +642,64 @@ impl GemGpu {
         self.counters.cycles += 1;
     }
 
-    /// Runs every core of a stage on the calling thread, in core order.
-    fn run_stage_serial(&mut self, si: usize, stage: &[LoadedCore]) -> Vec<CoreOutbox> {
-        let traced = span::enabled();
-        let mut outboxes = Vec::with_capacity(stage.len());
-        for (ci, core) in stage.iter().enumerate() {
-            let cache = std::mem::take(&mut self.input_cache[si][ci]);
-            let started = Instant::now();
-            outboxes.push(execute_core(core, &self.global, self.pruning, cache, ci));
-            if traced {
-                span::complete(
-                    format!("core s{si}c{ci}"),
-                    "vgpu",
-                    started,
-                    started.elapsed(),
-                    Vec::new(),
-                );
-            }
-        }
-        outboxes
-    }
-
-    /// Fans the cores of a stage out over the worker pool and waits at
-    /// the barrier. The global array moves into an `Arc` snapshot for the
-    /// duration of the stage (no copy — workers drop their handles before
-    /// reporting, so it moves back out without cloning) and all writes
-    /// are buffered in the outboxes, so there is no shared mutable state
-    /// inside the stage.
-    fn run_stage_parallel(
-        &mut self,
-        pool: &CorePool,
-        si: usize,
-        stage: &[LoadedCore],
-    ) -> Vec<CoreOutbox> {
-        let global = Arc::new(std::mem::take(&mut self.global));
-        let stages = Arc::clone(&self.stages);
-        let traced = span::enabled();
-        // Workers report (outbox, completion time): the coordinator turns
-        // the completion spread into per-core idle time at the barrier.
-        let (tx, rx) = mpsc::channel::<(CoreOutbox, Instant)>();
-        for ci in 0..stage.len() {
-            let stages = Arc::clone(&stages);
-            let global = Arc::clone(&global);
-            let cache = std::mem::take(&mut self.input_cache[si][ci]);
-            let pruning = self.pruning;
-            let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                let started = Instant::now();
-                let out = execute_core(&stages[si][ci], &global, pruning, cache, ci);
-                // Release the snapshot handle *before* reporting so the
-                // coordinator can take the array back without a copy.
-                drop(global);
-                let done = Instant::now();
-                if traced {
-                    span::complete(
-                        format!("core s{si}c{ci}"),
-                        "vgpu",
-                        started,
-                        done - started,
-                        Vec::new(),
-                    );
+    /// Runs one core against the stage-start global array: immediate
+    /// writes queue for the stage boundary, deferred writes for the cycle
+    /// boundary, and the core's counter events are charged to the device
+    /// totals and their per-partition / per-layer refinements.
+    fn run_core(&mut self, si: usize, ci: usize, core: &LoadedCore) {
+        let comp = &core.comp;
+        if self.pruning {
+            let inputs: Vec<Word> = comp
+                .reads
+                .iter()
+                .map(|&(g, _)| self.global[g as usize])
+                .collect();
+            if self.input_cache[si][ci].as_ref() == Some(&inputs) {
+                // Unchanged read set: outputs are guaranteed identical and
+                // already present in the global array (immediate writes) or
+                // re-commit the same values (deferred). Charge only the
+                // input gather, not the bitstream stream or the folds.
+                let delta = KernelCounters {
+                    blocks_skipped: 1,
+                    global_bytes: WORD_BYTES * comp.reads.len() as u64,
+                    global_transactions: 1 + comp.reads.len() as u64
+                        / (LINE_BITS / (8 * WORD_BYTES)),
+                    ..Default::default()
+                };
+                self.counters += delta;
+                self.part_counters[si][ci] += delta;
+                // Deferred writes must still commit (FF next-states equal
+                // their current values, but outputs may feed the testbench).
+                for w in comp.deferred.iter() {
+                    let v = if w.addr == WRITE_CONST {
+                        w.xor
+                    } else {
+                        // Value unchanged ⇒ current global content is
+                        // already correct; re-commit it.
+                        self.global[w.global as usize]
+                    };
+                    self.deferred.push((w.global, v));
                 }
-                let _ = tx.send((out, done));
-            }));
+                return;
+            }
+            self.input_cache[si][ci] = Some(inputs);
         }
-        drop(tx);
-        let barrier_from = Instant::now();
-        let results: Vec<(CoreOutbox, Instant)> = rx.iter().collect();
-        let barrier_wait = barrier_from.elapsed();
-        // Idle time is each core's wait for the stage's slowest peer
-        // (duration_since saturates to zero for the slowest core itself).
-        let last_done = results
-            .iter()
-            .map(|(_, done)| *done)
-            .max()
-            .unwrap_or(barrier_from);
-        let idle_nanos: u64 = results
-            .iter()
-            .map(|(_, done)| last_done.duration_since(*done).as_nanos() as u64)
-            .sum();
-        self.exec_stats.record_stage(
-            si,
-            stage.len() as u64,
-            barrier_wait.as_nanos() as u64,
-            idle_nanos,
-        );
-        if traced {
-            span::complete(
-                format!("barrier s{si}"),
-                "vgpu",
-                barrier_from,
-                barrier_wait,
-                vec![
-                    ("tasks".to_string(), (stage.len() as u64).into()),
-                    ("idle_nanos".to_string(), idle_nanos.into()),
-                ],
+        with_scratch(|scratch| {
+            comp.execute_words_into(
+                &self.global,
+                scratch,
+                &mut self.immediate,
+                &mut self.deferred,
             );
-        }
-        let mut outboxes: Vec<CoreOutbox> = results.into_iter().map(|(out, _)| out).collect();
-        debug_assert_eq!(outboxes.len(), stage.len());
-        // Deterministic merge order regardless of completion order.
-        outboxes.sort_unstable_by_key(|o| o.ci);
-        self.global = Arc::try_unwrap(global).unwrap_or_else(|a| (*a).clone());
-        outboxes
-    }
-
-    /// Applies a stage's outboxes in core order: immediate writes land in
-    /// the global array (this *is* the stage-boundary visibility point),
-    /// deferred writes queue for the cycle boundary, and counters merge
-    /// into the device totals and their refinements. Core outputs are
-    /// disjoint (each global bit has a single writer), and counter
-    /// addition is commutative, so the result is independent of the order
-    /// cores finished in.
-    fn merge_stage(&mut self, si: usize, stage: &[LoadedCore], outboxes: Vec<CoreOutbox>) {
-        for out in outboxes {
-            let ci = out.ci;
-            for (g, v) in out.immediate {
-                self.global[g as usize] = v;
-            }
-            self.deferred.extend(out.deferred);
-            self.counters += out.delta;
-            self.part_counters[si][ci] += out.delta;
-            if !out.skipped {
-                let core = &stage[ci];
-                let (shared, alu, syncs) = core.layer_cost;
-                for lc in self.layer_counters[..core.comp.layers.len()].iter_mut() {
-                    lc.shared_accesses += shared;
-                    lc.alu_ops += alu;
-                    lc.block_syncs += syncs;
-                    lc.executions += 1;
-                }
-            }
-            self.input_cache[si][ci] = out.cache;
+        });
+        self.counters += core.delta;
+        self.part_counters[si][ci] += core.delta;
+        let (shared, alu, syncs) = core.layer_cost;
+        for lc in self.layer_counters[..comp.layers.len()].iter_mut() {
+            lc.shared_accesses += shared;
+            lc.alu_ops += alu;
+            lc.block_syncs += syncs;
+            lc.executions += 1;
         }
     }
 
@@ -933,66 +730,15 @@ impl GemGpu {
     }
 
     /// The current [`breakdown`](Self::breakdown) as exportable labeled
-    /// metric families, plus the execution-engine families
-    /// (`gem_vgpu_threads`, stage-barrier counts and waits). The
-    /// breakdown families are deterministic; the barrier-wait families
-    /// are measured wall clock and are *not* covered by the 1-vs-N
-    /// determinism contract.
+    /// metric families, plus the `gem_vgpu_lanes` gauge.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.breakdown().to_metrics_snapshot();
-        let es = &self.exec_stats;
-        snap.push_scalar(
-            "gem_vgpu_threads",
-            "Configured execution engine worker threads (1 = serial)",
-            MetricKind::Gauge,
-            es.threads as f64,
-        );
         snap.push_scalar(
             "gem_vgpu_lanes",
             "Active stimulus bit-lanes advanced per step (1 = single-stimulus)",
             MetricKind::Gauge,
             self.lanes as f64,
         );
-        snap.push_scalar(
-            "gem_vgpu_parallel_tasks_total",
-            "Core executions dispatched to the worker pool",
-            MetricKind::Counter,
-            es.parallel_tasks as f64,
-        );
-        let stage_metric =
-            |name: &str, help: &str, get: &dyn Fn(&crate::exec::StageWait) -> u64| MetricFamily {
-                name: name.to_string(),
-                help: help.to_string(),
-                kind: MetricKind::Counter,
-                samples: es
-                    .per_stage
-                    .iter()
-                    .map(|s| Sample {
-                        labels: vec![("stage".to_string(), s.stage.to_string())],
-                        value: get(s) as f64,
-                    })
-                    .collect(),
-            };
-        snap.push(stage_metric(
-            "gem_vgpu_stage_barriers_total",
-            "Stage barriers the coordinator waited on, per pipeline stage",
-            &|s| s.barriers,
-        ));
-        snap.push(stage_metric(
-            "gem_vgpu_barrier_wait_nanos_total",
-            "Nanoseconds the coordinator waited at each stage barrier",
-            &|s| s.wait_nanos,
-        ));
-        snap.push(stage_metric(
-            "gem_vgpu_core_idle_nanos_total",
-            "Nanoseconds cores spent waiting for their stage's slowest peer",
-            &|s| s.idle_nanos,
-        ));
-        snap.push(stage_metric(
-            "gem_vgpu_stage_tasks_total",
-            "Core executions fanned out, per pipeline stage",
-            &|s| s.tasks,
-        ));
         snap
     }
 
@@ -1069,7 +815,6 @@ impl GemGpu {
         self.deferred.clone_from(&s.deferred);
         self.ram_mem.clone_from(&s.ram_mem);
         self.lanes = s.lanes;
-        self.exec_stats.lanes = s.lanes;
         self.counters = s.counters;
         self.part_counters.clone_from(&s.part_counters);
         self.layer_counters.clone_from(&s.layer_counters);
@@ -1329,310 +1074,12 @@ mod tests {
         assert!(!gpu.peek(binding.rdata[1]));
         assert_eq!(gpu.ram_word(0, 0), 0b101);
     }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::exec::ExecMode;
-    use gem_isa::{assemble_core, ReadEntry, WriteEntry};
-    use gem_place::{BoomerangLayer, CoreProgram, OutputSource, PermSource};
-
-    /// One stage of `n` AND cores: core `i` computes
-    /// `g[2n+i] = g[2i] & g[2i+1]`, alternating immediate and deferred
-    /// writes so the merge path sees both write classes.
-    fn wide_machine(n: u32) -> GemGpu {
-        let width = 16u32;
-        let mut cores = Vec::new();
-        for i in 0..n {
-            let mut layer = BoomerangLayer::new(width);
-            layer.perm[0] = PermSource::State(0);
-            layer.perm[1] = PermSource::State(1);
-            layer.writeback[0][0] = Some(2);
-            let prog = CoreProgram {
-                width,
-                state_size: 3,
-                inputs: vec![],
-                layers: vec![layer],
-                outputs: vec![OutputSource::State {
-                    addr: 2,
-                    invert: false,
-                }],
-            };
-            let reads = vec![
-                ReadEntry {
-                    global: 2 * i,
-                    state: 0,
-                },
-                ReadEntry {
-                    global: 2 * i + 1,
-                    state: 1,
-                },
-            ];
-            let writes = vec![WriteEntry {
-                global: 2 * n + i,
-                src: gem_isa::WriteSrc::State {
-                    addr: 2,
-                    invert: false,
-                },
-                deferred: i % 2 == 1,
-            }];
-            cores.push(assemble_core(&prog, &reads, &writes));
-        }
-        let bs = Bitstream {
-            width,
-            global_bits: 3 * n,
-            stages: vec![cores],
-        };
-        GemGpu::load(
-            &bs,
-            DeviceConfig {
-                global_bits: 3 * n,
-                rams: vec![],
-                initial_ones: vec![],
-            },
-        )
-        .expect("loads")
-    }
-
-    /// Drives `serial` and `parallel` with an identical input pattern and
-    /// asserts bit-identical observable state and counters every cycle.
-    fn assert_lockstep(serial: &mut GemGpu, parallel: &mut GemGpu, n: u32, cycles: u64) {
-        for c in 0..cycles {
-            for i in 0..2 * n {
-                let v = (c.wrapping_mul(0x9E37) >> i) & 1 == 1;
-                serial.poke(i, v);
-                parallel.poke(i, v);
-            }
-            serial.step_cycle();
-            parallel.step_cycle();
-            for g in 0..3 * n {
-                assert_eq!(
-                    serial.peek(g),
-                    parallel.peek(g),
-                    "cycle {c}: global bit {g} diverged"
-                );
-            }
-            assert_eq!(serial.counters(), parallel.counters(), "cycle {c} counters");
-        }
-        assert_eq!(
-            serial.breakdown(),
-            parallel.breakdown(),
-            "per-partition and per-layer refinements must match exactly"
-        );
-    }
-
-    #[test]
-    fn parallel_engine_is_bit_identical_to_serial() {
-        let n = 6;
-        let mut serial = wide_machine(n);
-        let mut parallel = wide_machine(n);
-        parallel.set_exec_mode(ExecMode::Parallel(3));
-        assert_eq!(parallel.exec_mode(), ExecMode::Parallel(3));
-        assert_eq!(serial.exec_mode(), ExecMode::Serial);
-        assert_lockstep(&mut serial, &mut parallel, n, 32);
-        let es = parallel.exec_stats();
-        assert_eq!(es.threads, 3);
-        assert_eq!(es.stage_barriers, 32, "one barrier per stage per cycle");
-        assert_eq!(es.parallel_tasks, 32 * u64::from(n));
-        // The per-stage refinement partitions the machine-wide totals
-        // exactly — no wait time may vanish into an unattributed sum.
-        assert_eq!(
-            es.per_stage.iter().map(|s| s.tasks).sum::<u64>(),
-            es.parallel_tasks
-        );
-        assert_eq!(
-            es.per_stage.iter().map(|s| s.wait_nanos).sum::<u64>(),
-            es.barrier_wait_nanos
-        );
-        assert_eq!(
-            es.per_stage.iter().map(|s| s.idle_nanos).sum::<u64>(),
-            es.core_idle_nanos
-        );
-        assert_eq!(serial.exec_stats().stage_barriers, 0);
-    }
-
-    #[test]
-    fn parallel_engine_is_bit_identical_with_pruning() {
-        let n = 4;
-        let mut serial = wide_machine(n);
-        let mut parallel = wide_machine(n);
-        serial.set_pruning(true);
-        parallel.set_pruning(true);
-        parallel.set_exec_mode(ExecMode::Parallel(4));
-        assert_lockstep(&mut serial, &mut parallel, n, 24);
-        assert!(
-            parallel.counters().blocks_skipped > 0,
-            "the pattern repeats, so pruning must fire under the pool too"
-        );
-    }
-
-    #[test]
-    fn mode_switch_mid_simulation_keeps_the_trajectory() {
-        let n = 5;
-        let mut reference = wide_machine(n);
-        let mut switching = wide_machine(n);
-        assert_lockstep(&mut reference, &mut switching, n, 8);
-        switching.set_exec_mode(ExecMode::Parallel(2));
-        assert_lockstep(&mut reference, &mut switching, n, 8);
-        switching.set_exec_mode(ExecMode::Serial);
-        assert_lockstep(&mut reference, &mut switching, n, 8);
-    }
-
-    #[test]
-    fn clones_share_the_pool_and_step_independently() {
-        let n = 4;
-        let mut a = wide_machine(n);
-        a.set_exec_mode(ExecMode::Parallel(2));
-        let mut b = a.clone();
-        let mut serial = wide_machine(n);
-        // Step the clones concurrently from two threads against one pool.
-        let ja = std::thread::spawn(move || {
-            for _ in 0..16 {
-                a.step_cycle();
-            }
-            a
-        });
-        let jb = std::thread::spawn(move || {
-            for _ in 0..16 {
-                b.step_cycle();
-            }
-            b
-        });
-        let a = ja.join().unwrap();
-        let b = jb.join().unwrap();
-        for _ in 0..16 {
-            serial.step_cycle();
-        }
-        assert_eq!(a.counters(), serial.counters());
-        assert_eq!(b.counters(), serial.counters());
-        for g in 0..3 * n {
-            assert_eq!(a.peek(g), serial.peek(g));
-            assert_eq!(b.peek(g), serial.peek(g));
-        }
-    }
-
-    #[test]
-    fn counter_merge_is_order_independent() {
-        // Run a real multi-core machine, then re-merge its per-core
-        // counters in shuffled orders: every order must reproduce the
-        // same aggregate (this is the invariant the parallel barrier
-        // merge leans on, since core completion order is arbitrary).
-        let n = 6;
-        let mut gpu = wide_machine(n);
-        gpu.set_exec_mode(ExecMode::Parallel(3));
-        for c in 0..12 {
-            for i in 0..2 * n {
-                gpu.poke(i, ((c * 7) >> i) & 1 == 1);
-            }
-            gpu.step_cycle();
-        }
-        let bd = gpu.breakdown();
-        let deltas: Vec<KernelCounters> = bd.partitions.iter().map(|p| p.counters).collect();
-        let reference = {
-            let mut sum = KernelCounters::default();
-            for d in &deltas {
-                sum += *d;
-            }
-            sum
-        };
-        // Deterministic shuffles: rotate and a fixed LCG permutation.
-        let mut orders: Vec<Vec<usize>> = (0..deltas.len())
-            .map(|rot| {
-                (0..deltas.len())
-                    .map(|i| (i + rot) % deltas.len())
-                    .collect()
-            })
-            .collect();
-        let mut lcg = 0x2545F4914F6CDD1Du64;
-        let mut perm: Vec<usize> = (0..deltas.len()).collect();
-        for i in (1..perm.len()).rev() {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            perm.swap(i, (lcg >> 33) as usize % (i + 1));
-        }
-        orders.push(perm);
-        for order in orders {
-            let mut sum = KernelCounters::default();
-            for &i in &order {
-                sum += deltas[i];
-            }
-            assert_eq!(
-                sum, reference,
-                "merge order {order:?} changed the aggregate"
-            );
-        }
-        assert_eq!(reference.alu_ops, bd.total.alu_ops);
-        assert_eq!(reference.blocks_run, bd.total.blocks_run);
-    }
-
-    #[test]
-    fn exec_metrics_exported() {
-        let n = 4;
-        let mut gpu = wide_machine(n);
-        gpu.set_exec_mode(ExecMode::Parallel(2));
-        for _ in 0..4 {
-            gpu.step_cycle();
-        }
-        let snap = gpu.metrics_snapshot();
-        assert_eq!(snap.family("gem_vgpu_threads").unwrap().total(), 2.0);
-        assert_eq!(
-            snap.family("gem_vgpu_parallel_tasks_total")
-                .unwrap()
-                .total(),
-            (4 * n) as f64
-        );
-        let barriers = snap.family("gem_vgpu_stage_barriers_total").unwrap();
-        assert_eq!(barriers.total(), 4.0);
-        assert_eq!(barriers.samples[0].labels[0].0, "stage");
-        assert!(snap.family("gem_vgpu_barrier_wait_nanos_total").is_some());
-        assert!(snap.family("gem_vgpu_core_idle_nanos_total").is_some());
-        assert_eq!(
-            snap.family("gem_vgpu_stage_tasks_total").unwrap().total(),
-            (4 * n) as f64
-        );
-    }
-
-    #[test]
-    fn snapshot_restore_is_engine_agnostic() {
-        let n = 4;
-        let mut par = wide_machine(n);
-        par.set_exec_mode(ExecMode::Parallel(2));
-        for i in 0..2 * n {
-            par.poke(i, i % 3 == 0);
-        }
-        for _ in 0..5 {
-            par.step_cycle();
-        }
-        let snap = par.snapshot();
-        // A serial machine restored from a parallel machine's snapshot
-        // continues the identical trajectory (exec shape is not state).
-        let mut ser = wide_machine(n);
-        ser.restore(&snap).expect("restores");
-        for i in 0..2 * n {
-            ser.poke(i, i % 3 == 0);
-            par.poke(i, i % 3 == 0);
-        }
-        ser.step_cycle();
-        par.step_cycle();
-        for g in 0..3 * n {
-            assert_eq!(ser.peek(g), par.peek(g));
-        }
-        assert_eq!(ser.counters(), par.counters());
-    }
-}
-
-#[cfg(test)]
-mod pruning_tests {
-    use super::*;
-    use gem_isa::{assemble_core, ReadEntry, WriteEntry};
-    use gem_place::{BoomerangLayer, CoreProgram, OutputSource, PermSource};
 
     /// Two cores: core A computes g2 = g0 & g1 (immediate), core B computes
-    /// g3 = !g2 (deferred), with a deliberately bursty input pattern so
-    /// pruning has skippable cycles.
-    fn two_core_machine() -> GemGpu {
+    /// g3 = !g2 (deferred) — in consecutive stages, or, with `same_stage`,
+    /// side by side in one stage (a shape the compiler never emits but
+    /// `load` accepts).
+    pub(super) fn two_core_machine(same_stage: bool) -> GemGpu {
         let width = 16u32;
         let mk_core = |perm0: u32, perm1: Option<u32>, invert: bool, out_g: u32, deferred: bool| {
             let mut layer = BoomerangLayer::new(width);
@@ -1672,13 +1119,16 @@ mod pruning_tests {
             }];
             assemble_core(&prog, &reads, &writes)
         };
+        let a = mk_core(0, Some(1), false, 2, false);
+        let b = mk_core(2, None, true, 3, true);
         let bs = Bitstream {
             width,
             global_bits: 4,
-            stages: vec![
-                vec![mk_core(0, Some(1), false, 2, false)],
-                vec![mk_core(2, None, true, 3, true)],
-            ],
+            stages: if same_stage {
+                vec![vec![a, b]]
+            } else {
+                vec![vec![a], vec![b]]
+            },
         };
         GemGpu::load(
             &bs,
@@ -1691,10 +1141,65 @@ mod pruning_tests {
         .expect("loads")
     }
 
+    /// The stage-snapshot rule: a core reads the stage-start value of a
+    /// bit a same-stage peer immediate-writes; the write lands at the
+    /// stage boundary. A write-through engine fails the first assert.
+    #[test]
+    fn same_stage_cores_read_the_stage_start_array() {
+        let mut gpu = two_core_machine(true);
+        gpu.poke(0, true);
+        gpu.poke(1, true);
+        gpu.step_cycle();
+        assert!(gpu.peek(3), "core 1 saw stage-start g2 = 0, so g3 = !0");
+        assert!(gpu.peek(2), "core 0's immediate write landed");
+        gpu.step_cycle();
+        assert!(!gpu.peek(3), "one cycle later core 1 sees g2 = 1");
+    }
+
+    #[test]
+    fn clones_step_independently() {
+        let mut a = two_core_machine(false);
+        a.poke(0, true);
+        a.step_cycle();
+        let b = a.clone();
+        a.poke(1, true);
+        let fresh = |g1: bool| {
+            let mut m = two_core_machine(false);
+            m.poke(0, true);
+            m.step_cycle();
+            m.poke(1, g1);
+            for _ in 0..16 {
+                m.step_cycle();
+            }
+            m
+        };
+        // Step the clones concurrently from two threads: they share the
+        // lowered program and nothing else.
+        let step16 = |mut m: GemGpu| {
+            std::thread::spawn(move || {
+                for _ in 0..16 {
+                    m.step_cycle();
+                }
+                m
+            })
+        };
+        let (ja, jb) = (step16(a), step16(b));
+        let (a, b) = (ja.join().unwrap(), jb.join().unwrap());
+        let (want_a, want_b) = (fresh(true), fresh(false));
+        assert_eq!(a.snapshot(), want_a.snapshot());
+        assert_eq!(b.snapshot(), want_b.snapshot());
+        assert_ne!(want_a.peek(2), want_b.peek(2), "the stimuli diverged");
+    }
+}
+
+#[cfg(test)]
+mod pruning_tests {
+    use super::tests::two_core_machine;
+
     #[test]
     fn pruning_preserves_outputs_exactly() {
-        let mut base = two_core_machine();
-        let mut pruned = two_core_machine();
+        let mut base = two_core_machine(false);
+        let mut pruned = two_core_machine(false);
         pruned.set_pruning(true);
         let pattern = [
             (false, false),
@@ -1730,7 +1235,7 @@ mod pruning_tests {
     fn pruning_is_conservative_across_lanes() {
         // With two lanes, changing only lane 1's input must not let the
         // full-word cache compare skip the core.
-        let mut gpu = two_core_machine();
+        let mut gpu = two_core_machine(false);
         gpu.set_lanes(2).expect("2 lanes");
         gpu.set_pruning(true);
         gpu.poke(0, true);
@@ -1747,7 +1252,7 @@ mod pruning_tests {
 
     #[test]
     fn pruning_off_by_default_and_resettable() {
-        let mut gpu = two_core_machine();
+        let mut gpu = two_core_machine(false);
         for _ in 0..4 {
             gpu.step_cycle();
         }
@@ -1834,7 +1339,6 @@ mod lane_tests {
         assert_eq!(gpu.lanes(), 32);
         gpu.set_lanes(64).expect("64 lanes");
         assert_eq!(gpu.lanes(), 64);
-        assert_eq!(gpu.exec_stats().lanes, 64);
     }
 
     #[test]
@@ -1999,32 +1503,29 @@ mod lane_tests {
     }
 
     /// The heart of the batch contract at machine level: a 64-lane run
-    /// equals 64 scalar runs, under both engines.
+    /// equals 64 scalar runs.
     #[test]
     fn batch_equals_independent_scalar_runs() {
-        for threads in [1usize, 4] {
-            let mut batch = and_machine();
-            batch.set_threads(threads);
-            batch.set_lanes(64).expect("64 lanes");
-            let mut singles: Vec<GemGpu> = (0..64).map(|_| and_machine()).collect();
-            for c in 0u64..16 {
-                for lane in 0..64u32 {
-                    let a = (c ^ u64::from(lane)) & 1 == 1;
-                    let b = (c.wrapping_mul(0x9E37) >> lane) & 1 == 1;
-                    batch.poke_lane(0, lane, a);
-                    batch.poke_lane(1, lane, b);
-                    singles[lane as usize].poke(0, a);
-                    singles[lane as usize].poke(1, b);
-                }
-                batch.step_cycle();
-                for (lane, single) in singles.iter_mut().enumerate() {
-                    single.step_cycle();
-                    assert_eq!(
-                        batch.peek_lane(2, lane as u32),
-                        single.peek(2),
-                        "threads {threads} cycle {c} lane {lane}"
-                    );
-                }
+        let mut batch = and_machine();
+        batch.set_lanes(64).expect("64 lanes");
+        let mut singles: Vec<GemGpu> = (0..64).map(|_| and_machine()).collect();
+        for c in 0u64..16 {
+            for lane in 0..64u32 {
+                let a = (c ^ u64::from(lane)) & 1 == 1;
+                let b = (c.wrapping_mul(0x9E37) >> lane) & 1 == 1;
+                batch.poke_lane(0, lane, a);
+                batch.poke_lane(1, lane, b);
+                singles[lane as usize].poke(0, a);
+                singles[lane as usize].poke(1, b);
+            }
+            batch.step_cycle();
+            for (lane, single) in singles.iter_mut().enumerate() {
+                single.step_cycle();
+                assert_eq!(
+                    batch.peek_lane(2, lane as u32),
+                    single.peek(2),
+                    "cycle {c} lane {lane}"
+                );
             }
         }
     }
