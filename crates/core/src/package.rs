@@ -342,7 +342,8 @@ impl Package {
     /// Returns [`gem_vgpu::MachineError`] if the bitstream fails device
     /// validation.
     pub fn into_simulator(self) -> Result<crate::GemSimulator, gem_vgpu::MachineError> {
-        crate::GemSimulator::from_parts(&self.bitstream, self.device, self.io)
+        let gpu = gem_vgpu::GemGpu::load(&self.bitstream, self.device)?;
+        Ok(crate::GemSimulator::from_machine(gpu, self.io))
     }
 }
 

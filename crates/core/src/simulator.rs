@@ -66,30 +66,21 @@ impl GemSimulator {
     /// Returns [`MachineError`] if the bitstream fails validation (which
     /// would indicate a compiler bug).
     pub fn new(compiled: &Compiled) -> Result<Self, MachineError> {
-        Self::from_parts(
-            &compiled.bitstream,
-            compiled.device.clone(),
-            compiled.io.clone(),
-        )
+        let gpu = GemGpu::load(&compiled.bitstream, compiled.device.clone())?;
+        Ok(Self::from_machine(gpu, compiled.io.clone()))
     }
 
-    /// Builds a simulator from the loadable parts (used when running a
-    /// serialized [`crate::Package`] without recompiling).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MachineError`] if the bitstream fails validation.
-    pub fn from_parts(
-        bitstream: &gem_isa::Bitstream,
-        device: gem_vgpu::DeviceConfig,
-        io: crate::IoMap,
-    ) -> Result<Self, MachineError> {
-        Ok(GemSimulator {
-            gpu: GemGpu::load(bitstream, device)?,
+    /// Wraps an already loaded machine — the one way a simulator is
+    /// built. A caller that keeps a power-on [`GemGpu`] per design (the
+    /// server's compile cache) passes a clone of it: clones share the
+    /// lowered program and copy only signal and RAM state.
+    pub fn from_machine(gpu: GemGpu, io: crate::IoMap) -> Self {
+        GemSimulator {
+            gpu,
             io,
             sink: None,
             lane_steps: [0; GemGpu::MAX_LANES as usize],
-        })
+        }
     }
 
     /// Sets an input port for the upcoming cycle(s).
@@ -378,6 +369,13 @@ impl GemSimulator {
     /// Reads a RAM block word.
     pub fn ram_word(&self, ram: usize, addr: usize) -> u32 {
         self.gpu.ram_word(ram, addr)
+    }
+
+    /// Whether both simulators run one lowered program in memory (see
+    /// `GemGpu::shares_program_with`); a test hook.
+    #[doc(hidden)]
+    pub fn shares_program_with(&self, other: &GemSimulator) -> bool {
+        self.gpu.shares_program_with(&other.gpu)
     }
 }
 

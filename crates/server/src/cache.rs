@@ -2,8 +2,11 @@
 //!
 //! The GEM flow splits compile from execute: a compiled design (its
 //! bitstream and IO map) is immutable and reusable, so N sessions of the
-//! same source
-//! should pay for one compile. The cache keys on a content hash of
+//! same source should pay for one compile — and for one *load*: an entry
+//! also holds the bitstream decoded, validated and lowered once into a
+//! power-on machine ([`CachedDesign`]), which every session of the design
+//! clones. Clones share the lowered program and copy only signal and RAM
+//! state. The cache keys on a content hash of
 //! `(source, options)` — not on file names — so identical designs
 //! submitted by different clients share an entry and any textual or
 //! option change misses.
@@ -11,12 +14,14 @@
 //! Lookups are *single-flight*: the first thread to miss installs a
 //! `Pending` slot and compiles outside the lock; concurrent lookups of
 //! the same key block on a condvar and are counted as **hits** when the
-//! compile lands (they paid no compile). Failed compiles are cached too
-//! (negative caching), so a design that does not parse is rejected once
-//! per revision instead of recompiled per request.
+//! compile lands (they paid no compile). Failed compiles — and compiled
+//! bitstreams the machine refuses to load — are cached too (negative
+//! caching), so a design that does not parse is rejected once per
+//! revision instead of recompiled per request.
 
 use crate::metrics::{inc, ServerMetrics};
-use gem_core::{compile_verilog, CompileOptions, Compiled};
+use gem_core::{compile_verilog, CompileOptions, Compiled, GemSimulator};
+use gem_vgpu::{GemGpu, MachineError};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -39,8 +44,37 @@ pub fn content_hash(source: &str, opts: &CompileOptions) -> u64 {
     h
 }
 
+/// A cache entry's payload: what the compiler produced, plus its
+/// bitstream loaded once into a machine nobody steps.
+#[derive(Debug)]
+pub struct CachedDesign {
+    /// The compile artefacts (report, IO map, bitstream, certificate).
+    pub compiled: Compiled,
+    /// Power-on machine; sessions are clones of it.
+    machine: GemGpu,
+}
+
+impl CachedDesign {
+    /// Loads `compiled`'s bitstream: disassemble, validate, lower — the
+    /// work every session of the design then shares.
+    ///
+    /// # Errors
+    ///
+    /// [`MachineError`] when the machine rejects the bitstream (only
+    /// reachable with the verify gate off).
+    pub fn load(compiled: Compiled) -> Result<Self, MachineError> {
+        let machine = GemGpu::load(&compiled.bitstream, compiled.device.clone())?;
+        Ok(CachedDesign { compiled, machine })
+    }
+
+    /// A fresh power-on simulator of this design.
+    pub fn simulator(&self) -> GemSimulator {
+        GemSimulator::from_machine(self.machine.clone(), self.compiled.io.clone())
+    }
+}
+
 /// A compile outcome held by the cache: the design or the error text.
-pub type CacheResult = Result<Arc<Compiled>, String>;
+pub type CacheResult = Result<Arc<CachedDesign>, String>;
 
 enum Slot {
     /// A thread is compiling this key right now.
@@ -116,7 +150,7 @@ impl CompileCache {
                 }
             }
         }
-        // Compile outside the lock; waiters park on the condvar.
+        // Compile and load outside the lock; waiters park on the condvar.
         inc(&self.metrics.cache_misses);
         inc(&self.metrics.compiles_total);
         let result: CacheResult = compile_verilog(source, opts)
@@ -132,7 +166,11 @@ impl CompileCache {
                 }
                 e.to_string()
             })
-            .map(Arc::new);
+            .and_then(|compiled| {
+                CachedDesign::load(compiled)
+                    .map(Arc::new)
+                    .map_err(|e| format!("compiled bitstream does not load: {e}"))
+            });
         let mut st = self.state.lock().unwrap();
         st.tick += 1;
         let tick = st.tick;
@@ -180,11 +218,11 @@ impl CompileCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
 
-    const COUNTER: &str = "
+    pub(crate) const COUNTER: &str = "
 module counter(input clk, input rst, output reg [7:0] q);
   always @(posedge clk) begin
     if (rst) q <= 8'd0;
@@ -196,6 +234,11 @@ endmodule
     fn opts() -> CompileOptions {
         CompileOptions::small()
     }
+
+    /// A `verify_fault` seed whose mutation (a read bound to a state
+    /// address beyond the core) the verifier would catch and, with the
+    /// gate off, `GemGpu::load` refuses.
+    const LOAD_FAULT: u64 = 4;
 
     #[test]
     fn hash_distinguishes_source_and_options() {
@@ -288,6 +331,47 @@ endmodule
         assert!(r2.is_err() && cached2, "negative entry served from cache");
         assert_eq!(m.compiles_total.load(Ordering::Relaxed), 1);
         assert_eq!(m.analyze_failures.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn sessions_of_one_entry_share_the_lowered_program() {
+        let m = Arc::new(ServerMetrics::default());
+        let cache = CompileCache::new(4, Arc::clone(&m));
+        let design = cache.get_or_compile(COUNTER, &opts()).1.expect("compiles");
+        let again = cache.get_or_compile(COUNTER, &opts()).1.expect("cached");
+        let (mut a, b) = (design.simulator(), again.simulator());
+        assert!(a.shares_program_with(&b), "one load per entry");
+        // …and nothing else: stepping one leaves the other at power-on.
+        a.set_input("rst", gem_netlist::Bits::from_u64(0, 1));
+        for _ in 0..3 {
+            a.step();
+        }
+        assert_eq!(a.counters().cycles, 3);
+        assert_eq!(b.counters().cycles, 0);
+        let fresh = GemSimulator::new(&design.compiled).expect("loads");
+        assert_eq!(b.snapshot(), fresh.snapshot());
+        assert!(!b.shares_program_with(&fresh), "a private load is private");
+    }
+
+    #[test]
+    fn bitstreams_that_fail_to_load_are_negative_cached() {
+        // With the verify gate off an injected fault reaches the machine,
+        // which refuses it; that refusal is the cache entry.
+        let m = Arc::new(ServerMetrics::default());
+        let cache = CompileCache::new(4, Arc::clone(&m));
+        let faulty = CompileOptions {
+            verify: false,
+            verify_fault: LOAD_FAULT,
+            ..opts()
+        };
+        let (_, r1, cached1) = cache.get_or_compile(COUNTER, &faulty);
+        let err = r1.expect_err("the machine must refuse the bitstream");
+        assert!(!cached1);
+        assert!(err.contains("does not load"), "{err}");
+        let (_, r2, cached2) = cache.get_or_compile(COUNTER, &faulty);
+        assert_eq!(r2.expect_err("still refused"), err);
+        assert!(cached2, "negative entry served from cache");
+        assert_eq!(m.compiles_total.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -72,8 +72,12 @@ impl GemClient {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<GemClient> {
+        let stream = TcpStream::connect(addr)?;
+        // Request/response traffic: a frame is one write, and its tail
+        // segment must not wait for the peer's delayed ACK.
+        stream.set_nodelay(true)?;
         Ok(GemClient {
-            stream: TcpStream::connect(addr)?,
+            stream,
             next_id: 1,
             max_frame: DEFAULT_MAX_FRAME,
         })
@@ -342,5 +346,17 @@ impl GemClient {
     /// server then stops accepting and joins its threads).
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         self.request("shutdown", Vec::new()).map(|_| ())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connect_disables_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("loopback binds");
+        let client = GemClient::connect(listener.local_addr().unwrap()).expect("connects");
+        assert!(client.stream.nodelay().expect("socket option reads"));
     }
 }

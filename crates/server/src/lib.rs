@@ -10,7 +10,8 @@
 //!   ([`gem_telemetry::wire`]) carrying `{"id", "cmd", …}` requests and
 //!   `{"id", "ok", …}` responses; values as hex strings;
 //! * [`CompileCache`] — content-hash-keyed, single-flight, LRU: N
-//!   concurrent opens of the same source pay exactly one compile;
+//!   concurrent opens of the same source pay exactly one compile and one
+//!   bitstream load (sessions clone the entry's power-on machine);
 //! * [`WorkerPool`] — fixed threads, bounded queue, explicit
 //!   backpressure: a full queue is a `busy` response with
 //!   `retry_after_ms`, never a hang;
@@ -32,7 +33,7 @@ pub mod protocol;
 pub mod server;
 pub mod session;
 
-pub use cache::{content_hash, CompileCache};
+pub use cache::{content_hash, CachedDesign, CompileCache};
 pub use client::{ClientError, GemClient};
 pub use metrics::ServerMetrics;
 pub use pool::{SubmitError, WorkerPool};

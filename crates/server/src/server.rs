@@ -29,6 +29,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Tunables for one server instance.
@@ -75,6 +76,10 @@ struct ServerState {
     /// Clones of live connection streams, for unblocking reads at
     /// shutdown. Keyed by connection id; handlers remove themselves.
     conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Connection handler threads not yet seen finished. The accept loop
+    /// drops finished ones on every accept and joins the rest at
+    /// shutdown, so the list tracks live connections, not history.
+    handlers: Mutex<Vec<JoinHandle<()>>>,
     next_conn: AtomicU64,
     /// Request correlation ids, unique across all connections of this
     /// server. Every request gets one; it is echoed in the response
@@ -116,6 +121,7 @@ impl Server {
             stop: AtomicBool::new(false),
             local_addr,
             conns: Mutex::new(HashMap::new()),
+            handlers: Mutex::new(Vec::new()),
             next_conn: AtomicU64::new(1),
             next_rid: AtomicU64::new(1),
             cfg,
@@ -153,7 +159,6 @@ impl Server {
                 })
                 .expect("spawn reaper")
         };
-        let mut handlers = Vec::new();
         for incoming in self.listener.incoming() {
             if state.stop.load(Ordering::SeqCst) {
                 break;
@@ -163,6 +168,10 @@ impl Server {
                 Err(_) if state.stop.load(Ordering::SeqCst) => break,
                 Err(e) => return Err(e),
             };
+            // One frame is one write (gem_telemetry::wire); with Nagle off
+            // a frame longer than a segment does not stall on its tail
+            // either. Failing to set the option costs latency, nothing else.
+            let _ = stream.set_nodelay(true);
             let conn_id = state.next_conn.fetch_add(1, Ordering::Relaxed);
             if let Ok(clone) = stream.try_clone() {
                 state.conns.lock().unwrap().insert(conn_id, clone);
@@ -170,17 +179,19 @@ impl Server {
             inc(&state.metrics.connections_total);
             inc(&state.metrics.connections_active);
             let state2 = Arc::clone(&state);
-            handlers.push(
-                std::thread::Builder::new()
-                    .name(format!("gem-conn-{conn_id}"))
-                    .spawn(move || handle_connection(&state2, stream, conn_id))
-                    .expect("spawn connection handler"),
-            );
+            let handler = std::thread::Builder::new()
+                .name(format!("gem-conn-{conn_id}"))
+                .spawn(move || handle_connection(&state2, stream, conn_id))
+                .expect("spawn connection handler");
+            let mut handlers = state.handlers.lock().unwrap();
+            handlers.retain(|h| !h.is_finished());
+            handlers.push(handler);
         }
         // Unblock handlers still parked in read_frame, then join them.
         for (_, c) in state.conns.lock().unwrap().drain() {
             let _ = c.shutdown(std::net::Shutdown::Both);
         }
+        let handlers = std::mem::take(&mut *state.handlers.lock().unwrap());
         for h in handlers {
             let _ = h.join();
         }
@@ -386,7 +397,7 @@ fn cmd_compile(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
                 let mut r = protocol::ok_response(id);
                 r.set("key", format!("{key:016x}"));
                 r.set("cached", cached);
-                r.set("report", design.report.to_json());
+                r.set("report", design.compiled.report.to_json());
                 r
             }
             Err(e) => protocol::err_response(id, codes::COMPILE_FAILED, &e),
@@ -418,10 +429,7 @@ fn cmd_open(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
             Ok(d) => d,
             Err(e) => return protocol::err_response(id, codes::COMPILE_FAILED, &e),
         };
-        let mut sim = match GemSimulator::new(&design) {
-            Ok(s) => s,
-            Err(e) => return protocol::err_response(id, codes::INTERNAL, &e.to_string()),
-        };
+        let mut sim = design.simulator();
         if let Err(e) = sim.set_lanes(lanes) {
             return protocol::err_response(id, codes::BAD_LANES, &e.to_string());
         }
@@ -431,7 +439,7 @@ fn cmd_open(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
         r.set("lanes", lanes as u64);
         r.set("key", format!("{key:016x}"));
         r.set("cached", cached);
-        r.set("report", design.report.to_json());
+        r.set("report", design.compiled.report.to_json());
         r
     })
 }
@@ -735,7 +743,7 @@ fn cmd_profile(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
             cycles,
             ..ProfileOptions::default()
         };
-        match gem_core::profile(&design, &design_name, &popts) {
+        match gem_core::profile(&design.compiled, &design_name, &popts) {
             Ok(report) => {
                 let mut r = protocol::ok_response(id);
                 r.set("key", format!("{key:016x}"));
@@ -787,8 +795,8 @@ fn cmd_lint(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
             r.set("cached", cached);
             match result {
                 Ok(design) => {
-                    certified = design.report.certified;
-                    if let Some(cert) = &design.schedule_cert {
+                    certified = design.compiled.report.certified;
+                    if let Some(cert) = &design.compiled.schedule_cert {
                         r.set("cert", cert.summary());
                     }
                 }
@@ -842,4 +850,105 @@ fn cmd_stats(state: &Arc<ServerState>, id: u64) -> CmdResult {
     r.set("sessions", state.sessions.len() as u64);
     r.set("cache_entries", state.cache.len() as u64);
     Ok(r)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::tests::COUNTER;
+    use crate::client::GemClient;
+    use std::time::Instant;
+
+    /// A running server whose shared state the test can look into.
+    struct Running {
+        state: Arc<ServerState>,
+        thread: JoinHandle<io::Result<()>>,
+    }
+
+    impl Running {
+        fn start() -> Self {
+            let server = Server::bind(ServerConfig::default()).expect("loopback binds");
+            Running {
+                state: Arc::clone(&server.state),
+                thread: std::thread::spawn(move || server.run()),
+            }
+        }
+
+        fn connect(&self) -> GemClient {
+            GemClient::connect(self.state.local_addr).expect("loopback connects")
+        }
+
+        fn stop(self) {
+            self.connect().shutdown().expect("shutdown is acknowledged");
+            self.thread
+                .join()
+                .expect("server thread does not panic")
+                .expect("accept loop ends cleanly");
+        }
+    }
+
+    #[test]
+    fn accepted_streams_have_nagle_off() {
+        let srv = Running::start();
+        let mut client = srv.connect();
+        client.ping(0).expect("pong"); // the connection is accepted by now
+        {
+            let conns = srv.state.conns.lock().unwrap();
+            assert_eq!(conns.len(), 1);
+            // The clone shares the handler's socket, options included.
+            for c in conns.values() {
+                assert!(c.nodelay().expect("socket option reads"));
+            }
+        }
+        drop(client);
+        srv.stop();
+    }
+
+    #[test]
+    fn finished_handlers_are_dropped_not_hoarded() {
+        let srv = Running::start();
+        let active = &srv.state.metrics.connections_active;
+        let mut most = 0;
+        for _ in 0..500 {
+            srv.connect().ping(0).expect("pong");
+            // The client is gone; its handler sees EOF and winds down.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while active.load(Ordering::Relaxed) != 0 {
+                assert!(Instant::now() < deadline, "handler never finished");
+                std::thread::yield_now();
+            }
+            most = most.max(srv.state.handlers.lock().unwrap().len());
+        }
+        // A handler that has counted itself out may not have returned yet
+        // when the next accept looks, so allow stragglers — not history.
+        assert!(most <= 8, "{most} handles held after one-shot connections");
+        srv.stop();
+    }
+
+    #[test]
+    fn sessions_of_one_design_share_one_program_and_nothing_else() {
+        let srv = Running::start();
+        let mut client = srv.connect();
+        let mut open = || {
+            let r = client.open(COUNTER, Json::object()).expect("opens");
+            r.get("session").and_then(Json::as_u64).expect("session id")
+        };
+        let (a, b) = (open(), open());
+        client.poke(a, "rst", "0").expect("pokes");
+        client.step(a, 5, Vec::new()).expect("steps");
+        let (ea, eb) = (
+            srv.state.sessions.get(a).expect("live"),
+            srv.state.sessions.get(b).expect("live"),
+        );
+        {
+            let (sa, sb) = (ea.sim.lock().unwrap(), eb.sim.lock().unwrap());
+            assert!(sa.shares_program_with(&sb), "one load, two sessions");
+            assert_eq!(sa.counters().cycles, 5);
+            assert_eq!(sb.counters().cycles, 0, "b was never stepped");
+        }
+        assert!(Arc::ptr_eq(&ea.design, &eb.design));
+        assert_eq!(srv.state.metrics.compiles_total.load(Ordering::Relaxed), 1);
+        drop(client);
+        srv.stop();
+    }
 }

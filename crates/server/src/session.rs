@@ -1,8 +1,9 @@
 //! Session table: per-client simulator instances with idle eviction.
 //!
 //! A session pairs one [`GemSimulator`] (mutable machine state) with the
-//! shared, immutable [`Compiled`] design it was instantiated from. The
-//! table hands out `Arc<SessionEntry>` so a connection handler and a pool
+//! shared, immutable [`CachedDesign`] it was cloned from: every session
+//! of a design runs the one lowered program its cache entry loaded and
+//! owns only its signal and RAM state. The table hands out `Arc<SessionEntry>` so a connection handler and a pool
 //! worker can both hold the session while a job is in flight; the
 //! simulator itself sits behind a `Mutex`, serializing cycles per session
 //! while different sessions run fully in parallel.
@@ -13,8 +14,9 @@
 //! configured idle timeout are dropped and counted in
 //! `gem_server_sessions_evicted_total`.
 
+use crate::cache::CachedDesign;
 use crate::metrics::{add, dec, inc, sub, ServerMetrics};
-use gem_core::{Compiled, GemSimulator};
+use gem_core::GemSimulator;
 use gem_vgpu::GpuSnapshot;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,8 +29,10 @@ pub struct SessionEntry {
     pub id: u64,
     /// Compile-cache key of the design this session runs.
     pub key: u64,
-    /// The shared compiled design (IO map, report, golden E-AIG).
-    pub design: Arc<Compiled>,
+    /// The cache entry this session was cloned from (compile artefacts
+    /// and the power-on machine). The session holds it, so evicting the
+    /// entry from the cache never takes the design from a live session.
+    pub design: Arc<CachedDesign>,
     /// Stimulus lanes this session runs (1 for plain sessions, up to 64
     /// for batch sessions). Fixed at `open`; counted into the
     /// `gem_server_lanes_active` gauge while the session lives.
@@ -84,7 +88,7 @@ impl SessionTable {
     /// session's stimulus lane count (already validated and applied to
     /// `sim`); sessions with more than one lane count into the
     /// batch-session metrics.
-    pub fn open(&self, key: u64, design: Arc<Compiled>, sim: GemSimulator, lanes: u32) -> u64 {
+    pub fn open(&self, key: u64, design: Arc<CachedDesign>, sim: GemSimulator, lanes: u32) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(SessionEntry {
             id,
@@ -162,13 +166,14 @@ mod tests {
     use gem_core::{compile, CompileOptions};
     use gem_netlist::ModuleBuilder;
 
-    fn tiny_design() -> Arc<Compiled> {
+    fn tiny_design() -> Arc<CachedDesign> {
         let mut b = ModuleBuilder::new("t");
         let a = b.input("a", 4);
         let n = b.not(a);
         b.output("y", n);
         let m = b.finish().expect("valid");
-        Arc::new(compile(&m, &CompileOptions::small()).expect("compiles"))
+        let compiled = compile(&m, &CompileOptions::small()).expect("compiles");
+        Arc::new(CachedDesign::load(compiled).expect("loads"))
     }
 
     #[test]
@@ -176,7 +181,7 @@ mod tests {
         let m = Arc::new(ServerMetrics::default());
         let table = SessionTable::new(Arc::clone(&m));
         let design = tiny_design();
-        let sim = GemSimulator::new(&design).unwrap();
+        let sim = design.simulator();
         let id = table.open(7, Arc::clone(&design), sim, 1);
         assert!(table.get(id).is_some());
         assert_eq!(table.len(), 1);
@@ -196,15 +201,10 @@ mod tests {
         let m = Arc::new(ServerMetrics::default());
         let table = SessionTable::new(Arc::clone(&m));
         let design = tiny_design();
-        let mut sim = GemSimulator::new(&design).unwrap();
+        let mut sim = design.simulator();
         sim.set_lanes(8).unwrap();
         let batch = table.open(1, Arc::clone(&design), sim, 8);
-        let plain = table.open(
-            2,
-            Arc::clone(&design),
-            GemSimulator::new(&design).unwrap(),
-            1,
-        );
+        let plain = table.open(2, Arc::clone(&design), design.simulator(), 1);
         assert_eq!(m.lanes_active.load(Ordering::Relaxed), 9);
         assert_eq!(m.batch_sessions.load(Ordering::Relaxed), 1);
         assert!(table.close(batch));
@@ -218,18 +218,8 @@ mod tests {
         let m = Arc::new(ServerMetrics::default());
         let table = SessionTable::new(Arc::clone(&m));
         let design = tiny_design();
-        let id1 = table.open(
-            1,
-            Arc::clone(&design),
-            GemSimulator::new(&design).unwrap(),
-            1,
-        );
-        let id2 = table.open(
-            2,
-            Arc::clone(&design),
-            GemSimulator::new(&design).unwrap(),
-            1,
-        );
+        let id1 = table.open(1, Arc::clone(&design), design.simulator(), 1);
+        let id2 = table.open(2, Arc::clone(&design), design.simulator(), 1);
         std::thread::sleep(Duration::from_millis(30));
         table.get(id2); // touch
         let evicted = table.evict_idle(Duration::from_millis(15));

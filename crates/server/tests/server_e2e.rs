@@ -7,7 +7,7 @@ use gem_netlist::vcd::VcdWriter;
 use gem_netlist::{verilog, Bits};
 use gem_server::{GemClient, Server, ServerConfig};
 use gem_sim::EaigSim;
-use gem_telemetry::Json;
+use gem_telemetry::{read_frame, write_frame, Json, DEFAULT_MAX_FRAME};
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -357,6 +357,178 @@ fn verify_gate_refuses_to_cache_failing_bitstream() {
     assert_eq!(metric(&stats, "gem_server_cache_hits_total"), 1.0);
     assert_eq!(metric(&stats, "gem_server_sessions_opened_total"), 1.0);
 
+    shutdown_and_join(addr, server);
+}
+
+/// The four-lane MAC the benchmark ladder serves (`server_mac`): small
+/// on purpose, so a served step is wire and queue time, not engine time.
+const NVDLA_MAC: &str = "
+module nvdla_mac(input clk, input rst, input start,
+                 input [31:0] act, input [31:0] wgt,
+                 output reg [31:0] acc, output [15:0] p0);
+  wire [15:0] m0;
+  wire [15:0] m1;
+  wire [15:0] m2;
+  wire [15:0] m3;
+  assign m0 = {8'd0, act[7:0]}   * {8'd0, wgt[7:0]};
+  assign m1 = {8'd0, act[15:8]}  * {8'd0, wgt[15:8]};
+  assign m2 = {8'd0, act[23:16]} * {8'd0, wgt[23:16]};
+  assign m3 = {8'd0, act[31:24]} * {8'd0, wgt[31:24]};
+  wire [31:0] sum;
+  assign sum = {16'd0, m0} + {16'd0, m1} + {16'd0, m2} + {16'd0, m3};
+  assign p0 = m0;
+  always @(posedge clk) begin
+    if (rst) acc <= 32'd0;
+    else if (start) acc <= acc + sum;
+  end
+endmodule
+";
+
+/// Median wall time of `n` calls of `op`.
+fn median_latency(n: usize, mut op: impl FnMut()) -> Duration {
+    let mut took: Vec<Duration> = (0..n)
+        .map(|_| {
+            let t = Instant::now();
+            op();
+            t.elapsed()
+        })
+        .collect();
+    took.sort();
+    took[n / 2]
+}
+
+/// A round trip costs what the work costs. A frame sent as two writes
+/// with Nagle on waits out the peer's delayed-ACK timer in each
+/// direction: 88 ms for a `ping` that does nothing. Healthy is under
+/// 0.1 ms, so the bound sits two orders of magnitude from either.
+#[test]
+fn round_trips_do_not_wait_for_delayed_acks() {
+    const BOUND: Duration = Duration::from_millis(10);
+    let (addr, server) = start_server(ServerConfig::default());
+    let mut client = GemClient::connect(addr).expect("connect");
+    let opened = client.open(NVDLA_MAC, Json::object()).expect("opens");
+    let session = opened.get("session").and_then(Json::as_u64).unwrap();
+    client.poke(session, "rst", "0").expect("pokes");
+
+    let ping = median_latency(64, || client.ping(0).expect("pong"));
+    assert!(ping < BOUND, "median ping took {ping:?}");
+    let step = median_latency(64, || {
+        client.step(session, 1, Vec::new()).expect("steps");
+    });
+    assert!(step < BOUND, "median one-cycle step took {step:?}");
+    // A frame of several segments must not stall on its tail either
+    // (`open` sources and `replay` VCDs are this size). Escaping and
+    // parsing 200 KiB is real work — 12 ms in a debug build — so the
+    // bound is on what the wire adds to the codec's own cost.
+    let pad = Json::Str("x".repeat(200 * 1024));
+    let mut frame = Json::object();
+    frame.set("cmd", "ping");
+    frame.set("ignored", pad.clone());
+    let mut buf = Vec::new();
+    let codec = median_latency(9, || {
+        buf.clear();
+        write_frame(&mut buf, &frame, DEFAULT_MAX_FRAME).expect("fits");
+        read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME).expect("parses");
+    });
+    let padded = median_latency(9, || {
+        client
+            .request("ping", vec![("ignored", pad.clone())])
+            .expect("pong");
+    });
+    assert!(
+        padded < codec + BOUND,
+        "median 200 KiB ping took {padded:?}, its codec work {codec:?}"
+    );
+
+    drop(client);
+    shutdown_and_join(addr, server);
+}
+
+/// Sessions of one design are clones of its cache entry's machine: they
+/// cost one compile, step independently, and keep running when the entry
+/// they came from is evicted.
+#[test]
+fn sessions_step_independently_and_outlive_their_cache_entry() {
+    let (addr, server) = start_server(ServerConfig {
+        cache: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = GemClient::connect(addr).expect("connect");
+    let open = |client: &mut GemClient, source: &str| {
+        let r = client.open(source, wire_opts()).expect("opens");
+        (
+            r.get("session").and_then(Json::as_u64).expect("session id"),
+            r.get("cached")
+                .and_then(Json::as_bool)
+                .expect("cached flag"),
+        )
+    };
+    let (s1, cached1) = open(&mut client, DESIGN_A);
+    let (s2, cached2) = open(&mut client, DESIGN_A);
+    assert!(!cached1 && cached2, "second open rides the first compile");
+
+    // Outputs are pre-edge: after n cycles of `+= d`, acc shows d·(n−1).
+    let acc = |client: &mut GemClient, s, cycles, delta: &str| {
+        let r = client.step(s, cycles, vec![("en", "1"), ("delta", delta)]);
+        out_u64(&r.expect("steps"), "acc")
+    };
+    assert_eq!(acc(&mut client, s1, 4, "03"), 9);
+    assert_eq!(acc(&mut client, s2, 2, "05"), 5, "s2 never saw s1's cycles");
+    assert_eq!(acc(&mut client, s1, 1, "03"), 12);
+
+    // A second design pushes DESIGN_A's entry out of the one-slot cache.
+    let (other, cached) = open(&mut client, DESIGN_B);
+    assert!(!cached);
+    let stats = quiesced_stats(&mut client);
+    assert_eq!(metric(&stats, "gem_server_cache_evictions_total"), 1.0);
+    assert_eq!(acc(&mut client, s1, 1, "03"), 15, "s1 survived eviction");
+    assert_eq!(acc(&mut client, s2, 1, "05"), 10, "s2 survived eviction");
+
+    // Opening DESIGN_A again compiles again and starts from power-on.
+    let (s3, cached3) = open(&mut client, DESIGN_A);
+    assert!(!cached3, "the entry was evicted");
+    assert_eq!(acc(&mut client, s3, 1, "07"), 0);
+    assert_eq!(acc(&mut client, s1, 1, "03"), 18);
+
+    let stats = quiesced_stats(&mut client);
+    assert_eq!(metric(&stats, "gem_server_compiles_total"), 3.0);
+    assert_eq!(metric(&stats, "gem_server_sessions_active"), 4.0);
+    for s in [s1, s2, s3, other] {
+        client.close(s).expect("close");
+    }
+    drop(client);
+    shutdown_and_join(addr, server);
+}
+
+/// With the verify gate off, an injected fault reaches the machine, which
+/// refuses to load it. The refusal happens once, inside the cache's
+/// single-flight section, and every later request for the key gets it
+/// from the negative entry.
+#[test]
+fn bitstream_that_fails_to_load_is_rejected_once() {
+    let (addr, server) = start_server(ServerConfig::default());
+    let mut client = GemClient::connect(addr).expect("connect");
+    let mut faulty = wire_opts();
+    faulty.set("verify", false);
+    faulty.set("verify_fault", 4u64); // a read bound beyond the core's state
+
+    let refused = |r: Result<Json, gem_server::ClientError>| match r {
+        Err(gem_server::ClientError::Server { code, message, .. }) => {
+            assert_eq!(code, "compile_failed");
+            assert!(message.contains("does not load"), "{message}");
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    };
+    refused(client.open(DESIGN_A, faulty.clone()));
+    refused(client.open(DESIGN_A, faulty.clone()));
+    refused(client.compile(DESIGN_A, faulty));
+
+    let stats = quiesced_stats(&mut client);
+    assert_eq!(metric(&stats, "gem_server_compiles_total"), 1.0);
+    assert_eq!(metric(&stats, "gem_server_cache_misses_total"), 1.0);
+    assert_eq!(metric(&stats, "gem_server_cache_hits_total"), 2.0);
+    assert_eq!(metric(&stats, "gem_server_sessions_opened_total"), 0.0);
+    drop(client);
     shutdown_and_join(addr, server);
 }
 

@@ -144,6 +144,13 @@ impl Json {
         out
     }
 
+    /// Appends the compact serialization to `out` — what `to_string()`
+    /// yields, without the intermediate `String` (the wire codec writes
+    /// straight behind its frame header).
+    pub(crate) fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
+    }
+
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         let pad = |out: &mut String, depth: usize| {
             if let Some(n) = indent {
@@ -209,7 +216,7 @@ impl Json {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         f.write_str(&out)
     }
 }

@@ -7,11 +7,21 @@
 //! | u32 len (LE) | len bytes of JSON |
 //! ```
 //!
+//! **One write per frame.** [`write_frame`] serializes header and payload
+//! into one buffer and hands it to the transport in a single `write_all`.
+//! On a TCP stream two writes per frame (header, then payload) make every
+//! request write–write–read: Nagle holds the second segment until the
+//! first is acknowledged, and the peer's delayed-ACK timer (~40 ms) is
+//! what acknowledges it — once per direction, ~85 ms per round trip for
+//! no work at all (`docs/SERVER.md`, "Wire latency").
+//!
 //! The codec is defensive by construction — it is the boundary where
 //! untrusted bytes enter the process:
 //!
 //! * frames larger than the caller's limit are rejected **before** any
-//!   payload allocation ([`FrameError::TooLarge`]),
+//!   payload allocation ([`FrameError::TooLarge`]), and an accepted
+//!   length reserves at most 64 KiB up front — the rest of the buffer is
+//!   paid for as bytes arrive,
 //! * short reads surface as [`FrameError::Truncated`] rather than a
 //!   panic or a hang on garbage lengths,
 //! * payloads must be valid UTF-8 and valid JSON ([`FrameError::BadJson`]),
@@ -29,6 +39,12 @@ use std::io::{Read, Write};
 /// compile request for the designs in this repository, far below
 /// anything that could exhaust memory.
 pub const DEFAULT_MAX_FRAME: usize = 16 * 1024 * 1024;
+
+const HEADER_BYTES: usize = 4;
+
+/// What [`read_frame`] reserves up front for a payload, however large
+/// the header says it is.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Errors from [`read_frame`] / [`write_frame`].
 #[derive(Debug)]
@@ -86,22 +102,25 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Serializes `v` compactly and writes it as one frame.
+/// Serializes `v` compactly and writes it as one frame, in one `write`.
 ///
 /// # Errors
 ///
 /// [`FrameError::TooLarge`] if the serialized payload exceeds `max`
 /// (nothing is written), or [`FrameError::Io`] on transport failure.
 pub fn write_frame(w: &mut impl Write, v: &Json, max: usize) -> Result<(), FrameError> {
-    let payload = v.to_string().into_bytes();
-    if payload.len() > max {
-        return Err(FrameError::TooLarge {
-            len: payload.len(),
-            max,
-        });
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&payload)?;
+    // Four NUL bytes (valid UTF-8) hold the header's place, so the payload
+    // is serialized straight behind it and never copied.
+    let mut frame = String::from("\0\0\0\0");
+    v.write_compact(&mut frame);
+    let mut frame = frame.into_bytes();
+    let len = frame.len() - HEADER_BYTES;
+    let header = match u32::try_from(len) {
+        Ok(n) if len <= max => n,
+        _ => return Err(FrameError::TooLarge { len, max }),
+    };
+    frame[..HEADER_BYTES].copy_from_slice(&header.to_le_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -117,16 +136,16 @@ pub fn write_frame(w: &mut impl Write, v: &Json, max: usize) -> Result<(), Frame
 /// [`Truncated`]: FrameError::Truncated
 /// [`BadJson`]: FrameError::BadJson
 pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Json, FrameError> {
-    let mut len_bytes = [0u8; 4];
+    let mut len_bytes = [0u8; HEADER_BYTES];
     // Read the header byte-wise so a clean EOF before any byte maps to
     // Closed while EOF inside the header maps to Truncated.
     let mut filled = 0usize;
-    while filled < 4 {
+    while filled < HEADER_BYTES {
         match r.read(&mut len_bytes[filled..])? {
             0 if filled == 0 => return Err(FrameError::Closed),
             0 => {
                 return Err(FrameError::Truncated {
-                    expected: 4,
+                    expected: HEADER_BYTES,
                     got: filled,
                 })
             }
@@ -137,13 +156,12 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Json, FrameError> {
     if len > max {
         return Err(FrameError::TooLarge { len, max });
     }
-    let mut payload = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match r.read(&mut payload[got..])? {
-            0 => return Err(FrameError::Truncated { expected: len, got }),
-            n => got += n,
-        }
+    // The header is only a claim: reserve one chunk and let the buffer
+    // grow as bytes actually arrive.
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    let got = r.take(len as u64).read_to_end(&mut payload)?;
+    if got < len {
+        return Err(FrameError::Truncated { expected: len, got });
     }
     let text = std::str::from_utf8(&payload).map_err(|e| {
         FrameError::BadJson(JsonError {
@@ -226,6 +244,65 @@ mod tests {
                 got: 2
             })
         ));
+    }
+
+    #[test]
+    fn declared_length_is_not_committed_before_bytes_arrive() {
+        // A header may claim the whole limit; with ten bytes behind it the
+        // answer is Truncated, reached without a limit-sized buffer.
+        let max = DEFAULT_MAX_FRAME;
+        let mut buf = (max as u32).to_le_bytes().to_vec();
+        buf.extend_from_slice(b"0123456789");
+        match read_frame(&mut buf.as_slice(), max) {
+            Err(FrameError::Truncated { expected, got }) => {
+                assert_eq!((expected, got), (max, 10));
+            }
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+    }
+
+    /// Counts `write` calls; accepts every byte offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_frame_and_none_when_too_large() {
+        // Two writes per frame on a TCP stream is the Nagle × delayed-ACK
+        // stall (module docs); the contract is exactly one.
+        let v = json!({"cmd": "step", "cycles": 16u64, "act": "01234567"});
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &v, 1024).expect("writes");
+        assert_eq!(w.writes, 1);
+        write_frame(&mut w, &v, 1024).expect("writes");
+        assert_eq!(w.writes, 2);
+        let mut r = w.bytes.as_slice();
+        assert_eq!(read_frame(&mut r, 1024).unwrap(), v);
+        assert_eq!(read_frame(&mut r, 1024).unwrap(), v);
+
+        let mut w = CountingWriter::default();
+        let big = Json::Str("x".repeat(2048));
+        assert!(matches!(
+            write_frame(&mut w, &big, 1024),
+            Err(FrameError::TooLarge {
+                len: 2050,
+                max: 1024
+            })
+        ));
+        assert_eq!(w.writes, 0);
     }
 
     #[test]

@@ -146,7 +146,9 @@ struct LoadedCore {
 /// Cloning is cheap on the program side: the lowered bitstream is
 /// shared read-only (`Arc`) — only the mutable state (signals, RAMs,
 /// counters) is deep-copied, so clones step independently, from
-/// different threads if need be.
+/// different threads if need be. This is how `gem-server` makes
+/// sessions: [`load`](Self::load) once per cached design, clone the
+/// power-on machine per `open`.
 #[derive(Debug, Clone)]
 pub struct GemGpu {
     cfg: DeviceConfig,
@@ -831,6 +833,14 @@ impl GemGpu {
     pub fn num_cores(&self) -> usize {
         self.stages.iter().map(Vec::len).sum()
     }
+
+    /// Whether `self` and `other` execute the very same lowered program
+    /// in memory (one is a clone of the other) — a test hook for "N
+    /// sessions of a design hold one program".
+    #[doc(hidden)]
+    pub fn shares_program_with(&self, other: &GemGpu) -> bool {
+        Arc::ptr_eq(&self.stages, &other.stages)
+    }
 }
 
 #[cfg(test)]
@@ -1162,6 +1172,8 @@ mod tests {
         a.poke(0, true);
         a.step_cycle();
         let b = a.clone();
+        assert!(a.shares_program_with(&b));
+        assert!(!a.shares_program_with(&two_core_machine(false)));
         a.poke(1, true);
         let fresh = |g1: bool| {
             let mut m = two_core_machine(false);
