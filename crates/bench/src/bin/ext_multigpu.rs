@@ -55,7 +55,6 @@ fn main() {
         block_syncs: 947 * 14 * 13,
         device_syncs: 4,
         blocks_run: 947,
-        blocks_skipped: 0,
         cycles: 1,
     };
     show("OpenPiton8 (paper-sz)", &paper_op8);

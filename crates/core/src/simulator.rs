@@ -3,9 +3,8 @@
 use crate::compile::Compiled;
 use gem_netlist::Bits;
 use gem_place::Word;
-use gem_telemetry::{MetricFamily, MetricKind, MetricsSink, MetricsSnapshot, Sample};
+use gem_telemetry::{MetricFamily, MetricKind, MetricsSnapshot, Sample};
 use gem_vgpu::{CounterBreakdown, GemGpu, GpuSnapshot, KernelCounters, MachineError};
-use std::fmt;
 
 /// Runs a compiled design cycle by cycle.
 ///
@@ -35,27 +34,14 @@ use std::fmt;
 /// assert_eq!(sim.output("z").to_u64(), 0b0110);
 /// # Ok::<(), gem_netlist::ValidateError>(())
 /// ```
+#[derive(Debug)]
 pub struct GemSimulator {
     gpu: GemGpu,
     io: crate::IoMap,
-    /// Periodic metrics export: sink plus snapshot interval in cycles.
-    /// `Send` so a simulator (and its sink) can be owned by a server
-    /// worker thread.
-    sink: Option<(Box<dyn MetricsSink + Send>, u64)>,
     /// Cycles stepped while each lane was active (index = lane). The sum
     /// over lanes reconciles with Σ_cycles lanes_active — the invariant
     /// the metrics tests assert.
     lane_steps: [u64; GemGpu::MAX_LANES as usize],
-}
-
-impl fmt::Debug for GemSimulator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GemSimulator")
-            .field("gpu", &self.gpu)
-            .field("io", &self.io)
-            .field("sink_every_n", &self.sink.as_ref().map(|(_, n)| *n))
-            .finish()
-    }
 }
 
 impl GemSimulator {
@@ -78,7 +64,6 @@ impl GemSimulator {
         GemSimulator {
             gpu,
             io,
-            sink: None,
             lane_steps: [0; GemGpu::MAX_LANES as usize],
         }
     }
@@ -117,22 +102,6 @@ impl GemSimulator {
         for s in self.lane_steps.iter_mut().take(self.gpu.lanes() as usize) {
             *s += 1;
         }
-        if let Some((_, every_n)) = &self.sink {
-            if self.gpu.counters().cycles.is_multiple_of(*every_n) {
-                let snap = self.metrics();
-                if let Some((sink, _)) = &mut self.sink {
-                    sink.record(&snap);
-                }
-            }
-        }
-    }
-
-    /// Enables event-based pruning: thread blocks whose inputs did not
-    /// change are skipped (sound — a core's cycle function is pure). This
-    /// is the paper's proposed future-work extension; baseline GEM keeps
-    /// it off and has activity-independent speed.
-    pub fn set_pruning(&mut self, on: bool) {
-        self.gpu.set_pruning(on);
     }
 
     /// Reads an output port (values observed during the last
@@ -322,19 +291,6 @@ impl GemSimulator {
                 .collect(),
         });
         snap
-    }
-
-    /// Installs a metrics sink that receives a [`metrics`](Self::metrics)
-    /// snapshot every `every_n_cycles` simulated cycles (and replaces any
-    /// previous sink). `every_n_cycles` is clamped to at least 1.
-    pub fn set_metrics_sink(&mut self, sink: Box<dyn MetricsSink + Send>, every_n_cycles: u64) {
-        self.sink = Some((sink, every_n_cycles.max(1)));
-    }
-
-    /// Removes the metrics sink, returning it (e.g. to flush or to read a
-    /// collector back out).
-    pub fn take_metrics_sink(&mut self) -> Option<Box<dyn MetricsSink + Send>> {
-        self.sink.take().map(|(s, _)| s)
     }
 
     /// The compiled design's port bindings.

@@ -4,8 +4,7 @@
 //! crate stays below the machine layer; this module builds that context
 //! from the compiler's own artifacts ([`DeviceConfig`], [`IoMap`], the
 //! placed programs) and converts a [`VerifyReport`] into the
-//! `gem_verify_*` metric families that flow through
-//! [`gem_telemetry::MetricsSink`].
+//! `gem_verify_*` metric families of a [`MetricsSnapshot`].
 
 use crate::IoMap;
 use gem_isa::verify::RamSlots;

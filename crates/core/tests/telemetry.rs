@@ -4,8 +4,6 @@
 use gem_core::{compile, compile_eaig, CompileOptions, GemSimulator};
 use gem_netlist::{Bits, ModuleBuilder};
 use gem_synth::{synthesize, SynthOptions};
-use gem_telemetry::{MetricsSink, MetricsSnapshot};
-use std::sync::{Arc, Mutex};
 
 fn counter_module() -> gem_netlist::Module {
     let mut b = ModuleBuilder::new("counter");
@@ -116,7 +114,6 @@ fn partition_counters_sum_to_global_totals() {
     assert_eq!(sum.shared_accesses, total.shared_accesses);
     assert_eq!(sum.block_syncs, total.block_syncs);
     assert_eq!(sum.blocks_run, total.blocks_run);
-    assert_eq!(sum.blocks_skipped, total.blocks_skipped);
     assert_eq!(sum.global_bytes, total.global_bytes);
     assert_eq!(sum.global_transactions, total.global_transactions);
     // The exported snapshot carries the same sums.
@@ -131,35 +128,4 @@ fn partition_counters_sum_to_global_totals() {
         snap.family("gem_blocks_run_total").unwrap().total(),
         total.blocks_run as f64
     );
-}
-
-/// A sink that shares its buffer with the test body.
-struct ShareSink(Arc<Mutex<Vec<MetricsSnapshot>>>);
-
-impl MetricsSink for ShareSink {
-    fn record(&mut self, snapshot: &MetricsSnapshot) {
-        self.0.lock().expect("sink lock").push(snapshot.clone());
-    }
-}
-
-/// A metrics sink installed with period N receives a snapshot every N
-/// cycles.
-#[test]
-fn metrics_sink_records_periodically() {
-    let m = counter_module();
-    let compiled = compile(&m, &CompileOptions::small()).expect("compiles");
-    let mut sim = GemSimulator::new(&compiled).expect("loads");
-    sim.set_input("en", Bits::from_u64(1, 1));
-    let buf = Arc::new(Mutex::new(Vec::new()));
-    sim.set_metrics_sink(Box::new(ShareSink(buf.clone())), 2);
-    for _ in 0..6 {
-        sim.step();
-    }
-    let collected = buf.lock().expect("sink lock");
-    assert_eq!(collected.len(), 3, "cycles 2, 4, 6");
-    let cycles: Vec<f64> = collected
-        .iter()
-        .map(|s| s.family("gem_cycles_total").unwrap().total())
-        .collect();
-    assert_eq!(cycles, vec![2.0, 4.0, 6.0]);
 }

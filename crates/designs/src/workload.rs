@@ -85,7 +85,7 @@ impl Workload {
     }
 }
 
-/// A running stimulus: call [`next`](Self::next) once per cycle.
+/// A running stimulus: call [`next_inputs`](Self::next_inputs) once per cycle.
 #[derive(Debug)]
 pub struct Stimulus {
     spec: WorkloadSpec,

@@ -81,9 +81,8 @@ fn every_fuzz_program_lowers_and_preserves_shape() {
     }
 }
 
-/// The lowered op counts *are* the cost model: one simulated step (no
-/// pruning can fire on the first cycle) charges exactly the sum of
-/// `layer_op_totals()` over every core, for shared accesses, fold ALU
+/// The lowered op counts *are* the cost model: one simulated step
+/// charges exactly the sum of `layer_op_totals()` over every core, for shared accesses, fold ALU
 /// ops, and block syncs.
 #[test]
 fn lowered_op_counts_reconcile_with_kernel_counters() {

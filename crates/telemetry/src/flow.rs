@@ -3,13 +3,12 @@
 //! [`FlowRecorder`] is the write side: open one per flow run, call
 //! [`stage`](FlowRecorder::stage) around each phase, attach size metrics,
 //! and [`finish`](FlowRecorder::finish) into an immutable [`FlowReport`].
-//! Every stage also closes a [`crate::Span`]-equivalent record through
-//! the global subscriber, so a run is observable live (stderr, capture)
-//! and post-hoc (the report JSON) from the same instrumentation.
+//! Every stage also logs a `"<flow>::<stage> done in …"` line at info
+//! level, so a run is observable live (`GEM_LOG=info` on stderr) and
+//! post-hoc (the report JSON) from the same instrumentation.
 
 use crate::json::Json;
 use crate::span;
-use crate::trace::{self, Level, SpanRecord};
 use std::time::Instant;
 
 /// One completed stage.
@@ -82,7 +81,7 @@ impl FlowReport {
 
 /// The write side of a [`FlowReport`].
 ///
-/// When a [`crate::span`] collector is installed, the recorder opens a
+/// When a [`mod@crate::span`] collector is installed, the recorder opens a
 /// root span named after the flow; every [`stage`](FlowRecorder::stage)
 /// opens a child span, so a compile run appears in trace exports as one
 /// nested timeline (`compile` → `synth` → … → `verify`).
@@ -155,17 +154,20 @@ impl Drop for StageGuard<'_> {
         for (k, v) in &metrics {
             self.span.arg(k, *v);
         }
+        crate::info!(
+            "{}::{} done in {:.3?}{}",
+            self.rec.flow,
+            self.name,
+            wall,
+            metrics
+                .iter()
+                .map(|(k, v)| format!(" {k}={v}"))
+                .collect::<String>()
+        );
         self.rec.stages.push(StageRecord {
             name: self.name.to_string(),
             wall_ns: wall.as_nanos() as u64,
-            metrics: metrics.clone(),
-        });
-        trace::dispatch_span_record(SpanRecord {
-            level: Level::Info,
-            target: module_path!().to_string(),
-            name: format!("{}::{}", self.rec.flow, self.name),
-            wall,
-            fields: metrics,
+            metrics,
         });
     }
 }

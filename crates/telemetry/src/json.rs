@@ -2,7 +2,7 @@
 //!
 //! Object key order is preserved (objects are association lists), numbers
 //! keep their integer/float identity so `u64` counters round-trip
-//! exactly, and the [`json!`](crate::json) macro builds literals with the
+//! exactly, and the [`json!`](macro@crate::json) macro builds literals with the
 //! familiar `{"key": value}` shape.
 
 use std::fmt;

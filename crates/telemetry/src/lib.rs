@@ -5,10 +5,9 @@
 //! a self-contained facade in the spirit of `tracing` +
 //! `tracing-subscriber` plus the serialization the workspace needs:
 //!
-//! * [`trace`] — leveled events ([`error!`](crate::error) …
-//!   [`trace!`](crate::trace)) and timed [`Span`]s dispatched to a global
-//!   [`Subscriber`]. The default subscriber prints to **stderr**, filtered
-//!   by the `GEM_LOG` environment variable (`error|warn|info|debug|trace`,
+//! * [`mod@trace`] — leveled log events ([`error!`](crate::error) …
+//!   [`trace!`](macro@crate::trace)) written to **stderr**, filtered by
+//!   the `GEM_LOG` environment variable (`error|warn|info|debug|trace`,
 //!   default `warn`), keeping stdout clean for CLI output.
 //! * [`span`] — structured span timelines: begin/end/complete/instant
 //!   events with thread ids, parent spans, and request correlation ids,
@@ -19,9 +18,10 @@
 //!   form of Table I's per-design statistics).
 //! * [`metrics`] — [`MetricsSnapshot`] is a label-oriented counter/gauge
 //!   snapshot (per-partition, per-layer virtual-GPU counters) with JSON
-//!   and Prometheus-text exporters behind the [`MetricsSink`] trait.
-//! * [`json`] — the minimal JSON value, parser, and [`json!`](crate::json)
-//!   macro everything above serializes through.
+//!   and Prometheus-text exporters.
+//! * [`mod@json`] — the minimal JSON value, parser, and
+//!   [`json!`](macro@crate::json) macro everything above serializes
+//!   through.
 //! * [`wire`] — length-prefixed JSON framing with typed errors (frame
 //!   size limits, truncation detection) for socket transports such as
 //!   `gem-server`.
@@ -37,13 +37,7 @@ pub mod wire;
 
 pub use flow::{FlowRecorder, FlowReport, StageGuard, StageRecord};
 pub use json::{parse as parse_json, Json, JsonError};
-pub use metrics::{
-    CollectSink, Histogram, JsonLinesSink, MetricFamily, MetricKind, MetricsSink, MetricsSnapshot,
-    PrometheusTextSink, Sample,
-};
+pub use metrics::{Histogram, MetricFamily, MetricKind, MetricsSnapshot, Sample};
 pub use span::{validate_chrome_trace, SpanGuard, TraceCollector, TraceEvent, TraceSummary};
-pub use trace::{
-    dispatch_event, set_subscriber, CaptureSubscriber, EventRecord, Level, Span, SpanRecord,
-    StderrSubscriber, Subscriber,
-};
+pub use trace::{dispatch_event, Level};
 pub use wire::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};

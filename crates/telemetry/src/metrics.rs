@@ -1,14 +1,13 @@
-//! Label-oriented runtime metrics: snapshots, sinks, and exporters.
+//! Label-oriented runtime metrics: snapshots and their exporters.
 //!
 //! A [`MetricsSnapshot`] is a point-in-time set of metric families, each a
-//! list of labeled samples — the shape both the JSON exporter and the
-//! Prometheus text exposition understand natively. The virtual GPU
-//! converts its per-partition/per-layer counters into this form;
-//! [`MetricsSink`] implementations decide where snapshots go (a JSON-lines
-//! file, a Prometheus scrape file, memory for tests).
+//! list of labeled samples — the shape both the JSON exporter
+//! ([`MetricsSnapshot::to_json`]) and the Prometheus text exposition
+//! ([`MetricsSnapshot::to_prometheus_text`]) understand natively. The
+//! virtual GPU converts its per-partition/per-layer counters into this
+//! form; the server keeps its own families in the same shape.
 
 use crate::json::Json;
-use std::io::Write;
 
 /// Metric family semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -359,78 +358,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Consumes periodic snapshots.
-pub trait MetricsSink {
-    /// Receives one snapshot.
-    fn record(&mut self, snapshot: &MetricsSnapshot);
-}
-
-/// Writes each snapshot as one compact JSON line.
-#[derive(Debug)]
-pub struct JsonLinesSink<W: Write> {
-    w: W,
-}
-
-impl<W: Write> JsonLinesSink<W> {
-    /// Wraps a writer.
-    pub fn new(w: W) -> Self {
-        JsonLinesSink { w }
-    }
-
-    /// Returns the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: Write> MetricsSink for JsonLinesSink<W> {
-    fn record(&mut self, snapshot: &MetricsSnapshot) {
-        if let Err(e) = writeln!(self.w, "{}", snapshot.to_json()) {
-            crate::warn!("metrics sink write failed: {e}");
-        }
-    }
-}
-
-/// Writes each snapshot as a full Prometheus text exposition (snapshots
-/// are appended; point a fresh writer at a scrape file per run).
-#[derive(Debug)]
-pub struct PrometheusTextSink<W: Write> {
-    w: W,
-}
-
-impl<W: Write> PrometheusTextSink<W> {
-    /// Wraps a writer.
-    pub fn new(w: W) -> Self {
-        PrometheusTextSink { w }
-    }
-
-    /// Returns the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-}
-
-impl<W: Write> MetricsSink for PrometheusTextSink<W> {
-    fn record(&mut self, snapshot: &MetricsSnapshot) {
-        if let Err(e) = self.w.write_all(snapshot.to_prometheus_text().as_bytes()) {
-            crate::warn!("metrics sink write failed: {e}");
-        }
-    }
-}
-
-/// Keeps snapshots in memory (tests, report builders).
-#[derive(Debug, Default)]
-pub struct CollectSink {
-    /// All recorded snapshots, oldest first.
-    pub snapshots: Vec<MetricsSnapshot>,
-}
-
-impl MetricsSink for CollectSink {
-    fn record(&mut self, snapshot: &MetricsSnapshot) {
-        self.snapshots.push(snapshot.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,22 +559,5 @@ mod tests {
         let parsed = crate::json::parse(&s.to_json().to_string()).expect("parses");
         let fam = &parsed.get("families").unwrap().as_array().unwrap()[0];
         assert_eq!(fam.get("kind").unwrap().as_str().unwrap(), "histogram");
-    }
-
-    #[test]
-    fn sinks_receive_snapshots() {
-        let s = snapshot();
-        let mut collect = CollectSink::default();
-        collect.record(&s);
-        assert_eq!(collect.snapshots.len(), 1);
-
-        let mut jsonl = JsonLinesSink::new(Vec::new());
-        jsonl.record(&s);
-        let buf = jsonl.into_inner();
-        assert!(std::str::from_utf8(&buf).unwrap().ends_with("}\n"));
-
-        let mut prom = PrometheusTextSink::new(Vec::new());
-        prom.record(&s);
-        assert!(!prom.into_inner().is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Structured span tracing: per-thread timeline buffers exported as
 //! Chrome-trace/Perfetto JSON.
 //!
-//! Where [`crate::trace`] answers *"what happened"* (leveled log events,
+//! Where [`mod@crate::trace`] answers *"what happened"* (leveled log events,
 //! closed-span durations), this module answers *"when, on which thread,
 //! and inside what"*: every begin/end/complete/instant event carries a
 //! collector-relative timestamp, a stable thread id, the id of the

@@ -1,17 +1,15 @@
-//! Leveled events and timed spans, dispatched to a global [`Subscriber`].
+//! Leveled log events, written to stderr.
 //!
-//! This is a self-contained facade in the spirit of the `tracing` crate:
-//! library code emits [`error!`](crate::error) … [`trace!`](crate::trace)
-//! events and opens [`Span`]s; whoever owns `main` decides where they go
-//! by installing a subscriber. When none is installed, a default
-//! [`StderrSubscriber`] filters by the `GEM_LOG` environment variable
-//! (default `warn`) and writes to stderr — never stdout, which belongs to
-//! the CLI's actual output.
+//! Library code emits [`error!`](crate::error) …
+//! [`trace!`](macro@crate::trace) events. One process-wide filter, read
+//! once from the `GEM_LOG` environment variable (default `warn`), decides
+//! which are formatted and written — to stderr, never stdout, which
+//! belongs to the CLI's actual output. Timed regions are
+//! [`crate::span`]'s job, not this module's.
 
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::OnceLock;
 
-/// Event/span severity, ordered `Trace < Debug < Info < Warn < Error`.
+/// Event severity, ordered `Trace < Debug < Info < Warn < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Level {
     /// Very fine-grained detail.
@@ -51,217 +49,21 @@ impl Level {
     }
 }
 
-/// One emitted event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventRecord {
-    /// Severity.
-    pub level: Level,
-    /// Module path of the emitting code.
-    pub target: String,
-    /// Formatted message.
-    pub message: String,
-}
-
-/// One closed span: a named, timed region with numeric fields.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanRecord {
-    /// Severity the span was opened at.
-    pub level: Level,
-    /// Module path of the emitting code.
-    pub target: String,
-    /// Span name (e.g. a compiler stage).
-    pub name: String,
-    /// Wall time between open and close.
-    pub wall: Duration,
-    /// Numeric fields recorded while the span was open.
-    pub fields: Vec<(String, f64)>,
-}
-
-/// Receives events and closed spans.
-pub trait Subscriber: Send + Sync {
-    /// Level/target filter; events below this are not even formatted.
-    fn enabled(&self, level: Level, target: &str) -> bool;
-
-    /// Called for each enabled event.
-    fn event(&self, event: &EventRecord);
-
-    /// Called when an enabled span closes.
-    fn span_close(&self, span: &SpanRecord);
-}
-
-static SUBSCRIBER: RwLock<Option<Arc<dyn Subscriber>>> = RwLock::new(None);
-
-/// Installs the global subscriber, returning the previous one.
-pub fn set_subscriber(s: Arc<dyn Subscriber>) -> Option<Arc<dyn Subscriber>> {
-    SUBSCRIBER.write().expect("subscriber lock").replace(s)
-}
-
-/// Removes the global subscriber (falling back to the `GEM_LOG` default).
-pub fn clear_subscriber() -> Option<Arc<dyn Subscriber>> {
-    SUBSCRIBER.write().expect("subscriber lock").take()
-}
-
-fn default_subscriber() -> &'static StderrSubscriber {
-    static DEFAULT: OnceLock<StderrSubscriber> = OnceLock::new();
-    DEFAULT.get_or_init(|| {
-        let min = std::env::var("GEM_LOG")
+fn min_level() -> Level {
+    static MIN: OnceLock<Level> = OnceLock::new();
+    *MIN.get_or_init(|| {
+        std::env::var("GEM_LOG")
             .ok()
             .and_then(|v| Level::parse(&v))
-            .unwrap_or(Level::Warn);
-        StderrSubscriber { min }
+            .unwrap_or(Level::Warn)
     })
 }
 
-fn with_subscriber(f: impl FnOnce(&dyn Subscriber)) {
-    let guard = SUBSCRIBER.read().expect("subscriber lock");
-    match &*guard {
-        Some(s) => f(s.as_ref()),
-        None => f(default_subscriber()),
-    }
-}
-
-/// Dispatches one event to the current subscriber (macro back end).
+/// Writes one event to stderr if `GEM_LOG` admits its level (macro back
+/// end; the arguments are not formatted otherwise).
 pub fn dispatch_event(level: Level, target: &str, args: std::fmt::Arguments<'_>) {
-    with_subscriber(|s| {
-        if s.enabled(level, target) {
-            s.event(&EventRecord {
-                level,
-                target: target.to_string(),
-                message: args.to_string(),
-            });
-        }
-    });
-}
-
-/// Dispatches a pre-built closed-span record (used by [`crate::flow`]).
-pub fn dispatch_span_record(record: SpanRecord) {
-    with_subscriber(|s| {
-        if s.enabled(record.level, &record.target) {
-            s.span_close(&record);
-        }
-    });
-}
-
-/// A timed region. Created via [`span!`](crate::span) (or
-/// [`Span::new`]); records wall time from creation until drop, then
-/// reports to the subscriber.
-#[derive(Debug)]
-pub struct Span {
-    level: Level,
-    target: &'static str,
-    name: String,
-    start: Instant,
-    fields: Vec<(String, f64)>,
-}
-
-impl Span {
-    /// Opens a span.
-    pub fn new(level: Level, target: &'static str, name: impl Into<String>) -> Span {
-        Span {
-            level,
-            target,
-            name: name.into(),
-            start: Instant::now(),
-            fields: Vec::new(),
-        }
-    }
-
-    /// Attaches a numeric field.
-    pub fn record(&mut self, key: &str, value: f64) -> &mut Self {
-        self.fields.push((key.to_string(), value));
-        self
-    }
-
-    /// Elapsed wall time so far.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        dispatch_span_record(SpanRecord {
-            level: self.level,
-            target: self.target.to_string(),
-            name: std::mem::take(&mut self.name),
-            wall: self.start.elapsed(),
-            fields: std::mem::take(&mut self.fields),
-        });
-    }
-}
-
-/// Stderr writer with a minimum-level filter (the default subscriber).
-#[derive(Debug, Clone)]
-pub struct StderrSubscriber {
-    min: Level,
-}
-
-impl StderrSubscriber {
-    /// A subscriber printing everything at `min` and above.
-    pub fn new(min: Level) -> Self {
-        StderrSubscriber { min }
-    }
-}
-
-impl Subscriber for StderrSubscriber {
-    fn enabled(&self, level: Level, _target: &str) -> bool {
-        level >= self.min
-    }
-
-    fn event(&self, e: &EventRecord) {
-        eprintln!("[{:<5} {}] {}", e.level.as_str(), e.target, e.message);
-    }
-
-    fn span_close(&self, s: &SpanRecord) {
-        let fields: String = s.fields.iter().map(|(k, v)| format!(" {k}={v}")).collect();
-        eprintln!(
-            "[{:<5} {}] {} done in {:.3?}{}",
-            s.level.as_str(),
-            s.target,
-            s.name,
-            s.wall,
-            fields
-        );
-    }
-}
-
-/// In-memory subscriber for tests and report builders.
-#[derive(Debug, Default)]
-pub struct CaptureSubscriber {
-    /// Captured events.
-    pub events: Mutex<Vec<EventRecord>>,
-    /// Captured closed spans.
-    pub spans: Mutex<Vec<SpanRecord>>,
-}
-
-impl CaptureSubscriber {
-    /// A fresh capture behind an `Arc` (ready for [`set_subscriber`]).
-    pub fn arc() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Clones out the captured events.
-    pub fn events(&self) -> Vec<EventRecord> {
-        self.events.lock().expect("capture lock").clone()
-    }
-
-    /// Clones out the captured spans.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().expect("capture lock").clone()
-    }
-}
-
-impl Subscriber for CaptureSubscriber {
-    fn enabled(&self, _level: Level, _target: &str) -> bool {
-        true
-    }
-
-    fn event(&self, e: &EventRecord) {
-        self.events.lock().expect("capture lock").push(e.clone());
-    }
-
-    fn span_close(&self, s: &SpanRecord) {
-        self.spans.lock().expect("capture lock").push(s.clone());
+    if level >= min_level() {
+        eprintln!("[{:<5} {}] {}", level.as_str(), target, args);
     }
 }
 
@@ -303,14 +105,6 @@ macro_rules! trace {
     ($($arg:tt)+) => { $crate::event!($crate::Level::Trace, $($arg)+) };
 }
 
-/// Opens a timed [`Span`]: `let _s = span!(Level::Info, "partition");`.
-#[macro_export]
-macro_rules! span {
-    ($lvl:expr, $name:expr) => {
-        $crate::Span::new($lvl, module_path!(), $name)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,41 +115,5 @@ mod tests {
         assert!(Level::Warn > Level::Info);
         assert_eq!(Level::parse("WARN"), Some(Level::Warn));
         assert_eq!(Level::parse("bogus"), None);
-    }
-
-    #[test]
-    fn capture_receives_events_and_spans() {
-        let cap = CaptureSubscriber::arc();
-        let prev = set_subscriber(cap.clone());
-        crate::info!("hello {}", 42);
-        {
-            let mut sp = crate::span!(Level::Info, "unit_test_span");
-            sp.record("n", 3.0);
-        }
-        match prev {
-            Some(p) => {
-                set_subscriber(p);
-            }
-            None => {
-                clear_subscriber();
-            }
-        }
-        let evs = cap.events();
-        assert!(evs
-            .iter()
-            .any(|e| e.message == "hello 42" && e.level == Level::Info));
-        let spans = cap.spans();
-        let sp = spans
-            .iter()
-            .find(|s| s.name == "unit_test_span")
-            .expect("span captured");
-        assert_eq!(sp.fields, vec![("n".to_string(), 3.0)]);
-    }
-
-    #[test]
-    fn stderr_subscriber_filters_by_level() {
-        let s = StderrSubscriber::new(Level::Warn);
-        assert!(s.enabled(Level::Error, "t"));
-        assert!(!s.enabled(Level::Info, "t"));
     }
 }

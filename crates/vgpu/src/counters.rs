@@ -15,7 +15,7 @@
 //! `docs/OBSERVABILITY.md`).
 
 use gem_telemetry::{MetricFamily, MetricKind, MetricsSnapshot, Sample};
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Mul};
 
 /// Counts of the events that determine GPU runtime. All counts are
 /// cumulative; divide by the simulated cycle count for per-cycle rates.
@@ -37,9 +37,6 @@ pub struct KernelCounters {
     /// Thread blocks launched (virtual; resident blocks iterate when the
     /// partition count exceeds device capacity).
     pub blocks_run: u64,
-    /// Blocks skipped by event-based pruning (their inputs were unchanged,
-    /// so their bitstream was not streamed and their folds did not run).
-    pub blocks_skipped: u64,
     /// Simulated design cycles executed.
     pub cycles: u64,
 }
@@ -53,8 +50,26 @@ impl AddAssign for KernelCounters {
         self.block_syncs += o.block_syncs;
         self.device_syncs += o.device_syncs;
         self.blocks_run += o.blocks_run;
-        self.blocks_skipped += o.blocks_skipped;
         self.cycles += o.cycles;
+    }
+}
+
+/// `n` repetitions of the same events — how the per-cycle cost of an
+/// oblivious core becomes its total after `n` cycles.
+impl Mul<u64> for KernelCounters {
+    type Output = KernelCounters;
+
+    fn mul(self, n: u64) -> KernelCounters {
+        KernelCounters {
+            global_bytes: self.global_bytes * n,
+            global_transactions: self.global_transactions * n,
+            shared_accesses: self.shared_accesses * n,
+            alu_ops: self.alu_ops * n,
+            block_syncs: self.block_syncs * n,
+            device_syncs: self.device_syncs * n,
+            blocks_run: self.blocks_run * n,
+            cycles: self.cycles * n,
+        }
     }
 }
 
@@ -73,7 +88,6 @@ impl KernelCounters {
             block_syncs: self.block_syncs / d,
             device_syncs: self.device_syncs / d,
             blocks_run: self.blocks_run / d,
-            blocks_skipped: self.blocks_skipped / d,
             cycles: 1,
         })
     }
@@ -105,7 +119,6 @@ impl KernelCounters {
             block_syncs: self.block_syncs as f64 / d,
             device_syncs: self.device_syncs as f64 / d,
             blocks_run: self.blocks_run as f64 / d,
-            blocks_skipped: self.blocks_skipped as f64 / d,
         }
     }
 }
@@ -127,8 +140,6 @@ pub struct KernelRates {
     pub device_syncs: f64,
     /// Blocks launched per cycle.
     pub blocks_run: f64,
-    /// Blocks pruned per cycle.
-    pub blocks_skipped: f64,
 }
 
 /// Counters attributed to one partition (one VLIW core / thread block).
@@ -159,7 +170,7 @@ pub struct LayerCounters {
     pub shared_accesses: u64,
     /// Block barriers issued by this layer across all cores.
     pub block_syncs: u64,
-    /// Core executions that reached this layer (skipped cores don't).
+    /// Core executions that reached this layer.
     pub executions: u64,
 }
 
@@ -177,8 +188,7 @@ pub struct CounterBreakdown {
 
 impl CounterBreakdown {
     /// Sums the per-partition counters. For every core-attributable field
-    /// (`alu_ops`, `shared_accesses`, `block_syncs`, `blocks_run`,
-    /// `blocks_skipped`) this equals the corresponding field of
+    /// (`alu_ops`, `shared_accesses`, `block_syncs`, `blocks_run`) this equals the corresponding field of
     /// [`total`](Self::total); `global_bytes`/`global_transactions` match
     /// exactly on RAM-free designs (RAM-phase traffic is device-level).
     pub fn partition_sum(&self) -> KernelCounters {
@@ -261,11 +271,6 @@ impl CounterBreakdown {
             "Executions per partition",
             &|c| c.blocks_run,
         ));
-        snap.push(part_metric(
-            "gem_blocks_skipped_total",
-            "Pruned executions per partition",
-            &|c| c.blocks_skipped,
-        ));
         let layer_metric =
             |name: &str, help: &str, get: &dyn Fn(&LayerCounters) -> u64| MetricFamily {
                 name: name.to_string(),
@@ -317,7 +322,6 @@ mod tests {
             block_syncs: 5,
             device_syncs: 2,
             blocks_run: 3,
-            blocks_skipped: 1,
             cycles: 4,
         }
     }

@@ -45,7 +45,7 @@
 //! [`lanes`]: GemGpu::lanes
 //! [`set_lanes`]: GemGpu::set_lanes
 
-use crate::compiled::{with_scratch, CompiledCore, WRITE_CONST};
+use crate::compiled::{with_scratch, CompiledCore};
 use crate::counters::{CounterBreakdown, KernelCounters, LayerCounters, PartitionCounters};
 use gem_isa::{disassemble_core, Bitstream, DecodeError, WriteSrc};
 use gem_place::{splat, Word};
@@ -131,7 +131,7 @@ impl From<DecodeError> for MachineError {
 /// One loaded core: the program lowered once to threaded-code form
 /// (DESIGN.md §7) plus its precomputed per-cycle counter
 /// contribution. The decoded program is validated at load and dropped.
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq, Eq)]
 struct LoadedCore {
     comp: CompiledCore,
     delta: KernelCounters,
@@ -141,25 +141,42 @@ struct LoadedCore {
     layer_cost: (u64, u64, u64),
 }
 
+/// The loaded bitstream: read-only after [`GemGpu::load`] and shared by
+/// every clone and snapshot of the machine. The engine is oblivious — a
+/// core costs the same every cycle — so all per-partition and per-layer
+/// accounting is a function of this plus the cycle count
+/// ([`GemGpu::breakdown`]).
+#[derive(Debug, PartialEq, Eq)]
+struct Program {
+    stages: Vec<Vec<LoadedCore>>,
+    /// What one cycle charges to the device totals at any lane count:
+    /// every core's `delta`, the device barriers (one per stage, one for
+    /// the RAM phase if the design has RAMs, one at the cycle boundary)
+    /// and the cycle itself. RAM-phase traffic scales with the active
+    /// lanes and is charged on top ([`RAM_BYTES_PER_LANE`]).
+    cycle_delta: KernelCounters,
+}
+
 /// The virtual GPU; see the module docs.
 ///
 /// Cloning is cheap on the program side: the lowered bitstream is
-/// shared read-only (`Arc`) — only the mutable state (signals, RAMs,
-/// counters) is deep-copied, so clones step independently, from
-/// different threads if need be. This is how `gem-server` makes
-/// sessions: [`load`](Self::load) once per cached design, clone the
-/// power-on machine per `open`.
+/// shared read-only (`Arc`) — only the simulation state (signals, RAMs,
+/// lane count, counter totals) is deep-copied, so clones step
+/// independently, from different threads if need be. This is how
+/// `gem-server` makes sessions: [`load`](Self::load) once per cached
+/// design, clone the power-on machine per `open`.
 #[derive(Debug, Clone)]
 pub struct GemGpu {
     cfg: DeviceConfig,
-    /// Shared read-only bitstream: lowered programs plus static costs.
-    stages: Arc<Vec<Vec<LoadedCore>>>,
+    program: Arc<Program>,
     /// Global signal array as lane words: bit `k` of `global[i]` is
     /// signal `i` in simulation lane `k`.
     global: Vec<Word>,
     /// Immediate writes of the stage in flight, applied at the stage
     /// boundary (empty between stages, so never part of a snapshot).
     immediate: Vec<(u32, Word)>,
+    /// Deferred writes of the cycle in flight, committed at the cycle
+    /// boundary (empty between cycles, so never part of a snapshot).
     deferred: Vec<(u32, Word)>,
     /// RAM contents per block, one image per active lane
     /// (`ram_mem[ram][lane]`); inactive lanes read image 0.
@@ -167,34 +184,19 @@ pub struct GemGpu {
     /// Active stimulus lanes (1..=[`Self::MAX_LANES`]).
     lanes: u32,
     counters: KernelCounters,
-    /// Per-partition attribution of `counters` (same [stage][core] shape
-    /// as `stages`); device-level events (RAM phase, device barriers,
-    /// cycles) are not attributed.
-    part_counters: Vec<Vec<KernelCounters>>,
-    /// Per-boomerang-layer aggregation across all cores, indexed by layer.
-    layer_counters: Vec<LayerCounters>,
-    /// Event-based pruning (the paper's proposed extension): skip a core
-    /// whose read set is bit-identical to its previous execution. Sound
-    /// because a core's cycle function is pure — all state lives in the
-    /// global array, so unchanged inputs imply unchanged writes.
-    pruning: bool,
-    /// Cached read values per (stage, core) for pruning. Full lane
-    /// words: a core is skipped only when *every* lane's read set is
-    /// unchanged, which keeps pruning conservative (never wrong) under
-    /// lane batching.
-    input_cache: Vec<Vec<Option<Vec<Word>>>>,
 }
 
 /// A saved point-in-time copy of everything mutable in a [`GemGpu`]:
-/// the global signal array, RAM contents, deferred-write queue, all
-/// counters, and the pruning input caches. Restoring a snapshot onto a
-/// machine loaded with the *same* bitstream resumes execution
-/// bit-exactly — the substrate for session suspend/resume in
-/// `gem-server` and for checkpointed long simulations.
+/// the global signal array, RAM contents, lane count and counter
+/// totals. Restoring a snapshot onto a machine loaded with the *same*
+/// bitstream resumes execution bit-exactly — the substrate for session
+/// suspend/resume in `gem-server` and for checkpointed long simulations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuSnapshot {
+    /// The program the state belongs to; [`GemGpu::restore`] accepts the
+    /// snapshot only on a machine running an equal one.
+    program: Arc<Program>,
     global: Vec<Word>,
-    deferred: Vec<(u32, Word)>,
     ram_mem: Vec<Vec<Box<[u32]>>>,
     lanes: u32,
     /// Lane-word width ([`Word::BITS`]) at capture time. Restoring onto
@@ -203,29 +205,18 @@ pub struct GpuSnapshot {
     /// lane packing is meaningless to the 64-wide machine.
     word_bits: u32,
     counters: KernelCounters,
-    part_counters: Vec<Vec<KernelCounters>>,
-    layer_counters: Vec<LayerCounters>,
-    input_cache: Vec<Vec<Option<Vec<Word>>>>,
 }
 
 impl GpuSnapshot {
     /// Approximate heap footprint in bytes (capacity accounting for
     /// server-side snapshot budgets).
     pub fn approx_bytes(&self) -> usize {
-        let wb = std::mem::size_of::<Word>();
-        self.global.len() * wb
+        self.global.len() * std::mem::size_of::<Word>()
             + self
                 .ram_mem
                 .iter()
                 .flatten()
                 .map(|r| r.len() * 4)
-                .sum::<usize>()
-            + self
-                .input_cache
-                .iter()
-                .flatten()
-                .flatten()
-                .map(|v| v.len() * wb)
                 .sum::<usize>()
     }
 
@@ -265,6 +256,12 @@ const WORD_BYTES: u64 = std::mem::size_of::<Word>() as u64;
 
 /// Bits per 128-byte global-memory transaction.
 const LINE_BITS: u64 = 128 * 8;
+
+/// RAM-phase global traffic per RAM block per active lane: one word
+/// read plus a potential write, and the 59 port-bit gathers.
+const RAM_BYTES_PER_LANE: u64 = 8 + 59 / 8;
+/// RAM-phase transactions per RAM block per active lane.
+const RAM_TRANSACTIONS_PER_LANE: u64 = 2;
 
 fn line_transactions(mut indices: Vec<u64>) -> u64 {
     indices.sort_unstable();
@@ -389,26 +386,14 @@ impl GemGpu {
             // Power-on ones hold in every lane.
             global[idx as usize] = splat(true);
         }
-        let input_cache = stages
-            .iter()
-            .map(|st| st.iter().map(|_| None).collect())
-            .collect();
-        let part_counters = stages
-            .iter()
-            .map(|st| vec![KernelCounters::default(); st.len()])
-            .collect();
-        let max_layers = stages
-            .iter()
-            .flatten()
-            .map(|c| c.comp.layers.len())
-            .max()
-            .unwrap_or(0);
-        let layer_counters = (0..max_layers)
-            .map(|li| LayerCounters {
-                layer: li as u32,
-                ..Default::default()
-            })
-            .collect();
+        let mut cycle_delta = KernelCounters {
+            device_syncs: stages.len() as u64 + u64::from(!cfg.rams.is_empty()) + 1,
+            cycles: 1,
+            ..Default::default()
+        };
+        for core in stages.iter().flatten() {
+            cycle_delta += core.delta;
+        }
         Ok(GemGpu {
             global,
             immediate: Vec::new(),
@@ -416,26 +401,12 @@ impl GemGpu {
             ram_mem,
             lanes: 1,
             counters: KernelCounters::default(),
-            part_counters,
-            layer_counters,
-            input_cache,
-            pruning: false,
-            stages: Arc::new(stages),
+            program: Arc::new(Program {
+                stages,
+                cycle_delta,
+            }),
             cfg,
         })
-    }
-
-    /// Enables or disables event-based pruning (off by default; the
-    /// baseline GEM of the paper is an oblivious full-cycle simulator).
-    pub fn set_pruning(&mut self, on: bool) {
-        self.pruning = on;
-        if !on {
-            for st in &mut self.input_cache {
-                for c in st.iter_mut() {
-                    *c = None;
-                }
-            }
-        }
     }
 
     /// Writes a bit of the global signal array (testbench input side).
@@ -555,9 +526,9 @@ impl GemGpu {
     /// Executes one simulated design cycle: all stages, the RAM phase,
     /// then the deferred commit.
     pub fn step_cycle(&mut self) {
-        let stages = Arc::clone(&self.stages);
+        let program = Arc::clone(&self.program);
         let traced = span::enabled();
-        for (si, stage) in stages.iter().enumerate() {
+        for (si, stage) in program.stages.iter().enumerate() {
             // Ends at the close of this loop body: the stage span covers
             // every core and the stage-boundary publish.
             let _stage_span = traced.then(|| {
@@ -567,7 +538,7 @@ impl GemGpu {
             });
             for (ci, core) in stage.iter().enumerate() {
                 let started = traced.then(Instant::now);
-                self.run_core(si, ci, core);
+                self.run_core(&core.comp);
                 if let Some(started) = started {
                     span::complete(
                         format!("core s{si}c{ci}"),
@@ -584,7 +555,6 @@ impl GemGpu {
             for (g, v) in self.immediate.drain(..) {
                 self.global[g as usize] = v;
             }
-            self.counters.device_syncs += 1;
         }
         // RAM phase (read-first): capture read data, then apply writes —
         // per lane, since every lane addresses its own RAM image.
@@ -627,65 +597,24 @@ impl GemGpu {
                     self.ram_mem[ri][l][waddr] = w;
                 }
             }
-            // One word read + potential write, plus the port-bit
-            // gathers, per active lane.
-            self.counters.global_bytes += (8 + 59 / 8) * lanes as u64;
-            self.counters.global_transactions += 2 * lanes as u64;
-        }
-        if !self.cfg.rams.is_empty() {
-            self.counters.device_syncs += 1;
         }
         // Cycle boundary: commit deferred writes (flip-flops update, read
         // data registers latch, outputs publish).
         for (g, v) in self.deferred.drain(..) {
             self.global[g as usize] = v;
         }
-        self.counters.device_syncs += 1;
-        self.counters.cycles += 1;
+        // The engine is oblivious, so the cycle's events are known from
+        // the program alone; only RAM-phase traffic scales with lanes.
+        let ram_lanes = self.cfg.rams.len() as u64 * lanes as u64;
+        self.counters += program.cycle_delta;
+        self.counters.global_bytes += RAM_BYTES_PER_LANE * ram_lanes;
+        self.counters.global_transactions += RAM_TRANSACTIONS_PER_LANE * ram_lanes;
     }
 
     /// Runs one core against the stage-start global array: immediate
     /// writes queue for the stage boundary, deferred writes for the cycle
-    /// boundary, and the core's counter events are charged to the device
-    /// totals and their per-partition / per-layer refinements.
-    fn run_core(&mut self, si: usize, ci: usize, core: &LoadedCore) {
-        let comp = &core.comp;
-        if self.pruning {
-            let inputs: Vec<Word> = comp
-                .reads
-                .iter()
-                .map(|&(g, _)| self.global[g as usize])
-                .collect();
-            if self.input_cache[si][ci].as_ref() == Some(&inputs) {
-                // Unchanged read set: outputs are guaranteed identical and
-                // already present in the global array (immediate writes) or
-                // re-commit the same values (deferred). Charge only the
-                // input gather, not the bitstream stream or the folds.
-                let delta = KernelCounters {
-                    blocks_skipped: 1,
-                    global_bytes: WORD_BYTES * comp.reads.len() as u64,
-                    global_transactions: 1 + comp.reads.len() as u64
-                        / (LINE_BITS / (8 * WORD_BYTES)),
-                    ..Default::default()
-                };
-                self.counters += delta;
-                self.part_counters[si][ci] += delta;
-                // Deferred writes must still commit (FF next-states equal
-                // their current values, but outputs may feed the testbench).
-                for w in comp.deferred.iter() {
-                    let v = if w.addr == WRITE_CONST {
-                        w.xor
-                    } else {
-                        // Value unchanged ⇒ current global content is
-                        // already correct; re-commit it.
-                        self.global[w.global as usize]
-                    };
-                    self.deferred.push((w.global, v));
-                }
-                return;
-            }
-            self.input_cache[si][ci] = Some(inputs);
-        }
+    /// boundary.
+    fn run_core(&mut self, comp: &CompiledCore) {
         with_scratch(|scratch| {
             comp.execute_words_into(
                 &self.global,
@@ -694,15 +623,6 @@ impl GemGpu {
                 &mut self.deferred,
             );
         });
-        self.counters += core.delta;
-        self.part_counters[si][ci] += core.delta;
-        let (shared, alu, syncs) = core.layer_cost;
-        for lc in self.layer_counters[..comp.layers.len()].iter_mut() {
-            lc.shared_accesses += shared;
-            lc.alu_ops += alu;
-            lc.block_syncs += syncs;
-            lc.executions += 1;
-        }
     }
 
     /// Accumulated counters.
@@ -711,23 +631,41 @@ impl GemGpu {
     }
 
     /// Device totals refined per partition and per boomerang layer.
+    ///
+    /// Derived, not accumulated: every core runs every cycle at a fixed
+    /// cost, so partition `i` has been charged `delta_i × cycles` and
+    /// layer `k` the layer cost of every core deeper than `k`, × cycles.
     pub fn breakdown(&self) -> CounterBreakdown {
-        let partitions = self
-            .part_counters
-            .iter()
-            .enumerate()
-            .flat_map(|(si, st)| {
-                st.iter().enumerate().map(move |(ci, c)| PartitionCounters {
+        let cycles = self.counters.cycles;
+        let mut partitions = Vec::with_capacity(self.num_cores());
+        let mut layers: Vec<LayerCounters> = Vec::new();
+        for (si, stage) in self.program.stages.iter().enumerate() {
+            for (ci, core) in stage.iter().enumerate() {
+                partitions.push(PartitionCounters {
                     stage: si as u32,
                     core: ci as u32,
-                    counters: *c,
-                })
-            })
-            .collect();
+                    counters: core.delta * cycles,
+                });
+                let depth = core.comp.layers.len();
+                for li in layers.len()..depth {
+                    layers.push(LayerCounters {
+                        layer: li as u32,
+                        ..Default::default()
+                    });
+                }
+                let (shared, alu, syncs) = core.layer_cost;
+                for lc in &mut layers[..depth] {
+                    lc.shared_accesses += shared * cycles;
+                    lc.alu_ops += alu * cycles;
+                    lc.block_syncs += syncs * cycles;
+                    lc.executions += cycles;
+                }
+            }
+        }
         CounterBreakdown {
             total: self.counters,
             partitions,
-            layers: self.layer_counters.clone(),
+            layers,
         }
     }
 
@@ -747,30 +685,35 @@ impl GemGpu {
     /// Captures the complete mutable state of the machine.
     pub fn snapshot(&self) -> GpuSnapshot {
         GpuSnapshot {
+            program: Arc::clone(&self.program),
             global: self.global.clone(),
-            deferred: self.deferred.clone(),
             ram_mem: self.ram_mem.clone(),
             lanes: self.lanes,
             word_bits: Word::BITS,
             counters: self.counters,
-            part_counters: self.part_counters.clone(),
-            layer_counters: self.layer_counters.clone(),
-            input_cache: self.input_cache.clone(),
         }
     }
 
     /// Restores a [`snapshot`](Self::snapshot), resuming execution
-    /// bit-exactly. The snapshot must come from a machine loaded with a
-    /// structurally identical bitstream and device configuration.
+    /// bit-exactly. The snapshot must come from this machine, a clone of
+    /// it, or a machine loaded with an identical bitstream and device
+    /// configuration.
     ///
     /// # Errors
     ///
     /// Returns [`MachineError::SnapshotMismatch`] (leaving the machine
-    /// untouched) when any state dimension differs from the loaded
-    /// design.
+    /// untouched) when the snapshot belongs to a different program or
+    /// any state dimension differs from the loaded design.
     pub fn restore(&mut self, s: &GpuSnapshot) -> Result<(), MachineError> {
         if s.word_bits != Word::BITS {
             return Err(MachineError::SnapshotWordWidth(s.word_bits, Word::BITS));
+        }
+        // Pointer-equal for a machine's own snapshots and its clones';
+        // otherwise the lowered programs are compared structurally.
+        if s.program != self.program {
+            return Err(MachineError::SnapshotMismatch(
+                "snapshot was taken from a different program".to_string(),
+            ));
         }
         if s.global.len() != self.global.len() {
             return Err(MachineError::SnapshotMismatch(format!(
@@ -792,46 +735,21 @@ impl GemGpu {
                 s.lanes
             )));
         }
-        let part_shape =
-            |pc: &Vec<Vec<KernelCounters>>| -> Vec<usize> { pc.iter().map(Vec::len).collect() };
-        if part_shape(&s.part_counters) != part_shape(&self.part_counters) {
-            return Err(MachineError::SnapshotMismatch(
-                "partition shape differs".to_string(),
-            ));
-        }
-        if s.layer_counters.len() != self.layer_counters.len() {
-            return Err(MachineError::SnapshotMismatch(format!(
-                "{} layers, design has {}",
-                s.layer_counters.len(),
-                self.layer_counters.len()
-            )));
-        }
-        let cache_shape =
-            |ic: &Vec<Vec<Option<Vec<Word>>>>| -> Vec<usize> { ic.iter().map(Vec::len).collect() };
-        if cache_shape(&s.input_cache) != cache_shape(&self.input_cache) {
-            return Err(MachineError::SnapshotMismatch(
-                "pruning cache shape differs".to_string(),
-            ));
-        }
         self.global.clone_from(&s.global);
-        self.deferred.clone_from(&s.deferred);
         self.ram_mem.clone_from(&s.ram_mem);
         self.lanes = s.lanes;
         self.counters = s.counters;
-        self.part_counters.clone_from(&s.part_counters);
-        self.layer_counters.clone_from(&s.layer_counters);
-        self.input_cache.clone_from(&s.input_cache);
         Ok(())
     }
 
     /// Number of pipeline stages.
     pub fn num_stages(&self) -> usize {
-        self.stages.len()
+        self.program.stages.len()
     }
 
     /// Total cores (thread blocks) across stages.
     pub fn num_cores(&self) -> usize {
-        self.stages.iter().map(Vec::len).sum()
+        self.program.stages.iter().map(Vec::len).sum()
     }
 
     /// Whether `self` and `other` execute the very same lowered program
@@ -839,7 +757,7 @@ impl GemGpu {
     /// sessions of a design hold one program".
     #[doc(hidden)]
     pub fn shares_program_with(&self, other: &GemGpu) -> bool {
-        Arc::ptr_eq(&self.stages, &other.stages)
+        Arc::ptr_eq(&self.program, &other.program)
     }
 }
 
@@ -1044,6 +962,19 @@ mod tests {
         ));
     }
 
+    /// One RAM block's ports on the 123 consecutive globals from `base`.
+    fn ram_binding(base: u32) -> RamBinding {
+        let mut idx = base..;
+        let mut next = || idx.next().expect("unbounded");
+        RamBinding {
+            raddr: std::array::from_fn(|_| next()),
+            waddr: std::array::from_fn(|_| next()),
+            wdata: std::array::from_fn(|_| next()),
+            we: next(),
+            rdata: std::array::from_fn(|_| next()),
+        }
+    }
+
     #[test]
     fn ram_phase_read_first() {
         // No cores: drive RAM ports directly through pokes.
@@ -1052,19 +983,7 @@ mod tests {
             global_bits: 64 + 59,
             stages: vec![],
         };
-        let mut idx = 0u32;
-        let mut next = || {
-            let i = idx;
-            idx += 1;
-            i
-        };
-        let binding = RamBinding {
-            raddr: std::array::from_fn(|_| next()),
-            waddr: std::array::from_fn(|_| next()),
-            wdata: std::array::from_fn(|_| next()),
-            we: next(),
-            rdata: std::array::from_fn(|_| next()),
-        };
+        let binding = ram_binding(0);
         let cfg = DeviceConfig {
             global_bits: 123,
             rams: vec![binding.clone()],
@@ -1089,7 +1008,13 @@ mod tests {
     /// g3 = !g2 (deferred) — in consecutive stages, or, with `same_stage`,
     /// side by side in one stage (a shape the compiler never emits but
     /// `load` accepts).
-    pub(super) fn two_core_machine(same_stage: bool) -> GemGpu {
+    fn two_core_machine(same_stage: bool) -> GemGpu {
+        two_core_machine_with(same_stage, vec![])
+    }
+
+    /// [`two_core_machine`] plus RAM blocks (bound to globals 4 and up).
+    /// Core B carries a second, empty layer, so the cores differ in depth.
+    fn two_core_machine_with(same_stage: bool, rams: Vec<RamBinding>) -> GemGpu {
         let width = 16u32;
         let mk_core = |perm0: u32, perm1: Option<u32>, invert: bool, out_g: u32, deferred: bool| {
             let mut layer = BoomerangLayer::new(width);
@@ -1106,7 +1031,11 @@ mod tests {
                 width,
                 state_size: 3,
                 inputs: vec![],
-                layers: vec![layer],
+                layers: if perm1.is_none() {
+                    vec![layer, BoomerangLayer::new(width)]
+                } else {
+                    vec![layer]
+                },
                 outputs: vec![OutputSource::State {
                     addr: 2,
                     invert: false,
@@ -1131,9 +1060,10 @@ mod tests {
         };
         let a = mk_core(0, Some(1), false, 2, false);
         let b = mk_core(2, None, true, 3, true);
+        let global_bits = 4 + 123 * rams.len() as u32;
         let bs = Bitstream {
             width,
-            global_bits: 4,
+            global_bits,
             stages: if same_stage {
                 vec![vec![a, b]]
             } else {
@@ -1143,12 +1073,112 @@ mod tests {
         GemGpu::load(
             &bs,
             DeviceConfig {
-                global_bits: 4,
-                rams: vec![],
+                global_bits,
+                rams,
                 initial_ones: vec![],
             },
         )
         .expect("loads")
+    }
+
+    /// The two-stage machine with one RAM block.
+    fn ram_machine() -> (GemGpu, RamBinding) {
+        let binding = ram_binding(4);
+        (two_core_machine_with(false, vec![binding.clone()]), binding)
+    }
+
+    /// The breakdown is computed from the program and the cycle count,
+    /// never accumulated; it must still equal what per-cycle charging
+    /// gives, across a lane-count change and a snapshot round trip.
+    #[test]
+    fn derived_breakdown_equals_summed_cycle_deltas() {
+        let (mut gpu, _) = ram_machine();
+        let (n, m) = (3u64, 5u64);
+        for _ in 0..n {
+            gpu.step_cycle();
+        }
+        gpu.set_lanes(4).expect("4 lanes");
+        for _ in 0..m {
+            gpu.step_cycle();
+        }
+        // What a single cycle charges at each lane count, measured on
+        // fresh machines.
+        let one_cycle_at = |lanes: u32| {
+            let (mut fresh, _) = ram_machine();
+            fresh.set_lanes(lanes).expect("lanes");
+            fresh.step_cycle();
+            *fresh.counters()
+        };
+        let mut summed = one_cycle_at(1) * n;
+        summed += one_cycle_at(4) * m;
+        let bd = gpu.breakdown();
+        assert_eq!(bd.total, summed);
+        assert_eq!(bd.total, *gpu.counters());
+        let (sum, t) = (bd.partition_sum(), bd.total);
+        assert_eq!(sum.alu_ops, t.alu_ops);
+        assert_eq!(sum.shared_accesses, t.shared_accesses);
+        assert_eq!(sum.block_syncs, t.block_syncs);
+        assert_eq!(sum.blocks_run, t.blocks_run);
+        assert_eq!(t.blocks_run, 2 * (n + m));
+        // What the partitions do not own is the lane-scaled RAM phase.
+        let lane_cycles = n + 4 * m;
+        assert_eq!(
+            t.global_bytes - sum.global_bytes,
+            RAM_BYTES_PER_LANE * lane_cycles
+        );
+        assert_eq!(
+            t.global_transactions - sum.global_transactions,
+            RAM_TRANSACTIONS_PER_LANE * lane_cycles
+        );
+        // Stage 0, stage 1, RAM phase, cycle boundary.
+        assert_eq!(t.device_syncs, 4 * (n + m));
+        assert_eq!((sum.device_syncs, sum.cycles), (0, 0));
+        // Both cores reach layer 0, only core B reaches layer 1.
+        assert_eq!(bd.partitions.len(), 2);
+        assert_eq!(bd.layers.len(), 2);
+        assert_eq!(bd.layers[0].executions, 2 * (n + m));
+        assert_eq!(bd.layers[1].executions, n + m);
+        assert_eq!(bd.layers.iter().map(|l| l.alu_ops).sum::<u64>(), t.alu_ops);
+        // Snapshot, diverge, restore: the derived tables come back.
+        let snap = gpu.snapshot();
+        gpu.set_lanes(2).expect("2 lanes");
+        gpu.step_cycle();
+        assert_ne!(gpu.breakdown(), bd);
+        gpu.restore(&snap).expect("restores");
+        assert_eq!(gpu.breakdown(), bd);
+    }
+
+    /// A clone owns its signals, RAM images, lane count and counter
+    /// totals and nothing else: the program is shared.
+    #[test]
+    fn clone_copies_only_simulation_state() {
+        let (mut a, ram) = ram_machine();
+        a.set_lanes(2).expect("2 lanes");
+        a.poke(0, true);
+        a.step_cycle();
+        let mut b = a.clone();
+        assert!(a.shares_program_with(&b));
+        assert_eq!(a.snapshot(), b.snapshot());
+        let at_clone = b.breakdown();
+        // Drive `a` away on every piece of state it owns.
+        a.set_lanes(3).expect("3 lanes");
+        a.poke(1, true);
+        a.poke(ram.we, true);
+        a.poke(ram.wdata[0], true);
+        a.step_cycle();
+        assert_eq!(a.ram_word(0, 0), 1);
+        assert_eq!(b.ram_word(0, 0), 0);
+        assert_eq!(b.lanes(), 2);
+        assert!(!b.peek(2));
+        assert_eq!(b.breakdown(), at_clone);
+        // And `b` still steps like a machine that never had a sibling.
+        let (mut fresh, _) = ram_machine();
+        fresh.set_lanes(2).expect("2 lanes");
+        fresh.poke(0, true);
+        fresh.step_cycle();
+        fresh.step_cycle();
+        b.step_cycle();
+        assert_eq!(b.snapshot(), fresh.snapshot());
     }
 
     /// The stage-snapshot rule: a core reads the stage-start value of a
@@ -1201,85 +1231,6 @@ mod tests {
         assert_eq!(a.snapshot(), want_a.snapshot());
         assert_eq!(b.snapshot(), want_b.snapshot());
         assert_ne!(want_a.peek(2), want_b.peek(2), "the stimuli diverged");
-    }
-}
-
-#[cfg(test)]
-mod pruning_tests {
-    use super::tests::two_core_machine;
-
-    #[test]
-    fn pruning_preserves_outputs_exactly() {
-        let mut base = two_core_machine(false);
-        let mut pruned = two_core_machine(false);
-        pruned.set_pruning(true);
-        let pattern = [
-            (false, false),
-            (true, true),
-            (true, true), // repeat: core A skippable
-            (true, true),
-            (false, true),
-            (false, true),
-            (true, false),
-            (true, false),
-        ];
-        for (a, b) in pattern {
-            base.poke(0, a);
-            base.poke(1, b);
-            pruned.poke(0, a);
-            pruned.poke(1, b);
-            base.step_cycle();
-            pruned.step_cycle();
-            assert_eq!(base.peek(2), pruned.peek(2));
-            assert_eq!(base.peek(3), pruned.peek(3));
-            assert_eq!(base.peek(2), a && b);
-            assert_eq!(base.peek(3), !(a && b));
-        }
-        let c = pruned.counters();
-        assert!(c.blocks_skipped > 0, "repeats must be skipped");
-        assert!(
-            c.global_bytes < base.counters().global_bytes,
-            "pruning must save instruction traffic"
-        );
-    }
-
-    #[test]
-    fn pruning_is_conservative_across_lanes() {
-        // With two lanes, changing only lane 1's input must not let the
-        // full-word cache compare skip the core.
-        let mut gpu = two_core_machine(false);
-        gpu.set_lanes(2).expect("2 lanes");
-        gpu.set_pruning(true);
-        gpu.poke(0, true);
-        gpu.poke(1, true);
-        gpu.step_cycle();
-        let skipped_before = gpu.counters().blocks_skipped;
-        // Lane 0 unchanged, lane 1 flips: core A must re-execute.
-        gpu.poke_lane(1, 1, false);
-        gpu.step_cycle();
-        assert_eq!(gpu.counters().blocks_skipped, skipped_before);
-        assert!(gpu.peek_lane(2, 0), "lane 0: 1&1");
-        assert!(!gpu.peek_lane(2, 1), "lane 1: 1&0");
-    }
-
-    #[test]
-    fn pruning_off_by_default_and_resettable() {
-        let mut gpu = two_core_machine(false);
-        for _ in 0..4 {
-            gpu.step_cycle();
-        }
-        assert_eq!(gpu.counters().blocks_skipped, 0);
-        gpu.set_pruning(true);
-        for _ in 0..4 {
-            gpu.step_cycle();
-        }
-        assert!(gpu.counters().blocks_skipped > 0);
-        gpu.set_pruning(false);
-        let skipped = gpu.counters().blocks_skipped;
-        for _ in 0..4 {
-            gpu.step_cycle();
-        }
-        assert_eq!(gpu.counters().blocks_skipped, skipped);
     }
 }
 

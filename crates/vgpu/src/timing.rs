@@ -76,7 +76,6 @@ impl TimingModel {
             block_syncs: r.block_syncs.round() as u64,
             device_syncs: r.device_syncs.round() as u64,
             blocks_run: r.blocks_run.round() as u64,
-            blocks_skipped: r.blocks_skipped.round() as u64,
             cycles: 1,
         };
         self.hz(&per_cycle)
@@ -136,7 +135,6 @@ mod tests {
             block_syncs: blocks * 14 * 10,
             device_syncs: dev_syncs,
             blocks_run: blocks,
-            blocks_skipped: 0,
             cycles: 1,
         }
     }

@@ -54,51 +54,3 @@ fn all_designs_run_correctly_on_the_virtual_gpu() {
         }
     }
 }
-
-#[test]
-fn pruned_gem_matches_oblivious_gem_on_a_cpu_workload() {
-    let design = gem_designs::openpiton_like(2);
-    let opts = CompileOptions {
-        core_width: 1024,
-        target_parts: 4,
-        stages: 2,
-        ..Default::default()
-    };
-    let compiled = compile(&design.module, &opts).expect("compiles");
-    let workload = &design.workloads[2]; // low-activity program
-    let widths = |n: &str| {
-        design
-            .module
-            .port(n)
-            .map(|p| design.module.width(p.net))
-            .unwrap_or(1)
-    };
-    let mut stim_a = workload.stimulus(&widths);
-    let mut stim_b = workload.stimulus(&widths);
-    let mut oblivious = GemSimulator::new(&compiled).expect("loads");
-    let mut pruned = GemSimulator::new(&compiled).expect("loads");
-    pruned.set_pruning(true);
-    for cycle in 0..stim_a.warmup_cycles() + 60 {
-        for (name, v) in stim_a.next_inputs() {
-            oblivious.set_input(&name, v);
-        }
-        for (name, v) in stim_b.next_inputs() {
-            pruned.set_input(&name, v);
-        }
-        oblivious.step();
-        pruned.step();
-        for p in design.module.outputs() {
-            assert_eq!(
-                oblivious.output(&p.name),
-                pruned.output(&p.name),
-                "pruning diverged at cycle {cycle} on {}",
-                p.name
-            );
-        }
-    }
-    assert!(
-        pruned.counters().blocks_skipped > 0,
-        "idle tiles must be pruned"
-    );
-    assert!(pruned.counters().global_bytes < oblivious.counters().global_bytes);
-}
