@@ -110,7 +110,7 @@ fn read_layer(
             layer.perm[idx] = if code & 0x8000 != 0 {
                 PermSource::ConstFalse
             } else {
-                PermSource::State(code as u32)
+                PermSource::State(code)
             };
             idx += 1;
         }
@@ -144,7 +144,7 @@ fn read_layer(
         for _ in 0..count {
             let level = r.read_bits(5)? as usize;
             let slot = r.read_bits(14)? as usize;
-            let addr = r.read_bits(13)? as u32;
+            let addr = r.read_bits(13)? as u16;
             if level == 0 || level > folds || slot >= (width as usize >> level) {
                 return Err(DecodeError::BadField(format!(
                     "writeback level {level} slot {slot}"

@@ -1,7 +1,7 @@
 //! Bitstream assembly.
 
 use crate::{init_bits, io_bits, io_entries, perm_words, wb_entries, wide_bits};
-use gem_place::{CoreProgram, PermSource};
+use gem_place::{BoomerangLayer, CoreProgram, PermSource};
 
 /// One `READ_GLOBAL` entry: load global bit `global` into core state bit
 /// `state` at the start of each cycle.
@@ -82,7 +82,18 @@ impl BitWriter {
 /// Panics if the program's addresses exceed the field widths (state
 /// addresses are 13-bit at the paper's core width).
 pub fn assemble_core(prog: &CoreProgram, reads: &[ReadEntry], writes: &[WriteEntry]) -> Vec<u8> {
-    let w = prog.width;
+    assemble(prog.width, prog.state_size, &prog.layers, reads, writes)
+}
+
+/// [`assemble_core`] on the parts of a program the encoding carries,
+/// borrowed — so that re-encoding a decoded core copies no layer.
+fn assemble(
+    w: u32,
+    state_size: u32,
+    layers: &[BoomerangLayer],
+    reads: &[ReadEntry],
+    writes: &[WriteEntry],
+) -> Vec<u8> {
     let folds = w.trailing_zeros() as usize;
     let mut out = BitWriter::default();
 
@@ -90,8 +101,8 @@ pub fn assemble_core(prog: &CoreProgram, reads: &[ReadEntry], writes: &[WriteEnt
     let base = out.bit;
     out.push_bits(u64::from(u32::from_le_bytes(*b"GEMB")), 32);
     out.push_bits(w as u64, 32);
-    out.push_bits(prog.state_size as u64, 32);
-    out.push_bits(prog.layers.len() as u64, 32);
+    out.push_bits(state_size as u64, 32);
+    out.push_bits(layers.len() as u64, 32);
     out.push_bits(reads.len() as u64, 32);
     out.push_bits(writes.len() as u64, 32);
     out.push_bits(folds as u64, 32);
@@ -110,7 +121,7 @@ pub fn assemble_core(prog: &CoreProgram, reads: &[ReadEntry], writes: &[WriteEnt
     }
 
     // Layers.
-    for layer in &prog.layers {
+    for layer in layers {
         // PERMUTE words: 16-bit source codes.
         let pw = perm_words(w);
         let codes_per_word = layer.perm.len().div_ceil(pw);
@@ -120,7 +131,7 @@ pub fn assemble_core(prog: &CoreProgram, reads: &[ReadEntry], writes: &[WriteEnt
                 let code: u16 = match s {
                     PermSource::State(a) => {
                         assert!(*a < 0x8000, "state address too wide");
-                        *a as u16
+                        *a
                     }
                     PermSource::ConstFalse => 0x8000,
                 };
@@ -148,10 +159,9 @@ pub fn assemble_core(prog: &CoreProgram, reads: &[ReadEntry], writes: &[WriteEnt
             .iter()
             .enumerate()
             .flat_map(|(k, slots)| {
-                slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(j, a)| a.map(|addr| (k as u32 + 1, j as u32, addr)))
+                slots.iter().enumerate().filter_map(move |(j, a)| {
+                    a.map(|addr| (k as u32 + 1, j as u32, u32::from(addr)))
+                })
             })
             .collect();
         let wb_words = wb.len().div_ceil(wb_entries(w).max(1));
@@ -202,14 +212,13 @@ pub fn assemble_core(prog: &CoreProgram, reads: &[ReadEntry], writes: &[WriteEnt
 /// For any output of the encoder, `assemble_decoded(disassemble(x)) == x`;
 /// the static verifier's round-trip check is built on this.
 pub fn assemble_decoded(dec: &crate::DecodedCore) -> Vec<u8> {
-    let prog = CoreProgram {
-        width: dec.width,
-        state_size: dec.state_size,
-        inputs: Vec::new(),
-        layers: dec.layers.clone(),
-        outputs: Vec::new(),
-    };
-    assemble_core(&prog, &dec.reads, &dec.writes)
+    assemble(
+        dec.width,
+        dec.state_size,
+        &dec.layers,
+        &dec.reads,
+        &dec.writes,
+    )
 }
 
 /// A complete compiled design: per-stage core programs plus the global

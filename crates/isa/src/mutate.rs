@@ -311,8 +311,8 @@ fn mutate_decoded(
             // the hole invisible to the layers check (detectable only
             // via the merge check, which needs placement metadata —
             // and this class is in [`PROGRAM_FREE_CLASSES`]).
-            let mut first_gather: std::collections::HashMap<u32, usize> = Default::default();
-            let mut first_wb: std::collections::HashMap<u32, usize> = Default::default();
+            let mut first_gather: std::collections::HashMap<u16, usize> = Default::default();
+            let mut first_wb: std::collections::HashMap<u16, usize> = Default::default();
             for (li, l) in dec.layers.iter().enumerate() {
                 for p in &l.perm {
                     if let PermSource::State(a) = p {
@@ -325,7 +325,7 @@ fn mutate_decoded(
             }
             let candidates: Vec<usize> = (0..dec.reads.len())
                 .filter(|&i| {
-                    let a = u32::from(dec.reads[i].state);
+                    let a = dec.reads[i].state;
                     first_gather
                         .get(&a)
                         .is_some_and(|&g| first_wb.get(&a).is_none_or(|&w| w >= g))
@@ -379,7 +379,7 @@ fn mutate_decoded(
                 .flat_map(|l| l.writeback.iter_mut())
                 .flat_map(|s| s.iter_mut())
                 .find(|a| a.is_some())?;
-            *slot = Some(dec.state_size);
+            *slot = Some(dec.state_size as u16);
         }
         MutationClass::GlobalOob => {
             let bad = bs.global_bits + 1 + rng.below(100) as u32;
@@ -407,12 +407,12 @@ fn mutate_decoded(
             for l in &dec.layers {
                 for p in &l.perm {
                     if let PermSource::State(a) = p {
-                        note(*a);
+                        note(u32::from(*a));
                     }
                 }
                 for s in &l.writeback {
                     for a in s.iter().flatten() {
-                        note(*a);
+                        note(u32::from(*a));
                     }
                 }
             }

@@ -265,6 +265,14 @@ fn check_roundtrip(
     decoded: &mut [Vec<Option<DecodedCore>>],
     v: &mut Vec<Violation>,
 ) {
+    // The container first: its two transient copies of the bitstream
+    // are gone before the decoded cores (the stage's high-water mark)
+    // exist.
+    match Bitstream::from_bytes(&bs.to_bytes()) {
+        Ok(back) if back == *bs => {}
+        Ok(_) => viol(v, None, "container round trip altered the bitstream".into()),
+        Err(e) => viol(v, None, format!("container rejected its own bytes: {e}")),
+    }
     for (si, stage) in bs.stages.iter().enumerate() {
         for (ci, bytes) in stage.iter().enumerate() {
             match disassemble_core_exact(bytes) {
@@ -285,11 +293,6 @@ fn check_roundtrip(
             }
         }
     }
-    match Bitstream::from_bytes(&bs.to_bytes()) {
-        Ok(back) if back == *bs => {}
-        Ok(_) => viol(v, None, "container round trip altered the bitstream".into()),
-        Err(e) => viol(v, None, format!("container rejected its own bytes: {e}")),
-    }
 }
 
 // -------------------------------------------------------------- layers --
@@ -302,13 +305,13 @@ fn check_layers(decoded: &[Vec<Option<DecodedCore>>], v: &mut Vec<Violation>) {
         // preceding layer writes it back. The placer recycles addresses
         // across layers, so the defined set only ever grows — an address
         // freed and re-allocated is written again before any later read.
-        let mut defined: HashSet<u32> = dec.reads.iter().map(|r| u32::from(r.state)).collect();
+        let mut defined: HashSet<u16> = dec.reads.iter().map(|r| r.state).collect();
         for (li, layer) in dec.layers.iter().enumerate() {
             if layer.width != dec.width || layer.fold_levels() != folds {
                 viol(v, loc, format!("layer {li}: width/fold shape mismatch"));
                 continue;
             }
-            let mut gathered: HashSet<u32> = HashSet::new();
+            let mut gathered: HashSet<u16> = HashSet::new();
             for (row, p) in layer.perm.iter().enumerate() {
                 if let PermSource::State(a) = p {
                     if !defined.contains(a) {
@@ -324,7 +327,7 @@ fn check_layers(decoded: &[Vec<Option<DecodedCore>>], v: &mut Vec<Violation>) {
                     gathered.insert(*a);
                 }
             }
-            let mut written: HashSet<u32> = HashSet::new();
+            let mut written: HashSet<u16> = HashSet::new();
             for (k, slots) in layer.writeback.iter().enumerate() {
                 for addr in slots.iter().flatten() {
                     if !written.insert(*addr) {
@@ -631,12 +634,12 @@ fn check_bounds(
         for (li, layer) in dec.layers.iter().enumerate() {
             for p in &layer.perm {
                 if let PermSource::State(a) = p {
-                    addr_ck(v, &format!("layer {li} gather"), *a);
+                    addr_ck(v, &format!("layer {li} gather"), u32::from(*a));
                 }
             }
             for slots in &layer.writeback {
                 for addr in slots.iter().flatten() {
-                    addr_ck(v, &format!("layer {li} writeback"), *addr);
+                    addr_ck(v, &format!("layer {li} writeback"), u32::from(*addr));
                 }
             }
         }

@@ -52,7 +52,7 @@ fn random_core(rng: &mut Rng) -> DecodedCore {
             let mut l = BoomerangLayer::new(width);
             for p in l.perm.iter_mut() {
                 if rng.chance(1, 2) {
-                    *p = PermSource::State(rng.below(u64::from(state_size)) as u32);
+                    *p = PermSource::State(rng.below(u64::from(state_size)) as u16);
                 }
             }
             for f in l.folds.iter_mut() {
@@ -63,7 +63,7 @@ fn random_core(rng: &mut Rng) -> DecodedCore {
             for row in l.writeback.iter_mut() {
                 for s in row.iter_mut() {
                     if rng.chance(1, 3) {
-                        *s = Some(rng.below(u64::from(state_size)) as u32);
+                        *s = Some(rng.below(u64::from(state_size)) as u16);
                     }
                 }
             }

@@ -63,15 +63,16 @@ pub struct CompiledLayer {
 }
 
 impl CompiledLayer {
-    /// Lowers a layer. Pure and total: every well-formed layer lowers
-    /// without panicking (the decoder has already bounds-checked state
-    /// addresses against the core width).
+    /// Lowers a layer. Pure and total: lowering copies addresses, it
+    /// never follows one. Holding them inside the state the executor
+    /// is given is the caller's business (`GemGpu::load` refuses what
+    /// [`PackedLayer::lower`](crate::PackedLayer::lower) refuses).
     pub fn lower(layer: &BoomerangLayer) -> CompiledLayer {
         let perm = layer
             .perm
             .iter()
             .map(|s| match s {
-                PermSource::State(a) => *a,
+                PermSource::State(a) => u32::from(*a),
                 PermSource::ConstFalse => PERM_CONST,
             })
             .collect();
@@ -86,7 +87,7 @@ impl CompiledLayer {
                 writeback: wb
                     .iter()
                     .enumerate()
-                    .filter_map(|(j, s)| s.map(|addr| (j as u32, addr)))
+                    .filter_map(|(j, s)| s.map(|addr| (j as u32, u32::from(addr))))
                     .collect(),
             })
             .collect();
@@ -189,14 +190,7 @@ impl CompiledLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn xorshift(x: &mut u64) -> u64 {
-        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use crate::testutil::xorshift;
 
     fn random_layer(seed: u64, width: u32, state_size: usize) -> BoomerangLayer {
         let mut x = seed;
@@ -205,7 +199,7 @@ mod tests {
             *p = if xorshift(&mut x).is_multiple_of(4) {
                 PermSource::ConstFalse
             } else {
-                PermSource::State((xorshift(&mut x) % state_size as u64) as u32)
+                PermSource::State((xorshift(&mut x) % state_size as u64) as u16)
             };
         }
         for fc in layer.folds.iter_mut() {
@@ -218,7 +212,7 @@ mod tests {
         for wb in layer.writeback.iter_mut() {
             for slot in wb.iter_mut() {
                 if xorshift(&mut x).is_multiple_of(2) {
-                    *slot = Some((xorshift(&mut x) % state_size as u64) as u32);
+                    *slot = Some((xorshift(&mut x) % state_size as u64) as u16);
                 }
             }
         }
@@ -333,15 +327,33 @@ mod tests {
         assert_eq!(&*comp.folds[1].writeback, &[(0, 3)]);
     }
 
-    /// The lowered op counts are the cost model's layer charges.
+    /// The lowered op counts are the cost model's layer charges — of the
+    /// packed form too, whatever its liveness analysis lets the host
+    /// skip (here: nothing, the levels above the one writeback left, and
+    /// the whole layer): that is not the GPU's saving.
     #[test]
     fn op_counts_match_cost_model() {
         for width in [2u32, 8, 64, 256] {
-            let comp = CompiledLayer::lower(&random_layer(width as u64, width, 16));
+            let mut layer = random_layer(width as u64, width, 16);
+            let comp = CompiledLayer::lower(&layer);
             assert_eq!(comp.shared_accesses(), 2 * u64::from(width));
             assert_eq!(comp.alu_ops(), u64::from(width) - 1);
             assert_eq!(comp.block_syncs(), 1 + u64::from(width.trailing_zeros()));
             assert_eq!(comp.fold_levels(), width.trailing_zeros() as usize);
+            for keep in [usize::MAX, 1, 0] {
+                let mut kept = 0;
+                for slot in layer.writeback.iter_mut().flatten() {
+                    kept += usize::from(slot.is_some());
+                    if kept > keep {
+                        *slot = None;
+                    }
+                }
+                let packed = crate::PackedLayer::lower(&layer, 256).expect("lowers");
+                assert_eq!(packed.written().count(), kept.min(keep));
+                assert_eq!(packed.shared_accesses(), comp.shared_accesses());
+                assert_eq!(packed.alu_ops(), comp.alu_ops());
+                assert_eq!(packed.block_syncs(), comp.block_syncs());
+            }
         }
     }
 

@@ -8,8 +8,11 @@ use gem_aig::NodeId;
 /// Where one input-row bit of a layer comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PermSource {
-    /// Core state bit at this address.
-    State(u32),
+    /// Core state bit at this address. Sixteen bits, as the ISA's
+    /// permutation codes carry it: a layer is mostly addresses, and the
+    /// mapping flow holds every layer of a design two or three times
+    /// over (placed, decoded for verification, decoded for load).
+    State(u16),
     /// Constant zero (unused slots and constant operands).
     ConstFalse,
 }
@@ -48,7 +51,7 @@ pub struct BoomerangLayer {
     pub folds: Vec<FoldConsts>,
     /// Write-back plan: `writeback[k][j]` is the state address receiving
     /// the output of slot `j` at fold level `k+1` (or `None`).
-    pub writeback: Vec<Vec<Option<u32>>>,
+    pub writeback: Vec<Vec<Option<u16>>>,
 }
 
 impl BoomerangLayer {

@@ -31,11 +31,25 @@
 
 pub mod compiled;
 pub mod layer;
+pub mod packed;
 pub mod placer;
 
 pub use compiled::{CompiledLayer, FoldOp, PERM_CONST};
 pub use layer::{splat, BoomerangLayer, CoreProgram, FoldConsts, OutputSource, PermSource, Word};
+pub use packed::PackedLayer;
 pub use placer::{place_partition, PlaceError, PlaceOptions, PlaceStats};
 
 /// Default core width in bits (256 GPU threads × 32-bit words).
 pub const CORE_WIDTH: u32 = 8192;
+
+#[cfg(test)]
+pub(crate) mod testutil {
+    /// splitmix64: the unit tests' generator of random layers and states.
+    pub fn xorshift(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}

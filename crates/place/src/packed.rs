@@ -1,0 +1,470 @@
+//! Signal-packed lowering of boomerang layers: the form a one-lane
+//! machine executes (DESIGN.md §7).
+//!
+//! [`CompiledLayer`] spends one machine [`Word`] per signal so that 64
+//! simulations ride in its bits. With one simulation, 63 of those bits
+//! are copies of the first, and the three pre-splatted masks every fold
+//! slot streams carry one bit of information each. [`PackedLayer`]
+//! packs the other way, as the paper's kernel does (256 threads × 32
+//! signals per word): a fold row is a bit vector, level *k* of a
+//! `width`-wide layer being `width >> k` bits in `u64`s, and a fold
+//! level is whole-word logic.
+//!
+//! * The fold constants are bit planes deposited on the **even** bit
+//!   positions of the level's input row: slot `j` pairs row bits `2j`
+//!   and `2j + 1`, so with `XA`/`XB`/`OB` holding slot `j`'s constants
+//!   at bit `2j`, `t = (w ^ XA) & (((w >> 1) ^ XB) | OB)` leaves slot
+//!   `j`'s output at bit `2j` of `t` — 32 slots per word-op.
+//! * A five-step even-bit compress then squeezes two such words into
+//!   one word of the next row. The tree is the same `2j`/`2j + 1` tree
+//!   the placer and the ISA use, so nothing upstream changes.
+//! * The gather is a `u16` table (constant leaves pre-redirected to the
+//!   zero slot) assembled 16 leaves per accumulator from bit 0 of each
+//!   state word.
+//! * A writeback extracts bit `slot` of its level's row and stores the
+//!   splat, so the state — and everything published from it — stays
+//!   in the splatted form the lane-word side of the machine expects.
+//! * Execution stops at the last level that holds a writeback and at
+//!   the last 64-leaf gather word holding a leaf some writeback can
+//!   observe. The dead remainder is still *stored* (it is small), which
+//!   is what lets [`PackedLayer::widen`] reproduce the lane-word form
+//!   exactly without the decoded program.
+//!
+//! Equivalence with the scalar spec is checked below on random layers
+//! of every width, and across the fuzz corpus by `gem-sim`'s
+//! `compiled_lowering` suite.
+
+use crate::compiled::{CompiledLayer, FoldOp};
+use crate::layer::{splat, BoomerangLayer, FoldConsts, PermSource, Word};
+
+/// Leaves gathered per row word.
+const WORD_LEAVES: usize = u64::BITS as usize;
+/// Fold slots whose constants one plane word holds (the even bits).
+const WORD_SLOTS: usize = WORD_LEAVES / 2;
+/// The even bit positions.
+const EVEN: u64 = 0x5555_5555_5555_5555;
+
+/// One fold level of a [`PackedLayer`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PackedFold {
+    /// `[XA, XB, OB]` per word of the level's input row; slot `j`'s
+    /// constants sit at bit `2 * (j % 32)` of word `j / 32`, every other
+    /// bit is zero.
+    consts: Box<[[u64; 3]]>,
+    /// `(slot, state address)` pairs that write back, in slot order.
+    writeback: Box<[(u16, u16)]>,
+}
+
+/// A [`BoomerangLayer`] lowered to signal-packed form; see the module
+/// docs. Executes one simulation: it reads bit 0 of each state word and
+/// writes splats.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedLayer {
+    width: u32,
+    /// Gather table in leaf order, constants redirected to the zero
+    /// slot, padded with the zero slot to a whole number of row words.
+    perm: Box<[u16]>,
+    /// Every fold level, widest first.
+    folds: Box<[PackedFold]>,
+    /// Row words gathered: up to the last one holding a live leaf.
+    live_words: usize,
+    /// Fold levels run: up to the last one holding a writeback.
+    live_levels: usize,
+}
+
+/// Deposits a level's per-slot constants on the even bits of its input
+/// row's words.
+fn deposit(fc: &FoldConsts) -> Box<[[u64; 3]]> {
+    let mut words = vec![[0u64; 3]; fc.xa.len().div_ceil(WORD_SLOTS)];
+    for (j, consts) in fc.xa.iter().zip(&fc.xb).zip(&fc.ob).enumerate() {
+        let ((xa, xb), ob) = consts;
+        let shift = 2 * (j % WORD_SLOTS);
+        let w = &mut words[j / WORD_SLOTS];
+        w[0] |= u64::from(*xa) << shift;
+        w[1] |= u64::from(*xb) << shift;
+        w[2] |= u64::from(*ob) << shift;
+    }
+    words.into()
+}
+
+/// One fold level on one row word: slot `j`'s output lands on bit `2j`;
+/// the odd bits are garbage.
+#[inline]
+fn fold_word(w: u64, [xa, xb, ob]: [u64; 3]) -> u64 {
+    (w ^ xa) & (((w >> 1) ^ xb) | ob)
+}
+
+/// Packs the even bits of `lo` into the low half of the result and the
+/// even bits of `hi` into the high half, order kept: interleave the two
+/// (`hi` onto the odd positions), then un-shuffle in five swap steps.
+#[inline]
+fn compress_pair(lo: u64, hi: u64) -> u64 {
+    let mut x = (lo & EVEN) | ((hi & EVEN) << 1);
+    let mut t = (x ^ (x >> 1)) & 0x2222_2222_2222_2222;
+    x ^= t ^ (t << 1);
+    t = (x ^ (x >> 2)) & 0x0C0C_0C0C_0C0C_0C0C;
+    x ^= t ^ (t << 2);
+    t = (x ^ (x >> 4)) & 0x00F0_00F0_00F0_00F0;
+    x ^= t ^ (t << 4);
+    t = (x ^ (x >> 8)) & 0x0000_FF00_0000_FF00;
+    x ^= t ^ (t << 8);
+    t = (x ^ (x >> 16)) & 0x0000_0000_FFFF_0000;
+    x ^ t ^ (t << 16)
+}
+
+impl PackedLayer {
+    /// Lowers a layer for a core whose always-zero state slot is
+    /// `zero_slot` (the virtual GPU keeps one just past the core width).
+    ///
+    /// Returns `None` when the layer cannot be held to that contract: a
+    /// gather or writeback addresses state at or beyond `zero_slot`, or
+    /// `zero_slot` (or a writing slot's index) does not fit the 16-bit
+    /// tables. A lowered layer therefore never touches `state` outside
+    /// `..=zero_slot`.
+    pub fn lower(layer: &BoomerangLayer, zero_slot: u32) -> Option<PackedLayer> {
+        let zero = u16::try_from(zero_slot).ok()?;
+        let addr = |a: u16| (a < zero).then_some(a);
+        let mut perm = layer
+            .perm
+            .iter()
+            .map(|s| match s {
+                PermSource::State(a) => addr(*a),
+                PermSource::ConstFalse => Some(zero),
+            })
+            .collect::<Option<Vec<u16>>>()?;
+        perm.resize(perm.len().next_multiple_of(WORD_LEAVES), zero);
+        let mut last_leaf = None;
+        let mut live_levels = 0;
+        let mut folds = Vec::with_capacity(layer.folds.len());
+        for (k, (fc, wb)) in layer.folds.iter().zip(&layer.writeback).enumerate() {
+            let mut writeback = Vec::new();
+            for (j, target) in wb.iter().enumerate() {
+                let Some(target) = *target else { continue };
+                writeback.push((u16::try_from(j).ok()?, addr(target)?));
+                live_levels = k + 1;
+                // The right-most leaf this slot's value depends on: at
+                // each level below, operand B unless it is bypassed.
+                let leaf = layer.folds[..=k]
+                    .iter()
+                    .rev()
+                    .fold(j, |slot, below| 2 * slot + usize::from(!below.ob[slot]));
+                last_leaf = last_leaf.max(Some(leaf));
+            }
+            folds.push(PackedFold {
+                consts: deposit(fc),
+                writeback: writeback.into(),
+            });
+        }
+        Some(PackedLayer {
+            width: layer.width,
+            perm: perm.into(),
+            folds: folds.into(),
+            live_words: last_leaf.map_or(0, |leaf| leaf / WORD_LEAVES + 1),
+            live_levels,
+        })
+    }
+
+    /// The lane-word form of the same layer: exactly
+    /// [`CompiledLayer::lower`] followed by
+    /// [`redirect_consts`](CompiledLayer::redirect_consts) to the zero
+    /// slot this layer was lowered with.
+    pub fn widen(&self) -> CompiledLayer {
+        let plane = |f: &PackedFold, slots: usize, which: usize| -> Box<[Word]> {
+            (0..slots)
+                .map(|j| {
+                    splat((f.consts[j / WORD_SLOTS][which] >> (2 * (j % WORD_SLOTS))) & 1 == 1)
+                })
+                .collect()
+        };
+        let folds = self
+            .folds
+            .iter()
+            .enumerate()
+            .map(|(k, f)| {
+                let slots = (self.width >> (k + 1)) as usize;
+                FoldOp {
+                    xa: plane(f, slots, 0),
+                    xb: plane(f, slots, 1),
+                    ob: plane(f, slots, 2),
+                    writeback: f
+                        .writeback
+                        .iter()
+                        .map(|&(slot, addr)| (u32::from(slot), u32::from(addr)))
+                        .collect(),
+                }
+            })
+            .collect();
+        CompiledLayer {
+            width: self.width,
+            perm: self.perm[..self.width as usize]
+                .iter()
+                .map(|&p| u32::from(p))
+                .collect(),
+            folds,
+        }
+    }
+
+    /// Shared-memory accesses the cost model charges one execution:
+    /// the architectural layer's, as [`CompiledLayer::shared_accesses`]
+    /// — what liveness lets the host skip is not the GPU's saving.
+    pub fn shared_accesses(&self) -> u64 {
+        2 * u64::from(self.width)
+    }
+
+    /// Fold ALU operations the cost model charges (`width − 1`).
+    pub fn alu_ops(&self) -> u64 {
+        u64::from(self.width) - 1
+    }
+
+    /// Block-level synchronizations the cost model charges (one per
+    /// fold level plus the gather barrier).
+    pub fn block_syncs(&self) -> u64 {
+        1 + self.folds.len() as u64
+    }
+
+    /// The state addresses one execution gathers, before any of its
+    /// writebacks land.
+    pub fn gathered(&self) -> &[u16] {
+        &self.perm[..self.live_words * WORD_LEAVES]
+    }
+
+    /// The state addresses one execution writes, in write order.
+    pub fn written(&self) -> impl Iterator<Item = u16> + '_ {
+        self.folds
+            .iter()
+            .flat_map(|f| f.writeback.iter().map(|&(_, addr)| addr))
+    }
+
+    /// Executes the layer for the simulation in bit 0 of every `state`
+    /// word: afterwards each writeback target holds the splat of what
+    /// [`BoomerangLayer::execute`] leaves there, and no other word has
+    /// changed. `row` and `next` are reusable ping-pong row buffers
+    /// whose contents on entry are irrelevant.
+    ///
+    /// `state` must reach past the zero slot the layer was lowered with,
+    /// and bit 0 of that slot must be clear.
+    pub fn execute_into(&self, state: &mut [Word], row: &mut Vec<u64>, next: &mut Vec<u64>) {
+        row.clear();
+        row.extend(self.gathered().chunks_exact(WORD_LEAVES).map(|leaves| {
+            // Four shift chains of 16 leaves, advanced side by side: one
+            // chain of 64 would run at the latency of its shift-or, four
+            // in turn at the throughput of the loads.
+            let mut acc = [0u64; 4];
+            for i in (0..WORD_LEAVES / 4).rev() {
+                for (quarter, acc) in acc.iter_mut().enumerate() {
+                    let p = leaves[quarter * (WORD_LEAVES / 4) + i];
+                    *acc = (*acc << 1) | (state[usize::from(p)] & 1);
+                }
+            }
+            acc[0] | acc[1] << 16 | acc[2] << 32 | acc[3] << 48
+        }));
+        let mut words = row.len();
+        for f in &self.folds[..self.live_levels] {
+            let out = words.div_ceil(2);
+            // Grow-only: every word read below is written first.
+            if next.len() < out {
+                next.resize(out, 0);
+            }
+            let (src, consts) = (&row[..words], &f.consts[..words]);
+            let pairs = src.chunks_exact(2).zip(consts.chunks_exact(2));
+            for (d, (w, c)) in next.iter_mut().zip(pairs) {
+                *d = compress_pair(fold_word(w[0], c[0]), fold_word(w[1], c[1]));
+            }
+            if words % 2 == 1 {
+                // The last word of a liveness-truncated row (or the only
+                // word of a narrow one) has no partner: its upper half
+                // folds to dead slots.
+                next[out - 1] = compress_pair(fold_word(src[words - 1], consts[words - 1]), 0);
+            }
+            for &(slot, addr) in f.writeback.iter() {
+                let bit =
+                    next[usize::from(slot) / WORD_LEAVES] >> (usize::from(slot) % WORD_LEAVES);
+                state[usize::from(addr)] = splat(bit & 1 == 1);
+            }
+            std::mem::swap(row, next);
+            words = out;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::xorshift;
+
+    /// A random layer over state addresses `0..addrs`: a quarter of the
+    /// leaves constant, one slot in `bypass_in` bypassed, one slot in
+    /// `write_in` written back (`0` = no writeback anywhere). Few
+    /// addresses and many writebacks make the writebacks alias.
+    fn random_layer(
+        x: &mut u64,
+        width: u32,
+        addrs: u32,
+        bypass_in: u64,
+        write_in: u64,
+    ) -> BoomerangLayer {
+        let mut layer = BoomerangLayer::new(width);
+        for p in layer.perm.iter_mut() {
+            if !xorshift(x).is_multiple_of(4) {
+                *p = PermSource::State((xorshift(x) % u64::from(addrs)) as u16);
+            }
+        }
+        for fc in layer.folds.iter_mut() {
+            for j in 0..fc.xa.len() {
+                fc.xa[j] = xorshift(x) & 1 == 1;
+                fc.xb[j] = xorshift(x) & 1 == 1;
+                fc.ob[j] = xorshift(x).is_multiple_of(bypass_in);
+            }
+        }
+        for wb in layer.writeback.iter_mut() {
+            for slot in wb.iter_mut() {
+                if write_in != 0 && xorshift(x).is_multiple_of(write_in) {
+                    *slot = Some((xorshift(x) % u64::from(addrs)) as u16);
+                }
+            }
+        }
+        layer
+    }
+
+    /// Runs `layer` packed and as the scalar spec from one random state
+    /// and compares every word. The state words carry the simulation in
+    /// bit 0 and noise above it: the packed form must read bit 0 only,
+    /// write splats, and leave every other word (the noise included)
+    /// alone. Returns the lowered layer.
+    fn check_against_spec(layer: &BoomerangLayer, x: &mut u64, what: &str) -> PackedLayer {
+        let zero = layer.width;
+        let packed = PackedLayer::lower(layer, zero).expect("addresses are below the width");
+        let before: Vec<Word> = (0..zero).map(|_| xorshift(x)).chain([!1]).collect();
+        let mut want: Vec<bool> = before[..zero as usize].iter().map(|w| w & 1 == 1).collect();
+        layer.execute(&mut want);
+        let written: Vec<usize> = packed.written().map(usize::from).collect();
+        let mut got = before.clone();
+        // Stale rows of any length must not matter.
+        let (mut row, mut next) = (vec![xorshift(x); 7], vec![xorshift(x); 300]);
+        packed.execute_into(&mut got, &mut row, &mut next);
+        for (a, (&got, &before)) in got.iter().zip(&before).enumerate() {
+            if written.contains(&a) {
+                assert_eq!(got, splat(want[a]), "{what}: written state {a}");
+            } else {
+                assert_eq!(got, before, "{what}: state {a} was not a writeback target");
+            }
+        }
+        packed
+    }
+
+    /// The packed executor against [`BoomerangLayer::execute`] on random
+    /// layers of every width the ISA allows a core, from writeback-dense
+    /// (every address aliased many times over) to a handful of
+    /// writebacks (so most of the row is dead and truncated) to none.
+    #[test]
+    fn packed_layer_matches_scalar_spec() {
+        let mut x = 0x9ACC_ED00u64;
+        for log in 1..=13u32 {
+            let width = 1u32 << log;
+            for trial in 0..12u64 {
+                let addrs = if trial % 2 == 0 { width } else { width.min(5) };
+                let bypass_in = [2, 3, 16][trial as usize % 3];
+                let write_in =
+                    [2, 16, u64::from(width), 4 * u64::from(width), 0][trial as usize % 5];
+                let layer = random_layer(&mut x, width, addrs, bypass_in, write_in);
+                let what = format!("width {width} trial {trial}");
+                let packed = check_against_spec(&layer, &mut x, &what);
+                let writes = layer.writeback.iter().flatten().flatten().count();
+                assert_eq!(packed.written().count(), writes, "{what}");
+                assert_eq!(writes == 0, packed.gathered().is_empty(), "{what}");
+            }
+        }
+    }
+
+    /// A value riding up operand A through bypasses, next to a B sibling
+    /// that holds an unrelated gate with its own writeback: the bypass
+    /// makes the sibling dead *to the rider*, its writeback keeps it
+    /// alive, and the gather must reach its leaves.
+    #[test]
+    fn bypassed_sibling_with_its_own_writeback_stays_live() {
+        let mut x = 0xB1_5EEDu64;
+        for sibling_writes in [false, true] {
+            let mut layer = BoomerangLayer::new(256);
+            layer.perm[0] = PermSource::State(0);
+            layer.perm[128] = PermSource::State(1);
+            layer.perm[192] = PermSource::State(2);
+            // Leaves 0, 128 and 192 ride up their A operands...
+            for (k, fc) in layer.folds.iter_mut().enumerate() {
+                for leaf in [0usize, 128, 192] {
+                    if (leaf >> (k + 1)) << (k + 1) == leaf {
+                        fc.ob[leaf >> (k + 1)] = true;
+                    }
+                }
+            }
+            // ...until level 7 slot 1 ANDs 128 and 192 together,
+            layer.folds[6].ob[1] = false;
+            if sibling_writes {
+                layer.writeback[6][1] = Some(3);
+            }
+            // and level 8 passes leaf 0 by it.
+            layer.writeback[7][0] = Some(4);
+            let packed = check_against_spec(&layer, &mut x, "rider");
+            let words = if sibling_writes { 4 } else { 1 };
+            assert_eq!(packed.gathered().len(), words * WORD_LEAVES);
+        }
+    }
+
+    /// A layer with no writeback is skipped whole: nothing is gathered,
+    /// no row is touched.
+    #[test]
+    fn layer_without_writeback_is_skipped() {
+        let mut x = 5u64;
+        let layer = random_layer(&mut x, 128, 128, 2, 0);
+        let packed = PackedLayer::lower(&layer, 128).expect("lowers");
+        assert!(packed.gathered().is_empty());
+        assert_eq!(packed.written().count(), 0);
+        let mut state = vec![Word::MAX; 129];
+        let (mut row, mut next) = (vec![1, 2, 3], vec![4, 5]);
+        packed.execute_into(&mut state, &mut row, &mut next);
+        assert_eq!(state, vec![Word::MAX; 129]);
+        assert_eq!((row, next), (vec![], vec![4, 5]));
+    }
+
+    /// Widening loses nothing — not the dead levels, not the constants
+    /// of dead slots: it is the lane-word lowering of the same layer.
+    #[test]
+    fn widening_equals_the_lane_word_lowering() {
+        let mut x = 0x71DEu64;
+        for (width, write_in) in [(2u32, 1u64), (8, 2), (64, 0), (128, 40), (1024, 3000)] {
+            let layer = random_layer(&mut x, width, width, 3, write_in);
+            let mut want = CompiledLayer::lower(&layer);
+            want.redirect_consts(width);
+            let packed = PackedLayer::lower(&layer, width).expect("lowers");
+            assert_eq!(packed.widen(), want, "width {width}");
+        }
+    }
+
+    /// Out-of-contract layers are refused, not lowered: the zero slot is
+    /// never a gather source by address or a writeback target, and
+    /// nothing is addressed beyond it.
+    #[test]
+    fn addresses_at_or_past_the_zero_slot_are_refused() {
+        let mut layer = BoomerangLayer::new(4);
+        assert!(PackedLayer::lower(&layer, 4).is_some());
+        assert!(PackedLayer::lower(&layer, 1 << 16).is_none(), "zero slot");
+        layer.perm[3] = PermSource::State(4);
+        assert!(PackedLayer::lower(&layer, 4).is_none(), "gather");
+        assert!(PackedLayer::lower(&layer, 5).is_some());
+        layer.writeback[1][0] = Some(5);
+        assert!(PackedLayer::lower(&layer, 5).is_none(), "writeback");
+        assert!(PackedLayer::lower(&layer, 6).is_some());
+    }
+
+    #[test]
+    fn compress_pair_keeps_even_bits_in_order() {
+        let mut x = 0xE4E2u64;
+        for _ in 0..64 {
+            let (lo, hi) = (xorshift(&mut x), xorshift(&mut x));
+            let want = (0..64).fold(0u64, |acc, i| {
+                let src = if i < 32 { lo } else { hi };
+                acc | ((src >> (2 * (i % 32))) & 1) << i
+            });
+            assert_eq!(compress_pair(lo, hi), want);
+        }
+    }
+}

@@ -61,6 +61,11 @@ impl fmt::Display for PlaceError {
 
 impl std::error::Error for PlaceError {}
 
+/// A state address as a layer carries it (16 bits, as in the ISA).
+fn narrow(addr: u32) -> u16 {
+    u16::try_from(addr).expect("core widths stay within 16-bit state addresses")
+}
+
 /// Placement statistics (feeds Table I and Fig 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlaceStats {
@@ -369,7 +374,7 @@ impl<'a> Placer<'a> {
         for (j, slot) in occ[0].iter().enumerate() {
             if let Some(SlotOp::Read { local }) = slot {
                 let a = self.addr[*local as usize].expect("read of unaddressed value");
-                layer.perm[j] = PermSource::State(a);
+                layer.perm[j] = PermSource::State(narrow(a));
             }
         }
         for (k, row) in occ.iter().enumerate().take(folds + 1).skip(1) {
@@ -405,7 +410,7 @@ impl<'a> Placer<'a> {
                 let a = self.alloc()?;
                 self.addr[v as usize] = Some(a);
                 let (k, j) = placed_at[&v];
-                layer.writeback[k - 1][j] = Some(a);
+                layer.writeback[k - 1][j] = Some(narrow(a));
             }
         }
         // Free addresses whose value can never be read again.

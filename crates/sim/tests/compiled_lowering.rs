@@ -1,18 +1,23 @@
-//! Property tests for the threaded-code lowering the virtual GPU
-//! executes (`gem_vgpu::CompiledCore` / `gem_place::CompiledLayer`),
-//! driven by the same random-design corpus as the differential fuzz
-//! suite:
+//! Property tests for the two threaded-code lowerings the virtual GPU
+//! executes — lane-word (`gem_vgpu::CompiledCore` /
+//! `gem_place::CompiledLayer`) and signal-packed (`gem_vgpu::PackedCore`
+//! / `gem_place::PackedLayer`) — driven by the same random-design corpus
+//! as the differential fuzz suite:
 //!
 //! * **totality** — every decoded program the compiler emits lowers
 //!   without panicking, and the lowered shape reconciles with the
 //!   decoded one (layer count, write split, read table);
-//! * **cost-model reconciliation** — the lowered op counts are exactly
-//!   the per-cycle `KernelCounters` charges the machine attributes to
-//!   each core, summed over a real simulation step;
+//! * **cost-model reconciliation** — the lowered op counts, of either
+//!   form, are exactly the per-cycle `KernelCounters` charges the
+//!   machine attributes to each core, summed over a real simulation
+//!   step;
 //! * **scalar-spec equivalence** — every lowered core, run on random
 //!   64-lane globals, publishes exactly what the scalar spec
 //!   (`BoomerangLayer::execute` between a read gather and a write
-//!   publish) computes for each lane alone.
+//!   publish) computes for each lane alone;
+//! * **form equivalence** — the packed core, run on the splat of one
+//!   lane, publishes that lane of the lane-word core's output splatted,
+//!   and widening it gives the lane-word lowering exactly.
 //!
 //! Failure messages carry the seed, which reproduces the design and the
 //! stimulus deterministically.
@@ -21,7 +26,7 @@ use gem_core::{compile, CompileOptions, GemSimulator};
 use gem_isa::{disassemble_core_exact, DecodedCore, WriteSrc};
 use gem_sim::{random_module, FuzzConfig, FuzzRng};
 use gem_vgpu::compiled::Scratch;
-use gem_vgpu::CompiledCore;
+use gem_vgpu::{CompiledCore, PackedCore};
 
 fn compile_seed(seed: u64) -> gem_core::Compiled {
     let m = random_module(seed, &FuzzConfig::for_seed(seed));
@@ -56,6 +61,10 @@ fn every_fuzz_program_lowers_and_preserves_shape() {
                 let dec = disassemble_core_exact(bytes)
                     .unwrap_or_else(|e| panic!("seed {seed}: decode failed: {e}"));
                 let comp = CompiledCore::lower(&dec);
+                let packed = PackedCore::lower(&dec)
+                    .unwrap_or_else(|| panic!("seed {seed}: packed lowering refused"));
+                assert_eq!(packed.widen(), comp, "seed {seed}: widened packed form");
+                assert_eq!(packed.depth(), dec.layers.len(), "seed {seed}: depth");
                 assert_eq!(comp.width, dec.width, "seed {seed}: width");
                 assert_eq!(
                     comp.layers.len(),
@@ -83,7 +92,9 @@ fn every_fuzz_program_lowers_and_preserves_shape() {
 
 /// The lowered op counts *are* the cost model: one simulated step
 /// charges exactly the sum of `layer_op_totals()` over every core, for shared accesses, fold ALU
-/// ops, and block syncs.
+/// ops, and block syncs — and the packed form, which is what that step
+/// ran, answers the same as the lane-word form whatever its liveness
+/// analysis lets the host skip.
 #[test]
 fn lowered_op_counts_reconcile_with_kernel_counters() {
     for seed in 0..12u64 {
@@ -94,6 +105,8 @@ fn lowered_op_counts_reconcile_with_kernel_counters() {
                 let dec = disassemble_core_exact(bytes)
                     .unwrap_or_else(|e| panic!("seed {seed}: decode failed: {e}"));
                 let (s, a, y) = CompiledCore::lower(&dec).layer_op_totals();
+                let packed = PackedCore::lower(&dec).expect("compiler output lowers");
+                assert_eq!(packed.layer_op_totals(), (s, a, y), "seed {seed}: packed");
                 shared += s;
                 alu += a;
                 syncs += y;
@@ -152,7 +165,10 @@ fn scalar_core(dec: &DecodedCore, global: &[u64], lane: u32) -> (LaneWrites, Lan
 /// globals equals the scalar spec run on that lane alone — same
 /// destinations, same values, same order. (Compiler output never lets a
 /// constant slot's value reach a writeback; `gem-vgpu`'s unit tests pin
-/// that a redirected slot reads zero.)
+/// that a redirected slot reads zero.) And the packed core, given a
+/// lane's splat — what a one-lane machine's globals are — publishes that
+/// lane's splat: packed == lane of the lane-word form == scalar spec.
+/// All through one recycled scratch, as on a stepping thread.
 #[test]
 fn lowered_core_matches_scalar_spec_per_lane() {
     let mut scratch = Scratch::default();
@@ -173,6 +189,21 @@ fn lowered_core_matches_scalar_spec_per_lane() {
                     &mut imm,
                     &mut def,
                 );
+                let packed = PackedCore::lower(&dec).expect("compiler output lowers");
+                for lane in [0, (seed as u32 * 7 + ci as u32) % 64] {
+                    let splat_of = |w: u64| 0u64.wrapping_sub((w >> lane) & 1);
+                    let one: Vec<u64> = global.iter().map(|&w| splat_of(w)).collect();
+                    let (mut imm1, mut def1) = (Vec::new(), Vec::new());
+                    packed.execute_into(&one, &mut scratch, &mut imm1, &mut def1);
+                    let splats = |ws: &[(u32, u64)]| -> Vec<(u32, u64)> {
+                        ws.iter().map(|&(g, w)| (g, splat_of(w))).collect()
+                    };
+                    assert_eq!(
+                        (imm1, def1),
+                        (splats(&imm), splats(&def)),
+                        "seed {seed} stage {si} core {ci} lane {lane}: packed form"
+                    );
+                }
                 for lane in 0..u64::BITS {
                     let (want_imm, want_def) = scalar_core(&dec, &global, lane);
                     assert_eq!(

@@ -14,6 +14,10 @@
 //! third of the lanes get a per-lane start skew, exercising the
 //! hold-then-replay path.
 //!
+//! A second driver (`run_widen_narrow`) changes the lane count 1 → 64 →
+//! 1 in the middle of a run, which is where the engine swaps between
+//! its two lowered forms of the program.
+//!
 //! `lane_smoke` runs in the tier-1 suite; the full sweep is
 //! `lane_sweep` behind `--ignored`:
 //!
@@ -163,14 +167,72 @@ fn run_lane_equivalence(seed: u64, cycles: u64, cfg: &FuzzConfig) {
     );
 }
 
+/// One lane, then 64, then one again, mid-run. The engine runs a
+/// different lowered form of the program on each side of both switches
+/// (signal-packed at one lane, lane-word above), so: lane 0 must track
+/// an independent single-lane run throughout, and a lane opened at the
+/// widening must track an independent run that followed lane 0's
+/// stimulus until then and its own afterwards.
+fn run_widen_narrow(seed: u64, cfg: &FuzzConfig) {
+    const PHASE: u64 = 6;
+    const PROBE: u32 = 37;
+    let compiled = compile_seed(seed, cfg);
+    let new_sim = || GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    let (mut sim, mut lane0, mut probe) = (new_sim(), new_sim(), new_sim());
+    let mut rng0 = FuzzRng::new(seed ^ 0x0001_6401);
+    let mut rng_probe = FuzzRng::new(seed ^ 0x0025_6401);
+    for cycle in 0..3 * PHASE {
+        if cycle == PHASE {
+            sim.set_lanes(LANES as u32).expect("widen");
+        } else if cycle == 2 * PHASE {
+            sim.set_lanes(1).expect("narrow");
+        }
+        let widened = (PHASE..2 * PHASE).contains(&cycle);
+        for p in &compiled.eaig_inputs {
+            let (v0, vp) = (rng0.bits(p.width), rng_probe.bits(p.width));
+            lane0.set_input(&p.name, v0.clone());
+            if widened {
+                sim.set_input_lane(&p.name, 0, v0);
+                sim.set_input_lane(&p.name, PROBE, vp.clone());
+                probe.set_input(&p.name, vp);
+            } else {
+                sim.set_input(&p.name, v0.clone());
+                probe.set_input(&p.name, v0);
+            }
+        }
+        sim.step();
+        lane0.step();
+        probe.step();
+        for p in &compiled.eaig_outputs {
+            assert_eq!(
+                sim.output(&p.name),
+                lane0.output(&p.name),
+                "seed {seed} cycle {cycle}: lane 0 on output {:?}",
+                p.name
+            );
+            if cycle < 2 * PHASE {
+                assert_eq!(
+                    sim.output_lane(&p.name, PROBE),
+                    probe.output(&p.name),
+                    "seed {seed} cycle {cycle}: lane {PROBE} on output {:?}",
+                    p.name
+                );
+            }
+        }
+    }
+}
+
 /// Tier-1 smoke: a handful of seeds, plus one RAM-heavy seed so
-/// per-lane RAM images are always covered.
+/// per-lane RAM images are always covered, each also through the
+/// 1 → 64 → 1 lane-count switch.
 #[test]
 fn lane_smoke() {
     for seed in 0..6 {
         run_lane_equivalence(seed, 10, &FuzzConfig::for_seed(seed));
+        run_widen_narrow(seed, &FuzzConfig::for_seed(seed));
     }
     run_lane_equivalence(3, 8, &FuzzConfig::ram_heavy(3));
+    run_widen_narrow(3, &FuzzConfig::ram_heavy(3));
 }
 
 /// Full sweep: more seeds × longer stimuli, plus a RAM-heavy band. Run

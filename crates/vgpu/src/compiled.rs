@@ -1,14 +1,24 @@
-//! Per-core threaded-code lowering: the form the virtual GPU executes
+//! Per-core threaded-code lowering: the forms the virtual GPU executes
 //! (DESIGN.md §7).
 //!
-//! [`CompiledCore::lower`] runs once per core at bitstream load and
-//! resolves everything the per-cycle `execute_core` step of
+//! Lowering resolves everything the per-cycle core step of
 //! [`GemGpu`](crate::machine::GemGpu) would otherwise re-derive every
 //! cycle: global↔state operand indices for the read gather, the layer
-//! programs (via [`gem_place::CompiledLayer`]), and the write plan —
-//! split into immediate and deferred lists with the `State`/`Const`
-//! source tags and invert flags folded into a per-entry XOR mask, so
-//! the publish loop is branch-free.
+//! programs, and the write plan — split into immediate and deferred
+//! lists with the `State`/`Const` source tags and invert flags folded
+//! into a per-entry XOR mask, so the publish loop is branch-free.
+//!
+//! A core has two lowered forms that differ in their layers only.
+//! [`PackedCore`] (layers: [`gem_place::PackedLayer`], one bit per
+//! signal) is what the machine lowers at load and runs while one lane is
+//! active; [`CompiledCore`] (layers: [`gem_place::CompiledLayer`], one
+//! lane word per signal) is what it runs with more, produced from the
+//! packed form by [`PackedCore::widen`] the first time a second lane
+//! appears. The switch needs no conversion of machine state: with one
+//! lane active every global word is a splat (inactive lanes mirror lane
+//! 0), the packed layers read bit 0 and write splats, so reads copy
+//! `global[g]` and publishes apply their pre-splatted XOR masks in both
+//! forms alike.
 //!
 //! Steady-state execution allocates nothing inside the fold network:
 //! each stepping thread (server workers step different sessions) owns
@@ -23,7 +33,7 @@
 //! corpus check it end to end.
 
 use gem_isa::{DecodedCore, WriteSrc};
-use gem_place::{splat, CompiledLayer, Word};
+use gem_place::{splat, CompiledLayer, PackedLayer, Word};
 use std::cell::RefCell;
 
 /// Sentinel in [`CompiledWrite::addr`]: the entry publishes a constant
@@ -54,7 +64,50 @@ impl CompiledWrite {
     }
 }
 
-/// A whole core program in threaded-code form; see the module docs.
+/// The decoded write plan as (immediate, deferred) lists, each in
+/// program order.
+fn lower_writes(dec: &DecodedCore) -> (Box<[CompiledWrite]>, Box<[CompiledWrite]>) {
+    let lower = |w: &gem_isa::WriteEntry| match w.src {
+        WriteSrc::State { addr, invert } => CompiledWrite {
+            global: w.global,
+            addr: u32::from(addr),
+            xor: splat(invert),
+        },
+        WriteSrc::Const(c) => CompiledWrite {
+            global: w.global,
+            addr: WRITE_CONST,
+            xor: splat(c),
+        },
+    };
+    let list = |deferred: bool| {
+        dec.writes
+            .iter()
+            .filter(|w| w.deferred == deferred)
+            .map(lower)
+            .collect()
+    };
+    (list(false), list(true))
+}
+
+fn lower_reads(dec: &DecodedCore) -> Box<[(u32, u32)]> {
+    dec.reads
+        .iter()
+        .map(|r| (r.global, u32::from(r.state)))
+        .collect()
+}
+
+/// Sums per-layer `(shared_accesses, alu_ops, block_syncs)` charges.
+fn op_totals(layers: impl Iterator<Item = (u64, u64, u64)>) -> (u64, u64, u64) {
+    layers.fold((0, 0, 0), |acc, l| (acc.0 + l.0, acc.1 + l.1, acc.2 + l.2))
+}
+
+/// Appends the lane words `writes` publish from `state`.
+fn publish(writes: &[CompiledWrite], state: &[Word], out: &mut Vec<(u32, Word)>) {
+    out.extend(writes.iter().map(|w| (w.global, w.value(state))));
+}
+
+/// A whole core program in lane-word threaded-code form; see the module
+/// docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledCore {
     /// Core row width (scratch state size).
@@ -70,33 +123,20 @@ pub struct CompiledCore {
 }
 
 impl CompiledCore {
-    /// Lowers a decoded core. Pure and total over decoder output: the
-    /// decoder has already bounds-checked every state address against
-    /// the core width, so lowering never panics.
+    /// Lowers a decoded core. Pure and total: lowering copies state
+    /// addresses, it never follows one. Execution indexes a `width + 1`
+    /// word state with them, so a core whose addresses were not checked
+    /// against its width ([`PackedCore::lower`] does; so the machine's
+    /// cores are) panics there instead.
     pub fn lower(dec: &DecodedCore) -> CompiledCore {
-        let lower_write = |w: &gem_isa::WriteEntry| match w.src {
-            WriteSrc::State { addr, invert } => CompiledWrite {
-                global: w.global,
-                addr: u32::from(addr),
-                xor: splat(invert),
-            },
-            WriteSrc::Const(c) => CompiledWrite {
-                global: w.global,
-                addr: WRITE_CONST,
-                xor: splat(c),
-            },
-        };
+        let (immediate, deferred) = lower_writes(dec);
         CompiledCore {
             width: dec.width,
-            reads: dec
-                .reads
-                .iter()
-                .map(|r| (r.global, u32::from(r.state)))
-                .collect(),
+            reads: lower_reads(dec),
             // Constant-zero gather slots load from the extra state slot
-            // at index `width` (kept zero by the executor below; layer
-            // writebacks are bounds-checked below `width` by the
-            // decoder), so the gather never branches on the sentinel.
+            // at index `width` (kept zero by the executor below; a
+            // checked core's writebacks stay below `width`), so the
+            // gather never branches on the sentinel.
             layers: dec
                 .layers
                 .iter()
@@ -106,18 +146,8 @@ impl CompiledCore {
                     comp
                 })
                 .collect(),
-            immediate: dec
-                .writes
-                .iter()
-                .filter(|w| !w.deferred)
-                .map(lower_write)
-                .collect(),
-            deferred: dec
-                .writes
-                .iter()
-                .filter(|w| w.deferred)
-                .map(lower_write)
-                .collect(),
+            immediate,
+            deferred,
         }
     }
 
@@ -143,14 +173,8 @@ impl CompiledCore {
         for layer in self.layers.iter() {
             layer.execute_words_into(state, row, next);
         }
-        imm_out.reserve(self.immediate.len());
-        for w in self.immediate.iter() {
-            imm_out.push((w.global, w.value(state)));
-        }
-        def_out.reserve(self.deferred.len());
-        for w in self.deferred.iter() {
-            def_out.push((w.global, w.value(state)));
-        }
+        publish(&self.immediate, state, imm_out);
+        publish(&self.deferred, state, def_out);
     }
 
     /// Total lowered ops per execution as the counter model charges
@@ -158,13 +182,133 @@ impl CompiledCore {
     /// layers. Reconciles with the static `KernelCounters` delta the
     /// machine computes from the decoded program.
     pub fn layer_op_totals(&self) -> (u64, u64, u64) {
-        self.layers.iter().fold((0, 0, 0), |acc, l| {
-            (
-                acc.0 + l.shared_accesses(),
-                acc.1 + l.alu_ops(),
-                acc.2 + l.block_syncs(),
-            )
+        op_totals(
+            self.layers
+                .iter()
+                .map(|l| (l.shared_accesses(), l.alu_ops(), l.block_syncs())),
+        )
+    }
+}
+
+/// A whole core program in signal-packed form — what a one-lane machine
+/// runs; see the module docs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedCore {
+    width: u32,
+    reads: Box<[(u32, u32)]>,
+    layers: Box<[PackedLayer]>,
+    immediate: Box<[CompiledWrite]>,
+    deferred: Box<[CompiledWrite]>,
+    /// State addresses a cycle may read before it writes them — the
+    /// zero slot first — cleared at the start of every execution, which
+    /// then never observes what the recycled scratch held. Compiler
+    /// output reads nothing it has not written, so this is the zero
+    /// slot and little else, against `width + 1` words zero-filled.
+    clear: Box<[u16]>,
+}
+
+impl PackedCore {
+    /// Lowers a decoded core, or returns `None` if anything in it
+    /// addresses state at or beyond the core width (which must itself
+    /// fit the layers' 16-bit tables; see [`PackedLayer::lower`]).
+    pub fn lower(dec: &DecodedCore) -> Option<PackedCore> {
+        let zero = u16::try_from(dec.width).ok()?;
+        let layers = dec
+            .layers
+            .iter()
+            .map(|l| PackedLayer::lower(l, dec.width))
+            .collect::<Option<Box<[PackedLayer]>>>()?;
+        let (immediate, deferred) = lower_writes(dec);
+        let reads = lower_reads(dec);
+        let published = || immediate.iter().chain(deferred.iter());
+        if reads.iter().any(|&(_, s)| s >= dec.width)
+            || published().any(|w| w.addr != WRITE_CONST && w.addr >= dec.width)
+        {
+            return None;
+        }
+        // Walk the cycle in program order, tracking which state words
+        // hold a value of this cycle; a read of any other joins `clear`.
+        let mut defined = vec![false; usize::from(zero) + 1];
+        let mut clear = Vec::new();
+        let mut touch = |a: u16, reads: bool| {
+            if !std::mem::replace(&mut defined[usize::from(a)], true) && reads {
+                clear.push(a);
+            }
+        };
+        touch(zero, true);
+        for &(_, s) in reads.iter() {
+            touch(s as u16, false);
+        }
+        for layer in layers.iter() {
+            layer.gathered().iter().for_each(|&a| touch(a, true));
+            layer.written().for_each(|a| touch(a, false));
+        }
+        for w in published().filter(|w| w.addr != WRITE_CONST) {
+            touch(w.addr as u16, true);
+        }
+        Some(PackedCore {
+            width: dec.width,
+            reads,
+            layers,
+            immediate,
+            deferred,
+            clear: clear.into(),
         })
+    }
+
+    /// The lane-word form of the same core: exactly what
+    /// [`CompiledCore::lower`] makes of the decoded program this was
+    /// lowered from.
+    pub fn widen(&self) -> CompiledCore {
+        CompiledCore {
+            width: self.width,
+            reads: self.reads.clone(),
+            layers: self.layers.iter().map(PackedLayer::widen).collect(),
+            immediate: self.immediate.clone(),
+            deferred: self.deferred.clone(),
+        }
+    }
+
+    /// Boomerang layers in the core program.
+    pub fn depth(&self) -> usize {
+        self.layers.len()
+    }
+
+    /// Executes one cycle of the core for the simulation in bit 0 of
+    /// every `global` word, which must all be splats; appends exactly
+    /// what [`CompiledCore::execute_words_into`] would.
+    pub fn execute_into(
+        &self,
+        global: &[Word],
+        scratch: &mut Scratch,
+        imm_out: &mut Vec<(u32, Word)>,
+        def_out: &mut Vec<(u32, Word)>,
+    ) {
+        let Scratch { state, row, next } = scratch;
+        if state.len() <= self.width as usize {
+            state.resize(self.width as usize + 1, 0);
+        }
+        for &a in self.clear.iter() {
+            state[usize::from(a)] = 0;
+        }
+        for &(g, s) in self.reads.iter() {
+            state[s as usize] = global[g as usize];
+        }
+        for layer in self.layers.iter() {
+            layer.execute_into(state, row, next);
+        }
+        publish(&self.immediate, state, imm_out);
+        publish(&self.deferred, state, def_out);
+    }
+
+    /// As [`CompiledCore::layer_op_totals`], and equal to it: the cost
+    /// model charges the architectural layer whichever form runs.
+    pub fn layer_op_totals(&self) -> (u64, u64, u64) {
+        op_totals(
+            self.layers
+                .iter()
+                .map(|l| (l.shared_accesses(), l.alu_ops(), l.block_syncs())),
+        )
     }
 }
 
@@ -298,5 +442,104 @@ mod tests {
         let comp = CompiledCore::lower(&sample_core());
         // One 4-wide layer: 8 shared accesses, 3 ALU ops, 3 syncs.
         assert_eq!(comp.layer_op_totals(), (8, 3, 3));
+        // The packed form runs one fold level of the two (nothing writes
+        // back above it) and is charged the same.
+        let packed = PackedCore::lower(&sample_core()).expect("lowers");
+        assert_eq!(packed.layer_op_totals(), (8, 3, 3));
+    }
+
+    #[test]
+    fn packed_core_publishes_what_the_lane_word_core_does() {
+        let packed = PackedCore::lower(&sample_core()).expect("lowers");
+        assert_eq!(packed.widen(), CompiledCore::lower(&sample_core()));
+        assert_eq!(packed.depth(), 1);
+        for (a, b) in [(false, false), (true, false), (false, true), (true, true)] {
+            let mut global: Vec<Word> = vec![0; 9];
+            global[5] = splat(a);
+            global[6] = splat(b);
+            let (mut imm, mut def) = (Vec::new(), Vec::new());
+            with_scratch(|s| packed.execute_into(&global, s, &mut imm, &mut def));
+            assert_eq!(imm, vec![(7, splat(!(a && b)))]);
+            assert_eq!(def, vec![(8, Word::MAX)]);
+            let (mut wide_imm, mut wide_def) = (Vec::new(), Vec::new());
+            with_scratch(|s| {
+                packed
+                    .widen()
+                    .execute_words_into(&global, s, &mut wide_imm, &mut wide_def)
+            });
+            assert_eq!((imm, def), (wide_imm, wide_def));
+        }
+    }
+
+    /// The packed form does not zero its state; it clears what a cycle
+    /// may read before writing. A gather from, and a publish of, state
+    /// nothing in the core defines must still read zero after the
+    /// recycled scratch held another core's ones there — and so must the
+    /// zero slot behind a constant leaf.
+    #[test]
+    fn packed_core_never_reads_stale_scratch() {
+        let mut dirty = sample_core();
+        dirty.width = 8;
+        dirty.layers = vec![];
+        dirty.reads = (0..8).map(|state| ReadEntry { global: 6, state }).collect();
+        let mut core = sample_core();
+        core.reads.truncate(1); // state 1 is now undefined: a & 0
+        core.layers[0].folds[0].xb[0] = true; // ... a & !0 = a
+        core.layers[0].perm[2] = PermSource::State(3); // undefined too,
+        core.layers[0].perm[3] = PermSource::ConstFalse; // against const
+        core.layers[0].folds[0].xa[1] = true;
+        core.layers[0].folds[0].xb[1] = true; // !s3 & !0 = 1
+        core.layers[0].writeback[0][1] = Some(1);
+        core.writes.push(WriteEntry {
+            global: 4,
+            src: WriteSrc::State {
+                addr: 1,
+                invert: false,
+            },
+            deferred: false,
+        });
+        core.writes.push(WriteEntry {
+            global: 3,
+            src: WriteSrc::State {
+                addr: 3,
+                invert: false,
+            },
+            deferred: false,
+        });
+        let mut global: Vec<Word> = vec![0; 9];
+        global[5] = Word::MAX;
+        global[6] = Word::MAX;
+        let mut scratch = Scratch::default();
+        let (mut imm, mut def) = (Vec::new(), Vec::new());
+        let dirty = PackedCore::lower(&dirty).expect("lowers");
+        let core = PackedCore::lower(&core).expect("lowers");
+        // Zero slot, then the two undefined reads in program order;
+        // state 1 is read again after its writeback, defined by then.
+        assert_eq!(&*core.clear, &[4, 1, 3]);
+        for _ in 0..2 {
+            dirty.execute_into(&global, &mut scratch, &mut imm, &mut def);
+            imm.clear();
+            core.execute_into(&global, &mut scratch, &mut imm, &mut def);
+            assert_eq!(imm, vec![(7, 0), (4, Word::MAX), (3, 0)]);
+        }
+    }
+
+    #[test]
+    fn packed_core_refuses_state_beyond_the_core() {
+        let mut core = sample_core();
+        core.reads[0].state = 4;
+        assert_eq!(PackedCore::lower(&core), None, "read");
+        let mut core = sample_core();
+        core.writes[0].src = WriteSrc::State {
+            addr: 4,
+            invert: false,
+        };
+        assert_eq!(PackedCore::lower(&core), None, "write");
+        let mut core = sample_core();
+        core.layers[0].writeback[1][0] = Some(4);
+        assert_eq!(PackedCore::lower(&core), None, "layer");
+        let mut core = sample_core();
+        core.width = 1 << 16;
+        assert_eq!(PackedCore::lower(&core), None, "width");
     }
 }

@@ -27,7 +27,7 @@ pub mod machine;
 pub mod spec;
 pub mod timing;
 
-pub use compiled::{CompiledCore, CompiledWrite, WRITE_CONST};
+pub use compiled::{CompiledCore, CompiledWrite, PackedCore, WRITE_CONST};
 pub use counters::{
     CounterBreakdown, KernelCounters, KernelRates, LayerCounters, PartitionCounters,
 };

@@ -2,7 +2,8 @@
 //!
 //! [`GemGpu`] is the reproduction's stand-in for the paper's CUDA
 //! interpreter kernel. It lowers each core's decoded VLIW program once at
-//! load ([`CompiledCore`]) and executes that form every cycle with the
+//! load ([`PackedCore`]; [`CompiledCore`] once a second lane is asked
+//! for) and executes the lowered form every cycle with the
 //! exact shared-memory fold semantics of
 //! [`gem_place::BoomerangLayer::execute`], maintains the device-global
 //! signal array, performs RAM block operations, and accumulates
@@ -32,12 +33,18 @@
 //! is pure bitwise logic
 //! ([`gem_place::CompiledLayer::execute_words_into`]), so one
 //! [`step_cycle`] advances up to [`GemGpu::MAX_LANES`] stimulus streams
-//! at the cost of one. The scalar API ([`poke`]/[`peek`]) stays the single-stimulus
+//! at the cost of one. With a single lane active there is nothing to
+//! batch, and the machine runs the signal-packed form of the same
+//! program instead ([`gem_place::PackedLayer`]: one *bit* per signal,
+//! 32 fold slots per word-op). The scalar API ([`poke`]/[`peek`]) stays the single-stimulus
 //! view: pokes broadcast to every lane, peeks read lane 0 — a machine
 //! never touched by the lane API behaves exactly as before. Inactive
 //! lanes (≥ [`lanes`]) always *mirror lane 0* — broadcast pokes, pure
 //! lane-wise logic, and a shared RAM image keep that invariant, which is
-//! what makes [`set_lanes`] upgrades mid-run coherent.
+//! what makes [`set_lanes`] upgrades mid-run coherent, and what makes
+//! the one-lane form free to switch to and from: at one lane every
+//! global word is a splat, which is all the packed form reads (bit 0)
+//! or writes.
 //!
 //! [`step_cycle`]: GemGpu::step_cycle
 //! [`poke`]: GemGpu::poke
@@ -45,14 +52,14 @@
 //! [`lanes`]: GemGpu::lanes
 //! [`set_lanes`]: GemGpu::set_lanes
 
-use crate::compiled::{with_scratch, CompiledCore};
+use crate::compiled::{with_scratch, CompiledCore, PackedCore};
 use crate::counters::{CounterBreakdown, KernelCounters, LayerCounters, PartitionCounters};
 use gem_isa::{disassemble_core, Bitstream, DecodeError, WriteSrc};
 use gem_place::{splat, Word};
 use gem_telemetry::span;
 use gem_telemetry::{MetricKind, MetricsSnapshot};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Global-memory binding of one RAM block (all indices are bit positions
@@ -128,12 +135,12 @@ impl From<DecodeError> for MachineError {
     }
 }
 
-/// One loaded core: the program lowered once to threaded-code form
+/// One loaded core: the program lowered once to signal-packed form
 /// (DESIGN.md §7) plus its precomputed per-cycle counter
 /// contribution. The decoded program is validated at load and dropped.
 #[derive(Debug, PartialEq, Eq)]
 struct LoadedCore {
-    comp: CompiledCore,
+    packed: PackedCore,
     delta: KernelCounters,
     /// Static cost of one boomerang layer of this core (all layers of a
     /// core are structurally identical in cost): shared accesses, fold
@@ -146,7 +153,7 @@ struct LoadedCore {
 /// core costs the same every cycle — so all per-partition and per-layer
 /// accounting is a function of this plus the cycle count
 /// ([`GemGpu::breakdown`]).
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 struct Program {
     stages: Vec<Vec<LoadedCore>>,
     /// What one cycle charges to the device totals at any lane count:
@@ -155,7 +162,34 @@ struct Program {
     /// and the cycle itself. RAM-phase traffic scales with the active
     /// lanes and is charged on top ([`RAM_BYTES_PER_LANE`]).
     cycle_delta: KernelCounters,
+    /// The lane-word form of every core, indexed as `stages`: what runs
+    /// with more than one lane active. Lowered when a sharer of the
+    /// program first asks for a second lane, so a design that only ever
+    /// runs one simulation never holds its splatted masks (~8× the
+    /// packed form).
+    wide: OnceLock<Vec<Vec<CompiledCore>>>,
 }
+
+impl Program {
+    fn wide(&self) -> &[Vec<CompiledCore>] {
+        self.wide.get_or_init(|| {
+            let widen = |stage: &Vec<LoadedCore>| stage.iter().map(|c| c.packed.widen()).collect();
+            self.stages.iter().map(widen).collect()
+        })
+    }
+}
+
+/// Two programs are equal when they were lowered from equal bitstreams.
+/// Whether either has produced its lane-word form yet is a cache state,
+/// not part of the program: a snapshot restores across it.
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.stages == other.stages && self.cycle_delta == other.cycle_delta
+    }
+}
+
+/// `Eq` is what lets `Arc<Program>` compare by pointer first.
+impl Eq for Program {}
 
 /// The virtual GPU; see the module docs.
 ///
@@ -269,6 +303,58 @@ fn line_transactions(mut indices: Vec<u64>) -> u64 {
     indices.len() as u64
 }
 
+/// The RAM phase of a cycle (read-first): capture read data, then apply
+/// writes — per lane, since every lane addresses its own RAM image.
+/// Inactive lanes mirror lane 0 (same port bits, shared image), so only
+/// the active lanes are walked and lane 0's read data is broadcast into
+/// the inactive tail of each deferred word.
+///
+/// A function of its own so that the bindings are read through a
+/// parameter the compiler knows nothing else writes: borrowed in place
+/// inside `step_cycle`, every queued word forced their reload.
+fn ram_phase(
+    rams: &[RamBinding],
+    global: &[Word],
+    ram_mem: &mut [Vec<Box<[u32]>>],
+    lanes: u32,
+    deferred: &mut Vec<(u32, Word)>,
+) {
+    let amask = lane_mask(lanes);
+    let lanes = lanes as usize;
+    let addr_of = |bits: &[u32; 13], lane: usize| -> usize {
+        bits.iter()
+            .enumerate()
+            .filter(|(_, &i)| (global[i as usize] >> lane) & 1 == 1)
+            .map(|(k, _)| 1usize << k)
+            .sum()
+    };
+    for (b, images) in rams.iter().zip(ram_mem) {
+        let mut words = [0u32; GemGpu::MAX_LANES as usize];
+        for (l, w) in words.iter_mut().enumerate().take(lanes) {
+            *w = images[l][addr_of(&b.raddr, l)];
+        }
+        for (k, &g) in b.rdata.iter().enumerate() {
+            let mut v: Word = 0;
+            for (l, w) in words.iter().enumerate().take(lanes) {
+                v |= (Word::from((w >> k) & 1)) << l;
+            }
+            v |= splat(v & 1 == 1) & !amask;
+            deferred.push((g, v));
+        }
+        for (l, image) in images.iter_mut().enumerate().take(lanes) {
+            if (global[b.we as usize] >> l) & 1 == 1 {
+                let mut w = 0u32;
+                for (k, &g) in b.wdata.iter().enumerate() {
+                    if (global[g as usize] >> l) & 1 == 1 {
+                        w |= 1 << k;
+                    }
+                }
+                image[addr_of(&b.waddr, l)] = w;
+            }
+        }
+    }
+}
+
 impl GemGpu {
     /// Decodes, validates and lowers a bitstream against a device
     /// configuration.
@@ -344,8 +430,14 @@ impl GemGpu {
                     delta.alu_ops += layer_cost.1;
                     delta.block_syncs += layer_cost.2;
                 }
+                let packed = PackedCore::lower(&dec).ok_or_else(|| {
+                    MachineError::BadBinding(format!(
+                        "stage {si} core {ci}: a layer addresses state beyond the core width \
+                         {width}, or the width itself is beyond 16-bit state addresses"
+                    ))
+                })?;
                 cores.push(LoadedCore {
-                    comp: CompiledCore::lower(&dec),
+                    packed,
                     delta,
                     layer_cost,
                 });
@@ -404,6 +496,7 @@ impl GemGpu {
             program: Arc::new(Program {
                 stages,
                 cycle_delta,
+                wide: OnceLock::new(),
             }),
             cfg,
         })
@@ -439,6 +532,11 @@ impl GemGpu {
     /// [`poke_lanes`](Self::poke_lanes). Shrinking re-mirrors the
     /// deactivated lanes onto lane 0 and drops their RAM images.
     ///
+    /// The first request for a second lane on a loaded program — by this
+    /// machine or any clone of it — lowers the program's lane-word form
+    /// (a fraction of what [`load`](Self::load) cost: there is nothing
+    /// to decode); every later one, on any sharer, finds it there.
+    ///
     /// # Errors
     ///
     /// [`MachineError::BadLanes`] when `lanes` is outside
@@ -449,6 +547,9 @@ impl GemGpu {
         }
         if lanes == self.lanes {
             return Ok(());
+        }
+        if lanes > 1 {
+            self.program.wide();
         }
         self.lanes = lanes;
         // Re-mirror lane 0 into the now-inactive lanes so the invariant
@@ -536,9 +637,9 @@ impl GemGpu {
                 sp.arg("cores", stage.len() as u64);
                 sp
             });
-            for (ci, core) in stage.iter().enumerate() {
+            for ci in 0..stage.len() {
                 let started = traced.then(Instant::now);
-                self.run_core(&core.comp);
+                self.run_core(&program, si, ci);
                 if let Some(started) = started {
                     span::complete(
                         format!("core s{si}c{ci}"),
@@ -556,48 +657,13 @@ impl GemGpu {
                 self.global[g as usize] = v;
             }
         }
-        // RAM phase (read-first): capture read data, then apply writes —
-        // per lane, since every lane addresses its own RAM image.
-        // Inactive lanes mirror lane 0 (same port bits, shared image),
-        // so only the active lanes are walked and lane 0's read data is
-        // broadcast into the inactive tail of each deferred word.
-        let lanes = self.lanes as usize;
-        let amask = lane_mask(self.lanes);
-        for ri in 0..self.cfg.rams.len() {
-            let b = self.cfg.rams[ri].clone();
-            let addr_of = |g: &Vec<Word>, bits: &[u32; 13], lane: usize| -> usize {
-                bits.iter()
-                    .enumerate()
-                    .filter(|(_, &i)| (g[i as usize] >> lane) & 1 == 1)
-                    .map(|(k, _)| 1usize << k)
-                    .sum()
-            };
-            let mut words = [0u32; GemGpu::MAX_LANES as usize];
-            for (l, w) in words.iter_mut().enumerate().take(lanes) {
-                let raddr = addr_of(&self.global, &b.raddr, l);
-                *w = self.ram_mem[ri][l][raddr];
-            }
-            for (k, &g) in b.rdata.iter().enumerate() {
-                let mut v: Word = 0;
-                for (l, w) in words.iter().enumerate().take(lanes) {
-                    v |= (Word::from((w >> k) & 1)) << l;
-                }
-                v |= splat(v & 1 == 1) & !amask;
-                self.deferred.push((g, v));
-            }
-            for l in 0..lanes {
-                if (self.global[b.we as usize] >> l) & 1 == 1 {
-                    let waddr = addr_of(&self.global, &b.waddr, l);
-                    let mut w = 0u32;
-                    for (k, &g) in b.wdata.iter().enumerate() {
-                        if (self.global[g as usize] >> l) & 1 == 1 {
-                            w |= 1 << k;
-                        }
-                    }
-                    self.ram_mem[ri][l][waddr] = w;
-                }
-            }
-        }
+        ram_phase(
+            &self.cfg.rams,
+            &self.global,
+            &mut self.ram_mem,
+            self.lanes,
+            &mut self.deferred,
+        );
         // Cycle boundary: commit deferred writes (flip-flops update, read
         // data registers latch, outputs publish).
         for (g, v) in self.deferred.drain(..) {
@@ -605,7 +671,7 @@ impl GemGpu {
         }
         // The engine is oblivious, so the cycle's events are known from
         // the program alone; only RAM-phase traffic scales with lanes.
-        let ram_lanes = self.cfg.rams.len() as u64 * lanes as u64;
+        let ram_lanes = self.cfg.rams.len() as u64 * u64::from(self.lanes);
         self.counters += program.cycle_delta;
         self.counters.global_bytes += RAM_BYTES_PER_LANE * ram_lanes;
         self.counters.global_transactions += RAM_TRANSACTIONS_PER_LANE * ram_lanes;
@@ -614,14 +680,21 @@ impl GemGpu {
     /// Runs one core against the stage-start global array: immediate
     /// writes queue for the stage boundary, deferred writes for the cycle
     /// boundary.
-    fn run_core(&mut self, comp: &CompiledCore) {
+    ///
+    /// The one place the lowered form is chosen, and by the lane count
+    /// alone: one active lane means every global word is a splat, which
+    /// is the packed form's whole contract, and both forms publish the
+    /// same lane words from it.
+    fn run_core(&mut self, program: &Program, si: usize, ci: usize) {
+        let (global, imm, def) = (&self.global, &mut self.immediate, &mut self.deferred);
         with_scratch(|scratch| {
-            comp.execute_words_into(
-                &self.global,
-                scratch,
-                &mut self.immediate,
-                &mut self.deferred,
-            );
+            if self.lanes == 1 {
+                program.stages[si][ci]
+                    .packed
+                    .execute_into(global, scratch, imm, def);
+            } else {
+                program.wide()[si][ci].execute_words_into(global, scratch, imm, def);
+            }
         });
     }
 
@@ -646,7 +719,7 @@ impl GemGpu {
                     core: ci as u32,
                     counters: core.delta * cycles,
                 });
-                let depth = core.comp.layers.len();
+                let depth = core.packed.depth();
                 for li in layers.len()..depth {
                     layers.push(LayerCounters {
                         layer: li as u32,
@@ -697,7 +770,9 @@ impl GemGpu {
     /// Restores a [`snapshot`](Self::snapshot), resuming execution
     /// bit-exactly. The snapshot must come from this machine, a clone of
     /// it, or a machine loaded with an identical bitstream and device
-    /// configuration.
+    /// configuration — whether or not either has lowered its lane-word
+    /// form yet; a multi-lane snapshot lowers it here, as
+    /// [`set_lanes`](Self::set_lanes) would.
     ///
     /// # Errors
     ///
@@ -734,6 +809,9 @@ impl GemGpu {
                 "snapshot claims {} lanes",
                 s.lanes
             )));
+        }
+        if s.lanes > 1 {
+            self.program.wide();
         }
         self.global.clone_from(&s.global);
         self.ram_mem.clone_from(&s.ram_mem);
@@ -1179,6 +1257,187 @@ mod tests {
         fresh.step_cycle();
         b.step_cycle();
         assert_eq!(b.snapshot(), fresh.snapshot());
+    }
+
+    /// A deterministic stimulus word.
+    fn noise(i: u64) -> Word {
+        (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
+    }
+
+    /// Pokes every core input and RAM port operand of [`ram_machine`]
+    /// with cycle `cycle`'s stimulus words.
+    fn drive(gpu: &mut GemGpu, ram: &RamBinding, cycle: u64) {
+        let ports = [0, 1, ram.we]
+            .into_iter()
+            .chain(ram.raddr[..2].iter().copied())
+            .chain(ram.waddr[..2].iter().copied())
+            .chain(ram.wdata[..3].iter().copied());
+        for (k, g) in ports.enumerate() {
+            gpu.poke_lanes(g, noise(cycle * 16 + k as u64));
+        }
+    }
+
+    fn lane_zero(gpu: &GemGpu) -> Vec<bool> {
+        (0..gpu.global.len() as u32).map(|g| gpu.peek(g)).collect()
+    }
+
+    /// The form switch is unobservable: a machine that steps packed,
+    /// widens to 64 lanes mid-run and narrows back tracks lane 0 of a
+    /// machine held at 64 lanes on every cycle — signals, RAM image and
+    /// every counter that does not scale with the lane count.
+    #[test]
+    fn one_lane_runs_packed_and_switching_forms_is_unobservable() {
+        let (mut held, ram) = ram_machine();
+        held.set_lanes(64).expect("64 lanes");
+        let (mut switching, _) = ram_machine();
+        for cycle in 0..30u64 {
+            match cycle {
+                10 => switching.set_lanes(64).expect("widen"),
+                20 => switching.set_lanes(1).expect("narrow"),
+                _ => {}
+            }
+            drive(&mut held, &ram, cycle);
+            drive(&mut switching, &ram, cycle);
+            held.step_cycle();
+            switching.step_cycle();
+            assert_eq!(lane_zero(&switching), lane_zero(&held), "cycle {cycle}");
+            if switching.lanes() == 1 {
+                // Packed cycles keep the inactive lanes mirroring lane 0.
+                for g in 0..switching.global.len() as u32 {
+                    assert_eq!(switching.peek_lanes(g), splat(switching.peek(g)));
+                }
+            }
+            for addr in 0..4 {
+                assert_eq!(switching.ram_word(0, addr), held.ram_word(0, addr));
+            }
+        }
+        assert!(
+            switching.peek(2) || switching.ram_word(0, 1) != 0,
+            "the run did something"
+        );
+        // RAM-phase traffic is per active lane, by design; nothing else.
+        let unscaled = |c: &KernelCounters| KernelCounters {
+            global_bytes: 0,
+            global_transactions: 0,
+            ..*c
+        };
+        assert_eq!(unscaled(switching.counters()), unscaled(held.counters()));
+        assert!(switching.counters().global_bytes < held.counters().global_bytes);
+    }
+
+    /// A machine that has only ever run one lane holds no lane-word
+    /// masks; the first sharer to ask for a second lane lowers them once
+    /// for every clone, and the program stays shared.
+    #[test]
+    fn lane_word_form_is_lowered_on_the_first_second_lane_and_shared() {
+        let (mut a, _) = ram_machine();
+        a.step_cycle();
+        a.set_lanes(1).expect("already 1");
+        assert!(a.set_lanes(0).is_err() && a.set_lanes(65).is_err());
+        let mut b = a.clone();
+        assert!(
+            a.program.wide.get().is_none(),
+            "never widened, never lowered"
+        );
+        b.set_lanes(2).expect("2 lanes");
+        let lowered = a
+            .program
+            .wide
+            .get()
+            .expect("a clone widened the shared program");
+        assert_eq!(lowered.iter().map(Vec::len).sum::<usize>(), a.num_cores());
+        let lowered = lowered.as_ptr();
+        a.set_lanes(64).expect("64 lanes");
+        b.set_lanes(1).expect("back to 1");
+        b.set_lanes(3).expect("3 lanes");
+        assert!(a.shares_program_with(&b));
+        assert_eq!(a.program.wide().as_ptr(), lowered, "lowered once");
+        assert_eq!(b.program.wide().as_ptr(), lowered, "lowered once");
+    }
+
+    /// Whether a program has lowered its lane-word form is not part of
+    /// its identity: snapshots restore across it in both directions
+    /// between separately loaded machines, and a multi-lane snapshot
+    /// lowers the form on a machine that never had it.
+    #[test]
+    fn snapshots_restore_across_lowering_states() {
+        let run = |gpu: &mut GemGpu, ram: &RamBinding, from: u64| {
+            for cycle in from..from + 6 {
+                drive(gpu, ram, cycle);
+                gpu.step_cycle();
+            }
+            gpu.snapshot()
+        };
+        let (mut narrow, ram) = ram_machine();
+        let narrow_snap = run(&mut narrow, &ram, 0);
+        let (mut wide, _) = ram_machine();
+        wide.set_lanes(64).expect("64 lanes");
+        let wide_snap = run(&mut wide, &ram, 0);
+        assert!(narrow.program.wide.get().is_none() && wide.program.wide.get().is_some());
+        assert!(!narrow.shares_program_with(&wide));
+        assert_eq!(narrow.program, wide.program);
+
+        // 1-lane snapshot onto the machine that has stepped at 64 lanes.
+        wide.restore(&narrow_snap)
+            .expect("packed-only snapshot restores");
+        assert_eq!(wide.lanes(), 1);
+        assert_eq!(run(&mut wide, &ram, 6), run(&mut narrow, &ram, 6));
+        // 64-lane snapshot onto a never-widened clone of the other.
+        let mut fresh = narrow.clone();
+        assert!(fresh.program.wide.get().is_none());
+        fresh
+            .restore(&wide_snap)
+            .expect("multi-lane snapshot restores");
+        assert!(narrow.program.wide.get().is_some(), "lowered on demand");
+        wide.restore(&wide_snap).expect("own snapshot");
+        assert_eq!(run(&mut fresh, &ram, 6), run(&mut wide, &ram, 6));
+        assert_eq!(fresh.lanes(), 64);
+    }
+
+    /// `load` refuses a layer that gathers from or writes back to state
+    /// beyond the core: the lowered forms index a `width + 1`-word
+    /// scratch state, and the packed one does not even zero it.
+    #[test]
+    fn layer_addresses_beyond_the_core_are_refused_at_load() {
+        let load = |edit: &dyn Fn(&mut BoomerangLayer)| {
+            let width = 16u32;
+            let mut layer = BoomerangLayer::new(width);
+            layer.perm[0] = PermSource::State(0);
+            layer.writeback[0][0] = Some(2);
+            edit(&mut layer);
+            let prog = CoreProgram {
+                width,
+                state_size: 3,
+                inputs: vec![],
+                layers: vec![layer],
+                outputs: vec![],
+            };
+            let bs = Bitstream {
+                width,
+                global_bits: 1,
+                stages: vec![vec![assemble_core(&prog, &[], &[])]],
+            };
+            GemGpu::load(
+                &bs,
+                DeviceConfig {
+                    global_bits: 1,
+                    ..Default::default()
+                },
+            )
+        };
+        assert!(load(&|_| {}).is_ok());
+        for bad in [16, 17, 4000] {
+            let gather = load(&|l| l.perm[5] = PermSource::State(bad));
+            assert!(
+                matches!(gather, Err(MachineError::BadBinding(_))),
+                "gather {bad}"
+            );
+            let writeback = load(&|l| l.writeback[2][1] = Some(bad));
+            assert!(
+                matches!(writeback, Err(MachineError::BadBinding(_))),
+                "writeback {bad}"
+            );
+        }
     }
 
     /// The stage-snapshot rule: a core reads the stage-start value of a
