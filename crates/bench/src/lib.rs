@@ -1,14 +1,9 @@
 //! Shared harness for regenerating every table and figure of the paper.
 //!
-//! The binaries in `src/bin/` each reproduce one artifact:
-//!
-//! | binary          | artifact |
-//! |-----------------|----------|
-//! | `table1`        | Table I — design statistics and GEM mapping results |
-//! | `table2`        | Table II — simulation speed and speed-ups |
-//! | `fig3_boomerang`| Fig 3 — permutation/synchronization reduction |
-//! | `fig5_repcut`   | Fig 5 — multi-stage replication-cost reduction |
-//! | `obs4_longtail` | Observation 4 — long-tailed level histograms |
+//! One binary, `repro [--scale N]`, regenerates every artifact from one
+//! compile per design and asserts the reproduction's verdicts. Its body
+//! is [`repro::main`], in this library, so the tests measure and judge
+//! with the very functions the binary calls.
 //!
 //! Methodology (see DESIGN.md §3): CPU baselines (the event-driven
 //! "commercial" stand-in and the levelized "Verilator" stand-in) are
@@ -19,12 +14,14 @@
 //! matching structure; intensive quantities (ratios, crossovers, layer
 //! compression, replication percentages) are the reproduction targets.
 
+pub mod repro;
+
 use gem_core::{compile, CompileOptions, Compiled, GemSimulator};
 use gem_designs::{Design, Workload};
 use gem_netlist::Bits;
 use gem_sim::{EaigSim, EventSim, LevelizedSim};
 use gem_synth::PortBits;
-use gem_vgpu::{Gl0amModel, GpuSpec, TimingModel};
+use gem_vgpu::{Gl0amModel, GpuSpec, KernelCounters, TimingModel};
 use std::time::Instant;
 
 /// Per-design harness configuration mirroring Table I's stages column.
@@ -97,26 +94,20 @@ pub fn measure_event(d: &Design, c: &Compiled, w: &Workload, cycles: u64) -> (f6
     (hz, events_per_cycle)
 }
 
-/// Speed of the levelized full-cycle ("Verilator") baseline.
+/// Speed of the levelized full-cycle ("Verilator") baseline at 1 and at 8
+/// threads.
 ///
-/// `threads == 1` is measured in wall-clock. For `threads > 1` the speed
-/// is *modeled* from the single-thread measurement: compute scales by
-/// `threads − 1` (imbalance leaves one thread's worth on the table) and
-/// each logic level costs one barrier (≈0.6 µs on a Xeon-class host).
-/// Measuring a thread pool for real requires a multi-core host; this
-/// harness must also run on single-core CI boxes, and the model
-/// reproduces the paper's observed 2–4× scaling with its per-level
-/// saturation.
-pub fn measure_levelized(
-    d: &Design,
-    c: &Compiled,
-    w: &Workload,
-    threads: usize,
-    cycles: u64,
-) -> f64 {
+/// One thread is measured in wall-clock. Eight are *modeled* from that
+/// measurement: compute scales by `threads − 1` (imbalance leaves one
+/// thread's worth on the table) and each logic level costs one barrier
+/// (≈0.6 µs on a Xeon-class host). Measuring a thread pool for real
+/// requires a multi-core host; this harness must also run on single-core
+/// CI boxes, and the model reproduces the paper's observed 2–4× scaling
+/// with its per-level saturation.
+pub fn measure_levelized(d: &Design, c: &Compiled, w: &Workload, cycles: u64) -> (f64, f64) {
     let widths = |n: &str| port_width(d, n);
     let mut stim = w.stimulus(&widths);
-    let mut sim = LevelizedSim::new(&c.eaig, 1);
+    let mut sim = LevelizedSim::new(&c.eaig);
     let mut bits = vec![false; c.eaig.inputs().len()];
     for _ in 0..stim.warmup_cycles() {
         let ins = stim.next_inputs();
@@ -128,13 +119,11 @@ pub fn measure_levelized(
         apply_to_bitvec(&c.eaig_inputs, &ins, &mut bits);
         sim.cycle(&bits);
     });
-    if threads <= 1 {
-        return hz1;
-    }
+    const THREADS: f64 = 8.0;
     const BARRIER_S: f64 = 0.6e-6;
     let t1 = 1.0 / hz1;
-    let t_mt = t1 / (threads as f64 - 1.0) + sim.num_levels() as f64 * BARRIER_S;
-    1.0 / t_mt
+    let t_mt = t1 / (THREADS - 1.0) + sim.num_levels() as f64 * BARRIER_S;
+    (hz1, 1.0 / t_mt)
 }
 
 /// Modeled speed of the GL0AM-style gate-level GPU baseline (A100).
@@ -151,24 +140,20 @@ pub fn measure_gl0am(d: &Design, c: &Compiled, w: &Workload, cycles: u64) -> f64
     TimingModel::new(GpuSpec::a100()).hz_total(sim.counters())
 }
 
-/// Modeled GEM speed on both GPUs. Runs a few functional cycles on the
-/// virtual GPU to accumulate counters (they are cycle-invariant — GEM is
-/// a full-cycle simulator).
-pub fn measure_gem(d: &Design, c: &Compiled, w: &Workload, cycles: u64) -> (f64, f64) {
+/// GEM's kernel counters on a workload: a few functional cycles on the
+/// virtual GPU (they are cycle-invariant — GEM is a full-cycle
+/// simulator), for the timing models to convert to speed.
+pub fn measure_gem(d: &Design, c: &Compiled, w: &Workload) -> KernelCounters {
     let widths = |n: &str| port_width(d, n);
     let mut stim = w.stimulus(&widths);
     let mut sim = GemSimulator::new(c).expect("bitstream loads");
-    for _ in 0..cycles.min(8) {
+    for _ in 0..8 {
         for (name, v) in stim.next_inputs() {
             sim.set_input(&name, v);
         }
         sim.step();
     }
-    let totals = sim.counters();
-    (
-        TimingModel::new(GpuSpec::a100()).hz_total(totals),
-        TimingModel::new(GpuSpec::rtx3090()).hz_total(totals),
-    )
+    *sim.counters()
 }
 
 /// Cross-checks the compiled design against the golden E-AIG interpreter
@@ -225,7 +210,8 @@ pub fn compile_design(d: &Design, opts: &CompileOptions) -> Compiled {
     compile(&d.module, opts).unwrap_or_else(|e| panic!("design {} failed to compile: {e}", d.name))
 }
 
-/// Formats a f64 Hz value with thousands separators, paper-style.
+/// Formats a f64 Hz value (or any count) with thousands separators,
+/// paper-style.
 pub fn fmt_hz(hz: f64) -> String {
     let v = hz.round() as i64;
     let s = v.to_string();
@@ -239,28 +225,6 @@ pub fn fmt_hz(hz: f64) -> String {
     out
 }
 
-/// Writes a JSON record under `target/gem-experiments/`.
-pub fn write_record(name: &str, value: &gem_telemetry::Json) {
-    let dir = std::path::Path::new("target/gem-experiments");
-    let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, value.to_string_pretty()) {
-        gem_telemetry::warn!("could not write {}: {e}", path.display());
-    } else {
-        gem_telemetry::info!("wrote {}", path.display());
-    }
-}
-
-/// Parses `--scale N` / `--cycles N` style flags from argv with defaults.
-pub fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,28 +234,5 @@ mod tests {
         assert_eq!(fmt_hz(65385.2), "65,385");
         assert_eq!(fmt_hz(7.9), "8");
         assert_eq!(fmt_hz(1234567.0), "1,234,567");
-    }
-
-    #[test]
-    fn smoke_suite_compiles_and_verifies() {
-        // Tiny designs: compile, verify a few cycles, measure each engine.
-        for (d, opts) in suite(0).into_iter().take(2) {
-            let opts = CompileOptions {
-                core_width: 1024,
-                target_parts: 4,
-                ..opts
-            };
-            let c = compile_design(&d, &opts);
-            let w = &d.workloads[0];
-            verify_gem(&d, &c, w, 10);
-            let (hz_a, hz_r) = measure_gem(&d, &c, w, 4);
-            assert!(hz_a > 0.0 && hz_r > 0.0);
-            let (ev_hz, epc) = measure_event(&d, &c, w, 20);
-            assert!(ev_hz > 0.0 && epc >= 0.0);
-            let lv = measure_levelized(&d, &c, w, 1, 20);
-            assert!(lv > 0.0);
-            let gl = measure_gl0am(&d, &c, w, 20);
-            assert!(gl > 0.0);
-        }
     }
 }

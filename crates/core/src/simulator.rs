@@ -38,10 +38,6 @@ use gem_vgpu::{CounterBreakdown, GemGpu, GpuSnapshot, KernelCounters, MachineErr
 pub struct GemSimulator {
     gpu: GemGpu,
     io: crate::IoMap,
-    /// Cycles stepped while each lane was active (index = lane). The sum
-    /// over lanes reconciles with Σ_cycles lanes_active — the invariant
-    /// the metrics tests assert.
-    lane_steps: [u64; GemGpu::MAX_LANES as usize],
 }
 
 impl GemSimulator {
@@ -61,11 +57,7 @@ impl GemSimulator {
     /// server's compile cache) passes a clone of it: clones share the
     /// lowered program and copy only signal and RAM state.
     pub fn from_machine(gpu: GemGpu, io: crate::IoMap) -> Self {
-        GemSimulator {
-            gpu,
-            io,
-            lane_steps: [0; GemGpu::MAX_LANES as usize],
-        }
+        GemSimulator { gpu, io }
     }
 
     /// Sets an input port for the upcoming cycle(s).
@@ -99,9 +91,6 @@ impl GemSimulator {
             None
         };
         self.gpu.step_cycle();
-        for s in self.lane_steps.iter_mut().take(self.gpu.lanes() as usize) {
-            *s += 1;
-        }
     }
 
     /// Reads an output port (values observed during the last
@@ -148,9 +137,12 @@ impl GemSimulator {
         self.gpu.lanes()
     }
 
-    /// Cycles stepped per active lane since construction (index = lane).
+    /// Cycles stepped per active lane (index = lane). Part of the machine
+    /// state: [`restore`](Self::restore) rewinds it with the cycle
+    /// counter, so the sum over lanes stays Σ_cycles lanes_active — the
+    /// invariant the metrics tests assert.
     pub fn lane_steps(&self) -> &[u64] {
-        &self.lane_steps[..self.gpu.lanes() as usize]
+        self.gpu.lane_steps()
     }
 
     /// Sets an input port for one lane only.
@@ -280,9 +272,8 @@ impl GemSimulator {
             help: "Cycles stepped while each lane was active".to_string(),
             kind: MetricKind::Counter,
             samples: self
-                .lane_steps
+                .lane_steps()
                 .iter()
-                .take(self.gpu.lanes() as usize)
                 .enumerate()
                 .map(|(lane, &steps)| Sample {
                     labels: vec![("lane".to_string(), lane.to_string())],
@@ -299,8 +290,9 @@ impl GemSimulator {
     }
 
     /// Captures the complete mutable machine state (signals, RAM
-    /// contents, counters) for later [`restore`](Self::restore) — the
-    /// substrate for session suspend/resume and checkpointing.
+    /// contents, counters, per-lane step counts) for later
+    /// [`restore`](Self::restore) — the substrate for session
+    /// suspend/resume and checkpointing.
     pub fn snapshot(&self) -> GpuSnapshot {
         self.gpu.snapshot()
     }
@@ -509,5 +501,53 @@ mod tests {
         sim.restore(&snap).expect("restores");
         sim.step();
         assert_eq!(sim.output("q").to_u64(), q_at_snap + 1);
+    }
+
+    /// Σ lane steps must stay Σ_cycles lanes_active across a restore:
+    /// the cycles a restore discards are discarded for every lane.
+    fn assert_lane_steps_reconcile(sim: &GemSimulator, lane_cycles: u64) {
+        assert_eq!(sim.lane_steps()[0], sim.counters().cycles);
+        assert_eq!(sim.lane_steps().iter().sum::<u64>(), lane_cycles);
+        let fam = sim.metrics();
+        let fam = fam.family("gem_sim_lane_steps_total").unwrap();
+        assert_eq!(fam.samples.len(), sim.lanes() as usize);
+        assert_eq!(fam.total(), lane_cycles as f64);
+    }
+
+    #[test]
+    fn restore_rewinds_lane_steps_with_the_cycle_counter() {
+        let mut b = ModuleBuilder::new("t");
+        let x = b.input("x", 1);
+        b.output("y", x);
+        let m = b.finish().expect("valid");
+        let c = compile(&m, &CompileOptions::small()).expect("compiles");
+        let run = |sim: &mut GemSimulator, n: u32| (0..n).for_each(|_| sim.step());
+
+        // One lane: 10 steps, snapshot, 5 more, restore → 10 survive.
+        let mut sim = GemSimulator::new(&c).expect("loads");
+        run(&mut sim, 10);
+        let snap = sim.snapshot();
+        run(&mut sim, 5);
+        sim.restore(&snap).expect("restores");
+        assert_eq!(sim.counters().cycles, 10);
+        assert_eq!(sim.lane_steps(), &[10]);
+        assert_lane_steps_reconcile(&sim, 10);
+
+        // 64 lanes for 4 cycles, snapshot, then 3 one-lane cycles that the
+        // restore discards — along with the lane count they ran at.
+        let mut sim = GemSimulator::new(&c).expect("loads");
+        run(&mut sim, 2);
+        sim.set_lanes(64).expect("64 lanes");
+        run(&mut sim, 4);
+        let snap = sim.snapshot();
+        sim.set_lanes(1).expect("1 lane");
+        run(&mut sim, 3);
+        sim.restore(&snap).expect("restores");
+        assert_eq!(sim.lanes(), 64);
+        assert_eq!(sim.lane_steps()[63], 4);
+        assert_lane_steps_reconcile(&sim, 2 + 4 * 64);
+        // And the counts keep reconciling on the resumed run.
+        run(&mut sim, 1);
+        assert_lane_steps_reconcile(&sim, 2 + 5 * 64);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! GEM's evaluator computes 64 Boolean signals per machine word, so one
 //! bitstream execution can carry 64 *independent* stimulus streams — one
-//! per bit-lane — at the cost of one (the GATSPI/RTLflow observation;
-//! [`crate::BatchSim`] is the same idea over the E-AIG). This module is
-//! the stimulus side of that capability:
+//! per bit-lane — at the cost of one (the GATSPI/RTLflow observation,
+//! measured by the ladder's `piton8_lanes64` against `piton8_scalar`:
+//! EXPERIMENTS.md E6). This module is the stimulus side of that
+//! capability:
 //!
 //! * [`LaneBatch`] — up to 64 per-lane stimulus streams with per-lane
 //!   reset/cycle *skew* (lane `k` may start its stream `skew` cycles

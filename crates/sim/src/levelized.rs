@@ -3,55 +3,13 @@
 //! Verilator compiles the design into straight-line code that evaluates
 //! the whole circuit every cycle. [`LevelizedSim`] mimics that: a flat,
 //! cache-friendly array of AND operations in level order, executed
-//! unconditionally. The multithreaded mode splits each level across a
-//! persistent worker pool with a barrier per level — reproducing the
-//! scalability ceiling the paper measured ("16-threaded Verilator is only
-//! 80%–95% the speed of 8 threads"): barriers per level dominate once the
-//! per-thread slice of a level gets small.
+//! unconditionally on the calling thread. The paper's 8-thread Verilator
+//! column is *modeled* from this measurement and
+//! [`num_levels`](LevelizedSim::num_levels) — one barrier per logic
+//! level, the ceiling the paper measured ("16-threaded Verilator is only
+//! 80%–95% the speed of 8 threads") — in `gem_bench::measure_levelized`.
 
 use gem_aig::{Eaig, Lit, Node, RAM_ADDR_BITS};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// A futex-free cyclic barrier (atomic counter + generation, spinning with
-/// periodic yields). Multi-waiter futex wake-ups proved unreliable inside
-/// the micro-VM kernels this workspace runs on, and a spin-yield barrier
-/// is also the cheaper primitive for one rendezvous per logic level.
-#[derive(Debug)]
-struct SpinBarrier {
-    count: AtomicUsize,
-    generation: AtomicUsize,
-    threads: usize,
-}
-
-impl SpinBarrier {
-    fn new(threads: usize) -> Self {
-        SpinBarrier {
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-            threads,
-        }
-    }
-
-    fn wait(&self) {
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.threads {
-            self.count.store(0, Ordering::Release);
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins > 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-}
 
 /// One compiled AND op: output slot and the two operand literal codes.
 #[derive(Debug, Clone, Copy)]
@@ -61,35 +19,9 @@ struct Op {
     b_code: u32,
 }
 
-/// Shared, immutable compiled form plus the value array.
-#[derive(Debug)]
-struct Compiled {
-    /// Ops grouped by level (level 1 first).
-    levels: Vec<Vec<Op>>,
-    /// One value byte per node (0/1).
-    vals: Vec<AtomicU8>,
-}
-
-impl Compiled {
-    #[inline]
-    fn read_code(&self, code: u32) -> bool {
-        (self.vals[(code >> 1) as usize].load(Ordering::Relaxed) ^ (code & 1) as u8) & 1 == 1
-    }
-
-    /// Evaluates thread `tid`'s slice of every level, with a barrier per
-    /// level.
-    fn eval_slices(&self, tid: usize, threads: usize, barrier: &SpinBarrier) {
-        for level in &self.levels {
-            let chunk = level.len().div_ceil(threads);
-            let lo = (tid * chunk).min(level.len());
-            let hi = ((tid + 1) * chunk).min(level.len());
-            for op in &level[lo..hi] {
-                let v = self.read_code(op.a_code) && self.read_code(op.b_code);
-                self.vals[op.out as usize].store(v as u8, Ordering::Relaxed);
-            }
-            barrier.wait();
-        }
-    }
+#[inline]
+fn read_code(vals: &[u8], code: u32) -> bool {
+    (vals[(code >> 1) as usize] ^ (code & 1) as u8) & 1 == 1
 }
 
 /// Full-cycle levelized simulator for an [`Eaig`].
@@ -105,29 +37,24 @@ impl Compiled {
 /// let b = g.input("b");
 /// let o = g.or(a, b);
 /// g.output("o", o);
-/// let mut sim = LevelizedSim::new(&g, 1);
+/// let mut sim = LevelizedSim::new(&g);
 /// assert!(sim.cycle(&[true, false])[0]);
 /// ```
 #[derive(Debug)]
 pub struct LevelizedSim<'a> {
     g: &'a Eaig,
-    shared: Arc<Compiled>,
+    /// Ops grouped by level (level 1 first).
+    levels: Vec<Vec<Op>>,
+    /// One value byte per node (0/1).
+    vals: Vec<u8>,
     ff: Vec<bool>,
     ram: Vec<Box<[u32]>>,
     ram_rdata: Vec<u32>,
-    threads: usize,
-    barriers_per_cycle: u64,
 }
 
 impl<'a> LevelizedSim<'a> {
-    /// Compiles `g` for execution on `threads` worker threads (1 =
-    /// single-threaded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn new(g: &'a Eaig, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one thread");
+    /// Compiles `g` into level-ordered straight-line ops.
+    pub fn new(g: &'a Eaig) -> Self {
         let node_levels = g.node_levels();
         let live = g.live_nodes();
         let depth = node_levels.iter().copied().max().unwrap_or(0) as usize;
@@ -145,12 +72,9 @@ impl<'a> LevelizedSim<'a> {
             }
         }
         levels.retain(|l| !l.is_empty());
-        let n_levels = levels.len();
-        let shared = Arc::new(Compiled {
-            levels,
-            vals: (0..g.len()).map(|_| AtomicU8::new(0)).collect(),
-        });
         LevelizedSim {
+            levels,
+            vals: vec![0; g.len()],
             ff: g.ffs().iter().map(|f| f.init).collect(),
             ram: g
                 .rams()
@@ -158,15 +82,12 @@ impl<'a> LevelizedSim<'a> {
                 .map(|_| vec![0u32; 1 << RAM_ADDR_BITS].into_boxed_slice())
                 .collect(),
             ram_rdata: vec![0; g.rams().len()],
-            threads,
-            barriers_per_cycle: if threads > 1 { n_levels as u64 } else { 0 },
-            shared,
             g,
         }
     }
 
     fn lit(&self, l: Lit) -> bool {
-        self.shared.read_code(l.code())
+        read_code(&self.vals, l.code())
     }
 
     /// Runs one cycle: applies inputs, evaluates everything, returns
@@ -176,45 +97,27 @@ impl<'a> LevelizedSim<'a> {
         // exports, making speed comparisons visual.
         let _span = if gem_telemetry::span::enabled() {
             let mut sp = gem_telemetry::span::span("levelized_cycle", "sim");
-            sp.arg("levels", self.shared.levels.len() as u64)
-                .arg("threads", self.threads as u64);
+            sp.arg("levels", self.levels.len() as u64);
             Some(sp)
         } else {
             None
         };
         // Sources.
         for (i, (_, id)) in self.g.inputs().iter().enumerate() {
-            self.shared.vals[id.0 as usize].store(inputs[i] as u8, Ordering::Relaxed);
+            self.vals[id.0 as usize] = inputs[i] as u8;
         }
         for (i, f) in self.g.ffs().iter().enumerate() {
-            self.shared.vals[f.out.0 as usize].store(self.ff[i] as u8, Ordering::Relaxed);
+            self.vals[f.out.0 as usize] = self.ff[i] as u8;
         }
         for (ri, r) in self.g.rams().iter().enumerate() {
             let word = self.ram_rdata[ri];
             for (bit, id) in r.out.iter().enumerate() {
-                self.shared.vals[id.0 as usize].store(((word >> bit) & 1) as u8, Ordering::Relaxed);
+                self.vals[id.0 as usize] = ((word >> bit) & 1) as u8;
             }
         }
-        if self.threads == 1 {
-            for level in &self.shared.levels {
-                for op in level {
-                    let v = self.shared.read_code(op.a_code) && self.shared.read_code(op.b_code);
-                    self.shared.vals[op.out as usize].store(v as u8, Ordering::Relaxed);
-                }
-            }
-        } else {
-            // Scoped helpers per cycle: no persistent pool, no shutdown
-            // handshake; rendezvous per level on the spin barrier.
-            let barrier = SpinBarrier::new(self.threads);
-            let shared = &self.shared;
-            let threads = self.threads;
-            std::thread::scope(|scope| {
-                for tid in 1..threads {
-                    let barrier = &barrier;
-                    scope.spawn(move || shared.eval_slices(tid, threads, barrier));
-                }
-                shared.eval_slices(0, threads, &barrier);
-            });
+        for op in self.levels.iter().flatten() {
+            let v = read_code(&self.vals, op.a_code) && read_code(&self.vals, op.b_code);
+            self.vals[op.out as usize] = v as u8;
         }
         let outs: Vec<bool> = self.g.outputs().iter().map(|(_, l)| self.lit(*l)).collect();
         // Clock edge.
@@ -247,16 +150,11 @@ impl<'a> LevelizedSim<'a> {
         a
     }
 
-    /// Number of synchronization barriers per simulated cycle (0 when
-    /// single-threaded). One per logic level — the overhead the boomerang
-    /// executor is designed to crush.
-    pub fn barriers_per_cycle(&self) -> u64 {
-        self.barriers_per_cycle
-    }
-
-    /// Number of compiled levels.
+    /// Number of compiled levels: what an N-thread levelized run would
+    /// pay one barrier each for, every cycle — the overhead the
+    /// boomerang executor is designed to crush.
     pub fn num_levels(&self) -> usize {
-        self.shared.levels.len()
+        self.levels.len()
     }
 }
 
@@ -291,7 +189,7 @@ mod tests {
     #[test]
     fn single_thread_matches_golden() {
         let g = random_logic(7);
-        let mut lv = LevelizedSim::new(&g, 1);
+        let mut lv = LevelizedSim::new(&g);
         let mut gold = EaigSim::new(&g);
         let mut x = 999u64;
         for _ in 0..50 {
@@ -299,37 +197,5 @@ mod tests {
             let ins: Vec<bool> = (0..12).map(|i| (x >> i) & 1 == 1).collect();
             assert_eq!(lv.cycle(&ins), gold.cycle(&ins));
         }
-    }
-
-    #[test]
-    fn multi_thread_matches_golden() {
-        let g = random_logic(13);
-        let mut lv = LevelizedSim::new(&g, 4);
-        let mut gold = EaigSim::new(&g);
-        let mut x = 31u64;
-        for _ in 0..30 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let ins: Vec<bool> = (0..12).map(|i| (x >> i) & 1 == 1).collect();
-            assert_eq!(lv.cycle(&ins), gold.cycle(&ins));
-        }
-    }
-
-    #[test]
-    fn barrier_count_reported() {
-        let g = random_logic(3);
-        let st = LevelizedSim::new(&g, 1);
-        assert_eq!(st.barriers_per_cycle(), 0);
-        let mt = LevelizedSim::new(&g, 2);
-        assert_eq!(mt.barriers_per_cycle(), mt.num_levels() as u64);
-        assert!(mt.num_levels() > 1);
-    }
-
-    #[test]
-    fn workers_shut_down_cleanly() {
-        let g = random_logic(5);
-        for _ in 0..3 {
-            let mut s = LevelizedSim::new(&g, 3);
-            s.cycle(&[false; 12]);
-        } // drop must join without hanging
     }
 }

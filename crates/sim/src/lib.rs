@@ -11,11 +11,8 @@
 //!   verify synthesis,
 //! * [`event::EventSim`] — event-driven simulator whose cost scales with
 //!   switching activity (the "commercial tool" role),
-//! * [`levelized::LevelizedSim`] — full-cycle levelized simulator with an
-//!   optional thread pool (the "Verilator" role),
-//! * [`batch::BatchSim`] — 64 independent testbenches per step via word
-//!   parallelism (the throughput-oriented RTLflow-style alternative the
-//!   paper contrasts itself against),
+//! * [`levelized::LevelizedSim`] — full-cycle levelized simulator (the
+//!   "Verilator" role),
 //! * a gate-level LUT4 cost model on the virtual GPU (the "GL0AM" role)
 //!   lives in `gem-vgpu` to avoid a dependency cycle.
 //!
@@ -23,7 +20,6 @@
 //! clock, read-first RAM ports, inputs sampled at the beginning of each
 //! cycle, outputs observed after combinational settling.
 
-pub mod batch;
 pub mod event;
 pub mod fuzz;
 pub mod golden;
@@ -31,7 +27,6 @@ pub mod lanes;
 pub mod levelized;
 pub mod netlist_sim;
 
-pub use batch::BatchSim;
 pub use event::EventSim;
 pub use fuzz::{random_module, FuzzConfig, FuzzRng};
 pub use golden::EaigSim;

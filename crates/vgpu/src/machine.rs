@@ -218,13 +218,18 @@ pub struct GemGpu {
     /// Active stimulus lanes (1..=[`Self::MAX_LANES`]).
     lanes: u32,
     counters: KernelCounters,
+    /// Cycles stepped while each lane was active (index = lane): the
+    /// per-lane refinement of `counters.cycles`, kept beside it so a
+    /// snapshot rewinds both together.
+    lane_steps: [u64; Self::MAX_LANES as usize],
 }
 
 /// A saved point-in-time copy of everything mutable in a [`GemGpu`]:
 /// the global signal array, RAM contents, lane count and counter
-/// totals. Restoring a snapshot onto a machine loaded with the *same*
-/// bitstream resumes execution bit-exactly — the substrate for session
-/// suspend/resume in `gem-server` and for checkpointed long simulations.
+/// totals (device-wide and per lane). Restoring a snapshot onto a machine
+/// loaded with the *same* bitstream resumes execution bit-exactly — the
+/// substrate for session suspend/resume in `gem-server` and for
+/// checkpointed long simulations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuSnapshot {
     /// The program the state belongs to; [`GemGpu::restore`] accepts the
@@ -239,6 +244,7 @@ pub struct GpuSnapshot {
     /// lane packing is meaningless to the 64-wide machine.
     word_bits: u32,
     counters: KernelCounters,
+    lane_steps: [u64; GemGpu::MAX_LANES as usize],
 }
 
 impl GpuSnapshot {
@@ -493,6 +499,7 @@ impl GemGpu {
             ram_mem,
             lanes: 1,
             counters: KernelCounters::default(),
+            lane_steps: [0; Self::MAX_LANES as usize],
             program: Arc::new(Program {
                 stages,
                 cycle_delta,
@@ -675,6 +682,9 @@ impl GemGpu {
         self.counters += program.cycle_delta;
         self.counters.global_bytes += RAM_BYTES_PER_LANE * ram_lanes;
         self.counters.global_transactions += RAM_TRANSACTIONS_PER_LANE * ram_lanes;
+        for steps in &mut self.lane_steps[..self.lanes as usize] {
+            *steps += 1;
+        }
     }
 
     /// Runs one core against the stage-start global array: immediate
@@ -701,6 +711,13 @@ impl GemGpu {
     /// Accumulated counters.
     pub fn counters(&self) -> &KernelCounters {
         &self.counters
+    }
+
+    /// Cycles stepped per active lane (index = lane). Lane 0 is always
+    /// active, so its count is `counters().cycles`; the sum over lanes
+    /// is Σ over cycles of the lane count active at that cycle.
+    pub fn lane_steps(&self) -> &[u64] {
+        &self.lane_steps[..self.lanes as usize]
     }
 
     /// Device totals refined per partition and per boomerang layer.
@@ -764,6 +781,7 @@ impl GemGpu {
             lanes: self.lanes,
             word_bits: Word::BITS,
             counters: self.counters,
+            lane_steps: self.lane_steps,
         }
     }
 
@@ -817,6 +835,7 @@ impl GemGpu {
         self.ram_mem.clone_from(&s.ram_mem);
         self.lanes = s.lanes;
         self.counters = s.counters;
+        self.lane_steps = s.lane_steps;
         Ok(())
     }
 

@@ -80,46 +80,6 @@ impl TimingModel {
         };
         self.hz(&per_cycle)
     }
-
-    /// **Extension E2** (paper future work: "multi-GPU support").
-    /// Estimated seconds per cycle when the partitions are sharded across
-    /// `gpus` identical devices: instruction streaming and compute divide
-    /// across devices, while every device-wide synchronization becomes an
-    /// inter-GPU barrier (NVLink/NCCL, ≈3× the single-device latency) and
-    /// stage-boundary signals cross the interconnect. Speed-up therefore
-    /// saturates once the design becomes synchronization-bound — the
-    /// quantitative version of why the paper lists multi-GPU as future
-    /// work rather than a free win.
-    pub fn multi_gpu_cycle_seconds(&self, c: &KernelCounters, gpus: u32) -> f64 {
-        let gpus = gpus.max(1);
-        if gpus == 1 {
-            return self.cycle_seconds(c);
-        }
-        let s = &self.spec;
-        let g = gpus as f64;
-        let t_mem = c.global_bytes as f64 / g / (s.mem_bandwidth_gbps * 1e9);
-        let blocks = (c.blocks_run.max(1) as f64 / g).ceil();
-        let waves = (blocks / s.resident_blocks() as f64).ceil().max(1.0);
-        let per_block_thread_ops = (c.shared_accesses + c.alu_ops) as f64
-            / c.blocks_run.max(1) as f64
-            / s.threads_per_block as f64;
-        let t_compute = waves * per_block_thread_ops / (s.clock_ghz * 1e9);
-        let block_sync_s = (c.block_syncs as f64 / c.blocks_run.max(1) as f64) * waves * 30.0
-            / (s.clock_ghz * 1e9);
-        // Inter-GPU barrier instead of a device barrier.
-        let t_sync = c.device_syncs as f64 * s.device_sync_us * 3.0 * 1e-6 + block_sync_s;
-        // Cross-GPU exchange of stage-boundary signals over ~300 GB/s
-        // effective NVLink: each block publishes at most its core width
-        // (≈256 B of packed signals) to peers.
-        let t_link = c.blocks_run as f64 * 256.0 / 300e9;
-        t_mem.max(t_compute) + t_sync + t_link
-    }
-
-    /// Multi-GPU speed estimate; see
-    /// [`multi_gpu_cycle_seconds`](Self::multi_gpu_cycle_seconds).
-    pub fn multi_gpu_hz(&self, per_cycle: &KernelCounters, gpus: u32) -> f64 {
-        1.0 / self.multi_gpu_cycle_seconds(per_cycle, gpus)
-    }
 }
 
 #[cfg(test)]
@@ -171,28 +131,6 @@ mod tests {
         // Even a tiny design cannot beat the device-sync floor (~7.5 µs
         // for 3 barriers).
         assert!(m.hz(&c) < 150_000.0);
-    }
-
-    #[test]
-    fn multi_gpu_helps_bandwidth_bound_designs_most() {
-        let m = TimingModel::new(GpuSpec::a100());
-        // OpenPiton8-like, bandwidth-bound.
-        let big = per_cycle(162_400_000, 947, 4);
-        let one = m.hz(&big);
-        let two = m.multi_gpu_hz(&big, 2);
-        let four = m.multi_gpu_hz(&big, 4);
-        assert!(two > one * 1.4, "2 GPUs: {one:.0} -> {two:.0}");
-        assert!(four > two, "4 GPUs must not regress");
-        // Tiny, sync-bound design: extra GPUs hurt (slower barriers).
-        let small = per_cycle(50_000, 4, 3);
-        assert!(m.multi_gpu_hz(&small, 4) < m.hz(&small));
-    }
-
-    #[test]
-    fn one_gpu_multi_model_matches_base() {
-        let m = TimingModel::new(GpuSpec::a100());
-        let c = per_cycle(9_200_000, 39, 3);
-        assert_eq!(m.multi_gpu_hz(&c, 1), m.hz(&c));
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ev.cycle(&ins);
     }
     let ev_hz = cycles as f64 / t.elapsed().as_secs_f64();
-    let mut lv = LevelizedSim::new(&compiled.eaig, 1);
+    let mut lv = LevelizedSim::new(&compiled.eaig);
     let t = Instant::now();
     for c in 0..cycles {
         let mut ins = vec![false; n];

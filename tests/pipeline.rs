@@ -47,7 +47,7 @@ fn five_engines_agree() {
     let mut rtl = NetlistSim::new(&m);
     let mut gold = EaigSim::new(g);
     let mut ev = EventSim::new(g);
-    let mut lv = LevelizedSim::new(g, 2);
+    let mut lv = LevelizedSim::new(g);
     let mut gl = Gl0amModel::new(g);
 
     let mut rng = ChaCha8Rng::seed_from_u64(42);
