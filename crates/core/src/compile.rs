@@ -5,10 +5,10 @@ use gem_analyze::{AnalysisReport, Severity};
 use gem_isa::{assemble_core, Bitstream, ReadEntry, ScheduleCert, WriteEntry, WriteSrc};
 use gem_netlist::verilog::SourceLint;
 use gem_netlist::Module;
-use gem_partition::merge::{estimate_width, merge_partitions};
+use gem_partition::merge::{estimate_width, merge_partitions_with};
 use gem_partition::repcut::Region;
-use gem_partition::{partition, Partition, PartitionOptions, Partitioning};
-use gem_place::{place_partition, CoreProgram, OutputSource, PlaceError, PlaceOptions};
+use gem_partition::{partition, PartitionOptions, Partitioning};
+use gem_place::{place_partition_counted, CoreProgram, OutputSource, PlaceError, PlaceOptions};
 use gem_synth::{synthesize, PortBits, SynthError, SynthOptions, SynthResult};
 use gem_telemetry::{FlowRecorder, FlowReport, Json};
 use gem_vgpu::{DeviceConfig, RamBinding};
@@ -324,7 +324,6 @@ fn compile_eaig_with(
     let place_opts = PlaceOptions {
         core_width: opts.core_width,
         timing_driven: opts.timing_driven,
-        ..Default::default()
     };
 
     // --- Partition, excessively if needed, until everything is mappable.
@@ -336,6 +335,7 @@ fn compile_eaig_with(
     let mut partitioning = None;
     let mut last_err = None;
     let mut attempts = 0u32;
+    let mut slot_attempts = 0u64;
     let mut part_stage = flow.stage("partition");
     for attempt in 0..8 {
         attempts = attempt + 1;
@@ -346,7 +346,7 @@ fn compile_eaig_with(
             ..Default::default()
         };
         let cand = partition(g, &popts);
-        match all_mappable(g, &cand, &place_opts) {
+        match all_mappable(g, &cand, &place_opts, &mut slot_attempts) {
             Ok(()) => {
                 partitioning = Some(cand);
                 break;
@@ -367,6 +367,7 @@ fn compile_eaig_with(
         }
     }
     part_stage.metric("attempts", f64::from(attempts));
+    part_stage.metric("slot_attempts", slot_attempts as f64);
     if let Some(p) = &partitioning {
         part_stage.metric("parts", p.max_parts() as f64);
         part_stage.metric("stages", p.stages.len() as f64);
@@ -376,10 +377,16 @@ fn compile_eaig_with(
     let partitioning =
         partitioning.ok_or_else(|| CompileError::Place(last_err.expect("tried at least once")))?;
 
-    // --- Algorithm 1: merge back under the width constraint.
+    // --- Algorithm 1: merge back under the width constraint. The oracle
+    // is placement itself behind the cheap width filter, and a placement
+    // it accepts is the partition's final one: it travels with the
+    // partition and only partitions no merge touched are placed below.
     let mut merge_stage = flow.stage("merge");
     let mut merged_stages = Vec::new();
+    let mut placements: Vec<Vec<Option<CoreProgram>>> = Vec::new();
     let mut stop = vec![false; g.len()];
+    let (mut oracle_calls, mut repeats_skipped) = (0usize, 0usize);
+    let (mut width_rejects, mut place_rejects, mut slot_attempts) = (0u64, 0u64, 0u64);
     for stage in &partitioning.stages {
         let region = Region {
             sinks: stage
@@ -389,15 +396,23 @@ fn compile_eaig_with(
                 .collect(),
             stop: stop.clone(),
         };
-        let mappable = |p: &Partition| {
-            estimate_width(g, p) <= opts.core_width as usize
-                && place_partition(g, p, &place_opts).is_ok()
-        };
-        let (merged, _stats) = merge_partitions(g, &region, stage, &mappable);
+        let (merged, placed, stats) = merge_partitions_with(g, &region, stage, |p| {
+            if estimate_width(g, p) > opts.core_width as usize {
+                width_rejects += 1;
+                return None;
+            }
+            let (placed, stats) = place_partition_counted(g, p, &place_opts);
+            slot_attempts += stats.slot_attempts;
+            place_rejects += u64::from(placed.is_err());
+            placed.ok()
+        });
+        oracle_calls += stats.oracle_calls;
+        repeats_skipped += stats.repeats_skipped;
         for l in &merged.cut_lits {
             stop[l.node().0 as usize] = true;
         }
         merged_stages.push(merged);
+        placements.push(placed);
     }
     let partitioning = Partitioning {
         stages: merged_stages,
@@ -413,23 +428,44 @@ fn compile_eaig_with(
             .sum::<usize>() as f64,
     );
     merge_stage.metric("replication_cost", partitioning.replication_cost());
+    merge_stage.metric("oracle_calls", oracle_calls as f64);
+    merge_stage.metric("width_rejects", width_rejects as f64);
+    merge_stage.metric("place_rejects", place_rejects as f64);
+    merge_stage.metric("repeats_skipped", repeats_skipped as f64);
+    merge_stage.metric("slot_attempts", slot_attempts as f64);
     drop(merge_stage);
 
-    // --- Final placement.
+    // --- Final placement of what the merge did not place.
     let mut place_stage = flow.stage("place");
     let mut programs: Vec<Vec<CoreProgram>> = Vec::new();
-    let mut max_layers = 0u32;
-    for stage in &partitioning.stages {
+    let (mut reused, mut slot_attempts) = (0usize, 0u64);
+    for (stage, placed) in partitioning.stages.iter().zip(placements) {
         let mut progs = Vec::new();
-        for p in &stage.partitions {
-            let (prog, stats) = place_partition(g, p, &place_opts).map_err(CompileError::Place)?;
-            max_layers = max_layers.max(stats.layers);
-            progs.push(prog);
+        for (p, prog) in stage.partitions.iter().zip(placed) {
+            reused += usize::from(prog.is_some());
+            progs.push(match prog {
+                Some(prog) => prog,
+                None => {
+                    let (prog, stats) = place_partition_counted(g, p, &place_opts);
+                    slot_attempts += stats.slot_attempts;
+                    prog.map_err(CompileError::Place)?
+                }
+            });
         }
         programs.push(progs);
     }
+    let cores = programs.iter().map(Vec::len).sum::<usize>();
+    let max_layers = programs
+        .iter()
+        .flatten()
+        .map(|prog| prog.layers.len() as u32)
+        .max()
+        .unwrap_or(0);
     place_stage.metric("max_layers", f64::from(max_layers));
-    place_stage.metric("cores", programs.iter().map(Vec::len).sum::<usize>() as f64);
+    place_stage.metric("cores", cores as f64);
+    place_stage.metric("reused", reused as f64);
+    place_stage.metric("placed", (cores - reused) as f64);
+    place_stage.metric("slot_attempts", slot_attempts as f64);
     drop(place_stage);
 
     // --- Global signal space.
@@ -726,11 +762,18 @@ fn compile_eaig_with(
     })
 }
 
-fn all_mappable(g: &Eaig, parts: &Partitioning, opts: &PlaceOptions) -> Result<(), PlaceError> {
-    for stage in &parts.stages {
-        for p in &stage.partitions {
-            place_partition(g, p, opts)?;
-        }
+/// Places every partition, stopping at the first that does not fit;
+/// `slot_attempts` accumulates the placer's work either way.
+fn all_mappable(
+    g: &Eaig,
+    parts: &Partitioning,
+    opts: &PlaceOptions,
+    slot_attempts: &mut u64,
+) -> Result<(), PlaceError> {
+    for p in parts.stages.iter().flat_map(|s| &s.partitions) {
+        let (placed, stats) = place_partition_counted(g, p, opts);
+        *slot_attempts += stats.slot_attempts;
+        placed?;
     }
     Ok(())
 }

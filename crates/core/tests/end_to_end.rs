@@ -4,6 +4,7 @@
 
 use gem_core::{compile, CompileOptions, GemSimulator};
 use gem_netlist::{Bits, Module, ModuleBuilder, ReadKind};
+use gem_place::{place_partition, PlaceOptions};
 use gem_sim::NetlistSim;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -72,8 +73,8 @@ fn sequential_counter_and_shift() {
     cosim(&m, &CompileOptions::small(), 80, 2);
 }
 
-#[test]
-fn design_with_native_ram() {
+/// A 16 × 8 synchronous-read memory: maps onto one native RAM block.
+fn native_ram_module() -> Module {
     let mut b = ModuleBuilder::new("ram");
     let wa = b.input("wa", 4);
     let ra = b.input("ra", 4);
@@ -83,7 +84,12 @@ fn design_with_native_ram() {
     b.write_port(mem, wa, wd, we);
     let q = b.read_port(mem, ra, ReadKind::Sync);
     b.output("q", q);
-    let m = b.finish().unwrap();
+    b.finish().unwrap()
+}
+
+#[test]
+fn design_with_native_ram() {
+    let m = native_ram_module();
     let compiled = cosim(&m, &CompileOptions::small(), 200, 3);
     assert_eq!(compiled.report.ram_blocks, 1);
     assert_eq!(compiled.device.rams.len(), 1);
@@ -106,9 +112,8 @@ fn design_with_async_ram_polyfill() {
     assert!(compiled.report.polyfilled_mem_bits > 0);
 }
 
-#[test]
-fn two_stage_compile_matches() {
-    // Deep shared logic so two stages are meaningful.
+/// Deep shared logic so two stages are meaningful.
+fn deep_module() -> Module {
     let mut b = ModuleBuilder::new("deep");
     let x = b.input("x", 16);
     let y = b.input("y", 16);
@@ -122,7 +127,12 @@ fn two_stage_compile_matches() {
     b.connect_dff(q, nq);
     b.output("acc", acc);
     b.output("q", q);
-    let m = b.finish().unwrap();
+    b.finish().unwrap()
+}
+
+#[test]
+fn two_stage_compile_matches() {
+    let m = deep_module();
     let opts = CompileOptions {
         stages: 2,
         ..CompileOptions::small()
@@ -187,4 +197,68 @@ fn fifo_placement_option_still_correct() {
         ..CompileOptions::small()
     };
     cosim(&m, &opts, 50, 7);
+}
+
+/// Every program the compile ships — whether the merge's oracle built it
+/// or the place stage did — equals a fresh placement of its partition.
+/// Returns the place stage's (reused, placed) counts.
+fn reuse_equals_redoing(m: &Module, opts: &CompileOptions) -> (usize, usize) {
+    let compiled = compile(m, opts).expect("compiles");
+    let place_opts = PlaceOptions {
+        core_width: opts.core_width,
+        timing_driven: opts.timing_driven,
+    };
+    let stages = &compiled.partitioning.stages;
+    assert_eq!(stages.len(), compiled.programs.len());
+    let mut max_layers = 0;
+    for (stage, programs) in stages.iter().zip(&compiled.programs) {
+        assert_eq!(stage.partitions.len(), programs.len());
+        for (p, program) in stage.partitions.iter().zip(programs) {
+            let (fresh, stats) = place_partition(&compiled.eaig, p, &place_opts).expect("places");
+            assert_eq!(
+                program, &fresh,
+                "a reused placement differs from a fresh one"
+            );
+            max_layers = max_layers.max(stats.layers);
+        }
+    }
+    assert_eq!(compiled.report.layers, max_layers);
+    let place = compiled.flow.stage("place").expect("place stage ran");
+    let metric = |name| place.metric(name).expect("place stage metric") as usize;
+    let (reused, placed) = (metric("reused"), metric("placed"));
+    assert_eq!(reused + placed, metric("cores"));
+    assert_eq!(metric("cores"), compiled.bitstream.total_cores());
+    (reused, placed)
+}
+
+#[test]
+fn reused_placements_equal_fresh_ones() {
+    // One with a native RAM block, one with two stages.
+    let (reused, _) = reuse_equals_redoing(&native_ram_module(), &CompileOptions::small());
+    assert!(reused > 0, "nothing merged");
+    let two_stages = CompileOptions {
+        stages: 2,
+        ..CompileOptions::small()
+    };
+    let (reused, _) = reuse_equals_redoing(&deep_module(), &two_stages);
+    assert!(reused > 0, "nothing merged");
+
+    // One where cores are too narrow for every partition to find a
+    // partner: some are placed by the merge, some by the place stage.
+    let mut b = ModuleBuilder::new("wide");
+    for k in 0..6 {
+        let x = b.input(format!("x{k}"), 12);
+        let q = b.dff(12);
+        let p = b.mul(q, x);
+        let nq = b.add(p, x);
+        b.connect_dff(q, nq);
+        b.output(format!("q{k}"), q);
+    }
+    let opts = CompileOptions {
+        target_parts: 6,
+        core_width: 128,
+        ..Default::default()
+    };
+    let (reused, placed) = reuse_equals_redoing(&b.finish().unwrap(), &opts);
+    assert!(reused > 0 && placed > 0, "reused {reused}, placed {placed}");
 }

@@ -12,6 +12,7 @@
 use crate::repcut::{extract_cone, Region};
 use crate::{Partition, Stage};
 use gem_aig::{Eaig, Node};
+use std::collections::HashSet;
 
 /// Upper bound on live bits in one virtual Boolean processor core.
 pub const CORE_WIDTH: usize = 8192;
@@ -19,47 +20,56 @@ pub const CORE_WIDTH: usize = 8192;
 /// Estimates the peak number of simultaneously-live bits when evaluating a
 /// partition level by level: partition sources and computed values are
 /// live from their defining level until their last use (sinks stay live to
-/// the end). This conservatively over-approximates the boomerang state
-/// requirement, so a partition passing this check is mappable.
+/// the end).
+///
+/// A cheap filter ahead of the authoritative test, which is placement
+/// itself (`gem_place::place_partition`): a partition over the width by
+/// this estimate is not worth placing, but most merge candidates under it
+/// still fail to place (156 of 172 on the ladder's Gemmini, 69 of 88 on
+/// OpenPiton8), because the boomerang layers hold values longer than a
+/// level-by-level sweep does.
 pub fn estimate_width(g: &Eaig, p: &Partition) -> usize {
+    const OUTSIDE: u32 = u32::MAX;
     let node_levels = g.node_levels();
     let depth = p
         .nodes
         .iter()
         .map(|n| node_levels[n.0 as usize])
         .max()
-        .unwrap_or(0) as usize;
-    // def level and last-use level per signal (sources def at 0).
-    let mut in_part = std::collections::HashMap::new();
-    for &s in &p.sources {
-        in_part.insert(s.0, (0usize, 0usize));
+        .unwrap_or(0);
+    // Last-use level per signal of the partition, indexed by node id;
+    // the defining level is 0 for a source and the node's own otherwise.
+    // (`sources` and `nodes` name each signal once: see `extract_cone`.)
+    let mut last_use = vec![OUTSIDE; g.len()];
+    for n in p.sources.iter().chain(&p.nodes) {
+        last_use[n.0 as usize] = 0;
     }
-    for &n in &p.nodes {
-        in_part.insert(n.0, (node_levels[n.0 as usize] as usize, 0usize));
-    }
-    // Uses.
     for &n in &p.nodes {
         if let Node::And(a, b) = g.node(n) {
-            let ul = node_levels[n.0 as usize] as usize;
+            let ul = node_levels[n.0 as usize];
             for x in [a.node(), b.node()] {
-                if let Some(e) = in_part.get_mut(&x.0) {
-                    e.1 = e.1.max(ul);
+                let last = &mut last_use[x.0 as usize];
+                if *last != OUTSIDE {
+                    *last = (*last).max(ul);
                 }
             }
         }
     }
     // Sinks live to the end.
     for s in &p.sinks {
-        if let Some(e) = in_part.get_mut(&s.node().0) {
-            e.1 = depth + 1;
+        let last = &mut last_use[s.node().0 as usize];
+        if *last != OUTSIDE {
+            *last = depth + 1;
         }
     }
     // Sweep: +1 at (def+1), -1 after last use. Live span is (def, last].
-    let mut delta = vec![0i64; depth + 3];
-    for (_, &(d, u)) in in_part.iter() {
-        if u > d {
-            delta[d + 1] += 1;
-            delta[u + 1] -= 1;
+    let mut delta = vec![0i64; depth as usize + 3];
+    let gates = p.nodes.iter().map(|n| (n, node_levels[n.0 as usize]));
+    for (n, def) in gates.chain(p.sources.iter().map(|n| (n, 0))) {
+        let last = last_use[n.0 as usize];
+        if last > def {
+            delta[def as usize + 1] += 1;
+            delta[last as usize + 1] -= 1;
         }
     }
     let mut live = 0i64;
@@ -71,8 +81,8 @@ pub fn estimate_width(g: &Eaig, p: &Partition) -> usize {
     peak as usize
 }
 
-/// True if the partition fits a core of `width` bits by the conservative
-/// [`estimate_width`] metric.
+/// True if the partition passes the [`estimate_width`] filter for a core
+/// of `width` bits.
 pub fn width_mappable(g: &Eaig, p: &Partition, width: usize) -> bool {
     estimate_width(g, p) <= width
 }
@@ -86,6 +96,12 @@ pub struct MergeStats {
     pub after: usize,
     /// Merges committed.
     pub merges: usize,
+    /// Candidates put to the oracle.
+    pub oracle_calls: usize,
+    /// Candidates not put to it because the same two partitions, both
+    /// unchanged since, had already been rejected (met once from each
+    /// side).
+    pub repeats_skipped: usize,
 }
 
 /// Algorithm 1: greedily merges a stage's partitions, trying candidates in
@@ -100,30 +116,61 @@ pub fn merge_partitions(
     stage: &Stage,
     mappable: &dyn Fn(&Partition) -> bool,
 ) -> (Stage, MergeStats) {
-    let mut parts: Vec<Option<Partition>> = stage.partitions.iter().cloned().map(Some).collect();
-    let before = parts.len();
-    let mut merges = 0usize;
+    let (merged, _, stats) = merge_partitions_with(g, region, stage, |p| mappable(p).then_some(()));
+    (merged, stats)
+}
+
+/// [`merge_partitions`] with an oracle that hands back what it built to
+/// find its answer (a placement, say): `Some(payload)` accepts the merged
+/// partition. The second result holds, for every partition of the merged
+/// stage, the payload of the call that accepted exactly that partition,
+/// or `None` for one no merge touched; a payload is dropped when a later
+/// merge supersedes its partition.
+///
+/// `accept` must be a function of the partition alone: a rejected
+/// candidate is not asked again while both its halves are unchanged.
+pub fn merge_partitions_with<T>(
+    g: &Eaig,
+    region: &Region,
+    stage: &Stage,
+    mut accept: impl FnMut(&Partition) -> Option<T>,
+) -> (Stage, Vec<Option<T>>, MergeStats) {
+    // Each live partition with its payload and an id that changes with
+    // its content, so a pair of ids names one merged sink set.
+    let mut parts: Vec<Option<(Partition, Option<T>, usize)>> = stage
+        .partitions
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(id, p)| Some((p, None, id)))
+        .collect();
+    let mut stats = MergeStats {
+        before: parts.len(),
+        after: 0,
+        merges: 0,
+        oracle_calls: 0,
+        repeats_skipped: 0,
+    };
+    let mut next_id = parts.len();
+    let mut rejected: HashSet<(usize, usize)> = HashSet::new();
+    let mut member = vec![false; g.len()];
     // Line 2: for each partition p.
     for pi in 0..parts.len() {
         if parts[pi].is_none() {
             continue;
         }
         loop {
-            let p = parts[pi].as_ref().expect("present");
+            let &(ref p, _, p_id) = parts[pi].as_ref().expect("present");
             // Line 3: sort other unvisited partitions by overlap with p.
-            let mut member = vec![false; g.len()];
-            for n in &p.nodes {
+            for n in p.nodes.iter().chain(&p.sources) {
                 member[n.0 as usize] = true;
-            }
-            for s in &p.sources {
-                member[s.0 as usize] = true;
             }
             let mut candidates: Vec<(usize, usize)> = Vec::new(); // (overlap, qi)
             for (qi, q) in parts.iter().enumerate() {
                 if qi == pi {
                     continue;
                 }
-                let Some(q) = q else { continue };
+                let Some((q, ..)) = q else { continue };
                 let overlap = q
                     .nodes
                     .iter()
@@ -132,44 +179,52 @@ pub fn merge_partitions(
                     .count();
                 candidates.push((overlap, qi));
             }
+            for n in p.nodes.iter().chain(&p.sources) {
+                member[n.0 as usize] = false;
+            }
             candidates.sort_unstable_by(|a, b| b.cmp(a));
             // Lines 4-5: try merging large-to-small overlap; commit the
             // first mappable merge, then rescan (overlaps changed).
-            let mut committed = false;
+            let mut committed = None;
             for (_, qi) in candidates {
-                let q = parts[qi].as_ref().expect("candidate present");
-                let p = parts[pi].as_ref().expect("present");
+                let &(ref q, _, q_id) = parts[qi].as_ref().expect("candidate present");
+                let pair = (p_id.min(q_id), p_id.max(q_id));
+                if rejected.contains(&pair) {
+                    stats.repeats_skipped += 1;
+                    continue;
+                }
                 let mut sinks = p.sinks.clone();
                 sinks.extend(q.sinks.iter().copied());
                 sinks.sort_unstable();
                 sinks.dedup();
                 let merged = extract_cone(g, region, &sinks);
-                if mappable(&merged) {
-                    parts[pi] = Some(merged);
-                    parts[qi] = None;
-                    merges += 1;
-                    committed = true;
+                stats.oracle_calls += 1;
+                if let Some(payload) = accept(&merged) {
+                    committed = Some((qi, merged, payload));
                     break;
                 }
+                rejected.insert(pair);
             }
-            if !committed {
+            let Some((qi, merged, payload)) = committed else {
                 break;
-            }
+            };
+            parts[pi] = Some((merged, Some(payload), next_id));
+            parts[qi] = None;
+            next_id += 1;
+            stats.merges += 1;
         }
     }
-    let partitions: Vec<Partition> = parts.into_iter().flatten().collect();
-    let after = partitions.len();
-    (
-        Stage {
-            partitions,
-            cut_lits: stage.cut_lits.clone(),
-        },
-        MergeStats {
-            before,
-            after,
-            merges,
-        },
-    )
+    let (partitions, payloads): (Vec<Partition>, Vec<Option<T>>) = parts
+        .into_iter()
+        .flatten()
+        .map(|(p, payload, _)| (p, payload))
+        .unzip();
+    stats.after = partitions.len();
+    let merged = Stage {
+        partitions,
+        cut_lits: stage.cut_lits.clone(),
+    };
+    (merged, payloads, stats)
 }
 
 #[cfg(test)]
@@ -276,5 +331,151 @@ mod tests {
             merged.partitions.len()
         );
         let _ = Lit::FALSE;
+    }
+
+    /// 16 chains in 16 partitions: the stage the payload tests merge.
+    fn sixteen_chains() -> (Eaig, Region, Stage) {
+        let g = chains(16, 4);
+        let region = Region::whole(&g);
+        let partitions = partition_region(&g, &region, 16, &PartitionOptions::default());
+        let stage = Stage {
+            partitions,
+            cut_lits: vec![],
+        };
+        (g, region, stage)
+    }
+
+    #[test]
+    fn payloads_belong_to_the_partitions_they_come_back_with() {
+        let (g, region, stage) = sixteen_chains();
+        // A few chains fit one core, and one partition merges with nothing.
+        let limit = 16;
+        let loner = stage.partitions[5].sinks[0];
+        let fits = |p: &Partition| width_mappable(&g, p, limit) && !p.sinks.contains(&loner);
+        let mut calls = 0usize;
+        let (merged, payloads, stats) = merge_partitions_with(&g, &region, &stage, |p| {
+            calls += 1;
+            fits(p).then(|| p.sinks.clone())
+        });
+        assert_eq!(stats.oracle_calls, calls);
+        assert_eq!(payloads.len(), merged.partitions.len());
+        assert!(stats.merges > 0 && stats.after > 1, "{stats:?}");
+        assert!(payloads.iter().any(Option::is_none), "the loner merged");
+        for (p, payload) in merged.partitions.iter().zip(&payloads) {
+            match payload {
+                // The call that accepted exactly this sink set.
+                Some(sinks) => assert_eq!(sinks, &p.sinks),
+                // Never merged: still one of the stage's own partitions.
+                None => assert!(stage.partitions.contains(p)),
+            }
+        }
+        // The bool form is the same algorithm without the payloads.
+        let (plain, plain_stats) = merge_partitions(&g, &region, &stage, &fits);
+        assert_eq!((plain, plain_stats), (merged, stats));
+    }
+
+    #[test]
+    fn an_unmerged_partition_has_no_payload() {
+        let (g, region, stage) = sixteen_chains();
+        let (merged, payloads, stats) = merge_partitions_with(&g, &region, &stage, |_| None::<()>);
+        assert_eq!(merged.partitions, stage.partitions);
+        assert!(payloads.iter().all(Option::is_none));
+        // 16 partitions meet pairwise once, not once from each side.
+        assert_eq!(stats.oracle_calls, 16 * 15 / 2);
+        assert_eq!(stats.repeats_skipped, 16 * 15 / 2);
+    }
+
+    #[test]
+    fn a_rejected_sink_set_is_asked_once() {
+        let (g, region, stage) = sixteen_chains();
+        let mut asked: std::collections::HashMap<Vec<Lit>, usize> = Default::default();
+        let limit = 16;
+        let (_, _, stats) = merge_partitions_with(&g, &region, &stage, |p| {
+            *asked.entry(p.sinks.clone()).or_default() += 1;
+            width_mappable(&g, p, limit).then_some(())
+        });
+        assert!(stats.repeats_skipped > 0, "{stats:?}");
+        assert_eq!(asked.values().sum::<usize>(), stats.oracle_calls);
+        for (sinks, times) in &asked {
+            assert_eq!(*times, 1, "asked {times} times about {sinks:?}");
+        }
+    }
+
+    /// [`estimate_width`] as it was before it ran on dense arrays.
+    fn estimate_width_by_hashmap(g: &Eaig, p: &Partition) -> usize {
+        let node_levels = g.node_levels();
+        let depth = p
+            .nodes
+            .iter()
+            .map(|n| node_levels[n.0 as usize])
+            .max()
+            .unwrap_or(0) as usize;
+        let mut in_part = std::collections::HashMap::new();
+        for &s in &p.sources {
+            in_part.insert(s.0, (0usize, 0usize));
+        }
+        for &n in &p.nodes {
+            in_part.insert(n.0, (node_levels[n.0 as usize] as usize, 0usize));
+        }
+        for &n in &p.nodes {
+            if let Node::And(a, b) = g.node(n) {
+                let ul = node_levels[n.0 as usize] as usize;
+                for x in [a.node(), b.node()] {
+                    if let Some(e) = in_part.get_mut(&x.0) {
+                        e.1 = e.1.max(ul);
+                    }
+                }
+            }
+        }
+        for s in &p.sinks {
+            if let Some(e) = in_part.get_mut(&s.node().0) {
+                e.1 = depth + 1;
+            }
+        }
+        let mut delta = vec![0i64; depth + 3];
+        for &(d, u) in in_part.values() {
+            if u > d {
+                delta[d + 1] += 1;
+                delta[u + 1] -= 1;
+            }
+        }
+        let mut live = 0i64;
+        let mut peak = 0i64;
+        for d in delta {
+            live += d;
+            peak = peak.max(live);
+        }
+        peak as usize
+    }
+
+    #[test]
+    fn width_estimate_is_unchanged_on_the_fuzz_corpus() {
+        use gem_sim::fuzz::{random_module, FuzzConfig};
+        let mut checked = 0usize;
+        for seed in 0..48u64 {
+            let m = random_module(seed, &FuzzConfig::for_seed(seed));
+            let g = gem_synth::synthesize(&m, &gem_synth::SynthOptions::default())
+                .expect("fuzz designs synthesize")
+                .eaig;
+            for (target_parts, stages) in [(1, 1), (3, 1), (4, 2)] {
+                let parts = crate::partition(
+                    &g,
+                    &PartitionOptions {
+                        target_parts,
+                        stages,
+                        ..Default::default()
+                    },
+                );
+                for p in parts.stages.iter().flat_map(|s| &s.partitions) {
+                    assert_eq!(
+                        estimate_width(&g, p),
+                        estimate_width_by_hashmap(&g, p),
+                        "seed {seed}, {target_parts} parts, {stages} stages"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 100, "only {checked} partitions");
     }
 }

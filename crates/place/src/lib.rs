@@ -37,7 +37,7 @@ pub mod placer;
 pub use compiled::{CompiledLayer, FoldOp, PERM_CONST};
 pub use layer::{splat, BoomerangLayer, CoreProgram, FoldConsts, OutputSource, PermSource, Word};
 pub use packed::PackedLayer;
-pub use placer::{place_partition, PlaceError, PlaceOptions, PlaceStats};
+pub use placer::{place_partition, place_partition_counted, PlaceError, PlaceOptions, PlaceStats};
 
 /// Default core width in bits (256 GPU threads × 32-bit words).
 pub const CORE_WIDTH: u32 = 8192;

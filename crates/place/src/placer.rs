@@ -13,11 +13,19 @@
 //! AIG, recomputed as mapping progresses; prioritizing critical nodes
 //! minimizes the number of layers (the ablation knob
 //! [`PlaceOptions::timing_driven`] switches to FIFO order instead).
+//!
+//! A candidate is offered the first 64 (`MAX_SLOT_ATTEMPTS`) open slots of
+//! its level and left for a later layer when none takes it. Almost every
+//! such offer fails, and a failed offer is rolled back, so the placer
+//! answers the ones that *cannot* succeed without making them: the number
+//! of slots a placement occupies is known before it starts (`slot_costs`),
+//! a subtree cannot hold more slots than it has left, and the open slots
+//! of a level change only when a placement succeeds. Every such shortcut refuses only what the recursion would
+//! have refused (DESIGN.md §4); the mapping is the same slot for slot.
 
 use crate::layer::{BoomerangLayer, CoreProgram, OutputSource, PermSource};
 use gem_aig::{Eaig, Node, NodeId};
 use gem_partition::Partition;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Placement options.
@@ -28,17 +36,17 @@ pub struct PlaceOptions {
     /// Prioritize timing-critical nodes (Algorithm 2 lines 7–8). Disable
     /// for the FIFO ablation.
     pub timing_driven: bool,
-    /// Give up on a candidate after this many failed slot attempts in one
-    /// layer (it is retried in later layers).
-    pub max_slot_attempts: u32,
 }
+
+/// A candidate is given up on after this many failed slot attempts in one
+/// layer (it is retried in later layers).
+const MAX_SLOT_ATTEMPTS: usize = 64;
 
 impl Default for PlaceOptions {
     fn default() -> Self {
         PlaceOptions {
             core_width: crate::CORE_WIDTH,
             timing_driven: true,
-            max_slot_attempts: 64,
         }
     }
 }
@@ -81,8 +89,13 @@ pub struct PlaceStats {
     /// Slots spent on bypass routing.
     pub bypass_slots: u64,
     /// Gates recomputed because a value was needed at two places within
-    /// one layer.
+    /// one layer: the compute slots of each committed layer beyond one per
+    /// gate it realized.
     pub duplicated_gates: u64,
+    /// Slot attempts that ran the bit-mapping recursion (the ones the
+    /// room check could not refuse beforehand). Work done, not a property
+    /// of the result.
+    pub slot_attempts: u64,
 }
 
 /// Places one partition onto boomerang layers; see the module docs.
@@ -96,7 +109,21 @@ pub fn place_partition(
     p: &Partition,
     opts: &PlaceOptions,
 ) -> Result<(CoreProgram, PlaceStats), PlaceError> {
-    Placer::new(g, p, opts).run()
+    let (placed, stats) = place_partition_counted(g, p, opts);
+    placed.map(|prog| (prog, stats))
+}
+
+/// [`place_partition`] with the statistics of a failed placement too
+/// (as far as it got): a flow that tries placements to find out whether
+/// they exist pays for the ones that do not.
+pub fn place_partition_counted(
+    g: &Eaig,
+    p: &Partition,
+    opts: &PlaceOptions,
+) -> (Result<CoreProgram, PlaceError>, PlaceStats) {
+    let mut placer = Placer::new(g, p, opts);
+    let placed = placer.run();
+    (placed, placer.stats)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,6 +136,26 @@ enum SlotOp {
     Read { local: u32 },
 }
 
+/// Slots in the fold subtree rooted at a level-`k` slot: one at level
+/// `k`, two at `k - 1`, … , `2^k` at level 0.
+fn subtree_cap(k: usize) -> u32 {
+    (2u32 << k) - 1
+}
+
+/// The slots of one level the next candidate will be offered, in order:
+/// the first [`MAX_SLOT_ATTEMPTS`] that are open, each with the room left
+/// in its subtree. Slots of one level root disjoint subtrees, so a
+/// successful placement closes its own slot and leaves every other
+/// entry as it was; a failed one is rolled back and changes nothing.
+struct Window {
+    /// `(slot, room)`, ascending by slot.
+    open: Vec<(usize, u32)>,
+    /// First slot not yet looked at.
+    cursor: usize,
+    /// Largest room in `open` (0 when empty).
+    max_room: u32,
+}
+
 struct Placer<'a> {
     g: &'a Eaig,
     p: &'a Partition,
@@ -116,74 +163,154 @@ struct Placer<'a> {
     folds: usize,
     /// local index: sources first, then gates (topological order).
     locals: Vec<NodeId>,
-    local_of: HashMap<u32, u32>,
     n_sources: usize,
     /// Gate fanins as (local, inverted) pairs; empty for sources.
     fanins: Vec<[(u32, bool); 2]>,
-    consumers: Vec<Vec<u32>>,
+    /// The gates reading each local, concatenated in local order: those
+    /// of `li` are at `consumers_from[li]..consumers_from[li + 1]`.
+    consumers: Vec<u32>,
+    consumers_from: Vec<u32>,
     realized: Vec<bool>,
     addr: Vec<Option<u32>>,
     is_sink: Vec<bool>,
+    /// Local index of each of `p.sinks` (`None`: not a partition node).
+    sink_locals: Vec<Option<u32>>,
     // state allocator
     free_list: Vec<u32>,
     next_addr: u32,
     peak: u32,
     stats: PlaceStats,
+    // The layer being filled. `rem_level` and `cost` are fixed while it
+    // fills (they depend on `realized`/`addr`, which change at commit).
+    /// Remaining forward logic level per local (0 = available).
+    rem_level: Vec<u32>,
+    /// See [`Placer::slot_costs`].
+    cost: Vec<u32>,
+    /// Occupancy per level: level 0 has `width` slots, level k has
+    /// `width >> k`.
+    occ: Vec<Vec<Option<SlotOp>>>,
+    /// Occupied slots in the subtree rooted at each slot.
+    used: Vec<Vec<u32>>,
+    /// (level, slot) of the first Compute op of each gate placed in this
+    /// layer.
+    placed_at: Vec<Option<(usize, usize)>>,
+    /// Slots occupied since the last successful placement, for rollback.
+    journal: Vec<(usize, usize)>,
+    #[cfg(test)]
+    audit: Audit,
+}
+
+/// Test-only soundness audit of the room check: every rejection it makes
+/// is replayed through the recursion with the check switched off and must
+/// fail there too; every window must list the slots a plain scan would
+/// try. Not reachable from [`PlaceOptions`].
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+struct Audit {
+    on: bool,
+    /// Inside a replay: the room check accepts everything.
+    replaying: bool,
+    /// Rejections replayed, by where they were made.
+    in_recursion: u64,
+    passed_over: u64,
+    candidates_skipped: u64,
+    windows: u64,
 }
 
 impl<'a> Placer<'a> {
     fn new(g: &'a Eaig, p: &'a Partition, opts: &'a PlaceOptions) -> Self {
+        const NOT_LOCAL: u32 = u32::MAX;
         let mut locals = Vec::with_capacity(p.sources.len() + p.nodes.len());
-        let mut local_of = HashMap::new();
+        let mut local_of = vec![NOT_LOCAL; g.len()];
         for &s in &p.sources {
-            local_of.insert(s.0, locals.len() as u32);
+            local_of[s.0 as usize] = locals.len() as u32;
             locals.push(s);
         }
         let n_sources = locals.len();
         for &n in &p.nodes {
-            local_of.insert(n.0, locals.len() as u32);
+            local_of[n.0 as usize] = locals.len() as u32;
             locals.push(n);
         }
         let n = locals.len();
+        let fanin = |l: gem_aig::Lit| {
+            let li = local_of[l.node().0 as usize];
+            assert_ne!(
+                li,
+                NOT_LOCAL,
+                "fan-in n{} outside the partition",
+                l.node().0
+            );
+            (li, l.is_inverted())
+        };
         let mut fanins = vec![[(0u32, false); 2]; n];
-        let mut consumers = vec![Vec::new(); n];
+        let mut consumers_from = vec![0u32; n + 1];
         for (li, &node) in locals.iter().enumerate().skip(n_sources) {
             if let Node::And(a, b) = g.node(node) {
-                let fa = (local_of[&a.node().0], a.is_inverted());
-                let fb = (local_of[&b.node().0], b.is_inverted());
-                fanins[li] = [fa, fb];
-                consumers[fa.0 as usize].push(li as u32);
-                consumers[fb.0 as usize].push(li as u32);
+                fanins[li] = [fanin(a), fanin(b)];
+                for (f, _) in fanins[li] {
+                    consumers_from[f as usize + 1] += 1;
+                }
+            }
+        }
+        for li in 0..n {
+            consumers_from[li + 1] += consumers_from[li];
+        }
+        let mut consumers = vec![0u32; consumers_from[n] as usize];
+        let mut next = consumers_from.clone();
+        for (li, &node) in locals.iter().enumerate().skip(n_sources) {
+            if matches!(g.node(node), Node::And(..)) {
+                for (f, _) in fanins[li] {
+                    consumers[next[f as usize] as usize] = li as u32;
+                    next[f as usize] += 1;
+                }
             }
         }
         let mut realized = vec![false; n];
         for r in realized.iter_mut().take(n_sources) {
             *r = true;
         }
+        let sink_locals: Vec<Option<u32>> = p
+            .sinks
+            .iter()
+            .map(|s| Some(local_of[s.node().0 as usize]).filter(|&li| li != NOT_LOCAL))
+            .collect();
         let mut is_sink = vec![false; n];
-        for s in &p.sinks {
-            if let Some(&li) = local_of.get(&s.node().0) {
-                is_sink[li as usize] = true;
-            }
+        for &li in sink_locals.iter().flatten() {
+            is_sink[li as usize] = true;
         }
+        let folds = opts.core_width.trailing_zeros() as usize;
+        let width = opts.core_width as usize;
         Placer {
             g,
             p,
             opts,
-            folds: opts.core_width.trailing_zeros() as usize,
+            folds,
             locals,
-            local_of,
             n_sources,
             fanins,
             consumers,
+            consumers_from,
             realized,
             addr: vec![None; n],
             is_sink,
+            sink_locals,
             free_list: Vec::new(),
             next_addr: 0,
             peak: 0,
             stats: PlaceStats::default(),
+            rem_level: Vec::new(),
+            cost: Vec::new(),
+            occ: (0..=folds).map(|k| vec![None; width >> k]).collect(),
+            used: (0..=folds).map(|k| vec![0u32; width >> k]).collect(),
+            placed_at: vec![None; n],
+            journal: Vec::new(),
+            #[cfg(test)]
+            audit: Audit::default(),
         }
+    }
+
+    fn consumers(&self, li: usize) -> &[u32] {
+        &self.consumers[self.consumers_from[li] as usize..self.consumers_from[li + 1] as usize]
     }
 
     fn alloc(&mut self) -> Result<u32, PlaceError> {
@@ -202,7 +329,7 @@ impl<'a> Placer<'a> {
         Ok(a)
     }
 
-    fn run(mut self) -> Result<(CoreProgram, PlaceStats), PlaceError> {
+    fn run(&mut self) -> Result<CoreProgram, PlaceError> {
         // Load sources into state (constants excluded: the permutation has
         // a native const-false source).
         let mut inputs = Vec::new();
@@ -237,13 +364,13 @@ impl<'a> Placer<'a> {
 
         // Publish sinks.
         let mut outputs = Vec::new();
-        for s in &self.p.sinks {
+        for (s, li) in self.p.sinks.iter().zip(&self.sink_locals) {
             let node = s.node();
             if matches!(self.g.node(node), Node::Const0) {
                 outputs.push(OutputSource::Const(s.is_inverted()));
                 continue;
             }
-            let li = self.local_of[&node.0] as usize;
+            let li = li.expect("a sink is a node or a source of its partition") as usize;
             let addr = self.addr[li].ok_or_else(|| {
                 PlaceError::Unmappable(format!("sink n{} has no state address", node.0))
             })?;
@@ -252,14 +379,13 @@ impl<'a> Placer<'a> {
                 invert: s.is_inverted(),
             });
         }
-        let prog = CoreProgram {
+        Ok(CoreProgram {
             width: self.opts.core_width,
             state_size: self.peak.max(1),
             inputs,
             layers,
             outputs,
-        };
-        Ok((prog, self.stats))
+        })
     }
 
     /// Remaining forward logic level per local (0 = available).
@@ -282,7 +408,7 @@ impl<'a> Placer<'a> {
             if self.realized[li] {
                 continue;
             }
-            for &c in &self.consumers[li] {
+            for &c in self.consumers(li) {
                 if !self.realized[c as usize] {
                     crit[li] = crit[li].max(crit[c as usize] + 1);
                 }
@@ -291,99 +417,211 @@ impl<'a> Placer<'a> {
         crit
     }
 
+    /// `cost[v]`: the number of slots a successful [`Self::try_place`] of
+    /// `v` at its own remaining level occupies, whatever slot it lands
+    /// in — the recursion's shape does not depend on occupancy. An
+    /// available value is its one level-0 read; a gate is its compute
+    /// slot plus each fan-in's cost carried up to the level below (one
+    /// bypass slot per level carried); a realized value without an
+    /// address (a constant, or a value nothing reads any more) cannot be
+    /// placed at all. Saturating: a saturated cost exceeds every subtree.
+    fn slot_costs(&self) -> Vec<u32> {
+        let mut cost = vec![0u32; self.locals.len()];
+        for li in 0..self.locals.len() {
+            cost[li] = if self.realized[li] {
+                if self.addr[li].is_some() {
+                    1
+                } else {
+                    u32::MAX
+                }
+            } else {
+                let below = self.rem_level[li] - 1;
+                let carried = |(f, _): (u32, bool)| {
+                    cost[f as usize].saturating_add(below - self.rem_level[f as usize])
+                };
+                let [a, b] = self.fanins[li];
+                carried(a).saturating_add(carried(b)).saturating_add(1)
+            };
+        }
+        cost
+    }
+
+    /// The room check: a successful placement of `v` at (`level`, `slot`)
+    /// occupies `cost[v]` slots plus one bypass per level above `v`'s
+    /// own, all inside the subtree rooted there, which holds
+    /// `subtree_cap(level)` slots of which `used` are taken. Necessary,
+    /// not sufficient: `false` means the recursion would fail.
+    fn has_room(&self, v: u32, level: usize, slot: usize) -> bool {
+        #[cfg(test)]
+        if self.audit.replaying {
+            return true;
+        }
+        let own = self.rem_level[v as usize] as usize;
+        level >= own
+            && self.cost[v as usize].saturating_add((level - own) as u32)
+                <= subtree_cap(level) - self.used[level][slot]
+    }
+
+    /// Replays a rejection of the room check with the check switched off
+    /// and asserts the recursion fails there as well.
+    #[cfg(test)]
+    fn audit_rejection(
+        &mut self,
+        v: u32,
+        level: usize,
+        slot: usize,
+        made: fn(&mut Audit) -> &mut u64,
+    ) {
+        if !self.audit.on || self.audit.replaying {
+            return;
+        }
+        *made(&mut self.audit) += 1;
+        self.audit.replaying = true;
+        let mark = self.journal.len();
+        let fits = self.try_place(v, level, slot);
+        self.rollback(mark);
+        self.audit.replaying = false;
+        assert!(
+            !fits,
+            "unsound room check: local {v} (cost {}, own level {}) fits at level {level} slot \
+             {slot} with {} of {} slots used",
+            self.cost[v as usize],
+            self.rem_level[v as usize],
+            self.used[level][slot],
+            subtree_cap(level),
+        );
+    }
+
+    /// Asserts the window lists exactly the slots, in order and with
+    /// their room, that a scan of the level from slot 0 would attempt.
+    #[cfg(test)]
+    fn audit_window(&mut self, level: usize, window: &Window) {
+        if !self.audit.on {
+            return;
+        }
+        let cap = subtree_cap(level);
+        let plain: Vec<(usize, u32)> = (0..self.occ[level].len())
+            .filter(|&j| self.occ[level][j].is_none() && self.used[level][j] < cap)
+            .take(MAX_SLOT_ATTEMPTS)
+            .map(|j| (j, cap - self.used[level][j]))
+            .collect();
+        assert_eq!(window.open, plain, "window of level {level} drifted");
+        assert_eq!(
+            window.max_room,
+            plain.iter().map(|&(_, room)| room).max().unwrap_or(0)
+        );
+        self.audit.windows += 1;
+    }
+
+    /// Tops the window up from its cursor and recomputes `max_room`.
+    fn refill(&self, level: usize, window: &mut Window) {
+        let cap = subtree_cap(level);
+        let (occ, used) = (&self.occ[level], &self.used[level]);
+        while window.open.len() < MAX_SLOT_ATTEMPTS && window.cursor < occ.len() {
+            let j = window.cursor;
+            if occ[j].is_none() && used[j] < cap {
+                window.open.push((j, cap - used[j]));
+            }
+            window.cursor += 1;
+        }
+        window.max_room = window.open.iter().map(|&(_, room)| room).max().unwrap_or(0);
+    }
+
+    /// Offers each candidate of one level, in order, the first
+    /// [`MAX_SLOT_ATTEMPTS`] open slots (a slot is open while it is free
+    /// and its subtree is not full). A window slot without room for the
+    /// candidate is passed over without running the recursion, and a
+    /// candidate no window slot has room for is skipped outright; either
+    /// way the slot counts against the limit as the failed attempt it
+    /// would have been, because the window *is* the slots a scan would
+    /// have tried.
+    fn place_level(&mut self, level: usize, cands: &[u32]) {
+        let mut window = Window {
+            open: Vec::with_capacity(MAX_SLOT_ATTEMPTS),
+            cursor: 0,
+            max_room: 0,
+        };
+        self.refill(level, &mut window);
+        for &v in cands {
+            debug_assert!(
+                self.placed_at[v as usize].is_none(),
+                "a sub-placement only computes gates of lower levels"
+            );
+            #[cfg(test)]
+            self.audit_window(level, &window);
+            let cost = self.cost[v as usize];
+            if cost > window.max_room {
+                #[cfg(test)]
+                for &(j, _) in &window.open {
+                    self.audit_rejection(v, level, j, |a| &mut a.candidates_skipped);
+                }
+                continue;
+            }
+            let mut taken = None;
+            for (at, &(j, room)) in window.open.iter().enumerate() {
+                if cost > room {
+                    #[cfg(test)]
+                    self.audit_rejection(v, level, j, |a| &mut a.passed_over);
+                    continue;
+                }
+                self.stats.slot_attempts += 1;
+                if self.try_place(v, level, j) {
+                    taken = Some(at);
+                    break;
+                }
+                self.rollback(0);
+            }
+            if let Some(at) = taken {
+                self.journal.clear();
+                window.open.remove(at);
+                self.refill(level, &mut window);
+            }
+        }
+    }
+
     /// Fills one layer; returns the number of distinct gates realized.
     fn place_one_layer(&mut self, layers: &mut Vec<BoomerangLayer>) -> Result<usize, PlaceError> {
-        let width = self.opts.core_width as usize;
-        let folds = self.folds;
-        let rem_level = self.remaining_levels();
-        let crit = self.criticalities();
-        // occupancy per level: level 0 has `width` slots, level k has
-        // width >> k.
-        let mut occ: Vec<Vec<Option<SlotOp>>> =
-            (0..=folds).map(|k| vec![None; width >> k]).collect();
-        // used-slot counts per subtree root for pruning.
-        let mut used: Vec<Vec<u32>> = (0..=folds).map(|k| vec![0u32; width >> k]).collect();
-        let subtree_cap = |k: usize| -> u32 { ((2usize << k) - 1) as u32 };
-        // first placement slot of each gate placed this layer: local ->
-        // (level, slot) of its Compute op.
-        let mut placed_at: HashMap<u32, (usize, usize)> = HashMap::new();
-
-        for level in 1..=folds {
-            // Candidates at this remaining level, most critical first.
-            let mut cands: Vec<u32> = (self.n_sources..self.locals.len())
-                .filter(|&li| {
-                    !self.realized[li]
-                        && rem_level[li] as usize == level
-                        && !placed_at.contains_key(&(li as u32))
-                })
-                .map(|li| li as u32)
-                .collect();
-            if self.opts.timing_driven {
-                cands.sort_by_key(|&li| std::cmp::Reverse(crit[li as usize]));
+        self.rem_level = self.remaining_levels();
+        self.cost = self.slot_costs();
+        for (occ, used) in self.occ.iter_mut().zip(&mut self.used) {
+            occ.fill(None);
+            used.fill(0);
+        }
+        // Candidates by remaining level, ascending local index within a
+        // level; most critical first when timing-driven (a stable sort).
+        let mut cands: Vec<Vec<u32>> = vec![Vec::new(); self.folds + 1];
+        for li in self.n_sources..self.locals.len() {
+            let level = self.rem_level[li] as usize;
+            if !self.realized[li] && level <= self.folds {
+                cands[level].push(li as u32);
             }
-            let slots = width >> level;
-            for v in cands {
-                let mut attempts = 0u32;
-                let mut j = 0usize;
-                while j < slots && attempts < self.opts.max_slot_attempts {
-                    if occ[level][j].is_some() || used[level][j] >= subtree_cap(level) {
-                        j += 1;
-                        continue;
-                    }
-                    attempts += 1;
-                    let mut journal: Vec<(usize, usize)> = Vec::new();
-                    if self.try_place(
-                        v,
-                        level,
-                        j,
-                        &rem_level,
-                        &mut occ,
-                        &mut used,
-                        &mut placed_at,
-                        &mut journal,
-                    ) {
-                        break;
-                    }
-                    // Roll back the failed attempt.
-                    for &(k, s) in journal.iter().rev() {
-                        if let Some(op) = occ[k][s].take() {
-                            if let SlotOp::Compute { local, .. } = op {
-                                if placed_at.get(&local) == Some(&(k, s)) {
-                                    placed_at.remove(&local);
-                                }
-                            }
-                            let mut kk = k;
-                            let mut jj = s;
-                            loop {
-                                used[kk][jj] -= 1;
-                                if kk == folds {
-                                    break;
-                                }
-                                kk += 1;
-                                jj >>= 1;
-                            }
-                        }
-                    }
-                    j += 1;
-                }
+        }
+        if self.opts.timing_driven {
+            let crit = self.criticalities();
+            for level in &mut cands {
+                level.sort_by_key(|&li| std::cmp::Reverse(crit[li as usize]));
             }
+        }
+        for (level, cands) in cands.iter().enumerate().skip(1) {
+            self.place_level(level, cands);
         }
 
         // Commit: build the layer.
         let mut layer = BoomerangLayer::new(self.opts.core_width);
-        for (j, slot) in occ[0].iter().enumerate() {
+        for (j, slot) in self.occ[0].iter().enumerate() {
             if let Some(SlotOp::Read { local }) = slot {
                 let a = self.addr[*local as usize].expect("read of unaddressed value");
                 layer.perm[j] = PermSource::State(narrow(a));
             }
         }
-        for (k, row) in occ.iter().enumerate().take(folds + 1).skip(1) {
+        let mut computes = 0u64;
+        for (k, row) in self.occ.iter().enumerate().skip(1) {
             for (j, slot) in row.iter().enumerate() {
                 match slot {
                     Some(SlotOp::Compute { xa, xb, .. }) => {
                         layer.folds[k - 1].xa[j] = *xa;
                         layer.folds[k - 1].xb[j] = *xb;
-                        self.stats.compute_slots += 1;
+                        computes += 1;
                     }
                     Some(SlotOp::Bypass { .. }) => {
                         layer.folds[k - 1].ob[j] = true;
@@ -394,22 +632,29 @@ impl<'a> Placer<'a> {
             }
         }
         // Writebacks for newly realized gates that are sinks or still have
-        // unrealized consumers after this layer commits. Sorted so state
-        // addresses are assigned deterministically.
-        let mut newly: Vec<u32> = placed_at.keys().copied().collect();
-        newly.sort_unstable();
+        // unrealized consumers after this layer commits. In ascending
+        // local order so state addresses are assigned deterministically.
+        let newly: Vec<u32> = (self.n_sources..self.locals.len())
+            .filter(|&li| self.placed_at[li].is_some())
+            .map(|li| li as u32)
+            .collect();
+        self.stats.compute_slots += computes;
+        self.stats.duplicated_gates += computes - newly.len() as u64;
         for &v in &newly {
             self.realized[v as usize] = true;
         }
         for &v in &newly {
+            let (k, j) = self.placed_at[v as usize]
+                .take()
+                .expect("newly realized gates were placed");
             let needs = self.is_sink[v as usize]
-                || self.consumers[v as usize]
+                || self
+                    .consumers(v as usize)
                     .iter()
                     .any(|&c| !self.realized[c as usize]);
             if needs {
                 let a = self.alloc()?;
                 self.addr[v as usize] = Some(a);
-                let (k, j) = placed_at[&v];
                 layer.writeback[k - 1][j] = Some(narrow(a));
             }
         }
@@ -417,7 +662,8 @@ impl<'a> Placer<'a> {
         for li in 0..self.locals.len() {
             if let Some(a) = self.addr[li] {
                 let dead = !self.is_sink[li]
-                    && self.consumers[li]
+                    && self
+                        .consumers(li)
                         .iter()
                         .all(|&c| self.realized[c as usize]);
                 if dead {
@@ -430,156 +676,92 @@ impl<'a> Placer<'a> {
         Ok(newly.len())
     }
 
+    fn occupy(&mut self, level: usize, slot: usize, op: SlotOp) {
+        self.occ[level][slot] = Some(op);
+        self.journal.push((level, slot));
+        let (mut k, mut j) = (level, slot);
+        loop {
+            self.used[k][j] += 1;
+            if k == self.folds {
+                break;
+            }
+            k += 1;
+            j >>= 1;
+        }
+    }
+
+    /// Frees every slot journaled after `mark`, newest first.
+    fn rollback(&mut self, mark: usize) {
+        while self.journal.len() > mark {
+            let (level, slot) = self.journal.pop().expect("journal is longer than mark");
+            let op = self.occ[level][slot]
+                .take()
+                .expect("journaled slots are occupied");
+            if let SlotOp::Compute { local, .. } = op {
+                if self.placed_at[local as usize] == Some((level, slot)) {
+                    self.placed_at[local as usize] = None;
+                }
+            }
+            let (mut k, mut j) = (level, slot);
+            loop {
+                self.used[k][j] -= 1;
+                if k == self.folds {
+                    break;
+                }
+                k += 1;
+                j >>= 1;
+            }
+        }
+    }
+
     /// The bit-mapping primitive of Fig 6. Attempts to make the value of
     /// local `v` appear at slot (`level`, `slot`); occupies slots via
     /// `occ`/`used` and records them in `journal` for rollback.
-    #[allow(clippy::too_many_arguments)]
-    fn try_place(
-        &mut self,
-        v: u32,
-        level: usize,
-        slot: usize,
-        rem_level: &[u32],
-        occ: &mut [Vec<Option<SlotOp>>],
-        used: &mut [Vec<u32>],
-        placed_at: &mut HashMap<u32, (usize, usize)>,
-        journal: &mut Vec<(usize, usize)>,
-    ) -> bool {
-        if occ[level][slot].is_some() {
+    fn try_place(&mut self, v: u32, level: usize, slot: usize) -> bool {
+        if self.occ[level][slot].is_some() {
+            return false;
+        }
+        if !self.has_room(v, level, slot) {
+            #[cfg(test)]
+            self.audit_rejection(v, level, slot, |a| &mut a.in_recursion);
             return false;
         }
         let vi = v as usize;
-        let available = self.realized[vi] && self.addr[vi].is_some();
-        let occupy = |occ: &mut [Vec<Option<SlotOp>>],
-                      used: &mut [Vec<u32>],
-                      journal: &mut Vec<(usize, usize)>,
-                      folds: usize,
-                      k: usize,
-                      j: usize,
-                      op: SlotOp| {
-            occ[k][j] = Some(op);
-            journal.push((k, j));
-            let (mut kk, mut jj) = (k, j);
-            loop {
-                used[kk][jj] += 1;
-                if kk == folds {
-                    break;
-                }
-                kk += 1;
-                jj >>= 1;
-            }
-        };
-        if available {
-            if level == 0 {
-                occupy(
-                    occ,
-                    used,
-                    journal,
-                    self.folds,
-                    0,
-                    slot,
-                    SlotOp::Read { local: v },
-                );
-                return true;
-            }
-            // Ride the value up a bypass chain rooted at the A child.
-            if !self.try_place(
-                v,
-                level - 1,
-                2 * slot,
-                rem_level,
-                occ,
-                used,
-                placed_at,
-                journal,
-            ) {
-                return false;
-            }
-            occupy(
-                occ,
-                used,
-                journal,
-                self.folds,
-                level,
-                slot,
-                SlotOp::Bypass { local: v },
-            );
-            return true;
-        }
-        // Unrealized gate (or an intra-layer duplicate recomputation).
-        let rl = rem_level[vi] as usize;
-        if rl > level || level == 0 {
+        let own = self.rem_level[vi] as usize;
+        if level < own {
             return false;
         }
-        if rl < level {
-            // Pad down with bypasses until the natural level.
-            if !self.try_place(
-                v,
-                level - 1,
-                2 * slot,
-                rem_level,
-                occ,
-                used,
-                placed_at,
-                journal,
-            ) {
+        if level > own {
+            // Above the value's own level (an available value's is 0):
+            // ride it up a bypass chain rooted at the A child.
+            if !self.try_place(v, level - 1, 2 * slot) {
                 return false;
             }
-            occupy(
-                occ,
-                used,
-                journal,
-                self.folds,
-                level,
-                slot,
-                SlotOp::Bypass { local: v },
-            );
+            self.occupy(level, slot, SlotOp::Bypass { local: v });
             return true;
         }
-        // Compute here: children are the two fanins.
+        if level == 0 {
+            // Realized, but readable only while it has a state address.
+            if self.addr[vi].is_none() {
+                return false;
+            }
+            self.occupy(0, slot, SlotOp::Read { local: v });
+            return true;
+        }
+        // Compute here: children are the two fanins. The gate may already
+        // sit elsewhere in this layer (an intra-layer duplicate).
         let [(fa, ia), (fb, ib)] = self.fanins[vi];
-        if !self.try_place(
-            fa,
-            level - 1,
-            2 * slot,
-            rem_level,
-            occ,
-            used,
-            placed_at,
-            journal,
-        ) {
+        if !self.try_place(fa, level - 1, 2 * slot) || !self.try_place(fb, level - 1, 2 * slot + 1)
+        {
             return false;
         }
-        if !self.try_place(
-            fb,
-            level - 1,
-            2 * slot + 1,
-            rem_level,
-            occ,
-            used,
-            placed_at,
-            journal,
-        ) {
-            return false;
-        }
-        occupy(
-            occ,
-            used,
-            journal,
-            self.folds,
-            level,
-            slot,
-            SlotOp::Compute {
-                local: v,
-                xa: ia,
-                xb: ib,
-            },
-        );
-        if let std::collections::hash_map::Entry::Vacant(e) = placed_at.entry(v) {
-            e.insert((level, slot));
-        } else {
-            self.stats.duplicated_gates += 1;
-        }
+        let op = SlotOp::Compute {
+            local: v,
+            xa: ia,
+            xb: ib,
+        };
+        self.occupy(level, slot, op);
+        self.placed_at[vi].get_or_insert((level, slot));
         true
     }
 }
@@ -615,6 +797,101 @@ mod tests {
         assert_eq!(prog.layers.len(), 1, "2 levels fit one layer");
         assert!(stats.compute_slots >= 2);
         assert_eq!(stats.state_peak as usize, prog.state_size as usize);
+        // Every gate is realized once; a compute slot beyond that is a
+        // duplicate, whatever attempts were made and undone on the way.
+        assert_eq!(
+            stats.duplicated_gates,
+            stats.compute_slots - p.nodes.len() as u64
+        );
+        assert!(stats.slot_attempts >= 2, "each gate took an attempt");
+    }
+
+    /// A random sequential mixer circuit (the kind
+    /// `tests/place_correctness.rs::random_circuit` builds).
+    fn random_circuit(n_inputs: usize, gates: usize, seed: u64) -> Eaig {
+        use rand::{Rng, SeedableRng};
+        let mut g = Eaig::new();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut lits: Vec<_> = (0..n_inputs).map(|i| g.input(format!("i{i}"))).collect();
+        let ffs: Vec<_> = (0..4).map(|_| g.ff(false)).collect();
+        lits.extend(ffs.iter().copied());
+        for _ in 0..gates {
+            let a = lits[rng.gen_range(0..lits.len())];
+            let b = lits[rng.gen_range(0..lits.len())];
+            lits.push(match rng.gen_range(0..3) {
+                0 => g.and(a, b),
+                1 => g.or(a, b),
+                _ => g.xor(a, b),
+            });
+        }
+        for (k, &q) in ffs.iter().enumerate() {
+            g.set_ff_next(q, lits[lits.len() - 1 - k]);
+        }
+        g.output("o", *lits.last().expect("nonempty"));
+        g
+    }
+
+    /// Places `p` with every rejection of the room check replayed
+    /// through the unpruned recursion and every window held against a
+    /// plain scan (the asserts are in `audit_rejection`/`audit_window`),
+    /// and checks the audit changed nothing.
+    fn audited(g: &Eaig, p: &Partition, opts: &PlaceOptions) -> (Audit, Option<PlaceError>) {
+        let mut placer = Placer::new(g, p, opts);
+        placer.audit.on = true;
+        let placed = placer.run();
+        let (plain, plain_stats) = place_partition_counted(g, p, opts);
+        assert_eq!(placed, plain, "the audit changed the placement");
+        assert_eq!(
+            placer.stats, plain_stats,
+            "the audit changed the statistics"
+        );
+        (placer.audit, placed.err())
+    }
+
+    #[test]
+    fn every_rejection_of_the_room_check_fails_unpruned() {
+        let mut total = Audit::default();
+        for (seed, gates) in [(3u64, 300usize), (4, 900), (5, 2500)] {
+            let g = random_circuit(16, gates, seed);
+            let p = single_partition(&g);
+            // 64: every level holds fewer slots than the attempt limit;
+            // 2048: the lower levels hold many more.
+            for core_width in [64, 256, 2048] {
+                for timing_driven in [true, false] {
+                    let opts = PlaceOptions {
+                        core_width,
+                        timing_driven,
+                    };
+                    let (audit, _) = audited(&g, &p, &opts);
+                    total.in_recursion += audit.in_recursion;
+                    total.passed_over += audit.passed_over;
+                    total.candidates_skipped += audit.candidates_skipped;
+                    total.windows += audit.windows;
+                }
+            }
+        }
+        // The audit saw every kind of shortcut, many times.
+        assert!(total.in_recursion > 100, "{total:?}");
+        assert!(total.passed_over > 100, "{total:?}");
+        assert!(total.candidates_skipped > 100, "{total:?}");
+        assert!(total.windows > 100, "{total:?}");
+    }
+
+    #[test]
+    fn the_audit_covers_a_placement_that_overflows_midway() {
+        // Inputs fit the core; the values the layers keep alive do not.
+        let g = random_circuit(24, 2000, 9);
+        let p = single_partition(&g);
+        let opts = PlaceOptions {
+            core_width: 64,
+            ..Default::default()
+        };
+        let (audit, err) = audited(&g, &p, &opts);
+        let Some(PlaceError::Unmappable(why)) = err else {
+            panic!("expected the placement to overflow");
+        };
+        assert!(why.contains("state overflow"), "{why}");
+        assert!(audit.windows > 0 && audit.passed_over > 0, "{audit:?}");
     }
 
     #[test]

@@ -198,7 +198,6 @@ fn timing_driven_uses_no_more_layers_than_fifo() {
         &PlaceOptions {
             core_width: 1024,
             timing_driven: false,
-            ..Default::default()
         },
     )
     .unwrap();

@@ -7,6 +7,13 @@
 //! encoding, or the simulator that alters observable behavior shows up
 //! as a digest mismatch naming the design.
 //!
+//! The compiler's output is pinned too: `tests/golden/<case>.gemb.digest`
+//! holds the same digest of `Bitstream::to_bytes()` for every example
+//! design and for a few generated designs (wide and narrow cores, one and
+//! two stages, timing-driven and FIFO placement). A compile-time
+//! optimisation that claims to change no mapping decision has to leave
+//! every one of them alone.
+//!
 //! To re-bless after an *intentional* behavioral change:
 //!
 //! ```text
@@ -16,6 +23,7 @@
 //! then review the `.digest` diff like any other golden-file change.
 
 use gem_core::{compile, CompileOptions, GemSimulator};
+use gem_designs::{gemmini_like, openpiton_like};
 use gem_netlist::vcd::VcdWriter;
 use gem_netlist::verilog;
 use gem_sim::FuzzRng;
@@ -23,20 +31,43 @@ use std::path::Path;
 
 const CYCLES: u64 = 48;
 
-/// FNV-1a over the VCD text: stable, dependency-free, and mismatch
-/// messages stay short (a full-text golden would drown the diff).
-fn fnv1a(text: &str) -> u64 {
+/// FNV-1a over the VCD text or the bitstream bytes: stable,
+/// dependency-free, and mismatch messages stay short (a full-text golden
+/// would drown the diff).
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in text.as_bytes() {
+    for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
 }
 
+/// Holds `bytes` against the digest pinned in `tests/golden/<file>`
+/// (writes it instead under `GEM_BLESS`); a mismatch is returned as one
+/// line naming the case.
+fn check_pinned(file: &str, bytes: &[u8]) -> Option<String> {
+    let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let golden_path = golden_dir.join(file);
+    let digest = format!("{:016x}\n", fnv1a(bytes));
+    if std::env::var_os("GEM_BLESS").is_some() {
+        std::fs::create_dir_all(&golden_dir).expect("mkdir tests/golden");
+        std::fs::write(&golden_path, &digest).expect("write digest");
+        return None;
+    }
+    let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|_| {
+        panic!(
+            "no golden digest at {} — run GEM_BLESS=1 cargo test --test golden_vcd",
+            golden_path.display()
+        )
+    });
+    (want != digest).then(|| format!("{file}: digest {} != golden {}", digest.trim(), want.trim()))
+}
+
 /// Compiles one design and records its outputs for [`CYCLES`] cycles of
-/// seeded random stimulus into a VCD document.
-fn waveform(path: &Path) -> String {
+/// seeded random stimulus into a VCD document; also returns the
+/// serialized bitstream the waveform was simulated from.
+fn waveform(path: &Path) -> (String, Vec<u8>) {
     let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let name = path.file_stem().unwrap().to_string_lossy().into_owned();
     let module = verilog::parse(&src).unwrap_or_else(|e| panic!("{name}: parse failed: {e}"));
@@ -68,7 +99,7 @@ fn waveform(path: &Path) -> String {
             w.change(*var, &sim.output(pname));
         }
     }
-    w.finish()
+    (w.finish(), compiled.bitstream.to_bytes())
 }
 
 /// The same waveform extracted from lane 0 of a full-width 64-lane
@@ -131,7 +162,7 @@ fn lane_zero_of_batch_matches_golden_digests() {
         let path = root.join(format!("examples/designs/{name}.v"));
         let want = std::fs::read_to_string(golden_dir.join(format!("{name}.digest")))
             .unwrap_or_else(|_| panic!("{name}: no pinned golden digest"));
-        let digest = format!("{:016x}\n", fnv1a(&lane_zero_waveform(&path)));
+        let digest = format!("{:016x}\n", fnv1a(lane_zero_waveform(&path).as_bytes()));
         assert_eq!(
             digest, want,
             "{name}: lane 0 of a {LANES}-lane batch diverged from the pinned scalar waveform"
@@ -143,8 +174,6 @@ fn lane_zero_of_batch_matches_golden_digests() {
 fn example_designs_match_golden_digests() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let designs_dir = root.join("examples/designs");
-    let golden_dir = root.join("tests/golden");
-    let bless = std::env::var_os("GEM_BLESS").is_some();
 
     let mut paths: Vec<_> = std::fs::read_dir(&designs_dir)
         .expect("examples/designs exists")
@@ -161,32 +190,78 @@ fn example_designs_match_golden_digests() {
     let mut mismatches = Vec::new();
     for path in &paths {
         let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let digest = format!("{:016x}\n", fnv1a(&waveform(path)));
-        let golden_path = golden_dir.join(format!("{name}.digest"));
-        if bless {
-            std::fs::create_dir_all(&golden_dir).expect("mkdir tests/golden");
-            std::fs::write(&golden_path, &digest).expect("write digest");
-            continue;
-        }
-        let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|_| {
-            panic!(
-                "{name}: no golden digest at {} — run GEM_BLESS=1 cargo test --test golden_vcd",
-                golden_path.display()
-            )
-        });
-        if want != digest {
-            mismatches.push(format!(
-                "{name}: waveform digest {} != golden {}",
-                digest.trim(),
-                want.trim()
-            ));
-        }
+        let (vcd, gemb) = waveform(path);
+        mismatches.extend(check_pinned(&format!("{name}.digest"), vcd.as_bytes()));
+        mismatches.extend(check_pinned(&format!("{name}.gemb.digest"), &gemb));
     }
     assert!(
         mismatches.is_empty(),
         "observable behavior changed (re-bless only if intentional):\n  {}",
         mismatches.join("\n  ")
     );
+}
+
+/// Compiles each generated case and holds its serialized bitstream
+/// against the pinned digest.
+fn assert_bitstreams_pinned(cases: &[(&str, gem_designs::Design, CompileOptions)]) {
+    let mismatches: Vec<String> = cases
+        .iter()
+        .filter_map(|(case, design, opts)| {
+            let compiled =
+                compile(&design.module, opts).unwrap_or_else(|e| panic!("{case}: compile: {e}"));
+            check_pinned(
+                &format!("{case}.gemb.digest"),
+                &compiled.bitstream.to_bytes(),
+            )
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "the compiler made a different mapping decision (re-bless only if intentional):\n  {}",
+        mismatches.join("\n  ")
+    );
+}
+
+/// Bitstream identity on generated designs that reach what the three
+/// example designs do not: a core wide enough that a fold level holds
+/// far more slots than the placer tries, a two-stage flow on narrow
+/// cores, and FIFO placement.
+#[test]
+fn generated_designs_match_bitstream_digests() {
+    let opts = |stages, core_width, timing_driven| CompileOptions {
+        target_parts: 8,
+        stages,
+        core_width,
+        timing_driven,
+        ..Default::default()
+    };
+    assert_bitstreams_pinned(&[
+        ("piton1_s1_w2048", openpiton_like(1), opts(1, 2048, true)),
+        ("gemmini4_s2_w256", gemmini_like(4), opts(2, 256, true)),
+        (
+            "piton2_s2_w1024_fifo",
+            openpiton_like(2),
+            opts(2, 1024, false),
+        ),
+    ]);
+}
+
+/// The two ladder designs at the ladder's mapping options
+/// (`benchmark/src/dut.rs::sim_options`). Seconds each in a release
+/// build, so CI runs it there with `--include-ignored`.
+#[test]
+#[ignore = "compiles the ladder designs; run in release"]
+fn ladder_designs_match_bitstream_digests() {
+    let opts = CompileOptions {
+        target_parts: 16,
+        stages: 2,
+        core_width: 2048,
+        ..Default::default()
+    };
+    assert_bitstreams_pinned(&[
+        ("gemmini12_ladder", gemmini_like(12), opts.clone()),
+        ("piton8_ladder", openpiton_like(8), opts),
+    ]);
 }
 
 /// A full-width 64-lane snapshot resumes bit-exactly, per lane: a fresh
