@@ -44,6 +44,8 @@ pub const CORE_WIDTH: u32 = 8192;
 
 #[cfg(test)]
 pub(crate) mod testutil {
+    use crate::{BoomerangLayer, PermSource};
+
     /// splitmix64: the unit tests' generator of random layers and states.
     pub fn xorshift(x: &mut u64) -> u64 {
         *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -51,5 +53,66 @@ pub(crate) mod testutil {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// A random layer over state addresses `0..addrs`: a quarter of the
+    /// leaves constant, one slot in `bypass_in` bypassed, one slot in
+    /// `write_in` written back (`0` = no writeback anywhere). Few
+    /// addresses and many writebacks make the writebacks alias.
+    pub fn random_layer(
+        x: &mut u64,
+        width: u32,
+        addrs: u32,
+        bypass_in: u64,
+        write_in: u64,
+    ) -> BoomerangLayer {
+        let mut layer = BoomerangLayer::new(width);
+        for p in layer.perm.iter_mut() {
+            if !xorshift(x).is_multiple_of(4) {
+                *p = PermSource::State((xorshift(x) % u64::from(addrs)) as u16);
+            }
+        }
+        for fc in layer.folds.iter_mut() {
+            for j in 0..fc.xa.len() {
+                fc.xa[j] = xorshift(x) & 1 == 1;
+                fc.xb[j] = xorshift(x) & 1 == 1;
+                fc.ob[j] = xorshift(x).is_multiple_of(bypass_in);
+            }
+        }
+        for wb in layer.writeback.iter_mut() {
+            for slot in wb.iter_mut() {
+                if write_in != 0 && xorshift(x).is_multiple_of(write_in) {
+                    *slot = Some((xorshift(x) % u64::from(addrs)) as u16);
+                }
+            }
+        }
+        layer
+    }
+
+    /// Calls `check(layer, x, what)` on random layers of every width the
+    /// ISA allows a core (2 … 8192) × {`width` addresses, five — so every
+    /// address aliases} × {writeback-dense, …, one writeback in about
+    /// `width` slots (most of the row dead), none} × {one slot in 2, 3,
+    /// 16 bypassed}: the matrix both lowered forms are held to the
+    /// scalar spec over.
+    pub fn for_each_spec_layer(
+        x: &mut u64,
+        mut check: impl FnMut(&BoomerangLayer, &mut u64, &str),
+    ) {
+        for log in 1..=13u32 {
+            let width = 1u32 << log;
+            for addrs in [width, width.min(5)] {
+                for write_in in [2, 16, u64::from(width), 4 * u64::from(width), 0] {
+                    for bypass_in in [2, 3, 16] {
+                        let layer = random_layer(x, width, addrs, bypass_in, write_in);
+                        let what = format!(
+                            "width {width}, {addrs} addresses, \
+                             1 in {write_in} written, 1 in {bypass_in} bypassed"
+                        );
+                        check(&layer, x, &what);
+                    }
+                }
+            }
+        }
     }
 }

@@ -3,12 +3,11 @@
 //!
 //! [`CompiledLayer`] spends one machine [`Word`] per signal so that 64
 //! simulations ride in its bits. With one simulation, 63 of those bits
-//! are copies of the first, and the three pre-splatted masks every fold
-//! slot streams carry one bit of information each. [`PackedLayer`]
-//! packs the other way, as the paper's kernel does (256 threads × 32
-//! signals per word): a fold row is a bit vector, level *k* of a
-//! `width`-wide layer being `width >> k` bits in `u64`s, and a fold
-//! level is whole-word logic.
+//! are copies of the first: every row word it gathers, folds and writes
+//! back carries one bit of information. [`PackedLayer`] packs the other
+//! way, as the paper's kernel does (256 threads × 32 signals per word):
+//! a fold row is a bit vector, level *k* of a `width`-wide layer being
+//! `width >> k` bits in `u64`s, and a fold level is whole-word logic.
 //!
 //! * The fold constants are bit planes deposited on the **even** bit
 //!   positions of the level's input row: slot `j` pairs row bits `2j`
@@ -34,7 +33,7 @@
 //! of every width, and across the fuzz corpus by `gem-sim`'s
 //! `compiled_lowering` suite.
 
-use crate::compiled::{CompiledLayer, FoldOp};
+use crate::compiled::{mask_byte, CompiledLayer, FoldOp};
 use crate::layer::{splat, BoomerangLayer, FoldConsts, PermSource, Word};
 
 /// Leaves gathered per row word.
@@ -169,10 +168,10 @@ impl PackedLayer {
     /// [`redirect_consts`](CompiledLayer::redirect_consts) to the zero
     /// slot this layer was lowered with.
     pub fn widen(&self) -> CompiledLayer {
-        let plane = |f: &PackedFold, slots: usize, which: usize| -> Box<[Word]> {
+        let plane = |f: &PackedFold, slots: usize, which: usize| -> Box<[i8]> {
             (0..slots)
                 .map(|j| {
-                    splat((f.consts[j / WORD_SLOTS][which] >> (2 * (j % WORD_SLOTS))) & 1 == 1)
+                    mask_byte((f.consts[j / WORD_SLOTS][which] >> (2 * (j % WORD_SLOTS))) & 1 == 1)
                 })
                 .collect()
         };
@@ -290,41 +289,7 @@ impl PackedLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::xorshift;
-
-    /// A random layer over state addresses `0..addrs`: a quarter of the
-    /// leaves constant, one slot in `bypass_in` bypassed, one slot in
-    /// `write_in` written back (`0` = no writeback anywhere). Few
-    /// addresses and many writebacks make the writebacks alias.
-    fn random_layer(
-        x: &mut u64,
-        width: u32,
-        addrs: u32,
-        bypass_in: u64,
-        write_in: u64,
-    ) -> BoomerangLayer {
-        let mut layer = BoomerangLayer::new(width);
-        for p in layer.perm.iter_mut() {
-            if !xorshift(x).is_multiple_of(4) {
-                *p = PermSource::State((xorshift(x) % u64::from(addrs)) as u16);
-            }
-        }
-        for fc in layer.folds.iter_mut() {
-            for j in 0..fc.xa.len() {
-                fc.xa[j] = xorshift(x) & 1 == 1;
-                fc.xb[j] = xorshift(x) & 1 == 1;
-                fc.ob[j] = xorshift(x).is_multiple_of(bypass_in);
-            }
-        }
-        for wb in layer.writeback.iter_mut() {
-            for slot in wb.iter_mut() {
-                if write_in != 0 && xorshift(x).is_multiple_of(write_in) {
-                    *slot = Some((xorshift(x) % u64::from(addrs)) as u16);
-                }
-            }
-        }
-        layer
-    }
+    use crate::testutil::{for_each_spec_layer, random_layer, xorshift};
 
     /// Runs `layer` packed and as the scalar spec from one random state
     /// and compares every word. The state words carry the simulation in
@@ -358,22 +323,12 @@ mod tests {
     /// writebacks (so most of the row is dead and truncated) to none.
     #[test]
     fn packed_layer_matches_scalar_spec() {
-        let mut x = 0x9ACC_ED00u64;
-        for log in 1..=13u32 {
-            let width = 1u32 << log;
-            for trial in 0..12u64 {
-                let addrs = if trial % 2 == 0 { width } else { width.min(5) };
-                let bypass_in = [2, 3, 16][trial as usize % 3];
-                let write_in =
-                    [2, 16, u64::from(width), 4 * u64::from(width), 0][trial as usize % 5];
-                let layer = random_layer(&mut x, width, addrs, bypass_in, write_in);
-                let what = format!("width {width} trial {trial}");
-                let packed = check_against_spec(&layer, &mut x, &what);
-                let writes = layer.writeback.iter().flatten().flatten().count();
-                assert_eq!(packed.written().count(), writes, "{what}");
-                assert_eq!(writes == 0, packed.gathered().is_empty(), "{what}");
-            }
-        }
+        for_each_spec_layer(&mut 0x9ACC_ED00, |layer, x, what| {
+            let packed = check_against_spec(layer, x, what);
+            let writes = layer.writeback.iter().flatten().flatten().count();
+            assert_eq!(packed.written().count(), writes, "{what}");
+            assert_eq!(writes == 0, packed.gathered().is_empty(), "{what}");
+        });
     }
 
     /// A value riding up operand A through bypasses, next to a B sibling
@@ -436,6 +391,39 @@ mod tests {
             want.redirect_consts(width);
             let packed = PackedLayer::lower(&layer, width).expect("lowers");
             assert_eq!(packed.widen(), want, "width {width}");
+        }
+    }
+
+    /// The lane-word form costs bytes, not words: over the widths cores
+    /// have, what `widen()` allocates (gather table, constant planes,
+    /// writeback lists) stays below 3 × what the packed layer it came
+    /// from holds — 2.1–2.6 × here and 2.2 × over OpenPiton8, where one
+    /// mask word per constant made it 7.6 × there and ~9 × at width 256.
+    #[test]
+    fn widened_layer_stays_below_three_times_the_packed_bytes() {
+        use std::mem::size_of_val;
+        let mut x = 0xB17E5u64;
+        for log in 8..=13u32 {
+            let width = 1u32 << log;
+            for write_in in [2, 16, 0] {
+                let layer = random_layer(&mut x, width, width, 3, write_in);
+                let packed = PackedLayer::lower(&layer, width).expect("lowers");
+                let packed_bytes = size_of_val(&*packed.perm)
+                    + packed.folds.iter().fold(0, |n, f| {
+                        n + size_of_val(&*f.consts) + size_of_val(&*f.writeback)
+                    });
+                let wide = packed.widen();
+                let wide_bytes = size_of_val(&*wide.perm)
+                    + wide.folds.iter().fold(0, |n, f| {
+                        let planes = [&f.xa, &f.xb, &f.ob].map(|p| size_of_val(&**p));
+                        n + planes.iter().sum::<usize>() + size_of_val(&*f.writeback)
+                    });
+                assert!(
+                    wide_bytes < 3 * packed_bytes,
+                    "width {width}, 1 in {write_in} written: {wide_bytes} B lane-word \
+                     against {packed_bytes} B packed"
+                );
+            }
         }
     }
 

@@ -12,13 +12,13 @@
 //! [`PackedCore`] (layers: [`gem_place::PackedLayer`], one bit per
 //! signal) is what the machine lowers at load and runs while one lane is
 //! active; [`CompiledCore`] (layers: [`gem_place::CompiledLayer`], one
-//! lane word per signal) is what it runs with more, produced from the
-//! packed form by [`PackedCore::widen`] the first time a second lane
-//! appears. The switch needs no conversion of machine state: with one
-//! lane active every global word is a splat (inactive lanes mirror lane
-//! 0), the packed layers read bit 0 and write splats, so reads copy
-//! `global[g]` and publishes apply their pre-splatted XOR masks in both
-//! forms alike.
+//! lane word per signal, one byte per fold constant) is what it runs
+//! with more, produced from the packed form by [`PackedCore::widen`] the
+//! first time a second lane appears. The switch needs no conversion of
+//! machine state: with one lane active every global word is a splat
+//! (inactive lanes mirror lane 0), the packed layers read bit 0 and
+//! write splats, so reads copy `global[g]` and publishes apply their
+//! pre-splatted XOR masks in both forms alike.
 //!
 //! Steady-state execution allocates nothing inside the fold network:
 //! each stepping thread (server workers step different sessions) owns
@@ -135,8 +135,9 @@ impl CompiledCore {
             reads: lower_reads(dec),
             // Constant-zero gather slots load from the extra state slot
             // at index `width` (kept zero by the executor below; a
-            // checked core's writebacks stay below `width`), so the
-            // gather never branches on the sentinel.
+            // checked core's writebacks stay below `width`). The layer
+            // gather is a plain indexed load — it has no compare against
+            // the sentinel — so this is what makes a layer executable.
             layers: dec
                 .layers
                 .iter()

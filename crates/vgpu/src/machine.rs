@@ -165,8 +165,11 @@ struct Program {
     /// The lane-word form of every core, indexed as `stages`: what runs
     /// with more than one lane active. Lowered when a sharer of the
     /// program first asks for a second lane, so a design that only ever
-    /// runs one simulation never holds its splatted masks (~8× the
-    /// packed form).
+    /// runs one simulation never holds it: 3.9 MB on OpenPiton8 (`u32`
+    /// gather tables 1.9, byte planes of fold constants 1.4, writeback
+    /// lists 0.65) beside the packed form's 1.8 MB — small since the
+    /// constants stopped being one mask word each (13.7 MB), but still
+    /// +13 % on the resident size of a one-lane session, for nothing.
     wide: OnceLock<Vec<Vec<CompiledCore>>>,
 }
 
@@ -541,8 +544,12 @@ impl GemGpu {
     ///
     /// The first request for a second lane on a loaded program — by this
     /// machine or any clone of it — lowers the program's lane-word form
-    /// (a fraction of what [`load`](Self::load) cost: there is nothing
-    /// to decode); every later one, on any sharer, finds it there.
+    /// (~4 ms on OpenPiton8, 1.4 MB of byte planes where it was ~8 ms
+    /// for 11.2 MB of mask words, against ~18 ms for
+    /// [`load`](Self::load): there is nothing to decode); every later
+    /// one, on any sharer, finds it there. The rest of a first
+    /// `set_lanes(64)` there (~20 ms in all, was ~25) is the 63 copies
+    /// of every RAM image.
     ///
     /// # Errors
     ///
