@@ -283,6 +283,31 @@ mod tests {
         assert!(r.summary().starts_with("clean"));
     }
 
+    /// The slice rule is written twice (GEM-L004 here, `check_widths` in
+    /// `gem_netlist::validate`); both refuse a slice past its input, also
+    /// when `lo + width` does not fit a `u32` and used to wrap back in.
+    #[test]
+    fn both_slice_rules_refuse_out_of_range_slices_overflow_included() {
+        for (lo, width) in [(0, 8), (u32::MAX - 2, 8)] {
+            let mut b = ModuleBuilder::new("s");
+            let a = b.input("a", 1);
+            let y = b.slice(a, lo, width);
+            b.output("y", y);
+            let m = b.finish_raw();
+            let report = analyze_module(&m);
+            assert!(
+                report.errors().any(|d| d.code == "GEM-L004"),
+                "[{lo},+{width}): {}",
+                report.summary()
+            );
+            let validated = gem_netlist::validate(&m);
+            assert!(
+                matches!(validated, Err(gem_netlist::ValidateError::WidthMismatch(_))),
+                "[{lo},+{width}): {validated:?}"
+            );
+        }
+    }
+
     #[test]
     fn comb_loop_yields_l001_with_named_witness() {
         let mut b = ModuleBuilder::new("loopy");

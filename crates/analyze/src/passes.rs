@@ -149,12 +149,10 @@ pub fn widths(m: &Module, d: &mut Vec<Diagnostic>) {
                     );
                 }
             }
+            // Written twice: see `check_widths` in `gem_netlist::validate`.
             CellKind::Slice { a, lo } => {
-                if lo + ow > w(*a) {
-                    bad(
-                        c.out,
-                        format!("slice [{lo},{}) of width {}", lo + ow, w(*a)),
-                    );
+                if lo.checked_add(ow).is_none_or(|hi| hi > w(*a)) {
+                    bad(c.out, format!("slice [{lo},{lo}+{ow}) of width {}", w(*a)));
                 }
             }
             CellKind::Concat { parts } => {

@@ -57,6 +57,15 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
+    /// Widest core: state addresses are 16-bit and the machine keeps an
+    /// always-zero slot just past the core, so the width itself must fit.
+    pub const MAX_CORE_WIDTH: u32 = 1 << 15;
+    /// Most partitions asked for; the retry schedule doubles this seven
+    /// times, which must not overflow on any host.
+    pub const MAX_TARGET_PARTS: usize = 1 << 16;
+    /// Most pipeline stages; the retry schedule stops adding them here.
+    pub const MAX_STAGES: usize = 4;
+
     /// A configuration sized for unit tests and small examples: few
     /// partitions, narrow cores.
     pub fn small() -> Self {
@@ -65,6 +74,31 @@ impl CompileOptions {
             core_width: 256,
             ..Default::default()
         }
+    }
+
+    /// Checks the mapping options against what every later stage accepts
+    /// (placer, ISA, verifier and loader agree on this range or the
+    /// compile is refused here). Every compile entry point calls it.
+    ///
+    /// # Errors
+    ///
+    /// [`CompileError::Options`] naming the option and its legal range.
+    pub fn validate(&self) -> Result<(), CompileError> {
+        let w = self.core_width;
+        if !w.is_power_of_two() || !(2..=Self::MAX_CORE_WIDTH).contains(&w) {
+            return Err(CompileError::Options(format!(
+                "core width {w} is not a power of two between 2 and {}",
+                Self::MAX_CORE_WIDTH
+            )));
+        }
+        let bounded = |what: &str, v: usize, max: usize| match v {
+            v if (1..=max).contains(&v) => Ok(()),
+            _ => Err(CompileError::Options(format!(
+                "{what} {v} is not between 1 and {max}"
+            ))),
+        };
+        bounded("partition count", self.target_parts, Self::MAX_TARGET_PARTS)?;
+        bounded("stage count", self.stages, Self::MAX_STAGES)
     }
 }
 
@@ -202,6 +236,9 @@ pub enum CompileError {
     Analyze(String),
     /// The static bitstream verifier found invariant violations.
     Verify(String),
+    /// A mapping option outside its legal range
+    /// ([`CompileOptions::validate`]).
+    Options(String),
     /// Internal inconsistency (a bug).
     Internal(String),
 }
@@ -213,6 +250,7 @@ impl fmt::Display for CompileError {
             CompileError::Place(e) => write!(f, "placement failed: {e}"),
             CompileError::Analyze(s) => write!(f, "static analysis failed: {s}"),
             CompileError::Verify(s) => write!(f, "bitstream verification failed: {s}"),
+            CompileError::Options(s) => write!(f, "invalid compile options: {s}"),
             CompileError::Internal(s) => write!(f, "internal compiler error: {s}"),
         }
     }
@@ -320,6 +358,7 @@ fn compile_eaig_with(
     opts: &CompileOptions,
     mut flow: FlowRecorder,
 ) -> Result<Compiled, CompileError> {
+    opts.validate()?;
     let g = &synth.eaig;
     let place_opts = PlaceOptions {
         core_width: opts.core_width,

@@ -53,6 +53,50 @@ fn combinational_design() {
     cosim(&m, &CompileOptions::small(), 50, 1);
 }
 
+/// Options outside what placer, ISA and loader all accept are refused by
+/// the compile itself, with a type: widths 3 and 100 used to panic in
+/// `BoomerangLayer::new`, and 65536 compiled, verified, and then failed
+/// to load.
+#[test]
+fn out_of_range_options_are_a_typed_error_not_a_panic() {
+    use gem_core::CompileError;
+    let mut b = ModuleBuilder::new("inv");
+    let x = b.input("x", 1);
+    let y = b.not(x);
+    b.output("y", y);
+    let m = b.finish().unwrap();
+    type Set = fn(&mut CompileOptions);
+    let refused: [(&str, Set); 9] = [
+        ("width", |o| o.core_width = 0),
+        ("width", |o| o.core_width = 1),
+        ("width", |o| o.core_width = 3),
+        ("width", |o| o.core_width = 100),
+        ("width", |o| o.core_width = 65536),
+        ("partition", |o| o.target_parts = 0),
+        ("partition", |o| o.target_parts = usize::MAX),
+        ("stage", |o| o.stages = 0),
+        ("stage", |o| o.stages = 5),
+    ];
+    for (names, set) in refused {
+        let mut opts = CompileOptions::small();
+        set(&mut opts);
+        match compile(&m, &opts) {
+            Err(CompileError::Options(why)) => assert!(why.contains(names), "{why}"),
+            other => panic!("{opts:?}: expected an options error, got {other:?}"),
+        }
+    }
+    // The extremes of the legal range compile and load.
+    for core_width in [8, CompileOptions::MAX_CORE_WIDTH] {
+        let opts = CompileOptions {
+            core_width,
+            target_parts: CompileOptions::MAX_TARGET_PARTS,
+            stages: CompileOptions::MAX_STAGES,
+            ..Default::default()
+        };
+        cosim(&m, &opts, 4, 7);
+    }
+}
+
 #[test]
 fn sequential_counter_and_shift() {
     let mut b = ModuleBuilder::new("seq");

@@ -46,6 +46,7 @@ fn bad_fixtures_trip_their_advertised_codes() {
         ("multi_driven.v", "GEM-L003", Severity::Error, "y"),
         ("dead_cone.v", "GEM-L006", Severity::Info, "unused"),
         ("width_mismatch.v", "GEM-L005", Severity::Warning, "y"),
+        ("part_select.v", "GEM-L004", Severity::Error, "gate"),
     ];
     let dir = repo_dir("examples/designs/bad");
     for &(file, code, severity, witness_names) in expected {
@@ -78,6 +79,7 @@ fn error_fixtures_fail_compile_with_named_witness() {
     for (file, code, net) in [
         ("comb_loop.v", "GEM-L001", "fb"),
         ("multi_driven.v", "GEM-L003", "y"),
+        ("part_select.v", "GEM-L004", "gate"),
     ] {
         let err = compile_verilog(&read(&dir.join(file)), &CompileOptions::small())
             .expect_err(file)

@@ -532,9 +532,14 @@ fn check_widths(m: &Module) -> Result<(), ValidateError> {
                     ));
                 }
             }
+            // This rule is written twice — here and as GEM-L004 in
+            // `gem_analyze::passes::widths` — and must agree, overflow
+            // included: `synth` slices whatever both let through.
+            // Folding the two structural checkers into one is a later
+            // issue (ROADMAP item 6).
             CellKind::Slice { a, lo } => {
-                if lo + ow > w(*a) {
-                    return err(format!("slice [{lo},{}) of width {}", lo + ow, w(*a)));
+                if lo.checked_add(ow).is_none_or(|hi| hi > w(*a)) {
+                    return err(format!("slice [{lo},{lo}+{ow}) of width {}", w(*a)));
                 }
             }
             CellKind::Concat { parts } => {

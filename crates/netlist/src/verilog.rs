@@ -409,7 +409,10 @@ impl Parser {
 
     fn const_u32(&mut self) -> Result<u32, ParseVerilogError> {
         match self.next() {
-            Some(Tok::Number { value, .. }) => Ok(value as u32),
+            Some(Tok::Number { value, .. }) => u32::try_from(value).or_else(|_| {
+                self.pos -= 1;
+                self.err(format!("constant {value} does not fit in 32 bits"))
+            }),
             other => {
                 self.pos -= 1;
                 self.err(format!("expected constant, found {other:?}"))
@@ -427,7 +430,10 @@ impl Parser {
             if lsb != 0 {
                 return self.err("only [msb:0] ranges are supported");
             }
-            Ok(msb + 1)
+            match msb.checked_add(1) {
+                Some(width) => Ok(width),
+                None => self.err(format!("range [{msb}:0] is too wide")),
+            }
         } else {
             Ok(1)
         }
@@ -685,14 +691,19 @@ impl Parser {
                     // Could be [expr] (index) or [hi:lo] (range). A range
                     // requires two constants separated by ':'.
                     let save = self.pos;
-                    if let (Some(Tok::Number { value: hi, .. }), Some(Tok::Punct(":"))) = (
-                        self.peek().cloned(),
-                        self.tokens.get(self.pos + 1).map(|t| t.tok.clone()),
-                    ) {
-                        self.pos += 2;
+                    if let (Some(Tok::Number { .. }), Some(Tok::Punct(":"))) =
+                        (self.peek(), self.tokens.get(self.pos + 1).map(|t| &t.tok))
+                    {
+                        let hi = self.const_u32()?;
+                        self.pos += 1;
                         let lo = self.const_u32()?;
+                        if hi < lo {
+                            return self.err(format!(
+                                "part-select {name}[{hi}:{lo}] is reversed: expected [msb:lsb]"
+                            ));
+                        }
                         self.expect_punct("]")?;
-                        return Ok(Expr::Range(name, hi as u32, lo));
+                        return Ok(Expr::Range(name, hi, lo));
                     }
                     self.pos = save;
                     let idx = self.expr()?;
@@ -1007,7 +1018,10 @@ impl Elab<'_> {
                     let a = self.resolve(name)?;
                     // Constant index → slice; dynamic index → shift+mask.
                     if let Expr::Number { value, .. } = **idx {
-                        Ok(self.b.bit(a, value as u32))
+                        let Ok(i) = u32::try_from(value) else {
+                            return syntax_err(format!("index {name}[{value}] is out of range"));
+                        };
+                        Ok(self.b.bit(a, i))
                     } else {
                         let i = self.expr(idx)?;
                         let iw = self.width(a);
@@ -1018,8 +1032,12 @@ impl Elab<'_> {
                 }
             }
             Expr::Range(name, hi, lo) => {
+                // The parser refused hi < lo; the width can still wrap.
+                let Some(width) = (hi - lo).checked_add(1) else {
+                    return syntax_err(format!("part-select {name}[{hi}:{lo}] is too wide"));
+                };
                 let a = self.resolve(name)?;
-                Ok(self.b.slice(a, *lo, hi - lo + 1))
+                Ok(self.b.slice(a, *lo, width))
             }
         }
     }
@@ -1202,6 +1220,38 @@ mod tests {
     fn rejects_missing_endmodule() {
         let src = "module m(input a, output y); assign y = a;";
         assert!(matches!(parse(src), Err(ParseVerilogError::Syntax { .. })));
+    }
+
+    /// `examples/designs/counter.v` with `if (en)` → `if (en[0:7])`: the
+    /// width of a reversed part-select used to wrap to 4 294 967 290.
+    #[test]
+    fn rejects_reversed_and_oversized_part_selects_with_their_line() {
+        let src = "module counter(input clk, input rst, input en, output reg [7:0] q);
+  always @(posedge clk) begin
+    if (rst) q <= 8'd0;
+    else if (en[0:7]) q <= q + 8'd1;
+  end
+endmodule";
+        match parse(src) {
+            Err(ParseVerilogError::Syntax { line, message }) => {
+                assert_eq!(line, 4);
+                assert!(message.contains("en[0:7] is reversed"), "{message}");
+            }
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
+        for text in [
+            "assign y = a[4294967296:0];", // hi is not a u32
+            "assign y = a[4294967295:0];", // hi - lo + 1 is not a u32
+            "assign y = a[4294967296];",
+            "wire [4294967295:0] w;",
+        ] {
+            let src = format!("module m(input [7:0] a, output y); {text} endmodule");
+            let parsed = parse(&src);
+            assert!(
+                matches!(parsed, Err(ParseVerilogError::Syntax { .. })),
+                "{text}: {parsed:?}"
+            );
+        }
     }
 
     #[test]

@@ -142,6 +142,24 @@ fn flag_u64(args: &[String], name: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// A numeric flag narrowed to the type its consumer takes, by range
+/// check — never by truncation (`--width 4294967296` is not width 0).
+fn flag_num<T: TryFrom<u64>>(args: &[String], name: &str, default: u64) -> Result<T, String> {
+    let v = flag_u64(args, name, default)?;
+    T::try_from(v).map_err(|_| format!("{name} {v} is out of range"))
+}
+
+/// The mapping options every compiling subcommand takes. Their legal
+/// ranges are `CompileOptions::validate`'s, checked by the compile.
+fn mapping_opts(args: &[String]) -> Result<CompileOptions, String> {
+    Ok(CompileOptions {
+        core_width: flag_num(args, "--width", 2048)?,
+        target_parts: flag_num(args, "--parts", 8)?,
+        stages: flag_num(args, "--stages", 1)?,
+        ..Default::default()
+    })
+}
+
 /// Writes the `--emit-metrics` document if the flag is present:
 /// compile-side metrics (report + flow timings) when available, plus the
 /// runtime counter snapshot when a simulation ran.
@@ -196,12 +214,7 @@ fn positional(args: &[String]) -> Result<&String, String> {
 
 fn compile_verilog(path: &str, args: &[String]) -> Result<gem_core::Compiled, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    let opts = CompileOptions {
-        core_width: flag_u64(args, "--width", 2048)? as u32,
-        target_parts: flag_u64(args, "--parts", 8)? as usize,
-        stages: flag_u64(args, "--stages", 1)? as usize,
-        ..Default::default()
-    };
+    let opts = mapping_opts(args)?;
     // The analyzing front end rejects broken designs with named
     // witnesses (e.g. a combinational loop's cycle) instead of an
     // opaque levelization failure deep in synthesis.
@@ -317,13 +330,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         diagnostics = report.diagnostics.clone();
         summary = report.summary();
         if report.clean(Severity::Error) {
-            let opts = CompileOptions {
-                core_width: flag_u64(args, "--width", 2048)? as u32,
-                target_parts: flag_u64(args, "--parts", 8)? as usize,
-                stages: flag_u64(args, "--stages", 1)? as usize,
-                ..Default::default()
-            };
-            match compile(&module, &opts) {
+            match compile(&module, &mapping_opts(args)?) {
                 Ok(c) => {
                     certified = c.report.certified;
                     cert_line = c.schedule_cert.as_ref().map(|x| x.summary());
@@ -448,12 +455,9 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         // The in-flow gate is off: this command IS the verifier run, and
         // it reports per-check detail instead of a compile error.
         let opts = CompileOptions {
-            core_width: flag_u64(args, "--width", 2048)? as u32,
-            target_parts: flag_u64(args, "--parts", 8)? as usize,
-            stages: flag_u64(args, "--stages", 1)? as usize,
             verify: false,
             verify_fault: fault,
-            ..Default::default()
+            ..mapping_opts(args)?
         };
         let compiled = compile(&module, &opts).map_err(|e| format!("compilation failed: {e}"))?;
         compiled.verify()
@@ -669,9 +673,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let cfg = ServerConfig {
         addr: flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into()),
-        workers: flag_u64(args, "--workers", 4)? as usize,
-        queue: flag_u64(args, "--queue", 32)? as usize,
-        cache: flag_u64(args, "--cache", 8)? as usize,
+        workers: flag_num(args, "--workers", 4)?,
+        queue: flag_num(args, "--queue", 32)?,
+        cache: flag_num(args, "--cache", 8)?,
         idle_timeout: Duration::from_millis(flag_u64(args, "--idle-ms", 300_000)?),
         ..ServerConfig::default()
     };

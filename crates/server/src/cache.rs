@@ -17,13 +17,16 @@
 //! compile lands (they paid no compile). Failed compiles — and compiled
 //! bitstreams the machine refuses to load — are cached too (negative
 //! caching), so a design that does not parse is rejected once per
-//! revision instead of recompiled per request.
+//! revision instead of recompiled per request. A compile that *panics*
+//! is one more failed compile: its slot resolves to an error as the
+//! stack unwinds (the `Publish` guard), so nobody waits on it forever.
 
-use crate::metrics::{inc, ServerMetrics};
-use gem_core::{compile_verilog, CompileOptions, Compiled, GemSimulator};
+use crate::lock;
+use crate::metrics::{inc, set, ServerMetrics};
+use gem_core::{compile_verilog, CompileError, CompileOptions, Compiled, GemSimulator};
 use gem_vgpu::{GemGpu, MachineError};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// FNV-1a 64-bit over the design source and the compile options.
 ///
@@ -104,6 +107,29 @@ impl std::fmt::Debug for CompileCache {
     }
 }
 
+/// The owner of a `Pending` slot. Dropping it publishes `result` and
+/// wakes the waiters — on the normal path the compile's outcome, on
+/// unwind the error it was created with.
+struct Publish<'a> {
+    cache: &'a CompileCache,
+    key: u64,
+    result: CacheResult,
+}
+
+impl Drop for Publish<'_> {
+    fn drop(&mut self) {
+        let mut st = lock(&self.cache.state);
+        st.tick += 1;
+        let tick = st.tick;
+        st.slots
+            .insert(self.key, Slot::Ready(self.result.clone(), tick));
+        self.cache.evict_lru(&mut st);
+        set(&self.cache.metrics.cache_entries, st.slots.len() as u64);
+        drop(st);
+        self.cache.ready.notify_all();
+    }
+}
+
 impl CompileCache {
     /// A cache holding at most `capacity` compiled designs (clamped to at
     /// least 1). Eviction is least-recently-used and never removes
@@ -126,10 +152,21 @@ impl CompileCache {
     /// The second tuple element reports whether this lookup was served
     /// from cache (`true`) or ran the compile itself (`false`).
     pub fn get_or_compile(&self, source: &str, opts: &CompileOptions) -> (u64, CacheResult, bool) {
+        self.get_or_compile_with(source, opts, compile_verilog)
+    }
+
+    /// [`get_or_compile`](Self::get_or_compile) with the compiler as a
+    /// parameter, so a test can supply one that panics.
+    fn get_or_compile_with(
+        &self,
+        source: &str,
+        opts: &CompileOptions,
+        compile: impl FnOnce(&str, &CompileOptions) -> Result<Compiled, CompileError>,
+    ) -> (u64, CacheResult, bool) {
         let key = content_hash(source, opts);
         inc(&self.metrics.cache_lookups);
         {
-            let mut st = self.state.lock().unwrap();
+            let mut st = lock(&self.state);
             loop {
                 st.tick += 1;
                 let tick = st.tick;
@@ -141,7 +178,7 @@ impl CompileCache {
                         return (key, res, true);
                     }
                     Some(Slot::Pending) => {
-                        st = self.ready.wait(st).unwrap();
+                        st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
                     }
                     None => {
                         st.slots.insert(key, Slot::Pending);
@@ -151,17 +188,22 @@ impl CompileCache {
             }
         }
         // Compile and load outside the lock; waiters park on the condvar.
+        let mut slot = Publish {
+            cache: self,
+            key,
+            result: Err("internal: compiler panicked on this design".to_string()),
+        };
         inc(&self.metrics.cache_misses);
         inc(&self.metrics.compiles_total);
-        let result: CacheResult = compile_verilog(source, opts)
+        slot.result = compile(source, opts)
             .map_err(|e| {
                 // A verifier or analyzer rejection is the gate working as
                 // designed: count it, and let the Err land in the cache as
                 // a negative entry — the malformed (or uncertifiable)
                 // artifact itself is dropped here and can never be served.
                 match &e {
-                    gem_core::CompileError::Verify(_) => inc(&self.metrics.verify_failures),
-                    gem_core::CompileError::Analyze(_) => inc(&self.metrics.analyze_failures),
+                    CompileError::Verify(_) => inc(&self.metrics.verify_failures),
+                    CompileError::Analyze(_) => inc(&self.metrics.analyze_failures),
                     _ => {}
                 }
                 e.to_string()
@@ -171,17 +213,7 @@ impl CompileCache {
                     .map(Arc::new)
                     .map_err(|e| format!("compiled bitstream does not load: {e}"))
             });
-        let mut st = self.state.lock().unwrap();
-        st.tick += 1;
-        let tick = st.tick;
-        st.slots.insert(key, Slot::Ready(result.clone(), tick));
-        self.evict_lru(&mut st);
-        self.metrics
-            .cache_entries
-            .store(st.slots.len() as u64, std::sync::atomic::Ordering::Relaxed);
-        drop(st);
-        self.ready.notify_all();
-        (key, result, false)
+        (key, slot.result.clone(), false)
     }
 
     /// Evicts least-recently-touched `Ready` slots until within capacity.
@@ -208,7 +240,7 @@ impl CompileCache {
 
     /// Resident entry count (ready + pending).
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap().slots.len()
+        lock(&self.state).slots.len()
     }
 
     /// Whether the cache holds no entries.
@@ -287,6 +319,63 @@ endmodule
         assert_eq!(m.cache_lookups.load(Ordering::Relaxed), 8);
         assert_eq!(m.cache_misses.load(Ordering::Relaxed), 1);
         assert_eq!(m.cache_hits.load(Ordering::Relaxed), 7);
+    }
+
+    /// Thread A's compile panics while thread B waits on the same key:
+    /// B gets the typed error instead of waiting forever, and the entry
+    /// is an ordinary negative one afterwards. The threads are detached,
+    /// so a B that does hang fails the test at its deadline.
+    #[test]
+    fn a_compile_that_unwinds_resolves_its_single_flight_slot() {
+        use std::time::{Duration, Instant};
+        fn spin_until(what: &str, cond: impl Fn() -> bool) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !cond() {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::yield_now();
+            }
+        }
+        fn not_again(_: &str, _: &CompileOptions) -> Result<Compiled, CompileError> {
+            panic!("the slot is resolved: nobody compiles this key again")
+        }
+        let m = Arc::new(ServerMetrics::default());
+        let cache = Arc::new(CompileCache::new(4, Arc::clone(&m)));
+        let a = {
+            let (m, cache) = (Arc::clone(&m), Arc::clone(&cache));
+            std::thread::spawn(move || {
+                cache.get_or_compile_with(COUNTER, &opts(), |_, _| {
+                    // B counts its lookup before it locks, so by now it is
+                    // waiting on this slot or about to find it.
+                    spin_until("B never arrived", || {
+                        m.cache_lookups.load(Ordering::Relaxed) == 2
+                    });
+                    panic!("injected compiler panic")
+                })
+            })
+        };
+        spin_until("A never took the slot", || {
+            m.compiles_total.load(Ordering::Relaxed) == 1
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let b_cache = Arc::clone(&cache);
+        std::thread::spawn(move || {
+            tx.send(b_cache.get_or_compile_with(COUNTER, &opts(), not_again))
+        });
+        let (_, waited, cached) = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("B must not wait forever on a slot whose owner unwound");
+        let err = waited.expect_err("the compile never produced a design");
+        assert!(err.contains("compiler panicked"), "{err}");
+        assert!(cached, "B paid no compile");
+        assert!(a.join().is_err(), "A's panic still reaches A's caller");
+        assert_eq!(cache.len(), 1);
+        assert_eq!(m.cache_entries.load(Ordering::Relaxed), 1);
+        let (_, again, cached) = cache.get_or_compile_with(COUNTER, &opts(), not_again);
+        assert!(
+            again.is_err() && cached,
+            "negatively cached like any failure"
+        );
+        assert_eq!(m.compiles_total.load(Ordering::Relaxed), 1);
     }
 
     #[test]

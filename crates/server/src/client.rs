@@ -126,8 +126,8 @@ impl GemClient {
         }
     }
 
-    /// Round-trip health check; `delay_ms > 0` routes through the worker
-    /// pool (and can therefore be rejected `busy`).
+    /// Round-trip health check; `delay_ms > 0` passes the admission gate
+    /// like simulation work (and can therefore be rejected `busy`).
     pub fn ping(&mut self, delay_ms: u64) -> Result<(), ClientError> {
         let fields = if delay_ms > 0 {
             vec![("delay_ms", Json::U64(delay_ms))]

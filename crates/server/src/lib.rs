@@ -12,9 +12,10 @@
 //! * [`CompileCache`] — content-hash-keyed, single-flight, LRU: N
 //!   concurrent opens of the same source pay exactly one compile and one
 //!   bitstream load (sessions clone the entry's power-on machine);
-//! * [`WorkerPool`] — fixed threads, bounded queue, explicit
-//!   backpressure: a full queue is a `busy` response with
-//!   `retry_after_ms`, never a hang;
+//! * an admission gate — a heavy request runs on the connection thread
+//!   that read it, at most `workers` at a time; a full line is a `busy`
+//!   response with `retry_after_ms`, never a hang, and a request that
+//!   panics costs that request alone (`docs/SERVER.md` §4);
 //! * [`SessionTable`] — per-client simulator instances with
 //!   idle-timeout eviction and `save`/`restore` checkpoints;
 //! * [`ServerMetrics`] — `gem_server_*` counter/gauge families exported
@@ -27,8 +28,8 @@
 
 pub mod cache;
 pub mod client;
+mod gate;
 pub mod metrics;
-pub mod pool;
 pub mod protocol;
 pub mod server;
 pub mod session;
@@ -36,6 +37,15 @@ pub mod session;
 pub use cache::{content_hash, CachedDesign, CompileCache};
 pub use client::{ClientError, GemClient};
 pub use metrics::ServerMetrics;
-pub use pool::{SubmitError, WorkerPool};
 pub use server::{Server, ServerConfig};
 pub use session::{SessionEntry, SessionTable};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks bookkeeping state, recovering the guard if another thread
+/// panicked while holding it. Only for data every update leaves valid
+/// at every step (counters, tables, queues); a session's machine state
+/// is not that — see [`SessionEntry::sim`].
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

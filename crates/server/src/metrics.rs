@@ -1,23 +1,25 @@
 //! Server-wide metric registry (lock-free counters and gauges).
 //!
 //! One [`ServerMetrics`] instance is shared by every connection handler,
-//! the worker pool, the compile cache, and the session table. All fields
-//! are relaxed atomics — the registry is on the request hot path and
-//! never blocks. [`ServerMetrics::snapshot`] converts the registry into
-//! the workspace's standard [`MetricsSnapshot`] form, so server metrics
-//! flow through the same exporters (`--emit-metrics` JSON, Prometheus
-//! text) as the compile-flow and virtual-GPU families.
+//! the admission gate, the compile cache, and the session table. All
+//! fields but two are relaxed atomics — the registry is on the request
+//! hot path and never blocks. [`ServerMetrics::snapshot`] converts the
+//! registry into the workspace's standard [`MetricsSnapshot`] form, so
+//! server metrics flow through the same exporters (`--emit-metrics`
+//! JSON, Prometheus text) as the compile-flow and virtual-GPU families.
 //!
 //! Reconciliation invariants (asserted by the integration tests and
 //! documented in `docs/OBSERVABILITY.md`):
 //!
-//! * `jobs_submitted = jobs_completed + jobs_rejected` once the queue is
-//!   drained,
+//! * `jobs_submitted = jobs_completed + jobs_rejected` once no job is
+//!   running or waiting (a job that panics still completes),
 //! * `cache_lookups = cache_hits + cache_misses`,
 //! * `sessions_opened = sessions_active + sessions_closed +
 //!   sessions_evicted`.
 
+use crate::lock;
 use gem_telemetry::{Histogram, MetricFamily, MetricKind, MetricsSnapshot, Sample};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -28,6 +30,9 @@ pub struct ServerMetrics {
     pub connections_total: AtomicU64,
     /// Currently open connections.
     pub connections_active: AtomicU64,
+    /// Connections accepted and then dropped unserved because no handler
+    /// thread could be spawned for them.
+    pub connections_dropped: AtomicU64,
     /// Requests dispatched, all commands.
     pub requests_total: AtomicU64,
     /// Sessions opened.
@@ -43,18 +48,19 @@ pub struct ServerMetrics {
     /// Total stimulus lanes across currently live sessions (a
     /// single-lane session contributes 1, a full batch session 64).
     pub lanes_active: AtomicU64,
-    /// Jobs offered to the worker pool (accepted or not).
+    /// Heavy requests that arrived at the admission gate (admitted or
+    /// not).
     pub jobs_submitted: AtomicU64,
-    /// Jobs that ran to completion.
+    /// Admitted jobs that ended, by returning or by unwinding.
     pub jobs_completed: AtomicU64,
     /// Jobs rejected with backpressure (queue full or shutting down).
     pub jobs_rejected: AtomicU64,
     /// Rejections whose reason was a full queue (`retry_after_ms` was
     /// attached to the BUSY response).
     pub rejected_queue_full: AtomicU64,
-    /// Rejections whose reason was pool shutdown.
+    /// Rejections whose reason was server shutdown.
     pub rejected_shutting_down: AtomicU64,
-    /// Jobs currently waiting in the queue.
+    /// Callers currently waiting at the gate for a slot.
     pub queue_depth: AtomicU64,
     /// Cache lookups (each `get_or_compile` call counts once).
     pub cache_lookups: AtomicU64,
@@ -75,15 +81,20 @@ pub struct ServerMetrics {
     /// Compiles rejected by the static analyzer or the schedule
     /// happens-before checker (negatively cached like verify failures).
     pub analyze_failures: AtomicU64,
-    /// Summed queue+execution latency of completed jobs, microseconds.
+    /// Summed wait+execution latency of completed jobs, microseconds,
+    /// each measured from its arrival at the gate.
     pub job_latency_micros: AtomicU64,
     /// Simulated cycles executed on behalf of all sessions.
     pub cycles_total: AtomicU64,
     /// Per-request wall-clock latency distribution, microseconds
-    /// (measured around `dispatch` on the connection thread). The one
-    /// non-atomic member: a log-bucketed histogram behind a mutex held
-    /// only for the O(1) observe/merge.
+    /// (measured around `dispatch` on the connection thread): a
+    /// log-bucketed histogram behind a mutex held only for the O(1)
+    /// observe/merge.
     pub request_latency_micros: Mutex<Histogram>,
+    /// Requests whose handler panicked, by command; the client got a
+    /// typed `internal` error. Only commands the dispatcher knows can
+    /// panic, so a client cannot grow the label set.
+    pub panics: Mutex<BTreeMap<String, u64>>,
 }
 
 /// Relaxed increment helper: all metrics are monotonic or
@@ -95,6 +106,11 @@ pub(crate) fn inc(c: &AtomicU64) {
 /// Relaxed add helper.
 pub(crate) fn add(c: &AtomicU64, v: u64) {
     c.fetch_add(v, Ordering::Relaxed);
+}
+
+/// Relaxed store helper (gauges only).
+pub(crate) fn set(c: &AtomicU64, v: u64) {
+    c.store(v, Ordering::Relaxed);
 }
 
 /// Relaxed subtract helper (gauges only).
@@ -114,10 +130,22 @@ impl ServerMetrics {
 
     /// Records one request's wall-clock latency.
     pub fn observe_request_latency(&self, micros: f64) {
-        self.request_latency_micros
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .observe(micros);
+        lock(&self.request_latency_micros).observe(micros);
+    }
+
+    /// Counts one request of command `cmd` that ended in a panic.
+    pub fn count_panic(&self, cmd: &str) {
+        *lock(&self.panics).entry(cmd.to_string()).or_default() += 1;
+    }
+
+    /// The backoff hint sent with `busy`: the mean completed-job latency
+    /// so far, clamped to [1, 1000] ms; 10 ms with no history.
+    pub fn retry_after_ms(&self) -> u64 {
+        let done = self.jobs_completed.load(Ordering::Relaxed);
+        if done == 0 {
+            return 10;
+        }
+        (self.job_latency_micros.load(Ordering::Relaxed) / done / 1000).clamp(1, 1000)
     }
 
     /// Exports every family under the `gem_server_` prefix.
@@ -130,6 +158,11 @@ impl ServerMetrics {
             "gem_server_connections_total",
             "Connections accepted",
             &self.connections_total,
+        );
+        c(
+            "gem_server_connections_dropped_total",
+            "Connections dropped because no handler thread could be spawned",
+            &self.connections_dropped,
         );
         c(
             "gem_server_requests_total",
@@ -158,12 +191,12 @@ impl ServerMetrics {
         );
         c(
             "gem_server_jobs_submitted_total",
-            "Jobs offered to the worker pool",
+            "Heavy requests that arrived at the admission gate",
             &self.jobs_submitted,
         );
         c(
             "gem_server_jobs_completed_total",
-            "Jobs run to completion",
+            "Admitted jobs that ended (returned or unwound)",
             &self.jobs_completed,
         );
         c(
@@ -208,7 +241,7 @@ impl ServerMetrics {
         );
         c(
             "gem_server_job_latency_micros_total",
-            "Summed queue+execution latency of completed jobs (us)",
+            "Summed wait+execution latency of completed jobs (us)",
             &self.job_latency_micros,
         );
         c(
@@ -233,6 +266,19 @@ impl ServerMetrics {
                 },
             ],
         });
+        s.push(MetricFamily {
+            name: "gem_server_panics_total".to_string(),
+            help: "Requests whose handler panicked (answered with a typed internal error)"
+                .to_string(),
+            kind: MetricKind::Counter,
+            samples: lock(&self.panics)
+                .iter()
+                .map(|(cmd, &n)| Sample {
+                    labels: vec![("cmd".to_string(), cmd.clone())],
+                    value: n as f64,
+                })
+                .collect(),
+        });
         let mut g = |name: &str, help: &str, v: &AtomicU64| {
             s.push_scalar(name, help, MetricKind::Gauge, Self::get(v));
         };
@@ -253,7 +299,7 @@ impl ServerMetrics {
         );
         g(
             "gem_server_queue_depth",
-            "Jobs waiting in the worker-pool queue",
+            "Callers waiting at the admission gate",
             &self.queue_depth,
         );
         g(
@@ -264,10 +310,7 @@ impl ServerMetrics {
         s.push_histogram(
             "gem_server_request_latency_micros",
             "Per-request wall-clock latency (us) with p50/p95/p99 quantiles",
-            &self
-                .request_latency_micros
-                .lock()
-                .unwrap_or_else(|p| p.into_inner()),
+            &lock(&self.request_latency_micros),
         );
         s
     }
@@ -305,6 +348,20 @@ mod tests {
         let text = s.to_prometheus_text();
         assert!(text.contains("gem_server_rejected_total{reason=\"queue_full\"} 2"));
         assert!(text.contains("gem_server_rejected_total{reason=\"shutting_down\"} 1"));
+    }
+
+    #[test]
+    fn panics_export_per_command_and_the_family_exists_at_zero() {
+        let m = ServerMetrics::default();
+        let fam = |m: &ServerMetrics| m.snapshot().family("gem_server_panics_total").cloned();
+        assert_eq!(fam(&m).expect("exported before any panic").total(), 0.0);
+        m.count_panic("step");
+        m.count_panic("step");
+        m.count_panic("compile");
+        assert_eq!(fam(&m).expect("exported").total(), 3.0);
+        let text = m.snapshot().to_prometheus_text();
+        assert!(text.contains("gem_server_panics_total{cmd=\"step\"} 2"));
+        assert!(text.contains("gem_server_panics_total{cmd=\"compile\"} 1"));
     }
 
     #[test]

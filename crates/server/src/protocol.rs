@@ -21,7 +21,8 @@ use gem_telemetry::Json;
 
 /// Machine-readable error codes carried in the `error` field.
 pub mod codes {
-    /// The queue is full or the pool is stopping; retry after
+    /// The admission gate refused the request (its line is full, or the
+    /// server is stopping; `docs/SERVER.md` §4); retry after
     /// `retry_after_ms`.
     pub const BUSY: &str = "busy";
     /// Malformed request (unknown command, missing/ill-typed field).
@@ -33,7 +34,8 @@ pub mod codes {
     /// A lane count outside `1..=64`, or a lane index at or beyond the
     /// session's lane count.
     pub const BAD_LANES: &str = "bad_lanes";
-    /// Unexpected server-side failure.
+    /// Unexpected server-side failure: the request panicked, or its
+    /// session was left broken by one that did.
     pub const INTERNAL: &str = "internal";
 }
 
@@ -69,7 +71,7 @@ pub fn bits_to_hex(v: &Bits) -> String {
                 nib |= 1 << k;
             }
         }
-        s.push(char::from_digit(nib as u32, 16).unwrap());
+        s.push(char::from_digit(nib as u32, 16).expect("a nibble is below 16"));
     }
     s
 }
@@ -115,13 +117,18 @@ pub fn req_u64(req: &Json, field: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or non-integer field {field:?}"))
 }
 
-/// Pulls an optional u64 field (absent → `default`).
-pub fn opt_u64(req: &Json, field: &str, default: u64) -> Result<u64, String> {
+/// Pulls an optional unsigned field of any width (absent → `default`).
+///
+/// # Errors
+///
+/// A value that is not an unsigned integer, or does not fit `T`.
+pub fn opt_uint<T: TryFrom<u64>>(req: &Json, field: &str, default: T) -> Result<T, String> {
     match req.get(field) {
         None | Some(Json::Null) => Ok(default),
         Some(v) => v
             .as_u64()
-            .ok_or_else(|| format!("non-integer field {field:?}")),
+            .and_then(|v| T::try_from(v).ok())
+            .ok_or_else(|| format!("field {field:?} is not an integer in range")),
     }
 }
 
@@ -148,6 +155,17 @@ mod tests {
         assert_eq!(bits_from_hex("5", 3).unwrap().to_u64(), 5);
         assert!(bits_from_hex("f", 3).is_err()); // bit 3 set, width 3
         assert!(bits_from_hex("zz", 8).is_err());
+    }
+
+    #[test]
+    fn optional_integers_are_range_checked_not_truncated() {
+        let mut req = Json::object();
+        req.set("width", 1u64 << 32);
+        assert_eq!(opt_uint(&req, "width", 0u64), Ok(1 << 32));
+        assert!(opt_uint(&req, "width", 0u32).is_err(), "not width 0");
+        assert_eq!(opt_uint(&req, "parts", 8usize), Ok(8));
+        req.set("parts", "eight");
+        assert!(opt_uint(&req, "parts", 8usize).is_err());
     }
 
     #[test]

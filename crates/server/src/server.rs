@@ -1,14 +1,14 @@
 //! The TCP server: accept loop, connection handlers, and the command
 //! dispatcher.
 //!
-//! Threading model, smallest to largest scope:
+//! Threading model — these are all the threads a server has:
 //!
-//! * **one thread per connection** reads frames and answers cheap
-//!   control commands (`poke`, `peek`, `close`, `stats`) inline;
-//! * **heavy commands** (`compile`, `open`, `step`, `replay`, delayed
-//!   `ping`) are offered to the shared [`WorkerPool`]; a full queue turns
-//!   into a `busy` response with a `retry_after_ms` hint instead of a
-//!   blocked handler;
+//! * **one thread per connection** reads frames and serves them, cheap
+//!   and heavy alike, on its own stack; heavy commands first pass the
+//!   admission gate (`docs/SERVER.md` §4), which bounds how many run at
+//!   once and turns a full line into a `busy` response with a
+//!   `retry_after_ms` hint instead of a blocked handler. A request that
+//!   panics is caught here and costs that request, nothing else;
 //! * **one reaper thread** evicts sessions idle past the configured
 //!   timeout;
 //! * the **accept loop** owns everything and joins all of it on
@@ -16,10 +16,11 @@
 //!   server is left behind.
 
 use crate::cache::CompileCache;
-use crate::metrics::{dec, inc, ServerMetrics};
-use crate::pool::{SubmitError, WorkerPool};
+use crate::gate::{Gate, SubmitError};
+use crate::lock;
+use crate::metrics::{add, dec, inc, ServerMetrics};
 use crate::protocol::{self, codes};
-use crate::session::SessionTable;
+use crate::session::{SessionEntry, SessionTable};
 use gem_core::{CompileOptions, GemSimulator, ProfileOptions, VcdStimulus};
 use gem_netlist::vcd::VcdWriter;
 use gem_telemetry::span;
@@ -27,8 +28,9 @@ use gem_telemetry::{read_frame, write_frame, FrameError, Json, DEFAULT_MAX_FRAME
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -37,9 +39,9 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads executing simulation jobs.
+    /// Heavy requests (simulation jobs) running at once.
     pub workers: usize,
-    /// Bounded job-queue capacity (beyond-running jobs waiting).
+    /// Heavy requests waiting for one of those slots; the next is `busy`.
     pub queue: usize,
     /// Compiled designs kept in the LRU cache.
     pub cache: usize,
@@ -70,7 +72,7 @@ struct ServerState {
     metrics: Arc<ServerMetrics>,
     cache: CompileCache,
     sessions: SessionTable,
-    pool: WorkerPool,
+    gate: Gate,
     stop: AtomicBool,
     local_addr: SocketAddr,
     /// Clones of live connection streams, for unblocking reads at
@@ -83,8 +85,7 @@ struct ServerState {
     next_conn: AtomicU64,
     /// Request correlation ids, unique across all connections of this
     /// server. Every request gets one; it is echoed in the response
-    /// (`"rid"`) and stamped onto every span the request causes —
-    /// including spans recorded by pool workers (see [`run_on_pool`]).
+    /// (`"rid"`) and stamped onto every span the request causes.
     next_rid: AtomicU64,
 }
 
@@ -103,8 +104,8 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds the listener and builds the shared state (pool threads start
-    /// immediately; the accept loop starts in [`run`](Self::run)).
+    /// Binds the listener and builds the shared state (no thread starts
+    /// before [`run`](Self::run)).
     ///
     /// # Errors
     ///
@@ -117,7 +118,7 @@ impl Server {
             metrics: Arc::clone(&metrics),
             cache: CompileCache::new(cfg.cache, Arc::clone(&metrics)),
             sessions: SessionTable::new(Arc::clone(&metrics)),
-            pool: WorkerPool::new(cfg.workers, cfg.queue, Arc::clone(&metrics)),
+            gate: Gate::new(cfg.workers, cfg.queue, Arc::clone(&metrics)),
             stop: AtomicBool::new(false),
             local_addr,
             conns: Mutex::new(HashMap::new()),
@@ -139,12 +140,14 @@ impl Server {
         Arc::clone(&self.state.metrics)
     }
 
-    /// Serves until a client issues `shutdown`. Joins every connection
-    /// handler, the reaper, and the worker pool before returning.
+    /// Serves until a client issues `shutdown`, then closes the gate
+    /// (callers waiting at it are answered `busy`; admitted jobs finish)
+    /// and joins every connection handler and the reaper.
     ///
     /// # Errors
     ///
-    /// I/O errors from the accept loop (not from individual connections).
+    /// I/O errors from the accept loop or from spawning the reaper (not
+    /// from individual connections).
     pub fn run(self) -> io::Result<()> {
         let state = self.state;
         let reaper = {
@@ -156,8 +159,7 @@ impl Server {
                         std::thread::sleep(state.cfg.reap_interval);
                         state.sessions.evict_idle(state.cfg.idle_timeout);
                     }
-                })
-                .expect("spawn reaper")
+                })?
         };
         for incoming in self.listener.incoming() {
             if state.stop.load(Ordering::SeqCst) {
@@ -172,31 +174,34 @@ impl Server {
             // a frame longer than a segment does not stall on its tail
             // either. Failing to set the option costs latency, nothing else.
             let _ = stream.set_nodelay(true);
-            let conn_id = state.next_conn.fetch_add(1, Ordering::Relaxed);
-            if let Ok(clone) = stream.try_clone() {
-                state.conns.lock().unwrap().insert(conn_id, clone);
+            let conn = Connection::register(&state, &stream);
+            let spawned = std::thread::Builder::new()
+                .name(format!("gem-conn-{}", conn.id))
+                .spawn(move || handle_connection(&conn, stream));
+            match spawned {
+                Ok(handler) => {
+                    let mut handlers = lock(&state.handlers);
+                    handlers.retain(|h| !h.is_finished());
+                    handlers.push(handler);
+                }
+                // The closure — stream and registration — is dropped:
+                // the peer sees a closed socket, the server keeps serving.
+                Err(e) => {
+                    inc(&state.metrics.connections_dropped);
+                    gem_telemetry::warn!("connection dropped, no handler thread: {e}");
+                }
             }
-            inc(&state.metrics.connections_total);
-            inc(&state.metrics.connections_active);
-            let state2 = Arc::clone(&state);
-            let handler = std::thread::Builder::new()
-                .name(format!("gem-conn-{conn_id}"))
-                .spawn(move || handle_connection(&state2, stream, conn_id))
-                .expect("spawn connection handler");
-            let mut handlers = state.handlers.lock().unwrap();
-            handlers.retain(|h| !h.is_finished());
-            handlers.push(handler);
         }
+        state.gate.close();
         // Unblock handlers still parked in read_frame, then join them.
-        for (_, c) in state.conns.lock().unwrap().drain() {
+        for (_, c) in lock(&state.conns).drain() {
             let _ = c.shutdown(std::net::Shutdown::Both);
         }
-        let handlers = std::mem::take(&mut *state.handlers.lock().unwrap());
+        let handlers = std::mem::take(&mut *lock(&state.handlers));
         for h in handlers {
             let _ = h.join();
         }
         let _ = reaper.join();
-        // Dropping the state joins the worker pool (queue runs dry first).
         Ok(())
     }
 }
@@ -206,7 +211,38 @@ fn wake_accept(addr: SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 
-fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, conn_id: u64) {
+/// One accepted connection's entry in the server's books (`conns`,
+/// `connections_active`), released on drop — so on every way out of the
+/// handler, and when the handler thread never started.
+struct Connection {
+    state: Arc<ServerState>,
+    id: u64,
+}
+
+impl Connection {
+    fn register(state: &Arc<ServerState>, stream: &TcpStream) -> Connection {
+        let id = state.next_conn.fetch_add(1, Ordering::Relaxed);
+        if let Ok(clone) = stream.try_clone() {
+            lock(&state.conns).insert(id, clone);
+        }
+        inc(&state.metrics.connections_total);
+        inc(&state.metrics.connections_active);
+        Connection {
+            state: Arc::clone(state),
+            id,
+        }
+    }
+}
+
+impl Drop for Connection {
+    fn drop(&mut self) {
+        lock(&self.state.conns).remove(&self.id);
+        dec(&self.state.metrics.connections_active);
+    }
+}
+
+fn handle_connection(conn: &Connection, mut stream: TcpStream) {
+    let state = &*conn.state;
     loop {
         let req = match read_frame(&mut stream, state.cfg.max_frame) {
             Ok(v) => v,
@@ -221,22 +257,28 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, conn_id: u
         };
         inc(&state.metrics.requests_total);
         let id = req.get("id").and_then(Json::as_u64).unwrap_or(0);
+        let cmd = req.get("cmd").and_then(Json::as_str).unwrap_or("?");
         // One correlation id per request: scoped here so every span this
-        // request records (inline or via a pool worker) carries it, and
-        // echoed on the wire so the client can link frames to spans.
+        // request records carries it, and echoed on the wire so the
+        // client can link frames to spans.
         let rid = state.next_rid.fetch_add(1, Ordering::Relaxed);
         let started = std::time::Instant::now();
         let (mut resp, shutdown) = {
             let _scope = span::request_scope(rid);
-            let _req_span = if span::enabled() {
-                let cmd = req.get("cmd").and_then(Json::as_str).unwrap_or("?");
+            let _req_span = span::enabled().then(|| {
                 let mut sp = span::span(format!("request:{cmd}"), "server");
-                sp.arg("id", id).arg("conn", conn_id);
-                Some(sp)
-            } else {
-                None
-            };
-            dispatch(state, id, &req)
+                sp.arg("id", id).arg("conn", conn.id);
+                sp
+            });
+            // Sound to carry on after an unwind because nothing a request
+            // mutates is left half-done where a later request can see it:
+            // machine state sits behind its session's own mutex, which the
+            // unwind poisons and `SessionEntry::sim` then refuses; the
+            // gate slot and the cache's pending entry are released by
+            // guards; everything else (tables, counters, the LRU) is
+            // bookkeeping whose invariants hold between statements.
+            catch_unwind(AssertUnwindSafe(|| dispatch(state, id, &req)))
+                .unwrap_or_else(|panic| (answer_panic(state, id, rid, cmd, &*panic), false))
         };
         state
             .metrics
@@ -254,13 +296,36 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, conn_id: u
             break;
         }
     }
-    state.conns.lock().unwrap().remove(&conn_id);
-    dec(&state.metrics.connections_active);
+}
+
+/// What a request that panicked gets and leaves behind: a typed
+/// `internal` error, `gem_server_panics_total{cmd}`, a `panic` instant
+/// under the request's id, and a line in the log.
+fn answer_panic(
+    state: &ServerState,
+    id: u64,
+    rid: u64,
+    cmd: &str,
+    panic: &(dyn std::any::Any + Send),
+) -> Json {
+    let what = panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| panic.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string panic payload");
+    state.metrics.count_panic(cmd);
+    span::instant(
+        "panic",
+        "server",
+        vec![("cmd".into(), cmd.into()), ("message".into(), what.into())],
+    );
+    gem_telemetry::error!("request {rid} ({cmd}) panicked: {what}");
+    protocol::err_response(id, codes::INTERNAL, &format!("request panicked: {what}"))
 }
 
 /// Routes one request. Returns the response and whether this request
 /// asked the whole server to shut down.
-fn dispatch(state: &Arc<ServerState>, id: u64, req: &Json) -> (Json, bool) {
+fn dispatch(state: &ServerState, id: u64, req: &Json) -> (Json, bool) {
     let cmd = match req.get("cmd").and_then(Json::as_str) {
         Some(c) => c,
         None => {
@@ -285,17 +350,16 @@ fn dispatch(state: &Arc<ServerState>, id: u64, req: &Json) -> (Json, bool) {
         "close" => cmd_close(state, id, req),
         "stats" => cmd_stats(state, id),
         "shutdown" => return (protocol::ok_response(id), true),
-        other => Err((
-            codes::BAD_REQUEST.to_string(),
-            format!("unknown command {other:?}"),
-        )),
+        #[cfg(test)]
+        "panic" => tests::cmd_panic(state, req),
+        other => Err(bad(format!("unknown command {other:?}"))),
     };
     let resp = match result {
         Ok(r) => r,
         Err((code, message)) => {
-            let mut r = protocol::err_response(id, &code, &message);
+            let mut r = protocol::err_response(id, code, &message);
             if code == codes::BUSY {
-                r.set("retry_after_ms", state.pool.retry_after_ms());
+                r.set("retry_after_ms", state.metrics.retry_after_ms());
             }
             r
         }
@@ -303,50 +367,42 @@ fn dispatch(state: &Arc<ServerState>, id: u64, req: &Json) -> (Json, bool) {
     (resp, false)
 }
 
-type CmdResult = Result<Json, (String, String)>;
+/// The `(code, message)` of an error envelope — built in [`dispatch`],
+/// the one place that does.
+type CmdError = (&'static str, String);
+type CmdResult = Result<Json, CmdError>;
 
-fn bad(msg: impl Into<String>) -> (String, String) {
-    (codes::BAD_REQUEST.to_string(), msg.into())
+fn bad(msg: impl Into<String>) -> CmdError {
+    (codes::BAD_REQUEST, msg.into())
 }
 
-/// Offers `job` to the pool and waits for its response. A full queue
-/// becomes a `busy` error, so the connection thread never blocks on
-/// queue space — only on the job it successfully enqueued.
-///
-/// The connection thread's request id crosses into the worker: the job
-/// wrapper re-installs the request scope and opens a `name` span on the
-/// worker thread, so pooled compile/step work stays correlated with the
-/// wire request that caused it. Rejections count into the per-reason
-/// `gem_server_rejected_total` family.
-fn run_on_pool(
-    state: &Arc<ServerState>,
-    name: &'static str,
-    job: impl FnOnce() -> Json + Send + 'static,
-) -> CmdResult {
-    let (tx, rx) = mpsc::channel();
-    let rid = span::current_request_id();
-    let submitted = state.pool.try_submit(move || {
-        let _scope = rid.map(span::request_scope);
+/// Runs a heavy command's `job` through the admission gate, on this
+/// thread, under a `job:<name>` span. A refusal becomes a `busy` error
+/// and counts into the per-reason `gem_server_rejected_total` family, so
+/// the connection thread never blocks on a full line — only behind the
+/// callers it was allowed to join.
+fn gated(state: &ServerState, name: &str, job: impl FnOnce() -> CmdResult) -> CmdResult {
+    let admitted = state.gate.run(|| {
         let _job_span = span::enabled().then(|| span::span(format!("job:{name}"), "server"));
-        let _ = tx.send(job());
+        job()
     });
-    match submitted {
-        Ok(()) => rx
-            .recv()
-            .map_err(|_| (codes::INTERNAL.to_string(), "worker dropped job".into())),
-        Err(e @ SubmitError::Full { .. }) => {
-            inc(&state.metrics.rejected_queue_full);
-            Err((codes::BUSY.to_string(), e.to_string()))
+    let m = &state.metrics;
+    match admitted {
+        Ok(result) => result,
+        Err(SubmitError::Full { queued }) => {
+            inc(&m.rejected_queue_full);
+            Err((codes::BUSY, format!("job queue full ({queued} waiting)")))
         }
-        Err(e @ SubmitError::ShuttingDown) => {
-            inc(&state.metrics.rejected_shutting_down);
-            Err((codes::BUSY.to_string(), e.to_string()))
+        Err(SubmitError::ShuttingDown) => {
+            inc(&m.rejected_shutting_down);
+            Err((codes::BUSY, "server shutting down".to_string()))
         }
     }
 }
 
-/// Parses the optional `opts` object of `compile`/`open` requests.
-fn compile_opts(req: &Json) -> Result<CompileOptions, (String, String)> {
+/// Parses and range-checks the optional `opts` object of requests that
+/// compile, before the gate: a bad option is a cheap `bad_request`.
+fn compile_opts(req: &Json) -> Result<CompileOptions, CmdError> {
     let mut opts = CompileOptions {
         core_width: 2048,
         target_parts: 8,
@@ -354,67 +410,62 @@ fn compile_opts(req: &Json) -> Result<CompileOptions, (String, String)> {
         ..Default::default()
     };
     if let Some(o) = req.get("opts") {
-        opts.core_width =
-            protocol::opt_u64(o, "width", opts.core_width as u64).map_err(bad)? as u32;
-        opts.target_parts =
-            protocol::opt_u64(o, "parts", opts.target_parts as u64).map_err(bad)? as usize;
-        opts.stages = protocol::opt_u64(o, "stages", opts.stages as u64).map_err(bad)? as usize;
-        opts.seed = protocol::opt_u64(o, "seed", opts.seed).map_err(bad)?;
+        opts.core_width = protocol::opt_uint(o, "width", opts.core_width).map_err(bad)?;
+        opts.target_parts = protocol::opt_uint(o, "parts", opts.target_parts).map_err(bad)?;
+        opts.stages = protocol::opt_uint(o, "stages", opts.stages).map_err(bad)?;
+        opts.seed = protocol::opt_uint(o, "seed", opts.seed).map_err(bad)?;
         if let Some(v) = o.get("verify").and_then(Json::as_bool) {
             opts.verify = v;
         }
         // Fault injection for the verify gate (tests, drills): a nonzero
         // seed corrupts the bitstream before verification.
-        opts.verify_fault = protocol::opt_u64(o, "verify_fault", opts.verify_fault).map_err(bad)?;
+        opts.verify_fault =
+            protocol::opt_uint(o, "verify_fault", opts.verify_fault).map_err(bad)?;
     }
+    opts.validate().map_err(|e| bad(e.to_string()))?;
     Ok(opts)
 }
 
-fn cmd_ping(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
-    let delay_ms = protocol::opt_u64(req, "delay_ms", 0).map_err(bad)?;
+fn cmd_ping(state: &ServerState, id: u64, req: &Json) -> CmdResult {
+    let delay_ms = protocol::opt_uint(req, "delay_ms", 0u64).map_err(bad)?;
     let mut resp = protocol::ok_response(id);
     resp.set("pong", true);
     if delay_ms == 0 {
         return Ok(resp);
     }
-    // Delayed pings run through the pool: they occupy a worker slot
-    // exactly like simulation work, which makes backpressure directly
-    // testable without racing a real compile.
-    run_on_pool(state, "ping", move || {
+    // Delayed pings pass the gate: they occupy a slot exactly like
+    // simulation work, which makes backpressure directly testable
+    // without racing a real compile.
+    gated(state, "ping", || {
         std::thread::sleep(Duration::from_millis(delay_ms));
-        resp
+        Ok(resp)
     })
 }
 
-fn cmd_compile(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
-    let source = protocol::req_str(req, "source").map_err(bad)?.to_string();
+fn cmd_compile(state: &ServerState, id: u64, req: &Json) -> CmdResult {
+    let source = protocol::req_str(req, "source").map_err(bad)?;
     let opts = compile_opts(req)?;
-    let state2 = Arc::clone(state);
-    run_on_pool(state, "compile", move || {
-        let (key, result, cached) = state2.cache.get_or_compile(&source, &opts);
-        match result {
-            Ok(design) => {
-                let mut r = protocol::ok_response(id);
-                r.set("key", format!("{key:016x}"));
-                r.set("cached", cached);
-                r.set("report", design.compiled.report.to_json());
-                r
-            }
-            Err(e) => protocol::err_response(id, codes::COMPILE_FAILED, &e),
-        }
+    gated(state, "compile", || {
+        let (key, result, cached) = state.cache.get_or_compile(source, &opts);
+        let design = result.map_err(|e| (codes::COMPILE_FAILED, e))?;
+        let mut r = protocol::ok_response(id);
+        r.set("key", format!("{key:016x}"));
+        r.set("cached", cached);
+        r.set("report", design.compiled.report.to_json());
+        Ok(r)
     })
 }
 
-fn cmd_open(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
-    let source = protocol::req_str(req, "source").map_err(bad)?.to_string();
+fn cmd_open(state: &ServerState, id: u64, req: &Json) -> CmdResult {
+    let source = protocol::req_str(req, "source").map_err(bad)?;
     let opts = compile_opts(req)?;
     // Optional lane count (`"lanes": N`): N > 1 opens a *batch* session
     // that steps N independent stimulus streams per cycle. Validated
-    // here, before any pool work, so a bad count is a cheap typed error.
-    let lanes = protocol::opt_u64(req, "lanes", 1).map_err(bad)?;
+    // here, before the gate, so a bad count is a cheap typed error.
+    let lanes = protocol::opt_uint(req, "lanes", 1u64).map_err(bad)?;
     if lanes == 0 || lanes > GemSimulator::MAX_LANES as u64 {
         return Err((
-            codes::BAD_LANES.to_string(),
+            codes::BAD_LANES,
             format!(
                 "lane count {lanes} out of range: must be between 1 and {}",
                 GemSimulator::MAX_LANES
@@ -422,31 +473,26 @@ fn cmd_open(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
         ));
     }
     let lanes = lanes as u32;
-    let state2 = Arc::clone(state);
-    run_on_pool(state, "open", move || {
-        let (key, result, cached) = state2.cache.get_or_compile(&source, &opts);
-        let design = match result {
-            Ok(d) => d,
-            Err(e) => return protocol::err_response(id, codes::COMPILE_FAILED, &e),
-        };
+    gated(state, "open", || {
+        let (key, result, cached) = state.cache.get_or_compile(source, &opts);
+        let design = result.map_err(|e| (codes::COMPILE_FAILED, e))?;
         let mut sim = design.simulator();
-        if let Err(e) = sim.set_lanes(lanes) {
-            return protocol::err_response(id, codes::BAD_LANES, &e.to_string());
-        }
-        let session = state2.sessions.open(key, Arc::clone(&design), sim, lanes);
+        sim.set_lanes(lanes)
+            .map_err(|e| (codes::BAD_LANES, e.to_string()))?;
+        let session = state.sessions.open(key, Arc::clone(&design), sim, lanes);
         let mut r = protocol::ok_response(id);
         r.set("session", session);
         r.set("lanes", lanes as u64);
         r.set("key", format!("{key:016x}"));
         r.set("cached", cached);
         r.set("report", design.compiled.report.to_json());
-        r
+        Ok(r)
     })
 }
 
 /// Parses the optional `lane` field of `poke`/`peek` requests and
 /// validates it against the session's lane count.
-fn opt_lane(req: &Json, lanes: u32) -> Result<Option<u32>, (String, String)> {
+fn opt_lane(req: &Json, lanes: u32) -> Result<Option<u32>, CmdError> {
     match req.get("lane") {
         None | Some(Json::Null) => Ok(None),
         Some(v) => {
@@ -455,7 +501,7 @@ fn opt_lane(req: &Json, lanes: u32) -> Result<Option<u32>, (String, String)> {
                 .ok_or_else(|| bad("non-integer field \"lane\""))?;
             if lane >= lanes as u64 {
                 return Err((
-                    codes::BAD_LANES.to_string(),
+                    codes::BAD_LANES,
                     format!("lane {lane} out of range: session has {lanes} lane(s)"),
                 ));
             }
@@ -464,93 +510,88 @@ fn opt_lane(req: &Json, lanes: u32) -> Result<Option<u32>, (String, String)> {
     }
 }
 
-fn session_of(
-    state: &Arc<ServerState>,
-    req: &Json,
-) -> Result<Arc<crate::session::SessionEntry>, (String, String)> {
+fn session_of(state: &ServerState, req: &Json) -> Result<Arc<SessionEntry>, CmdError> {
     let sid = protocol::req_u64(req, "session").map_err(bad)?;
     state
         .sessions
         .get(sid)
-        .ok_or_else(|| (codes::NOT_FOUND.to_string(), format!("no session {sid}")))
+        .ok_or_else(|| (codes::NOT_FOUND, format!("no session {sid}")))
 }
 
-fn cmd_poke(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
-    let entry = session_of(state, req)?;
-    let port = protocol::req_str(req, "port").map_err(bad)?;
-    let value = protocol::req_str(req, "value").map_err(bad)?;
-    let lane = opt_lane(req, entry.lanes)?;
-    let mut sim = entry.sim.lock().unwrap();
-    let width = sim
-        .io()
-        .input(port)
-        .ok_or_else(|| bad(format!("no input port {port:?}")))?
+/// A poisoned session ([`SessionEntry::sim`]) as the wire error it is.
+fn broken(message: String) -> CmdError {
+    (codes::INTERNAL, message)
+}
+
+/// Decodes `value` to the width of input `port` and applies it to every
+/// lane, or to one.
+fn poke(sim: &mut GemSimulator, port: &str, value: &str, lane: Option<u32>) -> Result<(), String> {
+    let input = sim.io().input(port);
+    let width = input
+        .ok_or_else(|| format!("no input port {port:?}"))?
         .bits
         .len() as u32;
-    let bits = protocol::bits_from_hex(value, width).map_err(bad)?;
+    let bits = protocol::bits_from_hex(value, width)?;
     match lane {
         // No lane: the poke broadcasts to every lane (single-stimulus
         // clients keep their exact old semantics).
         None => sim.set_input(port, bits),
         Some(lane) => sim.set_input_lane(port, lane, bits),
     }
+    Ok(())
+}
+
+fn cmd_poke(state: &ServerState, id: u64, req: &Json) -> CmdResult {
+    let entry = session_of(state, req)?;
+    let port = protocol::req_str(req, "port").map_err(bad)?;
+    let value = protocol::req_str(req, "value").map_err(bad)?;
+    let lane = opt_lane(req, entry.lanes)?;
+    poke(&mut *entry.sim().map_err(broken)?, port, value, lane).map_err(bad)?;
     Ok(protocol::ok_response(id))
 }
 
-fn cmd_peek(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
+fn cmd_peek(state: &ServerState, id: u64, req: &Json) -> CmdResult {
     let entry = session_of(state, req)?;
-    let port = protocol::req_str(req, "port").map_err(bad)?.to_string();
+    let port = protocol::req_str(req, "port").map_err(bad)?;
     let lane = opt_lane(req, entry.lanes)?;
-    let sim = entry.sim.lock().unwrap();
-    if sim.io().output(&port).is_none() {
+    let sim = entry.sim().map_err(broken)?;
+    if sim.io().output(port).is_none() {
         return Err(bad(format!("no output port {port:?}")));
     }
     let value = match lane {
-        None => sim.output(&port), // lane 0: the scalar view
-        Some(lane) => sim.output_lane(&port, lane),
+        None => sim.output(port), // lane 0: the scalar view
+        Some(lane) => sim.output_lane(port, lane),
     };
     let mut r = protocol::ok_response(id);
     r.set("value", protocol::bits_to_hex(&value));
     Ok(r)
 }
 
-fn cmd_step(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
+fn cmd_step(state: &ServerState, id: u64, req: &Json) -> CmdResult {
     let entry = session_of(state, req)?;
-    let cycles = protocol::opt_u64(req, "cycles", 1).map_err(bad)?;
+    let cycles = protocol::opt_uint(req, "cycles", 1u64).map_err(bad)?;
     // Pokes applied before the first cycle: {"pokes": {"port": "hex"}}.
-    let pokes: Vec<(String, String)> = match req.get("pokes") {
+    let pokes: Vec<(&str, &str)> = match req.get("pokes") {
         None | Some(Json::Null) => Vec::new(),
         Some(Json::Object(fields)) => fields
             .iter()
             .map(|(k, v)| {
                 v.as_str()
-                    .map(|s| (k.clone(), s.to_string()))
+                    .map(|s| (k.as_str(), s))
                     .ok_or_else(|| bad(format!("poke {k:?} is not a hex string")))
             })
             .collect::<Result<_, _>>()?,
         Some(_) => return Err(bad("\"pokes\" must be an object")),
     };
-    let state2 = Arc::clone(state);
-    run_on_pool(state, "step", move || {
-        let mut sim = entry.sim.lock().unwrap();
-        for (port, value) in &pokes {
-            let Some(p) = sim.io().input(port) else {
-                return protocol::err_response(
-                    id,
-                    codes::BAD_REQUEST,
-                    &format!("no input port {port:?}"),
-                );
-            };
-            let width = p.bits.len() as u32;
-            match protocol::bits_from_hex(value, width) {
-                Ok(bits) => sim.set_input(port, bits),
-                Err(e) => return protocol::err_response(id, codes::BAD_REQUEST, &e),
-            }
+    gated(state, "step", || {
+        let mut sim = entry.sim().map_err(broken)?;
+        for (port, value) in pokes {
+            poke(&mut sim, port, value, None).map_err(bad)?;
         }
         for _ in 0..cycles {
             sim.step();
         }
-        crate::metrics::add(&state2.metrics.cycles_total, cycles);
+        add(&state.metrics.cycles_total, cycles);
         let mut outputs = Json::object();
         for p in sim.io().outputs.iter() {
             outputs.set(&p.name, protocol::bits_to_hex(&sim.output(&p.name)));
@@ -576,28 +617,24 @@ fn cmd_step(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
                 .collect();
             r.set("lane_outputs", Json::Array(lane_outputs));
         }
-        r
+        Ok(r)
     })
 }
 
-fn cmd_replay(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
+fn cmd_replay(state: &ServerState, id: u64, req: &Json) -> CmdResult {
     let entry = session_of(state, req)?;
     // Batch form: `"vcds": [text, …]` replays one stimulus VCD per lane
     // in lockstep (see cmd_replay_batch). Mutually exclusive with the
     // single-stimulus `"vcd"` field.
     if req.get("vcds").is_some() {
-        return cmd_replay_batch(state, id, req, entry);
+        return cmd_replay_batch(state, id, req, &entry);
     }
-    let vcd_text = protocol::req_str(req, "vcd").map_err(bad)?.to_string();
-    let state2 = Arc::clone(state);
-    run_on_pool(state, "replay", move || {
-        let mut sim = entry.sim.lock().unwrap();
-        let stim = match VcdStimulus::new(&vcd_text, sim.io()) {
-            Ok(s) => s,
-            Err(e) => return protocol::err_response(id, codes::BAD_REQUEST, &e.to_string()),
-        };
+    let vcd_text = protocol::req_str(req, "vcd").map_err(bad)?;
+    gated(state, "replay", || {
+        let mut sim = entry.sim().map_err(broken)?;
+        let stim = VcdStimulus::new(vcd_text, sim.io()).map_err(|e| bad(e.to_string()))?;
         let rows = stim.replay(&mut sim);
-        crate::metrics::add(&state2.metrics.cycles_total, rows.len() as u64);
+        add(&state.metrics.cycles_total, rows.len() as u64);
         // The response carries the outputs both structured (per-cycle hex
         // maps) and as a VCD document, so a client can `read-vcd` without
         // a second round trip.
@@ -623,7 +660,7 @@ fn cmd_replay(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
         r.set("cycles", rows.len() as u64);
         r.set("outputs", Json::Array(cycles_json));
         r.set("vcd", w.finish());
-        r
+        Ok(r)
     })
 }
 
@@ -633,18 +670,12 @@ fn cmd_replay(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
 /// exhausted simply holds its last values, exactly like a waveform that
 /// stops changing. The response carries one output VCD per stimulus
 /// lane in the same order.
-fn cmd_replay_batch(
-    state: &Arc<ServerState>,
-    id: u64,
-    req: &Json,
-    entry: Arc<crate::session::SessionEntry>,
-) -> CmdResult {
-    let texts: Vec<String> = match req.get("vcds") {
+fn cmd_replay_batch(state: &ServerState, id: u64, req: &Json, entry: &SessionEntry) -> CmdResult {
+    let texts: Vec<&str> = match req.get("vcds") {
         Some(Json::Array(items)) => items
             .iter()
             .map(|v| {
                 v.as_str()
-                    .map(str::to_string)
                     .ok_or_else(|| bad("\"vcds\" entries must be VCD strings"))
             })
             .collect::<Result<_, _>>()?,
@@ -652,7 +683,7 @@ fn cmd_replay_batch(
     };
     if texts.is_empty() || texts.len() > entry.lanes as usize {
         return Err((
-            codes::BAD_LANES.to_string(),
+            codes::BAD_LANES,
             format!(
                 "{} stimulus VCD(s) for a session with {} lane(s)",
                 texts.len(),
@@ -660,21 +691,13 @@ fn cmd_replay_batch(
             ),
         ));
     }
-    let state2 = Arc::clone(state);
-    run_on_pool(state, "replay", move || {
-        let mut sim = entry.sim.lock().unwrap();
+    gated(state, "replay", || {
+        let mut sim = entry.sim().map_err(broken)?;
         let mut stims = Vec::with_capacity(texts.len());
         for (lane, text) in texts.iter().enumerate() {
-            match VcdStimulus::new(text, sim.io()) {
-                Ok(s) => stims.push(s),
-                Err(e) => {
-                    return protocol::err_response(
-                        id,
-                        codes::BAD_REQUEST,
-                        &format!("stimulus VCD for lane {lane}: {e}"),
-                    )
-                }
-            }
+            let stim = VcdStimulus::new(text, sim.io())
+                .map_err(|e| bad(format!("stimulus VCD for lane {lane}: {e}")))?;
+            stims.push(stim);
         }
         let total = stims.iter().map(VcdStimulus::cycles).max().unwrap_or(0);
         let mut writers: Vec<(VcdWriter, Vec<_>)> = (0..stims.len())
@@ -704,7 +727,7 @@ fn cmd_replay_batch(
                 }
             }
         }
-        crate::metrics::add(&state2.metrics.cycles_total, total as u64);
+        add(&state.metrics.cycles_total, total as u64);
         let mut r = protocol::ok_response(id);
         r.set("cycles", total as u64);
         r.set(
@@ -716,59 +739,45 @@ fn cmd_replay_batch(
                     .collect(),
             ),
         );
-        r
+        Ok(r)
     })
 }
 
 /// `profile`: compile (through the cache) and run a hotspot-attribution
 /// pass on a fresh simulator — sessions are untouched, so profiling a
 /// design never perturbs live waveforms.
-fn cmd_profile(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
-    let source = protocol::req_str(req, "source").map_err(bad)?.to_string();
+fn cmd_profile(state: &ServerState, id: u64, req: &Json) -> CmdResult {
+    let source = protocol::req_str(req, "source").map_err(bad)?;
     let opts = compile_opts(req)?;
-    let cycles = protocol::opt_u64(req, "cycles", 256).map_err(bad)?;
-    let design_name = req
-        .get("design")
-        .and_then(Json::as_str)
-        .unwrap_or("design")
-        .to_string();
-    let state2 = Arc::clone(state);
-    run_on_pool(state, "profile", move || {
-        let (key, result, cached) = state2.cache.get_or_compile(&source, &opts);
-        let design = match result {
-            Ok(d) => d,
-            Err(e) => return protocol::err_response(id, codes::COMPILE_FAILED, &e),
-        };
+    let cycles = protocol::opt_uint(req, "cycles", 256u64).map_err(bad)?;
+    let design_name = req.get("design").and_then(Json::as_str).unwrap_or("design");
+    gated(state, "profile", || {
+        let (key, result, cached) = state.cache.get_or_compile(source, &opts);
+        let design = result.map_err(|e| (codes::COMPILE_FAILED, e))?;
         let popts = ProfileOptions {
             cycles,
             ..ProfileOptions::default()
         };
-        match gem_core::profile(&design.compiled, &design_name, &popts) {
-            Ok(report) => {
-                let mut r = protocol::ok_response(id);
-                r.set("key", format!("{key:016x}"));
-                r.set("cached", cached);
-                r.set("profile", report.to_json());
-                r.set("table", report.render_table());
-                r
-            }
-            Err(e) => protocol::err_response(id, codes::INTERNAL, &e.to_string()),
-        }
+        let report = gem_core::profile(&design.compiled, design_name, &popts)
+            .map_err(|e| (codes::INTERNAL, e.to_string()))?;
+        let mut r = protocol::ok_response(id);
+        r.set("key", format!("{key:016x}"));
+        r.set("cached", cached);
+        r.set("profile", report.to_json());
+        r.set("table", report.render_table());
+        Ok(r)
     })
 }
 
 /// `lint`: run the static analyzer over a design source and, when the
 /// netlist is clean of errors, compile it (through the cache) to attach
 /// the schedule happens-before certificate. Sessions are untouched.
-fn cmd_lint(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
-    let source = protocol::req_str(req, "source").map_err(bad)?.to_string();
+fn cmd_lint(state: &ServerState, id: u64, req: &Json) -> CmdResult {
+    let source = protocol::req_str(req, "source").map_err(bad)?;
     let opts = compile_opts(req)?;
-    let state2 = Arc::clone(state);
-    run_on_pool(state, "lint", move || {
-        let (module, lints) = match gem_netlist::verilog::parse_with_lints(&source) {
-            Ok(r) => r,
-            Err(e) => return protocol::err_response(id, codes::COMPILE_FAILED, &e.to_string()),
-        };
+    gated(state, "lint", || {
+        let (module, lints) = gem_netlist::verilog::parse_with_lints(source)
+            .map_err(|e| (codes::COMPILE_FAILED, e.to_string()))?;
         let report = gem_analyze::analyze_with_lints(&module, &lints);
         let diagnostics: Vec<Json> = report
             .diagnostics
@@ -790,7 +799,7 @@ fn cmd_lint(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
         // netlist already has error-severity findings.
         let mut certified = false;
         if report.clean(gem_analyze::Severity::Error) {
-            let (key, result, cached) = state2.cache.get_or_compile(&source, &opts);
+            let (key, result, cached) = state.cache.get_or_compile(source, &opts);
             r.set("key", format!("{key:016x}"));
             r.set("cached", cached);
             match result {
@@ -806,45 +815,45 @@ fn cmd_lint(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
             }
         }
         r.set("certified", certified);
-        r
+        Ok(r)
     })
 }
 
-fn cmd_save(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
+fn cmd_save(state: &ServerState, id: u64, req: &Json) -> CmdResult {
     let entry = session_of(state, req)?;
-    let sim = entry.sim.lock().unwrap();
-    let snap = sim.snapshot();
+    // One lock at a time: `restore` takes these two in the other order.
+    let snap = entry.sim().map_err(broken)?.snapshot();
     let mut r = protocol::ok_response(id);
     r.set("bytes", snap.approx_bytes() as u64);
-    *entry.saved.lock().unwrap() = Some(snap);
+    *lock(&entry.saved) = Some(snap);
     Ok(r)
 }
 
-fn cmd_restore(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
+fn cmd_restore(state: &ServerState, id: u64, req: &Json) -> CmdResult {
     let entry = session_of(state, req)?;
-    let saved = entry.saved.lock().unwrap();
+    let saved = lock(&entry.saved);
     let Some(snap) = saved.as_ref() else {
         return Err((
-            codes::NOT_FOUND.to_string(),
+            codes::NOT_FOUND,
             "no saved checkpoint for this session".into(),
         ));
     };
-    let mut sim = entry.sim.lock().unwrap();
+    let mut sim = entry.sim().map_err(broken)?;
     sim.restore(snap)
-        .map_err(|e| (codes::INTERNAL.to_string(), e.to_string()))?;
+        .map_err(|e| (codes::INTERNAL, e.to_string()))?;
     Ok(protocol::ok_response(id))
 }
 
-fn cmd_close(state: &Arc<ServerState>, id: u64, req: &Json) -> CmdResult {
+fn cmd_close(state: &ServerState, id: u64, req: &Json) -> CmdResult {
     let sid = protocol::req_u64(req, "session").map_err(bad)?;
     if state.sessions.close(sid) {
         Ok(protocol::ok_response(id))
     } else {
-        Err((codes::NOT_FOUND.to_string(), format!("no session {sid}")))
+        Err((codes::NOT_FOUND, format!("no session {sid}")))
     }
 }
 
-fn cmd_stats(state: &Arc<ServerState>, id: u64) -> CmdResult {
+fn cmd_stats(state: &ServerState, id: u64) -> CmdResult {
     let mut r = protocol::ok_response(id);
     r.set("metrics", state.metrics.snapshot().to_json());
     r.set("sessions", state.sessions.len() as u64);
@@ -856,8 +865,27 @@ fn cmd_stats(state: &Arc<ServerState>, id: u64) -> CmdResult {
 mod tests {
     use super::*;
     use crate::cache::tests::COUNTER;
-    use crate::client::GemClient;
+    use crate::client::{ClientError, GemClient};
     use std::time::Instant;
+
+    /// The `"panic"` command: compiled into this crate's unit tests and
+    /// nothing else. Panics where `"at"` says — `"inline"` on the bare
+    /// connection thread, `"job"` inside a gated job, `"session"` while
+    /// holding the `sim` lock of session `"session"`.
+    pub(super) fn cmd_panic(state: &ServerState, req: &Json) -> CmdResult {
+        match protocol::req_str(req, "at").map_err(bad)? {
+            "inline" => panic!("injected inline"),
+            "job" => gated(state, "panic", || panic!("injected in a job")),
+            "session" => {
+                let entry = session_of(state, req)?;
+                gated(state, "panic", || {
+                    let _sim = entry.sim().map_err(broken)?;
+                    panic!("injected under the session lock")
+                })
+            }
+            other => Err(bad(format!("unknown panic site {other:?}"))),
+        }
+    }
 
     /// A running server whose shared state the test can look into.
     struct Running {
@@ -867,7 +895,11 @@ mod tests {
 
     impl Running {
         fn start() -> Self {
-            let server = Server::bind(ServerConfig::default()).expect("loopback binds");
+            Self::start_with(ServerConfig::default())
+        }
+
+        fn start_with(cfg: ServerConfig) -> Self {
+            let server = Server::bind(cfg).expect("loopback binds");
             Running {
                 state: Arc::clone(&server.state),
                 thread: std::thread::spawn(move || server.run()),
@@ -893,7 +925,7 @@ mod tests {
         let mut client = srv.connect();
         client.ping(0).expect("pong"); // the connection is accepted by now
         {
-            let conns = srv.state.conns.lock().unwrap();
+            let conns = lock(&srv.state.conns);
             assert_eq!(conns.len(), 1);
             // The clone shares the handler's socket, options included.
             for c in conns.values() {
@@ -917,7 +949,7 @@ mod tests {
                 assert!(Instant::now() < deadline, "handler never finished");
                 std::thread::yield_now();
             }
-            most = most.max(srv.state.handlers.lock().unwrap().len());
+            most = most.max(lock(&srv.state.handlers).len());
         }
         // A handler that has counted itself out may not have returned yet
         // when the next accept looks, so allow stragglers — not history.
@@ -941,7 +973,7 @@ mod tests {
             srv.state.sessions.get(b).expect("live"),
         );
         {
-            let (sa, sb) = (ea.sim.lock().unwrap(), eb.sim.lock().unwrap());
+            let (sa, sb) = (ea.sim().expect("sound"), eb.sim().expect("sound"));
             assert!(sa.shares_program_with(&sb), "one load, two sessions");
             assert_eq!(sa.counters().cycles, 5);
             assert_eq!(sb.counters().cycles, 0, "b was never stepped");
@@ -949,6 +981,98 @@ mod tests {
         assert!(Arc::ptr_eq(&ea.design, &eb.design));
         assert_eq!(srv.state.metrics.compiles_total.load(Ordering::Relaxed), 1);
         drop(client);
+        srv.stop();
+    }
+
+    /// Three injected panics — on the bare connection thread, inside a
+    /// gated job, under a session's lock — against one slot and one
+    /// place in line: each costs its own request, and nothing else.
+    #[test]
+    fn a_panic_costs_one_request_not_the_server() {
+        let srv = Running::start_with(ServerConfig {
+            workers: 1,
+            queue: 1,
+            ..ServerConfig::default()
+        });
+        let open = |c: &mut GemClient| {
+            let r = c.open(COUNTER, Json::object()).expect("opens");
+            r.get("session").and_then(Json::as_u64).expect("session id")
+        };
+        // Everything a client does, start to finish, on connection `c`;
+        // returns what the session computed.
+        let serves = |c: &mut GemClient| {
+            c.ping(0).expect("plain ping");
+            c.ping(1).expect("gated ping: the one slot is free");
+            c.compile(COUNTER, Json::object()).expect("good compile");
+            let s = open(c);
+            c.poke(s, "rst", "0").expect("poke");
+            c.step(s, 3, Vec::new()).expect("step");
+            let q = c.peek(s, "q").expect("peek");
+            c.close(s).expect("close");
+            q
+        };
+        let internal = |r: Result<Json, ClientError>, needle: &str| match r {
+            Err(ClientError::Server { code, message, .. }) => {
+                assert_eq!(code, codes::INTERNAL);
+                assert!(message.contains(needle), "{message}");
+            }
+            other => panic!("expected a typed internal error, got {other:?}"),
+        };
+        let mut same = srv.connect();
+        let victim = open(&mut same);
+        same.save(victim)
+            .expect("a checkpoint for `restore` to find");
+        let healthy = serves(&mut same);
+        for (at, says) in [
+            ("inline", "injected inline"),
+            ("job", "injected in a job"),
+            ("session", "injected under the session lock"),
+        ] {
+            let fields = vec![("at", Json::from(at)), ("session", Json::U64(victim))];
+            // The envelope carries the request's own id (the client
+            // checks it) and a typed code; the connection stays open.
+            internal(same.request("panic", fields), says);
+            assert_eq!(serves(&mut same), healthy);
+            assert_eq!(serves(&mut srv.connect()), healthy);
+        }
+        // The session whose lock the third panic held is poisoned, not
+        // gone: every use of its machine is a typed error, and it closes.
+        let sid = || vec![("session", Json::U64(victim))];
+        let port = |p: &str| [sid(), vec![("port", Json::from(p))]].concat();
+        let poke = [port("rst"), vec![("value", Json::from("0"))]].concat();
+        for (cmd, fields) in [
+            ("poke", poke),
+            ("peek", port("q")),
+            ("step", sid()),
+            ("replay", [sid(), vec![("vcd", Json::from(""))]].concat()),
+            ("save", sid()),
+            ("restore", sid()),
+        ] {
+            internal(same.request(cmd, fields), "failed in an earlier request");
+        }
+        same.close(victim).expect("a poisoned session still closes");
+
+        let m = &srv.state.metrics;
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(lock(&m.panics).get("panic"), Some(&3));
+        let snapshot = m.snapshot();
+        let family = snapshot.family("gem_server_panics_total");
+        assert_eq!(family.expect("exported").total(), 3.0);
+        assert_eq!(
+            count(&m.jobs_submitted),
+            count(&m.jobs_completed) + count(&m.jobs_rejected),
+            "the two jobs that unwound gave their slots back and counted"
+        );
+        assert_eq!(count(&m.jobs_rejected), 0);
+        assert_eq!(count(&m.queue_depth), 0);
+        assert_eq!(count(&m.sessions_active), 0);
+        drop(same);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while count(&m.connections_active) != 0 {
+            assert!(Instant::now() < deadline, "a connection was never released");
+            std::thread::yield_now();
+        }
+        assert!(lock(&srv.state.conns).is_empty());
         srv.stop();
     }
 }

@@ -3,10 +3,13 @@
 //! A session pairs one [`GemSimulator`] (mutable machine state) with the
 //! shared, immutable [`CachedDesign`] it was cloned from: every session
 //! of a design runs the one lowered program its cache entry loaded and
-//! owns only its signal and RAM state. The table hands out `Arc<SessionEntry>` so a connection handler and a pool
-//! worker can both hold the session while a job is in flight; the
-//! simulator itself sits behind a `Mutex`, serializing cycles per session
-//! while different sessions run fully in parallel.
+//! owns only its signal and RAM state. The table hands out
+//! `Arc<SessionEntry>`, so a request in flight keeps its session alive
+//! through a `close` or an eviction on another connection; the simulator
+//! itself sits behind a `Mutex`, serializing cycles per session while
+//! different sessions run fully in parallel. A request that panics while
+//! holding that mutex poisons the session and nothing else
+//! ([`SessionEntry::sim`]).
 //!
 //! Sessions that go quiet are reclaimed by the idle reaper
 //! ([`SessionTable::evict_idle`], driven by a timer thread in the
@@ -15,12 +18,13 @@
 //! `gem_server_sessions_evicted_total`.
 
 use crate::cache::CachedDesign;
+use crate::lock;
 use crate::metrics::{add, dec, inc, sub, ServerMetrics};
 use gem_core::GemSimulator;
 use gem_vgpu::GpuSnapshot;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One live simulation session.
@@ -37,9 +41,9 @@ pub struct SessionEntry {
     /// for batch sessions). Fixed at `open`; counted into the
     /// `gem_server_lanes_active` gauge while the session lives.
     pub lanes: u32,
-    /// The session's machine state. Lock order: never hold this while
-    /// taking the table lock.
-    pub sim: Mutex<GemSimulator>,
+    /// The session's machine state, reached through [`sim`](Self::sim).
+    /// Lock order: never hold this while taking the table lock.
+    sim: Mutex<GemSimulator>,
     /// Client-managed checkpoint filled by the `save` command and
     /// consumed (non-destructively) by `restore`.
     pub saved: Mutex<Option<GpuSnapshot>>,
@@ -47,13 +51,27 @@ pub struct SessionEntry {
 }
 
 impl SessionEntry {
+    /// Locks the session's machine state.
+    ///
+    /// # Errors
+    ///
+    /// A request that panicked while holding this lock may have left the
+    /// machine mid-cycle, so the poison is kept, not recovered: every
+    /// later use of the machine gets this message (the server answers
+    /// `internal`) until the client closes the session or it idles out.
+    pub fn sim(&self) -> Result<MutexGuard<'_, GemSimulator>, String> {
+        self.sim
+            .lock()
+            .map_err(|_| format!("session {} failed in an earlier request; close it", self.id))
+    }
+
     /// Marks the session as active now (resets the idle clock).
     pub fn touch(&self) {
-        *self.last_used.lock().unwrap() = Instant::now();
+        *lock(&self.last_used) = Instant::now();
     }
 
     fn idle_for(&self) -> Duration {
-        self.last_used.lock().unwrap().elapsed()
+        lock(&self.last_used).elapsed()
     }
 }
 
@@ -99,7 +117,7 @@ impl SessionTable {
             saved: Mutex::new(None),
             last_used: Mutex::new(Instant::now()),
         });
-        self.entries.lock().unwrap().insert(id, entry);
+        lock(&self.entries).insert(id, entry);
         inc(&self.metrics.sessions_opened);
         inc(&self.metrics.sessions_active);
         add(&self.metrics.lanes_active, lanes as u64);
@@ -111,7 +129,7 @@ impl SessionTable {
 
     /// Looks up a session and touches its idle clock.
     pub fn get(&self, id: u64) -> Option<Arc<SessionEntry>> {
-        let entry = self.entries.lock().unwrap().get(&id).cloned()?;
+        let entry = lock(&self.entries).get(&id).cloned()?;
         entry.touch();
         Some(entry)
     }
@@ -119,7 +137,7 @@ impl SessionTable {
     /// Closes a session at the client's request. Returns `false` when the
     /// id is unknown (already closed or evicted).
     pub fn close(&self, id: u64) -> bool {
-        let removed = self.entries.lock().unwrap().remove(&id);
+        let removed = lock(&self.entries).remove(&id);
         if let Some(e) = &removed {
             inc(&self.metrics.sessions_closed);
             dec(&self.metrics.sessions_active);
@@ -129,11 +147,11 @@ impl SessionTable {
     }
 
     /// Drops every session idle for longer than `max_idle`; returns how
-    /// many were evicted. In-flight sessions survive: a pool job holds
-    /// the `Arc`, so the machine state is freed only when the job ends,
-    /// and the job itself touched `last_used` at dispatch.
+    /// many were evicted. In-flight sessions survive: the request holds
+    /// the `Arc`, so the machine state is freed only when it ends, and
+    /// it touched `last_used` at dispatch.
     pub fn evict_idle(&self, max_idle: Duration) -> usize {
-        let mut entries = self.entries.lock().unwrap();
+        let mut entries = lock(&self.entries);
         let victims: Vec<u64> = entries
             .iter()
             .filter(|(_, e)| e.idle_for() > max_idle)
@@ -151,7 +169,7 @@ impl SessionTable {
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        lock(&self.entries).len()
     }
 
     /// Whether no sessions are live.

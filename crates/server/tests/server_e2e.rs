@@ -148,9 +148,9 @@ fn labeled_metric(stats: &Json, family: &str, label: &str, value: &str) -> f64 {
         .unwrap_or_else(|| panic!("no sample {family}{{{label}={value:?}}}"))
 }
 
-/// Polls `stats` until the pool quiesces (submitted = completed +
-/// rejected); completion counters lag the response by one scheduler
-/// beat, so a fixed-point read needs a retry loop.
+/// Polls `stats` until the gate quiesces (submitted = completed +
+/// rejected): another connection's job may still be running when this
+/// one asks, so a fixed-point read needs a retry loop.
 fn quiesced_stats(client: &mut GemClient) -> Json {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -161,7 +161,7 @@ fn quiesced_stats(client: &mut GemClient) -> Json {
         if submitted == done {
             return stats;
         }
-        assert!(Instant::now() < deadline, "pool never quiesced");
+        assert!(Instant::now() < deadline, "gate never quiesced");
         std::thread::sleep(Duration::from_millis(10));
     }
 }
@@ -542,7 +542,7 @@ fn full_queue_rejects_with_retry_hint() {
         ..ServerConfig::default()
     });
 
-    // Occupy the single worker, then the single queue slot.
+    // Occupy the single slot, then the single place in line.
     let t1 = std::thread::spawn(move || {
         GemClient::connect(addr).unwrap().ping(400).expect("ping 1");
     });
@@ -603,6 +603,71 @@ fn full_queue_rejects_with_retry_hint() {
         "reason breakdown must reconcile with the total"
     );
 
+    shutdown_and_join(addr, server);
+}
+
+/// The hostile session ROADMAP item 1 measured, against a server with one
+/// slot: seven lines of Verilog that used to panic synthesis (and with it
+/// the only worker), and option values that used to panic the placer or
+/// truncate to width 0. Each is refused with a typed error — no panic is
+/// caught because none happens — and the server goes on serving.
+#[test]
+fn hostile_text_and_options_are_typed_errors_and_the_server_serves_on() {
+    let (addr, server) = start_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = GemClient::connect(addr).expect("connect");
+    let refusal = |r: Result<Json, gem_server::ClientError>| match r {
+        Err(gem_server::ClientError::Server { code, message, .. }) => (code, message),
+        other => panic!("expected a typed server error, got {other:?}"),
+    };
+
+    let designs = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/designs");
+    let read = |file: &str| std::fs::read_to_string(format!("{designs}/{file}")).expect(file);
+    // A reversed part-select is refused where it is written; sent again,
+    // the same answer comes from the negative cache.
+    let seven = read("counter.v").replace("if (en)", "if (en[0:7])");
+    assert!(seven.contains("en[0:7]"), "the mutation applies");
+    let (code, first) = refusal(client.compile(&seven, wire_opts()));
+    assert_eq!(code, "compile_failed");
+    assert!(first.contains("en[0:7] is reversed"), "{first}");
+    let (code, again) = refusal(client.compile(&seven, wire_opts()));
+    assert_eq!((code.as_str(), &again), ("compile_failed", &first));
+    // A part-select past its port parses; the analyzer names it.
+    let (code, message) = refusal(client.compile(&read("bad/part_select.v"), wire_opts()));
+    assert_eq!(code, "compile_failed");
+    assert!(message.contains("GEM-L004"), "{message}");
+
+    for width in [3u64, 100, 65536, 1 << 32] {
+        let mut opts = wire_opts();
+        opts.set("width", width);
+        let (code, message) = refusal(client.open(DESIGN_A, opts));
+        assert_eq!(code, "bad_request", "width {width}: {message}");
+        assert!(message.contains("width"), "{message}");
+    }
+
+    let open = client.open(DESIGN_A, wire_opts()).expect("a good open");
+    let session = open.get("session").and_then(Json::as_u64).expect("id");
+    let step = client
+        .step(session, 2, vec![("en", "1"), ("delta", "03")])
+        .expect("a good step");
+    assert_eq!(out_u64(&step, "acc"), 3);
+
+    let stats = client.stats().expect("stats");
+    assert_eq!(metric(&stats, "gem_server_panics_total"), 0.0);
+    assert_eq!(
+        metric(&stats, "gem_server_compiles_total"),
+        3.0,
+        "two refused texts and one good design, each compiled once"
+    );
+    assert_eq!(metric(&stats, "gem_server_cache_hits_total"), 1.0);
+    assert_eq!(
+        metric(&stats, "gem_server_jobs_submitted_total"),
+        metric(&stats, "gem_server_jobs_completed_total"),
+        "bad options never reached the gate, and nothing was refused there"
+    );
+    assert_eq!(metric(&stats, "gem_server_jobs_completed_total"), 5.0);
     shutdown_and_join(addr, server);
 }
 
@@ -940,7 +1005,7 @@ fn batch_sessions_fan_lanes_over_the_wire() {
 }
 
 /// A full-width batch session end to end: `open {"lanes": 64}` succeeds
-/// (65 is rejected pre-pool in the validation sweep above), a 64-stream
+/// (65 is rejected before the gate in the validation sweep above), a 64-stream
 /// lockstep `replay_batch` produces 64 per-lane output VCDs bit-equal
 /// to 64 independent single-lane sessions replaying the same stimuli,
 /// and per-lane poke/peek addresses every one of the 64 lanes.

@@ -1,7 +1,7 @@
 //! End-to-end request-correlation test: one client-visible request id
-//! must link the wire frame, the connection-thread request span, the
-//! worker-pool job span, and the compile/step spans recorded deep inside
-//! the flow — and request latency must surface as p50/p95/p99 quantiles
+//! must link the wire frame, the request span, the gated job span, and
+//! the compile/step spans recorded deep inside the flow — all on the
+//! connection's own thread — and request latency must surface as p50/p95/p99 quantiles
 //! in the `stats` snapshot.
 //!
 //! This lives in its own integration-test binary because the span
@@ -56,13 +56,13 @@ fn one_correlation_id_links_wire_frames_and_spans() {
     let handle = std::thread::spawn(move || server.run());
     let mut client = GemClient::connect(addr).expect("connect");
 
-    // Open compiles the design on a pooled worker; the compile flow's
+    // Open compiles the design inside a gated job; the compile flow's
     // stage spans must inherit this request's id.
     let open = client.open(DESIGN, wire_opts()).expect("open");
     let open_rid = rid_of(&open);
     let session = open.get("session").and_then(Json::as_u64).unwrap();
 
-    // Step runs the simulator on a pooled worker; cycle spans must
+    // Step runs the simulator inside a gated job; cycle spans must
     // inherit this (different) request's id.
     let step = client
         .step(session, 3, vec![("en", "1"), ("delta", "07")])
@@ -122,8 +122,8 @@ fn one_correlation_id_links_wire_frames_and_spans() {
     let events = collector.drain();
 
     // The open request's id links: wire frame (asserted above via
-    // `rid_of`), connection-thread request span, pooled job span, and
-    // the compile flow's stage spans recorded inside the cache worker.
+    // `rid_of`), request span, gated job span, and the compile flow's
+    // stage spans recorded inside the cache lookup.
     let open_names = names_with_rid(&events, open_rid);
     assert!(open_names.contains(&"request:open"), "{open_names:?}");
     assert!(open_names.contains(&"job:open"), "{open_names:?}");
@@ -152,5 +152,5 @@ fn one_correlation_id_links_wire_frames_and_spans() {
     let doc = span::events_to_chrome_trace(&events);
     let summary = validate_chrome_trace(&doc).expect("exported trace validates");
     assert!(summary.spans >= 10, "expected a rich trace: {summary:?}");
-    assert!(summary.threads >= 2, "connection + worker threads");
+    assert!(summary.threads >= 2, "one thread per connection");
 }

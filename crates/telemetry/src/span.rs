@@ -298,7 +298,7 @@ fn with_buffer(collector: &Arc<TraceCollector>, f: impl FnOnce(&mut Vec<TraceEve
 }
 
 /// The request id active on this thread, if any.
-pub fn current_request_id() -> Option<u64> {
+fn current_request_id() -> Option<u64> {
     let rid = REQUEST_ID.with(Cell::get);
     (rid != 0).then_some(rid)
 }
