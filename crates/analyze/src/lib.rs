@@ -3,11 +3,13 @@
 //! Two pass families, one diagnostic vocabulary:
 //!
 //! * **Netlist lints** ([`analyze_module`]) walk a [`gem_netlist::Module`]
-//!   — validated or not — and report combinational loops (with a named
-//!   cycle witness path), undriven and multiply-driven nets, port/cell
-//!   width mismatches, dead cones, and constant-foldable cones. Frontend
-//!   findings ([`gem_netlist::verilog::SourceLint`]) fold into the same
-//!   report via [`analyze_with_lints`].
+//!   — validated or not. The structural ones are the findings of the one
+//!   checker, [`gem_netlist::check`] (what [`gem_netlist::validate`]
+//!   returns the first of), reported in full with source-named witnesses;
+//!   dead cones and constant-foldable cones are advisory and this
+//!   crate's own. Frontend findings
+//!   ([`gem_netlist::verilog::SourceLint`]) fold into the same report via
+//!   [`analyze_with_lints`].
 //! * **Schedule happens-before certification** (re-exported from
 //!   [`gem_isa::schedule`]) proves a compiled bitstream race-free and
 //!   issues the [`ScheduleCert`] stored with `.gemb` artifacts;
@@ -22,6 +24,8 @@
 //!
 //! # Diagnostic codes
 //!
+//! The rules behind them are stated once, in `docs/ANALYZE.md` §1.
+//!
 //! | code       | severity | meaning |
 //! |------------|----------|---------|
 //! | `GEM-L001` | error    | combinational cycle (witness: the cycle path) |
@@ -31,6 +35,8 @@
 //! | `GEM-L005` | warning  | assignment truncates its right-hand side |
 //! | `GEM-L006` | info     | dead cone (logic feeding no output or state) |
 //! | `GEM-L007` | info     | constant-foldable cone |
+//! | `GEM-L008` | error    | declared net or memory size out of range (zero included) |
+//! | `GEM-L009` | error    | duplicate port name |
 //! | `GEM-S001` | error    | schedule happens-before violation |
 
 #![deny(unsafe_code)]
@@ -38,8 +44,8 @@
 mod passes;
 
 use gem_netlist::verilog::SourceLint;
-use gem_netlist::Module;
-use gem_telemetry::{MetricFamily, MetricKind, MetricsSnapshot, Sample};
+use gem_netlist::{check, Module};
+use gem_telemetry::{Json, MetricFamily, MetricKind, MetricsSnapshot, Sample};
 use std::fmt;
 use std::time::Instant;
 
@@ -88,6 +94,19 @@ pub struct Diagnostic {
     /// the racing slot — never empty, always source-level when names
     /// survived the frontend.
     pub witness: String,
+}
+
+impl Diagnostic {
+    /// The wire and `--json` form: `code`, `severity`, `message`,
+    /// `witness`.
+    pub fn to_json(&self) -> Json {
+        let mut o = Json::object();
+        o.set("code", self.code);
+        o.set("severity", self.severity.name());
+        o.set("message", self.message.as_str());
+        o.set("witness", self.witness.as_str());
+        o
+    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -177,9 +196,11 @@ impl AnalysisReport {
 ///
 /// The module may be unvalidated (e.g. straight from
 /// [`gem_netlist::verilog::parse_with_lints`] or
-/// [`gem_netlist::builder::ModuleBuilder::finish_raw`]): the analyzer
-/// exists precisely to explain what validation would reject, with
-/// witnesses, and to surface the advisory findings validation ignores.
+/// [`gem_netlist::builder::ModuleBuilder::finish_raw`]): the report has
+/// an error-severity structural finding exactly when
+/// [`gem_netlist::validate`] refuses the module — both are
+/// [`gem_netlist::check`] — and adds the advisory findings validation
+/// has no opinion on.
 pub fn analyze_module(m: &Module) -> AnalysisReport {
     analyze_with_lints(m, &[])
 }
@@ -189,9 +210,9 @@ pub fn analyze_module(m: &Module) -> AnalysisReport {
 pub fn analyze_with_lints(m: &Module, lints: &[SourceLint]) -> AnalysisReport {
     let mut r = AnalysisReport::default();
     r.run_pass("source", |d| passes::source_lints(lints, d));
-    r.run_pass("drivers", |d| passes::drivers(m, d));
-    r.run_pass("widths", |d| passes::widths(m, d));
-    r.run_pass("loops", |d| passes::loops(m, d));
+    r.run_pass("drivers", |d| passes::structural(m, check::drivers(m), d));
+    r.run_pass("widths", |d| passes::structural(m, check::widths(m), d));
+    r.run_pass("loops", |d| passes::structural(m, check::loops(m), d));
     r.run_pass("dead_cone", |d| passes::dead_cone(m, d));
     r.run_pass("const_cone", |d| passes::const_cone(m, d));
     r
@@ -283,11 +304,11 @@ mod tests {
         assert!(r.summary().starts_with("clean"));
     }
 
-    /// The slice rule is written twice (GEM-L004 here, `check_widths` in
-    /// `gem_netlist::validate`); both refuse a slice past its input, also
-    /// when `lo + width` does not fit a `u32` and used to wrap back in.
+    /// The slice rule refuses a slice past its input, also when
+    /// `lo + width` does not fit a `u32` and used to wrap back in — seen
+    /// as GEM-L004 here and as `validate`'s first finding alike.
     #[test]
-    fn both_slice_rules_refuse_out_of_range_slices_overflow_included() {
+    fn the_slice_rule_refuses_out_of_range_slices_overflow_included() {
         for (lo, width) in [(0, 8), (u32::MAX - 2, 8)] {
             let mut b = ModuleBuilder::new("s");
             let a = b.input("a", 1);
@@ -302,7 +323,10 @@ mod tests {
             );
             let validated = gem_netlist::validate(&m);
             assert!(
-                matches!(validated, Err(gem_netlist::ValidateError::WidthMismatch(_))),
+                matches!(
+                    validated,
+                    Err(gem_netlist::ValidateError::WidthMismatch { at, .. }) if at == y
+                ),
                 "[{lo},+{width}): {validated:?}"
             );
         }
@@ -350,6 +374,34 @@ mod tests {
         let codes: Vec<&str> = r.diagnostics.iter().map(|d| d.code).collect();
         assert!(codes.contains(&"GEM-L002"), "{codes:?}");
         assert!(codes.contains(&"GEM-L003"), "{codes:?}");
+    }
+
+    /// What `validate` alone used to know (and `compile(&Module)` so did
+    /// not): declared sizes and port names are findings like the others.
+    #[test]
+    fn bad_sizes_and_duplicate_ports_are_l008_l009() {
+        let mut b = ModuleBuilder::new("decls");
+        let a = b.input("a", 0);
+        b.input("a", 1);
+        let addr = b.input("addr", 1);
+        let mem = b.memory("huge", u32::MAX, 8);
+        let q = b.read_port(mem, addr, gem_netlist::ReadKind::Sync);
+        b.output("y", a);
+        b.output("q", q);
+        let m = b.finish_raw();
+        let r = analyze_module(&m);
+        let found: Vec<(&str, &str)> = r.errors().map(|d| (d.code, d.witness.as_str())).collect();
+        assert_eq!(
+            found,
+            [
+                ("GEM-L009", "port \"a\""),
+                ("GEM-L008", "n0 (\"a\")"),
+                ("GEM-L008", "memory \"huge\""),
+            ],
+            "{}",
+            r.summary()
+        );
+        assert!(gem_netlist::validate(&m).is_err());
     }
 
     #[test]

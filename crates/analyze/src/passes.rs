@@ -1,12 +1,16 @@
 //! The netlist lint passes.
 //!
-//! Each pass walks the [`Module`] independently and reports *every*
-//! finding (unlike validation, which stops at the first): the analyzer's
-//! job is a complete explanation with witnesses, not a pass/fail bit.
+//! The structural passes (`drivers`, `widths`, `loops`) are the rule
+//! families of `gem_netlist::check` — the one checker `validate` also is —
+//! reported in full through [`structural`]: the analyzer's job is a
+//! complete explanation with witnesses, not a pass/fail bit. The advisory
+//! passes ([`dead_cone`], [`const_cone`]) and the frontend's findings
+//! ([`source_lints`]) are this crate's own. The catalogue is
+//! `docs/ANALYZE.md` §1.
 
 use crate::{Diagnostic, Severity};
 use gem_netlist::verilog::SourceLint;
-use gem_netlist::{CellKind, Module, NetId, ReadKind, Unary};
+use gem_netlist::{check, CellKind, Module, NetId, ValidateError};
 use std::collections::HashMap;
 
 /// A net's user-facing label: the source name when the frontend carried
@@ -48,254 +52,74 @@ pub fn source_lints(lints: &[SourceLint], d: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Undriven (`GEM-L002`) and multiply-driven (`GEM-L003`) nets.
-pub fn drivers(m: &Module, d: &mut Vec<Diagnostic>) {
-    let mut count = vec![0u32; m.nets().len()];
-    for p in m.inputs() {
-        count[p.net.0 as usize] += 1;
-    }
-    for c in m.cells() {
-        count[c.out.0 as usize] += 1;
-    }
-    for mem in m.memories() {
-        for rp in &mem.read_ports {
-            count[rp.data.0 as usize] += 1;
-        }
-    }
-    for (i, &n) in count.iter().enumerate() {
-        let id = NetId(i as u32);
-        if n == 0 {
-            diag(
-                d,
+/// Reports the findings of one rule family of the structural checker
+/// (`gem_netlist::check`, catalogued in `docs/ANALYZE.md` §1) with their
+/// codes and source-named witnesses. The rules themselves live there and
+/// nowhere else: this only words them.
+pub fn structural(m: &Module, findings: Vec<ValidateError>, d: &mut Vec<Diagnostic>) {
+    let mut counts = None; // driver counts, fetched once if GEM-L003 asks
+    for finding in findings {
+        let (code, message, witness) = match finding {
+            ValidateError::CombinationalCycle { cycle } => {
+                let path: Vec<String> = cycle.iter().map(|&n| label(m, n)).collect();
+                let back = path.first().cloned().unwrap_or_default();
+                let nets = path.len();
+                (
+                    "GEM-L001",
+                    format!("combinational cycle of {nets} net(s): the design cannot be levelized"),
+                    format!("{} -> {back}", path.join(" -> ")),
+                )
+            }
+            ValidateError::UndrivenNet(n) => (
                 "GEM-L002",
-                Severity::Error,
-                format!("net {} has no driver", label(m, id)),
-                label(m, id),
-            );
-        } else if n > 1 {
-            diag(
-                d,
-                "GEM-L003",
-                Severity::Error,
-                format!("net {} has {n} drivers (exactly one allowed)", label(m, id)),
-                label(m, id),
-            );
-        }
-    }
-}
-
-/// Cell and memory-port width mismatches (`GEM-L004`). Mirrors the
-/// width rules `gem_netlist::validate` enforces, but reports every
-/// offender instead of the first.
-pub fn widths(m: &Module, d: &mut Vec<Diagnostic>) {
-    let w = |n: NetId| m.width(n);
-    let mut bad = |out: NetId, what: String| {
-        diag(
-            d,
-            "GEM-L004",
-            Severity::Error,
-            format!("width mismatch at {}: {what}", label(m, out)),
-            label(m, out),
-        );
-    };
-    for c in m.cells() {
-        let ow = w(c.out);
-        match &c.kind {
-            CellKind::Const { value } => {
-                if value.width() != ow {
-                    bad(c.out, format!("const width {} vs out {ow}", value.width()));
-                }
+                format!("net {} has no driver", label(m, n)),
+                label(m, n),
+            ),
+            ValidateError::MultipleDrivers(n) => {
+                let drivers = counts.get_or_insert_with(|| check::driver_counts(m))[n.0 as usize];
+                let net = label(m, n);
+                (
+                    "GEM-L003",
+                    format!("net {net} has {drivers} drivers (exactly one allowed)"),
+                    net,
+                )
             }
-            CellKind::Unary { op, a } => match op {
-                Unary::Not | Unary::Neg => {
-                    if w(*a) != ow {
-                        bad(c.out, format!("unary in {} vs out {ow}", w(*a)));
-                    }
-                }
-                _ => {
-                    if ow != 1 {
-                        bad(c.out, format!("reduction out width {ow} != 1"));
-                    }
-                }
-            },
-            CellKind::Binary { op, a, b } => {
-                use gem_netlist::Binary as B;
-                match op {
-                    B::Eq | B::Ult => {
-                        if w(*a) != w(*b) || ow != 1 {
-                            bad(c.out, format!("cmp widths {} vs {} out {ow}", w(*a), w(*b)));
-                        }
-                    }
-                    B::Shl | B::Lshr => {
-                        if w(*a) != ow {
-                            bad(c.out, format!("shift in {} vs out {ow}", w(*a)));
-                        }
-                    }
-                    _ => {
-                        if w(*a) != w(*b) || w(*a) != ow {
-                            bad(
-                                c.out,
-                                format!("binary widths {} vs {} out {ow}", w(*a), w(*b)),
-                            );
-                        }
-                    }
-                }
-            }
-            CellKind::Mux { sel, t, f } => {
-                if w(*sel) != 1 || w(*t) != w(*f) || w(*t) != ow {
-                    bad(
-                        c.out,
-                        format!("mux sel {} t {} f {} out {ow}", w(*sel), w(*t), w(*f)),
-                    );
-                }
-            }
-            // Written twice: see `check_widths` in `gem_netlist::validate`.
-            CellKind::Slice { a, lo } => {
-                if lo.checked_add(ow).is_none_or(|hi| hi > w(*a)) {
-                    bad(c.out, format!("slice [{lo},{lo}+{ow}) of width {}", w(*a)));
-                }
-            }
-            CellKind::Concat { parts } => {
-                let sum: u32 = parts.iter().map(|&p| w(p)).sum();
-                if sum != ow {
-                    bad(c.out, format!("concat parts {sum} vs out {ow}"));
-                }
-            }
-            CellKind::Dff {
-                d: dn,
-                init,
-                enable,
-                reset,
-            } => {
-                if w(*dn) != ow || init.width() != ow {
-                    bad(
-                        c.out,
-                        format!("dff d {} init {} out {ow}", w(*dn), init.width()),
-                    );
-                }
-                for (what, n) in [("enable", enable), ("reset", reset)] {
-                    if let Some(n) = n {
-                        if w(*n) != 1 {
-                            bad(c.out, format!("dff {what} width {}", w(*n)));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for mem in m.memories() {
-        let port = |d: &mut Vec<Diagnostic>, kind: &str, data: NetId, width: u32| {
-            if width != mem.width {
-                diag(
-                    d,
-                    "GEM-L004",
-                    Severity::Error,
+            ValidateError::WidthMismatch { at, what } => (
+                "GEM-L004",
+                format!("width mismatch at {}: {what}", label(m, at)),
+                label(m, at),
+            ),
+            ValidateError::NetSize(n) => (
+                "GEM-L008",
+                format!(
+                    "net {} is {} bits wide: a net holds 1 to {} bits",
+                    label(m, n),
+                    m.width(n),
+                    check::MAX_NET_BITS
+                ),
+                label(m, n),
+            ),
+            ValidateError::MemorySize(id) => {
+                let mem = &m.memories()[id.0 as usize];
+                (
+                    "GEM-L008",
                     format!(
-                        "memory {:?} {kind} width {width} vs word width {}",
-                        mem.name, mem.width
-                    ),
-                    label(m, data),
-                );
-            }
-        };
-        for rp in &mem.read_ports {
-            port(d, "read data", rp.data, w(rp.data));
-        }
-        for wp in &mem.write_ports {
-            port(d, "write data", wp.data, w(wp.data));
-            if w(wp.enable) != 1 {
-                diag(
-                    d,
-                    "GEM-L004",
-                    Severity::Error,
-                    format!(
-                        "memory {:?} write enable width {} != 1",
+                        "memory {:?} is {} words of {} bits: a memory holds 1 to {} bits",
                         mem.name,
-                        w(wp.enable)
+                        mem.words,
+                        mem.width,
+                        check::MAX_MEMORY_BITS
                     ),
-                    label(m, wp.enable),
-                );
+                    format!("memory {:?}", mem.name),
+                )
             }
-        }
-    }
-}
-
-/// Combinational cycle detection with a named witness path
-/// (`GEM-L001`). Reports the first cycle found — one loop is enough to
-/// make the design unlevelizable, and its witness names every net on it.
-pub fn loops(m: &Module, d: &mut Vec<Diagnostic>) {
-    // net -> combinational fan-in (driving cell inputs, or the address
-    // of an asynchronous memory read).
-    let mut driver: Vec<Option<usize>> = vec![None; m.nets().len()];
-    for (i, c) in m.cells().iter().enumerate() {
-        if !matches!(c.kind, CellKind::Dff { .. }) {
-            driver[c.out.0 as usize] = Some(i);
-        }
-    }
-    let mut async_reads: HashMap<u32, NetId> = HashMap::new();
-    for mem in m.memories() {
-        for rp in &mem.read_ports {
-            if rp.kind == ReadKind::Async {
-                async_reads.insert(rp.data.0, rp.addr);
-            }
-        }
-    }
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut color = vec![WHITE; m.nets().len()];
-    for start in 0..m.nets().len() as u32 {
-        if color[start as usize] != WHITE {
-            continue;
-        }
-        let mut stack: Vec<(u32, usize)> = vec![(start, 0)];
-        color[start as usize] = GRAY;
-        while let Some(&mut (net, ref mut child)) = stack.last_mut() {
-            let fanins: Vec<NetId> = if let Some(ci) = driver[net as usize] {
-                m.cell_inputs(&m.cells()[ci])
-            } else if let Some(&addr) = async_reads.get(&net) {
-                vec![addr]
-            } else {
-                vec![]
-            };
-            if *child < fanins.len() {
-                let next = fanins[*child];
-                *child += 1;
-                match color[next.0 as usize] {
-                    WHITE => {
-                        color[next.0 as usize] = GRAY;
-                        stack.push((next.0, 0));
-                    }
-                    GRAY => {
-                        let pos = stack
-                            .iter()
-                            .position(|&(n, _)| n == next.0)
-                            .expect("gray net is on the DFS path");
-                        let cycle: Vec<String> = stack[pos..]
-                            .iter()
-                            .map(|&(n, _)| label(m, NetId(n)))
-                            .collect();
-                        let first = cycle[0].clone();
-                        diag(
-                            d,
-                            "GEM-L001",
-                            Severity::Error,
-                            format!(
-                                "combinational cycle of {} net(s): the design \
-                                 cannot be levelized",
-                                cycle.len()
-                            ),
-                            format!("{} -> {first}", cycle.join(" -> ")),
-                        );
-                        return;
-                    }
-                    _ => {}
-                }
-            } else {
-                color[net as usize] = BLACK;
-                stack.pop();
-            }
-        }
+            ValidateError::DuplicatePort(name) => (
+                "GEM-L009",
+                format!("port name {name:?} is declared more than once"),
+                format!("port {name:?}"),
+            ),
+        };
+        diag(d, code, Severity::Error, message, witness);
     }
 }
 

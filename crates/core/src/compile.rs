@@ -265,7 +265,9 @@ impl From<SynthError> for CompileError {
 }
 
 /// Runs the static analyzer as a recorded flow stage and gates the
-/// compile on error-severity diagnostics.
+/// compile on error-severity diagnostics. Its structural passes are the
+/// netlist checker (`gem_netlist::check`) in full, so this is also the
+/// one place a compile validates its module.
 fn analyze_stage(
     m: &Module,
     lints: &[SourceLint],
@@ -291,25 +293,22 @@ fn analyze_stage(
     Ok(report)
 }
 
-/// Compiles Verilog source through the full GEM flow, running the static
-/// analyzer *before* netlist validation so structural errors surface as
-/// named diagnostics — a combinational loop reports the nets on the
-/// cycle ([`CompileError::Analyze`]) instead of an opaque levelization
-/// failure.
+/// Compiles Verilog source through the full GEM flow. The module comes
+/// from the frontend unvalidated and the static analyzer is its gate, so
+/// a structural error surfaces as a named diagnostic — a combinational
+/// loop reports the nets on the cycle — instead of an opaque
+/// levelization failure.
 ///
 /// # Errors
 ///
-/// [`CompileError::Analyze`] on parse-visible design errors (loops,
-/// undriven or multiply-driven nets, width mismatches), then everything
-/// [`compile`] can return.
+/// [`CompileError::Analyze`] when the source does not parse or the
+/// analyzer reports an error-severity finding (the structural rules are
+/// `docs/ANALYZE.md` §1), then everything [`compile`] can return.
 pub fn compile_verilog(source: &str, opts: &CompileOptions) -> Result<Compiled, CompileError> {
     let (m, lints) = gem_netlist::verilog::parse_with_lints(source)
         .map_err(|e| CompileError::Analyze(format!("parse failed: {e}")))?;
     let mut flow = FlowRecorder::new("compile");
     analyze_stage(&m, &lints, &mut flow)?;
-    // The analyzer passed; validation catches only what the lints do not
-    // model (it is the authoritative gate either way).
-    gem_netlist::validate(&m).map_err(|e| CompileError::Analyze(e.to_string()))?;
     compile_with(&m, opts, flow)
 }
 
@@ -320,7 +319,8 @@ pub fn compile_verilog(source: &str, opts: &CompileOptions) -> Result<Compiled, 
 /// Returns [`CompileError`] when synthesis fails or a partition cannot be
 /// made mappable (e.g. the design's width genuinely exceeds
 /// `target_parts × core_width`), and [`CompileError::Analyze`] when the
-/// static analyzer finds error-severity diagnostics.
+/// static analyzer finds error-severity diagnostics — which it does for
+/// exactly the modules [`gem_netlist::ModuleBuilder::finish`] refuses.
 pub fn compile(m: &Module, opts: &CompileOptions) -> Result<Compiled, CompileError> {
     let mut flow = FlowRecorder::new("compile");
     analyze_stage(m, &[], &mut flow)?;

@@ -89,6 +89,61 @@ fn error_fixtures_fail_compile_with_named_witness() {
     }
 }
 
+/// One checker, one verdict: what `finish()` refuses, `validate`,
+/// `analyze_module` and `compile` refuse too — including the two rules
+/// only `validate` used to know, which `compile(&Module)` let through.
+#[test]
+fn compile_refuses_exactly_what_finish_refuses() {
+    use gem_netlist::{validate, ModuleBuilder};
+    let zero_width = || {
+        let mut b = ModuleBuilder::new("zero");
+        let a = b.input("a", 0);
+        b.output("y", a);
+        b
+    };
+    let duplicate_port = || {
+        let mut b = ModuleBuilder::new("dup");
+        let a = b.input("a", 1);
+        b.input("a", 1);
+        b.output("y", a);
+        b
+    };
+    for (build, code) in [
+        (&zero_width as &dyn Fn() -> ModuleBuilder, "GEM-L008"),
+        (&duplicate_port, "GEM-L009"),
+    ] {
+        assert!(build().finish().is_err(), "{code}: finish");
+        let m = build().finish_raw();
+        assert!(validate(&m).is_err(), "{code}: validate");
+        let report = analyze_module(&m);
+        assert!(
+            report.errors().any(|d| d.code == code),
+            "{code}: {}",
+            report.summary()
+        );
+        match compile(&m, &CompileOptions::small()) {
+            Err(gem_core::CompileError::Analyze(why)) => assert!(why.contains(code), "{why}"),
+            other => panic!("{code}: compile must refuse, got {:?}", other.map(|_| ())),
+        }
+    }
+    // The 257-driver text: the count used to wrap to one in release.
+    let src = format!(
+        "module m(input a, output y);\n{}endmodule",
+        "assign y = a;\n".repeat(257)
+    );
+    assert!(verilog::parse(&src).is_err());
+    let (m, lints) = verilog::parse_with_lints(&src).expect("elaborates");
+    assert!(validate(&m).is_err());
+    let report = analyze_with_lints(&m, &lints);
+    let l003 = report
+        .errors()
+        .find(|d| d.code == "GEM-L003")
+        .expect("L003");
+    assert!(l003.message.contains("257 drivers"), "{l003}");
+    let err = compile_verilog(&src, &CompileOptions::small()).expect_err("refused");
+    assert!(err.to_string().contains("GEM-L003"), "{err}");
+}
+
 /// Every shipping example design analyzes with zero warnings and
 /// compiles to a certified schedule.
 #[test]

@@ -1,9 +1,10 @@
 //! Ergonomic construction of [`Module`]s.
 //!
 //! [`ModuleBuilder`] hands out [`NetId`]s as you add operators, then
-//! validates the result (driver uniqueness, width consistency, combinational
-//! acyclicity) in [`ModuleBuilder::finish`].
+//! holds the result to the structural rules of [`crate::check`] in
+//! [`ModuleBuilder::finish`].
 
+use crate::check::validate;
 use crate::module::*;
 use crate::value::Bits;
 use std::collections::HashMap;
@@ -238,7 +239,9 @@ impl ModuleBuilder {
 
     /// Concatenates nets, first argument in the least-significant position.
     pub fn concat(&mut self, parts: &[NetId]) -> NetId {
-        let w = parts.iter().map(|&p| self.width(p)).sum();
+        // Saturating: a width past `u32` is one the checker refuses.
+        let widths = parts.iter().map(|&p| self.width(p));
+        let w = widths.fold(0u32, u32::saturating_add);
         self.push_cell(
             CellKind::Concat {
                 parts: parts.to_vec(),
@@ -399,26 +402,23 @@ impl ModuleBuilder {
             .push(WritePort { addr, data, enable });
     }
 
-    /// Validates and returns the finished module.
+    /// Returns the finished module if [`validate`] passes it.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ValidateError`] found: undriven or multiply
-    /// driven nets, width inconsistencies, zero-width nets, duplicate port
-    /// names, unconnected flip-flops (reported as undriven nets), or a
-    /// combinational cycle.
+    /// The first [`ValidateError`] the checker finds (the rules are
+    /// `docs/ANALYZE.md` §1); an unconnected flip-flop is an undriven net.
     pub fn finish(self) -> Result<Module, ValidateError> {
         let module = self.finish_raw();
         validate(&module)?;
         Ok(module)
     }
 
-    /// Returns the module **without validating it** — the escape hatch for
-    /// analysis tooling (`gem-analyze`) that wants to diagnose broken
-    /// netlists (combinational cycles, multiple drivers, width mismatches)
-    /// with full structural context instead of receiving the first
-    /// [`ValidateError`]. Anything feeding the compile flow must still
-    /// pass [`validate`].
+    /// Returns the module **without validating it**, so that analysis
+    /// tooling (`gem-analyze`) can report every finding of the checker
+    /// with named nets instead of receiving the first [`ValidateError`].
+    /// Every compile entry point runs the same checker, so an unvalidated
+    /// module cannot reach synthesis.
     pub fn finish_raw(self) -> Module {
         Module {
             name: self.name,
@@ -428,232 +428,6 @@ impl ModuleBuilder {
             memories: self.memories,
         }
     }
-}
-
-/// Validates a [`Module`]: driver uniqueness, width consistency,
-/// zero-width nets, duplicate port names, combinational acyclicity.
-/// [`ModuleBuilder::finish`] runs this automatically; it is public so
-/// modules obtained through [`ModuleBuilder::finish_raw`] (e.g. by the
-/// static analyzer) can be re-checked before entering the flow.
-///
-/// # Errors
-///
-/// Returns the first [`ValidateError`] found.
-pub fn validate(m: &Module) -> Result<(), ValidateError> {
-    // Zero-width nets.
-    for (i, n) in m.nets.iter().enumerate() {
-        if n.width == 0 {
-            return Err(ValidateError::ZeroWidth(NetId(i as u32)));
-        }
-    }
-    // Duplicate ports.
-    let mut seen = std::collections::HashSet::new();
-    for p in &m.ports {
-        if !seen.insert(p.name.as_str()) {
-            return Err(ValidateError::DuplicatePort(p.name.clone()));
-        }
-    }
-    // Driver map.
-    let mut drivers = vec![0u8; m.nets.len()];
-    for p in m.inputs() {
-        drivers[p.net.0 as usize] += 1;
-    }
-    for c in &m.cells {
-        drivers[c.out.0 as usize] += 1;
-    }
-    for mem in &m.memories {
-        for rp in &mem.read_ports {
-            drivers[rp.data.0 as usize] += 1;
-        }
-    }
-    for (i, &d) in drivers.iter().enumerate() {
-        match d {
-            0 => return Err(ValidateError::UndrivenNet(NetId(i as u32))),
-            1 => {}
-            _ => return Err(ValidateError::MultipleDrivers(NetId(i as u32))),
-        }
-    }
-    // Width checks.
-    check_widths(m)?;
-    // Combinational cycles: DFS over cells treating Dff outputs and sync
-    // read data as sources.
-    check_acyclic(m)?;
-    Ok(())
-}
-
-fn check_widths(m: &Module) -> Result<(), ValidateError> {
-    let w = |n: NetId| m.width(n);
-    let err = |s: String| Err(ValidateError::WidthMismatch(s));
-    for c in &m.cells {
-        let ow = w(c.out);
-        match &c.kind {
-            CellKind::Const { value } => {
-                if value.width() != ow {
-                    return err(format!("const width {} vs out {}", value.width(), ow));
-                }
-            }
-            CellKind::Unary { op, a } => match op {
-                Unary::Not | Unary::Neg => {
-                    if w(*a) != ow {
-                        return err(format!("unary in {} vs out {}", w(*a), ow));
-                    }
-                }
-                _ => {
-                    if ow != 1 {
-                        return err(format!("reduction out width {ow} != 1"));
-                    }
-                }
-            },
-            CellKind::Binary { op, a, b } => match op {
-                Binary::Eq | Binary::Ult => {
-                    if w(*a) != w(*b) || ow != 1 {
-                        return err(format!("cmp widths {} vs {} out {}", w(*a), w(*b), ow));
-                    }
-                }
-                Binary::Shl | Binary::Lshr => {
-                    if w(*a) != ow {
-                        return err(format!("shift in {} vs out {}", w(*a), ow));
-                    }
-                }
-                _ => {
-                    if w(*a) != w(*b) || w(*a) != ow {
-                        return err(format!("binary widths {} vs {} out {}", w(*a), w(*b), ow));
-                    }
-                }
-            },
-            CellKind::Mux { sel, t, f } => {
-                if w(*sel) != 1 || w(*t) != w(*f) || w(*t) != ow {
-                    return err(format!(
-                        "mux sel {} t {} f {} out {}",
-                        w(*sel),
-                        w(*t),
-                        w(*f),
-                        ow
-                    ));
-                }
-            }
-            // This rule is written twice — here and as GEM-L004 in
-            // `gem_analyze::passes::widths` — and must agree, overflow
-            // included: `synth` slices whatever both let through.
-            // Folding the two structural checkers into one is a later
-            // issue (ROADMAP item 6).
-            CellKind::Slice { a, lo } => {
-                if lo.checked_add(ow).is_none_or(|hi| hi > w(*a)) {
-                    return err(format!("slice [{lo},{lo}+{ow}) of width {}", w(*a)));
-                }
-            }
-            CellKind::Concat { parts } => {
-                let sum: u32 = parts.iter().map(|&p| w(p)).sum();
-                if sum != ow {
-                    return err(format!("concat parts {sum} vs out {ow}"));
-                }
-            }
-            CellKind::Dff {
-                d,
-                init,
-                enable,
-                reset,
-            } => {
-                if w(*d) != ow || init.width() != ow {
-                    return err(format!("dff d {} init {} out {}", w(*d), init.width(), ow));
-                }
-                if let Some(e) = enable {
-                    if w(*e) != 1 {
-                        return err(format!("dff enable width {}", w(*e)));
-                    }
-                }
-                if let Some(r) = reset {
-                    if w(*r) != 1 {
-                        return err(format!("dff reset width {}", w(*r)));
-                    }
-                }
-            }
-        }
-    }
-    for mem in &m.memories {
-        for rp in &mem.read_ports {
-            if w(rp.data) != mem.width {
-                return err(format!(
-                    "memory {} read data width {} vs {}",
-                    mem.name,
-                    w(rp.data),
-                    mem.width
-                ));
-            }
-        }
-        for wp in &mem.write_ports {
-            if w(wp.data) != mem.width || w(wp.enable) != 1 {
-                return err(format!("memory {} write port widths", mem.name));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check_acyclic(m: &Module) -> Result<(), ValidateError> {
-    // Map net -> driving cell (combinational only).
-    let mut driver: Vec<Option<usize>> = vec![None; m.nets.len()];
-    for (i, c) in m.cells.iter().enumerate() {
-        if !matches!(c.kind, CellKind::Dff { .. }) {
-            driver[c.out.0 as usize] = Some(i);
-        }
-    }
-    // Async read ports are combinational paths addr -> data.
-    let mut async_reads: HashMap<u32, NetId> = HashMap::new();
-    for mem in &m.memories {
-        for rp in &mem.read_ports {
-            if rp.kind == ReadKind::Async {
-                async_reads.insert(rp.data.0, rp.addr);
-            }
-        }
-    }
-    // Iterative DFS with colors.
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut color = vec![WHITE; m.nets.len()];
-    for start in 0..m.nets.len() as u32 {
-        if color[start as usize] != WHITE {
-            continue;
-        }
-        let mut stack: Vec<(u32, usize)> = vec![(start, 0)];
-        color[start as usize] = GRAY;
-        while let Some(&mut (net, ref mut child)) = stack.last_mut() {
-            let fanins: Vec<NetId> = if let Some(ci) = driver[net as usize] {
-                m.cell_inputs(&m.cells[ci])
-            } else if let Some(&addr) = async_reads.get(&net) {
-                vec![addr]
-            } else {
-                vec![]
-            };
-            if *child < fanins.len() {
-                let next = fanins[*child];
-                *child += 1;
-                match color[next.0 as usize] {
-                    WHITE => {
-                        color[next.0 as usize] = GRAY;
-                        stack.push((next.0, 0));
-                    }
-                    GRAY => {
-                        // The DFS stack is the current path; the suffix
-                        // starting at `next` is the cycle, in dependency
-                        // order (each net reads the one after it).
-                        let pos = stack
-                            .iter()
-                            .position(|&(n, _)| n == next.0)
-                            .expect("gray net must be on the DFS path");
-                        let cycle = stack[pos..].iter().map(|&(n, _)| NetId(n)).collect();
-                        return Err(ValidateError::CombinationalCycle { cycle });
-                    }
-                    _ => {}
-                }
-            } else {
-                color[net as usize] = BLACK;
-                stack.pop();
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -753,7 +527,7 @@ mod tests {
         let s = b.add(a, c);
         b.output("s", s);
         match b.finish() {
-            Err(ValidateError::WidthMismatch(_)) => {}
+            Err(ValidateError::WidthMismatch { .. }) => {}
             other => panic!("expected width mismatch, got {other:?}"),
         }
     }

@@ -5,6 +5,8 @@
 //! any synthesizable synchronous design, together with
 //!
 //! * a convenient programmatic [`builder`] API,
+//! * the structural rules every module entering the flow is held to
+//!   ([`check`]),
 //! * a parser for a synthesizable structural-Verilog subset ([`verilog`]),
 //! * VCD waveform reading/writing ([`vcd`]) for stimuli and result dumps,
 //! * arbitrary-width two-state values ([`Bits`]).
@@ -29,12 +31,14 @@
 //! ```
 
 pub mod builder;
+pub mod check;
 pub mod module;
 pub mod value;
 pub mod vcd;
 pub mod verilog;
 
-pub use builder::{validate, ModuleBuilder};
+pub use builder::ModuleBuilder;
+pub use check::validate;
 pub use module::{
     Binary, Cell, CellId, CellKind, MemId, Memory, Module, Net, NetId, Port, PortDir, ReadKind,
     ReadPort, Unary, ValidateError, WritePort,

@@ -31,7 +31,8 @@ impl fmt::Display for NetId {
 pub struct Net {
     /// Optional user-facing name (ports always have one).
     pub name: Option<String>,
-    /// Width in bits; zero-width nets are rejected by validation.
+    /// Width in bits; validation wants 1 to
+    /// [`MAX_NET_BITS`](crate::check::MAX_NET_BITS).
     pub width: u32,
 }
 
@@ -329,18 +330,30 @@ impl Module {
     }
 }
 
-/// Errors produced by [`crate::ModuleBuilder::finish`].
+/// A structural finding of [`crate::check`] — what
+/// [`crate::ModuleBuilder::finish`] and [`crate::validate`] return first,
+/// and what `gem_analyze` reports in full. Each names the net(s) it is
+/// about; the rules are catalogued in `docs/ANALYZE.md` §1.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValidateError {
     /// A net has no driver (and is not an input port).
     UndrivenNet(NetId),
     /// A net has more than one driver.
     MultipleDrivers(NetId),
-    /// A cell's operand widths are inconsistent; the string describes the
-    /// mismatch.
-    WidthMismatch(String),
-    /// A zero-width net was created.
-    ZeroWidth(NetId),
+    /// The widths around the cell or memory port at net `at` are
+    /// inconsistent; `what` describes the mismatch.
+    WidthMismatch {
+        /// The cell's output, or the memory port's offending net.
+        at: NetId,
+        /// The widths involved.
+        what: String,
+    },
+    /// A net narrower than one bit or wider than
+    /// [`MAX_NET_BITS`](crate::check::MAX_NET_BITS).
+    NetSize(NetId),
+    /// A memory with no words, no width, or more than
+    /// [`MAX_MEMORY_BITS`](crate::check::MAX_MEMORY_BITS) bits.
+    MemorySize(MemId),
     /// Two ports share a name.
     DuplicatePort(String),
     /// The combinational part of the design has a cycle; `cycle` lists the
@@ -354,24 +367,31 @@ pub enum ValidateError {
 
 impl fmt::Display for ValidateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use crate::check::{MAX_MEMORY_BITS, MAX_NET_BITS};
         match self {
             ValidateError::UndrivenNet(n) => write!(f, "net {n} has no driver"),
             ValidateError::MultipleDrivers(n) => write!(f, "net {n} has multiple drivers"),
-            ValidateError::WidthMismatch(s) => write!(f, "width mismatch: {s}"),
-            ValidateError::ZeroWidth(n) => write!(f, "net {n} has zero width"),
+            ValidateError::WidthMismatch { at, what } => {
+                write!(f, "width mismatch at {at}: {what}")
+            }
+            ValidateError::NetSize(n) => {
+                write!(f, "net {n} is not 1 to {MAX_NET_BITS} bits wide")
+            }
+            ValidateError::MemorySize(m) => {
+                write!(
+                    f,
+                    "memory {} does not hold 1 to {MAX_MEMORY_BITS} bits",
+                    m.0
+                )
+            }
             ValidateError::DuplicatePort(s) => write!(f, "duplicate port name {s:?}"),
             ValidateError::CombinationalCycle { cycle } => {
-                write!(f, "combinational cycle through ")?;
-                for (i, n) in cycle.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " -> ")?;
-                    }
-                    write!(f, "{n}")?;
-                }
-                if let Some(first) = cycle.first() {
-                    write!(f, " -> {first}")?;
-                }
-                Ok(())
+                let path: Vec<String> = cycle
+                    .iter()
+                    .chain(cycle.first())
+                    .map(NetId::to_string)
+                    .collect();
+                write!(f, "combinational cycle through {}", path.join(" -> "))
             }
         }
     }

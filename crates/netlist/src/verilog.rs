@@ -36,6 +36,7 @@
 //! ```
 
 use crate::builder::ModuleBuilder;
+use crate::check::{MAX_MEMORY_BITS, MAX_NET_BITS};
 use crate::module::{Module, NetId, ReadKind, ValidateError};
 use std::collections::HashMap;
 use std::fmt;
@@ -102,37 +103,52 @@ impl fmt::Display for SourceLint {
     }
 }
 
-/// Parses Verilog source into a [`Module`].
+/// Parses Verilog source into a [`Module`] that [`crate::validate`]
+/// passes.
 ///
 /// # Errors
 ///
 /// Returns [`ParseVerilogError::Syntax`] for constructs outside the subset
-/// and [`ParseVerilogError::Validate`] if the elaborated netlist is
-/// inconsistent (e.g. a combinational cycle — the error carries the full
-/// cycle path).
+/// and [`ParseVerilogError::Validate`] with the checker's first finding
+/// (`docs/ANALYZE.md` §1) if the elaborated netlist breaks a structural
+/// rule (e.g. a combinational cycle — the error carries the full cycle
+/// path).
 pub fn parse(src: &str) -> Result<Module, ParseVerilogError> {
     let (module, _) = parse_with_lints(src)?;
-    crate::builder::validate(&module)?;
+    crate::validate(&module)?;
     Ok(module)
 }
 
 /// Like [`parse`], but returns the module **unvalidated** together with
 /// the frontend's [`SourceLint`]s. This is the entry point for the static
-/// analyzer: broken-but-elaboratable netlists (combinational `assign`
-/// loops, multiply assigned wires) come back as structural [`Module`]s so
-/// the analyzer can name the nets involved, instead of dying on the first
-/// [`ValidateError`]. Run [`crate::validate`] before feeding the module to
-/// synthesis.
+/// analyzer and, through it, for every compile: broken-but-elaboratable
+/// netlists (combinational `assign` loops, multiply assigned wires) come
+/// back as structural [`Module`]s so the analyzer can report every finding
+/// of the checker with the nets named, instead of the first
+/// [`ValidateError`].
 ///
 /// # Errors
 ///
 /// Returns [`ParseVerilogError::Syntax`] for constructs outside the
-/// subset.
+/// subset, and for a declared size beyond [`MAX_NET_BITS`] or
+/// [`MAX_MEMORY_BITS`] — refused here, where it is declared, so nothing
+/// downstream allocates by it.
 pub fn parse_with_lints(src: &str) -> Result<(Module, Vec<SourceLint>), ParseVerilogError> {
     let tokens = lex(src)?;
     let mut parser = Parser { tokens, pos: 0 };
     let ast = parser.module()?;
     elaborate(&ast)
+}
+
+/// `bits` as the width of a net, or why not: the checker's `GEM-L008`
+/// bound, applied where the text states the width.
+fn net_width(bits: u64, what: &str) -> Result<u32, String> {
+    match u32::try_from(bits) {
+        Ok(width) if width <= MAX_NET_BITS => Ok(width),
+        _ => Err(format!(
+            "{what} is too wide: {bits} bits, a net holds at most {MAX_NET_BITS}"
+        )),
+    }
 }
 
 // ---------------------------------------------------------------- lexer --
@@ -197,15 +213,16 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseVerilogError> {
                 i += 1;
             }
             if i < bytes.len() && bytes[i] == b'\'' {
-                let width: u32 = src[start..i]
-                    .parse()
-                    .map_err(|_| err(line, "bad literal size"))?;
+                let width = (src[start..i].parse().ok())
+                    .filter(|&w: &u32| w <= MAX_NET_BITS)
+                    .ok_or_else(|| err(line, "bad literal size"))?;
                 i += 1;
-                if i >= bytes.len() {
+                // A `char`, not a byte: the digits are sliced from where
+                // the base ends.
+                let Some(base) = src[i..].chars().next() else {
                     return Err(err(line, "truncated literal"));
-                }
-                let base = bytes[i] as char;
-                i += 1;
+                };
+                i += base.len_utf8();
                 let dstart = i;
                 while i < bytes.len()
                     && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
@@ -222,6 +239,8 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseVerilogError> {
                 };
                 let value = u64::from_str_radix(&digits, radix)
                     .map_err(|_| err(line, "bad literal digits"))?;
+                // A sized literal keeps its low `width` bits, as in Verilog.
+                let value = value & 1u64.checked_shl(width).map_or(!0, |top| top - 1);
                 out.push(SpannedTok {
                     tok: Tok::Number {
                         width: Some(width),
@@ -230,9 +249,11 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseVerilogError> {
                     line,
                 });
             } else {
-                let value: u64 = src[start..i]
-                    .parse()
-                    .map_err(|_| err(line, "bad decimal literal"))?;
+                // Unsized literals are 32 bits here; one that needs more is
+                // refused rather than cut.
+                let value = (src[start..i].parse().ok())
+                    .filter(|&v: &u64| v >> 32 == 0)
+                    .ok_or_else(|| err(line, "unsized literal does not fit in 32 bits"))?;
                 out.push(SpannedTok {
                     tok: Tok::Number { width: None, value },
                     line,
@@ -430,10 +451,7 @@ impl Parser {
             if lsb != 0 {
                 return self.err("only [msb:0] ranges are supported");
             }
-            match msb.checked_add(1) {
-                Some(width) => Ok(width),
-                None => self.err(format!("range [{msb}:0] is too wide")),
-            }
+            net_width(u64::from(msb) + 1, &format!("range [{msb}:0]")).or_else(|m| self.err(m))
         } else {
             Ok(1)
         }
@@ -527,7 +545,14 @@ impl Parser {
             if lo != 0 {
                 return self.err("memory ranges must start at 0");
             }
-            Some(hi + 1)
+            let depth = u64::from(hi) + 1;
+            if depth * u64::from(width) > MAX_MEMORY_BITS {
+                return self.err(format!(
+                    "memory {name} is too large: {depth} words of {width} bits, \
+                     a memory holds at most {MAX_MEMORY_BITS} bits"
+                ));
+            }
+            Some(depth as u32)
         } else {
             None
         };
@@ -1007,6 +1032,8 @@ impl Elab<'_> {
                 for p in parts.iter().rev() {
                     nets.push(self.expr(p)?);
                 }
+                let bits = nets.iter().map(|&n| u64::from(self.width(n))).sum();
+                net_width(bits, "concatenation").or_else(syntax_err)?;
                 Ok(self.b.concat(&nets))
             }
             Expr::Index(name, idx) => {
@@ -1032,10 +1059,9 @@ impl Elab<'_> {
                 }
             }
             Expr::Range(name, hi, lo) => {
-                // The parser refused hi < lo; the width can still wrap.
-                let Some(width) = (hi - lo).checked_add(1) else {
-                    return syntax_err(format!("part-select {name}[{hi}:{lo}] is too wide"));
-                };
+                // The parser refused hi < lo.
+                let select = format!("part-select {name}[{hi}:{lo}]");
+                let width = net_width(u64::from(hi - lo) + 1, &select).or_else(syntax_err)?;
                 let a = self.resolve(name)?;
                 Ok(self.b.slice(a, *lo, width))
             }
@@ -1252,6 +1278,70 @@ endmodule";
                 "{text}: {parsed:?}"
             );
         }
+    }
+
+    /// Declared sizes are refused where they are declared, naming the
+    /// line; the largest that is served still parses.
+    #[test]
+    fn oversized_declarations_are_syntax_errors_with_their_line() {
+        let module = |body: &str| format!("module m(input [7:0] a, output y);\n{body}\nendmodule");
+        for (body, says) in [
+            ("wire [65536:0] w;", "range [65536:0] is too wide"),
+            ("wire [4294967294:0] w;", "range [4294967294:0] is too wide"),
+            ("reg [7:0] m [0:4000000000];", "memory m is too large"),
+            ("reg [7:0] m [0:4294967295];", "memory m is too large"),
+            ("reg [65535:0] m [0:256];", "memory m is too large"),
+            ("assign y = 65537'd1;", "bad literal size"),
+            ("assign y = 4294967296;", "unsized literal"),
+        ] {
+            match parse_with_lints(&module(body)) {
+                Err(ParseVerilogError::Syntax { line, message }) => {
+                    assert_eq!(line, 2, "{body}");
+                    assert!(message.contains(says), "{body}: {message}");
+                }
+                other => panic!("{body}: expected a syntax error, got {other:?}"),
+            }
+        }
+        // Widths that only elaboration knows are bounded there.
+        let wide = "wire [65535:0] w; assign w = 1'd0;";
+        for body in ["assign y = a[70000:0];", "assign y = {w, w};"] {
+            let parsed = parse_with_lints(&module(&format!("{wide} {body}")));
+            assert!(
+                matches!(&parsed, Err(ParseVerilogError::Syntax { message, .. })
+                    if message.contains("is too wide")),
+                "{body}: {parsed:?}"
+            );
+        }
+        let m = parse(&module(
+            "wire [65535:0] w; assign w = 65536'd1; assign y = w[65535];\n\
+             reg [7:0] ram [0:2097151];",
+        ))
+        .expect("the caps themselves are served");
+        assert_eq!(m.memories()[0].words, 1 << 21);
+    }
+
+    /// A sized literal keeps its low bits (`from_u64` asserts the fit in
+    /// debug builds, so an oversized value used to panic there).
+    #[test]
+    fn sized_literals_are_cut_to_their_size() {
+        let m = parse("module m(output [3:0] y); assign y = 4'd300; endmodule").unwrap();
+        let value = m.cells().iter().find_map(|c| match &c.kind {
+            crate::CellKind::Const { value } => Some(value.to_u64()),
+            _ => None,
+        });
+        assert_eq!(value, Some(300 & 0xF));
+    }
+
+    /// Found by `crates/core/tests/totality.rs`: the base of a sized
+    /// literal was read as a byte and the digits sliced after it.
+    #[test]
+    fn a_multibyte_literal_base_is_a_syntax_error_not_a_slice_panic() {
+        let parsed = parse("module m(output y); assign y = 1'\u{fffd}1; endmodule");
+        assert!(
+            matches!(&parsed, Err(ParseVerilogError::Syntax { message, .. })
+                if message == "bad literal base"),
+            "{parsed:?}"
+        );
     }
 
     #[test]

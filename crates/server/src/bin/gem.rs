@@ -346,19 +346,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         let mut doc = Json::object();
         doc.set(
             "diagnostics",
-            Json::Array(
-                diagnostics
-                    .iter()
-                    .map(|d| {
-                        let mut o = Json::object();
-                        o.set("code", d.code);
-                        o.set("severity", d.severity.name());
-                        o.set("message", d.message.clone());
-                        o.set("witness", d.witness.clone());
-                        o
-                    })
-                    .collect(),
-            ),
+            Json::Array(diagnostics.iter().map(|d| d.to_json()).collect()),
         );
         doc.set("summary", summary.clone());
         doc.set(

@@ -91,12 +91,17 @@ struct CacheState {
     tick: u64,
 }
 
+/// What a cache compiles with: [`compile_verilog`], except in this
+/// crate's tests, which inject faults here now that no wire option can.
+type CompileFn = fn(&str, &CompileOptions) -> Result<Compiled, CompileError>;
+
 /// The cache. One instance per server, shared by all connections.
 pub struct CompileCache {
     state: Mutex<CacheState>,
     ready: Condvar,
     capacity: usize,
     metrics: Arc<ServerMetrics>,
+    compile: CompileFn,
 }
 
 impl std::fmt::Debug for CompileCache {
@@ -135,6 +140,14 @@ impl CompileCache {
     /// least 1). Eviction is least-recently-used and never removes
     /// `Pending` slots.
     pub fn new(capacity: usize, metrics: Arc<ServerMetrics>) -> Self {
+        Self::with_compiler(capacity, metrics, compile_verilog)
+    }
+
+    pub(crate) fn with_compiler(
+        capacity: usize,
+        metrics: Arc<ServerMetrics>,
+        compile: CompileFn,
+    ) -> Self {
         CompileCache {
             state: Mutex::new(CacheState {
                 slots: HashMap::new(),
@@ -143,6 +156,7 @@ impl CompileCache {
             ready: Condvar::new(),
             capacity: capacity.max(1),
             metrics,
+            compile,
         }
     }
 
@@ -152,7 +166,7 @@ impl CompileCache {
     /// The second tuple element reports whether this lookup was served
     /// from cache (`true`) or ran the compile itself (`false`).
     pub fn get_or_compile(&self, source: &str, opts: &CompileOptions) -> (u64, CacheResult, bool) {
-        self.get_or_compile_with(source, opts, compile_verilog)
+        self.get_or_compile_with(source, opts, self.compile)
     }
 
     /// [`get_or_compile`](Self::get_or_compile) with the compiler as a

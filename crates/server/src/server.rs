@@ -414,13 +414,6 @@ fn compile_opts(req: &Json) -> Result<CompileOptions, CmdError> {
         opts.target_parts = protocol::opt_uint(o, "parts", opts.target_parts).map_err(bad)?;
         opts.stages = protocol::opt_uint(o, "stages", opts.stages).map_err(bad)?;
         opts.seed = protocol::opt_uint(o, "seed", opts.seed).map_err(bad)?;
-        if let Some(v) = o.get("verify").and_then(Json::as_bool) {
-            opts.verify = v;
-        }
-        // Fault injection for the verify gate (tests, drills): a nonzero
-        // seed corrupts the bitstream before verification.
-        opts.verify_fault =
-            protocol::opt_uint(o, "verify_fault", opts.verify_fault).map_err(bad)?;
     }
     opts.validate().map_err(|e| bad(e.to_string()))?;
     Ok(opts)
@@ -779,18 +772,7 @@ fn cmd_lint(state: &ServerState, id: u64, req: &Json) -> CmdResult {
         let (module, lints) = gem_netlist::verilog::parse_with_lints(source)
             .map_err(|e| (codes::COMPILE_FAILED, e.to_string()))?;
         let report = gem_analyze::analyze_with_lints(&module, &lints);
-        let diagnostics: Vec<Json> = report
-            .diagnostics
-            .iter()
-            .map(|d| {
-                let mut o = Json::object();
-                o.set("code", d.code);
-                o.set("severity", d.severity.name());
-                o.set("message", d.message.as_str());
-                o.set("witness", d.witness.as_str());
-                o
-            })
-            .collect();
+        let diagnostics: Vec<Json> = report.diagnostics.iter().map(|d| d.to_json()).collect();
         let mut r = protocol::ok_response(id);
         r.set("diagnostics", Json::Array(diagnostics));
         r.set("summary", report.summary());
@@ -866,6 +848,7 @@ mod tests {
     use super::*;
     use crate::cache::tests::COUNTER;
     use crate::client::{ClientError, GemClient};
+    use gem_core::{CompileError, Compiled};
     use std::time::Instant;
 
     /// The `"panic"` command: compiled into this crate's unit tests and
@@ -887,6 +870,42 @@ mod tests {
         }
     }
 
+    /// The fault drills the wire used to carry as `verify_fault` /
+    /// `verify`, now reachable only from here: a marker comment in the
+    /// source selects the fault, everything else compiles as shipped.
+    const VERIFY_DRILL: &str = "// drill: the verifier must refuse this bitstream";
+    const LOAD_DRILL: &str = "// drill: unverified, the machine must refuse this bitstream";
+
+    fn drilled_compile(source: &str, opts: &CompileOptions) -> Result<Compiled, CompileError> {
+        let mut opts = opts.clone();
+        if source.contains(VERIFY_DRILL) {
+            opts.verify_fault = 5;
+        } else if source.contains(LOAD_DRILL) {
+            // A read bound beyond the core's state: what the verifier
+            // would catch and, with it off, `GemGpu::load` refuses.
+            (opts.verify, opts.verify_fault) = (false, 4);
+        }
+        gem_core::compile_verilog(source, &opts)
+    }
+
+    /// The geometry `cache.rs`' load drill is known to bite at.
+    fn small_opts() -> Json {
+        let mut o = Json::object();
+        o.set("width", 256u64);
+        o.set("parts", 4u64);
+        o
+    }
+
+    fn refused(r: Result<Json, ClientError>, needle: &str) {
+        match r {
+            Err(ClientError::Server { code, message, .. }) => {
+                assert_eq!(code, codes::COMPILE_FAILED);
+                assert!(message.contains(needle), "{message}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
     /// A running server whose shared state the test can look into.
     struct Running {
         state: Arc<ServerState>,
@@ -899,7 +918,19 @@ mod tests {
         }
 
         fn start_with(cfg: ServerConfig) -> Self {
-            let server = Server::bind(cfg).expect("loopback binds");
+            Self::run(Server::bind(cfg).expect("loopback binds"))
+        }
+
+        /// A server whose compiles go through [`drilled_compile`].
+        fn start_drilled() -> Self {
+            let mut server = Server::bind(ServerConfig::default()).expect("loopback binds");
+            let state = Arc::get_mut(&mut server.state).expect("not shared before `run`");
+            let metrics = Arc::clone(&state.metrics);
+            state.cache = CompileCache::with_compiler(state.cfg.cache, metrics, drilled_compile);
+            Self::run(server)
+        }
+
+        fn run(server: Server) -> Self {
             Running {
                 state: Arc::clone(&server.state),
                 thread: std::thread::spawn(move || server.run()),
@@ -980,6 +1011,83 @@ mod tests {
         }
         assert!(Arc::ptr_eq(&ea.design, &eb.design));
         assert_eq!(srv.state.metrics.compiles_total.load(Ordering::Relaxed), 1);
+        drop(client);
+        srv.stop();
+    }
+
+    /// The verify gate end to end (was `server_e2e`'s
+    /// `verify_gate_refuses_to_cache_failing_bitstream`, triggered over
+    /// the wire): a compile whose bitstream fails static verification is
+    /// refused naming the verifier, negatively cached — the second open
+    /// fails without a second compile — and never becomes a session,
+    /// while the same design without the fault compiles and runs.
+    #[test]
+    fn verify_gate_refuses_to_cache_failing_bitstream() {
+        let srv = Running::start_drilled();
+        let mut client = srv.connect();
+        let faulty = format!("{COUNTER}{VERIFY_DRILL}\n");
+        refused(client.open(&faulty, small_opts()), "verification failed");
+        refused(client.open(&faulty, small_opts()), "verification failed");
+        let r = client.open(COUNTER, small_opts()).expect("clean open");
+        let session = r.get("session").and_then(Json::as_u64).expect("session id");
+        client
+            .step(session, 1, vec![("rst", "0")])
+            .expect("clean session steps");
+        client.close(session).expect("close");
+        let m = &srv.state.metrics;
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(count(&m.verify_failures), 1, "not re-verified on the retry");
+        assert_eq!(
+            count(&m.compiles_total),
+            2,
+            "faulty key once, clean key once"
+        );
+        assert_eq!(count(&m.cache_lookups), 3);
+        assert_eq!(count(&m.cache_hits), 1);
+        assert_eq!(count(&m.sessions_opened), 1);
+        drop(client);
+        srv.stop();
+    }
+
+    /// Was `server_e2e`'s `bitstream_that_fails_to_load_is_rejected_once`:
+    /// a fault that reaches the machine unverified is refused by `load`,
+    /// once, inside the cache's single-flight section; every later
+    /// request for the key gets the negative entry, and no session opens.
+    #[test]
+    fn bitstream_that_fails_to_load_is_rejected_once() {
+        let srv = Running::start_drilled();
+        let mut client = srv.connect();
+        let faulty = format!("{COUNTER}{LOAD_DRILL}\n");
+        refused(client.open(&faulty, small_opts()), "does not load");
+        refused(client.open(&faulty, small_opts()), "does not load");
+        refused(client.compile(&faulty, small_opts()), "does not load");
+        let m = &srv.state.metrics;
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(count(&m.compiles_total), 1);
+        assert_eq!(count(&m.cache_misses), 1);
+        assert_eq!(count(&m.cache_hits), 2);
+        assert_eq!(count(&m.sessions_opened), 0);
+        drop(client);
+        srv.stop();
+    }
+
+    /// `verify` and `verify_fault` are no longer wire options, and an
+    /// unknown key in `opts` is ignored: a client that still sends them
+    /// gets the verified compile everyone gets, under the same cache key.
+    #[test]
+    fn the_wire_cannot_switch_the_verifier_off() {
+        let srv = Running::start();
+        let mut client = srv.connect();
+        let mut drill = small_opts();
+        drill.set("verify", false);
+        drill.set("verify_fault", 5u64);
+        let plain = client.compile(COUNTER, small_opts()).expect("compiles");
+        let drilled = client.compile(COUNTER, drill).expect("fault ignored");
+        assert_eq!(drilled.get("key"), plain.get("key"));
+        assert_eq!(drilled.get("cached").and_then(Json::as_bool), Some(true));
+        let verified = |r: &Json| r.get("report")?.get("verified")?.as_bool();
+        assert_eq!(verified(&drilled), Some(true));
+        assert_eq!(srv.state.metrics.verify_failures.load(Ordering::Relaxed), 0);
         drop(client);
         srv.stop();
     }
