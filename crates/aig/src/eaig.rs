@@ -151,7 +151,11 @@ pub struct Eaig {
     rams: Vec<Ram>,
     inputs: Vec<(String, NodeId)>,
     outputs: Vec<(String, Lit)>,
-    strash: HashMap<(Lit, Lit), NodeId>,
+    /// Structural-hashing table: every `And(a, b)` of `nodes` by its
+    /// operands. `None` until the first [`and`](Self::and) and again
+    /// after [`shrink_to_fit`](Self::shrink_to_fit); rebuilt from
+    /// `nodes` when next needed.
+    strash: Option<HashMap<(Lit, Lit), NodeId>>,
 }
 
 impl Eaig {
@@ -164,8 +168,35 @@ impl Eaig {
             rams: Vec::new(),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            strash: HashMap::new(),
+            strash: None,
         }
+    }
+
+    /// Releases what only construction needs — the structural-hashing
+    /// table (most of a large graph's bytes, read by nothing but
+    /// [`and`](Self::and)) and the growth slack of every list — once a
+    /// graph is built and about to be held for a whole run. Nodes, their
+    /// order and their levels are untouched, and the graph can still be
+    /// extended: the next `and` rebuilds the table first.
+    pub fn shrink_to_fit(&mut self) {
+        self.strash = None;
+        self.nodes.shrink_to_fit();
+        self.levels.shrink_to_fit();
+        self.ffs.shrink_to_fit();
+        self.rams.shrink_to_fit();
+        self.inputs.shrink_to_fit();
+        self.outputs.shrink_to_fit();
+    }
+
+    fn strash(&mut self) -> &mut HashMap<(Lit, Lit), NodeId> {
+        let nodes = &self.nodes;
+        self.strash.get_or_insert_with(|| {
+            let gates = nodes.iter().zip(0..).filter_map(|(n, id)| match *n {
+                Node::And(a, b) => Some(((a, b), NodeId(id))),
+                _ => None,
+            });
+            gates.collect()
+        })
     }
 
     fn push(&mut self, node: Node) -> NodeId {
@@ -211,11 +242,11 @@ impl Eaig {
         if a == b.flip() {
             return Lit::FALSE;
         }
-        if let Some(&id) = self.strash.get(&(a, b)) {
+        if let Some(&id) = self.strash().get(&(a, b)) {
             return Lit::from_node(id);
         }
         let id = self.push(Node::And(a, b));
-        self.strash.insert((a, b), id);
+        self.strash().insert((a, b), id);
         Lit::from_node(id)
     }
 
@@ -503,6 +534,30 @@ mod tests {
         let y = g.and(b, a);
         assert_eq!(x, y);
         assert_eq!(g.num_ands(), 1);
+    }
+
+    /// A released graph is still a graph under construction: an existing
+    /// pair returns its gate, a new pair a new one, and the table's
+    /// absence is not observable.
+    #[test]
+    fn structural_hashing_survives_shrink_to_fit() {
+        let mut g = Eaig::new();
+        let a = g.input("a");
+        let b = g.input("b");
+        let c = g.input("c");
+        let ab = g.and(a, b);
+        let abc = g.and(ab, c.flip());
+        let (nodes, levels) = (g.nodes().to_vec(), g.node_levels().to_vec());
+        g.shrink_to_fit();
+        assert_eq!((g.nodes(), g.node_levels()), (&nodes[..], &levels[..]));
+        assert_eq!(g.and(b, a), ab);
+        assert_eq!(g.and(c.flip(), ab), abc);
+        assert_eq!(g.len(), nodes.len());
+        let ac = g.and(a, c);
+        assert_eq!(ac.node(), NodeId(nodes.len() as u32));
+        g.shrink_to_fit();
+        assert_eq!(g.and(c, a), ac);
+        assert_eq!(g.num_ands(), 3);
     }
 
     #[test]

@@ -354,11 +354,16 @@ pub fn compile_eaig(synth: SynthResult, opts: &CompileOptions) -> Result<Compile
 }
 
 fn compile_eaig_with(
-    synth: SynthResult,
+    mut synth: SynthResult,
     opts: &CompileOptions,
     mut flow: FlowRecorder,
 ) -> Result<Compiled, CompileError> {
     opts.validate()?;
+    // Construction is over: the graph is read from here to the end of
+    // the run it is kept for (`Compiled::eaig`), so it sheds its
+    // structural-hashing table and growth slack before the mapping flow
+    // allocates beside it.
+    synth.eaig.shrink_to_fit();
     let g = &synth.eaig;
     let place_opts = PlaceOptions {
         core_width: opts.core_width,

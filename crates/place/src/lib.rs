@@ -36,7 +36,7 @@ pub mod placer;
 
 pub use compiled::{CompiledLayer, FoldOp, PERM_CONST};
 pub use layer::{splat, BoomerangLayer, CoreProgram, FoldConsts, OutputSource, PermSource, Word};
-pub use packed::PackedLayer;
+pub use packed::{ByteState, PackedLayer};
 pub use placer::{place_partition, place_partition_counted, PlaceError, PlaceOptions, PlaceStats};
 
 /// Default core width in bits (256 GPU threads × 32-bit words).

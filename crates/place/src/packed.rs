@@ -17,12 +17,15 @@
 //! * A five-step even-bit compress then squeezes two such words into
 //!   one word of the next row. The tree is the same `2j`/`2j + 1` tree
 //!   the placer and the ISA use, so nothing upstream changes.
+//! * The core's private state is a [`ByteState`]: one byte, 0 or 1,
+//!   per state address, in an array whose length is the range of the
+//!   `u16` the tables hold — no table entry can index out of it, so no
+//!   access is checked (DESIGN.md §7 has the measurements).
 //! * The gather is a `u16` table (constant leaves pre-redirected to the
-//!   zero slot) assembled 16 leaves per accumulator from bit 0 of each
-//!   state word.
-//! * A writeback extracts bit `slot` of its level's row and stores the
-//!   splat, so the state — and everything published from it — stays
-//!   in the splatted form the lane-word side of the machine expects.
+//!   zero slot) assembled 16 leaves per accumulator, a byte a leaf.
+//! * A writeback is resolved at lowering to the word and bit of its
+//!   level's row that hold its slot, read through a 256-word view the
+//!   `u8` word index cannot leave, and stores that bit as a byte.
 //! * Execution stops at the last level that holds a writeback and at
 //!   the last 64-leaf gather word holding a leaf some writeback can
 //!   observe. The dead remainder is still *stored* (it is small), which
@@ -34,7 +37,7 @@
 //! `compiled_lowering` suite.
 
 use crate::compiled::{mask_byte, CompiledLayer, FoldOp};
-use crate::layer::{splat, BoomerangLayer, FoldConsts, PermSource, Word};
+use crate::layer::{BoomerangLayer, FoldConsts, PermSource, Word};
 
 /// Leaves gathered per row word.
 const WORD_LEAVES: usize = u64::BITS as usize;
@@ -42,6 +45,58 @@ const WORD_LEAVES: usize = u64::BITS as usize;
 const WORD_SLOTS: usize = WORD_LEAVES / 2;
 /// The even bit positions.
 const EVEN: u64 = 0x5555_5555_5555_5555;
+/// State addresses a `u16` names: the length of a [`ByteState`].
+const STATE_ADDRS: usize = 1 << u16::BITS;
+/// Row words a `u8` names: the length of the view of a level's output
+/// row that writebacks read, and the first-level row of the widest core
+/// the ISA encodes (32 768 bits).
+const VIEW_WORDS: usize = 1 << u8::BITS;
+
+/// The private state of a one-lane core: one byte, `0` or `1`, per state
+/// address, in an array as long as the range of the `u16` every table of
+/// a [`PackedLayer`] stores its addresses in — so no address can index
+/// out of it and no access compares one with a length (DESIGN.md §7).
+#[derive(Debug)]
+pub struct ByteState(Box<[u8; STATE_ADDRS]>);
+
+impl Default for ByteState {
+    /// An all-zero state. `vec![0; n]` asks the allocator for zeroed
+    /// memory instead of filling it, so the array costs the pages a core
+    /// touches (`width + 1` bytes), not 64 KiB.
+    fn default() -> ByteState {
+        let bytes: Box<[u8]> = vec![0; STATE_ADDRS].into();
+        ByteState(bytes.try_into().expect("the length is the array's"))
+    }
+}
+
+impl ByteState {
+    /// Stores `bit` at `addr`.
+    #[inline]
+    pub fn set(&mut self, addr: u16, bit: bool) {
+        self.0[usize::from(addr)] = u8::from(bit);
+    }
+
+    /// The lane word of the bit at `addr`: all ones or all zeros.
+    #[inline]
+    pub fn splat(&self, addr: u16) -> Word {
+        Word::from(self.0[usize::from(addr)]).wrapping_neg()
+    }
+}
+
+/// One writeback, resolved to where its slot's bit sits in the level's
+/// output row: slot `j` is bit `j % 64` of word `j / 64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Writeback {
+    word: u8,
+    shift: u8,
+    addr: u16,
+}
+
+impl Writeback {
+    fn slot(self) -> u32 {
+        u32::from(self.word) * u64::BITS + u32::from(self.shift)
+    }
+}
 
 /// One fold level of a [`PackedLayer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,13 +105,12 @@ struct PackedFold {
     /// constants sit at bit `2 * (j % 32)` of word `j / 32`, every other
     /// bit is zero.
     consts: Box<[[u64; 3]]>,
-    /// `(slot, state address)` pairs that write back, in slot order.
-    writeback: Box<[(u16, u16)]>,
+    /// The slots that write back, in slot order.
+    writeback: Box<[Writeback]>,
 }
 
 /// A [`BoomerangLayer`] lowered to signal-packed form; see the module
-/// docs. Executes one simulation: it reads bit 0 of each state word and
-/// writes splats.
+/// docs. Executes one simulation over a [`ByteState`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedLayer {
     width: u32,
@@ -115,11 +169,12 @@ impl PackedLayer {
     /// Lowers a layer for a core whose always-zero state slot is
     /// `zero_slot` (the virtual GPU keeps one just past the core width).
     ///
-    /// Returns `None` when the layer cannot be held to that contract: a
-    /// gather or writeback addresses state at or beyond `zero_slot`, or
-    /// `zero_slot` (or a writing slot's index) does not fit the 16-bit
-    /// tables. A lowered layer therefore never touches `state` outside
-    /// `..=zero_slot`.
+    /// Returns `None` when the layer cannot be held to that contract — a
+    /// gather or writeback addresses state at or beyond `zero_slot` — or
+    /// when a table cannot hold it: `zero_slot` does not fit the `u16`
+    /// of an address, or a writing slot lies beyond row word 255 of its
+    /// level (a layer wider than the ISA's 32 768 bits writing back from
+    /// the upper half of its first level).
     pub fn lower(layer: &BoomerangLayer, zero_slot: u32) -> Option<PackedLayer> {
         let zero = u16::try_from(zero_slot).ok()?;
         let addr = |a: u16| (a < zero).then_some(a);
@@ -139,7 +194,11 @@ impl PackedLayer {
             let mut writeback = Vec::new();
             for (j, target) in wb.iter().enumerate() {
                 let Some(target) = *target else { continue };
-                writeback.push((u16::try_from(j).ok()?, addr(target)?));
+                writeback.push(Writeback {
+                    word: u8::try_from(j / WORD_LEAVES).ok()?,
+                    shift: u8::try_from(j % WORD_LEAVES).ok()?,
+                    addr: addr(target)?,
+                });
                 live_levels = k + 1;
                 // The right-most leaf this slot's value depends on: at
                 // each level below, operand B unless it is bypassed.
@@ -188,7 +247,7 @@ impl PackedLayer {
                     writeback: f
                         .writeback
                         .iter()
-                        .map(|&(slot, addr)| (u32::from(slot), u32::from(addr)))
+                        .map(|wb| (wb.slot(), u32::from(wb.addr)))
                         .collect(),
                 }
             })
@@ -231,38 +290,45 @@ impl PackedLayer {
     pub fn written(&self) -> impl Iterator<Item = u16> + '_ {
         self.folds
             .iter()
-            .flat_map(|f| f.writeback.iter().map(|&(_, addr)| addr))
+            .flat_map(|f| f.writeback.iter().map(|wb| wb.addr))
     }
 
-    /// Executes the layer for the simulation in bit 0 of every `state`
-    /// word: afterwards each writeback target holds the splat of what
-    /// [`BoomerangLayer::execute`] leaves there, and no other word has
-    /// changed. `row` and `next` are reusable ping-pong row buffers
-    /// whose contents on entry are irrelevant.
+    /// Executes the layer on `state`: afterwards each writeback target
+    /// holds the bit [`BoomerangLayer::execute`] leaves there, and no
+    /// other byte has changed. `row` and `next` are reusable ping-pong
+    /// row buffers, grown and never shrunk, whose contents on entry are
+    /// irrelevant.
     ///
-    /// `state` must reach past the zero slot the layer was lowered with,
-    /// and bit 0 of that slot must be clear.
-    pub fn execute_into(&self, state: &mut [Word], row: &mut Vec<u64>, next: &mut Vec<u64>) {
-        row.clear();
-        row.extend(self.gathered().chunks_exact(WORD_LEAVES).map(|leaves| {
+    /// The zero slot the layer was lowered with must hold 0.
+    pub fn execute_into(&self, state: &mut ByteState, row: &mut Vec<u64>, next: &mut Vec<u64>) {
+        let state = &mut *state.0;
+        let leaves = self.gathered().chunks_exact(WORD_LEAVES);
+        let mut words = leaves.len();
+        if row.len() < words {
+            row.resize(words, 0);
+        }
+        for (d, leaves) in row.iter_mut().zip(leaves) {
             // Four shift chains of 16 leaves, advanced side by side: one
             // chain of 64 would run at the latency of its shift-or, four
-            // in turn at the throughput of the loads.
+            // in turn at the throughput of the loads — two a leaf, the
+            // table entry and the byte it names, neither checked: a
+            // `u16` cannot index past a `[u8; 1 << 16]`.
             let mut acc = [0u64; 4];
             for i in (0..WORD_LEAVES / 4).rev() {
                 for (quarter, acc) in acc.iter_mut().enumerate() {
                     let p = leaves[quarter * (WORD_LEAVES / 4) + i];
-                    *acc = (*acc << 1) | (state[usize::from(p)] & 1);
+                    *acc = (*acc << 1) | u64::from(state[usize::from(p)]);
                 }
             }
-            acc[0] | acc[1] << 16 | acc[2] << 32 | acc[3] << 48
-        }));
-        let mut words = row.len();
+            *d = acc[0] | acc[1] << 16 | acc[2] << 32 | acc[3] << 48;
+        }
         for f in &self.folds[..self.live_levels] {
             let out = words.div_ceil(2);
-            // Grow-only: every word read below is written first.
-            if next.len() < out {
-                next.resize(out, 0);
+            // Every word read below is written first; the length is at
+            // least the view's so that a `u8` cannot index past it.
+            let len = out.max(VIEW_WORDS);
+            if next.len() < len {
+                next.resize(len, 0);
             }
             let (src, consts) = (&row[..words], &f.consts[..words]);
             let pairs = src.chunks_exact(2).zip(consts.chunks_exact(2));
@@ -275,10 +341,10 @@ impl PackedLayer {
                 // folds to dead slots.
                 next[out - 1] = compress_pair(fold_word(src[words - 1], consts[words - 1]), 0);
             }
-            for &(slot, addr) in f.writeback.iter() {
-                let bit =
-                    next[usize::from(slot) / WORD_LEAVES] >> (usize::from(slot) % WORD_LEAVES);
-                state[usize::from(addr)] = splat(bit & 1 == 1);
+            let view: &[u64; VIEW_WORDS] = next.first_chunk().expect("grown above");
+            for wb in f.writeback.iter() {
+                let bit = view[usize::from(wb.word)] >> wb.shift;
+                state[usize::from(wb.addr)] = u8::from(bit & 1 == 1);
             }
             std::mem::swap(row, next);
             words = out;
@@ -291,25 +357,38 @@ mod tests {
     use super::*;
     use crate::testutil::{for_each_spec_layer, random_layer, xorshift};
 
+    /// A state of random bits over the whole array, the zero slot clear.
+    fn random_state(x: &mut u64, zero: u32) -> ByteState {
+        let mut state = ByteState::default();
+        for bytes in state.0.chunks_exact_mut(8) {
+            bytes.copy_from_slice(&(xorshift(x) & 0x0101_0101_0101_0101).to_le_bytes());
+        }
+        state.0[zero as usize] = 0;
+        state
+    }
+
     /// Runs `layer` packed and as the scalar spec from one random state
-    /// and compares every word. The state words carry the simulation in
-    /// bit 0 and noise above it: the packed form must read bit 0 only,
-    /// write splats, and leave every other word (the noise included)
-    /// alone. Returns the lowered layer.
+    /// and compares all 64 KiB of it: every writeback target holds the
+    /// spec's bit, and every other byte — beyond the zero slot too — is
+    /// unchanged, so every byte is still 0 or 1. Returns the lowered
+    /// layer.
     fn check_against_spec(layer: &BoomerangLayer, x: &mut u64, what: &str) -> PackedLayer {
         let zero = layer.width;
         let packed = PackedLayer::lower(layer, zero).expect("addresses are below the width");
-        let before: Vec<Word> = (0..zero).map(|_| xorshift(x)).chain([!1]).collect();
-        let mut want: Vec<bool> = before[..zero as usize].iter().map(|w| w & 1 == 1).collect();
+        let mut got = random_state(x, zero);
+        let before = got.0.clone();
+        let mut want: Vec<bool> = before[..zero as usize].iter().map(|&b| b == 1).collect();
         layer.execute(&mut want);
-        let written: Vec<usize> = packed.written().map(usize::from).collect();
-        let mut got = before.clone();
+        let mut written = vec![false; STATE_ADDRS];
+        packed
+            .written()
+            .for_each(|a| written[usize::from(a)] = true);
         // Stale rows of any length must not matter.
         let (mut row, mut next) = (vec![xorshift(x); 7], vec![xorshift(x); 300]);
         packed.execute_into(&mut got, &mut row, &mut next);
-        for (a, (&got, &before)) in got.iter().zip(&before).enumerate() {
-            if written.contains(&a) {
-                assert_eq!(got, splat(want[a]), "{what}: written state {a}");
+        for (a, (&got, &before)) in got.0.iter().zip(before.iter()).enumerate() {
+            if written[a] {
+                assert_eq!(got, u8::from(want[a]), "{what}: written state {a}");
             } else {
                 assert_eq!(got, before, "{what}: state {a} was not a writeback target");
             }
@@ -373,11 +452,12 @@ mod tests {
         let packed = PackedLayer::lower(&layer, 128).expect("lowers");
         assert!(packed.gathered().is_empty());
         assert_eq!(packed.written().count(), 0);
-        let mut state = vec![Word::MAX; 129];
+        let mut state = random_state(&mut x, 128);
+        let before = state.0.clone();
         let (mut row, mut next) = (vec![1, 2, 3], vec![4, 5]);
         packed.execute_into(&mut state, &mut row, &mut next);
-        assert_eq!(state, vec![Word::MAX; 129]);
-        assert_eq!((row, next), (vec![], vec![4, 5]));
+        assert!(state.0 == before);
+        assert_eq!((row, next), (vec![1, 2, 3], vec![4, 5]));
     }
 
     /// Widening loses nothing — not the dead levels, not the constants
@@ -441,6 +521,42 @@ mod tests {
         layer.writeback[1][0] = Some(5);
         assert!(PackedLayer::lower(&layer, 5).is_none(), "writeback");
         assert!(PackedLayer::lower(&layer, 6).is_some());
+    }
+
+    /// Every table states its range: what a `u16` address or a `u8` row
+    /// word cannot name is refused at lowering, not assumed away — a
+    /// layer of twice the ISA's widest core lowers only while nothing
+    /// writes back from beyond row word 255 of its first level.
+    #[test]
+    fn a_layer_its_tables_cannot_hold_is_refused() {
+        let mut layer = BoomerangLayer::new(1 << 16);
+        assert!(PackedLayer::lower(&layer, 1 << 16).is_none(), "zero slot");
+        let zero = u32::from(u16::MAX);
+        assert!(PackedLayer::lower(&layer, zero).is_some());
+        layer.writeback[0][VIEW_WORDS * WORD_LEAVES - 1] = Some(0);
+        assert!(PackedLayer::lower(&layer, zero).is_some(), "row word 255");
+        layer.writeback[0][VIEW_WORDS * WORD_LEAVES] = Some(0);
+        assert!(PackedLayer::lower(&layer, zero).is_none(), "row word 256");
+        layer.writeback[0][VIEW_WORDS * WORD_LEAVES] = None;
+        layer.writeback[1][VIEW_WORDS * WORD_LEAVES - 1] = Some(0);
+        assert!(PackedLayer::lower(&layer, zero).is_some(), "second level");
+    }
+
+    /// The widest core the ISA encodes fills the tables exactly: its
+    /// first level is 256 row words, and a writeback in the last slot of
+    /// the last of them executes and matches the spec.
+    #[test]
+    fn widest_core_writes_back_from_its_last_first_level_slot() {
+        let mut x = 0x8000u64;
+        let width = 1u32 << 15;
+        let mut layer = random_layer(&mut x, width, width, 3, 64);
+        let last = layer.writeback[0].len() - 1;
+        assert_eq!(last, VIEW_WORDS * WORD_LEAVES - 1);
+        layer.writeback[0][last] = Some(7);
+        let packed = check_against_spec(&layer, &mut x, "width 32768");
+        assert_eq!(packed.gathered().len(), width as usize);
+        let wb = *packed.folds[0].writeback.last().expect("written");
+        assert_eq!((wb.word, wb.shift), (u8::MAX, 63));
     }
 
     #[test]

@@ -16,14 +16,16 @@
 //! with more, produced from the packed form by [`PackedCore::widen`] the
 //! first time a second lane appears. The switch needs no conversion of
 //! machine state: with one lane active every global word is a splat
-//! (inactive lanes mirror lane 0), the packed layers read bit 0 and
-//! write splats, so reads copy `global[g]` and publishes apply their
-//! pre-splatted XOR masks in both forms alike.
+//! (inactive lanes mirror lane 0), and what a state cell *is* never
+//! leaves a core's execution — the packed form keeps bit 0 of each word
+//! it reads as a byte ([`gem_place::ByteState`]) and publishes the
+//! splat of each byte, the lane-word form copies words, and both apply
+//! the same pre-splatted XOR masks.
 //!
 //! Steady-state execution allocates nothing inside the fold network:
-//! each stepping thread (server workers step different sessions) owns
-//! one thread-local [`Scratch`] whose state and row buffers are
-//! recycled across cores and cycles.
+//! each stepping thread (a server connection thread steps its own
+//! sessions) owns one thread-local [`Scratch`] whose state and row
+//! buffers are recycled across cores and cycles.
 //!
 //! Equivalence contract: for any decoded core, execution produces
 //! exactly the writes of the scalar spec — gather `reads`, run
@@ -32,8 +34,8 @@
 //! checks that directly; the differential fuzz suite and the golden VCD
 //! corpus check it end to end.
 
-use gem_isa::{DecodedCore, WriteSrc};
-use gem_place::{splat, CompiledLayer, PackedLayer, Word};
+use gem_isa::{DecodedCore, WriteEntry, WriteSrc};
+use gem_place::{splat, ByteState, CompiledLayer, PackedLayer, Word};
 use std::cell::RefCell;
 
 /// Sentinel in [`CompiledWrite::addr`]: the entry publishes a constant
@@ -67,7 +69,7 @@ impl CompiledWrite {
 /// The decoded write plan as (immediate, deferred) lists, each in
 /// program order.
 fn lower_writes(dec: &DecodedCore) -> (Box<[CompiledWrite]>, Box<[CompiledWrite]>) {
-    let lower = |w: &gem_isa::WriteEntry| match w.src {
+    let lower = |w: &WriteEntry| match w.src {
         WriteSrc::State { addr, invert } => CompiledWrite {
             global: w.global,
             addr: u32::from(addr),
@@ -87,13 +89,6 @@ fn lower_writes(dec: &DecodedCore) -> (Box<[CompiledWrite]>, Box<[CompiledWrite]
             .collect()
     };
     (list(false), list(true))
-}
-
-fn lower_reads(dec: &DecodedCore) -> Box<[(u32, u32)]> {
-    dec.reads
-        .iter()
-        .map(|r| (r.global, u32::from(r.state)))
-        .collect()
 }
 
 /// Sums per-layer `(shared_accesses, alu_ops, block_syncs)` charges.
@@ -132,7 +127,11 @@ impl CompiledCore {
         let (immediate, deferred) = lower_writes(dec);
         CompiledCore {
             width: dec.width,
-            reads: lower_reads(dec),
+            reads: dec
+                .reads
+                .iter()
+                .map(|r| (r.global, u32::from(r.state)))
+                .collect(),
             // Constant-zero gather slots load from the extra state slot
             // at index `width` (kept zero by the executor below; a
             // checked core's writebacks stay below `width`). The layer
@@ -163,7 +162,9 @@ impl CompiledCore {
         imm_out: &mut Vec<(u32, Word)>,
         def_out: &mut Vec<(u32, Word)>,
     ) {
-        let Scratch { state, row, next } = scratch;
+        let Scratch {
+            state, row, next, ..
+        } = scratch;
         state.clear();
         // One slot past the core width stays zero: the redirected
         // constant gather slots (see `lower`) read it.
@@ -191,43 +192,72 @@ impl CompiledCore {
     }
 }
 
+/// One pre-resolved `WRITE_GLOBAL` entry of a [`PackedCore`]: as
+/// [`CompiledWrite`] with the address in the type that indexes a
+/// [`ByteState`]; a constant reads the zero slot, so publishing neither
+/// branches nor checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PackedWrite {
+    global: u32,
+    addr: u16,
+    xor: Word,
+}
+
 /// A whole core program in signal-packed form — what a one-lane machine
 /// runs; see the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedCore {
-    width: u32,
-    reads: Box<[(u32, u32)]>,
+    /// The always-zero state slot: the core width.
+    zero: u16,
+    reads: Box<[(u32, u16)]>,
     layers: Box<[PackedLayer]>,
-    immediate: Box<[CompiledWrite]>,
-    deferred: Box<[CompiledWrite]>,
+    immediate: Box<[PackedWrite]>,
+    deferred: Box<[PackedWrite]>,
     /// State addresses a cycle may read before it writes them — the
     /// zero slot first — cleared at the start of every execution, which
     /// then never observes what the recycled scratch held. Compiler
     /// output reads nothing it has not written, so this is the zero
-    /// slot and little else, against `width + 1` words zero-filled.
+    /// slot and little else.
     clear: Box<[u16]>,
 }
 
 impl PackedCore {
     /// Lowers a decoded core, or returns `None` if anything in it
     /// addresses state at or beyond the core width (which must itself
-    /// fit the layers' 16-bit tables; see [`PackedLayer::lower`]).
+    /// fit the 16-bit tables; see [`PackedLayer::lower`]).
     pub fn lower(dec: &DecodedCore) -> Option<PackedCore> {
         let zero = u16::try_from(dec.width).ok()?;
+        let addr = |a: u16| (a < zero).then_some(a);
         let layers = dec
             .layers
             .iter()
             .map(|l| PackedLayer::lower(l, dec.width))
             .collect::<Option<Box<[PackedLayer]>>>()?;
-        let (immediate, deferred) = lower_writes(dec);
-        let reads = lower_reads(dec);
-        let published = || immediate.iter().chain(deferred.iter());
-        if reads.iter().any(|&(_, s)| s >= dec.width)
-            || published().any(|w| w.addr != WRITE_CONST && w.addr >= dec.width)
-        {
-            return None;
-        }
-        // Walk the cycle in program order, tracking which state words
+        let reads = dec
+            .reads
+            .iter()
+            .map(|r| Some((r.global, addr(r.state)?)))
+            .collect::<Option<Box<[(u32, u16)]>>>()?;
+        let write = |w: &WriteEntry| {
+            let (addr, xor) = match w.src {
+                WriteSrc::State { addr: a, invert } => (addr(a)?, splat(invert)),
+                WriteSrc::Const(c) => (zero, splat(c)),
+            };
+            Some(PackedWrite {
+                global: w.global,
+                addr,
+                xor,
+            })
+        };
+        let list = |deferred: bool| {
+            dec.writes
+                .iter()
+                .filter(|w| w.deferred == deferred)
+                .map(write)
+                .collect::<Option<Box<[PackedWrite]>>>()
+        };
+        let (immediate, deferred) = (list(false)?, list(true)?);
+        // Walk the cycle in program order, tracking which state bytes
         // hold a value of this cycle; a read of any other joins `clear`.
         let mut defined = vec![false; usize::from(zero) + 1];
         let mut clear = Vec::new();
@@ -238,17 +268,17 @@ impl PackedCore {
         };
         touch(zero, true);
         for &(_, s) in reads.iter() {
-            touch(s as u16, false);
+            touch(s, false);
         }
         for layer in layers.iter() {
             layer.gathered().iter().for_each(|&a| touch(a, true));
             layer.written().for_each(|a| touch(a, false));
         }
-        for w in published().filter(|w| w.addr != WRITE_CONST) {
-            touch(w.addr as u16, true);
+        for w in immediate.iter().chain(deferred.iter()) {
+            touch(w.addr, true);
         }
         Some(PackedCore {
-            width: dec.width,
+            zero,
             reads,
             layers,
             immediate,
@@ -261,12 +291,25 @@ impl PackedCore {
     /// [`CompiledCore::lower`] makes of the decoded program this was
     /// lowered from.
     pub fn widen(&self) -> CompiledCore {
+        let writes = |list: &[PackedWrite]| {
+            list.iter()
+                .map(|w| CompiledWrite {
+                    global: w.global,
+                    addr: if w.addr == self.zero {
+                        WRITE_CONST
+                    } else {
+                        u32::from(w.addr)
+                    },
+                    xor: w.xor,
+                })
+                .collect()
+        };
         CompiledCore {
-            width: self.width,
-            reads: self.reads.clone(),
+            width: u32::from(self.zero),
+            reads: self.reads.iter().map(|&(g, s)| (g, u32::from(s))).collect(),
             layers: self.layers.iter().map(PackedLayer::widen).collect(),
-            immediate: self.immediate.clone(),
-            deferred: self.deferred.clone(),
+            immediate: writes(&self.immediate),
+            deferred: writes(&self.deferred),
         }
     }
 
@@ -277,7 +320,8 @@ impl PackedCore {
 
     /// Executes one cycle of the core for the simulation in bit 0 of
     /// every `global` word, which must all be splats; appends exactly
-    /// what [`CompiledCore::execute_words_into`] would.
+    /// what [`CompiledCore::execute_words_into`] would. Nothing the
+    /// recycled `scratch` holds on entry is observed.
     pub fn execute_into(
         &self,
         global: &[Word],
@@ -285,21 +329,21 @@ impl PackedCore {
         imm_out: &mut Vec<(u32, Word)>,
         def_out: &mut Vec<(u32, Word)>,
     ) {
-        let Scratch { state, row, next } = scratch;
-        if state.len() <= self.width as usize {
-            state.resize(self.width as usize + 1, 0);
-        }
+        let Scratch {
+            bytes, row, next, ..
+        } = scratch;
         for &a in self.clear.iter() {
-            state[usize::from(a)] = 0;
+            bytes.set(a, false);
         }
         for &(g, s) in self.reads.iter() {
-            state[s as usize] = global[g as usize];
+            bytes.set(s, global[g as usize] & 1 == 1);
         }
         for layer in self.layers.iter() {
-            layer.execute_into(state, row, next);
+            layer.execute_into(bytes, row, next);
         }
-        publish(&self.immediate, state, imm_out);
-        publish(&self.deferred, state, def_out);
+        let publish = |w: &PackedWrite| (w.global, bytes.splat(w.addr) ^ w.xor);
+        imm_out.extend(self.immediate.iter().map(publish));
+        def_out.extend(self.deferred.iter().map(publish));
     }
 
     /// As [`CompiledCore::layer_op_totals`], and equal to it: the cost
@@ -313,13 +357,15 @@ impl PackedCore {
     }
 }
 
-/// Reusable per-thread execution buffers: the core state vector and the
+/// Reusable per-thread execution buffers: the core state of each form
+/// (lane words for [`CompiledCore`], bytes for [`PackedCore`]) and the
 /// two ping-pong fold rows. Capacity survives across cores and cycles,
 /// so steady-state execution performs no heap allocation inside the
 /// fold network.
 #[derive(Debug, Default)]
 pub struct Scratch {
     state: Vec<Word>,
+    bytes: ByteState,
     row: Vec<Word>,
     next: Vec<Word>,
 }
@@ -472,11 +518,12 @@ mod tests {
         }
     }
 
-    /// The packed form does not zero its state; it clears what a cycle
-    /// may read before writing. A gather from, and a publish of, state
-    /// nothing in the core defines must still read zero after the
-    /// recycled scratch held another core's ones there — and so must the
-    /// zero slot behind a constant leaf.
+    /// The packed form does not zero its state bytes; it clears what a
+    /// cycle may read before writing. A gather from, and a publish of,
+    /// state nothing in the core defines must still read zero after the
+    /// recycled scratch held a wider core's ones there and above this
+    /// core's width — and so must the zero slot behind a constant leaf
+    /// and a constant publish.
     #[test]
     fn packed_core_never_reads_stale_scratch() {
         let mut dirty = sample_core();
@@ -520,8 +567,10 @@ mod tests {
         for _ in 0..2 {
             dirty.execute_into(&global, &mut scratch, &mut imm, &mut def);
             imm.clear();
+            def.clear();
             core.execute_into(&global, &mut scratch, &mut imm, &mut def);
             assert_eq!(imm, vec![(7, 0), (4, Word::MAX), (3, 0)]);
+            assert_eq!(def, vec![(8, Word::MAX)]);
         }
     }
 
