@@ -7,7 +7,7 @@ use gem_netlist::verilog::SourceLint;
 use gem_netlist::Module;
 use gem_partition::merge::{estimate_width, merge_partitions_with};
 use gem_partition::repcut::Region;
-use gem_partition::{partition, PartitionOptions, Partitioning};
+use gem_partition::{PartitionOptions, Partitioner, Partitioning};
 use gem_place::{place_partition_counted, CoreProgram, OutputSource, PlaceError, PlaceOptions};
 use gem_synth::{synthesize, PortBits, SynthError, SynthOptions, SynthResult};
 use gem_telemetry::{FlowRecorder, FlowReport, Json};
@@ -374,8 +374,10 @@ fn compile_eaig_with(
     // More partitions shrink cone *sizes*; more stages cut deep shared
     // cones whose live *width* exceeds the core regardless of count, so
     // the retry schedule grows both.
-    let mut parts_goal = opts.target_parts;
-    let mut stages_goal = opts.stages;
+    // Attempts at one stage count share the partitioner's stage plan and
+    // every bisection it has already made.
+    let mut partitioner = Partitioner::new(g);
+    let (mut parts_goal, mut stages_goal) = (opts.target_parts, opts.stages);
     let mut partitioning = None;
     let mut last_err = None;
     let mut attempts = 0u32;
@@ -389,29 +391,30 @@ fn compile_eaig_with(
             seed: opts.seed,
             ..Default::default()
         };
-        let cand = partition(g, &popts);
+        let cand = partitioner.partition(&popts);
         match all_mappable(g, &cand, &place_opts, &mut slot_attempts) {
             Ok(()) => {
                 partitioning = Some(cand);
                 break;
             }
             Err(e) => {
+                (parts_goal, stages_goal) = retry_goals(attempt, parts_goal, stages_goal);
                 gem_telemetry::debug!(
                     "partition attempt {attempts} unmappable ({e}); retrying with \
-                     {} parts / {} stages",
-                    parts_goal * 2,
-                    (stages_goal + usize::from(attempt % 2 == 1)).min(4),
+                     {parts_goal} parts / {stages_goal} stages"
                 );
                 last_err = Some(e);
-                parts_goal *= 2;
-                if attempt % 2 == 1 && stages_goal < 4 {
-                    stages_goal += 1;
-                }
             }
         }
     }
+    let counts = partitioner.counts();
+    drop(partitioner);
     part_stage.metric("attempts", f64::from(attempts));
     part_stage.metric("slot_attempts", slot_attempts as f64);
+    part_stage.metric("hypergraphs_built", counts.hypergraphs_built as f64);
+    part_stage.metric("bisections", counts.bisections as f64);
+    part_stage.metric("bisections_reused", counts.bisections_reused as f64);
+    part_stage.metric("fm_gain_updates", counts.fm_gain_updates as f64);
     if let Some(p) = &partitioning {
         part_stage.metric("parts", p.max_parts() as f64);
         part_stage.metric("stages", p.stages.len() as f64);
@@ -804,6 +807,18 @@ fn compile_eaig_with(
         eaig_outputs: synth.outputs,
         schedule_cert,
     })
+}
+
+/// The part and stage goals after failed attempt `attempt` (from 0): the
+/// part goal doubles every attempt, and a stage is added after every
+/// second failure until [`CompileOptions::MAX_STAGES`].
+fn retry_goals(attempt: u32, parts: usize, stages: usize) -> (usize, usize) {
+    let stages = if attempt % 2 == 1 {
+        (stages + 1).min(CompileOptions::MAX_STAGES)
+    } else {
+        stages
+    };
+    (parts * 2, stages)
 }
 
 /// Places every partition, stopping at the first that does not fit;

@@ -20,7 +20,10 @@
 //!   first while the result stays mappable.
 //!
 //! The hypergraph partitioner itself ([`hypergraph`]) is a from-scratch
-//! Fiduccia–Mattheyses recursive bisection (no external hMETIS).
+//! Fiduccia–Mattheyses recursive bisection (no external hMETIS). A caller
+//! that partitions one graph more than once — the compiler's retry
+//! schedule — keeps a [`Partitioner`], which builds what the part goal does
+//! not change once and reuses it.
 //!
 //! # Example
 //!
@@ -47,6 +50,8 @@ pub mod hypergraph;
 pub mod merge;
 pub mod multistage;
 pub mod repcut;
+
+pub use multistage::Partitioner;
 
 use gem_aig::{Eaig, Lit, NodeId};
 
@@ -152,11 +157,26 @@ impl Partitioning {
     }
 }
 
+/// Work a [`Partitioner`] has done (the compile flow report's `partition`
+/// stage). Every count repeats exactly from run to run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PartitionCounts {
+    /// Sink hypergraphs built, one per stage region per stage count.
+    pub hypergraphs_built: u64,
+    /// Bisections computed (each runs FM from several restarts).
+    pub bisections: u64,
+    /// Bisections an earlier call had already computed, taken instead.
+    pub bisections_reused: u64,
+    /// FM gain changes applied to vertices that could still move.
+    pub fm_gain_updates: u64,
+}
+
 /// Partitions an E-AIG for GEM execution.
 ///
 /// Dispatches to single-stage RepCut or GEM's multi-stage extension based
 /// on [`PartitionOptions::stages`]. Use [`merge::merge_partitions`]
-/// afterwards to enforce the boomerang width constraint.
+/// afterwards to enforce the boomerang width constraint. A one-shot use of
+/// [`Partitioner`].
 pub fn partition(g: &Eaig, opts: &PartitionOptions) -> Partitioning {
-    multistage::partition_staged(g, opts)
+    Partitioner::new(g).partition(opts)
 }

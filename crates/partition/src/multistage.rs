@@ -8,34 +8,75 @@
 //! Each extra stage costs one device-wide synchronization per cycle and
 //! buys a dramatic replication reduction.
 
-use crate::repcut::{partition_region, Region};
-use crate::{PartitionOptions, Partitioning, Stage};
+use crate::repcut::{Region, SinkHypergraph};
+use crate::{PartitionCounts, PartitionOptions, Partitioning, Stage};
 use gem_aig::{Eaig, Lit, Node};
 
-/// Partitions `g` into [`PartitionOptions::stages`] pipeline stages of
-/// [`PartitionOptions::target_parts`] partitions each (see [`crate::partition`]).
-pub fn partition_staged(g: &Eaig, opts: &PartitionOptions) -> Partitioning {
-    let original_gates = g.num_live_ands();
-    let stages = opts.stages.max(1);
-    if stages == 1 {
-        let region = Region::whole(g);
-        let partitions = partition_region(g, &region, opts.target_parts, opts);
-        return Partitioning {
-            stages: vec![Stage {
-                partitions,
-                cut_lits: Vec::new(),
-            }],
-            original_gates,
-        };
+/// [`crate::partition`] in the form a retry loop keeps between calls.
+///
+/// What a call computes before it knows the part goal — the cut levels,
+/// crossing sets and regions of every stage and each region's sink
+/// hypergraph — is built once per stage count and sink-set cap and reused
+/// by the next call with the same two. Each sink hypergraph also keeps the
+/// bisections it has made, so a call that asks for one again (the same
+/// vertices, fraction, balance and seed) takes it instead of re-running FM.
+/// Neither changes a result: [`Partitioner::partition`] returns exactly
+/// what [`crate::partition`] returns for the same options.
+#[derive(Debug)]
+pub struct Partitioner<'g> {
+    g: &'g Eaig,
+    original_gates: usize,
+    /// The plan of the last call, with its `(stages, sink_set_cap)`.
+    plan: Option<((usize, usize), StagePlan)>,
+    counts: PartitionCounts,
+}
+
+impl<'g> Partitioner<'g> {
+    /// A partitioner for `g` with nothing built yet.
+    pub fn new(g: &'g Eaig) -> Self {
+        Partitioner {
+            g,
+            original_gates: g.num_live_ands(),
+            plan: None,
+            counts: PartitionCounts::default(),
+        }
     }
-    // Choose cut levels evenly across the live depth.
-    let levels = g.levels();
-    let depth = levels.depth;
-    let cut_levels: Vec<u32> = (1..stages)
+
+    /// Partitions `g` into [`PartitionOptions::stages`] pipeline stages of
+    /// [`PartitionOptions::target_parts`] partitions each.
+    pub fn partition(&mut self, opts: &PartitionOptions) -> Partitioning {
+        let stages = opts.stages.max(1);
+        let key = (stages, opts.sink_set_cap);
+        if self.plan.as_ref().is_none_or(|(k, _)| *k != key) {
+            self.plan = None; // the old plan goes before the new one is built
+            let plan = if stages == 1 {
+                StagePlan::whole(self.g, opts.sink_set_cap, &mut self.counts)
+            } else {
+                let cut_levels = even_cut_levels(self.g, stages);
+                StagePlan::with_cuts(self.g, &cut_levels, opts.sink_set_cap, &mut self.counts)
+            };
+            self.plan = Some((key, plan));
+        }
+        let (_, plan) = self.plan.as_mut().expect("built above");
+        Partitioning {
+            stages: plan.partition(self.g, opts, &mut self.counts),
+            original_gates: self.original_gates,
+        }
+    }
+
+    /// The work done by every call so far.
+    pub fn counts(&self) -> PartitionCounts {
+        self.counts
+    }
+}
+
+/// Cut levels for `stages` stages, evenly across the live depth.
+pub(crate) fn even_cut_levels(g: &Eaig, stages: usize) -> Vec<u32> {
+    let depth = g.levels().depth;
+    (1..stages)
         .map(|k| (depth as u64 * k as u64 / stages as u64) as u32)
         .filter(|&l| l > 0 && l < depth)
-        .collect();
-    partition_with_cuts(g, &cut_levels, opts, original_gates)
+        .collect()
 }
 
 /// Partitions with explicit cut levels (exposed for experiments that sweep
@@ -46,122 +87,189 @@ pub fn partition_with_cuts(
     opts: &PartitionOptions,
     original_gates: usize,
 ) -> Partitioning {
-    let node_levels = g.node_levels();
-    let live = g.live_nodes();
-    let mut cut_levels: Vec<u32> = cut_levels.to_vec();
-    cut_levels.sort_unstable();
-    cut_levels.dedup();
-    let nstages = cut_levels.len() + 1;
+    let mut counts = PartitionCounts::default();
+    let mut plan = StagePlan::with_cuts(g, cut_levels, opts.sink_set_cap, &mut counts);
+    Partitioning {
+        stages: plan.partition(g, opts, &mut counts),
+        original_gates,
+    }
+}
 
-    // Cut sets: for boundary k (level L), the AND nodes at level ≤ L with a
-    // live consumer at level > L (consumers in later segments read them).
-    // A node can cross several boundaries; it is published at the first
-    // boundary above its level and re-used afterwards (stops accumulate).
-    let mut crossing: Vec<Vec<Lit>> = vec![Vec::new(); cut_levels.len()];
-    for (i, n) in g.nodes().iter().enumerate() {
-        if let Node::And(a, b) = n {
-            if !live[i] {
-                continue;
-            }
-            for x in [a, b] {
-                let src = x.node().0 as usize;
-                if !matches!(g.node(x.node()), Node::And(..)) {
-                    continue; // global sources never need publishing
+/// The stages of one partitioning before the part goal is known.
+#[derive(Debug)]
+pub(crate) struct StagePlan {
+    pub(crate) segments: Vec<Segment>,
+    /// Sum of the segments' `gates` (at least 1).
+    total_gates: usize,
+}
+
+/// One stage: its region, the cut literals it publishes, its share of the
+/// gates (its part goal is that share of the whole goal) and its sink
+/// hypergraph.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    region: Region,
+    cut_lits: Vec<Lit>,
+    gates: usize,
+    pub(crate) sinks: SinkHypergraph,
+}
+
+impl StagePlan {
+    /// Single-stage RepCut: the whole graph is one segment that takes the
+    /// whole part goal.
+    pub(crate) fn whole(g: &Eaig, sink_set_cap: usize, counts: &mut PartitionCounts) -> Self {
+        let region = Region::whole(g);
+        let sinks = SinkHypergraph::build(g, &region, sink_set_cap, counts);
+        StagePlan {
+            segments: vec![Segment {
+                region,
+                cut_lits: Vec::new(),
+                gates: 1,
+                sinks,
+            }],
+            total_gates: 1,
+        }
+    }
+
+    /// GEM's multi-stage plan: one segment between consecutive cut levels.
+    pub(crate) fn with_cuts(
+        g: &Eaig,
+        cut_levels: &[u32],
+        sink_set_cap: usize,
+        counts: &mut PartitionCounts,
+    ) -> Self {
+        let node_levels = g.node_levels();
+        let live = g.live_nodes();
+        let mut cut_levels: Vec<u32> = cut_levels.to_vec();
+        cut_levels.sort_unstable();
+        cut_levels.dedup();
+        let nstages = cut_levels.len() + 1;
+
+        // Cut sets: for boundary k (level L), the AND nodes at level ≤ L with a
+        // live consumer at level > L (consumers in later segments read them).
+        // A node can cross several boundaries; it is published at the first
+        // boundary above its level and re-used afterwards (stops accumulate).
+        let mut crossing: Vec<Vec<Lit>> = vec![Vec::new(); cut_levels.len()];
+        for (i, n) in g.nodes().iter().enumerate() {
+            if let Node::And(a, b) = n {
+                if !live[i] {
+                    continue;
                 }
-                let src_level = node_levels[src];
-                let use_level = node_levels[i];
-                // Boundaries strictly between src_level and use_level.
-                for (bi, &bl) in cut_levels.iter().enumerate() {
-                    if src_level <= bl && use_level > bl {
-                        crossing[bi].push(Lit::from_node(x.node()));
+                for x in [a, b] {
+                    let src = x.node().0 as usize;
+                    if !matches!(g.node(x.node()), Node::And(..)) {
+                        continue; // global sources never need publishing
+                    }
+                    let src_level = node_levels[src];
+                    let use_level = node_levels[i];
+                    // Boundaries strictly between src_level and use_level.
+                    for (bi, &bl) in cut_levels.iter().enumerate() {
+                        if src_level <= bl && use_level > bl {
+                            crossing[bi].push(Lit::from_node(x.node()));
+                        }
                     }
                 }
             }
         }
-    }
-    // A node may cross several boundaries; publish it only at the first
-    // one (later segments read the already-published value).
-    let mut published = vec![false; g.len()];
-    for c in crossing.iter_mut() {
-        c.sort_unstable();
-        c.dedup();
-        c.retain(|l| !published[l.node().0 as usize]);
-        for l in c.iter() {
-            published[l.node().0 as usize] = true;
-        }
-    }
-
-    // Segment s covers levels (cut[s-1], cut[s]]; its sinks are the
-    // boundary-s crossing signals plus any real sinks whose node level
-    // falls inside the segment.
-    let real_sinks = g.sinks();
-    let seg_upper = |s: usize| -> u32 {
-        if s < cut_levels.len() {
-            cut_levels[s]
-        } else {
-            u32::MAX
-        }
-    };
-    let seg_lower = |s: usize| -> u32 {
-        if s == 0 {
-            0
-        } else {
-            cut_levels[s - 1]
-        }
-    };
-
-    // Stop sets accumulate: segment s stops at everything published by
-    // earlier boundaries.
-    let mut stop = vec![false; g.len()];
-    let mut stages_out = Vec::new();
-    // Gate totals per segment for proportional part allocation.
-    let mut seg_gates = vec![0usize; nstages];
-    for (i, n) in g.nodes().iter().enumerate() {
-        if live[i] && matches!(n, Node::And(..)) {
-            let l = node_levels[i];
-            let s = cut_levels.iter().take_while(|&&b| b < l).count();
-            seg_gates[s] += 1;
-        }
-    }
-    let total_gates: usize = seg_gates.iter().sum::<usize>().max(1);
-
-    for s in 0..nstages {
-        let mut sinks: Vec<Lit> = Vec::new();
-        if s < cut_levels.len() {
-            sinks.extend(crossing[s].iter().copied());
-        }
-        // Real sinks whose driving node lives in this segment.
-        for &rs in &real_sinks {
-            let l = node_levels[rs.node().0 as usize];
-            if l > seg_lower(s) && l <= seg_upper(s) || (s == 0 && l == 0) {
-                sinks.push(rs);
+        // A node may cross several boundaries; publish it only at the first
+        // one (later segments read the already-published value).
+        let mut published = vec![false; g.len()];
+        for c in crossing.iter_mut() {
+            c.sort_unstable();
+            c.dedup();
+            c.retain(|l| !published[l.node().0 as usize]);
+            for l in c.iter() {
+                published[l.node().0 as usize] = true;
             }
         }
-        sinks.sort_unstable();
-        sinks.dedup();
-        let share = ((opts.target_parts * seg_gates[s]) / total_gates).max(1);
-        let region = Region {
-            sinks: sinks.clone(),
-            stop: stop.clone(),
+
+        // Segment s covers levels (cut[s-1], cut[s]]; its sinks are the
+        // boundary-s crossing signals plus any real sinks whose node level
+        // falls inside the segment.
+        let real_sinks = g.sinks();
+        let seg_upper = |s: usize| -> u32 {
+            if s < cut_levels.len() {
+                cut_levels[s]
+            } else {
+                u32::MAX
+            }
         };
-        let partitions = partition_region(g, &region, share, opts);
-        let cut_lits = if s < cut_levels.len() {
-            crossing[s].clone()
-        } else {
-            Vec::new()
+        let seg_lower = |s: usize| -> u32 {
+            if s == 0 {
+                0
+            } else {
+                cut_levels[s - 1]
+            }
         };
-        // Later segments stop at this boundary's published nodes.
-        for l in &cut_lits {
-            stop[l.node().0 as usize] = true;
+
+        // Gate totals per segment for proportional part allocation.
+        let mut seg_gates = vec![0usize; nstages];
+        for (i, n) in g.nodes().iter().enumerate() {
+            if live[i] && matches!(n, Node::And(..)) {
+                let l = node_levels[i];
+                let s = cut_levels.iter().take_while(|&&b| b < l).count();
+                seg_gates[s] += 1;
+            }
         }
-        stages_out.push(Stage {
-            partitions,
-            cut_lits,
-        });
+        let total_gates: usize = seg_gates.iter().sum::<usize>().max(1);
+
+        // Stop sets accumulate: segment s stops at everything published by
+        // earlier boundaries.
+        let mut stop = vec![false; g.len()];
+        let mut segments = Vec::with_capacity(nstages);
+        let mut crossing = crossing.into_iter();
+        for (s, gates) in seg_gates.into_iter().enumerate() {
+            let cut_lits = crossing.next().unwrap_or_default();
+            let mut sinks = cut_lits.clone();
+            // Real sinks whose driving node lives in this segment.
+            for &rs in &real_sinks {
+                let l = node_levels[rs.node().0 as usize];
+                if l > seg_lower(s) && l <= seg_upper(s) || (s == 0 && l == 0) {
+                    sinks.push(rs);
+                }
+            }
+            sinks.sort_unstable();
+            sinks.dedup();
+            let region = Region {
+                sinks,
+                stop: stop.clone(),
+            };
+            // Later segments stop at this boundary's published nodes.
+            for l in &cut_lits {
+                stop[l.node().0 as usize] = true;
+            }
+            let sinks = SinkHypergraph::build(g, &region, sink_set_cap, counts);
+            segments.push(Segment {
+                region,
+                cut_lits,
+                gates,
+                sinks,
+            });
+        }
+        StagePlan {
+            segments,
+            total_gates,
+        }
     }
-    Partitioning {
-        stages: stages_out,
-        original_gates,
+
+    /// Partitions every segment into its share of
+    /// [`PartitionOptions::target_parts`].
+    pub(crate) fn partition(
+        &mut self,
+        g: &Eaig,
+        opts: &PartitionOptions,
+        counts: &mut PartitionCounts,
+    ) -> Vec<Stage> {
+        self.segments
+            .iter_mut()
+            .map(|seg| {
+                let share = ((opts.target_parts * seg.gates) / self.total_gates).max(1);
+                Stage {
+                    partitions: seg.sinks.partition(g, &seg.region, share, opts, counts),
+                    cut_lits: seg.cut_lits.clone(),
+                }
+            })
+            .collect()
     }
 }
 
@@ -219,8 +327,8 @@ mod tests {
             stages: 2,
             ..Default::default()
         };
-        let single = partition_staged(&g, &opts1);
-        let multi = partition_staged(&g, &opts2);
+        let single = crate::partition(&g, &opts1);
+        let multi = crate::partition(&g, &opts2);
         assert!(
             multi.replication_cost() < single.replication_cost(),
             "2-stage {:.3} should beat 1-stage {:.3}",
@@ -237,7 +345,7 @@ mod tests {
             stages: 2,
             ..Default::default()
         };
-        let p = partition_staged(&g, &opts);
+        let p = crate::partition(&g, &opts);
         let mut covered: Vec<Lit> = p
             .stages
             .iter()
@@ -270,7 +378,7 @@ mod tests {
             stages: 2,
             ..Default::default()
         };
-        let p = partition_staged(&g, &opts);
+        let p = crate::partition(&g, &opts);
         assert_eq!(p.stages.len(), 2);
         let cut_nodes: std::collections::HashSet<u32> =
             p.stages[0].cut_lits.iter().map(|l| l.node().0).collect();
@@ -288,7 +396,7 @@ mod tests {
     #[test]
     fn single_stage_has_no_cut_lits() {
         let g = shared_base_circuit(4);
-        let p = partition_staged(&g, &PartitionOptions::default());
+        let p = crate::partition(&g, &PartitionOptions::default());
         assert_eq!(p.stages.len(), 1);
         assert!(p.stages[0].cut_lits.is_empty());
     }

@@ -8,8 +8,8 @@
 //! Partitioning the sink hypergraph with a min-cut objective therefore
 //! minimizes replicated logic directly.
 
-use crate::hypergraph::Hypergraph;
-use crate::{Partition, PartitionOptions};
+use crate::hypergraph::{BisectionMemo, Hypergraph};
+use crate::{Partition, PartitionCounts, PartitionOptions};
 use gem_aig::{Eaig, Lit, Node, NodeId};
 use std::collections::HashMap;
 
@@ -41,162 +41,221 @@ pub fn partition_region(
     parts: usize,
     opts: &PartitionOptions,
 ) -> Vec<Partition> {
-    // Unique sink vertices by node (several sink literals on one node share
-    // a cone and must not be separated).
-    let mut vertex_of_node: HashMap<NodeId, u32> = HashMap::new();
-    let mut vertex_lits: Vec<Vec<Lit>> = Vec::new();
-    let mut vertex_nodes: Vec<NodeId> = Vec::new();
-    for &s in &region.sinks {
-        let n = s.node();
-        let vid = *vertex_of_node.entry(n).or_insert_with(|| {
-            vertex_lits.push(Vec::new());
-            vertex_nodes.push(n);
-            (vertex_lits.len() - 1) as u32
-        });
-        vertex_lits[vid as usize].push(s);
-    }
-    let nv = vertex_nodes.len();
-    if nv == 0 {
-        return Vec::new();
-    }
-    let parts = parts.min(nv).max(1);
+    let mut counts = PartitionCounts::default();
+    SinkHypergraph::build(g, region, opts.sink_set_cap, &mut counts).partition(
+        g,
+        region,
+        parts,
+        opts,
+        &mut counts,
+    )
+}
 
-    // Which AND nodes belong to this region (reachable from sinks without
-    // crossing the stop boundary)?
-    let in_region = region_nodes(g, region);
+/// A region's sink hypergraph with the sinks behind each vertex. It
+/// depends on the region and the sink-set cap alone, so a retry that asks
+/// the same region for more parts partitions it again without rebuilding
+/// it, and takes every bisection it asks for twice from its memo.
+#[derive(Debug)]
+pub(crate) struct SinkHypergraph {
+    /// Sink literals per vertex.
+    vertex_lits: Vec<Vec<Lit>>,
+    pub(crate) h: Hypergraph,
+    memo: BisectionMemo,
+}
 
-    // Sink sets per node, reverse-topological, with hash-consing.
-    // `set_of[node]`: index into `sets`, or SET_UNIVERSAL / SET_NONE.
-    const SET_NONE: u32 = u32::MAX;
-    const SET_UNIVERSAL: u32 = u32::MAX - 1;
-    let mut sets: Vec<Vec<u32>> = Vec::new();
-    let mut interner: HashMap<Vec<u32>, u32> = HashMap::new();
-    let mut set_of: Vec<u32> = vec![SET_NONE; g.len()];
-
-    // Consumers (fanout AND nodes inside the region).
-    let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); g.len()];
-    for (i, n) in g.nodes().iter().enumerate() {
-        if !in_region[i] {
-            continue;
+impl SinkHypergraph {
+    /// Builds the sink hypergraph of `region`.
+    pub(crate) fn build(
+        g: &Eaig,
+        region: &Region,
+        sink_set_cap: usize,
+        counts: &mut PartitionCounts,
+    ) -> SinkHypergraph {
+        counts.hypergraphs_built += 1;
+        // Unique sink vertices by node (several sink literals on one node share
+        // a cone and must not be separated).
+        let mut vertex_of_node: HashMap<NodeId, u32> = HashMap::new();
+        let mut vertex_lits: Vec<Vec<Lit>> = Vec::new();
+        let mut vertex_nodes: Vec<NodeId> = Vec::new();
+        for &s in &region.sinks {
+            let n = s.node();
+            let vid = *vertex_of_node.entry(n).or_insert_with(|| {
+                vertex_lits.push(Vec::new());
+                vertex_nodes.push(n);
+                (vertex_lits.len() - 1) as u32
+            });
+            vertex_lits[vid as usize].push(s);
         }
-        if let Node::And(a, b) = n {
-            fanout[a.node().0 as usize].push(i as u32);
-            if a.node() != b.node() {
-                fanout[b.node().0 as usize].push(i as u32);
+        let nv = vertex_nodes.len();
+        if nv == 0 {
+            return SinkHypergraph {
+                vertex_lits,
+                h: Hypergraph::default(),
+                memo: BisectionMemo::default(),
+            };
+        }
+
+        // Which AND nodes belong to this region (reachable from sinks without
+        // crossing the stop boundary)?
+        let in_region = region_nodes(g, region);
+
+        // Sink sets per node, reverse-topological, with hash-consing.
+        // `set_of[node]`: index into `sets`, or SET_UNIVERSAL / SET_NONE.
+        const SET_NONE: u32 = u32::MAX;
+        const SET_UNIVERSAL: u32 = u32::MAX - 1;
+        let mut sets: Vec<Vec<u32>> = Vec::new();
+        let mut interner: HashMap<Vec<u32>, u32> = HashMap::new();
+        let mut set_of: Vec<u32> = vec![SET_NONE; g.len()];
+
+        // Consumers (fanout AND nodes inside the region).
+        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); g.len()];
+        for (i, n) in g.nodes().iter().enumerate() {
+            if !in_region[i] {
+                continue;
             }
-        }
-    }
-    // Base: sink vertices sit at their node.
-    let mut sink_vertex_at: HashMap<u32, u32> = HashMap::new();
-    for (vid, n) in vertex_nodes.iter().enumerate() {
-        sink_vertex_at.insert(n.0, vid as u32);
-    }
-    let intern =
-        |sets: &mut Vec<Vec<u32>>, interner: &mut HashMap<Vec<u32>, u32>, v: Vec<u32>| -> u32 {
-            if let Some(&id) = interner.get(&v) {
-                return id;
-            }
-            let id = sets.len() as u32;
-            interner.insert(v.clone(), id);
-            sets.push(v);
-            id
-        };
-    // Reverse topological = descending node id (construction order).
-    for i in (0..g.len()).rev() {
-        if !in_region[i] && !sink_vertex_at.contains_key(&(i as u32)) {
-            continue;
-        }
-        let mut acc: Vec<u32> = Vec::new();
-        let mut universal = false;
-        if let Some(&vid) = sink_vertex_at.get(&(i as u32)) {
-            acc.push(vid);
-        }
-        for &f in &fanout[i] {
-            match set_of[f as usize] {
-                SET_NONE => {}
-                SET_UNIVERSAL => {
-                    universal = true;
-                    break;
+            if let Node::And(a, b) = n {
+                fanout[a.node().0 as usize].push(i as u32);
+                if a.node() != b.node() {
+                    fanout[b.node().0 as usize].push(i as u32);
                 }
-                sid => {
-                    // Merge-union into acc.
-                    let other = &sets[sid as usize];
-                    let mut merged = Vec::with_capacity(acc.len() + other.len());
-                    let (mut x, mut y) = (0, 0);
-                    while x < acc.len() && y < other.len() {
-                        match acc[x].cmp(&other[y]) {
-                            std::cmp::Ordering::Less => {
-                                merged.push(acc[x]);
-                                x += 1;
-                            }
-                            std::cmp::Ordering::Greater => {
-                                merged.push(other[y]);
-                                y += 1;
-                            }
-                            std::cmp::Ordering::Equal => {
-                                merged.push(acc[x]);
-                                x += 1;
-                                y += 1;
-                            }
-                        }
-                    }
-                    merged.extend_from_slice(&acc[x..]);
-                    merged.extend_from_slice(&other[y..]);
-                    acc = merged;
-                    if acc.len() > opts.sink_set_cap {
+            }
+        }
+        // Base: sink vertices sit at their node.
+        let mut sink_vertex_at: HashMap<u32, u32> = HashMap::new();
+        for (vid, n) in vertex_nodes.iter().enumerate() {
+            sink_vertex_at.insert(n.0, vid as u32);
+        }
+        let intern =
+            |sets: &mut Vec<Vec<u32>>, interner: &mut HashMap<Vec<u32>, u32>, v: Vec<u32>| -> u32 {
+                if let Some(&id) = interner.get(&v) {
+                    return id;
+                }
+                let id = sets.len() as u32;
+                interner.insert(v.clone(), id);
+                sets.push(v);
+                id
+            };
+        // Reverse topological = descending node id (construction order).
+        for i in (0..g.len()).rev() {
+            if !in_region[i] && !sink_vertex_at.contains_key(&(i as u32)) {
+                continue;
+            }
+            let mut acc: Vec<u32> = Vec::new();
+            let mut universal = false;
+            if let Some(&vid) = sink_vertex_at.get(&(i as u32)) {
+                acc.push(vid);
+            }
+            for &f in &fanout[i] {
+                match set_of[f as usize] {
+                    SET_NONE => {}
+                    SET_UNIVERSAL => {
                         universal = true;
                         break;
                     }
+                    sid => {
+                        // Merge-union into acc.
+                        let other = &sets[sid as usize];
+                        let mut merged = Vec::with_capacity(acc.len() + other.len());
+                        let (mut x, mut y) = (0, 0);
+                        while x < acc.len() && y < other.len() {
+                            match acc[x].cmp(&other[y]) {
+                                std::cmp::Ordering::Less => {
+                                    merged.push(acc[x]);
+                                    x += 1;
+                                }
+                                std::cmp::Ordering::Greater => {
+                                    merged.push(other[y]);
+                                    y += 1;
+                                }
+                                std::cmp::Ordering::Equal => {
+                                    merged.push(acc[x]);
+                                    x += 1;
+                                    y += 1;
+                                }
+                            }
+                        }
+                        merged.extend_from_slice(&acc[x..]);
+                        merged.extend_from_slice(&other[y..]);
+                        acc = merged;
+                        if acc.len() > sink_set_cap {
+                            universal = true;
+                            break;
+                        }
+                    }
+                }
+            }
+            set_of[i] = if universal {
+                SET_UNIVERSAL
+            } else if acc.is_empty() {
+                SET_NONE
+            } else {
+                intern(&mut sets, &mut interner, acc)
+            };
+        }
+
+        // Vertex weights: 1 + number of AND nodes exclusive to the sink.
+        let mut weights = vec![1u64; nv];
+        // Hyperedge weights: count of AND nodes per distinct (multi-sink) set.
+        let mut edge_count: HashMap<u32, u64> = HashMap::new();
+        for (i, n) in g.nodes().iter().enumerate() {
+            if !in_region[i] || !matches!(n, Node::And(..)) {
+                continue;
+            }
+            match set_of[i] {
+                SET_NONE | SET_UNIVERSAL => {}
+                sid => {
+                    let s = &sets[sid as usize];
+                    if s.len() == 1 {
+                        weights[s[0] as usize] += 1;
+                    } else {
+                        *edge_count.entry(sid).or_insert(0) += 1;
+                    }
                 }
             }
         }
-        set_of[i] = if universal {
-            SET_UNIVERSAL
-        } else if acc.is_empty() {
-            SET_NONE
-        } else {
-            intern(&mut sets, &mut interner, acc)
-        };
-    }
-
-    // Vertex weights: 1 + number of AND nodes exclusive to the sink.
-    let mut weights = vec![1u64; nv];
-    // Hyperedge weights: count of AND nodes per distinct (multi-sink) set.
-    let mut edge_count: HashMap<u32, u64> = HashMap::new();
-    for (i, n) in g.nodes().iter().enumerate() {
-        if !in_region[i] || !matches!(n, Node::And(..)) {
-            continue;
+        let mut h = Hypergraph::new(weights);
+        let mut edges: Vec<(u32, u64)> = edge_count.into_iter().collect();
+        edges.sort_unstable(); // deterministic hyperedge order
+        for (sid, w) in edges {
+            h.add_edge(w, sets[sid as usize].clone());
         }
-        match set_of[i] {
-            SET_NONE | SET_UNIVERSAL => {}
-            sid => {
-                let s = &sets[sid as usize];
-                if s.len() == 1 {
-                    weights[s[0] as usize] += 1;
-                } else {
-                    *edge_count.entry(sid).or_insert(0) += 1;
-                }
-            }
+        SinkHypergraph {
+            vertex_lits,
+            h,
+            memo: BisectionMemo::default(),
         }
     }
-    let mut h = Hypergraph::new(weights);
-    let mut edges: Vec<(u32, u64)> = edge_count.into_iter().collect();
-    edges.sort_unstable(); // deterministic hyperedge order
-    for (sid, w) in edges {
-        h.add_edge(w, sets[sid as usize].clone());
-    }
-    let assignment = h.partition_kway(parts, opts.balance, opts.seed);
 
-    // Materialize partitions: per part, collect sinks and the cone.
-    let mut part_sinks: Vec<Vec<Lit>> = vec![Vec::new(); parts];
-    for (vid, lits) in vertex_lits.iter().enumerate() {
-        part_sinks[assignment[vid] as usize].extend(lits.iter().copied());
+    /// Partitions the region this was built from into (at most) `parts`
+    /// partitions.
+    pub(crate) fn partition(
+        &mut self,
+        g: &Eaig,
+        region: &Region,
+        parts: usize,
+        opts: &PartitionOptions,
+        counts: &mut PartitionCounts,
+    ) -> Vec<Partition> {
+        let nv = self.vertex_lits.len();
+        if nv == 0 {
+            return Vec::new();
+        }
+        let parts = parts.min(nv).max(1);
+        let assignment =
+            self.h
+                .partition_kway_memo(parts, opts.balance, opts.seed, &mut self.memo, counts);
+
+        // Materialize partitions: per part, collect sinks and the cone.
+        let mut part_sinks: Vec<Vec<Lit>> = vec![Vec::new(); parts];
+        for (vid, lits) in self.vertex_lits.iter().enumerate() {
+            part_sinks[assignment[vid] as usize].extend(lits.iter().copied());
+        }
+        part_sinks
+            .into_iter()
+            .filter(|s| !s.is_empty())
+            .map(|sinks| extract_cone(g, region, &sinks))
+            .collect()
     }
-    part_sinks
-        .into_iter()
-        .filter(|s| !s.is_empty())
-        .map(|sinks| extract_cone(g, region, &sinks))
-        .collect()
 }
 
 /// Marks the AND nodes belonging to a region (reachable backward from the
