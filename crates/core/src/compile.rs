@@ -31,14 +31,6 @@ pub struct CompileOptions {
     pub timing_driven: bool,
     /// Seed for all heuristics.
     pub seed: u64,
-    /// Run the static bitstream verifier (`gem_isa::verify`) after
-    /// encoding; a violation fails the compile with
-    /// [`CompileError::Verify`].
-    pub verify: bool,
-    /// Nonzero: corrupt the bitstream with a seeded mutation before the
-    /// verifier runs (`gem_isa::mutate::corrupt`). Exercises the verify
-    /// gate end to end — a fault-injected compile must *fail*.
-    pub verify_fault: u64,
 }
 
 impl Default for CompileOptions {
@@ -50,8 +42,6 @@ impl Default for CompileOptions {
             core_width: 8192,
             timing_driven: true,
             seed: 0xC0DE,
-            verify: true,
-            verify_fault: 0,
         }
     }
 }
@@ -153,11 +143,13 @@ pub struct CompileReport {
     pub ram_blocks: u64,
     /// State bits spent polyfilling asynchronous-read memories.
     pub polyfilled_mem_bits: u64,
-    /// Whether the static bitstream verifier ran and passed (false when
-    /// verification was disabled).
+    /// Whether the static bitstream verifier passed. Every compile
+    /// verifies; false only in packages written before the verifier
+    /// existed.
     pub verified: bool,
-    /// Whether the schedule happens-before checker ran and produced a
-    /// [`ScheduleCert`] (false when verification was disabled).
+    /// Whether the schedule happens-before checker produced a
+    /// [`ScheduleCert`]. Every compile certifies; false only in packages
+    /// written before the certificate existed.
     pub certified: bool,
 }
 
@@ -208,9 +200,9 @@ pub struct Compiled {
     pub eaig_inputs: Vec<PortBits>,
     /// Output-port layout within the E-AIG's output list.
     pub eaig_outputs: Vec<PortBits>,
-    /// Schedule happens-before certificate (present when verification
-    /// ran; stored in the `.gemb` package and re-checked on load).
-    pub schedule_cert: Option<ScheduleCert>,
+    /// Schedule happens-before certificate (stored in the `.gemb`
+    /// package and re-checked on load).
+    pub schedule_cert: ScheduleCert,
 }
 
 impl Compiled {
@@ -720,58 +712,7 @@ fn compile_eaig_with(
         initial_ones,
     };
 
-    // --- Static verification gate.
-    let bitstream = if opts.verify_fault != 0 {
-        gem_telemetry::warn!(
-            "injecting bitstream fault (verify_fault = {})",
-            opts.verify_fault
-        );
-        gem_isa::mutate::corrupt(&bitstream, opts.verify_fault)
-    } else {
-        bitstream
-    };
-    let mut verified = false;
-    if opts.verify {
-        let mut st = flow.stage("verify");
-        let vr = crate::verify::verify(&bitstream, &device, &io, Some(&programs));
-        st.metric("cores", vr.cores as f64);
-        st.metric("violations", vr.total_violations() as f64);
-        for c in &vr.checks {
-            st.metric(&format!("{}_violations", c.name), c.violations as f64);
-            st.metric(&format!("{}_wall_ns", c.name), c.wall_ns as f64);
-        }
-        if !vr.passed() {
-            return Err(CompileError::Verify(vr.summary()));
-        }
-        verified = true;
-    }
-
-    // --- Schedule happens-before certification.
-    let mut schedule_cert = None;
-    if opts.verify {
-        let mut st = flow.stage("certify");
-        let ctx = crate::verify::context(&device, &io, Some(&programs));
-        match gem_isa::certify_schedule(&bitstream, &ctx) {
-            Ok(cert) => {
-                st.metric("reads", f64::from(cert.reads));
-                st.metric("barrier_edges", f64::from(cert.barrier_edges));
-                st.metric("boundary_edges", f64::from(cert.boundary_edges));
-                schedule_cert = Some(cert);
-            }
-            Err(violations) => {
-                st.metric("violations", violations.len() as f64);
-                drop(st);
-                let first = violations
-                    .first()
-                    .map_or_else(String::new, |v| v.message.clone());
-                return Err(CompileError::Analyze(format!(
-                    "schedule certification failed with {} violation(s); \
-                     first: {first}",
-                    violations.len()
-                )));
-            }
-        }
-    }
+    let schedule_cert = gate(&bitstream, &device, &io, &programs, &mut flow)?;
 
     let report = CompileReport {
         gates: synth.stats.gates,
@@ -783,8 +724,8 @@ fn compile_eaig_with(
         replication_cost: partitioning.replication_cost(),
         ram_blocks: synth.stats.ram_blocks,
         polyfilled_mem_bits: synth.stats.polyfilled_mem_bits,
-        verified,
-        certified: schedule_cert.is_some(),
+        verified: true,
+        certified: true,
     };
     gem_telemetry::info!(
         "compiled: {} gates, {} parts, {} stages, {} layers, {} B bitstream",
@@ -807,6 +748,53 @@ fn compile_eaig_with(
         eaig_outputs: synth.outputs,
         schedule_cert,
     })
+}
+
+/// The gate every compile passes before it returns: the `verify` stage
+/// runs the static bitstream verifier (all seven families — the compile
+/// still has its placement programs), then the `certify` stage proves
+/// the schedule's happens-before order. The first failure is the
+/// compile's error and no artifact leaves.
+fn gate(
+    bitstream: &Bitstream,
+    device: &DeviceConfig,
+    io: &IoMap,
+    programs: &[Vec<CoreProgram>],
+    flow: &mut FlowRecorder,
+) -> Result<ScheduleCert, CompileError> {
+    let mut st = flow.stage("verify");
+    let vr = crate::verify::verify(bitstream, device, io, Some(programs));
+    st.metric("cores", vr.cores as f64);
+    st.metric("violations", vr.total_violations() as f64);
+    for c in &vr.checks {
+        st.metric(&format!("{}_violations", c.name), c.violations as f64);
+        st.metric(&format!("{}_wall_ns", c.name), c.wall_ns as f64);
+    }
+    if !vr.passed() {
+        return Err(CompileError::Verify(vr.summary()));
+    }
+    drop(st);
+
+    let mut st = flow.stage("certify");
+    let ctx = crate::verify::context(device, io, Some(programs));
+    match gem_isa::certify_schedule(bitstream, &ctx) {
+        Ok(cert) => {
+            st.metric("reads", f64::from(cert.reads));
+            st.metric("barrier_edges", f64::from(cert.barrier_edges));
+            st.metric("boundary_edges", f64::from(cert.boundary_edges));
+            Ok(cert)
+        }
+        Err(violations) => {
+            st.metric("violations", violations.len() as f64);
+            let first = violations
+                .first()
+                .map_or_else(String::new, |v| v.message.clone());
+            Err(CompileError::Analyze(format!(
+                "schedule certification failed with {} violation(s); first: {first}",
+                violations.len()
+            )))
+        }
+    }
 }
 
 /// The part and stage goals after failed attempt `attempt` (from 0): the
@@ -835,4 +823,41 @@ fn all_mappable(
         placed?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::verify::tests::counter;
+    use gem_isa::mutate::{corrupt, corrupt_from, MutationClass};
+
+    /// The gate over `c`'s own device, I/O and programs, with
+    /// `bitstream` in place of `c`'s.
+    fn gate_with(
+        c: &Compiled,
+        bitstream: &Bitstream,
+    ) -> (Result<ScheduleCert, CompileError>, FlowReport) {
+        let mut flow = FlowRecorder::new("gate");
+        let gated = gate(bitstream, &c.device, &c.io, &c.programs, &mut flow);
+        (gated, flow.finish())
+    }
+
+    #[test]
+    fn the_gate_refuses_corrupted_bitstreams() {
+        let c = compile(&counter(), &CompileOptions::small()).expect("compiles");
+        assert_eq!(gate_with(&c, &c.bitstream).0, Ok(c.schedule_cert));
+        // Seed 3 is one of `gem verify --fault`'s CI drills.
+        let (refused, flow) = gate_with(&c, &corrupt(&c.bitstream, 3));
+        assert!(
+            matches!(refused, Err(CompileError::Verify(_))),
+            "{refused:?}"
+        );
+        let verify = flow.stage("verify").expect("verify stage recorded");
+        assert!(verify.metric("violations").expect("counted") > 0.0);
+        assert!(flow.stage("certify").is_none(), "nothing left to certify");
+        // A message that arrives before its producer has run.
+        let race = corrupt_from(&c.bitstream, 1, &[MutationClass::MsgBeforeProducer]);
+        assert_ne!(race, c.bitstream, "the race class applies to this design");
+        assert!(gate_with(&c, &race).0.is_err());
+    }
 }

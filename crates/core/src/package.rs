@@ -30,8 +30,8 @@ pub struct Package {
     pub report: CompileReport,
     /// The assembled bitstream.
     pub bitstream: Bitstream,
-    /// Schedule happens-before certificate (absent in packages compiled
-    /// with verification off or written before certification existed).
+    /// Schedule happens-before certificate (absent only in packages
+    /// written before certification existed).
     pub schedule_cert: Option<ScheduleCert>,
 }
 
@@ -275,7 +275,7 @@ impl Package {
             io: c.io.clone(),
             report: c.report,
             bitstream: c.bitstream.clone(),
-            schedule_cert: c.schedule_cert,
+            schedule_cert: Some(c.schedule_cert),
         }
     }
 
@@ -393,10 +393,9 @@ mod tests {
     #[test]
     fn schedule_cert_rides_the_package() {
         let c = compiled();
-        let cert = c.schedule_cert.expect("verified compile carries a cert");
         let pkg = Package::from_compiled(&c);
         let back = Package::from_bytes(&pkg.to_bytes()).expect("parses");
-        assert_eq!(back.schedule_cert, Some(cert));
+        assert_eq!(back.schedule_cert, Some(c.schedule_cert));
         assert!(back.report.certified);
         // A cert-less package (pre-certification writer) still loads.
         let mut old = pkg.clone();

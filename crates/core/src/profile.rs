@@ -1,6 +1,6 @@
 //! Hotspot attribution: where does a design's simulation time go?
 //!
-//! [`profile`] runs a compiled design for N cycles and attributes the
+//! [`profile`] runs a loaded design for N cycles and attributes the
 //! modeled GPU timing (deterministic, from
 //! [`gem_vgpu::KernelCounters`]) two ways, next to the measured wall
 //! clock of the run:
@@ -13,14 +13,13 @@
 //!   hot logic depth.
 //!
 //! The report is the data argument for the ROADMAP's re-partitioning
-//! items: `gem profile <design.v>` prints
+//! items: `gem profile <design.v|design.gemb>` prints
 //! [`ProfileReport::render_table`], and the server's `profile` wire op
 //! returns [`ProfileReport::to_json`].
 
-use crate::compile::Compiled;
 use crate::simulator::GemSimulator;
 use gem_telemetry::Json;
-use gem_vgpu::{GpuSpec, MachineError, TimingModel};
+use gem_vgpu::{GpuSpec, TimingModel};
 use std::time::Instant;
 
 /// Knobs for a profiling run.
@@ -95,21 +94,12 @@ pub struct ProfileReport {
     pub layers: Vec<LayerProfile>,
 }
 
-/// Compiles nothing, simulates everything: runs `compiled` for
-/// `opts.cycles` cycles on a fresh simulator (inputs held at zero —
-/// GEM's full-cycle execution makes the cost stimulus-independent) and
-/// attributes the time.
-///
-/// # Errors
-///
-/// Returns [`MachineError`] if the bitstream fails to load (a compiler
-/// bug).
-pub fn profile(
-    compiled: &Compiled,
-    design: &str,
-    opts: &ProfileOptions,
-) -> Result<ProfileReport, MachineError> {
-    let mut sim = GemSimulator::new(compiled)?;
+/// Compiles nothing, simulates everything: steps `sim` for `opts.cycles`
+/// cycles and attributes the time from the machine's own counters. Pass
+/// a power-on simulator — its counter totals are divided by this run's
+/// cycles. Inputs stay as they are (zero at power-on): GEM's full-cycle
+/// execution makes the cost stimulus-independent.
+pub fn profile(mut sim: GemSimulator, design: &str, opts: &ProfileOptions) -> ProfileReport {
     let cycles = opts.cycles.max(1);
     let started = Instant::now();
     for _ in 0..cycles {
@@ -198,7 +188,7 @@ pub fn profile(
         })
         .collect();
 
-    Ok(ProfileReport {
+    ProfileReport {
         design: design.to_string(),
         cycles,
         gpu: opts.spec.name.to_string(),
@@ -211,7 +201,7 @@ pub fn profile(
         modeled_hz: model.hz_total(sim.counters()),
         partitions,
         layers,
-    })
+    }
 }
 
 impl ProfileReport {
@@ -302,7 +292,7 @@ mod tests {
     use crate::{compile, CompileOptions};
     use gem_netlist::ModuleBuilder;
 
-    fn compiled_acc() -> Compiled {
+    fn acc() -> GemSimulator {
         let mut b = ModuleBuilder::new("acc");
         let d = b.input("d", 16);
         let q = b.dff(16);
@@ -310,21 +300,20 @@ mod tests {
         b.connect_dff(q, nxt);
         b.output("q", q);
         let m = b.finish().expect("valid");
-        compile(&m, &CompileOptions::small()).expect("compiles")
+        let c = compile(&m, &CompileOptions::small()).expect("compiles");
+        GemSimulator::new(&c).expect("loads")
     }
 
     #[test]
     fn profile_attributes_partitions_and_layers() {
-        let c = compiled_acc();
         let rep = profile(
-            &c,
+            acc(),
             "acc",
             &ProfileOptions {
                 cycles: 16,
                 ..ProfileOptions::default()
             },
-        )
-        .expect("profiles");
+        );
         assert_eq!(rep.cycles, 16);
         assert!(!rep.partitions.is_empty());
         // Shares sum to ~1 and the list is sorted descending.

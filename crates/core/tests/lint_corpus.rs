@@ -161,7 +161,7 @@ fn example_corpus_is_warning_free_and_certified() {
         let compiled = compile_verilog(&read(&path), &CompileOptions::small())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(compiled.report.certified, "{name} must carry a cert");
-        let cert = compiled.schedule_cert.expect("cert stored");
+        let cert = compiled.schedule_cert;
         assert_eq!(cert.reads, cert.barrier_edges + cert.boundary_edges);
     }
 }

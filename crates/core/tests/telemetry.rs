@@ -45,20 +45,6 @@ fn compile_flow_stage_names_are_stable() {
         from_eaig.flow.stage_names(),
         vec!["partition", "merge", "place", "encode", "verify", "certify"]
     );
-    // Compiling with verification off drops the verify and certify stages.
-    let synth = synthesize(&m, &SynthOptions::default()).expect("synthesizes");
-    let unverified = compile_eaig(
-        synth,
-        &CompileOptions {
-            verify: false,
-            ..CompileOptions::small()
-        },
-    )
-    .expect("compiles");
-    assert_eq!(
-        unverified.flow.stage_names(),
-        vec!["partition", "merge", "place", "encode"]
-    );
     // The analyze stage records per-pass timings.
     let analyze = compiled.flow.stage("analyze").expect("analyze recorded");
     assert_eq!(analyze.metric("errors"), Some(0.0));

@@ -228,10 +228,10 @@ pub fn mutate(bs: &Bitstream, class: MutationClass, seed: u64) -> Option<Bitstre
     None
 }
 
-/// Fault-injection entry point for the compile flow's `verify_fault`
-/// knob: rotates through [`ALL_CLASSES`] from a seeded start and applies
-/// the first class the bitstream admits. Falls back to an unmodified
-/// clone only for degenerate (core-less) bitstreams.
+/// Fault-injection entry point for drills against a finished artifact
+/// (`gem verify --fault`): rotates through [`ALL_CLASSES`] from a seeded
+/// start and applies the first class the bitstream admits. Falls back to
+/// an unmodified clone only for degenerate (core-less) bitstreams.
 pub fn corrupt(bs: &Bitstream, seed: u64) -> Bitstream {
     corrupt_from(bs, seed, &ALL_CLASSES)
 }

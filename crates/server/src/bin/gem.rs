@@ -7,6 +7,7 @@
 //!             [--gpu a100|3090]
 //! gem stats   <design.v>            # Table-I style report
 //! gem lint    <design.v|design.gemb> [--json] [--deny warnings]
+//! gem profile <design.v|design.gemb> [--cycles N] [--json out.json]
 //! gem serve   [--addr host:port] [--workers N] [--queue N] [--cache N]
 //!             [--idle-ms N] [--port-file path]
 //! gem client  --addr host:port <action> [...]
@@ -75,7 +76,7 @@ USAGE:
               [--emit-metrics out.json]
   gem verify  <design.gemb|design.v> [--width N] [--parts N] [--stages N]
               [--fault SEED] [--emit-metrics out.json]
-  gem profile <design.v> [--cycles N]
+  gem profile <design.v|design.gemb> [--cycles N]
               [--gpu a100|3090] [--width N] [--parts N] [--stages N]
               [--json out.json] [--trace-out trace.json]
   gem trace-check <trace.json>
@@ -112,12 +113,14 @@ schedule-race mutation first — the command must then FAIL.
 
 `verify` runs the static bitstream checker (docs/VERIFY.md) over a
 package or a freshly compiled design, prints a per-check table, and
-exits nonzero on any violation. --fault SEED injects a seeded mutation
-first (the command must then FAIL — a gate self-test).
+exits nonzero on any violation. --fault SEED corrupts the finished
+bitstream with a seeded mutation first (the command must then FAIL — a
+gate self-test).
 
-`profile` compiles (or loads) a design, runs it for --cycles cycles,
-and prints hotspot attribution: modeled time by partition and by
-boomerang layer (docs/OBSERVABILITY.md §6).
+`profile` loads a package (or compiles a design), runs it for --cycles
+cycles, and prints hotspot attribution from the machine's own
+counters: modeled time by partition and by boomerang layer
+(docs/OBSERVABILITY.md §6).
 
 --trace-out records every span the invocation produces (compile
 stages, per-cycle execution, per-stage and per-core work) and writes a
@@ -221,6 +224,37 @@ fn compile_verilog(path: &str, args: &[String]) -> Result<gem_core::Compiled, St
     gem_core::compile_verilog(&src, &opts).map_err(|e| format!("{path}: compilation failed: {e}"))
 }
 
+fn read_package(path: &str) -> Result<Package, String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    Package::from_bytes(&bytes).map_err(|e| e.to_string())
+}
+
+/// What `run` and `profile` execute: a `.gemb` package as written, or
+/// the package of a fresh compile of Verilog source, loaded into a
+/// power-on simulator. The second value is the compile-side metrics
+/// document (the report alone for a package), built only when
+/// `--emit-metrics` asks for it.
+fn load(input: &str, args: &[String]) -> Result<(GemSimulator, Option<Json>), String> {
+    let wants_metrics = flag(args, "--emit-metrics").is_some();
+    let (pkg, doc) = if input.ends_with(".gemb") {
+        let pkg = read_package(input)?;
+        let doc = wants_metrics.then(|| {
+            let mut doc = Json::object();
+            doc.set("report", pkg.report.to_json());
+            doc
+        });
+        (pkg, doc)
+    } else {
+        let compiled = compile_verilog(input, args)?;
+        let doc = wants_metrics.then(|| compiled.metrics_json());
+        (Package::from_compiled(&compiled), doc)
+    };
+    let sim = pkg
+        .into_simulator()
+        .map_err(|e| format!("package rejected: {e}"))?;
+    Ok((sim, doc))
+}
+
 fn cmd_compile(args: &[String]) -> Result<(), String> {
     let input = positional(args)?;
     let compiled = compile_verilog(input, args)?;
@@ -281,8 +315,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     let metrics_doc: Json;
 
     if input.ends_with(".gemb") {
-        let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
-        let pkg = Package::from_bytes(&bytes).map_err(|e| e.to_string())?;
+        let pkg = read_package(input)?;
         let fault = flag_u64(args, "--fault", 0)?;
         let bitstream = if fault != 0 {
             // Drill specifically against the happens-before checker:
@@ -333,7 +366,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
             match compile(&module, &mapping_opts(args)?) {
                 Ok(c) => {
                     certified = c.report.certified;
-                    cert_line = c.schedule_cert.as_ref().map(|x| x.summary());
+                    cert_line = Some(c.schedule_cert.summary());
                 }
                 Err(e) => compile_error = Some(e.to_string()),
             }
@@ -420,10 +453,9 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     let input = positional(args)?;
     let fault = flag_u64(args, "--fault", 0)?;
     // Packages carry no placement metadata, so the merge check is
-    // skipped for `.gemb` inputs; fresh compiles run all six checks.
+    // skipped for `.gemb` inputs; fresh compiles run all seven checks.
     let report = if input.ends_with(".gemb") {
-        let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
-        let pkg = Package::from_bytes(&bytes).map_err(|e| e.to_string())?;
+        let pkg = read_package(input)?;
         let bitstream = if fault != 0 {
             // Packages carry no placement metadata, so restrict the
             // injection to classes detectable without the merge check.
@@ -437,18 +469,20 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         };
         gem_core::verify(&bitstream, &pkg.device, &pkg.io, None)
     } else {
-        let src =
-            std::fs::read_to_string(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
-        let module = verilog::parse(&src).map_err(|e| format!("{input}: {e}"))?;
-        // The in-flow gate is off: this command IS the verifier run, and
-        // it reports per-check detail instead of a compile error.
-        let opts = CompileOptions {
-            verify: false,
-            verify_fault: fault,
-            ..mapping_opts(args)?
-        };
-        let compiled = compile(&module, &opts).map_err(|e| format!("compilation failed: {e}"))?;
-        compiled.verify()
+        // The compile has passed the verifier already; a drill corrupts
+        // the finished artifact and verifies it again, with its programs
+        // but not its certificate — any mutation would make that stale,
+        // and the drill must be caught by a real check.
+        let mut compiled = compile_verilog(input, args)?;
+        if fault != 0 {
+            compiled.bitstream = gem_isa::mutate::corrupt(&compiled.bitstream, fault);
+        }
+        gem_core::verify(
+            &compiled.bitstream,
+            &compiled.device,
+            &compiled.io,
+            Some(&compiled.programs),
+        )
     };
 
     println!("design:  {input} ({} cores)", report.cores);
@@ -484,10 +518,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let input = positional(args)?;
-    if input.ends_with(".gemb") {
-        return Err("profile needs design source (.v): packages carry no placement metadata for partition attribution".into());
-    }
-    let compiled = compile_verilog(input, args)?;
+    let (sim, _) = load(input, args)?;
     let opts = ProfileOptions {
         cycles: flag_u64(args, "--cycles", 256)?,
         spec: match flag(args, "--gpu").as_deref() {
@@ -495,8 +526,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             _ => GpuSpec::a100(),
         },
     };
-    let report = gem_core::profile(&compiled, input, &opts)
-        .map_err(|e| format!("profile run failed: {e}"))?;
+    let report = gem_core::profile(sim, input, &opts);
     print!("{}", report.render_table());
     if let Some(path) = flag(args, "--json") {
         std::fs::write(&path, report.to_json().to_string_pretty())
@@ -527,23 +557,8 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let input = positional(args)?;
     let cycles = flag_u64(args, "--cycles", 16)?;
-    let (mut sim, io, compile_doc) = if input.ends_with(".gemb") {
-        let bytes = std::fs::read(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
-        let pkg = Package::from_bytes(&bytes).map_err(|e| e.to_string())?;
-        let io = pkg.io.clone();
-        let mut doc = Json::object();
-        doc.set("report", pkg.report.to_json());
-        let sim = pkg
-            .into_simulator()
-            .map_err(|e| format!("package rejected: {e}"))?;
-        (sim, io, doc)
-    } else {
-        let compiled = compile_verilog(input, args)?;
-        let io = compiled.io.clone();
-        let doc = compiled.metrics_json();
-        let sim = GemSimulator::new(&compiled).map_err(|e| format!("load failed: {e}"))?;
-        (sim, io, doc)
-    };
+    let (mut sim, compile_doc) = load(input, args)?;
+    let io = sim.io().clone();
     // Pokes: --poke name=hex (applied every cycle).
     let mut pokes: Vec<(String, Bits)> = Vec::new();
     for (i, a) in args.iter().enumerate() {
@@ -618,7 +633,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             let hz = TimingModel::new(GpuSpec::a100()).hz_total(sim.counters());
             println!("modeled speed on A100: {hz:.0} simulated cycles/second");
         }
-        return emit_metrics(args, Some(compile_doc), Some(&sim));
+        return emit_metrics(args, compile_doc, Some(&sim));
     }
     for c in 0..cycles {
         sim.step();
@@ -653,7 +668,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             spec.name, hz
         );
     }
-    emit_metrics(args, Some(compile_doc), Some(&sim))
+    emit_metrics(args, compile_doc, Some(&sim))
 }
 
 // ------------------------------------------------------------- serving --

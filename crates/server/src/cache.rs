@@ -3,10 +3,11 @@
 //! The GEM flow splits compile from execute: a compiled design (its
 //! bitstream and IO map) is immutable and reusable, so N sessions of the
 //! same source should pay for one compile — and for one *load*: an entry
-//! also holds the bitstream decoded, validated and lowered once into a
-//! power-on machine ([`CachedDesign`]), which every session of the design
-//! clones. Clones share the lowered program and copy only signal and RAM
-//! state. The cache keys on a content hash of
+//! holds the design's [`Package`] (what runs it, not what compiled it)
+//! and its bitstream decoded, validated and lowered once into a power-on
+//! machine ([`CachedDesign`]), which every session of the design clones.
+//! Clones share the lowered program and copy only signal and RAM state.
+//! The cache keys on a content hash of
 //! `(source, options)` — not on file names — so identical designs
 //! submitted by different clients share an entry and any textual or
 //! option change misses.
@@ -23,7 +24,7 @@
 
 use crate::lock;
 use crate::metrics::{inc, set, ServerMetrics};
-use gem_core::{compile_verilog, CompileError, CompileOptions, Compiled, GemSimulator};
+use gem_core::{compile_verilog, CompileError, CompileOptions, Compiled, GemSimulator, Package};
 use gem_vgpu::{GemGpu, MachineError};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -47,32 +48,33 @@ pub fn content_hash(source: &str, opts: &CompileOptions) -> u64 {
     h
 }
 
-/// A cache entry's payload: what the compiler produced, plus its
-/// bitstream loaded once into a machine nobody steps.
+/// A cache entry's payload: the design's package, plus its bitstream
+/// loaded once into a machine nobody steps.
 #[derive(Debug)]
 pub struct CachedDesign {
-    /// The compile artefacts (report, IO map, bitstream, certificate).
-    pub compiled: Compiled,
+    /// What runs the design (bitstream, device, IO map, report,
+    /// certificate); the compile's working set is not kept.
+    pub package: Package,
     /// Power-on machine; sessions are clones of it.
     machine: GemGpu,
 }
 
 impl CachedDesign {
-    /// Loads `compiled`'s bitstream: disassemble, validate, lower — the
+    /// Loads `package`'s bitstream: disassemble, validate, lower — the
     /// work every session of the design then shares.
     ///
     /// # Errors
     ///
-    /// [`MachineError`] when the machine rejects the bitstream (only
-    /// reachable with the verify gate off).
-    pub fn load(compiled: Compiled) -> Result<Self, MachineError> {
-        let machine = GemGpu::load(&compiled.bitstream, compiled.device.clone())?;
-        Ok(CachedDesign { compiled, machine })
+    /// [`MachineError`] when the machine rejects the bitstream (never for
+    /// a compile, which verifies what it returns).
+    pub fn load(package: Package) -> Result<Self, MachineError> {
+        let machine = GemGpu::load(&package.bitstream, package.device.clone())?;
+        Ok(CachedDesign { package, machine })
     }
 
     /// A fresh power-on simulator of this design.
     pub fn simulator(&self) -> GemSimulator {
-        GemSimulator::from_machine(self.machine.clone(), self.compiled.io.clone())
+        GemSimulator::from_machine(self.machine.clone(), self.package.io.clone())
     }
 }
 
@@ -92,7 +94,7 @@ struct CacheState {
 }
 
 /// What a cache compiles with: [`compile_verilog`], except in this
-/// crate's tests, which inject faults here now that no wire option can.
+/// crate's tests, which inject faults here — no option can.
 type CompileFn = fn(&str, &CompileOptions) -> Result<Compiled, CompileError>;
 
 /// The cache. One instance per server, shared by all connections.
@@ -223,7 +225,11 @@ impl CompileCache {
                 e.to_string()
             })
             .and_then(|compiled| {
-                CachedDesign::load(compiled)
+                // The entry keeps what runs the design; the compile's
+                // working set is freed before the load allocates beside it.
+                let package = Package::from_compiled(&compiled);
+                drop(compiled);
+                CachedDesign::load(package)
                     .map(Arc::new)
                     .map_err(|e| format!("compiled bitstream does not load: {e}"))
             });
@@ -281,10 +287,40 @@ endmodule
         CompileOptions::small()
     }
 
-    /// A `verify_fault` seed whose mutation (a read bound to a state
-    /// address beyond the core) the verifier would catch and, with the
-    /// gate off, `GemGpu::load` refuses.
-    const LOAD_FAULT: u64 = 4;
+    /// The fault drills no option can ask for: a marker comment in the
+    /// source selects one, and the drill corrupts the finished artifact
+    /// (`gem_isa::mutate::corrupt`); everything else compiles as shipped.
+    pub(crate) const VERIFY_DRILL: &str = "// drill: the verifier must refuse this bitstream";
+    pub(crate) const LOAD_DRILL: &str =
+        "// drill: unverified, the machine must refuse this bitstream";
+
+    /// A [`CompileFn`] that runs the drill `source` asks for.
+    pub(crate) fn drilled_compile(
+        source: &str,
+        opts: &CompileOptions,
+    ) -> Result<Compiled, CompileError> {
+        let mut compiled = compile_verilog(source, opts)?;
+        if source.contains(VERIFY_DRILL) {
+            // Verified without the certificate, which any mutation makes
+            // stale: a real check must catch the mutant.
+            let bitstream = gem_isa::mutate::corrupt(&compiled.bitstream, 5);
+            let report = gem_core::verify(
+                &bitstream,
+                &compiled.device,
+                &compiled.io,
+                Some(&compiled.programs),
+            );
+            assert!(!report.passed(), "the drill's mutant must not verify");
+            return Err(CompileError::Verify(report.summary()));
+        }
+        if source.contains(LOAD_DRILL) {
+            // A read bound beyond the core's state (at `opts()`'s
+            // geometry): what the verifier catches, and `GemGpu::load`
+            // refuses when it is handed over unverified.
+            compiled.bitstream = gem_isa::mutate::corrupt(&compiled.bitstream, 4);
+        }
+        Ok(compiled)
+    }
 
     #[test]
     fn hash_distinguishes_source_and_options() {
@@ -451,27 +487,23 @@ endmodule
         }
         assert_eq!(a.counters().cycles, 3);
         assert_eq!(b.counters().cycles, 0);
-        let fresh = GemSimulator::new(&design.compiled).expect("loads");
+        let fresh = design.package.clone().into_simulator().expect("loads");
         assert_eq!(b.snapshot(), fresh.snapshot());
         assert!(!b.shares_program_with(&fresh), "a private load is private");
     }
 
     #[test]
     fn bitstreams_that_fail_to_load_are_negative_cached() {
-        // With the verify gate off an injected fault reaches the machine,
-        // which refuses it; that refusal is the cache entry.
+        // An unverified fault reaches the machine, which refuses it; that
+        // refusal is the cache entry.
         let m = Arc::new(ServerMetrics::default());
-        let cache = CompileCache::new(4, Arc::clone(&m));
-        let faulty = CompileOptions {
-            verify: false,
-            verify_fault: LOAD_FAULT,
-            ..opts()
-        };
-        let (_, r1, cached1) = cache.get_or_compile(COUNTER, &faulty);
+        let cache = CompileCache::with_compiler(4, Arc::clone(&m), drilled_compile);
+        let faulty = format!("{COUNTER}{LOAD_DRILL}\n");
+        let (_, r1, cached1) = cache.get_or_compile(&faulty, &opts());
         let err = r1.expect_err("the machine must refuse the bitstream");
         assert!(!cached1);
         assert!(err.contains("does not load"), "{err}");
-        let (_, r2, cached2) = cache.get_or_compile(COUNTER, &faulty);
+        let (_, r2, cached2) = cache.get_or_compile(&faulty, &opts());
         assert_eq!(r2.expect_err("still refused"), err);
         assert!(cached2, "negative entry served from cache");
         assert_eq!(m.compiles_total.load(Ordering::Relaxed), 1);

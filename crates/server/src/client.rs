@@ -295,8 +295,9 @@ impl GemClient {
     }
 
     /// Profiles a design server-side: compiles (through the cache), runs
-    /// `cycles` cycles on a scratch simulator, and returns hotspot
-    /// attribution (`profile` JSON report plus a rendered `table`).
+    /// `cycles` cycles on a clone of the cached power-on machine, and
+    /// returns hotspot attribution (`profile` JSON report plus a rendered
+    /// `table`).
     pub fn profile(&mut self, source: &str, opts: Json, cycles: u64) -> Result<Json, ClientError> {
         self.request(
             "profile",

@@ -444,7 +444,7 @@ fn cmd_compile(state: &ServerState, id: u64, req: &Json) -> CmdResult {
         let mut r = protocol::ok_response(id);
         r.set("key", format!("{key:016x}"));
         r.set("cached", cached);
-        r.set("report", design.compiled.report.to_json());
+        r.set("report", design.package.report.to_json());
         Ok(r)
     })
 }
@@ -478,7 +478,7 @@ fn cmd_open(state: &ServerState, id: u64, req: &Json) -> CmdResult {
         r.set("lanes", lanes as u64);
         r.set("key", format!("{key:016x}"));
         r.set("cached", cached);
-        r.set("report", design.compiled.report.to_json());
+        r.set("report", design.package.report.to_json());
         Ok(r)
     })
 }
@@ -737,8 +737,8 @@ fn cmd_replay_batch(state: &ServerState, id: u64, req: &Json, entry: &SessionEnt
 }
 
 /// `profile`: compile (through the cache) and run a hotspot-attribution
-/// pass on a fresh simulator — sessions are untouched, so profiling a
-/// design never perturbs live waveforms.
+/// pass on a clone of the entry's power-on machine — no second load, and
+/// sessions are untouched, so profiling never perturbs live waveforms.
 fn cmd_profile(state: &ServerState, id: u64, req: &Json) -> CmdResult {
     let source = protocol::req_str(req, "source").map_err(bad)?;
     let opts = compile_opts(req)?;
@@ -751,8 +751,7 @@ fn cmd_profile(state: &ServerState, id: u64, req: &Json) -> CmdResult {
             cycles,
             ..ProfileOptions::default()
         };
-        let report = gem_core::profile(&design.compiled, design_name, &popts)
-            .map_err(|e| (codes::INTERNAL, e.to_string()))?;
+        let report = gem_core::profile(design.simulator(), design_name, &popts);
         let mut r = protocol::ok_response(id);
         r.set("key", format!("{key:016x}"));
         r.set("cached", cached);
@@ -786,8 +785,8 @@ fn cmd_lint(state: &ServerState, id: u64, req: &Json) -> CmdResult {
             r.set("cached", cached);
             match result {
                 Ok(design) => {
-                    certified = design.compiled.report.certified;
-                    if let Some(cert) = &design.compiled.schedule_cert {
+                    certified = design.package.report.certified;
+                    if let Some(cert) = &design.package.schedule_cert {
                         r.set("cert", cert.summary());
                     }
                 }
@@ -846,9 +845,8 @@ fn cmd_stats(state: &ServerState, id: u64) -> CmdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::tests::COUNTER;
+    use crate::cache::tests::{drilled_compile, COUNTER, LOAD_DRILL, VERIFY_DRILL};
     use crate::client::{ClientError, GemClient};
-    use gem_core::{CompileError, Compiled};
     use std::time::Instant;
 
     /// The `"panic"` command: compiled into this crate's unit tests and
@@ -868,24 +866,6 @@ mod tests {
             }
             other => Err(bad(format!("unknown panic site {other:?}"))),
         }
-    }
-
-    /// The fault drills the wire used to carry as `verify_fault` /
-    /// `verify`, now reachable only from here: a marker comment in the
-    /// source selects the fault, everything else compiles as shipped.
-    const VERIFY_DRILL: &str = "// drill: the verifier must refuse this bitstream";
-    const LOAD_DRILL: &str = "// drill: unverified, the machine must refuse this bitstream";
-
-    fn drilled_compile(source: &str, opts: &CompileOptions) -> Result<Compiled, CompileError> {
-        let mut opts = opts.clone();
-        if source.contains(VERIFY_DRILL) {
-            opts.verify_fault = 5;
-        } else if source.contains(LOAD_DRILL) {
-            // A read bound beyond the core's state: what the verifier
-            // would catch and, with it off, `GemGpu::load` refuses.
-            (opts.verify, opts.verify_fault) = (false, 4);
-        }
-        gem_core::compile_verilog(source, &opts)
     }
 
     /// The geometry `cache.rs`' load drill is known to bite at.
@@ -1015,6 +995,38 @@ mod tests {
         srv.stop();
     }
 
+    /// `profile` of a design an `open` has cached runs on a clone of the
+    /// entry's power-on machine: no compile, and the same attribution as
+    /// a private load of the entry's package.
+    #[test]
+    fn profile_reuses_the_cached_machine() {
+        let srv = Running::start();
+        let mut client = srv.connect();
+        let r = client.open(COUNTER, Json::object()).expect("opens");
+        let session = r.get("session").and_then(Json::as_u64).expect("session id");
+        let resp = client
+            .profile(COUNTER, Json::object(), 24)
+            .expect("profiles");
+        assert_eq!(resp.get("cached").and_then(Json::as_bool), Some(true));
+        assert_eq!(srv.state.metrics.compiles_total.load(Ordering::Relaxed), 1);
+        let design = Arc::clone(&srv.state.sessions.get(session).expect("live").design);
+        let sim = design.package.clone().into_simulator().expect("loads");
+        let opts = ProfileOptions {
+            cycles: 24,
+            ..ProfileOptions::default()
+        };
+        let private = gem_core::profile(sim, "design", &opts)
+            .to_json()
+            .to_string();
+        let private = gem_telemetry::parse_json(&private).expect("parses");
+        let served = resp.get("profile").expect("report");
+        for field in ["modeled_hz", "partitions", "layers"] {
+            assert_eq!(served.get(field), private.get(field), "{field}");
+        }
+        drop(client);
+        srv.stop();
+    }
+
     /// The verify gate end to end (was `server_e2e`'s
     /// `verify_gate_refuses_to_cache_failing_bitstream`, triggered over
     /// the wire): a compile whose bitstream fails static verification is
@@ -1071,7 +1083,7 @@ mod tests {
         srv.stop();
     }
 
-    /// `verify` and `verify_fault` are no longer wire options, and an
+    /// `verify` and `verify_fault` are options nowhere any more, and an
     /// unknown key in `opts` is ignored: a client that still sends them
     /// gets the verified compile everyone gets, under the same cache key.
     #[test]

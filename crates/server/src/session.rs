@@ -33,8 +33,8 @@ pub struct SessionEntry {
     pub id: u64,
     /// Compile-cache key of the design this session runs.
     pub key: u64,
-    /// The cache entry this session was cloned from (compile artefacts
-    /// and the power-on machine). The session holds it, so evicting the
+    /// The cache entry this session was cloned from (the design's
+    /// package and the power-on machine). The session holds it, so evicting the
     /// entry from the cache never takes the design from a live session.
     pub design: Arc<CachedDesign>,
     /// Stimulus lanes this session runs (1 for plain sessions, up to 64
@@ -181,7 +181,7 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gem_core::{compile, CompileOptions};
+    use gem_core::{compile, CompileOptions, Package};
     use gem_netlist::ModuleBuilder;
 
     fn tiny_design() -> Arc<CachedDesign> {
@@ -191,7 +191,7 @@ mod tests {
         b.output("y", n);
         let m = b.finish().expect("valid");
         let compiled = compile(&m, &CompileOptions::small()).expect("compiles");
-        Arc::new(CachedDesign::load(compiled).expect("loads"))
+        Arc::new(CachedDesign::load(Package::from_compiled(&compiled)).expect("loads"))
     }
 
     #[test]
