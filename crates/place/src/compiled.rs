@@ -9,24 +9,34 @@
 //! `bool → Word` splat per fold operand, and an `Option` test per fold
 //! slot, millions of times per simulated second.
 //!
-//! [`CompiledLayer::lower`] resolves all of it **once**:
+//! [`CompiledLayer::lower`] resolves all of it **once**, and keeps only
+//! what a writeback can see:
 //!
-//! * the permutation becomes a flat `u32` index array
-//!   ([`PERM_CONST`] marks constant-zero slots until
-//!   [`CompiledLayer::redirect_consts`] points them at a zero word, which
-//!   it must before the layer runs),
+//! * a fold slot is *live* if it writes back or a live slot above it
+//!   observes it — operand A always, operand B unless that slot's `ob`
+//!   bypasses it. Nothing else can reach the state, so each level stores
+//!   its live slots only (36 % of OpenPiton8's first-level slots and
+//!   54 % of the levels above are dead), and the levels above the last
+//!   writeback are not stored at all,
+//! * the permutation becomes a flat `u32` array of the live first-level
+//!   slots' leaf pairs ([`PERM_CONST`] marks constant-zero leaves —
+//!   including the B leaf of a bypassed slot, so no dead address is ever
+//!   loaded — until [`CompiledLayer::redirect_consts`] points them at a
+//!   zero word, which it must before the layer runs),
 //! * fold constants become three byte planes, one `0` / `−1` byte per
-//!   slot, widened to a lane mask by sign extension as they are loaded —
-//!   3 B of constants a slot, so a design's masks stay cache-resident
-//!   where one pre-splatted [`Word`] each (24 B a slot) streamed from
-//!   memory every cycle,
+//!   live slot, widened to a lane mask by sign extension as they are
+//!   loaded — 3 B of constants a slot, so a design's masks stay
+//!   cache-resident where one pre-splatted [`Word`] each (24 B a slot)
+//!   streamed from memory every cycle,
 //! * the writeback plan becomes a sparse `(slot, addr)` list — only
 //!   slots that actually write are visited,
-//! * the gather is fused into the first fold level (each leaf pair is
-//!   loaded and folded in one pass; the gathered row is never stored),
+//! * the gather is fused into the first fold level (each live leaf pair
+//!   is loaded and folded in one pass; the gathered row is never stored),
 //!   and the remaining levels run over two caller-provided ping-pong row
-//!   buffers (each level reads adjacent pairs from one, writes disjoint
-//!   slots of the other) — zero allocations per layer per cycle.
+//!   buffers — zero allocations per layer per cycle. Slot `j` of a level
+//!   sits at word `j` of its row and reads words `2j` and `2j + 1` of the
+//!   row below; a dead slot's word is never written, so it holds whatever
+//!   the buffer held, and only a bypassed B reads one, which `| ob` masks.
 //!
 //! The lowering is a pure data transformation: no semantic choice is
 //! made here, so equivalence with the scalar spec reduces to the
@@ -44,7 +54,7 @@ pub const PERM_CONST: u32 = u32::MAX;
 /// A fold constant as the byte the planes of [`FoldOp`] hold: `0` for
 /// `false`, `−1` for `true`.
 #[inline]
-pub(crate) fn mask_byte(v: bool) -> i8 {
+fn mask_byte(v: bool) -> i8 {
     -i8::from(v)
 }
 
@@ -57,9 +67,9 @@ fn fold(a: Word, b: Word, xa: i8, xb: i8, ob: i8) -> Word {
 }
 
 /// The first `slots` words of `buf`, grown if it is shorter. Grow-only:
-/// the caller overwrites every slot it later reads, so stale contents
-/// are harmless and the memset of a `clear` + `resize` would be pure
-/// waste.
+/// the caller overwrites every slot whose value it uses (a bypassed B
+/// reads a stale word, which `| ob` masks), so stale contents are
+/// harmless and the memset of a `clear` + `resize` would be pure waste.
 #[inline]
 fn grown(buf: &mut Vec<Word>, slots: usize) -> &mut [Word] {
     if buf.len() < slots {
@@ -68,12 +78,22 @@ fn grown(buf: &mut Vec<Word>, slots: usize) -> &mut [Word] {
     &mut buf[..slots]
 }
 
-/// One fold level, fully resolved: the constant planes and the sparse
-/// write-back list. A plane holds one byte per slot, `0` or `−1`
-/// (all-ones), which the executor sign-extends to a lane [`Word`].
+/// The `len` items of `items` in a slice allocated once, at their size.
+fn exact<T>(len: usize, items: impl Iterator<Item = T>) -> Box<[T]> {
+    let mut v = Vec::with_capacity(len);
+    v.extend(items);
+    v.into()
+}
+
+/// One fold level, fully resolved: its live slots, their constant
+/// planes and the sparse write-back list. A plane holds one byte per
+/// live slot, `0` or `−1` (all-ones), which the executor sign-extends to
+/// a lane [`Word`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FoldOp {
-    /// XOR mask on operand A, one byte per slot.
+    /// The live slots of the level, ascending.
+    pub slots: Box<[u32]>,
+    /// XOR mask on operand A, one byte per live slot.
     pub xa: Box<[i8]>,
     /// XOR mask on operand B.
     pub xb: Box<[i8]>,
@@ -85,12 +105,12 @@ pub struct FoldOp {
 }
 
 impl FoldOp {
-    /// `(xa, xb, ob)` of every slot, in slot order.
+    /// Each live slot with its `(xa, xb, ob)`, in slot order.
     #[inline]
-    fn consts(&self) -> impl Iterator<Item = (i8, i8, i8)> + '_ {
-        let slots = self.xa.len();
-        let planes = self.xa.iter().zip(&self.xb[..slots]).zip(&self.ob[..slots]);
-        planes.map(|((&xa, &xb), &ob)| (xa, xb, ob))
+    fn live(&self) -> impl Iterator<Item = (usize, (i8, i8, i8))> + '_ {
+        let planes = self.xa.iter().zip(&self.xb[..]).zip(&self.ob[..]);
+        let consts = planes.map(|((&xa, &xb), &ob)| (xa, xb, ob));
+        self.slots.iter().map(|&j| j as usize).zip(consts)
     }
 
     /// Stores the level's writing slots of `row` to their state words.
@@ -108,48 +128,84 @@ impl FoldOp {
 pub struct CompiledLayer {
     /// Row width (power of two).
     pub width: u32,
-    /// Gather indices into core state. [`PERM_CONST`] stands for a
+    /// Gather indices into core state: the leaf pair of each live
+    /// first-level slot, in slot order. [`PERM_CONST`] stands for a
     /// constant zero until [`redirect_consts`](Self::redirect_consts)
     /// replaces it with the address of a zero word.
     pub perm: Box<[u32]>,
-    /// Fold levels, widest first.
+    /// Fold levels, widest first, up to the last one holding a live
+    /// slot (none for a layer that writes nothing back).
     pub folds: Box<[FoldOp]>,
 }
 
 impl CompiledLayer {
-    /// Lowers a layer. Pure and total: lowering copies addresses, it
-    /// never follows one. Holding them inside the state the executor
-    /// is given is the caller's business (`GemGpu::load` refuses what
-    /// [`PackedLayer::lower`](crate::PackedLayer::lower) refuses).
+    /// Lowers a layer to its live slots. Pure and total: lowering copies
+    /// addresses, it never follows one. Holding them inside the state
+    /// the executor is given is the caller's business (`GemGpu::load`
+    /// refuses what [`PackedLayer::lower`](crate::PackedLayer::lower)
+    /// refuses). A hand-built layer whose tables are shorter than its
+    /// width says is lowered as if it were that much narrower.
     pub fn lower(layer: &BoomerangLayer) -> CompiledLayer {
-        let perm = layer
-            .perm
-            .iter()
-            .map(|s| match s {
-                PermSource::State(a) => u32::from(*a),
-                PermSource::ConstFalse => PERM_CONST,
+        // Slots per level: half the row below, and no more than the
+        // level's own tables hold, so every index below is in range.
+        let mut row = layer.perm.len().min(layer.width as usize);
+        let levels: Vec<usize> = (layer.folds.iter().zip(&layer.writeback))
+            .map(|(fc, wb)| {
+                row = (row / 2)
+                    .min(fc.xa.len().min(fc.xb.len()).min(fc.ob.len()))
+                    .min(wb.len());
+                row
             })
             .collect();
-        let plane = |bits: &[bool]| bits.iter().map(|&b| mask_byte(b)).collect();
-        let folds = layer
-            .folds
-            .iter()
-            .zip(&layer.writeback)
-            .map(|(fc, wb)| FoldOp {
+        // Top down: a slot is live if it writes back or a live slot
+        // above observes it.
+        let mut folds: Vec<FoldOp> = Vec::with_capacity(levels.len());
+        let mut live = Vec::new();
+        for (k, &slots) in levels.iter().enumerate().rev() {
+            let (fc, wb) = (&layer.folds[k], &layer.writeback[k][..slots]);
+            live.clear();
+            live.extend(wb.iter().map(Option::is_some));
+            if let Some(up) = folds.last() {
+                for (&j, &ob) in up.slots.iter().zip(&up.ob[..]) {
+                    live[2 * j as usize] = true;
+                    live[2 * j as usize + 1] |= ob == 0;
+                }
+            }
+            let count = live.iter().filter(|&&l| l).count();
+            let slots = exact(count, (0..slots as u32).filter(|&j| live[j as usize]));
+            let plane =
+                |bits: &[bool]| slots.iter().map(|&j| mask_byte(bits[j as usize])).collect();
+            folds.push(FoldOp {
                 xa: plane(&fc.xa),
                 xb: plane(&fc.xb),
                 ob: plane(&fc.ob),
-                writeback: wb
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, s)| s.map(|addr| (j as u32, u32::from(addr))))
-                    .collect(),
-            })
-            .collect();
+                writeback: exact(
+                    wb.iter().flatten().count(),
+                    (wb.iter().enumerate())
+                        .filter_map(|(j, s)| s.map(|addr| (j as u32, u32::from(addr)))),
+                ),
+                slots,
+            });
+        }
+        folds.reverse();
+        while folds.last().is_some_and(|f| f.slots.is_empty()) {
+            folds.pop();
+        }
+        let leaf = |i: usize| match layer.perm[i] {
+            PermSource::State(a) => u32::from(a),
+            PermSource::ConstFalse => PERM_CONST,
+        };
+        let perm = folds.first().map_or(Box::default(), |first| {
+            let pairs = (first.slots.iter().zip(&first.ob[..])).flat_map(|(&j, &ob)| {
+                let (a, b) = (2 * j as usize, 2 * j as usize + 1);
+                [leaf(a), if ob == 0 { leaf(b) } else { PERM_CONST }]
+            });
+            exact(2 * first.slots.len(), pairs)
+        });
         CompiledLayer {
             width: layer.width,
             perm,
-            folds,
+            folds: folds.into(),
         }
     }
 
@@ -171,28 +227,23 @@ impl CompiledLayer {
         }
     }
 
-    /// Number of fold levels.
-    pub fn fold_levels(&self) -> usize {
-        self.folds.len()
-    }
-
-    /// Shared-memory accesses one execution performs — must reconcile
-    /// with the cost model `gem-vgpu` charges per layer
-    /// (gather + fold reads = `2 × width`).
+    /// Shared-memory accesses the cost model charges one execution
+    /// (gather + fold reads = `2 × width`): the architectural layer's,
+    /// whatever liveness lets the host skip.
     pub fn shared_accesses(&self) -> u64 {
         2 * u64::from(self.width)
     }
 
-    /// Fold ALU operations one execution performs (`width − 1` slots in
+    /// Fold ALU operations the cost model charges (`width − 1` slots in
     /// the full pyramid).
     pub fn alu_ops(&self) -> u64 {
-        self.folds.iter().map(|f| f.xa.len() as u64).sum()
+        u64::from(self.width).saturating_sub(1)
     }
 
-    /// Block-level synchronizations one execution implies (one per fold
-    /// level plus the gather barrier).
+    /// Block-level synchronizations the cost model charges (one per
+    /// fold level plus the gather barrier).
     pub fn block_syncs(&self) -> u64 {
-        1 + self.folds.len() as u64
+        1 + u64::from(self.width.trailing_zeros())
     }
 
     /// Executes the lowered layer lane-wise against `state`, using
@@ -202,13 +253,12 @@ impl CompiledLayer {
     /// `k` of the result equals [`BoomerangLayer::execute`] run on lane
     /// `k` of the input, for the layer this was lowered from.
     ///
-    /// The first level folds each leaf pair as it is gathered, so the
-    /// `width`-word gathered row is never written and read back; its
+    /// The first level folds each live leaf pair as it is gathered, so
+    /// the `width`-word gathered row is never written and read back; its
     /// writebacks land after the whole pass, because the spec gathers
     /// every leaf before any fold output reaches the state. Each later
-    /// level reads adjacent pairs from `row` and writes disjoint slots
-    /// of `next`: a zip over `chunks_exact(2)` with no index-checked
-    /// access per slot.
+    /// level folds words `2j` and `2j + 1` of `row` into word `j` of
+    /// `next` for its live slots `j`.
     ///
     /// # Panics
     ///
@@ -224,19 +274,17 @@ impl CompiledLayer {
         let Some((first, rest)) = self.folds.split_first() else {
             return;
         };
-        let slots = first.xa.len();
+        let mut slots = self.width as usize / 2;
         let dst = grown(row, slots);
-        let pairs = self.perm[..2 * slots].chunks_exact(2);
-        for ((d, p), (xa, xb, ob)) in dst.iter_mut().zip(pairs).zip(first.consts()) {
-            *d = fold(state[p[0] as usize], state[p[1] as usize], xa, xb, ob);
+        for ((j, (xa, xb, ob)), p) in first.live().zip(self.perm.chunks_exact(2)) {
+            dst[j] = fold(state[p[0] as usize], state[p[1] as usize], xa, xb, ob);
         }
         first.write_back(dst, state);
         for f in rest {
-            let slots = f.xa.len();
+            slots /= 2;
             let dst = grown(next, slots);
-            let pairs = row[..2 * slots].chunks_exact(2);
-            for ((d, w), (xa, xb, ob)) in dst.iter_mut().zip(pairs).zip(f.consts()) {
-                *d = fold(w[0], w[1], xa, xb, ob);
+            for (j, (xa, xb, ob)) in f.live() {
+                dst[j] = fold(row[2 * j], row[2 * j + 1], xa, xb, ob);
             }
             f.write_back(dst, state);
             std::mem::swap(row, next);
@@ -397,6 +445,7 @@ mod tests {
     fn unredirected_constant_leaf_panics() {
         let mut layer = BoomerangLayer::new(2);
         layer.perm[0] = PermSource::State(0);
+        layer.writeback[0][0] = Some(1);
         let comp = CompiledLayer::lower(&layer);
         assert_eq!(comp.perm[1], PERM_CONST);
         comp.execute_words_into(&mut [0, 0], &mut Vec::new(), &mut Vec::new());
@@ -463,57 +512,137 @@ mod tests {
         let mut layer = BoomerangLayer::new(4);
         layer.perm = vec![
             PermSource::State(3),
-            PermSource::ConstFalse,
+            PermSource::State(2),
             PermSource::State(0),
-            PermSource::State(1),
+            PermSource::ConstFalse,
         ];
         layer.folds[0].xa[1] = true;
-        layer.folds[0].ob[0] = true;
+        layer.folds[0].ob[0] = true; // leaf 1 is bypassed ...
+        layer.folds[1].ob[0] = true; // ... and so is slot 1 below,
+        layer.writeback[1][0] = Some(3); // which nothing else observes.
+        let comp = CompiledLayer::lower(&layer);
+        assert_eq!(&*comp.perm, &[3, PERM_CONST]);
+        assert_eq!(&*comp.folds[0].slots, &[0]);
+        assert_eq!(&*comp.folds[0].ob, &[-1]);
+        assert!(comp.folds[0].writeback.is_empty());
+        assert_eq!(&*comp.folds[1].slots, &[0]);
+        assert_eq!(&*comp.folds[1].writeback, &[(0, 3)]);
+        // A writeback makes slot 1 live.
         layer.writeback[0][1] = Some(2);
-        layer.writeback[1][0] = Some(3);
         let mut comp = CompiledLayer::lower(&layer);
-        assert_eq!(&*comp.perm, &[3, PERM_CONST, 0, 1]);
+        assert_eq!(&*comp.perm, &[3, PERM_CONST, 0, PERM_CONST]);
+        assert_eq!(&*comp.folds[0].slots, &[0, 1]);
         assert_eq!(&*comp.folds[0].xa, &[0, -1]);
         assert_eq!(&*comp.folds[0].xb, &[0, 0]);
         assert_eq!(&*comp.folds[0].ob, &[-1, 0]);
         assert_eq!(&*comp.folds[0].writeback, &[(1, 2)]);
-        assert_eq!(&*comp.folds[1].writeback, &[(0, 3)]);
         comp.redirect_consts(4);
-        assert_eq!(&*comp.perm, &[3, 4, 0, 1]);
+        assert_eq!(&*comp.perm, &[3, 4, 0, 4]);
     }
 
-    /// The fold constants cost a byte a slot: each of the three planes of
-    /// level `k` of a `w`-wide layer is `w >> (k + 1)` bytes. One mask
-    /// word per slot is 8× that — 10 MiB of RSS and half the 64-lane
-    /// speed on OpenPiton8, which only a ladder run would otherwise show.
+    /// Slot `j` of level `k` is live by the definition, walked upward
+    /// from the slot: some slot on its path to the top writes back, and
+    /// every step of the path is an observed operand — A, or a B that
+    /// is not bypassed.
+    fn live_by_definition(layer: &BoomerangLayer, k: usize, j: usize) -> bool {
+        let mut slot = j;
+        for m in k..layer.folds.len() {
+            if layer.writeback[m][slot].is_some() {
+                return true;
+            }
+            let bypassed = layer.folds.get(m + 1).map(|up| up.ob[slot / 2]);
+            if bypassed.is_none_or(|ob| slot % 2 == 1 && ob) {
+                return false;
+            }
+            slot /= 2;
+        }
+        false
+    }
+
+    /// The lane-word form stores exactly the live slots, with their
+    /// constants, over random layers of every width: each level's slots
+    /// are those the upward definition calls live, the first level's
+    /// leaves are their pairs with a bypassed B redirected to the zero
+    /// slot, and a layer that writes nothing back stores nothing and
+    /// runs as a no-op, leaving stale row buffers as they were.
+    #[test]
+    fn lowering_stores_exactly_the_live_slots() {
+        for_each_spec_layer(&mut 0x11FE, |layer, x, what| {
+            let zero = layer.width;
+            let comp = lower_redirected(layer, zero as usize);
+            for (k, fc) in layer.folds.iter().enumerate() {
+                let want: Vec<u32> = (0..fc.xa.len() as u32)
+                    .filter(|&j| live_by_definition(layer, k, j as usize))
+                    .collect();
+                let got = comp.folds.get(k).map_or(&[][..], |f| &f.slots[..]);
+                assert_eq!(got, want, "{what}: live slots of level {k}");
+                let Some(f) = comp.folds.get(k) else { continue };
+                for (i, &j) in f.slots.iter().enumerate() {
+                    let j = j as usize;
+                    let consts = [fc.xa[j], fc.xb[j], fc.ob[j]].map(mask_byte);
+                    assert_eq!([f.xa[i], f.xb[i], f.ob[i]], consts, "{what}: {k}/{j}");
+                }
+            }
+            let leaf = |i: usize| match layer.perm[i] {
+                PermSource::State(a) => u32::from(a),
+                PermSource::ConstFalse => zero,
+            };
+            let first = comp.folds.first().map_or(&[][..], |f| &f.slots[..]);
+            assert_eq!(comp.perm.len(), 2 * first.len(), "{what}");
+            for (&j, p) in first.iter().zip(comp.perm.chunks_exact(2)) {
+                let j = j as usize;
+                let b = if layer.folds[0].ob[j] {
+                    zero
+                } else {
+                    leaf(2 * j + 1)
+                };
+                assert_eq!(p, [leaf(2 * j), b], "{what}: leaves of slot {j}");
+            }
+            if layer.writeback.iter().flatten().all(Option::is_none) {
+                assert!(comp.perm.is_empty() && comp.folds.is_empty(), "{what}");
+                let mut state = noisy_state(x, zero as usize);
+                let before = state.clone();
+                let (mut row, mut next) = (vec![1, 2, 3], vec![4]);
+                comp.execute_words_into(&mut state, &mut row, &mut next);
+                assert_eq!((state, row, next), (before, vec![1, 2, 3], vec![4]));
+            }
+        });
+    }
+
+    /// The fold constants cost a byte a live slot: each of the three
+    /// planes of a level is as long as its slot list, and of level `k` of
+    /// a `w`-wide layer whose every slot writes back `w >> (k + 1)`
+    /// bytes. One mask word per slot is 8× that — 10 MiB of RSS and half
+    /// the 64-lane speed on OpenPiton8, which only a ladder run would
+    /// otherwise show.
     #[test]
     fn fold_constants_are_one_byte_a_slot() {
         let mut x = 0xB17Eu64;
         for width in [2u32, 64, 2048, 8192] {
-            let comp = CompiledLayer::lower(&random_layer(&mut x, width, width, 3, 16));
-            assert_eq!(comp.folds.len(), width.trailing_zeros() as usize);
-            for (k, f) in comp.folds.iter().enumerate() {
-                let slots = (width >> (k + 1)) as usize;
-                for plane in [&f.xa, &f.xb, &f.ob] {
-                    assert_eq!(size_of_val(&**plane), slots, "width {width} level {k}");
+            for write_in in [1, 16] {
+                let comp = CompiledLayer::lower(&random_layer(&mut x, width, width, 3, write_in));
+                if write_in == 1 {
+                    assert_eq!(comp.folds.len(), width.trailing_zeros() as usize);
+                }
+                for (k, f) in comp.folds.iter().enumerate() {
+                    let dense = (width >> (k + 1)) as usize;
+                    let slots = if write_in == 1 { dense } else { f.slots.len() };
+                    for plane in [&f.xa, &f.xb, &f.ob] {
+                        assert_eq!(size_of_val(&**plane), slots, "width {width} level {k}");
+                    }
                 }
             }
         }
     }
 
     /// The lowered op counts are the cost model's layer charges — of the
-    /// packed form too, whatever its liveness analysis lets the host
-    /// skip (here: nothing, the levels above the one writeback left, and
-    /// the whole layer): that is not the GPU's saving.
+    /// packed form too, whatever either's liveness analysis lets the
+    /// host skip (here: nothing, the levels above the one writeback
+    /// left, and the whole layer): that is not the GPU's saving.
     #[test]
     fn op_counts_match_cost_model() {
         for width in [2u32, 8, 64, 256] {
             let mut layer = random_layer(&mut u64::from(width), width, 16, 2, 2);
-            let comp = CompiledLayer::lower(&layer);
-            assert_eq!(comp.shared_accesses(), 2 * u64::from(width));
-            assert_eq!(comp.alu_ops(), u64::from(width) - 1);
-            assert_eq!(comp.block_syncs(), 1 + u64::from(width.trailing_zeros()));
-            assert_eq!(comp.fold_levels(), width.trailing_zeros() as usize);
             for keep in [usize::MAX, 1, 0] {
                 let mut kept = 0;
                 for slot in layer.writeback.iter_mut().flatten() {
@@ -522,6 +651,10 @@ mod tests {
                         *slot = None;
                     }
                 }
+                let comp = CompiledLayer::lower(&layer);
+                assert_eq!(comp.shared_accesses(), 2 * u64::from(width));
+                assert_eq!(comp.alu_ops(), u64::from(width) - 1);
+                assert_eq!(comp.block_syncs(), 1 + u64::from(width.trailing_zeros()));
                 let packed = crate::PackedLayer::lower(&layer, 256).expect("lowers");
                 assert_eq!(packed.written().count(), kept.min(keep));
                 assert_eq!(packed.shared_accesses(), comp.shared_accesses());

@@ -36,7 +36,7 @@
 //! of every width, and across the fuzz corpus by `gem-sim`'s
 //! `compiled_lowering` suite.
 
-use crate::compiled::{mask_byte, CompiledLayer, FoldOp};
+use crate::compiled::CompiledLayer;
 use crate::layer::{BoomerangLayer, FoldConsts, PermSource, Word};
 
 /// Leaves gathered per row word.
@@ -114,6 +114,8 @@ struct PackedFold {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedLayer {
     width: u32,
+    /// The always-zero state slot the layer was lowered for.
+    zero: u16,
     /// Gather table in leaf order, constants redirected to the zero
     /// slot, padded with the zero slot to a whole number of row words.
     perm: Box<[u16]>,
@@ -215,6 +217,7 @@ impl PackedLayer {
         }
         Some(PackedLayer {
             width: layer.width,
+            zero,
             perm: perm.into(),
             folds: folds.into(),
             live_words: last_leaf.map_or(0, |leaf| leaf / WORD_LEAVES + 1),
@@ -225,41 +228,44 @@ impl PackedLayer {
     /// The lane-word form of the same layer: exactly
     /// [`CompiledLayer::lower`] followed by
     /// [`redirect_consts`](CompiledLayer::redirect_consts) to the zero
-    /// slot this layer was lowered with.
+    /// slot this layer was lowered with — which is how it is made, from
+    /// the layer this one stores whole. A constant leaf comes back as a
+    /// gather from the zero slot, which is what redirection makes of it.
     pub fn widen(&self) -> CompiledLayer {
-        let plane = |f: &PackedFold, slots: usize, which: usize| -> Box<[i8]> {
-            (0..slots)
-                .map(|j| {
-                    mask_byte((f.consts[j / WORD_SLOTS][which] >> (2 * (j % WORD_SLOTS))) & 1 == 1)
-                })
-                .collect()
-        };
-        let folds = self
-            .folds
-            .iter()
-            .enumerate()
+        let folds: Vec<FoldConsts> = (self.folds.iter().enumerate())
             .map(|(k, f)| {
-                let slots = (self.width >> (k + 1)) as usize;
-                FoldOp {
-                    xa: plane(f, slots, 0),
-                    xb: plane(f, slots, 1),
-                    ob: plane(f, slots, 2),
-                    writeback: f
-                        .writeback
-                        .iter()
-                        .map(|wb| (wb.slot(), u32::from(wb.addr)))
-                        .collect(),
+                let slots = self.width.checked_shr(k as u32 + 1).unwrap_or(0) as usize;
+                let plane = |which: usize| -> Vec<bool> {
+                    (0..slots)
+                        .map(|j| {
+                            (f.consts[j / WORD_SLOTS][which] >> (2 * (j % WORD_SLOTS))) & 1 == 1
+                        })
+                        .collect()
+                };
+                FoldConsts {
+                    xa: plane(0),
+                    xb: plane(1),
+                    ob: plane(2),
                 }
             })
             .collect();
-        CompiledLayer {
+        let writeback = (self.folds.iter().zip(&folds))
+            .map(|(f, fc)| {
+                let mut slots = vec![None; fc.xa.len()];
+                for wb in f.writeback.iter() {
+                    slots[wb.slot() as usize] = Some(wb.addr);
+                }
+                slots
+            })
+            .collect();
+        let mut wide = CompiledLayer::lower(&BoomerangLayer {
             width: self.width,
-            perm: self.perm[..self.width as usize]
-                .iter()
-                .map(|&p| u32::from(p))
-                .collect(),
+            perm: self.perm.iter().map(|&p| PermSource::State(p)).collect(),
             folds,
-        }
+            writeback,
+        });
+        wide.redirect_consts(u32::from(self.zero));
+        wide
     }
 
     /// Shared-memory accesses the cost model charges one execution:
@@ -496,7 +502,9 @@ mod tests {
                 let wide_bytes = size_of_val(&*wide.perm)
                     + wide.folds.iter().fold(0, |n, f| {
                         let planes = [&f.xa, &f.xb, &f.ob].map(|p| size_of_val(&**p));
-                        n + planes.iter().sum::<usize>() + size_of_val(&*f.writeback)
+                        n + planes.iter().sum::<usize>()
+                            + size_of_val(&*f.slots)
+                            + size_of_val(&*f.writeback)
                     });
                 assert!(
                     wide_bytes < 3 * packed_bytes,

@@ -3,15 +3,19 @@
 //!
 //! For every seed the suite builds a random module
 //! ([`gem_sim::random_module`]), compiles it, and runs the same random
-//! stimulus through the golden [`EaigSim`] and **three** `GemSimulator`s
-//! in lockstep — 1, 32 and 64 lanes — asserting, every cycle:
+//! stimulus through the golden [`EaigSim`] and **four** `GemSimulator`s
+//! in lockstep — 1, 4, 32 and 64 lanes — asserting, every cycle:
 //!
 //! * bit-exact outputs against the golden model (lane 0 of batch
 //!   sessions replays the golden stimulus),
-//! * bit-exact noise-lane outputs between the two batch sims (lanes
-//!   1..64 carry per-lane noise streams, identical across sims; lanes
-//!   32..64 run on the 64-lane sim only and are held against
-//!   independent scalar runs by `lane_equivalence`),
+//! * bit-exact noise-lane outputs between the batch sims (lanes 1..64
+//!   carry per-lane noise streams, identical across sims; lanes 32..64
+//!   run on the 64-lane sim only and are held against independent
+//!   scalar runs by `lane_equivalence`).
+//!
+//! The lane counts sit on both sides of the RAM phase's crossover: 4
+//! lanes move RAM data bit by bit, 32 and 64 by transpose (`gem-vgpu`'s
+//! `ram.rs`), and one lane runs the signal-packed kernel.
 //!
 //! and, at the end, the PR-1 counter-reconciliation invariants on the
 //! scalar sim's breakdown.
@@ -34,7 +38,10 @@ use gem_sim::{random_module, EaigSim, FuzzConfig, FuzzRng};
 /// replays the golden stimulus).
 const NOISE_SALT: u64 = 0xBADC_AB1E;
 
-/// Runs one seed through the golden model and the three lane widths.
+/// The lane counts every seed runs at, the single lane first.
+const LANES: [u32; 4] = [1, 4, 32, 64];
+
+/// Runs one seed through the golden model and every lane count.
 /// Returns the number of partitions the design was placed on, so
 /// callers can assert the corpus still contains multi-core placements
 /// (a 256-bit core swallows every fuzz design whole — 64 bits is the
@@ -72,7 +79,7 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> usize {
         "seed {seed}: compile skipped bitstream verification"
     );
     let mut gold = EaigSim::new(&compiled.eaig);
-    let mut sims = [1u32, 32, 64].map(|lanes| {
+    let mut sims = LANES.map(|lanes| {
         let mut sim = GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         sim.set_lanes(lanes)
             .unwrap_or_else(|e| panic!("seed {seed}: set_lanes({lanes}): {e}"));
@@ -107,8 +114,8 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> usize {
             }
         }
         // Noise lanes: one draw per (lane, input) per cycle, applied to
-        // every batch sim that runs the lane, so lanes 1..32 are
-        // comparable bit-for-bit between the 32- and 64-lane sims.
+        // every batch sim that runs the lane, so each lane is comparable
+        // bit-for-bit between every sim that runs it.
         for lane in 1..GemSimulator::MAX_LANES {
             for p in m.inputs() {
                 let v = noise[lane as usize - 1].bits(m.width(p.net));
@@ -145,18 +152,21 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> usize {
                 }
             }
         }
-        // Noise lanes must agree between the two batch sims: the
+        // Noise lanes must agree between the batch sims: the
         // determinism claim covers every stimulus stream, not just the
         // golden-checked lane 0.
-        let (b32, b64) = (&sims[1], &sims[2]);
+        let b64 = &sims[LANES.len() - 1];
         for pb in compiled.eaig_outputs.iter() {
-            for lane in 1..32 {
-                assert_eq!(
-                    b64.output_lane(&pb.name, lane),
-                    b32.output_lane(&pb.name, lane),
-                    "seed {seed} cycle {cycle}: 64- and 32-lane sims diverged on lane {lane} of {}",
-                    pb.name
-                );
+            for narrow in &sims[1..LANES.len() - 1] {
+                for lane in 1..narrow.lanes() {
+                    assert_eq!(
+                        b64.output_lane(&pb.name, lane),
+                        narrow.output_lane(&pb.name, lane),
+                        "seed {seed} cycle {cycle}: 64- and {}-lane sims diverged on lane {lane} of {}",
+                        narrow.lanes(),
+                        pb.name
+                    );
+                }
             }
         }
         gold.step();
@@ -186,7 +196,7 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> usize {
 }
 
 /// Tier-1 smoke subset: a couple dozen random designs, short stimuli,
-/// all three lane widths per seed. The corpus must contain at least one
+/// every lane count per seed. The corpus must contain at least one
 /// multi-core placement, or stage-boundary visibility goes untested.
 #[test]
 fn fuzz_smoke() {
@@ -208,8 +218,8 @@ fn ram_smoke() {
     }
 }
 
-/// Full sweep: ≥200 random designs × multi-cycle stimuli × all three
-/// lane widths. Run with `--ignored`.
+/// Full sweep: ≥200 random designs × multi-cycle stimuli × every lane
+/// count. Run with `--ignored`.
 #[test]
 #[ignore = "full sweep; run with --ignored"]
 fn fuzz_sweep() {

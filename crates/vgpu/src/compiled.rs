@@ -101,6 +101,30 @@ fn publish(writes: &[CompiledWrite], state: &[Word], out: &mut Vec<(u32, Word)>)
     out.extend(writes.iter().map(|w| (w.global, w.value(state))));
 }
 
+/// The state addresses one cycle of a core may read before it writes
+/// them: the program-order walk behind both forms' `clear` lists.
+/// `events` are `(address, reads)` in program order — the read table's
+/// stores, each layer's gathers then its writebacks, the publishes; the
+/// zero slot `zero` is read first. Compiler output reads nothing it has
+/// not written, so this is the zero slot and little else. An address
+/// beyond the zero slot (a core whose addresses were never checked)
+/// counts as a first read every time it is read.
+fn first_reads<A: Copy + Into<u32>>(
+    zero: A,
+    events: impl IntoIterator<Item = (A, bool)>,
+) -> Box<[A]> {
+    let mut defined = vec![false; zero.into() as usize + 1];
+    let mut clear = Vec::new();
+    for (a, reads) in std::iter::once((zero, true)).chain(events) {
+        let first =
+            (defined.get_mut(a.into() as usize)).is_none_or(|d| !std::mem::replace(d, true));
+        if first && reads {
+            clear.push(a);
+        }
+    }
+    clear.into()
+}
+
 /// A whole core program in lane-word threaded-code form; see the module
 /// docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,6 +139,10 @@ pub struct CompiledCore {
     pub immediate: Box<[CompiledWrite]>,
     /// Deferred writes (cycle-boundary commit), in program order.
     pub deferred: Box<[CompiledWrite]>,
+    /// State words a cycle may read before it writes them — the zero
+    /// slot first — cleared at the start of every execution, which then
+    /// never observes what the recycled scratch held.
+    clear: Box<[u32]>,
 }
 
 impl CompiledCore {
@@ -125,20 +153,18 @@ impl CompiledCore {
     /// cores are) panics there instead.
     pub fn lower(dec: &DecodedCore) -> CompiledCore {
         let (immediate, deferred) = lower_writes(dec);
-        CompiledCore {
-            width: dec.width,
-            reads: dec
-                .reads
+        CompiledCore::assemble(
+            dec.width,
+            dec.reads
                 .iter()
                 .map(|r| (r.global, u32::from(r.state)))
                 .collect(),
             // Constant-zero gather slots load from the extra state slot
-            // at index `width` (kept zero by the executor below; a
-            // checked core's writebacks stay below `width`). The layer
-            // gather is a plain indexed load — it has no compare against
-            // the sentinel — so this is what makes a layer executable.
-            layers: dec
-                .layers
+            // at index `width` (cleared by the executor below; a checked
+            // core's writebacks stay below `width`). The layer gather is
+            // a plain indexed load — it has no compare against the
+            // sentinel — so this is what makes a layer executable.
+            dec.layers
                 .iter()
                 .map(|l| {
                     let mut comp = CompiledLayer::lower(l);
@@ -148,6 +174,35 @@ impl CompiledCore {
                 .collect(),
             immediate,
             deferred,
+        )
+    }
+
+    /// A core from its lowered parts, with the `clear` list they imply.
+    fn assemble(
+        width: u32,
+        reads: Box<[(u32, u32)]>,
+        layers: Box<[CompiledLayer]>,
+        immediate: Box<[CompiledWrite]>,
+        deferred: Box<[CompiledWrite]>,
+    ) -> CompiledCore {
+        let stores = reads.iter().map(|&(_, s)| (s, false));
+        let layer_events = layers.iter().flat_map(|l| {
+            let gathers = l.perm.iter().map(|&a| (a, true));
+            let writebacks = l.folds.iter().flat_map(|f| f.writeback.iter());
+            gathers.chain(writebacks.map(|&(_, a)| (a, false)))
+        });
+        let publishes = immediate.iter().chain(deferred.iter());
+        let publishes = publishes
+            .filter(|w| w.addr != WRITE_CONST)
+            .map(|w| (w.addr, true));
+        let clear = first_reads(width, stores.chain(layer_events).chain(publishes));
+        CompiledCore {
+            width,
+            reads,
+            layers,
+            immediate,
+            deferred,
+            clear,
         }
     }
 
@@ -165,10 +220,17 @@ impl CompiledCore {
         let Scratch {
             state, row, next, ..
         } = scratch;
-        state.clear();
-        // One slot past the core width stays zero: the redirected
-        // constant gather slots (see `lower`) read it.
-        state.resize(self.width as usize + 1, 0);
+        // Grow-only, like the row buffers: what a cycle reads before it
+        // writes is cleared, the zero slot past the core width (which
+        // the redirected constant leaves read, see `lower`) first.
+        let words = self.width as usize + 1;
+        if state.len() < words {
+            state.resize(words, 0);
+        }
+        let state = &mut state[..words];
+        for &a in self.clear.iter() {
+            state[a as usize] = 0;
+        }
         for &(g, s) in self.reads.iter() {
             state[s as usize] = global[g as usize];
         }
@@ -213,11 +275,8 @@ pub struct PackedCore {
     layers: Box<[PackedLayer]>,
     immediate: Box<[PackedWrite]>,
     deferred: Box<[PackedWrite]>,
-    /// State addresses a cycle may read before it writes them — the
-    /// zero slot first — cleared at the start of every execution, which
-    /// then never observes what the recycled scratch held. Compiler
-    /// output reads nothing it has not written, so this is the zero
-    /// slot and little else.
+    /// As [`CompiledCore`]'s: the state bytes cleared at the start of
+    /// every execution.
     clear: Box<[u16]>,
 }
 
@@ -257,39 +316,31 @@ impl PackedCore {
                 .collect::<Option<Box<[PackedWrite]>>>()
         };
         let (immediate, deferred) = (list(false)?, list(true)?);
-        // Walk the cycle in program order, tracking which state bytes
-        // hold a value of this cycle; a read of any other joins `clear`.
-        let mut defined = vec![false; usize::from(zero) + 1];
-        let mut clear = Vec::new();
-        let mut touch = |a: u16, reads: bool| {
-            if !std::mem::replace(&mut defined[usize::from(a)], true) && reads {
-                clear.push(a);
-            }
-        };
-        touch(zero, true);
-        for &(_, s) in reads.iter() {
-            touch(s, false);
-        }
-        for layer in layers.iter() {
-            layer.gathered().iter().for_each(|&a| touch(a, true));
-            layer.written().for_each(|a| touch(a, false));
-        }
-        for w in immediate.iter().chain(deferred.iter()) {
-            touch(w.addr, true);
-        }
+        let stores = reads.iter().map(|&(_, s)| (s, false));
+        let layer_events = layers.iter().flat_map(|l| {
+            let gathers = l.gathered().iter().map(|&a| (a, true));
+            gathers.chain(l.written().map(|a| (a, false)))
+        });
+        let publishes = immediate
+            .iter()
+            .chain(deferred.iter())
+            .map(|w| (w.addr, true));
+        let clear = first_reads(zero, stores.chain(layer_events).chain(publishes));
         Some(PackedCore {
             zero,
             reads,
             layers,
             immediate,
             deferred,
-            clear: clear.into(),
+            clear,
         })
     }
 
     /// The lane-word form of the same core: exactly what
     /// [`CompiledCore::lower`] makes of the decoded program this was
-    /// lowered from.
+    /// lowered from. Its `clear` list is its own: the packed form gathers
+    /// a prefix of every layer's leaves, the lane-word form only the
+    /// live ones.
     pub fn widen(&self) -> CompiledCore {
         let writes = |list: &[PackedWrite]| {
             list.iter()
@@ -304,13 +355,13 @@ impl PackedCore {
                 })
                 .collect()
         };
-        CompiledCore {
-            width: u32::from(self.zero),
-            reads: self.reads.iter().map(|&(g, s)| (g, u32::from(s))).collect(),
-            layers: self.layers.iter().map(PackedLayer::widen).collect(),
-            immediate: writes(&self.immediate),
-            deferred: writes(&self.deferred),
-        }
+        CompiledCore::assemble(
+            u32::from(self.zero),
+            self.reads.iter().map(|&(g, s)| (g, u32::from(s))).collect(),
+            self.layers.iter().map(PackedLayer::widen).collect(),
+            writes(&self.immediate),
+            writes(&self.deferred),
+        )
     }
 
     /// Boomerang layers in the core program.
@@ -518,14 +569,12 @@ mod tests {
         }
     }
 
-    /// The packed form does not zero its state bytes; it clears what a
-    /// cycle may read before writing. A gather from, and a publish of,
-    /// state nothing in the core defines must still read zero after the
-    /// recycled scratch held a wider core's ones there and above this
-    /// core's width — and so must the zero slot behind a constant leaf
-    /// and a constant publish.
-    #[test]
-    fn packed_core_never_reads_stale_scratch() {
+    /// A wider core that fills the scratch state with ones, and a core
+    /// that gathers state 1 before defining it and publishes state 3,
+    /// which nothing defines, beside a constant leaf and a constant
+    /// publish. Run after the first, the second must publish
+    /// [`STALE_FREE_IMM`] and [`STALE_FREE_DEF`].
+    fn stale_scratch_cores() -> (DecodedCore, DecodedCore) {
         let mut dirty = sample_core();
         dirty.width = 8;
         dirty.layers = vec![];
@@ -533,10 +582,10 @@ mod tests {
         let mut core = sample_core();
         core.reads.truncate(1); // state 1 is now undefined: a & 0
         core.layers[0].folds[0].xb[0] = true; // ... a & !0 = a
-        core.layers[0].perm[2] = PermSource::State(3); // undefined too,
+        core.layers[0].perm[2] = PermSource::State(1); // once more,
         core.layers[0].perm[3] = PermSource::ConstFalse; // against const
         core.layers[0].folds[0].xa[1] = true;
-        core.layers[0].folds[0].xb[1] = true; // !s3 & !0 = 1
+        core.layers[0].folds[0].xb[1] = true; // !s1 & !0 = 1
         core.layers[0].writeback[0][1] = Some(1);
         core.writes.push(WriteEntry {
             global: 4,
@@ -554,23 +603,71 @@ mod tests {
             },
             deferred: false,
         });
+        (dirty, core)
+    }
+
+    /// What the second core of [`stale_scratch_cores`] publishes from
+    /// [`stale_global`] when it observes no stale state.
+    const STALE_FREE_IMM: [(u32, Word); 3] = [(7, 0), (4, Word::MAX), (3, 0)];
+    const STALE_FREE_DEF: [(u32, Word); 1] = [(8, Word::MAX)];
+
+    /// The globals both cores of [`stale_scratch_cores`] run on.
+    fn stale_global() -> Vec<Word> {
         let mut global: Vec<Word> = vec![0; 9];
         global[5] = Word::MAX;
         global[6] = Word::MAX;
+        global
+    }
+
+    /// The packed form does not zero its state bytes; it clears what a
+    /// cycle may read before writing. A gather from, and a publish of,
+    /// state nothing in the core defines must still read zero after the
+    /// recycled scratch held a wider core's ones there and above this
+    /// core's width — and so must the zero slot behind a constant leaf
+    /// and a constant publish.
+    #[test]
+    fn packed_core_never_reads_stale_scratch() {
+        let (dirty, core) = stale_scratch_cores();
+        let global = stale_global();
         let mut scratch = Scratch::default();
         let (mut imm, mut def) = (Vec::new(), Vec::new());
         let dirty = PackedCore::lower(&dirty).expect("lowers");
         let core = PackedCore::lower(&core).expect("lowers");
-        // Zero slot, then the two undefined reads in program order;
-        // state 1 is read again after its writeback, defined by then.
+        // Zero slot, then the two undefined reads in program order: the
+        // gather of state 1 and the publish of state 3; state 1 is
+        // published after its writeback, defined by then.
         assert_eq!(&*core.clear, &[4, 1, 3]);
         for _ in 0..2 {
             dirty.execute_into(&global, &mut scratch, &mut imm, &mut def);
             imm.clear();
             def.clear();
             core.execute_into(&global, &mut scratch, &mut imm, &mut def);
-            assert_eq!(imm, vec![(7, 0), (4, Word::MAX), (3, 0)]);
-            assert_eq!(def, vec![(8, Word::MAX)]);
+            assert_eq!(imm, STALE_FREE_IMM);
+            assert_eq!(def, STALE_FREE_DEF);
+        }
+    }
+
+    /// The lane-word twin: its state words are not zero-filled either,
+    /// and the same reads must see zero through the same recycled
+    /// scratch — lowered directly and widened alike.
+    #[test]
+    fn compiled_core_never_reads_stale_scratch() {
+        let (dirty, core) = stale_scratch_cores();
+        let global = stale_global();
+        let mut scratch = Scratch::default();
+        let (mut imm, mut def) = (Vec::new(), Vec::new());
+        let dirty = CompiledCore::lower(&dirty);
+        let widened = PackedCore::lower(&core).expect("lowers").widen();
+        let core = CompiledCore::lower(&core);
+        assert_eq!(widened, core);
+        assert_eq!(&*core.clear, &[4, 1, 3]);
+        for _ in 0..2 {
+            dirty.execute_words_into(&global, &mut scratch, &mut imm, &mut def);
+            imm.clear();
+            def.clear();
+            core.execute_words_into(&global, &mut scratch, &mut imm, &mut def);
+            assert_eq!(imm, STALE_FREE_IMM);
+            assert_eq!(def, STALE_FREE_DEF);
         }
     }
 

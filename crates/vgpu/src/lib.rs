@@ -24,6 +24,7 @@ pub mod compiled;
 pub mod counters;
 pub mod gl0am;
 pub mod machine;
+mod ram;
 pub mod spec;
 pub mod timing;
 

@@ -54,6 +54,7 @@
 
 use crate::compiled::{with_scratch, CompiledCore, PackedCore};
 use crate::counters::{CounterBreakdown, KernelCounters, LayerCounters, PartitionCounters};
+use crate::ram::{ram_phase, RAM_BYTES_PER_LANE, RAM_TRANSACTIONS_PER_LANE};
 use gem_isa::{disassemble_core, Bitstream, DecodeError, WriteSrc};
 use gem_place::{splat, Word};
 use gem_telemetry::span;
@@ -165,11 +166,13 @@ struct Program {
     /// The lane-word form of every core, indexed as `stages`: what runs
     /// with more than one lane active. Lowered when a sharer of the
     /// program first asks for a second lane, so a design that only ever
-    /// runs one simulation never holds it: 3.9 MB on OpenPiton8 (`u32`
-    /// gather tables 1.9, byte planes of fold constants 1.4, writeback
-    /// lists 0.65) beside the packed form's 1.8 MB — small since the
-    /// constants stopped being one mask word each (13.7 MB), but still
-    /// +13 % on the resident size of a one-lane session, for nothing.
+    /// runs one simulation never holds it: 3.6 MB of layer tables on
+    /// OpenPiton8 (`u32` leaf pairs of the live first-level slots 1.2,
+    /// live-slot lists 1.0, byte planes of their fold constants 0.77,
+    /// writeback lists 0.65) beside the packed form's 1.8 MB — 3.9 MB
+    /// while every slot was stored, 13.7 MB while the constants were one
+    /// mask word each — still +12 % on the resident size of a one-lane
+    /// session, for nothing.
     wide: OnceLock<Vec<Vec<CompiledCore>>>,
 }
 
@@ -285,7 +288,7 @@ impl GpuSnapshot {
 
 /// Mask of the active lanes: the low `lanes` bits set.
 #[inline]
-fn lane_mask(lanes: u32) -> Word {
+pub(crate) fn lane_mask(lanes: u32) -> Word {
     if lanes >= Word::BITS {
         Word::MAX
     } else {
@@ -300,68 +303,10 @@ const WORD_BYTES: u64 = std::mem::size_of::<Word>() as u64;
 /// Bits per 128-byte global-memory transaction.
 const LINE_BITS: u64 = 128 * 8;
 
-/// RAM-phase global traffic per RAM block per active lane: one word
-/// read plus a potential write, and the 59 port-bit gathers.
-const RAM_BYTES_PER_LANE: u64 = 8 + 59 / 8;
-/// RAM-phase transactions per RAM block per active lane.
-const RAM_TRANSACTIONS_PER_LANE: u64 = 2;
-
 fn line_transactions(mut indices: Vec<u64>) -> u64 {
     indices.sort_unstable();
     indices.dedup();
     indices.len() as u64
-}
-
-/// The RAM phase of a cycle (read-first): capture read data, then apply
-/// writes — per lane, since every lane addresses its own RAM image.
-/// Inactive lanes mirror lane 0 (same port bits, shared image), so only
-/// the active lanes are walked and lane 0's read data is broadcast into
-/// the inactive tail of each deferred word.
-///
-/// A function of its own so that the bindings are read through a
-/// parameter the compiler knows nothing else writes: borrowed in place
-/// inside `step_cycle`, every queued word forced their reload.
-fn ram_phase(
-    rams: &[RamBinding],
-    global: &[Word],
-    ram_mem: &mut [Vec<Box<[u32]>>],
-    lanes: u32,
-    deferred: &mut Vec<(u32, Word)>,
-) {
-    let amask = lane_mask(lanes);
-    let lanes = lanes as usize;
-    let addr_of = |bits: &[u32; 13], lane: usize| -> usize {
-        bits.iter()
-            .enumerate()
-            .filter(|(_, &i)| (global[i as usize] >> lane) & 1 == 1)
-            .map(|(k, _)| 1usize << k)
-            .sum()
-    };
-    for (b, images) in rams.iter().zip(ram_mem) {
-        let mut words = [0u32; GemGpu::MAX_LANES as usize];
-        for (l, w) in words.iter_mut().enumerate().take(lanes) {
-            *w = images[l][addr_of(&b.raddr, l)];
-        }
-        for (k, &g) in b.rdata.iter().enumerate() {
-            let mut v: Word = 0;
-            for (l, w) in words.iter().enumerate().take(lanes) {
-                v |= (Word::from((w >> k) & 1)) << l;
-            }
-            v |= splat(v & 1 == 1) & !amask;
-            deferred.push((g, v));
-        }
-        for (l, image) in images.iter_mut().enumerate().take(lanes) {
-            if (global[b.we as usize] >> l) & 1 == 1 {
-                let mut w = 0u32;
-                for (k, &g) in b.wdata.iter().enumerate() {
-                    if (global[g as usize] >> l) & 1 == 1 {
-                        w |= 1 << k;
-                    }
-                }
-                image[addr_of(&b.waddr, l)] = w;
-            }
-        }
-    }
 }
 
 impl GemGpu {
@@ -544,12 +489,11 @@ impl GemGpu {
     ///
     /// The first request for a second lane on a loaded program — by this
     /// machine or any clone of it — lowers the program's lane-word form
-    /// (~4 ms on OpenPiton8, 1.4 MB of byte planes where it was ~8 ms
-    /// for 11.2 MB of mask words, against ~18 ms for
-    /// [`load`](Self::load): there is nothing to decode); every later
-    /// one, on any sharer, finds it there. The rest of a first
-    /// `set_lanes(64)` there (~20 ms in all, was ~25) is the 63 copies
-    /// of every RAM image.
+    /// (~6 ms on OpenPiton8, most of it finding the live slots, against
+    /// ~18 ms for [`load`](Self::load): there is nothing to decode);
+    /// every later one, on any sharer, finds it there. The rest of a
+    /// first `set_lanes(64)` there (~21 ms in all) is the 63 copies of
+    /// every RAM image.
     ///
     /// # Errors
     ///
@@ -868,6 +812,7 @@ impl GemGpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ram::tests::ram_binding;
     use gem_isa::{assemble_core, ReadEntry, WriteEntry};
     use gem_place::{BoomerangLayer, CoreProgram, OutputSource, PermSource};
 
@@ -1064,48 +1009,6 @@ mod tests {
             GemGpu::load(&bs, cfg),
             Err(MachineError::BadBinding(_))
         ));
-    }
-
-    /// One RAM block's ports on the 123 consecutive globals from `base`.
-    fn ram_binding(base: u32) -> RamBinding {
-        let mut idx = base..;
-        let mut next = || idx.next().expect("unbounded");
-        RamBinding {
-            raddr: std::array::from_fn(|_| next()),
-            waddr: std::array::from_fn(|_| next()),
-            wdata: std::array::from_fn(|_| next()),
-            we: next(),
-            rdata: std::array::from_fn(|_| next()),
-        }
-    }
-
-    #[test]
-    fn ram_phase_read_first() {
-        // No cores: drive RAM ports directly through pokes.
-        let bs = Bitstream {
-            width: 16,
-            global_bits: 64 + 59,
-            stages: vec![],
-        };
-        let binding = ram_binding(0);
-        let cfg = DeviceConfig {
-            global_bits: 123,
-            rams: vec![binding.clone()],
-            initial_ones: vec![],
-        };
-        let mut gpu = GemGpu::load(&bs, cfg).expect("loads");
-        // Write 0b101 to address 0 while reading address 0.
-        gpu.poke(binding.we, true);
-        gpu.poke(binding.wdata[0], true);
-        gpu.poke(binding.wdata[2], true);
-        gpu.step_cycle();
-        assert!(!gpu.peek(binding.rdata[0]), "read-first returns old zero");
-        gpu.poke(binding.we, false);
-        gpu.step_cycle();
-        assert!(gpu.peek(binding.rdata[0]));
-        assert!(gpu.peek(binding.rdata[2]));
-        assert!(!gpu.peek(binding.rdata[1]));
-        assert_eq!(gpu.ram_word(0, 0), 0b101);
     }
 
     /// Two cores: core A computes g2 = g0 & g1 (immediate), core B computes
@@ -1422,7 +1325,7 @@ mod tests {
 
     /// `load` refuses a layer that gathers from or writes back to state
     /// beyond the core: the lowered forms index a `width + 1`-word
-    /// scratch state, and the packed one does not even zero it.
+    /// scratch state, and neither zeroes it.
     #[test]
     fn layer_addresses_beyond_the_core_are_refused_at_load() {
         let load = |edit: &dyn Fn(&mut BoomerangLayer)| {
@@ -1648,62 +1551,6 @@ mod lane_tests {
         gpu.set_lanes(2).expect("back to 2");
         // Lane 3 is inactive again: it must read as lane 0.
         assert!(gpu.peek_lane(0, 3));
-    }
-
-    #[test]
-    fn per_lane_ram_images_are_independent() {
-        // RAM-only machine (no cores), ports driven via pokes.
-        let bs = Bitstream {
-            width: 16,
-            global_bits: 64 + 59,
-            stages: vec![],
-        };
-        let mut idx = 0u32;
-        let mut next = || {
-            let i = idx;
-            idx += 1;
-            i
-        };
-        let binding = RamBinding {
-            raddr: std::array::from_fn(|_| next()),
-            waddr: std::array::from_fn(|_| next()),
-            wdata: std::array::from_fn(|_| next()),
-            we: next(),
-            rdata: std::array::from_fn(|_| next()),
-        };
-        let cfg = DeviceConfig {
-            global_bits: 123,
-            rams: vec![binding.clone()],
-            initial_ones: vec![],
-        };
-        let mut gpu = GemGpu::load(&bs, cfg).expect("loads");
-        gpu.set_lanes(2).expect("2 lanes");
-        // Lane 0 writes 1 to address 0; lane 1 writes 2 to address 1.
-        gpu.poke(binding.we, true);
-        gpu.poke_lane(binding.wdata[0], 0, true);
-        gpu.poke_lane(binding.wdata[0], 1, false);
-        gpu.poke_lane(binding.wdata[1], 1, true);
-        gpu.poke_lane(binding.waddr[0], 1, true); // lane 1 → address 1
-        gpu.step_cycle();
-        assert_eq!(gpu.ram_word_lane(0, 0, 0), 0b01);
-        assert_eq!(gpu.ram_word_lane(0, 0, 1), 0);
-        assert_eq!(gpu.ram_word_lane(0, 1, 0), 0);
-        assert_eq!(gpu.ram_word_lane(0, 1, 1), 0b10);
-        // Per-lane read-back: lane 0 reads address 0, lane 1 address 1.
-        gpu.poke(binding.we, false);
-        gpu.poke_lane(binding.raddr[0], 1, true);
-        gpu.step_cycle();
-        assert!(gpu.peek_lane(binding.rdata[0], 0));
-        assert!(!gpu.peek_lane(binding.rdata[1], 0));
-        assert!(!gpu.peek_lane(binding.rdata[0], 1));
-        assert!(gpu.peek_lane(binding.rdata[1], 1));
-        // set_ram_word broadcasts; ram_word reads lane 0.
-        gpu.set_ram_word(0, 5, 0xAB);
-        assert_eq!(gpu.ram_word(0, 5), 0xAB);
-        assert_eq!(gpu.ram_word_lane(0, 1, 5), 0xAB);
-        // Growing clones lane 0's image for the new lane.
-        gpu.set_lanes(3).expect("3 lanes");
-        assert_eq!(gpu.ram_word_lane(0, 2, 0), 0b01);
     }
 
     #[test]
