@@ -40,11 +40,15 @@ pub struct WriteEntry {
     pub deferred: bool,
 }
 
-/// A bit-granular little-endian writer.
+/// A bit-granular little-endian writer. `bytes` always holds exactly the
+/// bytes `bit` has reached, the last one partly written.
 #[derive(Debug, Default)]
 struct BitWriter {
     bytes: Vec<u8>,
     bit: usize,
+    /// One bit per step: the reference the byte-wise path is held to.
+    #[cfg(test)]
+    bitwise: bool,
 }
 
 impl BitWriter {
@@ -54,6 +58,7 @@ impl BitWriter {
         self.bit = bits;
     }
 
+    #[cfg(test)]
     fn push_bit(&mut self, v: bool) {
         let byte = self.bit / 8;
         if byte >= self.bytes.len() {
@@ -65,9 +70,45 @@ impl BitWriter {
         self.bit += 1;
     }
 
-    fn push_bits(&mut self, v: u64, n: usize) {
-        for i in 0..n {
-            self.push_bit((v >> i) & 1 == 1);
+    /// Appends the low `n` bits of `v` (`n <= 64`), least significant
+    /// first, up to a byte per step.
+    fn push_bits(&mut self, mut v: u64, mut n: usize) {
+        #[cfg(test)]
+        if self.bitwise {
+            for i in 0..n {
+                self.push_bit((v >> i) & 1 == 1);
+            }
+            return;
+        }
+        while n > 0 {
+            let off = self.bit % 8;
+            if off == 0 {
+                self.bytes.push(0);
+            }
+            let take = (8 - off).min(n);
+            let last = self.bytes.len() - 1;
+            self.bytes[last] |= (v as u8 & (u8::MAX >> (8 - take))) << off;
+            v >>= take;
+            n -= take;
+            self.bit += take;
+        }
+    }
+
+    /// Appends one fold-constant plane, 64 slots per step.
+    fn push_plane(&mut self, plane: &[bool]) {
+        #[cfg(test)]
+        if self.bitwise {
+            for &b in plane {
+                self.push_bit(b);
+            }
+            return;
+        }
+        for chunk in plane.chunks(64) {
+            let word = chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &b)| w | (u64::from(b) << i));
+            self.push_bits(word, chunk.len());
         }
     }
 }
@@ -82,12 +123,20 @@ impl BitWriter {
 /// Panics if the program's addresses exceed the field widths (state
 /// addresses are 13-bit at the paper's core width).
 pub fn assemble_core(prog: &CoreProgram, reads: &[ReadEntry], writes: &[WriteEntry]) -> Vec<u8> {
-    assemble(prog.width, prog.state_size, &prog.layers, reads, writes)
+    assemble(
+        BitWriter::default(),
+        prog.width,
+        prog.state_size,
+        &prog.layers,
+        reads,
+        writes,
+    )
 }
 
 /// [`assemble_core`] on the parts of a program the encoding carries,
 /// borrowed — so that re-encoding a decoded core copies no layer.
 fn assemble(
+    mut out: BitWriter,
     w: u32,
     state_size: u32,
     layers: &[BoomerangLayer],
@@ -95,7 +144,6 @@ fn assemble(
     writes: &[WriteEntry],
 ) -> Vec<u8> {
     let folds = w.trailing_zeros() as usize;
-    let mut out = BitWriter::default();
 
     // INIT word.
     let base = out.bit;
@@ -142,17 +190,10 @@ fn assemble(
         // FOLD word: xa/xb/ob per level, then the writeback word count in
         // the top 32 bits.
         let base = out.bit;
-        for (k, fc) in layer.folds.iter().enumerate() {
-            let _ = k;
-            for &b in &fc.xa {
-                out.push_bit(b);
-            }
-            for &b in &fc.xb {
-                out.push_bit(b);
-            }
-            for &b in &fc.ob {
-                out.push_bit(b);
-            }
+        for fc in &layer.folds {
+            out.push_plane(&fc.xa);
+            out.push_plane(&fc.xb);
+            out.push_plane(&fc.ob);
         }
         let wb: Vec<(u32, u32, u32)> = layer
             .writeback
@@ -213,6 +254,25 @@ fn assemble(
 /// the static verifier's round-trip check is built on this.
 pub fn assemble_decoded(dec: &crate::DecodedCore) -> Vec<u8> {
     assemble(
+        BitWriter::default(),
+        dec.width,
+        dec.state_size,
+        &dec.layers,
+        &dec.reads,
+        &dec.writes,
+    )
+}
+
+/// [`assemble_decoded`] through the bit-at-a-time writer: the reference
+/// the byte-wise writer is held to.
+#[cfg(test)]
+pub(crate) fn assemble_reference(dec: &crate::DecodedCore) -> Vec<u8> {
+    let out = BitWriter {
+        bitwise: true,
+        ..BitWriter::default()
+    };
+    assemble(
+        out,
         dec.width,
         dec.state_size,
         &dec.layers,
@@ -289,11 +349,15 @@ impl Bitstream {
         }
         let width = u32_at(&mut pos)?;
         let global_bits = u32_at(&mut pos)?;
+        // A count reserves no more than the bytes left could hold (each
+        // stage and each core is at least a 4-byte count), so a corrupt
+        // count is a `truncated` error, not a giant allocation.
+        let fits = |pos: usize, n: usize| n.min((bytes.len() - pos) / 4);
         let n_stages = u32_at(&mut pos)? as usize;
-        let mut stages = Vec::with_capacity(n_stages);
+        let mut stages = Vec::with_capacity(fits(pos, n_stages));
         for _ in 0..n_stages {
             let n_cores = u32_at(&mut pos)? as usize;
-            let mut cores = Vec::with_capacity(n_cores);
+            let mut cores = Vec::with_capacity(fits(pos, n_cores));
             for _ in 0..n_cores {
                 let len = u32_at(&mut pos)? as usize;
                 cores.push(take(&mut pos, len)?.to_vec());
@@ -305,5 +369,52 @@ impl Bitstream {
             global_bits,
             stages,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gem_sim::FuzzRng;
+
+    /// The byte-wise writer against its bit-at-a-time reference: random
+    /// `(value, width 1..=64)` fields and fold planes, from a random
+    /// starting bit offset, with a word padded now and then, leave the
+    /// same bytes and the same cursor after every step.
+    #[test]
+    fn push_bits_matches_the_bitwise_reference() {
+        let mut rng = FuzzRng::new(0xB175);
+        for case in 0..500 {
+            let mut slow = BitWriter {
+                bitwise: true,
+                ..BitWriter::default()
+            };
+            let offset = rng.below(64) as usize;
+            slow.push_bits(rng.next_u64(), offset);
+            let mut fast = BitWriter {
+                bytes: slow.bytes.clone(),
+                bit: slow.bit,
+                bitwise: false,
+            };
+            for step in 0..1 + rng.below(24) {
+                if rng.chance(1, 8) {
+                    let plane: Vec<bool> =
+                        (0..1 + rng.below(200)).map(|_| rng.chance(1, 2)).collect();
+                    fast.push_plane(&plane);
+                    slow.push_plane(&plane);
+                } else if rng.chance(1, 8) {
+                    let to = (slow.bit.div_ceil(8) + rng.below(3) as usize) * 8;
+                    fast.pad_to(to);
+                    slow.pad_to(to);
+                } else {
+                    // Bits above the width must be ignored.
+                    let (v, n) = (rng.next_u64(), 1 + rng.below(64) as usize);
+                    fast.push_bits(v, n);
+                    slow.push_bits(v, n);
+                }
+                assert_eq!(fast.bit, slow.bit, "case {case} step {step}");
+                assert_eq!(fast.bytes, slow.bytes, "case {case} step {step}");
+            }
+        }
     }
 }

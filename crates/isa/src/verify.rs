@@ -297,24 +297,51 @@ fn check_roundtrip(
 
 // -------------------------------------------------------------- layers --
 
+/// One flag per state address, dense over the core width and grown only
+/// by an address beyond it (which `bounds` reports). `mark(a, s)` sets
+/// `a` to `s`; `is(a, s)` asks whether it holds `s` — so a layer stamp
+/// clears every mark of the layer before it at once.
+struct AddrMarks(Vec<u32>);
+
+impl AddrMarks {
+    fn is(&self, a: u16, stamp: u32) -> bool {
+        self.0.get(usize::from(a)) == Some(&stamp)
+    }
+
+    fn mark(&mut self, a: u16, stamp: u32) {
+        let a = usize::from(a);
+        if a >= self.0.len() {
+            self.0.resize(a + 1, 0);
+        }
+        self.0[a] = stamp;
+    }
+}
+
 fn check_layers(decoded: &[Vec<Option<DecodedCore>>], v: &mut Vec<Violation>) {
+    const DEFINED: u32 = 1;
     for (si, ci, dec) in cores(decoded) {
         let loc = Some((si, ci));
         let folds = dec.width.trailing_zeros() as usize;
+        let marks = || AddrMarks(vec![0; dec.width as usize]);
         // A state bit is *defined* once a READ_GLOBAL loads it or a
         // preceding layer writes it back. The placer recycles addresses
         // across layers, so the defined set only ever grows — an address
         // freed and re-allocated is written again before any later read.
-        let mut defined: HashSet<u16> = dec.reads.iter().map(|r| r.state).collect();
+        let mut defined = marks();
+        for r in &dec.reads {
+            defined.mark(r.state, DEFINED);
+        }
+        // `gathered` and `written` hold layer `li`'s marks as `li + 1`.
+        let (mut gathered, mut written) = (marks(), marks());
         for (li, layer) in dec.layers.iter().enumerate() {
             if layer.width != dec.width || layer.fold_levels() != folds {
                 viol(v, loc, format!("layer {li}: width/fold shape mismatch"));
                 continue;
             }
-            let mut gathered: HashSet<u16> = HashSet::new();
+            let stamp = li as u32 + 1;
             for (row, p) in layer.perm.iter().enumerate() {
-                if let PermSource::State(a) = p {
-                    if !defined.contains(a) {
+                if let PermSource::State(a) = *p {
+                    if !defined.is(a, DEFINED) {
                         viol(
                             v,
                             loc,
@@ -324,20 +351,22 @@ fn check_layers(decoded: &[Vec<Option<DecodedCore>>], v: &mut Vec<Violation>) {
                             ),
                         );
                     }
-                    gathered.insert(*a);
+                    gathered.mark(a, stamp);
                 }
             }
-            let mut written: HashSet<u16> = HashSet::new();
             for (k, slots) in layer.writeback.iter().enumerate() {
-                for addr in slots.iter().flatten() {
-                    if !written.insert(*addr) {
+                for &addr in slots.iter().flatten() {
+                    if written.is(addr, stamp) {
                         viol(
                             v,
                             loc,
                             format!("layer {li}: state {addr} written back twice in one layer"),
                         );
                     }
-                    if gathered.contains(addr) {
+                    written.mark(addr, stamp);
+                    // Nothing in this layer reads `defined` any more.
+                    defined.mark(addr, DEFINED);
+                    if gathered.is(addr, stamp) {
                         viol(
                             v,
                             loc,
@@ -350,7 +379,6 @@ fn check_layers(decoded: &[Vec<Option<DecodedCore>>], v: &mut Vec<Violation>) {
                     }
                 }
             }
-            defined.extend(written);
         }
     }
 }
@@ -540,7 +568,7 @@ fn check_bounds(
             ),
         );
     }
-    let slot_ck = |v: &mut Vec<Violation>, what: &str, slot: u32| {
+    let slot_ck = |v: &mut Vec<Violation>, what: &dyn fmt::Display, slot: u32| {
         if slot >= gb {
             viol(
                 v,
@@ -569,17 +597,17 @@ fn check_bounds(
             );
         }
         for slot in ram.operand_slots().chain(ram.rdata.iter().copied()) {
-            slot_ck(v, &format!("RAM {ri}"), slot);
+            slot_ck(v, &format_args!("RAM {ri}"), slot);
         }
     }
     for &s in &ctx.initial_ones {
-        slot_ck(v, "initial-one", s);
+        slot_ck(v, &"initial-one", s);
     }
     for &s in &ctx.input_slots {
-        slot_ck(v, "input", s);
+        slot_ck(v, &"input", s);
     }
     for &s in &ctx.output_slots {
-        slot_ck(v, "output", s);
+        slot_ck(v, &"output", s);
     }
 
     for (si, ci, dec) in cores(decoded) {
@@ -600,7 +628,9 @@ fn check_bounds(
             );
             continue;
         }
-        let addr_ck = |v: &mut Vec<Violation>, what: &str, addr: u32| {
+        // `what` is formatted only for a violation: the layers hold
+        // hundreds of thousands of in-range addresses.
+        let addr_ck = |v: &mut Vec<Violation>, what: &dyn fmt::Display, addr: u32| {
             if addr >= ss {
                 viol(
                     v,
@@ -610,7 +640,7 @@ fn check_bounds(
             }
         };
         for r in &dec.reads {
-            addr_ck(v, "read destination", u32::from(r.state));
+            addr_ck(v, &"read destination", u32::from(r.state));
             if r.global >= gb {
                 viol(
                     v,
@@ -621,7 +651,7 @@ fn check_bounds(
         }
         for w in &dec.writes {
             if let WriteSrc::State { addr, .. } = w.src {
-                addr_ck(v, "write source", u32::from(addr));
+                addr_ck(v, &"write source", u32::from(addr));
             }
             if w.global >= gb {
                 viol(
@@ -634,12 +664,12 @@ fn check_bounds(
         for (li, layer) in dec.layers.iter().enumerate() {
             for p in &layer.perm {
                 if let PermSource::State(a) = p {
-                    addr_ck(v, &format!("layer {li} gather"), u32::from(*a));
+                    addr_ck(v, &format_args!("layer {li} gather"), u32::from(*a));
                 }
             }
             for slots in &layer.writeback {
                 for addr in slots.iter().flatten() {
-                    addr_ck(v, &format!("layer {li} writeback"), u32::from(*addr));
+                    addr_ck(v, &format_args!("layer {li} writeback"), u32::from(*addr));
                 }
             }
         }

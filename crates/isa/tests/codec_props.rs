@@ -37,9 +37,10 @@ impl Rng {
 /// encoder's asserted ranges (perm/write state addresses < 2^13,
 /// power-of-two width, full fold/writeback shapes), while exercising
 /// the whole format — empty and dense read/write lists, zero to several
-/// layers, all three write sources.
+/// layers, all three write sources. The two wide shapes have fold planes
+/// that span several 64-slot words and writebacks over several words.
 fn random_core(rng: &mut Rng) -> DecodedCore {
-    let width = [4u32, 8, 16, 32][rng.below(4) as usize];
+    let width = [4u32, 8, 16, 32, 256, 2048][rng.below(6) as usize];
     let state_size = 1 + rng.below(500) as u32;
     let reads = (0..rng.below(u64::from(width) + 1))
         .map(|_| ReadEntry {

@@ -25,9 +25,8 @@ pub const CORE_WIDTH: usize = 8192;
 /// A cheap filter ahead of the authoritative test, which is placement
 /// itself (`gem_place::place_partition`): a partition over the width by
 /// this estimate is not worth placing, but most merge candidates under it
-/// still fail to place (156 of 172 on the ladder's Gemmini, 69 of 88 on
-/// OpenPiton8), because the boomerang layers hold values longer than a
-/// level-by-level sweep does.
+/// still fail to place (DESIGN.md §4 has the ladder's counts), because the
+/// boomerang layers hold values longer than a level-by-level sweep does.
 pub fn estimate_width(g: &Eaig, p: &Partition) -> usize {
     const OUTSIDE: u32 = u32::MAX;
     let node_levels = g.node_levels();

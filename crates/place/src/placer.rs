@@ -10,18 +10,21 @@
 //! consumers in later layers are written back to core state.
 //!
 //! Timing criticality is the node's reverse logic depth in the remaining
-//! AIG, recomputed as mapping progresses; prioritizing critical nodes
-//! minimizes the number of layers (the ablation knob
-//! [`PlaceOptions::timing_driven`] switches to FIFO order instead).
+//! AIG; prioritizing critical nodes minimizes the number of layers (the
+//! ablation knob [`PlaceOptions::timing_driven`] switches to FIFO order
+//! instead). The remaining AIG's depths are the whole partition's, so
+//! they are computed once, and each layer walks only the gates not yet
+//! placed.
 //!
 //! A candidate is offered the first 64 (`MAX_SLOT_ATTEMPTS`) open slots of
 //! its level and left for a later layer when none takes it. Almost every
 //! such offer fails, and a failed offer is rolled back, so the placer
 //! answers the ones that *cannot* succeed without making them: the number
-//! of slots a placement occupies is known before it starts (`slot_costs`),
-//! a subtree cannot hold more slots than it has left, and the open slots
-//! of a level change only when a placement succeeds. Every such shortcut refuses only what the recursion would
-//! have refused (DESIGN.md §4); the mapping is the same slot for slot.
+//! of slots a placement occupies is known before it starts (`cost`), a
+//! subtree cannot hold more slots than it has left, and the open slots of
+//! a level change only when a placement succeeds. Every such shortcut
+//! refuses only what the recursion would have refused (DESIGN.md §4); the
+//! mapping is the same slot for slot.
 
 use crate::layer::{BoomerangLayer, CoreProgram, OutputSource, PermSource};
 use gem_aig::{Eaig, Node, NodeId};
@@ -180,12 +183,25 @@ struct Placer<'a> {
     next_addr: u32,
     peak: u32,
     stats: PlaceStats,
-    // The layer being filled. `rem_level` and `cost` are fixed while it
-    // fills (they depend on `realized`/`addr`, which change at commit).
+    // The tables a layer reads, fixed while it fills. A realized local
+    // keeps `rem_level` 0 and `cost` 1 or `u32::MAX`, set when its
+    // address is set or freed; the unrealized gates' are recomputed at
+    // each commit ([`Placer::refresh`]).
     /// Remaining forward logic level per local (0 = available).
     rem_level: Vec<u32>,
-    /// See [`Placer::slot_costs`].
+    /// See [`Placer::refresh`].
     cost: Vec<u32>,
+    /// Consumers of each local not yet realized, counted with
+    /// multiplicity (a gate reading one value twice counts twice).
+    live_consumers: Vec<u32>,
+    /// The unrealized gates, ascending.
+    pending: Vec<u32>,
+    /// The unrealized gates, most critical first and ascending within a
+    /// criticality (empty unless timing-driven).
+    order: Vec<u32>,
+    /// Gates given a `placed_at` in this layer, pushed when it is set:
+    /// may repeat, and may since have been rolled back.
+    newly: Vec<u32>,
     /// Occupancy per level: level 0 has `width` slots, level k has
     /// `width >> k`.
     occ: Vec<Vec<Option<SlotOp>>>,
@@ -203,7 +219,10 @@ struct Placer<'a> {
 /// Test-only soundness audit of the room check: every rejection it makes
 /// is replayed through the recursion with the check switched off and must
 /// fail there too; every window must list the slots a plain scan would
-/// try. Not reachable from [`PlaceOptions`].
+/// try. Every layer's incremental tables — `rem_level`, `cost`,
+/// criticality, the candidate lists and the frees — must equal a
+/// from-scratch recomputation over every local. Not reachable from
+/// [`PlaceOptions`].
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy)]
 struct Audit {
@@ -215,6 +234,8 @@ struct Audit {
     passed_over: u64,
     candidates_skipped: u64,
     windows: u64,
+    /// Layers whose tables were recomputed from scratch.
+    layers: u64,
 }
 
 impl<'a> Placer<'a> {
@@ -278,6 +299,7 @@ impl<'a> Placer<'a> {
         for &li in sink_locals.iter().flatten() {
             is_sink[li as usize] = true;
         }
+        let live_consumers = consumers_from.windows(2).map(|w| w[1] - w[0]).collect();
         let folds = opts.core_width.trailing_zeros() as usize;
         let width = opts.core_width as usize;
         Placer {
@@ -298,8 +320,12 @@ impl<'a> Placer<'a> {
             next_addr: 0,
             peak: 0,
             stats: PlaceStats::default(),
-            rem_level: Vec::new(),
-            cost: Vec::new(),
+            rem_level: vec![0; n],
+            cost: vec![u32::MAX; n],
+            live_consumers,
+            pending: (n_sources as u32..n as u32).collect(),
+            order: Vec::new(),
+            newly: Vec::new(),
             occ: (0..=folds).map(|k| vec![None; width >> k]).collect(),
             used: (0..=folds).map(|k| vec![0u32; width >> k]).collect(),
             placed_at: vec![None; n],
@@ -340,24 +366,32 @@ impl<'a> Placer<'a> {
             }
             let a = self.alloc()?;
             self.addr[li] = Some(a);
+            self.cost[li] = 1;
             inputs.push((node, a));
         }
+        if self.opts.timing_driven {
+            let crit = self.criticalities();
+            self.order = self.pending.clone();
+            self.order
+                .sort_by_key(|&li| std::cmp::Reverse(crit[li as usize]));
+        }
+        self.refresh();
         // Partition logic depth (for stats): remaining level at start.
-        let init_levels = self.remaining_levels();
-        self.stats.depth = init_levels.iter().copied().max().unwrap_or(0);
+        self.stats.depth = self
+            .pending
+            .iter()
+            .map(|&li| self.rem_level[li as usize])
+            .max()
+            .unwrap_or(0);
 
         let mut layers: Vec<BoomerangLayer> = Vec::new();
-        let mut remaining: usize = (self.n_sources..self.locals.len())
-            .filter(|&li| !self.realized[li])
-            .count();
-        while remaining > 0 {
+        while !self.pending.is_empty() {
             let placed = self.place_one_layer(&mut layers)?;
             if placed == 0 {
                 return Err(PlaceError::Unmappable(
                     "layer made no progress (width exhausted)".into(),
                 ));
             }
-            remaining -= placed;
         }
         self.stats.layers = layers.len() as u32;
         self.stats.state_peak = self.peak;
@@ -388,35 +422,25 @@ impl<'a> Placer<'a> {
         })
     }
 
-    /// Remaining forward logic level per local (0 = available).
-    fn remaining_levels(&self) -> Vec<u32> {
-        let mut lvl = vec![0u32; self.locals.len()];
-        for li in self.n_sources..self.locals.len() {
-            if self.realized[li] {
-                continue;
-            }
-            let [a, b] = self.fanins[li];
-            lvl[li] = lvl[a.0 as usize].max(lvl[b.0 as usize]) + 1;
-        }
-        lvl
-    }
-
-    /// Reverse depth (timing criticality) per local over the remaining AIG.
+    /// Reverse logic depth (timing criticality) per gate. Computed once
+    /// per placement: a gate is realized only with both fan-ins realized
+    /// or computed beside it, so every consumer of an unrealized gate is
+    /// unrealized, and the depth over the remaining graph is the depth
+    /// over the whole partition (DESIGN.md §4).
     fn criticalities(&self) -> Vec<u32> {
         let mut crit = vec![0u32; self.locals.len()];
         for li in (self.n_sources..self.locals.len()).rev() {
-            if self.realized[li] {
-                continue;
-            }
             for &c in self.consumers(li) {
-                if !self.realized[c as usize] {
-                    crit[li] = crit[li].max(crit[c as usize] + 1);
-                }
+                crit[li] = crit[li].max(crit[c as usize] + 1);
             }
         }
         crit
     }
 
+    /// Recomputes `rem_level` and `cost` of the unrealized gates, in
+    /// local (topological) order, so each reads its fan-ins' fresh
+    /// values.
+    ///
     /// `cost[v]`: the number of slots a successful [`Self::try_place`] of
     /// `v` at its own remaining level occupies, whatever slot it lands
     /// in — the recursion's shape does not depend on occupancy. An
@@ -425,25 +449,18 @@ impl<'a> Placer<'a> {
     /// bypass slot per level carried); a realized value without an
     /// address (a constant, or a value nothing reads any more) cannot be
     /// placed at all. Saturating: a saturated cost exceeds every subtree.
-    fn slot_costs(&self) -> Vec<u32> {
-        let mut cost = vec![0u32; self.locals.len()];
-        for li in 0..self.locals.len() {
-            cost[li] = if self.realized[li] {
-                if self.addr[li].is_some() {
-                    1
-                } else {
-                    u32::MAX
-                }
-            } else {
-                let below = self.rem_level[li] - 1;
-                let carried = |(f, _): (u32, bool)| {
-                    cost[f as usize].saturating_add(below - self.rem_level[f as usize])
-                };
-                let [a, b] = self.fanins[li];
-                carried(a).saturating_add(carried(b)).saturating_add(1)
+    fn refresh(&mut self) {
+        for &li in &self.pending {
+            let li = li as usize;
+            let [a, b] = self.fanins[li];
+            let level = self.rem_level[a.0 as usize].max(self.rem_level[b.0 as usize]) + 1;
+            let carried = |(f, _): (u32, bool)| {
+                self.cost[f as usize].saturating_add(level - 1 - self.rem_level[f as usize])
             };
+            let cost = carried(a).saturating_add(carried(b)).saturating_add(1);
+            self.rem_level[li] = level;
+            self.cost[li] = cost;
         }
-        cost
     }
 
     /// The room check: a successful placement of `v` at (`level`, `slot`)
@@ -511,6 +528,91 @@ impl<'a> Placer<'a> {
             plain.iter().map(|&(_, room)| room).max().unwrap_or(0)
         );
         self.audit.windows += 1;
+    }
+
+    /// Asserts the layer's tables and candidate lists equal their
+    /// from-scratch recomputation over every local: remaining levels,
+    /// then slot costs in local order, then reverse depth over the
+    /// unrealized gates only, then candidates by a stable sort of each
+    /// level's ascending locals.
+    #[cfg(test)]
+    fn audit_tables(&mut self, cands: &[Vec<u32>]) {
+        if !self.audit.on {
+            return;
+        }
+        let n = self.locals.len();
+        let mut rem_level = vec![0u32; n];
+        for li in self.n_sources..n {
+            if !self.realized[li] {
+                let [a, b] = self.fanins[li];
+                rem_level[li] = rem_level[a.0 as usize].max(rem_level[b.0 as usize]) + 1;
+            }
+        }
+        assert_eq!(self.rem_level, rem_level, "remaining levels drifted");
+        let mut cost = vec![0u32; n];
+        for li in 0..n {
+            cost[li] = match (self.realized[li], self.addr[li]) {
+                (true, Some(_)) => 1,
+                (true, None) => u32::MAX,
+                (false, _) => {
+                    let below = rem_level[li] - 1;
+                    let carried = |(f, _): (u32, bool)| {
+                        cost[f as usize].saturating_add(below - rem_level[f as usize])
+                    };
+                    let [a, b] = self.fanins[li];
+                    carried(a).saturating_add(carried(b)).saturating_add(1)
+                }
+            };
+        }
+        assert_eq!(self.cost, cost, "slot costs drifted");
+        let mut crit = vec![0u32; n];
+        for li in (self.n_sources..n).rev() {
+            if !self.realized[li] {
+                for &c in self.consumers(li) {
+                    if !self.realized[c as usize] {
+                        crit[li] = crit[li].max(crit[c as usize] + 1);
+                    }
+                }
+            }
+        }
+        let whole = self.criticalities();
+        for &li in &self.pending {
+            assert_eq!(crit[li as usize], whole[li as usize], "criticality of {li}");
+        }
+        let mut plain: Vec<Vec<u32>> = vec![Vec::new(); self.folds + 1];
+        for (li, &level) in rem_level.iter().enumerate().skip(self.n_sources) {
+            if !self.realized[li] && level as usize <= self.folds {
+                plain[level as usize].push(li as u32);
+            }
+        }
+        if self.opts.timing_driven {
+            for level in &mut plain {
+                level.sort_by_key(|&li| std::cmp::Reverse(crit[li as usize]));
+            }
+        }
+        assert_eq!(cands, plain, "candidate lists drifted");
+        self.audit.layers += 1;
+    }
+
+    /// Asserts `dead` lists, ascending, every addressed value that is no
+    /// sink and has no unrealized consumer: a scan over every local.
+    #[cfg(test)]
+    fn audit_frees(&self, dead: &[u32]) {
+        if !self.audit.on {
+            return;
+        }
+        let plain: Vec<u32> = (0..self.locals.len())
+            .filter(|&li| {
+                self.addr[li].is_some()
+                    && !self.is_sink[li]
+                    && self
+                        .consumers(li)
+                        .iter()
+                        .all(|&c| self.realized[c as usize])
+            })
+            .map(|li| li as u32)
+            .collect();
+        assert_eq!(dead, plain, "frees drifted");
     }
 
     /// Tops the window up from its cursor and recomputes `max_room`.
@@ -581,27 +683,27 @@ impl<'a> Placer<'a> {
 
     /// Fills one layer; returns the number of distinct gates realized.
     fn place_one_layer(&mut self, layers: &mut Vec<BoomerangLayer>) -> Result<usize, PlaceError> {
-        self.rem_level = self.remaining_levels();
-        self.cost = self.slot_costs();
         for (occ, used) in self.occ.iter_mut().zip(&mut self.used) {
             occ.fill(None);
             used.fill(0);
         }
-        // Candidates by remaining level, ascending local index within a
-        // level; most critical first when timing-driven (a stable sort).
+        // Candidates by remaining level: most critical first, ascending
+        // local index within a criticality, when timing-driven; ascending
+        // local index otherwise.
         let mut cands: Vec<Vec<u32>> = vec![Vec::new(); self.folds + 1];
-        for li in self.n_sources..self.locals.len() {
-            let level = self.rem_level[li] as usize;
-            if !self.realized[li] && level <= self.folds {
-                cands[level].push(li as u32);
+        let queue = if self.opts.timing_driven {
+            &self.order
+        } else {
+            &self.pending
+        };
+        for &li in queue {
+            let level = self.rem_level[li as usize] as usize;
+            if level <= self.folds {
+                cands[level].push(li);
             }
         }
-        if self.opts.timing_driven {
-            let crit = self.criticalities();
-            for level in &mut cands {
-                level.sort_by_key(|&li| std::cmp::Reverse(crit[li as usize]));
-            }
-        }
+        #[cfg(test)]
+        self.audit_tables(&cands);
         for (level, cands) in cands.iter().enumerate().skip(1) {
             self.place_level(level, cands);
         }
@@ -634,46 +736,68 @@ impl<'a> Placer<'a> {
         // Writebacks for newly realized gates that are sinks or still have
         // unrealized consumers after this layer commits. In ascending
         // local order so state addresses are assigned deterministically.
-        let newly: Vec<u32> = (self.n_sources..self.locals.len())
-            .filter(|&li| self.placed_at[li].is_some())
-            .map(|li| li as u32)
-            .collect();
+        let mut newly = std::mem::take(&mut self.newly);
+        newly.sort_unstable();
+        newly.dedup();
+        newly.retain(|&v| self.placed_at[v as usize].is_some());
         self.stats.compute_slots += computes;
         self.stats.duplicated_gates += computes - newly.len() as u64;
         for &v in &newly {
             self.realized[v as usize] = true;
+            self.rem_level[v as usize] = 0;
+            for (f, _) in self.fanins[v as usize] {
+                self.live_consumers[f as usize] -= 1;
+            }
         }
         for &v in &newly {
-            let (k, j) = self.placed_at[v as usize]
+            let v = v as usize;
+            let (k, j) = self.placed_at[v]
                 .take()
                 .expect("newly realized gates were placed");
-            let needs = self.is_sink[v as usize]
-                || self
-                    .consumers(v as usize)
-                    .iter()
-                    .any(|&c| !self.realized[c as usize]);
-            if needs {
+            self.cost[v] = u32::MAX;
+            if self.is_sink[v] || self.live_consumers[v] > 0 {
                 let a = self.alloc()?;
-                self.addr[v as usize] = Some(a);
+                self.addr[v] = Some(a);
+                self.cost[v] = 1;
                 layer.writeback[k - 1][j] = Some(narrow(a));
             }
         }
-        // Free addresses whose value can never be read again.
-        for li in 0..self.locals.len() {
-            if let Some(a) = self.addr[li] {
-                let dead = !self.is_sink[li]
-                    && self
-                        .consumers(li)
-                        .iter()
-                        .all(|&c| self.realized[c as usize]);
-                if dead {
-                    self.addr[li] = None;
-                    self.free_list.push(a);
-                }
-            }
+        // Free addresses whose value can never be read again: a value
+        // dies when its last consumer is realized, so only the fan-ins of
+        // the gates just realized can have died — and, at the first
+        // commit, sources nothing reads. Ascending, because the free list
+        // hands addresses out from its end.
+        let mut dead: Vec<u32> = newly
+            .iter()
+            .flat_map(|&v| self.fanins[v as usize].map(|(f, _)| f))
+            .collect();
+        if layers.is_empty() {
+            dead.extend(0..self.n_sources as u32);
+        }
+        dead.retain(|&li| {
+            let li = li as usize;
+            self.addr[li].is_some() && !self.is_sink[li] && self.live_consumers[li] == 0
+        });
+        dead.sort_unstable();
+        dead.dedup();
+        #[cfg(test)]
+        self.audit_frees(&dead);
+        for li in dead {
+            let li = li as usize;
+            let a = self.addr[li].take().expect("only addressed values die");
+            self.cost[li] = u32::MAX;
+            self.free_list.push(a);
         }
         layers.push(layer);
-        Ok(newly.len())
+
+        let realized = &self.realized;
+        self.pending.retain(|&v| !realized[v as usize]);
+        self.order.retain(|&v| !realized[v as usize]);
+        self.refresh();
+        let placed = newly.len();
+        newly.clear();
+        self.newly = newly;
+        Ok(placed)
     }
 
     fn occupy(&mut self, level: usize, slot: usize, op: SlotOp) {
@@ -761,7 +885,10 @@ impl<'a> Placer<'a> {
             xb: ib,
         };
         self.occupy(level, slot, op);
-        self.placed_at[vi].get_or_insert((level, slot));
+        if self.placed_at[vi].is_none() {
+            self.placed_at[vi] = Some((level, slot));
+            self.newly.push(v);
+        }
         true
     }
 }
@@ -852,8 +979,12 @@ mod tests {
     fn every_rejection_of_the_room_check_fails_unpruned() {
         let mut total = Audit::default();
         for (seed, gates) in [(3u64, 300usize), (4, 900), (5, 2500)] {
-            let g = random_circuit(16, gates, seed);
-            let p = single_partition(&g);
+            let mut g = random_circuit(16, gates, seed);
+            // A source nothing in the partition reads: the first commit
+            // frees its address.
+            let spare = g.input("spare");
+            let mut p = single_partition(&g);
+            p.sources.push(spare.node());
             // 64: every level holds fewer slots than the attempt limit;
             // 2048: the lower levels hold many more.
             for core_width in [64, 256, 2048] {
@@ -867,6 +998,7 @@ mod tests {
                     total.passed_over += audit.passed_over;
                     total.candidates_skipped += audit.candidates_skipped;
                     total.windows += audit.windows;
+                    total.layers += audit.layers;
                 }
             }
         }
@@ -875,6 +1007,7 @@ mod tests {
         assert!(total.passed_over > 100, "{total:?}");
         assert!(total.candidates_skipped > 100, "{total:?}");
         assert!(total.windows > 100, "{total:?}");
+        assert!(total.layers > 50, "{total:?}");
     }
 
     #[test]
