@@ -9,7 +9,7 @@
 //! still mappable. The paper guarantees ≥ 50 % effective bit utilization
 //! this way.
 
-use crate::repcut::{extract_cone, Region};
+use crate::repcut::{extract_cone, sorted_union, Region};
 use crate::{Partition, Stage};
 use gem_aig::{Eaig, Node};
 use std::collections::HashSet;
@@ -86,6 +86,22 @@ pub fn width_mappable(g: &Eaig, p: &Partition, width: usize) -> bool {
     estimate_width(g, p) <= width
 }
 
+/// The cone of `p`'s and `q`'s sinks together, from the two cones: under
+/// one stop set a node is in the cone of `S₁ ∪ S₂` exactly when it is in
+/// the cone of `S₁` or of `S₂`, and whether it is a source or a gate
+/// depends on the node alone.
+fn union_cone(p: &Partition, q: &Partition) -> Partition {
+    let mut sinks = p.sinks.clone();
+    sinks.extend(q.sinks.iter().copied());
+    sinks.sort_unstable();
+    sinks.dedup();
+    Partition {
+        sinks,
+        nodes: sorted_union(&p.nodes, &q.nodes),
+        sources: sorted_union(&p.sources, &q.sources),
+    }
+}
+
 /// Statistics of a merging run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MergeStats {
@@ -107,8 +123,10 @@ pub struct MergeStats {
 /// descending node-overlap order and committing whenever `mappable`
 /// accepts the merged partition.
 ///
-/// `region` must be the region the stage was partitioned from (so merged
-/// cones can be re-extracted with the right stop boundary).
+/// Every partition of `stage` must be the cone ([`extract_cone`]) of its
+/// sinks in `region`, the region the stage was partitioned from. A
+/// merged cone is then the union of its halves' (DESIGN.md §4), and
+/// `region` is read only by a debug check of that.
 pub fn merge_partitions(
     g: &Eaig,
     region: &Region,
@@ -192,11 +210,8 @@ pub fn merge_partitions_with<T>(
                     stats.repeats_skipped += 1;
                     continue;
                 }
-                let mut sinks = p.sinks.clone();
-                sinks.extend(q.sinks.iter().copied());
-                sinks.sort_unstable();
-                sinks.dedup();
-                let merged = extract_cone(g, region, &sinks);
+                let merged = union_cone(p, q);
+                debug_assert_eq!(merged, extract_cone(g, region, &merged.sinks));
                 stats.oracle_calls += 1;
                 if let Some(payload) = accept(&merged) {
                     committed = Some((qi, merged, payload));
@@ -476,5 +491,62 @@ mod tests {
             }
         }
         assert!(checked > 100, "only {checked} partitions");
+    }
+
+    /// Holds [`union_cone`] to [`extract_cone`] on every pair of
+    /// partitions of every stage of the first `seeds` fuzz designs, under
+    /// the stage's stop set (the cut literals of the stages before it, as
+    /// the compiler builds it), and checks each partition is the cone of
+    /// its sinks there. Compared explicitly: the merge's `debug_assert`
+    /// is off in release. Returns the pairs checked.
+    fn union_cone_is_extract_cone(seeds: u64) -> usize {
+        use gem_sim::fuzz::{random_module, FuzzConfig};
+        let mut checked = 0usize;
+        for seed in 0..seeds {
+            let m = random_module(seed, &FuzzConfig::for_seed(seed));
+            let g = gem_synth::synthesize(&m, &gem_synth::SynthOptions::default())
+                .expect("fuzz designs synthesize")
+                .eaig;
+            for (target_parts, stages) in [(3, 1), (4, 2), (8, 2)] {
+                let parts = crate::partition(
+                    &g,
+                    &PartitionOptions {
+                        target_parts,
+                        stages,
+                        ..Default::default()
+                    },
+                );
+                let mut region = Region::whole(&g);
+                for stage in &parts.stages {
+                    let what = format!("seed {seed}, {target_parts} parts, {stages} stages");
+                    for (i, p) in stage.partitions.iter().enumerate() {
+                        assert_eq!(p, &extract_cone(&g, &region, &p.sinks), "{what}");
+                        for q in &stage.partitions[i + 1..] {
+                            let union = union_cone(p, q);
+                            let cone = extract_cone(&g, &region, &union.sinks);
+                            assert_eq!(union, cone, "{what}");
+                            checked += 1;
+                        }
+                    }
+                    for l in &stage.cut_lits {
+                        region.stop[l.node().0 as usize] = true;
+                    }
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn a_merged_cone_is_the_union_of_its_halves() {
+        let checked = union_cone_is_extract_cone(48);
+        assert!(checked > 500, "only {checked} pairs");
+    }
+
+    #[test]
+    #[ignore = "400 fuzz designs; run in release"]
+    fn a_merged_cone_is_the_union_of_its_halves_sweep() {
+        let checked = union_cone_is_extract_cone(400);
+        assert!(checked > 4000, "only {checked} pairs");
     }
 }

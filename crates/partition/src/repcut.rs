@@ -153,30 +153,7 @@ impl SinkHypergraph {
                         break;
                     }
                     sid => {
-                        // Merge-union into acc.
-                        let other = &sets[sid as usize];
-                        let mut merged = Vec::with_capacity(acc.len() + other.len());
-                        let (mut x, mut y) = (0, 0);
-                        while x < acc.len() && y < other.len() {
-                            match acc[x].cmp(&other[y]) {
-                                std::cmp::Ordering::Less => {
-                                    merged.push(acc[x]);
-                                    x += 1;
-                                }
-                                std::cmp::Ordering::Greater => {
-                                    merged.push(other[y]);
-                                    y += 1;
-                                }
-                                std::cmp::Ordering::Equal => {
-                                    merged.push(acc[x]);
-                                    x += 1;
-                                    y += 1;
-                                }
-                            }
-                        }
-                        merged.extend_from_slice(&acc[x..]);
-                        merged.extend_from_slice(&other[y..]);
-                        acc = merged;
+                        acc = sorted_union(&acc, &sets[sid as usize]);
                         if acc.len() > sink_set_cap {
                             universal = true;
                             break;
@@ -324,6 +301,32 @@ pub fn extract_cone(g: &Eaig, region: &Region, sinks: &[Lit]) -> Partition {
         nodes,
         sources,
     }
+}
+
+/// The union of two ascending lists without duplicates, ascending.
+pub(crate) fn sorted_union<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
+    let mut union = Vec::with_capacity(a.len() + b.len());
+    let (mut x, mut y) = (0, 0);
+    while x < a.len() && y < b.len() {
+        match a[x].cmp(&b[y]) {
+            std::cmp::Ordering::Less => {
+                union.push(a[x]);
+                x += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                union.push(b[y]);
+                y += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                union.push(a[x]);
+                x += 1;
+                y += 1;
+            }
+        }
+    }
+    union.extend_from_slice(&a[x..]);
+    union.extend_from_slice(&b[y..]);
+    union
 }
 
 #[cfg(test)]

@@ -21,10 +21,13 @@
 //! such offer fails, and a failed offer is rolled back, so the placer
 //! answers the ones that *cannot* succeed without making them: the number
 //! of slots a placement occupies is known before it starts (`cost`), a
-//! subtree cannot hold more slots than it has left, and the open slots of
-//! a level change only when a placement succeeds. Every such shortcut
-//! refuses only what the recursion would have refused (DESIGN.md §4); the
-//! mapping is the same slot for slot.
+//! subtree cannot hold more slots than it has left, a slot whose leftmost
+//! leaf is occupied is *dead* (every placement occupies its leftmost path
+//! first, so an offer there runs into an occupied slot before it
+//! occupies anything), and the open slots of a level change only when a
+//! placement succeeds. Every such shortcut refuses only what the
+//! recursion would have refused (DESIGN.md §4); the mapping is the same
+//! slot for slot.
 
 use crate::layer::{BoomerangLayer, CoreProgram, OutputSource, PermSource};
 use gem_aig::{Eaig, Node, NodeId};
@@ -95,9 +98,9 @@ pub struct PlaceStats {
     /// one layer: the compute slots of each committed layer beyond one per
     /// gate it realized.
     pub duplicated_gates: u64,
-    /// Slot attempts that ran the bit-mapping recursion (the ones the
-    /// room check could not refuse beforehand). Work done, not a property
-    /// of the result.
+    /// Slot attempts that ran the bit-mapping recursion: offers that
+    /// neither the room check nor the dead-slot check could refuse. Work
+    /// done, not a property of the result.
     pub slot_attempts: u64,
 }
 
@@ -146,16 +149,23 @@ fn subtree_cap(k: usize) -> u32 {
 }
 
 /// The slots of one level the next candidate will be offered, in order:
-/// the first [`MAX_SLOT_ATTEMPTS`] that are open, each with the room left
-/// in its subtree. Slots of one level root disjoint subtrees, so a
+/// the first [`MAX_SLOT_ATTEMPTS`] that are open, each with the room a
+/// placement there has. Slots of one level root disjoint subtrees, so a
 /// successful placement closes its own slot and leaves every other
 /// entry as it was; a failed one is rolled back and changes nothing.
+///
+/// A slot is *dead* when its leftmost leaf is occupied. Compute and
+/// bypass both place their A side first, so a successful placement
+/// occupies its root's whole leftmost path, and every occupied slot has
+/// its leftmost leaf occupied. An offer at a dead slot descends that path
+/// into an occupied slot before it occupies anything, so it fails. A dead
+/// slot stays in the window: the scan would have tried it.
 struct Window {
-    /// `(slot, room)`, ascending by slot.
-    open: Vec<(usize, u32)>,
+    /// `(slot, room, dead)`, ascending by slot.
+    open: Vec<(usize, u32, bool)>,
     /// First slot not yet looked at.
     cursor: usize,
-    /// Largest room in `open` (0 when empty).
+    /// Largest room of a live entry of `open` (0 when there is none).
     max_room: u32,
 }
 
@@ -216,13 +226,14 @@ struct Placer<'a> {
     audit: Audit,
 }
 
-/// Test-only soundness audit of the room check: every rejection it makes
-/// is replayed through the recursion with the check switched off and must
-/// fail there too; every window must list the slots a plain scan would
-/// try. Every layer's incremental tables — `rem_level`, `cost`,
-/// criticality, the candidate lists and the frees — must equal a
-/// from-scratch recomputation over every local. Not reachable from
-/// [`PlaceOptions`].
+/// Test-only soundness audit of the room and dead-slot checks: every
+/// rejection they make is replayed through the recursion with the room
+/// check switched off and must fail there too; every window must list
+/// the slots a plain scan would try, dead exactly when a walk of the
+/// slot's leftmost path meets an occupied slot. Every layer's
+/// incremental tables — `rem_level`, `cost`, criticality, the candidate
+/// lists and the frees — must equal a from-scratch recomputation over
+/// every local. Not reachable from [`PlaceOptions`].
 #[cfg(test)]
 #[derive(Debug, Default, Clone, Copy)]
 struct Audit {
@@ -231,11 +242,25 @@ struct Audit {
     replaying: bool,
     /// Rejections replayed, by where they were made.
     in_recursion: u64,
+    dead: u64,
     passed_over: u64,
     candidates_skipped: u64,
     windows: u64,
     /// Layers whose tables were recomputed from scratch.
     layers: u64,
+}
+
+#[cfg(test)]
+impl Audit {
+    /// Adds another placement's counts to these.
+    fn add(&mut self, other: &Audit) {
+        self.in_recursion += other.in_recursion;
+        self.dead += other.dead;
+        self.passed_over += other.passed_over;
+        self.candidates_skipped += other.candidates_skipped;
+        self.windows += other.windows;
+        self.layers += other.layers;
+    }
 }
 
 impl<'a> Placer<'a> {
@@ -479,8 +504,8 @@ impl<'a> Placer<'a> {
                 <= subtree_cap(level) - self.used[level][slot]
     }
 
-    /// Replays a rejection of the room check with the check switched off
-    /// and asserts the recursion fails there as well.
+    /// Replays a rejection of the room or dead-slot check with the room
+    /// check switched off and asserts the recursion fails there as well.
     #[cfg(test)]
     fn audit_rejection(
         &mut self,
@@ -500,7 +525,7 @@ impl<'a> Placer<'a> {
         self.audit.replaying = false;
         assert!(
             !fits,
-            "unsound room check: local {v} (cost {}, own level {}) fits at level {level} slot \
+            "unsound refusal: local {v} (cost {}, own level {}) fits at level {level} slot \
              {slot} with {} of {} slots used",
             self.cost[v as usize],
             self.rem_level[v as usize],
@@ -510,22 +535,30 @@ impl<'a> Placer<'a> {
     }
 
     /// Asserts the window lists exactly the slots, in order and with
-    /// their room, that a scan of the level from slot 0 would attempt.
+    /// their room, that a scan of the level from slot 0 would attempt;
+    /// a slot is dead exactly when some slot of its whole leftmost path
+    /// is occupied.
     #[cfg(test)]
     fn audit_window(&mut self, level: usize, window: &Window) {
         if !self.audit.on {
             return;
         }
         let cap = subtree_cap(level);
-        let plain: Vec<(usize, u32)> = (0..self.occ[level].len())
+        let dead = |j: usize| (0..=level).any(|i| self.occ[level - i][j << i].is_some());
+        let plain: Vec<(usize, u32, bool)> = (0..self.occ[level].len())
             .filter(|&j| self.occ[level][j].is_none() && self.used[level][j] < cap)
             .take(MAX_SLOT_ATTEMPTS)
-            .map(|j| (j, cap - self.used[level][j]))
+            .map(|j| (j, cap - self.used[level][j], dead(j)))
             .collect();
         assert_eq!(window.open, plain, "window of level {level} drifted");
         assert_eq!(
             window.max_room,
-            plain.iter().map(|&(_, room)| room).max().unwrap_or(0)
+            plain
+                .iter()
+                .filter(|&&(.., dead)| !dead)
+                .map(|&(_, room, _)| room)
+                .max()
+                .unwrap_or(0)
         );
         self.audit.windows += 1;
     }
@@ -618,25 +651,33 @@ impl<'a> Placer<'a> {
     /// Tops the window up from its cursor and recomputes `max_room`.
     fn refill(&self, level: usize, window: &mut Window) {
         let cap = subtree_cap(level);
-        let (occ, used) = (&self.occ[level], &self.used[level]);
+        let (occ, used, leaves) = (&self.occ[level], &self.used[level], &self.occ[0]);
         while window.open.len() < MAX_SLOT_ATTEMPTS && window.cursor < occ.len() {
             let j = window.cursor;
             if occ[j].is_none() && used[j] < cap {
-                window.open.push((j, cap - used[j]));
+                window
+                    .open
+                    .push((j, cap - used[j], leaves[j << level].is_some()));
             }
             window.cursor += 1;
         }
-        window.max_room = window.open.iter().map(|&(_, room)| room).max().unwrap_or(0);
+        window.max_room = window
+            .open
+            .iter()
+            .filter(|&&(.., dead)| !dead)
+            .map(|&(_, room, _)| room)
+            .max()
+            .unwrap_or(0);
     }
 
     /// Offers each candidate of one level, in order, the first
     /// [`MAX_SLOT_ATTEMPTS`] open slots (a slot is open while it is free
     /// and its subtree is not full). A window slot without room for the
-    /// candidate is passed over without running the recursion, and a
-    /// candidate no window slot has room for is skipped outright; either
-    /// way the slot counts against the limit as the failed attempt it
-    /// would have been, because the window *is* the slots a scan would
-    /// have tried.
+    /// candidate, or dead, is passed over without running the recursion,
+    /// and a candidate no live window slot has room for is skipped
+    /// outright; either way the slot counts against the limit as the
+    /// failed attempt it would have been, because the window *is* the
+    /// slots a scan would have tried.
     fn place_level(&mut self, level: usize, cands: &[u32]) {
         let mut window = Window {
             open: Vec::with_capacity(MAX_SLOT_ATTEMPTS),
@@ -654,16 +695,21 @@ impl<'a> Placer<'a> {
             let cost = self.cost[v as usize];
             if cost > window.max_room {
                 #[cfg(test)]
-                for &(j, _) in &window.open {
+                for &(j, ..) in &window.open {
                     self.audit_rejection(v, level, j, |a| &mut a.candidates_skipped);
                 }
                 continue;
             }
             let mut taken = None;
-            for (at, &(j, room)) in window.open.iter().enumerate() {
+            for (at, &(j, room, dead)) in window.open.iter().enumerate() {
                 if cost > room {
                     #[cfg(test)]
                     self.audit_rejection(v, level, j, |a| &mut a.passed_over);
+                    continue;
+                }
+                if dead {
+                    #[cfg(test)]
+                    self.audit_rejection(v, level, j, |a| &mut a.dead);
                     continue;
                 }
                 self.stats.slot_attempts += 1;
@@ -958,7 +1004,7 @@ mod tests {
         g
     }
 
-    /// Places `p` with every rejection of the room check replayed
+    /// Places `p` with every refusal of the room and dead-slot checks replayed
     /// through the unpruned recursion and every window held against a
     /// plain scan (the asserts are in `audit_rejection`/`audit_window`),
     /// and checks the audit changed nothing.
@@ -994,16 +1040,15 @@ mod tests {
                         timing_driven,
                     };
                     let (audit, _) = audited(&g, &p, &opts);
-                    total.in_recursion += audit.in_recursion;
-                    total.passed_over += audit.passed_over;
-                    total.candidates_skipped += audit.candidates_skipped;
-                    total.windows += audit.windows;
-                    total.layers += audit.layers;
+                    total.add(&audit);
                 }
             }
         }
-        // The audit saw every kind of shortcut, many times.
-        assert!(total.in_recursion > 100, "{total:?}");
+        // The audit saw every kind of shortcut, many times. (Not the room
+        // check inside the recursion: it is kept, unproven redundant, but
+        // on these circuits the dead-slot check pre-empts all its
+        // refusals and `in_recursion` reads 0.)
+        assert!(total.dead > 100, "{total:?}");
         assert!(total.passed_over > 100, "{total:?}");
         assert!(total.candidates_skipped > 100, "{total:?}");
         assert!(total.windows > 100, "{total:?}");
@@ -1025,6 +1070,47 @@ mod tests {
         };
         assert!(why.contains("state overflow"), "{why}");
         assert!(audit.windows > 0 && audit.passed_over > 0, "{audit:?}");
+    }
+
+    /// The audit over every partition of 100 fuzz designs (two stages),
+    /// at two core widths and in both candidate orders.
+    #[test]
+    #[ignore = "100 fuzz designs; run in release"]
+    fn every_refusal_fails_unpruned_on_the_fuzz_corpus() {
+        use gem_sim::fuzz::{random_module, FuzzConfig};
+        let mut total = Audit::default();
+        let mut placements = 0usize;
+        for seed in 0..100u64 {
+            let m = random_module(seed, &FuzzConfig::for_seed(seed));
+            let g = gem_synth::synthesize(&m, &gem_synth::SynthOptions::default())
+                .expect("fuzz designs synthesize")
+                .eaig;
+            let popts = PartitionOptions {
+                target_parts: 4,
+                stages: 2,
+                ..Default::default()
+            };
+            for p in partition(&g, &popts)
+                .stages
+                .iter()
+                .flat_map(|s| &s.partitions)
+            {
+                for core_width in [64, 256] {
+                    for timing_driven in [true, false] {
+                        let opts = PlaceOptions {
+                            core_width,
+                            timing_driven,
+                        };
+                        total.add(&audited(&g, p, &opts).0);
+                        placements += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            placements > 400 && total.dead > 1000 && total.layers > 1000,
+            "{placements} placements: {total:?}"
+        );
     }
 
     #[test]
