@@ -1,42 +1,17 @@
 //! Threaded-code lowering of boomerang layers: the program form the
-//! virtual GPU executes with more than one lane (DESIGN.md §7).
+//! virtual GPU executes with more than one lane. DESIGN.md §7 ("Lowered
+//! forms") is the one description of its tables and its inner loop.
 //!
-//! [`BoomerangLayer`] is the *authoritative* program representation: an
-//! enum-tagged permutation, per-slot `bool` fold constants, and a dense
-//! `Option` writeback plan. Its scalar executor
-//! ([`BoomerangLayer::execute`]) is the executable spec, but walking
-//! those tags every cycle costs an enum match per gathered bit, a
-//! `bool → Word` splat per fold operand, and an `Option` test per fold
-//! slot, millions of times per simulated second.
-//!
-//! [`CompiledLayer::lower`] resolves all of it **once**, and keeps only
-//! what a writeback can see:
-//!
-//! * a fold slot is *live* if it writes back or a live slot above it
-//!   observes it — operand A always, operand B unless that slot's `ob`
-//!   bypasses it. Nothing else can reach the state, so each level stores
-//!   its live slots only (36 % of OpenPiton8's first-level slots and
-//!   54 % of the levels above are dead), and the levels above the last
-//!   writeback are not stored at all,
-//! * the permutation becomes a flat `u32` array of the live first-level
-//!   slots' leaf pairs ([`PERM_CONST`] marks constant-zero leaves —
-//!   including the B leaf of a bypassed slot, so no dead address is ever
-//!   loaded — until [`CompiledLayer::redirect_consts`] points them at a
-//!   zero word, which it must before the layer runs),
-//! * fold constants become three byte planes, one `0` / `−1` byte per
-//!   live slot, widened to a lane mask by sign extension as they are
-//!   loaded — 3 B of constants a slot, so a design's masks stay
-//!   cache-resident where one pre-splatted [`Word`] each (24 B a slot)
-//!   streamed from memory every cycle,
-//! * the writeback plan becomes a sparse `(slot, addr)` list — only
-//!   slots that actually write are visited,
-//! * the gather is fused into the first fold level (each live leaf pair
-//!   is loaded and folded in one pass; the gathered row is never stored),
-//!   and the remaining levels run over two caller-provided ping-pong row
-//!   buffers — zero allocations per layer per cycle. Slot `j` of a level
-//!   sits at word `j` of its row and reads words `2j` and `2j + 1` of the
-//!   row below; a dead slot's word is never written, so it holds whatever
-//!   the buffer held, and only a bypassed B reads one, which `| ob` masks.
+//! [`BoomerangLayer`] is the *authoritative* program representation and
+//! [`BoomerangLayer::execute`] its executable spec. [`CompiledLayer::lower`]
+//! keeps of it only the fold slots that compute something a writeback
+//! can see: a slot is *live* if it writes back or a live slot above it
+//! observes it (operand A always, operand B unless that slot bypasses
+//! it); above the first level, a live slot that bypasses B without
+//! inverting A is a plain forward of its A child and is resolved away —
+//! whoever reads it, a slot above or a writeback, reads the forwarded
+//! word. Each level's computing slots fill consecutive words of one row
+//! buffer, so a slot's operands are two row words below it.
 //!
 //! The lowering is a pure data transformation: no semantic choice is
 //! made here, so equivalence with the scalar spec reduces to the
@@ -51,6 +26,9 @@ use crate::layer::{BoomerangLayer, PermSource, Word};
 /// [`CompiledLayer::redirect_consts`] replaces it before execution.
 pub const PERM_CONST: u32 = u32::MAX;
 
+/// Row words a `u16` operand names: the most slots one layer may compute.
+const ROW_WORDS: usize = 1 << u16::BITS;
+
 /// A fold constant as the byte the planes of [`FoldOp`] hold: `0` for
 /// `false`, `−1` for `true`.
 #[inline]
@@ -58,66 +36,41 @@ fn mask_byte(v: bool) -> i8 {
     -i8::from(v)
 }
 
-/// One fold slot on lane words: `(a ^ xa) & ((b ^ xb) | ob)` with each
-/// constant byte sign-extended to a full lane mask.
+/// One computing fold slot on lane words: `(a ^ xa) & (b ^ xb)` with
+/// each constant byte sign-extended to a full lane mask. A bypass is
+/// `b = a, xb = xa`.
 #[inline]
-fn fold(a: Word, b: Word, xa: i8, xb: i8, ob: i8) -> Word {
+fn fold(a: Word, b: Word, xa: i8, xb: i8) -> Word {
     let lanes = |m: i8| m as i64 as Word;
-    (a ^ lanes(xa)) & ((b ^ lanes(xb)) | lanes(ob))
+    (a ^ lanes(xa)) & (b ^ lanes(xb))
 }
 
-/// The first `slots` words of `buf`, grown if it is shorter. Grow-only:
-/// the caller overwrites every slot whose value it uses (a bypassed B
-/// reads a stale word, which `| ob` masks), so stale contents are
-/// harmless and the memset of a `clear` + `resize` would be pure waste.
-#[inline]
-fn grown(buf: &mut Vec<Word>, slots: usize) -> &mut [Word] {
-    if buf.len() < slots {
-        buf.resize(slots, 0);
-    }
-    &mut buf[..slots]
-}
-
-/// The `len` items of `items` in a slice allocated once, at their size.
-fn exact<T>(len: usize, items: impl Iterator<Item = T>) -> Box<[T]> {
-    let mut v = Vec::with_capacity(len);
-    v.extend(items);
-    v.into()
-}
-
-/// One fold level, fully resolved: its live slots, their constant
-/// planes and the sparse write-back list. A plane holds one byte per
-/// live slot, `0` or `−1` (all-ones), which the executor sign-extends to
-/// a lane [`Word`].
+/// One fold level, fully resolved: the operands and constant planes of
+/// the slots that compute, and the level's writebacks. Computing slot
+/// `i` of the level lands on row word `base + i`, `base` being the
+/// number of slots the levels below compute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FoldOp {
-    /// The live slots of the level, ascending.
-    pub slots: Box<[u32]>,
-    /// XOR mask on operand A, one byte per live slot.
+    /// The row words each computing slot folds, `[A, B]`, all below the
+    /// level's own; empty on the first level, whose operands are the
+    /// layer's [`perm`](CompiledLayer::perm) pairs.
+    pub operands: Box<[[u16; 2]]>,
+    /// XOR mask on operand A, one byte (`0` or `−1`) per computing slot.
     pub xa: Box<[i8]>,
     /// XOR mask on operand B.
     pub xb: Box<[i8]>,
-    /// OR mask on operand B after the XOR (`−1` bypasses B).
-    pub ob: Box<[i8]>,
-    /// `(slot, state address)` pairs that write back, in slot order
-    /// (matching the scalar spec's within-level write order).
-    pub writeback: Box<[(u32, u32)]>,
+    /// `(row word, state address)` of each slot that writes back, in slot
+    /// order (the scalar spec's within-level write order). A forward's
+    /// row word is the word it forwards.
+    pub writeback: Box<[(u16, u16)]>,
 }
 
 impl FoldOp {
-    /// Each live slot with its `(xa, xb, ob)`, in slot order.
-    #[inline]
-    fn live(&self) -> impl Iterator<Item = (usize, (i8, i8, i8))> + '_ {
-        let planes = self.xa.iter().zip(&self.xb[..]).zip(&self.ob[..]);
-        let consts = planes.map(|((&xa, &xb), &ob)| (xa, xb, ob));
-        self.slots.iter().map(|&j| j as usize).zip(consts)
-    }
-
-    /// Stores the level's writing slots of `row` to their state words.
+    /// Stores the level's writebacks from `row` to their state words.
     #[inline]
     fn write_back(&self, row: &[Word], state: &mut [Word]) {
-        for &(slot, addr) in self.writeback.iter() {
-            state[addr as usize] = row[slot as usize];
+        for &(word, addr) in self.writeback.iter() {
+            state[usize::from(addr)] = row[usize::from(word)];
         }
     }
 }
@@ -128,10 +81,11 @@ impl FoldOp {
 pub struct CompiledLayer {
     /// Row width (power of two).
     pub width: u32,
-    /// Gather indices into core state: the leaf pair of each live
-    /// first-level slot, in slot order. [`PERM_CONST`] stands for a
-    /// constant zero until [`redirect_consts`](Self::redirect_consts)
-    /// replaces it with the address of a zero word.
+    /// Gather indices into core state: the leaf pair of each computing
+    /// first-level slot, in slot order (a bypassed slot's pair is its A
+    /// leaf twice). [`PERM_CONST`] stands for a constant zero until
+    /// [`redirect_consts`](Self::redirect_consts) replaces it with the
+    /// address of a zero word.
     pub perm: Box<[u32]>,
     /// Fold levels, widest first, up to the last one holding a live
     /// slot (none for a layer that writes nothing back).
@@ -139,12 +93,19 @@ pub struct CompiledLayer {
 }
 
 impl CompiledLayer {
-    /// Lowers a layer to its live slots. Pure and total: lowering copies
+    /// Lowers a layer to the slots that compute. Lowering copies
     /// addresses, it never follows one. Holding them inside the state
     /// the executor is given is the caller's business (`GemGpu::load`
     /// refuses what [`PackedLayer::lower`](crate::PackedLayer::lower)
     /// refuses). A hand-built layer whose tables are shorter than its
     /// width says is lowered as if it were that much narrower.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer computes more than 65 536 slots, which its
+    /// `u16` row words cannot name. Only a hand-built layer wider than
+    /// the ISA's 32 768 bits can: a 65 536-wide one computes at most
+    /// 65 535.
     pub fn lower(layer: &BoomerangLayer) -> CompiledLayer {
         // Slots per level: half the row below, and no more than the
         // level's own tables hold, so every index below is in range.
@@ -157,54 +118,94 @@ impl CompiledLayer {
                 row
             })
             .collect();
-        // Top down: a slot is live if it writes back or a live slot
-        // above observes it.
-        let mut folds: Vec<FoldOp> = Vec::with_capacity(levels.len());
-        let mut live = Vec::new();
+        // Top down, into one flat buffer (level `k` after the slots of
+        // the levels below it): a slot is live if it writes back or a live
+        // slot above observes it. Count what each level computes and how
+        // many levels to keep.
+        let mut live = vec![false; levels.iter().sum()];
+        let mut computes = vec![0; levels.len()];
+        let (mut end, mut kept) = (live.len(), 0);
         for (k, &slots) in levels.iter().enumerate().rev() {
-            let (fc, wb) = (&layer.folds[k], &layer.writeback[k][..slots]);
-            live.clear();
-            live.extend(wb.iter().map(Option::is_some));
-            if let Some(up) = folds.last() {
-                for (&j, &ob) in up.slots.iter().zip(&up.ob[..]) {
-                    live[2 * j as usize] = true;
-                    live[2 * j as usize + 1] |= ob == 0;
+            let (fc, wb) = (&layer.folds[k], &layer.writeback[k]);
+            end -= slots;
+            let (here, above) = live[end..].split_at_mut(slots);
+            for (l, w) in here.iter_mut().zip(wb) {
+                *l = w.is_some();
+            }
+            if let Some((up, &n)) = layer.folds.get(k + 1).zip(levels.get(k + 1)) {
+                for (p, (_, &ob)) in (above[..n].iter().zip(&up.ob))
+                    .enumerate()
+                    .filter(|(_, (&l, _))| l)
+                {
+                    here[2 * p] = true;
+                    here[2 * p + 1] |= !ob;
                 }
             }
-            let count = live.iter().filter(|&&l| l).count();
-            let slots = exact(count, (0..slots as u32).filter(|&j| live[j as usize]));
-            let plane =
-                |bits: &[bool]| slots.iter().map(|&j| mask_byte(bits[j as usize])).collect();
-            folds.push(FoldOp {
-                xa: plane(&fc.xa),
-                xb: plane(&fc.xb),
-                ob: plane(&fc.ob),
-                writeback: exact(
-                    wb.iter().flatten().count(),
-                    (wb.iter().enumerate())
-                        .filter_map(|(j, s)| s.map(|addr| (j as u32, u32::from(addr)))),
-                ),
-                slots,
-            });
+            let slot = here.iter().zip(&fc.ob).zip(&fc.xa);
+            computes[k] = slot
+                .filter(|((&l, &ob), &xa)| l && !(k > 0 && ob && !xa))
+                .count();
+            if kept == 0 && here.contains(&true) {
+                kept = k + 1;
+            }
         }
-        folds.reverse();
-        while folds.last().is_some_and(|f| f.slots.is_empty()) {
-            folds.pop();
-        }
+        let total: usize = computes[..kept].iter().sum();
+        assert!(
+            total <= ROW_WORDS,
+            "a layer computes at most {ROW_WORDS} slots (u16 row words), this one {total}"
+        );
+        // Bottom up: each live slot's row word — its own if it computes,
+        // the forwarded one if not. `below` holds the level under `k`.
         let leaf = |i: usize| match layer.perm[i] {
             PermSource::State(a) => u32::from(a),
             PermSource::ConstFalse => PERM_CONST,
         };
-        let perm = folds.first().map_or(Box::default(), |first| {
-            let pairs = (first.slots.iter().zip(&first.ob[..])).flat_map(|(&j, &ob)| {
-                let (a, b) = (2 * j as usize, 2 * j as usize + 1);
-                [leaf(a), if ob == 0 { leaf(b) } else { PERM_CONST }]
+        let mut perm = Vec::with_capacity(2 * computes.first().unwrap_or(&0));
+        let (mut below, mut here) = (Vec::new(), Vec::new());
+        let mut word = 0;
+        let (mut folds, mut start) = (Vec::with_capacity(kept), 0);
+        for (k, &slots) in levels[..kept].iter().enumerate() {
+            let (fc, wb) = (&layer.folds[k], &layer.writeback[k][..slots]);
+            let live = &live[start..][..slots];
+            start += slots;
+            here.clear();
+            here.resize(slots, 0u16);
+            let n = computes[k];
+            let mut operands = Vec::with_capacity(if k == 0 { 0 } else { n });
+            let (mut xa, mut xb) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            let consts = live.iter().zip(&fc.xa).zip(&fc.xb).zip(&fc.ob).enumerate();
+            for (j, (((_, &cxa), &cxb), &ob)) in consts.filter(|(_, (((&l, _), _), _))| l) {
+                if k == 0 {
+                    let a = leaf(2 * j);
+                    perm.extend([a, if ob { a } else { leaf(2 * j + 1) }]);
+                } else {
+                    let a = below[2 * j];
+                    if ob && !cxa {
+                        here[j] = a;
+                        continue;
+                    }
+                    operands.push([a, if ob { a } else { below[2 * j + 1] }]);
+                }
+                xa.push(mask_byte(cxa));
+                xb.push(mask_byte(if ob { cxa } else { cxb }));
+                here[j] = u16::try_from(word).expect("the row words were counted above");
+                word += 1;
+            }
+            let writes = wb.iter().enumerate();
+            let writes = writes.filter_map(|(j, s)| s.map(|addr| (here[j], addr)));
+            let mut writeback = Vec::with_capacity(wb.iter().flatten().count());
+            writeback.extend(writes);
+            folds.push(FoldOp {
+                operands: operands.into(),
+                xa: xa.into(),
+                xb: xb.into(),
+                writeback: writeback.into(),
             });
-            exact(2 * first.slots.len(), pairs)
-        });
+            std::mem::swap(&mut below, &mut here);
+        }
         CompiledLayer {
             width: layer.width,
-            perm,
+            perm: perm.into(),
             folds: folds.into(),
         }
     }
@@ -246,19 +247,18 @@ impl CompiledLayer {
         1 + u64::from(self.width.trailing_zeros())
     }
 
-    /// Executes the lowered layer lane-wise against `state`, using
-    /// `row` and `next` as reusable ping-pong fold buffers (grown as
-    /// needed, contents on entry irrelevant; their capacity is retained
-    /// across calls so steady-state execution allocates nothing). Lane
-    /// `k` of the result equals [`BoomerangLayer::execute`] run on lane
-    /// `k` of the input, for the layer this was lowered from.
+    /// Executes the lowered layer lane-wise against `state`, with `row`
+    /// as the fold row buffer (grown as needed and never shrunk, so
+    /// steady-state execution allocates nothing; its contents on entry
+    /// are irrelevant). The third buffer is unused by this form; it is
+    /// there so that both lowered forms take the machine's scratch
+    /// alike. Lane `k` of the result equals [`BoomerangLayer::execute`]
+    /// run on lane `k` of the input, for the layer this was lowered from.
     ///
-    /// The first level folds each live leaf pair as it is gathered, so
-    /// the `width`-word gathered row is never written and read back; its
-    /// writebacks land after the whole pass, because the spec gathers
+    /// The first level folds each leaf pair as it is gathered; its
+    /// writebacks land after the whole level, because the spec gathers
     /// every leaf before any fold output reaches the state. Each later
-    /// level folds words `2j` and `2j + 1` of `row` into word `j` of
-    /// `next` for its live slots `j`.
+    /// level reads only the row, so its writebacks land right after it.
     ///
     /// # Panics
     ///
@@ -269,25 +269,30 @@ impl CompiledLayer {
         &self,
         state: &mut [Word],
         row: &mut Vec<Word>,
-        next: &mut Vec<Word>,
+        _unused: &mut Vec<Word>,
     ) {
         let Some((first, rest)) = self.folds.split_first() else {
             return;
         };
-        let mut slots = self.width as usize / 2;
-        let dst = grown(row, slots);
-        for ((j, (xa, xb, ob)), p) in first.live().zip(self.perm.chunks_exact(2)) {
-            dst[j] = fold(state[p[0] as usize], state[p[1] as usize], xa, xb, ob);
+        let words = self.folds.iter().map(|f| f.xa.len()).sum();
+        if row.len() < words {
+            row.resize(words, 0);
         }
-        first.write_back(dst, state);
+        let mut end = first.xa.len();
+        let consts = first.xa.iter().zip(&first.xb[..]);
+        let level = row.iter_mut().zip(self.perm.chunks_exact(2)).zip(consts);
+        for ((d, p), (&xa, &xb)) in level {
+            *d = fold(state[p[0] as usize], state[p[1] as usize], xa, xb);
+        }
+        first.write_back(row, state);
         for f in rest {
-            slots /= 2;
-            let dst = grown(next, slots);
-            for (j, (xa, xb, ob)) in f.live() {
-                dst[j] = fold(row[2 * j], row[2 * j + 1], xa, xb, ob);
+            let (below, above) = row.split_at_mut(end);
+            let consts = f.xa.iter().zip(&f.xb[..]);
+            for ((d, &[a, b]), (&xa, &xb)) in above.iter_mut().zip(&f.operands[..]).zip(consts) {
+                *d = fold(below[usize::from(a)], below[usize::from(b)], xa, xb);
             }
-            f.write_back(dst, state);
-            std::mem::swap(row, next);
+            end += f.xa.len();
+            f.write_back(row, state);
         }
     }
 }
@@ -297,7 +302,6 @@ mod tests {
     use super::*;
     use crate::layer::splat;
     use crate::testutil::{for_each_spec_layer, random_layer, xorshift};
-    use std::mem::size_of_val;
 
     /// Unpacks one lane of a word vector into the scalar spec's state.
     fn lane_of(words: &[Word], lane: u32) -> Vec<bool> {
@@ -327,11 +331,10 @@ mod tests {
         comp: &CompiledLayer,
         before: &[Word],
         row: &mut Vec<Word>,
-        next: &mut Vec<Word>,
         what: &str,
     ) {
         let mut got = before.to_vec();
-        comp.execute_words_into(&mut got, row, next);
+        comp.execute_words_into(&mut got, row, &mut Vec::new());
         for lane in 0..Word::BITS {
             let mut want = lane_of(before, lane);
             layer.execute(&mut want);
@@ -342,16 +345,16 @@ mod tests {
     /// Every one of the 64 lanes of the lowered executor must equal the
     /// scalar spec run on that lane alone, on random layers of every
     /// width the ISA allows a core — including the state left behind by
-    /// aliasing writebacks — and the ping-pong buffers must be reusable
-    /// across layers of different widths without cross-talk.
+    /// aliasing writebacks — and the row buffer must be reusable across
+    /// layers of different widths without cross-talk.
     #[test]
     fn compiled_layer_matches_scalar_spec_per_lane() {
-        let (mut row, mut next) = (Vec::new(), Vec::new());
+        let mut row = Vec::new();
         for_each_spec_layer(&mut 0xC0DE, |layer, x, what| {
             let addrs = layer.width as usize;
             let comp = lower_redirected(layer, addrs);
             let before = noisy_state(x, addrs);
-            check_every_lane(layer, &comp, &before, &mut row, &mut next, what);
+            check_every_lane(layer, &comp, &before, &mut row, what);
         });
     }
 
@@ -369,20 +372,20 @@ mod tests {
         layer.folds[0].ob[3] = true;
         layer.writeback[0][3] = Some(3); // and passes through to s3.
         let comp = lower_redirected(&layer, 4);
-        let (mut row, mut next) = (Vec::new(), Vec::new());
+        let mut row = Vec::new();
         let mut x = 0xF05Eu64;
         for _ in 0..8 {
             let before = noisy_state(&mut x, 4);
             let mut got = before.clone();
-            comp.execute_words_into(&mut got, &mut row, &mut next);
+            comp.execute_words_into(&mut got, &mut row, &mut Vec::new());
             assert_eq!(got[2], before[0] & before[1]);
             assert_eq!(got[3], before[2], "leaf 6 must read the old s2");
-            check_every_lane(&layer, &comp, &before, &mut row, &mut next, "later leaf");
+            check_every_lane(&layer, &comp, &before, &mut row, "later leaf");
         }
     }
 
     /// Width 2: the fused level is the only level. Its writeback lands
-    /// and the buffers it leaves serve a wider layer next.
+    /// and the row it leaves serves a wider layer next.
     #[test]
     fn single_level_layer_writes_back_and_leaves_buffers_reusable() {
         let mut narrow = BoomerangLayer::new(2);
@@ -390,21 +393,21 @@ mod tests {
         narrow.folds[0].xb[0] = true;
         narrow.writeback[0][0] = Some(2); // s2 = s0 & !s1
         let comp = lower_redirected(&narrow, 3);
-        let (mut row, mut next) = (Vec::new(), Vec::new());
+        let mut row = Vec::new();
         let mut x = 0x2_2u64;
         let mut state = noisy_state(&mut x, 3);
         let (a, b) = (state[0], state[1]);
-        comp.execute_words_into(&mut state, &mut row, &mut next);
+        comp.execute_words_into(&mut state, &mut row, &mut Vec::new());
         assert_eq!(state, [a, b, a & !b, 0]);
         let wide = random_layer(&mut x, 64, 64, 3, 2);
         let before = noisy_state(&mut x, 64);
         let comp = lower_redirected(&wide, 64);
-        check_every_lane(&wide, &comp, &before, &mut row, &mut next, "after width 2");
+        check_every_lane(&wide, &comp, &before, &mut row, "after width 2");
     }
 
-    /// The caller's `row` / `next` arrive with any length and content —
-    /// the harness and the machine pass one pair across hundreds of
-    /// layers of different cores — and none of it may show.
+    /// The caller's `row` arrives with any length and content — the
+    /// harness and the machine pass one across hundreds of layers of
+    /// different cores — and none of it may show.
     #[test]
     fn stale_row_buffers_of_any_length_do_not_matter() {
         let mut x = 0x57A1Eu64;
@@ -412,29 +415,12 @@ mod tests {
             let layer = random_layer(&mut x, width, width, 3, 2);
             let comp = lower_redirected(&layer, width as usize);
             let before = noisy_state(&mut x, width as usize);
-            for (row_len, next_len) in [(0, 0), (1, 3), (3, 1), (5000, 0), (0, 5000), (700, 900)] {
-                let mut row = vec![xorshift(&mut x); row_len];
-                let mut next = vec![xorshift(&mut x); next_len];
-                let what = format!("width {width}, stale rows of {row_len} and {next_len}");
-                check_every_lane(&layer, &comp, &before, &mut row, &mut next, &what);
+            for len in [0, 1, 3, 700, 5000] {
+                let mut row = vec![xorshift(&mut x); len];
+                let what = format!("width {width}, a stale row of {len}");
+                check_every_lane(&layer, &comp, &before, &mut row, &what);
             }
         }
-    }
-
-    /// `folds` is a public field and a layer without a level can be built
-    /// by hand (the decoder refuses `width < 2`): it executes as a no-op,
-    /// it does not index a first level that is not there.
-    #[test]
-    fn layer_without_a_fold_level_is_a_no_op() {
-        let comp = CompiledLayer {
-            width: 1,
-            perm: Box::new([0]),
-            folds: Box::new([]),
-        };
-        let mut state = vec![0xDEAD_BEEF_DEAD_BEEF; 2];
-        let (mut row, mut next) = (vec![1, 2, 3], vec![4]);
-        comp.execute_words_into(&mut state, &mut row, &mut next);
-        assert_eq!(state, vec![0xDEAD_BEEF_DEAD_BEEF; 2]);
     }
 
     /// Redirection is a precondition of execution: a constant leaf left
@@ -469,7 +455,7 @@ mod tests {
     /// and must never leak into the lanes below it.
     #[test]
     fn lane_63_is_live_and_confined() {
-        let (mut row, mut next) = (Vec::new(), Vec::new());
+        let mut row = Vec::new();
         let mut x = 0xA11_1A9E5u64;
         let state_size = 16usize;
         for _ in 0..16 {
@@ -479,8 +465,8 @@ mod tests {
             let mut a = noisy_state(&mut x, state_size);
             let mut b = a.clone();
             b[addr] ^= 1 << 63;
-            comp.execute_words_into(&mut a, &mut row, &mut next);
-            comp.execute_words_into(&mut b, &mut row, &mut next);
+            comp.execute_words_into(&mut a, &mut row, &mut Vec::new());
+            comp.execute_words_into(&mut b, &mut row, &mut Vec::new());
             for (i, (wa, wb)) in a.iter().zip(&b).enumerate() {
                 assert_eq!(
                     (wa ^ wb) & (Word::MAX >> 1),
@@ -496,7 +482,7 @@ mod tests {
         layer.folds[0].ob[0] = true; // B forced 1 → out = A
         layer.writeback[0][0] = Some(1);
         let mut state: Vec<Word> = vec![1 << 63, 0, 0];
-        lower_redirected(&layer, 2).execute_words_into(&mut state, &mut row, &mut next);
+        lower_redirected(&layer, 2).execute_words_into(&mut state, &mut row, &mut Vec::new());
         assert_eq!(state[1], 1 << 63, "lane 63 dropped by pass-through fold");
     }
 
@@ -505,39 +491,6 @@ mod tests {
     #[test]
     fn core_width_is_word_aligned() {
         assert_eq!(crate::CORE_WIDTH % Word::BITS, 0);
-    }
-
-    #[test]
-    fn lowering_resolves_tags_and_masks() {
-        let mut layer = BoomerangLayer::new(4);
-        layer.perm = vec![
-            PermSource::State(3),
-            PermSource::State(2),
-            PermSource::State(0),
-            PermSource::ConstFalse,
-        ];
-        layer.folds[0].xa[1] = true;
-        layer.folds[0].ob[0] = true; // leaf 1 is bypassed ...
-        layer.folds[1].ob[0] = true; // ... and so is slot 1 below,
-        layer.writeback[1][0] = Some(3); // which nothing else observes.
-        let comp = CompiledLayer::lower(&layer);
-        assert_eq!(&*comp.perm, &[3, PERM_CONST]);
-        assert_eq!(&*comp.folds[0].slots, &[0]);
-        assert_eq!(&*comp.folds[0].ob, &[-1]);
-        assert!(comp.folds[0].writeback.is_empty());
-        assert_eq!(&*comp.folds[1].slots, &[0]);
-        assert_eq!(&*comp.folds[1].writeback, &[(0, 3)]);
-        // A writeback makes slot 1 live.
-        layer.writeback[0][1] = Some(2);
-        let mut comp = CompiledLayer::lower(&layer);
-        assert_eq!(&*comp.perm, &[3, PERM_CONST, 0, PERM_CONST]);
-        assert_eq!(&*comp.folds[0].slots, &[0, 1]);
-        assert_eq!(&*comp.folds[0].xa, &[0, -1]);
-        assert_eq!(&*comp.folds[0].xb, &[0, 0]);
-        assert_eq!(&*comp.folds[0].ob, &[-1, 0]);
-        assert_eq!(&*comp.folds[0].writeback, &[(1, 2)]);
-        comp.redirect_consts(4);
-        assert_eq!(&*comp.perm, &[3, 4, 0, 4]);
     }
 
     /// Slot `j` of level `k` is live by the definition, walked upward
@@ -559,80 +512,259 @@ mod tests {
         false
     }
 
-    /// The lane-word form stores exactly the live slots, with their
-    /// constants, over random layers of every width: each level's slots
-    /// are those the upward definition calls live, the first level's
-    /// leaves are their pairs with a bypassed B redirected to the zero
-    /// slot, and a layer that writes nothing back stores nothing and
-    /// runs as a no-op, leaving stale row buffers as they were.
+    /// A plain forward: a slot above the first level that bypasses B
+    /// and does not invert A.
+    fn forwards(layer: &BoomerangLayer, k: usize, j: usize) -> bool {
+        k > 0 && layer.folds[k].ob[j] && !layer.folds[k].xa[j]
+    }
+
+    /// The row word of every live slot, level by level, by the
+    /// definitions walked slot by slot: a plain forward holds its A
+    /// child's word, and the `i`-th computing slot of the layer, counted
+    /// level by level in slot order, holds word `i`.
+    fn row_words(layer: &BoomerangLayer) -> Vec<Vec<Option<u16>>> {
+        let mut words: Vec<Vec<Option<u16>>> = Vec::new();
+        let mut next = 0u16;
+        for (k, fc) in layer.folds.iter().enumerate() {
+            let level = (0..fc.xa.len())
+                .map(|j| {
+                    if !live_by_definition(layer, k, j) {
+                        None
+                    } else if forwards(layer, k, j) {
+                        words[k - 1][2 * j]
+                    } else {
+                        next += 1;
+                        Some(next - 1)
+                    }
+                })
+                .collect();
+            words.push(level);
+        }
+        words
+    }
+
+    /// Each level executes exactly its live slots minus the plain
+    /// forwards above the first level, on random layers of every width:
+    /// its operand words, leaf pairs and constants are the ones the
+    /// definitions walked slot by slot give, and every writeback stores
+    /// the row word of its slot — a forward's being the word it
+    /// forwards. A layer that writes nothing back stores nothing and
+    /// runs as a no-op, leaving a stale row as it was.
     #[test]
-    fn lowering_stores_exactly_the_live_slots() {
+    fn each_level_executes_its_live_slots_minus_plain_forwards() {
         for_each_spec_layer(&mut 0x11FE, |layer, x, what| {
             let zero = layer.width;
             let comp = lower_redirected(layer, zero as usize);
-            for (k, fc) in layer.folds.iter().enumerate() {
-                let want: Vec<u32> = (0..fc.xa.len() as u32)
-                    .filter(|&j| live_by_definition(layer, k, j as usize))
-                    .collect();
-                let got = comp.folds.get(k).map_or(&[][..], |f| &f.slots[..]);
-                assert_eq!(got, want, "{what}: live slots of level {k}");
-                let Some(f) = comp.folds.get(k) else { continue };
-                for (i, &j) in f.slots.iter().enumerate() {
-                    let j = j as usize;
-                    let consts = [fc.xa[j], fc.xb[j], fc.ob[j]].map(mask_byte);
-                    assert_eq!([f.xa[i], f.xb[i], f.ob[i]], consts, "{what}: {k}/{j}");
-                }
-            }
             let leaf = |i: usize| match layer.perm[i] {
                 PermSource::State(a) => u32::from(a),
                 PermSource::ConstFalse => zero,
             };
-            let first = comp.folds.first().map_or(&[][..], |f| &f.slots[..]);
-            assert_eq!(comp.perm.len(), 2 * first.len(), "{what}");
-            for (&j, p) in first.iter().zip(comp.perm.chunks_exact(2)) {
-                let j = j as usize;
-                let b = if layer.folds[0].ob[j] {
-                    zero
-                } else {
-                    leaf(2 * j + 1)
-                };
-                assert_eq!(p, [leaf(2 * j), b], "{what}: leaves of slot {j}");
+            let words = row_words(layer);
+            let word = |k: usize, j: usize| words[k][j].expect("a live slot");
+            let (mut perm, mut levels) = (Vec::new(), Vec::new());
+            for (k, fc) in layer.folds.iter().enumerate() {
+                let (mut operands, mut xa, mut xb, mut writeback) =
+                    (vec![], vec![], vec![], vec![]);
+                for j in 0..fc.xa.len() {
+                    if let Some(addr) = layer.writeback[k][j] {
+                        writeback.push((word(k, j), addr));
+                    }
+                    if !live_by_definition(layer, k, j) || forwards(layer, k, j) {
+                        continue;
+                    }
+                    let b = if fc.ob[j] { 2 * j } else { 2 * j + 1 };
+                    if k == 0 {
+                        perm.extend([leaf(2 * j), leaf(b)]);
+                    } else {
+                        operands.push([word(k - 1, 2 * j), word(k - 1, b)]);
+                    }
+                    xa.push(mask_byte(fc.xa[j]));
+                    xb.push(mask_byte(if fc.ob[j] { fc.xa[j] } else { fc.xb[j] }));
+                }
+                levels.push(FoldOp {
+                    operands: operands.into(),
+                    xa: xa.into(),
+                    xb: xb.into(),
+                    writeback: writeback.into(),
+                });
             }
+            while levels
+                .last()
+                .is_some_and(|f| f.xa.is_empty() && f.writeback.is_empty())
+            {
+                levels.pop();
+            }
+            assert_eq!(&*comp.perm, &perm[..], "{what}: leaf pairs");
+            assert_eq!(&*comp.folds, &levels[..], "{what}: levels");
             if layer.writeback.iter().flatten().all(Option::is_none) {
                 assert!(comp.perm.is_empty() && comp.folds.is_empty(), "{what}");
                 let mut state = noisy_state(x, zero as usize);
                 let before = state.clone();
-                let (mut row, mut next) = (vec![1, 2, 3], vec![4]);
-                comp.execute_words_into(&mut state, &mut row, &mut next);
-                assert_eq!((state, row, next), (before, vec![1, 2, 3], vec![4]));
+                let mut row = vec![1, 2, 3];
+                comp.execute_words_into(&mut state, &mut row, &mut Vec::new());
+                assert_eq!((state, row), (before, vec![1, 2, 3]));
             }
         });
     }
 
-    /// The fold constants cost a byte a live slot: each of the three
-    /// planes of a level is as long as its slot list, and of level `k` of
-    /// a `w`-wide layer whose every slot writes back `w >> (k + 1)`
-    /// bytes. One mask word per slot is 8× that — 10 MiB of RSS and half
-    /// the 64-lane speed on OpenPiton8, which only a ladder run would
-    /// otherwise show.
+    /// A value riding up through plain forwards is computed once, at the
+    /// first level, and read from there by every writeback on its way —
+    /// the levels it rides through compute nothing.
     #[test]
-    fn fold_constants_are_one_byte_a_slot() {
-        let mut x = 0xB17Eu64;
-        for width in [2u32, 64, 2048, 8192] {
-            for write_in in [1, 16] {
-                let comp = CompiledLayer::lower(&random_layer(&mut x, width, width, 3, write_in));
-                if write_in == 1 {
-                    assert_eq!(comp.folds.len(), width.trailing_zeros() as usize);
-                }
-                for (k, f) in comp.folds.iter().enumerate() {
-                    let dense = (width >> (k + 1)) as usize;
-                    let slots = if write_in == 1 { dense } else { f.slots.len() };
-                    for plane in [&f.xa, &f.xb, &f.ob] {
-                        assert_eq!(size_of_val(&**plane), slots, "width {width} level {k}");
+    fn a_forwards_writeback_stores_the_forwarded_word() {
+        let mut layer = BoomerangLayer::new(8);
+        layer.perm[0] = PermSource::State(0);
+        layer.perm[1] = PermSource::State(1);
+        layer.folds[1].ob[0] = true;
+        layer.folds[2].ob[0] = true;
+        layer.folds[2].xb[0] = true; // a bypassed B's constant is moot
+        layer.writeback[1][0] = Some(2);
+        layer.writeback[2][0] = Some(3);
+        let comp = lower_redirected(&layer, 4);
+        assert_eq!(&*comp.perm, &[0, 1]);
+        assert!(comp.folds[1..].iter().all(|f| f.xa.is_empty()));
+        assert_eq!(&*comp.folds[1].writeback, &[(0, 2)]);
+        assert_eq!(&*comp.folds[2].writeback, &[(0, 3)]);
+        let mut x = 0xF0_4Du64;
+        let before = noisy_state(&mut x, 4);
+        let mut got = before.clone();
+        comp.execute_words_into(&mut got, &mut Vec::new(), &mut Vec::new());
+        let and = before[0] & before[1];
+        assert_eq!(got, [before[0], before[1], and, and, 0]);
+    }
+
+    /// A bypass that inverts A is computed, `(A ^ xa) & (A ^ xa)`, at the
+    /// first level and above — it is never forwarded — and each of the
+    /// 64 lanes matches the scalar spec.
+    #[test]
+    fn an_inverted_bypass_is_computed_not_forwarded() {
+        let mut layer = BoomerangLayer::new(8);
+        layer.perm[0] = PermSource::State(0);
+        layer.perm[1] = PermSource::State(1);
+        layer.perm[2] = PermSource::State(2);
+        layer.folds[0].ob[0] = true;
+        layer.folds[0].xa[0] = true; // level 0, slot 0: !s0
+        layer.folds[1].ob[0] = true;
+        layer.folds[1].xa[0] = true; // level 1, slot 0: s0
+        layer.folds[2].ob[0] = true;
+        layer.folds[2].xa[0] = true; // level 2, slot 0: !s0
+        layer.writeback[0][1] = Some(4); // level 0, slot 1: s2 & 0
+        layer.writeback[2][0] = Some(5);
+        let comp = lower_redirected(&layer, 6);
+        assert_eq!(&*comp.perm, &[0, 0, 2, 6]);
+        assert_eq!(
+            (&*comp.folds[0].xa, &*comp.folds[0].xb),
+            (&[-1, 0][..], &[-1, 0][..])
+        );
+        for (f, word) in comp.folds[1..].iter().zip([0, 2]) {
+            assert_eq!(&*f.operands, &[[word, word]]);
+            assert_eq!((&*f.xa, &*f.xb), (&[-1][..], &[-1][..]));
+        }
+        assert_eq!(&*comp.folds[2].writeback, &[(3, 5)]);
+        let mut x = 0x1_4Fu64;
+        for _ in 0..4 {
+            let before = noisy_state(&mut x, 6);
+            check_every_lane(&layer, &comp, &before, &mut Vec::new(), "inverted");
+        }
+    }
+
+    /// Writebacks to one address keep program order within a level (the
+    /// higher slot last), across levels (the higher level last), and
+    /// when the later one is a forward of the earlier's word or the
+    /// earlier one is a forward.
+    #[test]
+    fn two_writebacks_to_one_address_keep_program_order() {
+        let mut x = 0x0_4DE4u64;
+        for case in 0..4 {
+            let mut layer = BoomerangLayer::new(8);
+            for (i, p) in layer.perm.iter_mut().enumerate() {
+                *p = PermSource::State(i as u16);
+            }
+            let (first, second) = match case {
+                0 => ((0, 0), (0, 3)),
+                1 => ((0, 3), (1, 0)),
+                2 => ((0, 2), (1, 0)),
+                _ => ((1, 0), (2, 0)),
+            };
+            layer.folds[1].ob[0] = case >= 2; // a forward of slot 0
+            layer.writeback[first.0][first.1] = Some(7);
+            layer.writeback[second.0][second.1] = Some(7);
+            let comp = lower_redirected(&layer, 8);
+            let before = noisy_state(&mut x, 8);
+            check_every_lane(
+                &layer,
+                &comp,
+                &before,
+                &mut Vec::new(),
+                &format!("case {case}"),
+            );
+        }
+    }
+
+    /// Row words are `u16`: a layer may compute 65 536 slots and no
+    /// more. A 131 072-wide layer — four times the ISA's widest — whose
+    /// whole first level writes back fills the row exactly, and a
+    /// forward above it adds no word; one computing slot more is
+    /// refused with a panic that says why, never lowered to a wrapped
+    /// index.
+    #[test]
+    fn lowering_states_what_u16_row_words_can_hold() {
+        let mut layer = BoomerangLayer::new(1 << 17);
+        for (i, p) in layer.perm.iter_mut().enumerate() {
+            *p = PermSource::State((i % 8) as u16);
+        }
+        layer.writeback[0].fill(Some(0));
+        layer.folds[1].ob[0] = true;
+        layer.writeback[1][0] = Some(1);
+        let comp = CompiledLayer::lower(&layer);
+        assert_eq!(comp.folds[0].xa.len(), ROW_WORDS);
+        assert_eq!(&*comp.folds[1].writeback, &[(0, 1)]);
+        let last = comp.folds[0].writeback.last().copied();
+        assert_eq!(last, Some((u16::MAX, 0)));
+        layer.folds[1].ob[0] = false;
+        let refused = std::panic::catch_unwind(|| CompiledLayer::lower(&layer));
+        let message = *refused
+            .expect_err("65 537 slots")
+            .downcast::<String>()
+            .expect("a message");
+        assert!(message.contains("at most 65536 slots"), "{message}");
+    }
+
+    /// The lowered form against [`BoomerangLayer::execute`], every lane,
+    /// on 2 520 random layers: every width up to the ISA's widest, every
+    /// bypass density from none to all (half of them inverting, as `xa`
+    /// is random), writebacks from none to every slot over a width's
+    /// worth, five or one address, and one row buffer of random length
+    /// and content before each layer.
+    #[test]
+    #[ignore = "2 520 layers: run with `cargo test -p gem-place --release -- --ignored`"]
+    fn lane_word_lowering_sweep() {
+        let mut x = 0x5EE9u64;
+        let mut layers = 0;
+        for log in 1..=15u32 {
+            let width = 1u32 << log;
+            for addrs in [width, width.min(5), 1] {
+                for write_in in [1, 3, 64, u64::from(width), 0] {
+                    for bypass_in in [0, 1, 2, 4, 16, 128] {
+                        let reps = if log > 13 { 1 } else { 2 };
+                        for _ in 0..reps {
+                            let layer = random_layer(&mut x, width, addrs, bypass_in, write_in);
+                            let comp = lower_redirected(&layer, addrs as usize);
+                            let before = noisy_state(&mut x, addrs as usize);
+                            let len = (xorshift(&mut x) % (3 * u64::from(width))) as usize;
+                            let mut row = vec![xorshift(&mut x); len];
+                            let what = format!(
+                                "width {width}, {addrs} addresses, 1 in {write_in} written, \
+                                 1 in {bypass_in} bypassed, stale row of {len}"
+                            );
+                            check_every_lane(&layer, &comp, &before, &mut row, &what);
+                            layers += 1;
+                        }
                     }
                 }
             }
         }
+        assert_eq!(layers, 2_520);
     }
 
     /// The lowered op counts are the cost model's layer charges — of the
@@ -672,8 +804,7 @@ mod tests {
         let comp = lower_redirected(&layer, 4);
         let mut state = vec![0xDEAD_BEEF_DEAD_BEEF; 4];
         state.push(0);
-        let (mut row, mut next) = (Vec::new(), Vec::new());
-        comp.execute_words_into(&mut state, &mut row, &mut next);
+        comp.execute_words_into(&mut state, &mut Vec::new(), &mut Vec::new());
         assert_eq!(state[..4], [0xDEAD_BEEF_DEAD_BEEF; 4]);
         assert_eq!(state[4], 0);
     }

@@ -481,12 +481,13 @@ mod tests {
     }
 
     /// The lane-word form costs bytes, not words: over the widths cores
-    /// have, what `widen()` allocates (gather table, constant planes,
-    /// writeback lists) stays below 3 × what the packed layer it came
-    /// from holds — 2.1–2.6 × here and 2.2 × over OpenPiton8, where one
-    /// mask word per constant made it 7.6 × there and ~9 × at width 256.
+    /// have, what `widen()` allocates (gather table, operand pairs,
+    /// constant planes, writeback lists) stays below 1.8 × what the
+    /// packed layer it came from holds — 1.68–1.78 × here with one slot
+    /// in two written, 0.28–0.82 × with one in sixteen, and 1.3 × over
+    /// OpenPiton8, where one mask word per constant made it 7.6 ×.
     #[test]
-    fn widened_layer_stays_below_three_times_the_packed_bytes() {
+    fn widened_layer_stays_below_1_8_times_the_packed_bytes() {
         use std::mem::size_of_val;
         let mut x = 0xB17E5u64;
         for log in 8..=13u32 {
@@ -501,13 +502,13 @@ mod tests {
                 let wide = packed.widen();
                 let wide_bytes = size_of_val(&*wide.perm)
                     + wide.folds.iter().fold(0, |n, f| {
-                        let planes = [&f.xa, &f.xb, &f.ob].map(|p| size_of_val(&**p));
-                        n + planes.iter().sum::<usize>()
-                            + size_of_val(&*f.slots)
+                        n + size_of_val(&*f.operands)
+                            + size_of_val(&*f.xa)
+                            + size_of_val(&*f.xb)
                             + size_of_val(&*f.writeback)
                     });
                 assert!(
-                    wide_bytes < 3 * packed_bytes,
+                    5 * wide_bytes < 9 * packed_bytes,
                     "width {width}, 1 in {write_in} written: {wide_bytes} B lane-word \
                      against {packed_bytes} B packed"
                 );

@@ -12,9 +12,10 @@
 //! [`PackedCore`] (layers: [`gem_place::PackedLayer`], one bit per
 //! signal) is what the machine lowers at load and runs while one lane is
 //! active; [`CompiledCore`] (layers: [`gem_place::CompiledLayer`], one
-//! lane word per signal, one byte per fold constant) is what it runs
-//! with more, produced from the packed form by [`PackedCore::widen`] the
-//! first time a second lane appears. The switch needs no conversion of
+//! lane word per signal, only the fold slots that compute) is what it
+//! runs with more, produced from the packed form by
+//! [`PackedCore::widen`] the first time a second lane appears. The
+//! switch needs no conversion of
 //! machine state: with one lane active every global word is a splat
 //! (inactive lanes mirror lane 0), and what a state cell *is* never
 //! leaves a core's execution — the packed form keeps bit 0 of each word
@@ -189,7 +190,7 @@ impl CompiledCore {
         let layer_events = layers.iter().flat_map(|l| {
             let gathers = l.perm.iter().map(|&a| (a, true));
             let writebacks = l.folds.iter().flat_map(|f| f.writeback.iter());
-            gathers.chain(writebacks.map(|&(_, a)| (a, false)))
+            gathers.chain(writebacks.map(|&(_, a)| (u32::from(a), false)))
         });
         let publishes = immediate.iter().chain(deferred.iter());
         let publishes = publishes
@@ -409,10 +410,11 @@ impl PackedCore {
 }
 
 /// Reusable per-thread execution buffers: the core state of each form
-/// (lane words for [`CompiledCore`], bytes for [`PackedCore`]) and the
-/// two ping-pong fold rows. Capacity survives across cores and cycles,
-/// so steady-state execution performs no heap allocation inside the
-/// fold network.
+/// (lane words for [`CompiledCore`], bytes for [`PackedCore`]) and two
+/// fold rows — the packed form ping-pongs between them, the lane-word
+/// form holds every level of a layer in the first. Capacity survives
+/// across cores and cycles, so steady-state execution performs no heap
+/// allocation inside the fold network.
 #[derive(Debug, Default)]
 pub struct Scratch {
     state: Vec<Word>,

@@ -166,13 +166,12 @@ struct Program {
     /// The lane-word form of every core, indexed as `stages`: what runs
     /// with more than one lane active. Lowered when a sharer of the
     /// program first asks for a second lane, so a design that only ever
-    /// runs one simulation never holds it: 3.6 MB of layer tables on
-    /// OpenPiton8 (`u32` leaf pairs of the live first-level slots 1.2,
-    /// live-slot lists 1.0, byte planes of their fold constants 0.77,
-    /// writeback lists 0.65) beside the packed form's 1.8 MB — 3.9 MB
-    /// while every slot was stored, 13.7 MB while the constants were one
-    /// mask word each — still +12 % on the resident size of a one-lane
-    /// session, for nothing.
+    /// runs one simulation never holds it: 2.26 MB of layer tables on
+    /// OpenPiton8 (`u32` leaf pairs of the computing first-level slots
+    /// 1.19, byte planes of their fold constants 0.45, writeback lists
+    /// 0.33, operand pairs above the first level 0.30; DESIGN.md §7)
+    /// beside the packed form's 1.8 MB — still +8–9 % on the resident
+    /// size of a one-lane session, for nothing.
     wide: OnceLock<Vec<Vec<CompiledCore>>>,
 }
 
@@ -489,11 +488,10 @@ impl GemGpu {
     ///
     /// The first request for a second lane on a loaded program — by this
     /// machine or any clone of it — lowers the program's lane-word form
-    /// (~6 ms on OpenPiton8, most of it finding the live slots, against
-    /// ~18 ms for [`load`](Self::load): there is nothing to decode);
-    /// every later one, on any sharer, finds it there. The rest of a
-    /// first `set_lanes(64)` there (~21 ms in all) is the 63 copies of
-    /// every RAM image.
+    /// (a first `set_lanes(2)` is ~15 ms on OpenPiton8, against ~22 ms
+    /// for [`load`](Self::load): there is nothing to decode); every later
+    /// one, on any sharer, finds it there. A first `set_lanes(64)` adds
+    /// the 63 copies of every RAM image.
     ///
     /// # Errors
     ///
