@@ -6,22 +6,23 @@
 //! with the very functions the binary calls.
 //!
 //! Methodology (see DESIGN.md §3): CPU baselines (the event-driven
-//! "commercial" stand-in and the levelized "Verilator" stand-in) are
-//! measured in wall-clock on this machine; GPU engines (GEM itself and the
-//! GL0AM-style gate-level baseline) are *modeled* — executed functionally
-//! on the virtual GPU and converted to Hz with the calibrated A100/3090
-//! timing models. Designs are ≈1/15 the gate count of the paper's, with
-//! matching structure; intensive quantities (ratios, crossovers, layer
-//! compression, replication percentages) are the reproduction targets.
+//! `EventSim` as the "commercial" tool, the full-cycle `EaigSim` as
+//! "Verilator") are measured in wall-clock on the host; GPU engines are
+//! *modeled* — GEM executed functionally on the virtual GPU, GL0AM's
+//! gate-level re-simulation counted by `EventSim` — and converted to Hz
+//! with the calibrated A100/3090 timing models. Designs are ≈1/15 the
+//! gate count of the paper's, with matching structure; intensive
+//! quantities (ratios, crossovers, layer compression, replication
+//! percentages) are the reproduction targets.
 
 pub mod repro;
 
 use gem_core::{compile, CompileOptions, Compiled, GemSimulator};
 use gem_designs::{Design, Workload};
 use gem_netlist::Bits;
-use gem_sim::{EaigSim, EventSim, LevelizedSim};
+use gem_sim::{EaigSim, EventSim};
 use gem_synth::PortBits;
-use gem_vgpu::{Gl0amModel, GpuSpec, KernelCounters, TimingModel};
+use gem_vgpu::{gl0am, GpuSpec, KernelCounters, TimingModel};
 use std::time::Instant;
 
 /// Per-design harness configuration mirroring Table I's stages column.
@@ -94,20 +95,20 @@ pub fn measure_event(d: &Design, c: &Compiled, w: &Workload, cycles: u64) -> (f6
     (hz, events_per_cycle)
 }
 
-/// Speed of the levelized full-cycle ("Verilator") baseline at 1 and at 8
-/// threads.
+/// Speed of the levelized full-cycle ("Verilator") baseline, [`EaigSim`],
+/// at 1 and at 8 threads.
 ///
 /// One thread is measured in wall-clock. Eight are *modeled* from that
 /// measurement: compute scales by `threads − 1` (imbalance leaves one
-/// thread's worth on the table) and each logic level costs one barrier
-/// (≈0.6 µs on a Xeon-class host). Measuring a thread pool for real
-/// requires a multi-core host; this harness must also run on single-core
-/// CI boxes, and the model reproduces the paper's observed 2–4× scaling
-/// with its per-level saturation.
+/// thread's worth on the table) and each logic level of the live logic
+/// costs one barrier (≈0.6 µs on a Xeon-class host). Measuring a thread
+/// pool for real requires a multi-core host; this harness must also run
+/// on single-core CI boxes, and the model reproduces the paper's observed
+/// 2–4× scaling with its per-level saturation.
 pub fn measure_levelized(d: &Design, c: &Compiled, w: &Workload, cycles: u64) -> (f64, f64) {
     let widths = |n: &str| port_width(d, n);
     let mut stim = w.stimulus(&widths);
-    let mut sim = LevelizedSim::new(&c.eaig);
+    let mut sim = EaigSim::new(&c.eaig);
     let mut bits = vec![false; c.eaig.inputs().len()];
     for _ in 0..stim.warmup_cycles() {
         let ins = stim.next_inputs();
@@ -122,22 +123,25 @@ pub fn measure_levelized(d: &Design, c: &Compiled, w: &Workload, cycles: u64) ->
     const THREADS: f64 = 8.0;
     const BARRIER_S: f64 = 0.6e-6;
     let t1 = 1.0 / hz1;
-    let t_mt = t1 / (THREADS - 1.0) + sim.num_levels() as f64 * BARRIER_S;
+    let t_mt = t1 / (THREADS - 1.0) + f64::from(c.eaig.levels().depth) * BARRIER_S;
     (hz1, 1.0 / t_mt)
 }
 
-/// Modeled speed of the GL0AM-style gate-level GPU baseline (A100).
+/// Modeled speed of the GL0AM-style gate-level GPU baseline (A100): the
+/// event-driven baseline's re-evaluation counts over the warm-up and
+/// `cycles` cycles, priced by [`gem_vgpu::gl0am::counters`].
 pub fn measure_gl0am(d: &Design, c: &Compiled, w: &Workload, cycles: u64) -> f64 {
     let widths = |n: &str| port_width(d, n);
     let mut stim = w.stimulus(&widths);
-    let mut sim = Gl0amModel::new(&c.eaig);
+    let mut sim = EventSim::new(&c.eaig);
     let mut bits = vec![false; c.eaig.inputs().len()];
     for _ in 0..stim.warmup_cycles() + cycles {
         let ins = stim.next_inputs();
         apply_to_bitvec(&c.eaig_inputs, &ins, &mut bits);
         sim.cycle(&bits);
     }
-    TimingModel::new(GpuSpec::a100()).hz_total(sim.counters())
+    let counters = gl0am::counters(sim.evaluations(), sim.active_levels(), sim.cycles());
+    TimingModel::new(GpuSpec::a100()).hz_total(&counters)
 }
 
 /// GEM's kernel counters on a workload: a few functional cycles on the

@@ -8,8 +8,14 @@
 //! on high-activity ones it loses — exactly the behaviour Table II relies
 //! on. It also reports the *signal events per cycle* metric the paper
 //! quotes (8,612 events for OpenPiton1 vs 28,789 for OpenPiton8).
+//!
+//! Its re-evaluation counts are also GL0AM's cost: GL0AM re-simulates the
+//! same levelized wavefront on a GPU, and `gem_vgpu::gl0am::counters`
+//! prices [`EventSim::evaluations`] and [`EventSim::active_levels`]. The
+//! state a clock edge carries, and the edge itself, live in `state.rs`.
 
-use gem_aig::{Eaig, Lit, Node, RAM_ADDR_BITS};
+use crate::state::State;
+use gem_aig::{Eaig, Lit, Node, NodeId};
 
 /// Levelized event-driven simulator for an [`Eaig`].
 ///
@@ -36,24 +42,71 @@ use gem_aig::{Eaig, Lit, Node, RAM_ADDR_BITS};
 #[derive(Debug)]
 pub struct EventSim<'a> {
     g: &'a Eaig,
+    state: State,
+    wave: Wave<'a>,
+    cycles: u64,
+}
+
+/// Settled node values and, per logic level, the worklist of gates whose
+/// fan-ins changed this cycle.
+#[derive(Debug)]
+struct Wave<'a> {
     vals: Vec<bool>,
-    ff: Vec<bool>,
-    ram: Vec<Box<[u32]>>,
-    ram_rdata: Vec<u32>,
-    inputs: Vec<bool>,
-    levels: Vec<u32>,
+    levels: &'a [u32],
     fanouts: Vec<Vec<u32>>,
-    /// Per-level dirty worklists.
     dirty: Vec<Vec<u32>>,
     on_list: Vec<bool>,
-    events_total: u64,
-    cycles: u64,
+    events: u64,
+    evaluations: u64,
+    active_levels: u64,
+}
+
+fn read(vals: &[bool], l: Lit) -> bool {
+    vals[l.node().0 as usize] ^ l.is_inverted()
+}
+
+impl Wave<'_> {
+    /// Sets `node` to `v`; a change is an event and schedules the node's
+    /// fan-out gates on their levels' worklists.
+    fn set(&mut self, node: u32, v: bool) {
+        if self.vals[node as usize] == v {
+            return;
+        }
+        self.vals[node as usize] = v;
+        self.events += 1;
+        for &fo in &self.fanouts[node as usize] {
+            if !self.on_list[fo as usize] {
+                self.on_list[fo as usize] = true;
+                self.dirty[self.levels[fo as usize] as usize].push(fo);
+            }
+        }
+    }
+
+    /// Re-evaluates the scheduled gates level by level until the logic
+    /// settles. A gate only schedules gates of deeper levels, so each
+    /// level's worklist is complete when its turn comes.
+    fn settle(&mut self, g: &Eaig) {
+        for level in 1..self.dirty.len() {
+            let mut work = std::mem::take(&mut self.dirty[level]);
+            self.active_levels += u64::from(!work.is_empty());
+            for &node in &work {
+                self.on_list[node as usize] = false;
+                if let Node::And(a, b) = g.node(NodeId(node)) {
+                    self.evaluations += 1;
+                    let v = read(&self.vals, a) && read(&self.vals, b);
+                    self.set(node, v);
+                }
+            }
+            work.clear();
+            self.dirty[level] = work;
+        }
+    }
 }
 
 impl<'a> EventSim<'a> {
     /// Creates a simulator with power-on state.
     pub fn new(g: &'a Eaig) -> Self {
-        let levels = g.node_levels().to_vec();
+        let levels = g.node_levels();
         let mut fanouts = vec![Vec::new(); g.len()];
         for (i, n) in g.nodes().iter().enumerate() {
             if let Node::And(a, b) = n {
@@ -64,58 +117,33 @@ impl<'a> EventSim<'a> {
             }
         }
         let depth = levels.iter().copied().max().unwrap_or(0) as usize;
-        let mut sim = EventSim {
-            vals: vec![false; g.len()],
-            ff: g.ffs().iter().map(|f| f.init).collect(),
-            ram: g
-                .rams()
-                .iter()
-                .map(|_| vec![0u32; 1 << RAM_ADDR_BITS].into_boxed_slice())
-                .collect(),
-            ram_rdata: vec![0; g.rams().len()],
-            inputs: vec![false; g.inputs().len()],
-            levels,
-            fanouts,
-            dirty: vec![Vec::new(); depth + 1],
-            on_list: vec![false; g.len()],
-            events_total: 0,
-            cycles: 0,
-            g,
-        };
+        let state = State::new(g);
         // Establish a consistent starting point (all-zero inputs, power-on
         // state) with one full evaluation; event propagation then only has
         // to track deltas.
+        let mut vals = vec![false; g.len()];
+        for (node, v) in state.sources(g) {
+            vals[node.0 as usize] = v;
+        }
         for (i, n) in g.nodes().iter().enumerate() {
-            sim.vals[i] = match *n {
-                Node::Const0 => false,
-                Node::Input(idx) => sim.inputs[idx as usize],
-                Node::And(a, b) => sim.lit(a) && sim.lit(b),
-                Node::FfOut(ff) => sim.ff[ff.0 as usize],
-                Node::RamOut { ram, bit } => (sim.ram_rdata[ram.0 as usize] >> bit) & 1 == 1,
-            };
-        }
-        sim
-    }
-
-    fn lit(&self, l: Lit) -> bool {
-        self.vals[l.node().0 as usize] ^ l.is_inverted()
-    }
-
-    fn schedule(&mut self, node: u32) {
-        if !self.on_list[node as usize] {
-            self.on_list[node as usize] = true;
-            self.dirty[self.levels[node as usize] as usize].push(node);
-        }
-    }
-
-    fn set_source(&mut self, node: u32, v: bool) {
-        if self.vals[node as usize] != v {
-            self.vals[node as usize] = v;
-            self.events_total += 1;
-            for fo_idx in 0..self.fanouts[node as usize].len() {
-                let fo = self.fanouts[node as usize][fo_idx];
-                self.schedule(fo);
+            if let Node::And(a, b) = *n {
+                vals[i] = read(&vals, a) && read(&vals, b);
             }
+        }
+        EventSim {
+            g,
+            state,
+            wave: Wave {
+                vals,
+                levels,
+                fanouts,
+                dirty: vec![Vec::new(); depth + 1],
+                on_list: vec![false; g.len()],
+                events: 0,
+                evaluations: 0,
+                active_levels: 0,
+            },
+            cycles: 0,
         }
     }
 
@@ -123,104 +151,39 @@ impl<'a> EventSim<'a> {
     /// events, returns outputs, clocks the state.
     pub fn cycle(&mut self, inputs: &[bool]) -> Vec<bool> {
         self.cycles += 1;
-        // 1. Input events.
-        for (i, &v) in inputs.iter().enumerate() {
-            self.inputs[i] = v;
+        // Source events: the new inputs, and the flip-flop outputs and RAM
+        // read data the previous clock edge changed.
+        self.state.set_inputs(inputs);
+        for (node, v) in self.state.sources(self.g) {
+            self.wave.set(node.0, v);
         }
-        let input_nodes: Vec<(u32, bool)> = self
+        self.wave.settle(self.g);
+        let vals = &self.wave.vals;
+        let outs = self
             .g
-            .inputs()
+            .outputs()
             .iter()
-            .enumerate()
-            .map(|(i, (_, id))| (id.0, self.inputs[i]))
+            .map(|&(_, l)| read(vals, l))
             .collect();
-        for (node, v) in input_nodes {
-            self.set_source(node, v);
-        }
-        // State-source events (FF outputs / RAM read data changed at the
-        // previous clock edge are applied here, at cycle start).
-        let ff_nodes: Vec<(u32, bool)> = self
-            .g
-            .ffs()
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.out.0, self.ff[i]))
-            .collect();
-        for (node, v) in ff_nodes {
-            self.set_source(node, v);
-        }
-        let ram_nodes: Vec<(u32, bool)> = self
-            .g
-            .rams()
-            .iter()
-            .enumerate()
-            .flat_map(|(ri, r)| {
-                let word = self.ram_rdata[ri];
-                r.out
-                    .iter()
-                    .enumerate()
-                    .map(move |(bit, id)| (id.0, (word >> bit) & 1 == 1))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (node, v) in ram_nodes {
-            self.set_source(node, v);
-        }
-        // 2. Propagate level by level.
-        for level in 1..self.dirty.len() {
-            let mut work = std::mem::take(&mut self.dirty[level]);
-            for &node in &work {
-                self.on_list[node as usize] = false;
-                if let Node::And(a, b) = self.g.node(gem_aig::NodeId(node)) {
-                    let nv = self.lit(a) && self.lit(b);
-                    if nv != self.vals[node as usize] {
-                        self.vals[node as usize] = nv;
-                        self.events_total += 1;
-                        for fo_idx in 0..self.fanouts[node as usize].len() {
-                            let fo = self.fanouts[node as usize][fo_idx];
-                            self.schedule(fo);
-                        }
-                    }
-                }
-            }
-            work.clear();
-        }
-        // 3. Outputs.
-        let outs: Vec<bool> = self.g.outputs().iter().map(|(_, l)| self.lit(*l)).collect();
-        // 4. Clock edge.
-        let new_ff: Vec<bool> = self.g.ffs().iter().map(|f| self.lit(f.next)).collect();
-        for (ri, r) in self.g.rams().iter().enumerate() {
-            let raddr = self.addr_of(&r.read_addr);
-            self.ram_rdata[ri] = self.ram[ri][raddr];
-            if self.lit(r.write_en) {
-                let waddr = self.addr_of(&r.write_addr);
-                let mut w = 0u32;
-                for (bit, &l) in r.write_data.iter().enumerate() {
-                    if self.lit(l) {
-                        w |= 1 << bit;
-                    }
-                }
-                self.ram[ri][waddr] = w;
-            }
-        }
-        self.ff = new_ff;
+        self.state.clock(self.g, |l| read(vals, l));
         outs
     }
 
-    fn addr_of(&self, bits: &[Lit; RAM_ADDR_BITS]) -> usize {
-        let mut a = 0usize;
-        for (i, &l) in bits.iter().enumerate() {
-            if self.lit(l) {
-                a |= 1 << i;
-            }
-        }
-        a
+    /// Total signal events since construction (the paper's activity
+    /// metric): sources and gates whose value changed.
+    pub fn events_total(&self) -> u64 {
+        self.wave.events
     }
 
-    /// Total signal events since construction (the paper's activity
-    /// metric).
-    pub fn events_total(&self) -> u64 {
-        self.events_total
+    /// Gate re-evaluations since construction: every gate taken off a
+    /// worklist, whether or not its value then changed.
+    pub fn evaluations(&self) -> u64 {
+        self.wave.evaluations
+    }
+
+    /// Logic levels with a non-empty worklist, summed over all cycles.
+    pub fn active_levels(&self) -> u64 {
+        self.wave.active_levels
     }
 
     /// Cycles simulated.
@@ -233,7 +196,7 @@ impl<'a> EventSim<'a> {
         if self.cycles == 0 {
             0.0
         } else {
-            self.events_total as f64 / self.cycles as f64
+            self.wave.events as f64 / self.cycles as f64
         }
     }
 }
@@ -242,6 +205,7 @@ impl<'a> EventSim<'a> {
 mod tests {
     use super::*;
     use crate::golden::EaigSim;
+    use crate::FuzzRng;
     use gem_aig::Eaig;
 
     fn xor_tree() -> Eaig {
@@ -257,10 +221,9 @@ mod tests {
         let g = xor_tree();
         let mut ev = EventSim::new(&g);
         let mut gold = EaigSim::new(&g);
-        let mut x = 12345u64;
+        let mut r = FuzzRng::new(12345);
         for _ in 0..200 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let ins: Vec<bool> = (0..8).map(|i| (x >> i) & 1 == 1).collect();
+            let ins: Vec<bool> = (0..8).map(|_| r.chance(1, 2)).collect();
             assert_eq!(ev.cycle(&ins), gold.cycle(&ins));
         }
     }
@@ -291,11 +254,14 @@ mod tests {
         let g = xor_tree();
         let mut ev = EventSim::new(&g);
         ev.cycle(&[true; 8]);
-        let after_first = ev.events_total();
+        let after_first = (ev.events_total(), ev.evaluations(), ev.active_levels());
         for _ in 0..10 {
             ev.cycle(&[true; 8]);
         }
-        assert_eq!(ev.events_total(), after_first);
+        assert_eq!(
+            (ev.events_total(), ev.evaluations(), ev.active_levels()),
+            after_first
+        );
     }
 
     #[test]

@@ -1,10 +1,35 @@
-//! Golden-model interpreter over the E-AIG.
+//! Golden-model interpreter over the E-AIG, and the full-cycle
+//! ("Verilator") baseline of Table II.
 //!
-//! [`EaigSim`] evaluates every node every cycle in topological order. It is
-//! deliberately simple — it exists to define the semantics all faster
-//! engines (GEM itself, the baselines) must agree with.
+//! Verilator compiles a design into straight-line code that evaluates the
+//! whole circuit every cycle. [`EaigSim`] does the same over the E-AIG: a
+//! flat array of the live AND gates in level order, one value byte per
+//! node, executed unconditionally every cycle. It defines the semantics
+//! every other engine is checked against, and `gem_bench::measure_levelized`
+//! times its [`cycle`](EaigSim::cycle) for the 1-thread column; the
+//! 8-thread column is modeled from that time and one barrier per logic
+//! level ([`Eaig::levels`]`.depth`). The state a clock
+//! edge carries, and the edge itself, live in `state.rs`.
 
-use gem_aig::{Eaig, Lit, Node, RAM_ADDR_BITS};
+use crate::state::State;
+use gem_aig::{Eaig, Lit, Node};
+
+/// One AND gate: output node and the two operand literal codes.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    out: u32,
+    a: u32,
+    b: u32,
+}
+
+/// Value byte of an AND gate that feeds no output, flip-flop or RAM port.
+/// [`EaigSim::eval`] never computes such a gate and never reads it.
+const DEAD: u8 = 2;
+
+#[inline]
+fn read_code(vals: &[u8], code: u32) -> bool {
+    (vals[(code >> 1) as usize] ^ (code & 1) as u8) & 1 == 1
+}
 
 /// Cycle-accurate reference simulator for an [`Eaig`].
 ///
@@ -31,34 +56,43 @@ use gem_aig::{Eaig, Lit, Node, RAM_ADDR_BITS};
 #[derive(Debug)]
 pub struct EaigSim<'a> {
     g: &'a Eaig,
-    /// Current value of every node (valid after [`eval`](Self::eval)).
-    vals: Vec<bool>,
-    /// Flip-flop state.
-    ff: Vec<bool>,
-    /// RAM contents, one 8192-word bank per block.
-    ram: Vec<Box<[u32]>>,
-    /// Registered read data per RAM block.
-    ram_rdata: Vec<u32>,
-    /// Primary input values.
-    inputs: Vec<bool>,
+    state: State,
+    /// The live AND gates, level by level (node order within a level).
+    ops: Vec<Op>,
+    /// One value byte per node (0/1, or [`DEAD`]); valid after
+    /// [`eval`](Self::eval).
+    vals: Vec<u8>,
     evaluated: bool,
 }
 
 impl<'a> EaigSim<'a> {
-    /// Creates a simulator with all state at its power-on values.
+    /// Compiles `g` into level-ordered gates, with all state at its
+    /// power-on values.
     pub fn new(g: &'a Eaig) -> Self {
+        let live = g.live_nodes();
+        let mut vals = vec![0; g.len()];
+        let mut ops = Vec::new();
+        for (i, n) in g.nodes().iter().enumerate() {
+            if let Node::And(a, b) = *n {
+                if live[i] {
+                    ops.push(Op {
+                        out: i as u32,
+                        a: a.code(),
+                        b: b.code(),
+                    });
+                } else {
+                    vals[i] = DEAD;
+                }
+            }
+        }
+        let levels = g.node_levels();
+        ops.sort_by_key(|op| levels[op.out as usize]);
         EaigSim {
-            vals: vec![false; g.len()],
-            ff: g.ffs().iter().map(|f| f.init).collect(),
-            ram: g
-                .rams()
-                .iter()
-                .map(|_| vec![0u32; 1 << RAM_ADDR_BITS].into_boxed_slice())
-                .collect(),
-            ram_rdata: vec![0; g.rams().len()],
-            inputs: vec![false; g.inputs().len()],
-            evaluated: false,
             g,
+            state: State::new(g),
+            ops,
+            vals,
+            evaluated: false,
         }
     }
 
@@ -68,7 +102,7 @@ impl<'a> EaigSim<'a> {
     ///
     /// Panics if `idx` is out of range.
     pub fn set_input(&mut self, idx: usize, v: bool) {
-        self.inputs[idx] = v;
+        self.state.set_input(idx, v);
         self.evaluated = false;
     }
 
@@ -84,30 +118,31 @@ impl<'a> EaigSim<'a> {
 
     /// Evaluates the combinational logic for the current cycle.
     pub fn eval(&mut self) {
-        for (i, n) in self.g.nodes().iter().enumerate() {
-            self.vals[i] = match *n {
-                Node::Const0 => false,
-                Node::Input(idx) => self.inputs[idx as usize],
-                Node::And(a, b) => self.lit_from(a) && self.lit_from(b),
-                Node::FfOut(ff) => self.ff[ff.0 as usize],
-                Node::RamOut { ram, bit } => (self.ram_rdata[ram.0 as usize] >> bit) & 1 == 1,
-            };
+        for (node, v) in self.state.sources(self.g) {
+            self.vals[node.0 as usize] = v as u8;
+        }
+        for op in &self.ops {
+            let v = read_code(&self.vals, op.a) && read_code(&self.vals, op.b);
+            self.vals[op.out as usize] = v as u8;
         }
         self.evaluated = true;
-    }
-
-    fn lit_from(&self, l: Lit) -> bool {
-        self.vals[l.node().0 as usize] ^ l.is_inverted()
     }
 
     /// Value of a literal (combinational, after [`eval`](Self::eval)).
     ///
     /// # Panics
     ///
-    /// Panics if called before `eval` in the current cycle.
+    /// Panics if called before `eval` in the current cycle, or if `l` is
+    /// an AND gate that feeds no output, flip-flop or RAM port (`eval`
+    /// does not compute those).
     pub fn lit(&self, l: Lit) -> bool {
         assert!(self.evaluated, "call eval() before reading values");
-        self.lit_from(l)
+        let node = l.node().0;
+        assert_ne!(
+            self.vals[node as usize], DEAD,
+            "node {node} feeds no output, flip-flop or RAM port; eval() does not compute it"
+        );
+        read_code(&self.vals, l.code())
     }
 
     /// Value of primary output `idx` (creation order).
@@ -124,8 +159,9 @@ impl<'a> EaigSim<'a> {
             .map(|(_, l)| self.lit(*l))
     }
 
-    /// Advances one clock edge: flip-flops load their next-state values and
-    /// RAM blocks perform their (read-first) port operations.
+    /// Advances one clock edge (`state.rs`): flip-flops load their
+    /// next-state values and RAM blocks perform their (read-first) port
+    /// operations.
     ///
     /// Calls [`eval`](Self::eval) internally if inputs changed since the
     /// last evaluation.
@@ -133,63 +169,21 @@ impl<'a> EaigSim<'a> {
         if !self.evaluated {
             self.eval();
         }
-        let new_ff: Vec<bool> = self.g.ffs().iter().map(|f| self.lit_from(f.next)).collect();
-        for (ri, r) in self.g.rams().iter().enumerate() {
-            let raddr = self.addr_of(&r.read_addr);
-            // Read-first: capture before the write.
-            self.ram_rdata[ri] = self.ram[ri][raddr];
-            if self.lit_from(r.write_en) {
-                let waddr = self.addr_of(&r.write_addr);
-                let mut w = 0u32;
-                for (bit, &l) in r.write_data.iter().enumerate() {
-                    if self.lit_from(l) {
-                        w |= 1 << bit;
-                    }
-                }
-                self.ram[ri][waddr] = w;
-            }
-        }
-        self.ff = new_ff;
+        self.state
+            .clock(self.g, |l| read_code(&self.vals, l.code()));
         self.evaluated = false;
-    }
-
-    fn addr_of(&self, bits: &[Lit; RAM_ADDR_BITS]) -> usize {
-        let mut a = 0usize;
-        for (i, &l) in bits.iter().enumerate() {
-            if self.lit_from(l) {
-                a |= 1 << i;
-            }
-        }
-        a
     }
 
     /// Runs one full cycle: applies `inputs` (creation order), evaluates,
     /// returns all outputs, then clocks.
     pub fn cycle(&mut self, inputs: &[bool]) -> Vec<bool> {
-        for (i, &v) in inputs.iter().enumerate() {
-            self.inputs[i] = v;
-        }
+        self.state.set_inputs(inputs);
         self.eval();
         let outs = (0..self.g.outputs().len())
             .map(|i| self.output(i))
             .collect();
         self.step();
         outs
-    }
-
-    /// Direct access to a RAM word (for test setup and inspection).
-    pub fn ram_word(&self, ram: usize, addr: usize) -> u32 {
-        self.ram[ram][addr]
-    }
-
-    /// Overwrites a RAM word (for test setup, e.g. program loading).
-    pub fn set_ram_word(&mut self, ram: usize, addr: usize, value: u32) {
-        self.ram[ram][addr] = value;
-    }
-
-    /// Current flip-flop state bits.
-    pub fn ff_state(&self) -> &[bool] {
-        &self.ff
     }
 }
 
@@ -234,6 +228,20 @@ mod tests {
         let mut s = EaigSim::new(&g);
         s.eval();
         assert!(s.output(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "feeds no output")]
+    fn reading_a_dead_gate_panics() {
+        let mut g = Eaig::new();
+        let a = g.input("a");
+        let b = g.input("b");
+        let dead = g.and(a, b);
+        g.output("o", a);
+        let mut s = EaigSim::new(&g);
+        s.eval();
+        assert!(!s.output(0));
+        s.lit(dead);
     }
 
     #[test]

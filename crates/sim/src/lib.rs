@@ -2,34 +2,35 @@
 //!
 //! The paper compares GEM against a leading commercial event-driven
 //! simulator, Verilator (1 and 8 threads), and the GPU gate-level
-//! simulator GL0AM. This crate provides the corresponding stand-ins plus
-//! the golden reference models used for correctness cross-checks:
+//! simulator GL0AM. Two E-AIG interpreters play those roles and the
+//! golden model's:
 //!
-//! * [`EaigSim`] — golden-model interpreter over the E-AIG, the ground
-//!   truth every other engine is checked against,
-//! * [`NetlistSim`] — word-level interpreter over the RTL netlist, used to
-//!   verify synthesis,
-//! * [`event::EventSim`] — event-driven simulator whose cost scales with
-//!   switching activity (the "commercial tool" role),
-//! * [`levelized::LevelizedSim`] — full-cycle levelized simulator (the
-//!   "Verilator" role),
-//! * a gate-level LUT4 cost model on the virtual GPU (the "GL0AM" role)
-//!   lives in `gem-vgpu` to avoid a dependency cycle.
+//! * [`EaigSim`] — full-cycle, level-ordered evaluation of the live
+//!   gates: the golden model every other engine is checked against, and
+//!   the "Verilator" column (measured at 1 thread, modeled at 8),
+//! * [`EventSim`] — event-driven evaluation whose cost scales with
+//!   switching activity: the "commercial tool" column, and through its
+//!   re-evaluation counts the "GL0AM" column (`gem_vgpu::gl0am` prices
+//!   them on the GPU timing model),
 //!
-//! All engines share the same sequential semantics: synchronous single
-//! clock, read-first RAM ports, inputs sampled at the beginning of each
-//! cycle, outputs observed after combinational settling.
+//! plus [`NetlistSim`], a word-level interpreter over the RTL netlist used
+//! to verify synthesis.
+//!
+//! The E-AIG interpreters hold one state type (`state.rs`): inputs,
+//! flip-flops, RAM banks and registered read data, with one clock edge —
+//! synchronous single clock, read-first RAM ports, inputs sampled at the
+//! beginning of each cycle, outputs observed after combinational settling.
+//! They differ only in evaluation order.
 
 pub mod event;
 pub mod fuzz;
 pub mod golden;
 pub mod lanes;
-pub mod levelized;
 pub mod netlist_sim;
+mod state;
 
 pub use event::EventSim;
 pub use fuzz::{random_module, FuzzConfig, FuzzRng};
 pub use golden::EaigSim;
 pub use lanes::{LaneBatch, LaneError, LaneStream, LaneTarget};
-pub use levelized::LevelizedSim;
 pub use netlist_sim::NetlistSim;

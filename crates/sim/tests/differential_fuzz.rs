@@ -1,13 +1,16 @@
 //! Differential fuzzing: randomly generated designs, golden E-AIG
-//! interpreter vs the virtual GPU at every lane width.
+//! interpreter vs the event-driven one and the virtual GPU at every lane
+//! width.
 //!
 //! For every seed the suite builds a random module
 //! ([`gem_sim::random_module`]), compiles it, and runs the same random
-//! stimulus through the golden [`EaigSim`] and **four** `GemSimulator`s
-//! in lockstep — 1, 4, 32 and 64 lanes — asserting, every cycle:
+//! stimulus through the golden [`EaigSim`], the event-driven [`EventSim`]
+//! and **four** `GemSimulator`s in lockstep — 1, 4, 32 and 64 lanes —
+//! asserting, every cycle:
 //!
-//! * bit-exact outputs against the golden model (lane 0 of batch
-//!   sessions replays the golden stimulus),
+//! * bit-exact outputs against the golden model, of `EventSim` and of
+//!   every `GemSimulator` (lane 0 of batch sessions replays the golden
+//!   stimulus),
 //! * bit-exact noise-lane outputs between the batch sims (lanes 1..64
 //!   carry per-lane noise streams, identical across sims; lanes 32..64
 //!   run on the 64-lane sim only and are held against independent
@@ -17,8 +20,10 @@
 //! lanes move RAM data bit by bit, 32 and 64 by transpose (`gem-vgpu`'s
 //! `ram.rs`), and one lane runs the signal-packed kernel.
 //!
-//! and, at the end, the PR-1 counter-reconciliation invariants on the
-//! scalar sim's breakdown.
+//! and, at the end, the counter-reconciliation invariants on the scalar
+//! sim's breakdown. Each compiled E-AIG also has no empty logic level
+//! between 1 and its depth — the fact that makes `Levels::depth` the
+//! 8-thread Verilator model's barrier count.
 //!
 //! `fuzz_smoke` (a small seed range) runs in the tier-1 suite; the full
 //! ≥200-design sweep is `fuzz_sweep` behind `--ignored`:
@@ -32,7 +37,7 @@
 //! divergence deterministically.
 
 use gem_core::{compile, CompileOptions, GemSimulator};
-use gem_sim::{random_module, EaigSim, FuzzConfig, FuzzRng};
+use gem_sim::{random_module, EaigSim, EventSim, FuzzConfig, FuzzRng};
 
 /// Salt for the noise streams driving lanes 1..64 of batch sims (lane 0
 /// replays the golden stimulus).
@@ -78,7 +83,14 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> usize {
         compiled.report.verified,
         "seed {seed}: compile skipped bitstream verification"
     );
+    let levels = compiled.eaig.levels();
+    assert!(
+        levels.histogram.iter().skip(1).all(|&gates| gates > 0),
+        "seed {seed}: empty logic level in {:?}",
+        levels.histogram
+    );
     let mut gold = EaigSim::new(&compiled.eaig);
+    let mut event = EventSim::new(&compiled.eaig);
     let mut sims = LANES.map(|lanes| {
         let mut sim = GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         sim.set_lanes(lanes)
@@ -128,6 +140,7 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> usize {
             gold.set_input(i, v);
         }
         gold.eval();
+        let event_out = event.cycle(&bitvec);
         for s in sims.iter_mut() {
             s.step();
         }
@@ -135,6 +148,12 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> usize {
             let want: Vec<bool> = (0..pb.width)
                 .map(|i| gold.output(pb.lsb_index + i as usize))
                 .collect();
+            assert_eq!(
+                event_out[pb.lsb_index..pb.lsb_index + want.len()],
+                want,
+                "seed {seed} cycle {cycle}: EventSim diverged from golden on {}",
+                pb.name
+            );
             for s in sims.iter() {
                 let v = if s.lanes() == 1 {
                     s.output(&pb.name)
@@ -172,7 +191,7 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> usize {
         gold.step();
     }
 
-    // PR-1 reconciliation invariants on the scalar sim's breakdown.
+    // Reconciliation invariants on the scalar sim's breakdown.
     let bd = sims[0].breakdown();
     let sum = bd.partition_sum();
     assert_eq!(sum.alu_ops, bd.total.alu_ops, "seed {seed}: alu_ops");

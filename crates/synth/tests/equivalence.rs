@@ -172,6 +172,25 @@ fn registers_with_enable_and_reset_equivalent() {
     cosim(&m, &SynthOptions::default(), 100, 6);
 }
 
+/// A cone feeding no output, register or memory stays in the E-AIG but
+/// the golden model never evaluates it; everything it does evaluate still
+/// matches the RTL.
+#[test]
+fn dead_cone_skipped_and_outputs_equivalent() {
+    let mut b = ModuleBuilder::new("dead");
+    let x = b.input("x", 8);
+    let y = b.input("y", 8);
+    let _unread = b.mul(x, y);
+    let s = b.add(x, y);
+    b.output("s", s);
+    let m = b.finish().unwrap();
+    let r = cosim(&m, &SynthOptions::default(), 64, 17);
+    assert!(
+        r.eaig.num_live_ands() < r.eaig.num_ands(),
+        "the unread multiplier left no dead gates"
+    );
+}
+
 #[test]
 fn counter_feedback_equivalent() {
     let mut b = ModuleBuilder::new("counter");

@@ -1,234 +1,58 @@
-//! GL0AM-style gate-level GPU simulation model (the paper's GPU baseline).
+//! GL0AM-style gate-level GPU simulation cost (the paper's GPU baseline).
 //!
 //! GL0AM simulates at gate level with 0-delay re-simulation: each cycle,
 //! gates affected by changed inputs are re-evaluated by GPU threads that
 //! fetch operand values and truth tables from global memory — irregular,
-//! per-gate accesses, exactly the pattern GEM's design avoids. The model
-//! here executes the E-AIG functionally with event-driven re-simulation
-//! (so its activity-dependence matches the real tool) and charges:
+//! per-gate accesses, exactly the pattern GEM's design avoids. That
+//! re-simulation is the levelized event-driven wavefront `gem_sim::EventSim`
+//! already runs on the E-AIG (so its activity-dependence matches the real
+//! tool); [`counters`] prices its counts:
 //!
 //! * per re-simulated gate: two operand fetches, one truth-table fetch and
 //!   one result store, each an uncoalesced 32-byte transaction;
 //! * one device-wide synchronization per active logic level (levelized
-//!   0-delay evaluation).
+//!   0-delay evaluation) and one per cycle boundary.
 //!
 //! This reproduces both of GL0AM's published behaviours: it beats CPU
 //! simulators on large designs but trails GEM by roughly an order of
 //! magnitude, and its speed varies with workload activity.
 
 use crate::counters::KernelCounters;
-use gem_aig::{Eaig, Lit, Node, RAM_ADDR_BITS};
-
-/// Functional + cost model of a GL0AM-like gate-level GPU simulator.
-#[derive(Debug)]
-pub struct Gl0amModel<'a> {
-    g: &'a Eaig,
-    vals: Vec<bool>,
-    ff: Vec<bool>,
-    ram: Vec<Box<[u32]>>,
-    ram_rdata: Vec<u32>,
-    levels: Vec<u32>,
-    fanouts: Vec<Vec<u32>>,
-    dirty: Vec<Vec<u32>>,
-    on_list: Vec<bool>,
-    counters: KernelCounters,
-}
 
 /// Bytes charged per irregular gate-level access (one 32-byte sector).
 const SECTOR: u64 = 32;
 
-impl<'a> Gl0amModel<'a> {
-    /// Creates a model with power-on state.
-    pub fn new(g: &'a Eaig) -> Self {
-        let levels = g.node_levels().to_vec();
-        let mut fanouts = vec![Vec::new(); g.len()];
-        for (i, n) in g.nodes().iter().enumerate() {
-            if let Node::And(a, b) = n {
-                fanouts[a.node().0 as usize].push(i as u32);
-                if a.node() != b.node() {
-                    fanouts[b.node().0 as usize].push(i as u32);
-                }
-            }
-        }
-        let depth = levels.iter().copied().max().unwrap_or(0) as usize;
-        let mut m = Gl0amModel {
-            vals: vec![false; g.len()],
-            ff: g.ffs().iter().map(|f| f.init).collect(),
-            ram: g
-                .rams()
-                .iter()
-                .map(|_| vec![0u32; 1 << RAM_ADDR_BITS].into_boxed_slice())
-                .collect(),
-            ram_rdata: vec![0; g.rams().len()],
-            levels,
-            fanouts,
-            dirty: vec![Vec::new(); depth + 1],
-            on_list: vec![false; g.len()],
-            counters: KernelCounters::default(),
-            g,
-        };
-        // Consistent starting point, as in the event-driven baseline.
-        for (i, n) in m.g.nodes().iter().enumerate() {
-            m.vals[i] = match *n {
-                Node::Const0 => false,
-                Node::Input(_) => false,
-                Node::And(a, b) => m.lit(a) && m.lit(b),
-                Node::FfOut(ff) => m.ff[ff.0 as usize],
-                Node::RamOut { ram, bit } => (m.ram_rdata[ram.0 as usize] >> bit) & 1 == 1,
-            };
-        }
-        m
-    }
-
-    fn lit(&self, l: Lit) -> bool {
-        self.vals[l.node().0 as usize] ^ l.is_inverted()
-    }
-
-    fn touch_source(&mut self, node: u32, v: bool) {
-        if self.vals[node as usize] != v {
-            self.vals[node as usize] = v;
-            for fi in 0..self.fanouts[node as usize].len() {
-                let f = self.fanouts[node as usize][fi];
-                if !self.on_list[f as usize] {
-                    self.on_list[f as usize] = true;
-                    self.dirty[self.levels[f as usize] as usize].push(f);
-                }
-            }
-        }
-    }
-
-    /// Runs one cycle; returns the primary outputs.
-    pub fn cycle(&mut self, inputs: &[bool]) -> Vec<bool> {
-        let srcs: Vec<(u32, bool)> = self
-            .g
-            .inputs()
-            .iter()
-            .enumerate()
-            .map(|(i, (_, id))| (id.0, inputs[i]))
-            .chain(
-                self.g
-                    .ffs()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| (f.out.0, self.ff[i])),
-            )
-            .chain(self.g.rams().iter().enumerate().flat_map(|(ri, r)| {
-                let word = self.ram_rdata[ri];
-                r.out
-                    .iter()
-                    .enumerate()
-                    .map(move |(bit, id)| (id.0, (word >> bit) & 1 == 1))
-                    .collect::<Vec<_>>()
-            }))
-            .collect();
-        for (n, v) in srcs {
-            self.touch_source(n, v);
-        }
-        // Levelized 0-delay re-simulation: one kernel launch / device sync
-        // per active level, irregular fetches per re-evaluated gate.
-        for level in 1..self.dirty.len() {
-            let work = std::mem::take(&mut self.dirty[level]);
-            if work.is_empty() {
-                continue;
-            }
-            self.counters.device_syncs += 1;
-            for &node in &work {
-                self.on_list[node as usize] = false;
-                if let Node::And(a, b) = self.g.node(gem_aig::NodeId(node)) {
-                    // 2 operand fetches + truth table + result store.
-                    self.counters.global_bytes += 4 * SECTOR;
-                    self.counters.global_transactions += 4;
-                    self.counters.alu_ops += 1;
-                    let nv = self.lit(a) && self.lit(b);
-                    if nv != self.vals[node as usize] {
-                        self.vals[node as usize] = nv;
-                        for fi in 0..self.fanouts[node as usize].len() {
-                            let f = self.fanouts[node as usize][fi];
-                            if !self.on_list[f as usize] {
-                                self.on_list[f as usize] = true;
-                                self.dirty[self.levels[f as usize] as usize].push(f);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let outs: Vec<bool> = self.g.outputs().iter().map(|(_, l)| self.lit(*l)).collect();
-        // Sequential update.
-        let new_ff: Vec<bool> = self.g.ffs().iter().map(|f| self.lit(f.next)).collect();
-        for (ri, r) in self.g.rams().iter().enumerate() {
-            let addr_of = |m: &Self, bits: &[Lit; RAM_ADDR_BITS]| -> usize {
-                bits.iter()
-                    .enumerate()
-                    .filter(|(_, &l)| m.lit(l))
-                    .map(|(k, _)| 1usize << k)
-                    .sum()
-            };
-            let raddr = addr_of(self, &r.read_addr);
-            self.ram_rdata[ri] = self.ram[ri][raddr];
-            if self.lit(r.write_en) {
-                let waddr = addr_of(self, &r.write_addr);
-                let mut w = 0u32;
-                for (bit, &l) in r.write_data.iter().enumerate() {
-                    if self.lit(l) {
-                        w |= 1 << bit;
-                    }
-                }
-                self.ram[ri][waddr] = w;
-            }
-        }
-        self.ff = new_ff;
-        self.counters.device_syncs += 1; // cycle boundary
-        self.counters.cycles += 1;
-        outs
-    }
-
-    /// Accumulated counters for the timing model.
-    pub fn counters(&self) -> &KernelCounters {
-        &self.counters
+/// GL0AM's kernel counters for `cycles` cycles of levelized re-simulation
+/// that re-evaluated `evaluations` gates in `active_levels` levels with a
+/// non-empty worklist (`gem_sim::EventSim::evaluations` and
+/// `active_levels`), for [`TimingModel`](crate::TimingModel) to convert
+/// to speed.
+pub fn counters(evaluations: u64, active_levels: u64, cycles: u64) -> KernelCounters {
+    KernelCounters {
+        // 2 operand fetches + truth table + result store per gate.
+        global_bytes: evaluations * 4 * SECTOR,
+        global_transactions: evaluations * 4,
+        alu_ops: evaluations,
+        device_syncs: active_levels + cycles,
+        cycles,
+        ..KernelCounters::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn mixer() -> Eaig {
-        let mut g = Eaig::new();
-        let ins: Vec<Lit> = (0..8).map(|i| g.input(format!("i{i}"))).collect();
-        let x = g.xor_many(&ins);
-        let q = g.ff(false);
-        let nx = g.xor(q, x);
-        g.set_ff_next(q, nx);
-        g.output("o", q);
-        g
-    }
-
-    #[test]
-    fn functional_behaviour_matches_reference_semantics() {
-        let g = mixer();
-        let mut m = Gl0amModel::new(&g);
-        // Manually mirror: q toggles by parity of inputs.
-        let mut q = false;
-        for c in 0..30 {
-            let ins: Vec<bool> = (0..8).map(|i| (c + i) % 3 == 0).collect();
-            let outs = m.cycle(&ins);
-            assert_eq!(outs[0], q, "cycle {c}");
-            let parity = ins.iter().filter(|&&b| b).count() % 2 == 1;
-            q ^= parity;
-        }
-    }
+    use crate::{GpuSpec, TimingModel};
 
     #[test]
     fn cost_scales_with_activity() {
-        let g = mixer();
-        let mut quiet = Gl0amModel::new(&g);
-        let mut busy = Gl0amModel::new(&g);
-        for c in 0..50 {
-            quiet.cycle(&[false; 8]);
-            let ins: Vec<bool> = (0..8).map(|i| (c + i) % 2 == 0).collect();
-            busy.cycle(&ins);
-        }
-        assert!(busy.counters().global_bytes > quiet.counters().global_bytes * 2);
+        // 50 cycles of an 8-input XOR tree: a quiet run re-evaluates
+        // nothing, a busy one a handful of gates on every level.
+        let quiet = counters(0, 0, 50);
+        let busy = counters(50 * 12, 50 * 3, 50);
+        assert!(busy.global_bytes > quiet.global_bytes * 2);
+        assert_eq!(quiet.device_syncs, 50, "one sync per cycle boundary");
+        let a100 = TimingModel::new(GpuSpec::a100());
+        assert!(a100.hz_total(&quiet) > a100.hz_total(&busy));
     }
 }

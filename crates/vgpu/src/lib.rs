@@ -17,8 +17,10 @@
 //!
 //! [`timing::TimingModel`] converts those counts into estimated simulated
 //! cycles per second for a given [`spec::GpuSpec`] (A100 and RTX 3090
-//! presets), which is what Table II reports. [`gl0am`] provides the same
-//! treatment for the LUT4 gate-level baseline the paper compares against.
+//! presets), which is what Table II reports. [`gl0am`] prices the
+//! gate-level baseline the paper compares against (GL0AM) in the same
+//! counters: its re-simulation is `gem_sim::EventSim`'s wavefront, so
+//! this crate models only the cost, not a third E-AIG interpreter.
 
 pub mod compiled;
 pub mod counters;
@@ -32,7 +34,6 @@ pub use compiled::{CompiledCore, CompiledWrite, PackedCore, WRITE_CONST};
 pub use counters::{
     CounterBreakdown, KernelCounters, KernelRates, LayerCounters, PartitionCounters,
 };
-pub use gl0am::Gl0amModel;
 pub use machine::{DeviceConfig, GemGpu, GpuSnapshot, MachineError, RamBinding};
 pub use spec::GpuSpec;
 pub use timing::TimingModel;

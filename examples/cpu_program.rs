@@ -7,7 +7,7 @@
 use gem_core::GemSimulator;
 use gem_designs::cpu::{assemble, Insn};
 use gem_netlist::Bits;
-use gem_sim::{EventSim, LevelizedSim};
+use gem_sim::{EaigSim, EventSim};
 use gem_vgpu::{GpuSpec, TimingModel};
 use std::time::Instant;
 
@@ -72,18 +72,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ev.cycle(&ins);
     }
     let ev_hz = cycles as f64 / t.elapsed().as_secs_f64();
-    let mut lv = LevelizedSim::new(&compiled.eaig);
+    let mut full = EaigSim::new(&compiled.eaig);
     let t = Instant::now();
     for c in 0..cycles {
         let mut ins = vec![false; n];
         ins[0] = c % 7 == 0;
-        lv.cycle(&ins);
+        full.cycle(&ins);
     }
-    let lv_hz = cycles as f64 / t.elapsed().as_secs_f64();
+    let full_hz = cycles as f64 / t.elapsed().as_secs_f64();
     println!("simulation speed (simulated cycles/second):");
     println!("  GEM on A100 (modeled):      {gem_a100:>12.0} Hz");
     println!("  GEM on RTX 3090 (modeled):  {gem_3090:>12.0} Hz");
     println!("  event-driven CPU baseline:  {ev_hz:>12.0} Hz (measured)");
-    println!("  levelized CPU baseline:     {lv_hz:>12.0} Hz (measured)");
+    println!("  full-cycle CPU baseline:    {full_hz:>12.0} Hz (measured)");
     Ok(())
 }
