@@ -995,6 +995,58 @@ mod tests {
         srv.stop();
     }
 
+    /// A 16-word RAM of 32-bit words behind one write port and one
+    /// registered read port.
+    const RAM32: &str = "module ram32(input clk, input we, input [3:0] wa, input [31:0] wd,
+  input [3:0] ra, output reg [31:0] q);
+  reg [31:0] mem [0:15];
+  always @(posedge clk) begin
+    if (we) mem[wa] <= wd;
+    q <= mem[ra];
+  end
+endmodule
+";
+
+    /// The `bytes` of a `save` response.
+    fn saved_bytes(client: &mut GemClient, session: u64) -> u64 {
+        let r = client.request("save", vec![("session", Json::U64(session))]);
+        let r = r.expect("saves");
+        r.get("bytes").and_then(Json::as_u64).expect("bytes")
+    }
+
+    /// A session's snapshot costs the RAM pages its lanes have written:
+    /// 64 fresh lanes save the global array alone, and one non-zero word
+    /// written in lane 5 adds one 4 KiB page.
+    #[test]
+    fn save_reports_the_pages_the_lanes_hold() {
+        let srv = Running::start();
+        let mut client = srv.connect();
+        let r = client.open_lanes(RAM32, Json::object(), 64).expect("opens");
+        let session = r.get("session").and_then(Json::as_u64).expect("session id");
+        let entry = srv.state.sessions.get(session).expect("live");
+        let device = &entry.design.package.device;
+        assert_eq!(device.rams.len(), 1, "the memory is one RAM block");
+        let global = u64::from(device.global_bits) * u64::from(GemSimulator::MAX_LANES / 8);
+        assert_eq!(saved_bytes(&mut client, session), global);
+        client.poke_lane(session, 5, "we", "1").expect("pokes");
+        client.poke_lane(session, 5, "wd", "2a").expect("pokes");
+        client
+            .step(session, 1, vec![("wa", "3"), ("ra", "3")])
+            .expect("steps");
+        client.step(session, 3, Vec::new()).expect("steps");
+        assert_eq!(
+            client.peek_lane(session, 5, "q").expect("peeks"),
+            "0000002a"
+        );
+        assert_eq!(
+            client.peek_lane(session, 4, "q").expect("peeks"),
+            "00000000"
+        );
+        assert_eq!(saved_bytes(&mut client, session), global + 4096);
+        drop(client);
+        srv.stop();
+    }
+
     /// `profile` of a design an `open` has cached runs on a clone of the
     /// entry's power-on machine: no compile, and the same attribution as
     /// a private load of the entry's package.

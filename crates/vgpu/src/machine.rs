@@ -54,7 +54,7 @@
 
 use crate::compiled::{with_scratch, CompiledCore, PackedCore};
 use crate::counters::{CounterBreakdown, KernelCounters, LayerCounters, PartitionCounters};
-use crate::ram::{ram_phase, RAM_BYTES_PER_LANE, RAM_TRANSACTIONS_PER_LANE};
+use crate::ram::{ram_phase, RamImage, RAM_BYTES_PER_LANE, RAM_TRANSACTIONS_PER_LANE};
 use gem_isa::{disassemble_core, Bitstream, DecodeError, WriteSrc};
 use gem_place::{splat, Word};
 use gem_telemetry::span;
@@ -218,8 +218,9 @@ pub struct GemGpu {
     /// boundary (empty between cycles, so never part of a snapshot).
     deferred: Vec<(u32, Word)>,
     /// RAM contents per block, one image per active lane
-    /// (`ram_mem[ram][lane]`); inactive lanes read image 0.
-    ram_mem: Vec<Vec<Box<[u32]>>>,
+    /// (`ram_mem[ram][lane]`), each holding only the pages its lane has
+    /// written; inactive lanes read image 0.
+    ram_mem: Vec<Vec<RamImage>>,
     /// Active stimulus lanes (1..=[`Self::MAX_LANES`]).
     lanes: u32,
     counters: KernelCounters,
@@ -241,7 +242,7 @@ pub struct GpuSnapshot {
     /// snapshot only on a machine running an equal one.
     program: Arc<Program>,
     global: Vec<Word>,
-    ram_mem: Vec<Vec<Box<[u32]>>>,
+    ram_mem: Vec<Vec<RamImage>>,
     lanes: u32,
     /// Lane-word width ([`Word::BITS`]) at capture time. Restoring onto
     /// a machine with a different word width is a typed error
@@ -253,15 +254,17 @@ pub struct GpuSnapshot {
 }
 
 impl GpuSnapshot {
-    /// Approximate heap footprint in bytes (capacity accounting for
-    /// server-side snapshot budgets).
+    /// Approximate heap footprint in bytes: the global signal array plus
+    /// the RAM pages the lanes hold (a page no lane has written a
+    /// non-zero word to costs nothing). The `bytes` field of the
+    /// server's `save` response.
     pub fn approx_bytes(&self) -> usize {
         self.global.len() * std::mem::size_of::<Word>()
             + self
                 .ram_mem
                 .iter()
                 .flatten()
-                .map(|r| r.len() * 4)
+                .map(RamImage::bytes)
                 .sum::<usize>()
     }
 
@@ -421,11 +424,7 @@ impl GemGpu {
                 )));
             }
         }
-        let ram_mem = cfg
-            .rams
-            .iter()
-            .map(|_| vec![vec![0u32; 8192].into_boxed_slice()])
-            .collect();
+        let ram_mem = cfg.rams.iter().map(|_| vec![RamImage::default()]).collect();
         let mut global = vec![Word::MIN; gb as usize];
         for &idx in &cfg.initial_ones {
             // Power-on ones hold in every lane.
@@ -490,8 +489,9 @@ impl GemGpu {
     /// machine or any clone of it — lowers the program's lane-word form
     /// (a first `set_lanes(2)` is ~15 ms on OpenPiton8, against ~22 ms
     /// for [`load`](Self::load): there is nothing to decode); every later
-    /// one, on any sharer, finds it there. A first `set_lanes(64)` adds
-    /// the 63 copies of every RAM image.
+    /// one, on any sharer, finds it there. Growing clones lane 0's RAM
+    /// images, which copies only the pages lane 0 has written: on a
+    /// freshly loaded machine, none.
     ///
     /// # Errors
     ///
@@ -518,10 +518,8 @@ impl GemGpu {
             if images.len() > lanes as usize {
                 images.truncate(lanes as usize);
             } else {
-                let proto = images[0].clone();
-                while images.len() < lanes as usize {
-                    images.push(proto.clone());
-                }
+                let lane0 = images[0].clone();
+                images.resize(lanes as usize, lane0);
             }
         }
         Ok(())
@@ -562,21 +560,21 @@ impl GemGpu {
     /// Directly reads a word of RAM block `ram` (test setup/inspection).
     /// Reads lane 0's image — the single-stimulus view.
     pub fn ram_word(&self, ram: usize, addr: usize) -> u32 {
-        self.ram_mem[ram][0][addr]
+        self.ram_mem[ram][0].get(addr)
     }
 
     /// Reads a word of RAM block `ram` as lane `lane` sees it (inactive
     /// lanes see lane 0's image).
     pub fn ram_word_lane(&self, ram: usize, lane: u32, addr: usize) -> u32 {
         let img = if lane < self.lanes { lane as usize } else { 0 };
-        self.ram_mem[ram][img][addr]
+        self.ram_mem[ram][img].get(addr)
     }
 
     /// Directly writes a word of RAM block `ram` (e.g. program loading).
     /// Broadcasts to every lane image — the single-stimulus view.
     pub fn set_ram_word(&mut self, ram: usize, addr: usize, value: u32) {
         for image in &mut self.ram_mem[ram] {
-            image[addr] = value;
+            image.set(addr, value);
         }
     }
 

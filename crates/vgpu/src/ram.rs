@@ -16,6 +16,11 @@
 //!   matrix, transposed so that row `l` is lane `l`'s port bits, and the
 //!   64 read words transposed back into the 32 read-data lane words — a
 //!   cost per block, at any lane count.
+//!
+//! A lane's image of a block is a [`RamImage`]: the architectural 8192
+//! words, held as the 4 KiB pages the lane has written a non-zero word
+//! to. An unwritten page reads as zeros and costs nothing, so 64 lanes of
+//! a block that touches one page hold 64 pages, not 64 × 32 KiB.
 
 use crate::machine::{lane_mask, RamBinding};
 use gem_place::{splat, Word};
@@ -30,6 +35,60 @@ pub(crate) const RAM_TRANSACTIONS_PER_LANE: u64 = 2;
 const RAM_WORDS: usize = 1 << 13;
 /// Mask of a 13-bit RAM address.
 const ADDR_MASK: u64 = RAM_WORDS as u64 - 1;
+/// Words in one page of a [`RamImage`]: 4 KiB, the host page.
+const PAGE_WORDS: usize = 1 << 10;
+/// Pages in one image.
+const PAGES: usize = RAM_WORDS / PAGE_WORDS;
+/// Bytes one present page holds.
+const PAGE_BYTES: usize = PAGE_WORDS * std::mem::size_of::<u32>();
+
+/// One lane's image of a RAM block: 8192 `u32` words in 8 pages of
+/// 1024, a page allocated by the first non-zero word written to it.
+///
+/// An absent page reads as zeros, and writing 0 to it allocates nothing.
+/// A clone copies the present pages only. Equality is by contents: an
+/// absent page equals a present all-zero one, so an image that wrote a
+/// word and cleared it again equals one that never wrote.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RamImage {
+    pages: [Option<Box<[u32; PAGE_WORDS]>>; PAGES],
+}
+
+impl RamImage {
+    /// The word at `addr`. Panics if `addr` is beyond the image's 8192
+    /// words.
+    pub(crate) fn get(&self, addr: usize) -> u32 {
+        self.pages[addr / PAGE_WORDS]
+            .as_ref()
+            .map_or(0, |page| page[addr % PAGE_WORDS])
+    }
+
+    /// Writes the word at `addr`, allocating its page unless `value` is
+    /// 0. Panics if `addr` is beyond the image's 8192 words.
+    pub(crate) fn set(&mut self, addr: usize, value: u32) {
+        let page = &mut self.pages[addr / PAGE_WORDS];
+        if let Some(page) = page {
+            page[addr % PAGE_WORDS] = value;
+        } else if value != 0 {
+            page.insert(Box::new([0; PAGE_WORDS]))[addr % PAGE_WORDS] = value;
+        }
+    }
+
+    /// Heap bytes the image holds: its present pages.
+    pub(crate) fn bytes(&self) -> usize {
+        self.pages.iter().flatten().count() * PAGE_BYTES
+    }
+}
+
+impl PartialEq for RamImage {
+    fn eq(&self, other: &Self) -> bool {
+        self.pages.iter().zip(&other.pages).all(|pair| match pair {
+            (Some(a), Some(b)) => a == b,
+            (Some(p), None) | (None, Some(p)) => p.iter().all(|&w| w == 0),
+            (None, None) => true,
+        })
+    }
+}
 
 /// The lane count from which the RAM phase transposes instead of
 /// walking bits. Measured over 16 blocks with random ports (OpenPiton8
@@ -50,7 +109,7 @@ pub(crate) const TRANSPOSE_FROM_LANES: u32 = 7;
 pub(crate) fn ram_phase(
     rams: &[RamBinding],
     global: &[Word],
-    ram_mem: &mut [Vec<Box<[u32]>>],
+    ram_mem: &mut [Vec<RamImage>],
     lanes: u32,
     deferred: &mut Vec<(u32, Word)>,
 ) {
@@ -65,7 +124,7 @@ pub(crate) fn ram_phase(
 fn bit_by_bit(
     rams: &[RamBinding],
     global: &[Word],
-    ram_mem: &mut [Vec<Box<[u32]>>],
+    ram_mem: &mut [Vec<RamImage>],
     lanes: u32,
     deferred: &mut Vec<(u32, Word)>,
 ) {
@@ -81,7 +140,7 @@ fn bit_by_bit(
     for (b, images) in rams.iter().zip(ram_mem) {
         let mut words = [0u32; Word::BITS as usize];
         for (l, w) in words.iter_mut().enumerate().take(lanes) {
-            *w = images[l][addr_of(&b.raddr, l)];
+            *w = images[l].get(addr_of(&b.raddr, l));
         }
         for (k, &g) in b.rdata.iter().enumerate() {
             let mut v: Word = 0;
@@ -99,7 +158,7 @@ fn bit_by_bit(
                         w |= 1 << k;
                     }
                 }
-                image[addr_of(&b.waddr, l)] = w;
+                image.set(addr_of(&b.waddr, l), w);
             }
         }
     }
@@ -112,7 +171,7 @@ fn bit_by_bit(
 fn by_transpose(
     rams: &[RamBinding],
     global: &[Word],
-    ram_mem: &mut [Vec<Box<[u32]>>],
+    ram_mem: &mut [Vec<RamImage>],
     lanes: u32,
     deferred: &mut Vec<(u32, Word)>,
 ) {
@@ -130,9 +189,9 @@ fn by_transpose(
         transpose64(&mut ports);
         let mut read: [Word; 64] = [0; 64];
         for ((r, &p), image) in read.iter_mut().zip(&ports).zip(images.iter_mut()) {
-            *r = Word::from(image[(p & ADDR_MASK) as usize]);
+            *r = Word::from(image.get((p & ADDR_MASK) as usize));
             if (p >> 58) & 1 == 1 {
-                image[((p >> 13) & ADDR_MASK) as usize] = (p >> 26) as u32;
+                image.set(((p >> 13) & ADDR_MASK) as usize, (p >> 26) as u32);
             }
         }
         let lane0 = read[0];
@@ -174,7 +233,7 @@ fn swap_blocks<const W: usize>(m: &mut [Word; 64], mask: Word) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::machine::{DeviceConfig, GemGpu};
+    use crate::machine::{DeviceConfig, GemGpu, GpuSnapshot};
     use gem_isa::Bitstream;
 
     /// One RAM block's ports on the 123 consecutive globals from `base`.
@@ -368,5 +427,245 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// Both sides of every page boundary, the first and the last word.
+    const EDGES: [usize; 16] = [
+        0x0000, 0x03FF, 0x0400, 0x07FF, 0x0800, 0x0BFF, 0x0C00, 0x0FFF, 0x1000, 0x13FF, 0x1400,
+        0x17FF, 0x1800, 0x1BFF, 0x1C00, 0x1FFF,
+    ];
+
+    #[test]
+    fn a_ram_image_holds_the_pages_written_with_non_zero_words() {
+        let mut image = RamImage::default();
+        for addr in EDGES {
+            image.set(addr, 0);
+        }
+        assert_eq!(
+            image.bytes(),
+            0,
+            "a 0 written to an absent page allocates nothing"
+        );
+        assert!(EDGES.iter().all(|&a| image.get(a) == 0));
+        image.set(0x03FF, 7);
+        image.set(0x0400, 9);
+        assert_eq!(
+            image.bytes(),
+            2 * PAGE_BYTES,
+            "one page each side of 0x0400"
+        );
+        assert_eq!(
+            (image.get(0x03FF), image.get(0x0400), image.get(0x07FF)),
+            (7, 9, 0)
+        );
+        let copy = image.clone();
+        assert_eq!(
+            copy.bytes(),
+            2 * PAGE_BYTES,
+            "a clone copies the present pages only"
+        );
+        image.set(0x03FF, 0);
+        image.set(0x0400, 0);
+        assert_eq!(image.bytes(), 2 * PAGE_BYTES, "a cleared page stays");
+        assert_eq!(image, RamImage::default(), "cleared equals never written");
+        assert_eq!(RamImage::default(), image, "both ways round");
+        assert_ne!(image, copy);
+        assert_eq!(copy.get(0x0400), 9, "the clone is a copy");
+    }
+
+    /// A machine's RAM state as plain vectors: per block, one dense
+    /// 8192-word image per active lane, and which of its pages have been
+    /// written a non-zero word (the pages its `RamImage` holds).
+    #[derive(Clone)]
+    struct Dense {
+        lanes: usize,
+        images: Vec<Vec<(Vec<u32>, [bool; PAGES])>>,
+    }
+
+    impl Dense {
+        fn new(rams: usize) -> Self {
+            Dense {
+                lanes: 1,
+                images: vec![vec![(vec![0; RAM_WORDS], [false; PAGES])]; rams],
+            }
+        }
+
+        fn word(&self, ram: usize, lane: usize, addr: usize) -> u32 {
+            let lane = if lane < self.lanes { lane } else { 0 };
+            self.images[ram][lane].0[addr]
+        }
+
+        fn write(&mut self, ram: usize, lane: usize, addr: usize, value: u32) {
+            let (words, written) = &mut self.images[ram][lane];
+            words[addr] = value;
+            written[addr / PAGE_WORDS] |= value != 0;
+        }
+
+        fn set_lanes(&mut self, lanes: usize) {
+            self.lanes = lanes;
+            for images in &mut self.images {
+                let lane0 = images[0].clone();
+                images.resize(lanes, lane0);
+            }
+        }
+
+        fn page_bytes(&self) -> usize {
+            let pages = self.images.iter().flatten().flat_map(|(_, w)| w);
+            pages.filter(|&&w| w).count() * PAGE_BYTES
+        }
+    }
+
+    /// One random RAM-phase cycle on the machine and the model: every
+    /// active lane of every block reads and maybe writes a page-edge
+    /// address, a third of the data words 0. Every lane's read data,
+    /// the inactive lanes' included, must equal the model's.
+    fn cycle(gpu: &mut GemGpu, model: &mut Dense, bindings: &[RamBinding], seed: &mut u64) {
+        let mut reads = vec![[0u32; 64]; bindings.len()];
+        for ((ram, b), read) in bindings.iter().enumerate().zip(&mut reads) {
+            let mut ports = [0 as Word; 59];
+            for (l, read) in read.iter_mut().enumerate().take(model.lanes) {
+                let r = next(seed);
+                let raddr = EDGES[r as usize % 16];
+                let waddr = EDGES[(r >> 4) as usize % 16];
+                let we = (r >> 8) & 1 == 1;
+                let data = if (r >> 9).is_multiple_of(3) {
+                    0
+                } else {
+                    (r >> 32) as u32
+                };
+                let row = raddr as u64 | (waddr as u64) << 13 | u64::from(data) << 26;
+                let row = row | u64::from(we) << 58;
+                for (k, p) in ports.iter_mut().enumerate() {
+                    *p |= ((row >> k) & 1) << l;
+                }
+                *read = model.word(ram, l, raddr);
+                if we {
+                    model.write(ram, l, waddr, data);
+                }
+            }
+            let bits = b
+                .raddr
+                .iter()
+                .chain(&b.waddr)
+                .chain(&b.wdata)
+                .chain([&b.we]);
+            for (&g, &p) in bits.zip(&ports) {
+                gpu.poke_lanes(g, p);
+            }
+        }
+        gpu.step_cycle();
+        for (ram, b) in bindings.iter().enumerate() {
+            for lane in 0..GemGpu::MAX_LANES as usize {
+                let want = reads[ram][if lane < model.lanes { lane } else { 0 }];
+                let got = (0..32).fold(0u32, |w, k| {
+                    w | u32::from(gpu.peek_lane(b.rdata[k], lane as u32)) << k
+                });
+                assert_eq!(got, want, "ram {ram} lane {lane} read data");
+            }
+        }
+    }
+
+    /// Every lane's word at every page edge, and the snapshot's byte
+    /// count, against the model.
+    fn check(gpu: &GemGpu, model: &Dense, what: &str) {
+        assert_eq!(gpu.lanes() as usize, model.lanes, "{what}");
+        for ram in 0..model.images.len() {
+            for lane in 0..GemGpu::MAX_LANES {
+                for addr in EDGES {
+                    let want = model.word(ram, lane as usize, addr);
+                    let got = gpu.ram_word_lane(ram, lane, addr);
+                    assert_eq!(got, want, "{what}: ram {ram} lane {lane} addr {addr:#06x}");
+                }
+            }
+        }
+        let global = 123 * model.images.len() * std::mem::size_of::<Word>();
+        let bytes = gpu.snapshot().approx_bytes();
+        assert_eq!(bytes, global + model.page_bytes(), "{what}: snapshot bytes");
+    }
+
+    /// Lane counts either side of [`TRANSPOSE_FROM_LANES`], and the ends.
+    const LANE_COUNTS: [u32; 8] = [1, 2, 5, 6, 7, 8, 31, 64];
+
+    /// One random sequence of 16 operations on a two-block machine and
+    /// the dense model: RAM-phase cycles, broadcast word writes (`0` a
+    /// third of the time), lane-count changes, snapshot and restore, and
+    /// a clone that must not see the cycle its original runs next.
+    fn dense_model_sequence(seed: u64) {
+        let mut x = seed;
+        let (mut gpu, bindings) = ram_only_machine(2);
+        let mut model = Dense::new(2);
+        let mut saved: Option<(GpuSnapshot, Dense)> = None;
+        for step in 0..16 {
+            let r = next(&mut x);
+            let op = r % 10;
+            let what = format!("seed {seed:#x} step {step} op {op}");
+            match op {
+                0..=3 => cycle(&mut gpu, &mut model, &bindings, &mut x),
+                4 => {
+                    let (ram, addr) = ((r >> 8) as usize % 2, EDGES[(r >> 9) as usize % 16]);
+                    let value = if (r >> 13).is_multiple_of(3) {
+                        0
+                    } else {
+                        (r >> 32) as u32
+                    };
+                    gpu.set_ram_word(ram, addr, value);
+                    for lane in 0..model.lanes {
+                        model.write(ram, lane, addr, value);
+                    }
+                }
+                5 | 6 => {
+                    let lanes = LANE_COUNTS[(r >> 8) as usize % LANE_COUNTS.len()];
+                    gpu.set_lanes(lanes).expect("lane count in range");
+                    model.set_lanes(lanes as usize);
+                }
+                7 => saved = Some((gpu.snapshot(), model.clone())),
+                8 => {
+                    if let Some((snap, at)) = &saved {
+                        gpu.restore(snap).expect("own snapshot restores");
+                        model = at.clone();
+                    }
+                }
+                _ => {
+                    let twin = gpu.clone();
+                    cycle(&mut gpu, &mut model.clone(), &bindings, &mut x);
+                    gpu = twin;
+                }
+            }
+            check(&gpu, &model, &what);
+        }
+    }
+
+    /// The machine's RAM state against plain dense vectors, through
+    /// every operation that creates, copies or drops an image.
+    #[test]
+    fn ram_images_match_a_dense_model() {
+        (0..48).for_each(|s| dense_model_sequence(0xDE45_0000 + s));
+    }
+
+    /// [`ram_images_match_a_dense_model`] over 10 000 sequences.
+    #[test]
+    #[ignore = "sweep: cargo test -p gem-vgpu --release -- --ignored"]
+    fn ram_images_match_a_dense_model_sweep() {
+        (0..10_000).for_each(|s| dense_model_sequence(0x5EED_0000 + s));
+    }
+
+    /// A snapshot's bytes are the global array's plus the pages held:
+    /// 64 fresh lanes hold none, and a write of 0 allocates none.
+    #[test]
+    fn snapshot_bytes_count_the_pages_held() {
+        let (mut gpu, bindings) = ram_only_machine(2);
+        gpu.set_lanes(64).expect("64 lanes");
+        let global = 2 * 123 * std::mem::size_of::<Word>();
+        assert_eq!(gpu.snapshot().approx_bytes(), global);
+        let b = &bindings[1];
+        // Lane 5 writes 8 to 0x1400; lane 6 writes 0 to 0x0400.
+        gpu.poke_lane(b.we, 5, true);
+        gpu.poke_lane(b.we, 6, true);
+        gpu.poke_lane(b.wdata[3], 5, true);
+        poke_addr(&mut gpu, &b.waddr, Some(5), 0x1400);
+        poke_addr(&mut gpu, &b.waddr, Some(6), 0x0400);
+        gpu.step_cycle();
+        assert_eq!(gpu.ram_word_lane(1, 5, 0x1400), 8);
+        assert_eq!(gpu.snapshot().approx_bytes(), global + PAGE_BYTES);
     }
 }
