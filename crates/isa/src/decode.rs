@@ -2,7 +2,7 @@
 
 use crate::{init_bits, io_bits, io_entries, perm_words, wb_entries, wide_bits};
 use crate::{ReadEntry, WriteEntry, WriteSrc};
-use gem_place::{BoomerangLayer, PermSource};
+use gem_place::{BoomerangLayer, PermSource, Plane};
 use std::fmt;
 
 /// Errors from [`disassemble_core`].
@@ -109,24 +109,6 @@ impl<'a> BitReader<'a> {
         Ok(v)
     }
 
-    /// Fills one fold-constant plane, 64 slots per step.
-    fn read_plane(&mut self, plane: &mut [bool]) -> Result<(), DecodeError> {
-        #[cfg(test)]
-        if self.bitwise {
-            for b in plane {
-                *b = self.read_bit()?;
-            }
-            return Ok(());
-        }
-        for chunk in plane.chunks_mut(64) {
-            let word = self.read_bits(chunk.len())?;
-            for (i, b) in chunk.iter_mut().enumerate() {
-                *b = (word >> i) & 1 == 1;
-            }
-        }
-        Ok(())
-    }
-
     fn seek(&mut self, bit: usize) -> Result<(), DecodeError> {
         if bit > self.bytes.len() * 8 {
             return Err(DecodeError::Truncated);
@@ -157,27 +139,28 @@ fn read_layer(
         let word_base = cursor;
         for _ in 0..codes_per_word.min(width as usize - idx) {
             let code = r.read_bits(16)? as u16;
-            layer.perm[idx] = if code & 0x8000 != 0 {
-                PermSource::ConstFalse
-            } else {
-                PermSource::State(code)
-            };
+            layer.set_perm(idx, PermSource::from_code(code));
             idx += 1;
         }
         cursor = word_base + wide_bits(width);
         r.seek(cursor)?;
     }
-    // FOLD word.
+    // FOLD word: each level's planes, a word at a time.
     let fold_base = cursor;
-    for fc in &mut layer.folds {
-        r.read_plane(&mut fc.xa)?;
-        r.read_plane(&mut fc.xb)?;
-        r.read_plane(&mut fc.ob)?;
+    for k in 0..folds {
+        let slots = (width >> (k + 1)) as usize;
+        for p in [Plane::Xa, Plane::Xb, Plane::Ob] {
+            for i in 0..slots.div_ceil(64) {
+                let word = r.read_bits((slots - 64 * i).min(64))?;
+                layer.set_plane_word(k, p, i, word);
+            }
+        }
     }
     r.seek(fold_base + wide_bits(width) - 32)?;
     let wb_words = r.read_bits(32)? as usize;
     cursor = fold_base + wide_bits(width);
     r.seek(cursor)?;
+    let mut writebacks = Vec::new();
     for _ in 0..wb_words {
         let word_base = cursor;
         let count = r.read_bits(32)? as usize;
@@ -193,12 +176,83 @@ fn read_layer(
                     "writeback level {level} slot {slot}"
                 )));
             }
-            layer.writeback[level - 1][slot] = Some(addr);
+            writebacks.push((level - 1, slot, addr));
         }
         cursor = word_base + wide_bits(width);
         r.seek(cursor)?;
     }
+    layer.set_writebacks(writebacks);
     Ok((layer, cursor))
+}
+
+/// Reads `n` layers of width `width` from `bytes` into the dense
+/// reference layout (`crate::dense`), a bit at a time, as the decoder
+/// did before layers were compact.
+#[cfg(test)]
+pub(crate) fn read_dense_layers(
+    bytes: &[u8],
+    width: u32,
+    n: usize,
+) -> Result<Vec<crate::dense::DenseLayer>, DecodeError> {
+    let mut r = BitReader {
+        bitwise: true,
+        ..BitReader::new(bytes)
+    };
+    let folds = width.trailing_zeros() as usize;
+    let mut cursor = 0;
+    let mut layers = Vec::new();
+    for _ in 0..n {
+        let mut layer = crate::dense::DenseLayer::new(width);
+        let pw = perm_words(width);
+        let codes_per_word = (width as usize).div_ceil(pw);
+        let mut idx = 0usize;
+        for _ in 0..pw {
+            let word_base = cursor;
+            for _ in 0..codes_per_word.min(width as usize - idx) {
+                let code = r.read_bits(16)? as u16;
+                layer.perm[idx] = if code & 0x8000 != 0 {
+                    PermSource::ConstFalse
+                } else {
+                    PermSource::State(code)
+                };
+                idx += 1;
+            }
+            cursor = word_base + wide_bits(width);
+            r.seek(cursor)?;
+        }
+        let fold_base = cursor;
+        for planes in &mut layer.planes {
+            for b in planes.iter_mut().flatten() {
+                *b = r.read_bit()?;
+            }
+        }
+        r.seek(fold_base + wide_bits(width) - 32)?;
+        let wb_words = r.read_bits(32)? as usize;
+        cursor = fold_base + wide_bits(width);
+        r.seek(cursor)?;
+        for _ in 0..wb_words {
+            let word_base = cursor;
+            let count = r.read_bits(32)? as usize;
+            if count > wb_entries(width).max(1) {
+                return Err(DecodeError::BadField(format!("wb count {count}")));
+            }
+            for _ in 0..count {
+                let level = r.read_bits(5)? as usize;
+                let slot = r.read_bits(14)? as usize;
+                let addr = r.read_bits(13)? as u16;
+                if level == 0 || level > folds || slot >= (width as usize >> level) {
+                    return Err(DecodeError::BadField(format!(
+                        "writeback level {level} slot {slot}"
+                    )));
+                }
+                layer.writeback[level - 1][slot] = Some(addr);
+            }
+            cursor = word_base + wide_bits(width);
+            r.seek(cursor)?;
+        }
+        layers.push(layer);
+    }
+    Ok(layers)
 }
 
 /// Disassembles one core program produced by [`crate::assemble_core`].
@@ -244,7 +298,8 @@ fn disassemble_from(mut r: BitReader<'_>) -> Result<(DecodedCore, usize), Decode
         return Err(DecodeError::BadMagic(magic));
     }
     let width = r.read_bits(32)? as u32;
-    if !width.is_power_of_two() || width < 2 {
+    // The widest core the ISA encodes: a writeback's slot field is 14 bits.
+    if !width.is_power_of_two() || !(2..=1 << 15).contains(&width) {
         return Err(DecodeError::BadField(format!("width {width}")));
     }
     let state_size = r.read_bits(32)? as u32;
@@ -332,17 +387,17 @@ mod tests {
     fn sample_program(width: u32) -> CoreProgram {
         let folds = width.trailing_zeros() as usize;
         let mut layer = BoomerangLayer::new(width);
-        layer.perm[0] = PermSource::State(3);
-        layer.perm[1] = PermSource::State(1);
-        layer.folds[0].xa[0] = true;
-        layer.folds[0].ob[0] = true;
+        layer.set_perm(0, PermSource::State(3));
+        layer.set_perm(1, PermSource::State(1));
+        layer.set_const(0, Plane::Xa, 0, true);
+        layer.set_const(0, Plane::Ob, 0, true);
         if folds > 1 {
-            layer.folds[1].xb[0] = true;
+            layer.set_const(1, Plane::Xb, 0, true);
         }
-        layer.writeback[0][0] = Some(5);
+        layer.set_writeback(0, 0, Some(5));
         let mut layer2 = BoomerangLayer::new(width);
-        layer2.perm[2] = PermSource::State(5);
-        layer2.writeback[folds - 1][0] = Some(7);
+        layer2.set_perm(2, PermSource::State(5));
+        layer2.set_writeback(folds - 1, 0, Some(7));
         CoreProgram {
             width,
             state_size: 9,
@@ -416,6 +471,21 @@ mod tests {
         ));
     }
 
+    /// A width the ISA does not encode is a field error, not a layer the
+    /// decoder cannot build: the slot field of a writeback is 14 bits.
+    #[test]
+    fn widths_beyond_the_isa_are_refused() {
+        let mut bytes = assemble_core(&sample_program(64), &[], &[]);
+        for log in [16u32, 17, 20] {
+            bytes[4..8].copy_from_slice(&(1u32 << log).to_le_bytes());
+            bytes[24..28].copy_from_slice(&log.to_le_bytes());
+            assert_eq!(
+                disassemble_core(&bytes),
+                Err(DecodeError::BadField(format!("width {}", 1u32 << log)))
+            );
+        }
+    }
+
     #[test]
     fn truncation_detected() {
         let prog = sample_program(64);
@@ -460,16 +530,7 @@ mod tests {
             }];
             let bytes = assemble_core(&prog, &reads, &writes);
             let dec = disassemble_core_exact(&bytes).expect("decodes with no slack");
-            let wb_counts: Vec<usize> = dec
-                .layers
-                .iter()
-                .map(|l| {
-                    l.writeback
-                        .iter()
-                        .map(|s| s.iter().filter(|a| a.is_some()).count())
-                        .sum()
-                })
-                .collect();
+            let wb_counts: Vec<usize> = dec.layers.iter().map(|l| l.writeback_count()).collect();
             let expect = crate::core_size_bits(width, reads.len(), writes.len(), &wb_counts);
             assert_eq!(bytes.len() * 8, expect, "width {width}");
         }
@@ -542,7 +603,7 @@ mod tests {
     }
 
     /// The byte-wise reader against its bit-at-a-time reference: random
-    /// widths 1..=64 and fold planes, from a random starting bit offset,
+    /// widths 1..=64, from a random starting bit offset,
     /// read through the end of a random buffer. Every read returns the
     /// same value, and the first one past the end the same error.
     #[test]
@@ -559,16 +620,8 @@ mod tests {
             fast.seek(start).expect("in range");
             slow.seek(start).expect("in range");
             for step in 0.. {
-                let (got, want) = if rng.chance(1, 8) {
-                    let n = 1 + rng.below(130) as usize;
-                    let (mut a, mut b) = (vec![false; n], vec![true; n]);
-                    let got = fast.read_plane(&mut a).map(|()| a);
-                    (got, slow.read_plane(&mut b).map(|()| b))
-                } else {
-                    let n = 1 + rng.below(64) as usize;
-                    let bits = |v: u64| (0..n).map(|i| (v >> i) & 1 == 1).collect();
-                    (fast.read_bits(n).map(bits), slow.read_bits(n).map(bits))
-                };
+                let n = 1 + rng.below(64) as usize;
+                let (got, want) = (fast.read_bits(n), slow.read_bits(n));
                 assert_eq!(got, want, "case {case} step {step}");
                 if got.is_err() {
                     break;

@@ -1,7 +1,7 @@
 //! Bitstream assembly.
 
 use crate::{init_bits, io_bits, io_entries, perm_words, wb_entries, wide_bits};
-use gem_place::{BoomerangLayer, CoreProgram, PermSource};
+use gem_place::{BoomerangLayer, CoreProgram, Plane};
 
 /// One `READ_GLOBAL` entry: load global bit `global` into core state bit
 /// `state` at the start of each cycle.
@@ -94,21 +94,11 @@ impl BitWriter {
         }
     }
 
-    /// Appends one fold-constant plane, 64 slots per step.
-    fn push_plane(&mut self, plane: &[bool]) {
-        #[cfg(test)]
-        if self.bitwise {
-            for &b in plane {
-                self.push_bit(b);
-            }
-            return;
-        }
-        for chunk in plane.chunks(64) {
-            let word = chunk
-                .iter()
-                .enumerate()
-                .fold(0u64, |w, (i, &b)| w | (u64::from(b) << i));
-            self.push_bits(word, chunk.len());
+    /// Appends the first `slots` bits of one fold-constant plane, a
+    /// word per step.
+    fn push_plane(&mut self, plane: &[u64], slots: usize) {
+        for (i, &word) in plane.iter().enumerate() {
+            self.push_bits(word, (slots - 64 * i).min(64));
         }
     }
 }
@@ -170,39 +160,29 @@ fn assemble(
 
     // Layers.
     for layer in layers {
-        // PERMUTE words: 16-bit source codes.
-        let pw = perm_words(w);
-        let codes_per_word = layer.perm.len().div_ceil(pw);
-        for chunk in layer.perm.chunks(codes_per_word) {
+        // PERMUTE words: 16-bit source codes, as the layer holds them.
+        let codes = layer.perm_codes();
+        for chunk in codes.chunks(codes.len().div_ceil(perm_words(w))) {
             let base = out.bit;
-            for s in chunk {
-                let code: u16 = match s {
-                    PermSource::State(a) => {
-                        assert!(*a < 0x8000, "state address too wide");
-                        *a
-                    }
-                    PermSource::ConstFalse => 0x8000,
-                };
-                out.push_bits(code as u64, 16);
+            for &code in chunk {
+                out.push_bits(u64::from(code), 16);
             }
             out.pad_to(base + wide_bits(w));
         }
         // FOLD word: xa/xb/ob per level, then the writeback word count in
         // the top 32 bits.
         let base = out.bit;
-        for fc in &layer.folds {
-            out.push_plane(&fc.xa);
-            out.push_plane(&fc.xb);
-            out.push_plane(&fc.ob);
+        for k in 0..layer.fold_levels() {
+            let fc = layer.fold(k);
+            for p in [Plane::Xa, Plane::Xb, Plane::Ob] {
+                out.push_plane(fc.plane(p), fc.slots());
+            }
         }
-        let wb: Vec<(u32, u32, u32)> = layer
-            .writeback
-            .iter()
-            .enumerate()
-            .flat_map(|(k, slots)| {
-                slots.iter().enumerate().filter_map(move |(j, a)| {
-                    a.map(|addr| (k as u32 + 1, j as u32, u32::from(addr)))
-                })
+        let wb: Vec<(u32, u32, u32)> = (0..layer.fold_levels())
+            .flat_map(|k| {
+                let level = k as u32 + 1;
+                let slots = layer.writebacks(k).iter();
+                slots.map(move |&(j, addr)| (level, u32::from(j), u32::from(addr)))
             })
             .collect();
         let wb_words = wb.len().div_ceil(wb_entries(w).max(1));
@@ -279,6 +259,66 @@ pub(crate) fn assemble_reference(dec: &crate::DecodedCore) -> Vec<u8> {
         &dec.reads,
         &dec.writes,
     )
+}
+
+/// The layer words of `layers` as the encoder wrote them from the dense
+/// reference layout (`crate::dense`), a bit at a time.
+#[cfg(test)]
+pub(crate) fn assemble_dense_layers(w: u32, layers: &[crate::dense::DenseLayer]) -> Vec<u8> {
+    use gem_place::PermSource;
+    let mut out = BitWriter {
+        bitwise: true,
+        ..BitWriter::default()
+    };
+    for layer in layers {
+        let pw = perm_words(w);
+        let codes_per_word = layer.perm.len().div_ceil(pw);
+        for chunk in layer.perm.chunks(codes_per_word) {
+            let base = out.bit;
+            for s in chunk {
+                let code: u16 = match s {
+                    PermSource::State(a) => {
+                        assert!(*a < 0x8000, "state address too wide");
+                        *a
+                    }
+                    PermSource::ConstFalse => 0x8000,
+                };
+                out.push_bits(code as u64, 16);
+            }
+            out.pad_to(base + wide_bits(w));
+        }
+        let base = out.bit;
+        for planes in &layer.planes {
+            for &b in planes.iter().flatten() {
+                out.push_bit(b);
+            }
+        }
+        let wb: Vec<(u32, u32, u32)> = layer
+            .writeback
+            .iter()
+            .enumerate()
+            .flat_map(|(k, slots)| {
+                slots.iter().enumerate().filter_map(move |(j, a)| {
+                    a.map(|addr| (k as u32 + 1, j as u32, u32::from(addr)))
+                })
+            })
+            .collect();
+        let wb_words = wb.len().div_ceil(wb_entries(w).max(1));
+        out.pad_to(base + wide_bits(w) - 32);
+        out.push_bits(wb_words as u64, 32);
+        for chunk in wb.chunks(wb_entries(w).max(1)) {
+            let base = out.bit;
+            out.push_bits(chunk.len() as u64, 32);
+            for &(level, slot, addr) in chunk {
+                assert!(level < 32 && slot < (1 << 14) && addr < (1 << 13));
+                out.push_bits(level as u64, 5);
+                out.push_bits(slot as u64, 14);
+                out.push_bits(addr as u64, 13);
+            }
+            out.pad_to(base + wide_bits(w));
+        }
+    }
+    out.bytes
 }
 
 /// A complete compiled design: per-stage core programs plus the global
@@ -398,10 +438,11 @@ mod tests {
             };
             for step in 0..1 + rng.below(24) {
                 if rng.chance(1, 8) {
-                    let plane: Vec<bool> =
-                        (0..1 + rng.below(200)).map(|_| rng.chance(1, 2)).collect();
-                    fast.push_plane(&plane);
-                    slow.push_plane(&plane);
+                    let slots = 1 + rng.below(200) as usize;
+                    // Bits past the slots must be ignored.
+                    let plane: Vec<u64> = (0..slots.div_ceil(64)).map(|_| rng.next_u64()).collect();
+                    fast.push_plane(&plane, slots);
+                    slow.push_plane(&plane, slots);
                 } else if rng.chance(1, 8) {
                     let to = (slow.bit.div_ceil(8) + rng.below(3) as usize) * 8;
                     fast.pad_to(to);

@@ -29,6 +29,8 @@
 #![deny(unsafe_code)]
 
 pub mod decode;
+#[cfg(test)]
+mod dense;
 pub mod encode;
 pub mod mutate;
 pub mod schedule;

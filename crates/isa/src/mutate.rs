@@ -22,7 +22,7 @@
 //! `(bitstream, class, seed)` triple always yields the same mutant.
 
 use crate::{assemble_decoded, disassemble_core, Bitstream, DecodedCore, WriteSrc};
-use gem_place::PermSource;
+use gem_place::{PermSource, Plane};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -314,13 +314,15 @@ fn mutate_decoded(
             let mut first_gather: std::collections::HashMap<u16, usize> = Default::default();
             let mut first_wb: std::collections::HashMap<u16, usize> = Default::default();
             for (li, l) in dec.layers.iter().enumerate() {
-                for p in &l.perm {
-                    if let PermSource::State(a) = p {
-                        first_gather.entry(*a).or_insert(li);
+                for j in 0..l.width() as usize {
+                    if let PermSource::State(a) = l.perm(j) {
+                        first_gather.entry(a).or_insert(li);
                     }
                 }
-                for a in l.writeback.iter().flatten().flatten() {
-                    first_wb.entry(*a).or_insert(li);
+                for k in 0..l.fold_levels() {
+                    for &(_, a) in l.writebacks(k) {
+                        first_wb.entry(a).or_insert(li);
+                    }
                 }
             }
             let candidates: Vec<usize> = (0..dec.reads.len())
@@ -373,13 +375,12 @@ fn mutate_decoded(
             if dec.state_size >= 1 << 13 {
                 return None;
             }
-            let slot = dec
-                .layers
-                .iter_mut()
-                .flat_map(|l| l.writeback.iter_mut())
-                .flat_map(|s| s.iter_mut())
-                .find(|a| a.is_some())?;
-            *slot = Some(dec.state_size as u16);
+            let (layer, k, j) = dec.layers.iter_mut().find_map(|l| {
+                let k = (0..l.fold_levels()).find(|&k| !l.writebacks(k).is_empty())?;
+                let j = l.writebacks(k)[0].0;
+                Some((l, k, usize::from(j)))
+            })?;
+            layer.set_writeback(k, j, Some(dec.state_size as u16));
         }
         MutationClass::GlobalOob => {
             let bad = bs.global_bits + 1 + rng.below(100) as u32;
@@ -405,14 +406,14 @@ fn mutate_decoded(
                 }
             }
             for l in &dec.layers {
-                for p in &l.perm {
-                    if let PermSource::State(a) = p {
-                        note(u32::from(*a));
+                for j in 0..l.width() as usize {
+                    if let PermSource::State(a) = l.perm(j) {
+                        note(u32::from(a));
                     }
                 }
-                for s in &l.writeback {
-                    for a in s.iter().flatten() {
-                        note(u32::from(*a));
+                for k in 0..l.fold_levels() {
+                    for &(_, a) in l.writebacks(k) {
+                        note(u32::from(a));
                     }
                 }
             }
@@ -421,12 +422,11 @@ fn mutate_decoded(
             dec.state_size = max_addr?;
         }
         MutationClass::PermRetarget => {
-            let slot = dec
-                .layers
-                .iter_mut()
-                .flat_map(|l| l.perm.iter_mut())
-                .find(|p| matches!(p, PermSource::State(_)))?;
-            *slot = PermSource::ConstFalse;
+            let (layer, j) = dec.layers.iter_mut().find_map(|l| {
+                let j = (0..l.width() as usize).find(|&j| l.perm(j) != PermSource::ConstFalse)?;
+                Some((l, j))
+            })?;
+            layer.set_perm(j, PermSource::ConstFalse);
         }
         MutationClass::FoldFlip => {
             if dec.layers.is_empty() {
@@ -434,13 +434,10 @@ fn mutate_decoded(
             }
             let li = rng.below(dec.layers.len());
             let layer = &mut dec.layers[li];
-            if layer.folds.is_empty() {
-                return None;
-            }
-            let k = rng.below(layer.folds.len());
-            let j = rng.below(layer.folds[k].xa.len().max(1));
-            let bit = layer.folds[k].xa.get_mut(j)?;
-            *bit = !*bit;
+            let k = rng.below(layer.fold_levels());
+            let j = rng.below(layer.fold(k).slots());
+            let flipped = !layer.fold(k).xa(j);
+            layer.set_const(k, Plane::Xa, j, flipped);
         }
         MutationClass::MsgBeforeProducer => {
             // Flip a deferred send to immediate when some core reads the
@@ -507,12 +504,12 @@ mod tests {
     fn sample_bitstream() -> Bitstream {
         let width = 16u32;
         let mut layer = BoomerangLayer::new(width);
-        layer.perm[0] = PermSource::State(0);
-        layer.perm[1] = PermSource::State(1);
-        layer.writeback[0][0] = Some(2);
+        layer.set_perm(0, PermSource::State(0));
+        layer.set_perm(1, PermSource::State(1));
+        layer.set_writeback(0, 0, Some(2));
         let mut layer2 = BoomerangLayer::new(width);
-        layer2.perm[0] = PermSource::State(2);
-        layer2.writeback[0][1] = Some(3);
+        layer2.set_perm(0, PermSource::State(2));
+        layer2.set_writeback(0, 1, Some(3));
         let prog = CoreProgram {
             width,
             state_size: 4,

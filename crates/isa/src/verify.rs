@@ -334,13 +334,13 @@ fn check_layers(decoded: &[Vec<Option<DecodedCore>>], v: &mut Vec<Violation>) {
         // `gathered` and `written` hold layer `li`'s marks as `li + 1`.
         let (mut gathered, mut written) = (marks(), marks());
         for (li, layer) in dec.layers.iter().enumerate() {
-            if layer.width != dec.width || layer.fold_levels() != folds {
+            if layer.width() != dec.width || layer.fold_levels() != folds {
                 viol(v, loc, format!("layer {li}: width/fold shape mismatch"));
                 continue;
             }
             let stamp = li as u32 + 1;
-            for (row, p) in layer.perm.iter().enumerate() {
-                if let PermSource::State(a) = *p {
+            for row in 0..layer.width() as usize {
+                if let PermSource::State(a) = layer.perm(row) {
                     if !defined.is(a, DEFINED) {
                         viol(
                             v,
@@ -354,8 +354,8 @@ fn check_layers(decoded: &[Vec<Option<DecodedCore>>], v: &mut Vec<Violation>) {
                     gathered.mark(a, stamp);
                 }
             }
-            for (k, slots) in layer.writeback.iter().enumerate() {
-                for &addr in slots.iter().flatten() {
+            for k in 0..folds {
+                for &(_, addr) in layer.writebacks(k) {
                     if written.is(addr, stamp) {
                         viol(
                             v,
@@ -662,14 +662,14 @@ fn check_bounds(
             }
         }
         for (li, layer) in dec.layers.iter().enumerate() {
-            for p in &layer.perm {
-                if let PermSource::State(a) = p {
-                    addr_ck(v, &format_args!("layer {li} gather"), u32::from(*a));
+            for j in 0..layer.width() as usize {
+                if let PermSource::State(a) = layer.perm(j) {
+                    addr_ck(v, &format_args!("layer {li} gather"), u32::from(a));
                 }
             }
-            for slots in &layer.writeback {
-                for addr in slots.iter().flatten() {
-                    addr_ck(v, &format_args!("layer {li} writeback"), u32::from(*addr));
+            for k in 0..layer.fold_levels() {
+                for &(_, addr) in layer.writebacks(k) {
+                    addr_ck(v, &format_args!("layer {li} writeback"), u32::from(addr));
                 }
             }
         }
@@ -687,16 +687,7 @@ fn check_budget(
     for (si, ci, dec) in cores(decoded) {
         let loc = Some((si, ci));
         let bytes = &bs.stages[si][ci];
-        let wb_counts: Vec<usize> = dec
-            .layers
-            .iter()
-            .map(|l| {
-                l.writeback
-                    .iter()
-                    .map(|s| s.iter().filter(|a| a.is_some()).count())
-                    .sum()
-            })
-            .collect();
+        let wb_counts: Vec<usize> = dec.layers.iter().map(|l| l.writeback_count()).collect();
         let expect = core_size_bits(dec.width, dec.reads.len(), dec.writes.len(), &wb_counts);
         if bytes.len() * 8 != expect {
             viol(
@@ -930,9 +921,9 @@ mod tests {
     fn tiny() -> (Bitstream, Vec<Vec<CoreProgram>>, VerifyContext<'static>) {
         let width = 4u32;
         let mut layer = BoomerangLayer::new(width);
-        layer.perm[0] = PermSource::State(0);
-        layer.perm[1] = PermSource::State(1);
-        layer.writeback[0][0] = Some(2);
+        layer.set_perm(0, PermSource::State(0));
+        layer.set_perm(1, PermSource::State(1));
+        layer.set_writeback(0, 0, Some(2));
         let prog0 = CoreProgram {
             width,
             state_size: 3,
@@ -1076,7 +1067,7 @@ mod tests {
         // Gather state 3, which nothing defines.
         let prog = &mut programs[0][0];
         if let Some(layer) = prog.layers.first_mut() {
-            layer.perm[3] = PermSource::State(2);
+            layer.set_perm(3, PermSource::State(2));
         }
         prog.state_size = 4;
         let reads = vec![

@@ -8,7 +8,7 @@ use gem_isa::{
     assemble_decoded, disassemble_core, disassemble_core_exact, DecodeError, DecodedCore,
     ReadEntry, WriteEntry, WriteSrc,
 };
-use gem_place::{BoomerangLayer, PermSource};
+use gem_place::{BoomerangLayer, PermSource, Plane};
 
 /// Local SplitMix64 (the workspace's fixed-seed convention; no external
 /// RNG crates).
@@ -51,20 +51,25 @@ fn random_core(rng: &mut Rng) -> DecodedCore {
     let layers = (0..rng.below(4))
         .map(|_| {
             let mut l = BoomerangLayer::new(width);
-            for p in l.perm.iter_mut() {
+            for j in 0..width as usize {
                 if rng.chance(1, 2) {
-                    *p = PermSource::State(rng.below(u64::from(state_size)) as u16);
+                    l.set_perm(
+                        j,
+                        PermSource::State(rng.below(u64::from(state_size)) as u16),
+                    );
                 }
             }
-            for f in l.folds.iter_mut() {
-                for b in f.xa.iter_mut().chain(&mut f.xb).chain(&mut f.ob) {
-                    *b = rng.chance(1, 2);
+            for k in 0..l.fold_levels() {
+                for p in [Plane::Xa, Plane::Xb, Plane::Ob] {
+                    for j in 0..l.fold(k).slots() {
+                        l.set_const(k, p, j, rng.chance(1, 2));
+                    }
                 }
             }
-            for row in l.writeback.iter_mut() {
-                for s in row.iter_mut() {
+            for k in 0..l.fold_levels() {
+                for j in 0..l.fold(k).slots() {
                     if rng.chance(1, 3) {
-                        *s = Some(rng.below(u64::from(state_size)) as u16);
+                        l.set_writeback(k, j, Some(rng.below(u64::from(state_size)) as u16));
                     }
                 }
             }

@@ -73,20 +73,19 @@ impl SinkHypergraph {
     ) -> SinkHypergraph {
         counts.hypergraphs_built += 1;
         // Unique sink vertices by node (several sink literals on one node share
-        // a cone and must not be separated).
-        let mut vertex_of_node: HashMap<NodeId, u32> = HashMap::new();
+        // a cone and must not be separated), numbered in sink order.
+        const NO_VERTEX: u32 = u32::MAX;
+        let mut vertex_at: Vec<u32> = vec![NO_VERTEX; g.len()];
         let mut vertex_lits: Vec<Vec<Lit>> = Vec::new();
-        let mut vertex_nodes: Vec<NodeId> = Vec::new();
         for &s in &region.sinks {
-            let n = s.node();
-            let vid = *vertex_of_node.entry(n).or_insert_with(|| {
+            let at = &mut vertex_at[s.node().0 as usize];
+            if *at == NO_VERTEX {
+                *at = vertex_lits.len() as u32;
                 vertex_lits.push(Vec::new());
-                vertex_nodes.push(n);
-                (vertex_lits.len() - 1) as u32
-            });
-            vertex_lits[vid as usize].push(s);
+            }
+            vertex_lits[*at as usize].push(s);
         }
-        let nv = vertex_nodes.len();
+        let nv = vertex_lits.len();
         if nv == 0 {
             return SinkHypergraph {
                 vertex_lits,
@@ -99,6 +98,40 @@ impl SinkHypergraph {
         // crossing the stop boundary)?
         let in_region = region_nodes(g, region);
 
+        // Consumers (fanout AND nodes inside the region), in ascending
+        // order, as one CSR table: node `i`'s are
+        // `fanout[fanout_at[i]..fanout_at[i + 1]]`.
+        let operands = |i: usize| match g.nodes()[i] {
+            Node::And(a, b) if in_region[i] => {
+                let (a, b) = (a.node().0 as usize, b.node().0 as usize);
+                Some((a, (a != b).then_some(b)))
+            }
+            _ => None,
+        };
+        let mut fanout_at = vec![0u32; g.len() + 1];
+        for i in 0..g.len() {
+            if let Some((a, b)) = operands(i) {
+                fanout_at[a + 1] += 1;
+                if let Some(b) = b {
+                    fanout_at[b + 1] += 1;
+                }
+            }
+        }
+        for i in 0..g.len() {
+            fanout_at[i + 1] += fanout_at[i];
+        }
+        let mut fanout = vec![0u32; fanout_at[g.len()] as usize];
+        let mut next = fanout_at.clone();
+        for i in 0..g.len() {
+            if let Some((a, b)) = operands(i) {
+                for n in std::iter::once(a).chain(b) {
+                    fanout[next[n] as usize] = i as u32;
+                    next[n] += 1;
+                }
+            }
+        }
+        drop(next);
+
         // Sink sets per node, reverse-topological, with hash-consing.
         // `set_of[node]`: index into `sets`, or SET_UNIVERSAL / SET_NONE.
         const SET_NONE: u32 = u32::MAX;
@@ -106,46 +139,32 @@ impl SinkHypergraph {
         let mut sets: Vec<Vec<u32>> = Vec::new();
         let mut interner: HashMap<Vec<u32>, u32> = HashMap::new();
         let mut set_of: Vec<u32> = vec![SET_NONE; g.len()];
-
-        // Consumers (fanout AND nodes inside the region).
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); g.len()];
-        for (i, n) in g.nodes().iter().enumerate() {
-            if !in_region[i] {
-                continue;
-            }
-            if let Node::And(a, b) = n {
-                fanout[a.node().0 as usize].push(i as u32);
-                if a.node() != b.node() {
-                    fanout[b.node().0 as usize].push(i as u32);
-                }
-            }
-        }
-        // Base: sink vertices sit at their node.
-        let mut sink_vertex_at: HashMap<u32, u32> = HashMap::new();
-        for (vid, n) in vertex_nodes.iter().enumerate() {
-            sink_vertex_at.insert(n.0, vid as u32);
-        }
-        let intern =
-            |sets: &mut Vec<Vec<u32>>, interner: &mut HashMap<Vec<u32>, u32>, v: Vec<u32>| -> u32 {
-                if let Some(&id) = interner.get(&v) {
-                    return id;
-                }
-                let id = sets.len() as u32;
-                interner.insert(v.clone(), id);
-                sets.push(v);
-                id
-            };
+        let (mut acc, mut union) = (Vec::new(), Vec::new());
         // Reverse topological = descending node id (construction order).
         for i in (0..g.len()).rev() {
-            if !in_region[i] && !sink_vertex_at.contains_key(&(i as u32)) {
+            let vertex = vertex_at[i];
+            if !in_region[i] && vertex == NO_VERTEX {
                 continue;
             }
-            let mut acc: Vec<u32> = Vec::new();
-            let mut universal = false;
-            if let Some(&vid) = sink_vertex_at.get(&(i as u32)) {
-                acc.push(vid);
+            let fans = &fanout[fanout_at[i] as usize..fanout_at[i + 1] as usize];
+            // A node that is no sink and all of whose consumers with a set
+            // carry one and the same set carries that set: no union, no
+            // lookup.
+            if vertex == NO_VERTEX {
+                let mut ids = (fans.iter().map(|&f| set_of[f as usize])).filter(|&s| s != SET_NONE);
+                if let Some(first) = ids.next() {
+                    if first != SET_UNIVERSAL && ids.all(|sid| sid == first) {
+                        set_of[i] = first;
+                        continue;
+                    }
+                }
             }
-            for &f in &fanout[i] {
+            acc.clear();
+            if vertex != NO_VERTEX {
+                acc.push(vertex);
+            }
+            let mut universal = false;
+            for &f in fans {
                 match set_of[f as usize] {
                     SET_NONE => {}
                     SET_UNIVERSAL => {
@@ -153,7 +172,8 @@ impl SinkHypergraph {
                         break;
                     }
                     sid => {
-                        acc = sorted_union(&acc, &sets[sid as usize]);
+                        sorted_union_into(&acc, &sets[sid as usize], &mut union);
+                        std::mem::swap(&mut acc, &mut union);
                         if acc.len() > sink_set_cap {
                             universal = true;
                             break;
@@ -165,10 +185,16 @@ impl SinkHypergraph {
                 SET_UNIVERSAL
             } else if acc.is_empty() {
                 SET_NONE
+            } else if let Some(&id) = interner.get(&acc[..]) {
+                id
             } else {
-                intern(&mut sets, &mut interner, acc)
+                let id = sets.len() as u32;
+                interner.insert(acc.clone(), id);
+                sets.push(acc.clone());
+                id
             };
         }
+        drop((fanout, fanout_at));
 
         // Vertex weights: 1 + number of AND nodes exclusive to the sink.
         let mut weights = vec![1u64; nv];
@@ -306,6 +332,13 @@ pub fn extract_cone(g: &Eaig, region: &Region, sinks: &[Lit]) -> Partition {
 /// The union of two ascending lists without duplicates, ascending.
 pub(crate) fn sorted_union<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     let mut union = Vec::with_capacity(a.len() + b.len());
+    sorted_union_into(a, b, &mut union);
+    union
+}
+
+/// [`sorted_union`] into `union`, which is cleared first.
+fn sorted_union_into<T: Ord + Copy>(a: &[T], b: &[T], union: &mut Vec<T>) {
+    union.clear();
     let (mut x, mut y) = (0, 0);
     while x < a.len() && y < b.len() {
         match a[x].cmp(&b[y]) {
@@ -326,7 +359,6 @@ pub(crate) fn sorted_union<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     }
     union.extend_from_slice(&a[x..]);
     union.extend_from_slice(&b[y..]);
-    union
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! and `gem-sim`'s differential fuzz suite and the golden VCD corpus
 //! check end to end.
 
-use crate::layer::{BoomerangLayer, PermSource, Word};
+use crate::layer::{BoomerangLayer, FoldConsts, PermSource, Word};
 
 /// Sentinel in [`CompiledLayer::perm`] for a constant-zero row slot
 /// (lowered from [`PermSource::ConstFalse`]). It is no state address:
@@ -97,16 +97,197 @@ impl CompiledLayer {
     /// addresses, it never follows one. Holding them inside the state
     /// the executor is given is the caller's business (`GemGpu::load`
     /// refuses what [`PackedLayer::lower`](crate::PackedLayer::lower)
-    /// refuses). A hand-built layer whose tables are shorter than its
-    /// width says is lowered as if it were that much narrower.
+    /// refuses).
     ///
     /// # Panics
     ///
     /// Panics if the layer computes more than 65 536 slots, which its
-    /// `u16` row words cannot name. Only a hand-built layer wider than
-    /// the ISA's 32 768 bits can: a 65 536-wide one computes at most
-    /// 65 535.
+    /// `u16` row words cannot name. Only a layer wider than the ISA's
+    /// 32 768 bits can: a 65 536-wide one computes at most 65 535.
     pub fn lower(layer: &BoomerangLayer) -> CompiledLayer {
+        let levels: Vec<FoldConsts> = (0..layer.fold_levels()).map(|k| layer.fold(k)).collect();
+        // Top down, into one flat buffer (level `k` after the slots of
+        // the levels below it): a slot is live if it writes back or a live
+        // slot above observes it. Count what each level computes and how
+        // many levels to keep.
+        let mut live = vec![false; levels.iter().map(FoldConsts::slots).sum()];
+        let mut computes = vec![0; levels.len()];
+        let (mut end, mut kept) = (live.len(), 0);
+        for (k, fc) in levels.iter().enumerate().rev() {
+            end -= fc.slots();
+            let (here, above) = live[end..].split_at_mut(fc.slots());
+            for &(j, _) in layer.writebacks(k) {
+                here[usize::from(j)] = true;
+            }
+            if let Some(up) = levels.get(k + 1) {
+                for p in (0..up.slots()).filter(|&p| above[p]) {
+                    here[2 * p] = true;
+                    here[2 * p + 1] |= !up.ob(p);
+                }
+            }
+            computes[k] = (0..fc.slots())
+                .filter(|&j| here[j] && !(k > 0 && fc.ob(j) && !fc.xa(j)))
+                .count();
+            if kept == 0 && here.contains(&true) {
+                kept = k + 1;
+            }
+        }
+        let total: usize = computes[..kept].iter().sum();
+        assert!(
+            total <= ROW_WORDS,
+            "a layer computes at most {ROW_WORDS} slots (u16 row words), this one {total}"
+        );
+        // Bottom up: each live slot's row word — its own if it computes,
+        // the forwarded one if not. `below` holds the level under `k`.
+        let leaf = |i: usize| match layer.perm(i) {
+            PermSource::State(a) => u32::from(a),
+            PermSource::ConstFalse => PERM_CONST,
+        };
+        let mut perm = Vec::with_capacity(2 * computes.first().unwrap_or(&0));
+        let (mut below, mut here) = (Vec::new(), Vec::new());
+        let mut word = 0;
+        let (mut folds, mut start) = (Vec::with_capacity(kept), 0);
+        for (k, fc) in levels[..kept].iter().enumerate() {
+            let live = &live[start..][..fc.slots()];
+            start += fc.slots();
+            here.clear();
+            here.resize(fc.slots(), 0u16);
+            let n = computes[k];
+            let mut operands = Vec::with_capacity(if k == 0 { 0 } else { n });
+            let (mut xa, mut xb) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            for j in (0..fc.slots()).filter(|&j| live[j]) {
+                let (cxa, ob) = (fc.xa(j), fc.ob(j));
+                if k == 0 {
+                    let a = leaf(2 * j);
+                    perm.extend([a, if ob { a } else { leaf(2 * j + 1) }]);
+                } else {
+                    let a = below[2 * j];
+                    if ob && !cxa {
+                        here[j] = a;
+                        continue;
+                    }
+                    operands.push([a, if ob { a } else { below[2 * j + 1] }]);
+                }
+                xa.push(mask_byte(cxa));
+                xb.push(mask_byte(if ob { cxa } else { fc.xb(j) }));
+                here[j] = u16::try_from(word).expect("the row words were counted above");
+                word += 1;
+            }
+            let writes = layer.writebacks(k).iter();
+            folds.push(FoldOp {
+                operands: operands.into(),
+                xa: xa.into(),
+                xb: xb.into(),
+                writeback: writes
+                    .map(|&(j, addr)| (here[usize::from(j)], addr))
+                    .collect(),
+            });
+            std::mem::swap(&mut below, &mut here);
+        }
+        CompiledLayer {
+            width: layer.width(),
+            perm: perm.into(),
+            folds: folds.into(),
+        }
+    }
+
+    /// Rewrites constant-zero gather slots ([`PERM_CONST`]) to load from
+    /// `zero_slot` instead — a real state address the caller guarantees
+    /// holds zero (the virtual GPU appends one slot past the core
+    /// width). Required before [`execute_words_into`]: the gather is a
+    /// plain indexed load with no compare against the sentinel, so every
+    /// constant leaf reads the same hot word and a layer still holding
+    /// the sentinel fails the bounds check like any other address
+    /// outside the state.
+    ///
+    /// [`execute_words_into`]: Self::execute_words_into
+    pub fn redirect_consts(&mut self, zero_slot: u32) {
+        for p in self.perm.iter_mut() {
+            if *p == PERM_CONST {
+                *p = zero_slot;
+            }
+        }
+    }
+
+    /// Shared-memory accesses the cost model charges one execution
+    /// (gather + fold reads = `2 × width`): the architectural layer's,
+    /// whatever liveness lets the host skip.
+    pub fn shared_accesses(&self) -> u64 {
+        2 * u64::from(self.width)
+    }
+
+    /// Fold ALU operations the cost model charges (`width − 1` slots in
+    /// the full pyramid).
+    pub fn alu_ops(&self) -> u64 {
+        u64::from(self.width).saturating_sub(1)
+    }
+
+    /// Block-level synchronizations the cost model charges (one per
+    /// fold level plus the gather barrier).
+    pub fn block_syncs(&self) -> u64 {
+        1 + u64::from(self.width.trailing_zeros())
+    }
+
+    /// Executes the lowered layer lane-wise against `state`, with `row`
+    /// as the fold row buffer (grown as needed and never shrunk, so
+    /// steady-state execution allocates nothing; its contents on entry
+    /// are irrelevant). The third buffer is unused by this form; it is
+    /// there so that both lowered forms take the machine's scratch
+    /// alike. Lane `k` of the result equals [`BoomerangLayer::execute`]
+    /// run on lane `k` of the input, for the layer this was lowered from.
+    ///
+    /// The first level folds each leaf pair as it is gathered; its
+    /// writebacks land after the whole level, because the spec gathers
+    /// every leaf before any fold output reaches the state. Each later
+    /// level reads only the row, so its writebacks land right after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gather or writeback address is outside `state` —
+    /// which includes a constant leaf that was not
+    /// [redirected](Self::redirect_consts).
+    pub fn execute_words_into(
+        &self,
+        state: &mut [Word],
+        row: &mut Vec<Word>,
+        _unused: &mut Vec<Word>,
+    ) {
+        let Some((first, rest)) = self.folds.split_first() else {
+            return;
+        };
+        let words = self.folds.iter().map(|f| f.xa.len()).sum();
+        if row.len() < words {
+            row.resize(words, 0);
+        }
+        let mut end = first.xa.len();
+        let consts = first.xa.iter().zip(&first.xb[..]);
+        let level = row.iter_mut().zip(self.perm.chunks_exact(2)).zip(consts);
+        for ((d, p), (&xa, &xb)) in level {
+            *d = fold(state[p[0] as usize], state[p[1] as usize], xa, xb);
+        }
+        first.write_back(row, state);
+        for f in rest {
+            let (below, above) = row.split_at_mut(end);
+            let consts = f.xa.iter().zip(&f.xb[..]);
+            for ((d, &[a, b]), (&xa, &xb)) in above.iter_mut().zip(&f.operands[..]).zip(consts) {
+                *d = fold(below[usize::from(a)], below[usize::from(b)], xa, xb);
+            }
+            end += f.xa.len();
+            f.write_back(row, state);
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::dense::DenseLayer;
+    use crate::layer::{splat, Plane};
+    use crate::testutil::{for_each_spec_layer, random_layer, xorshift};
+
+    /// [`CompiledLayer::lower`] on the dense reference layout
+    /// (`crate::dense`), as it was written against it.
+    pub(crate) fn lower_dense(layer: &DenseLayer) -> CompiledLayer {
         // Slots per level: half the row below, and no more than the
         // level's own tables hold, so every index below is in range.
         let mut row = layer.perm.len().min(layer.width as usize);
@@ -210,99 +391,6 @@ impl CompiledLayer {
         }
     }
 
-    /// Rewrites constant-zero gather slots ([`PERM_CONST`]) to load from
-    /// `zero_slot` instead — a real state address the caller guarantees
-    /// holds zero (the virtual GPU appends one slot past the core
-    /// width). Required before [`execute_words_into`]: the gather is a
-    /// plain indexed load with no compare against the sentinel, so every
-    /// constant leaf reads the same hot word and a layer still holding
-    /// the sentinel fails the bounds check like any other address
-    /// outside the state.
-    ///
-    /// [`execute_words_into`]: Self::execute_words_into
-    pub fn redirect_consts(&mut self, zero_slot: u32) {
-        for p in self.perm.iter_mut() {
-            if *p == PERM_CONST {
-                *p = zero_slot;
-            }
-        }
-    }
-
-    /// Shared-memory accesses the cost model charges one execution
-    /// (gather + fold reads = `2 × width`): the architectural layer's,
-    /// whatever liveness lets the host skip.
-    pub fn shared_accesses(&self) -> u64 {
-        2 * u64::from(self.width)
-    }
-
-    /// Fold ALU operations the cost model charges (`width − 1` slots in
-    /// the full pyramid).
-    pub fn alu_ops(&self) -> u64 {
-        u64::from(self.width).saturating_sub(1)
-    }
-
-    /// Block-level synchronizations the cost model charges (one per
-    /// fold level plus the gather barrier).
-    pub fn block_syncs(&self) -> u64 {
-        1 + u64::from(self.width.trailing_zeros())
-    }
-
-    /// Executes the lowered layer lane-wise against `state`, with `row`
-    /// as the fold row buffer (grown as needed and never shrunk, so
-    /// steady-state execution allocates nothing; its contents on entry
-    /// are irrelevant). The third buffer is unused by this form; it is
-    /// there so that both lowered forms take the machine's scratch
-    /// alike. Lane `k` of the result equals [`BoomerangLayer::execute`]
-    /// run on lane `k` of the input, for the layer this was lowered from.
-    ///
-    /// The first level folds each leaf pair as it is gathered; its
-    /// writebacks land after the whole level, because the spec gathers
-    /// every leaf before any fold output reaches the state. Each later
-    /// level reads only the row, so its writebacks land right after it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a gather or writeback address is outside `state` —
-    /// which includes a constant leaf that was not
-    /// [redirected](Self::redirect_consts).
-    pub fn execute_words_into(
-        &self,
-        state: &mut [Word],
-        row: &mut Vec<Word>,
-        _unused: &mut Vec<Word>,
-    ) {
-        let Some((first, rest)) = self.folds.split_first() else {
-            return;
-        };
-        let words = self.folds.iter().map(|f| f.xa.len()).sum();
-        if row.len() < words {
-            row.resize(words, 0);
-        }
-        let mut end = first.xa.len();
-        let consts = first.xa.iter().zip(&first.xb[..]);
-        let level = row.iter_mut().zip(self.perm.chunks_exact(2)).zip(consts);
-        for ((d, p), (&xa, &xb)) in level {
-            *d = fold(state[p[0] as usize], state[p[1] as usize], xa, xb);
-        }
-        first.write_back(row, state);
-        for f in rest {
-            let (below, above) = row.split_at_mut(end);
-            let consts = f.xa.iter().zip(&f.xb[..]);
-            for ((d, &[a, b]), (&xa, &xb)) in above.iter_mut().zip(&f.operands[..]).zip(consts) {
-                *d = fold(below[usize::from(a)], below[usize::from(b)], xa, xb);
-            }
-            end += f.xa.len();
-            f.write_back(row, state);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::layer::splat;
-    use crate::testutil::{for_each_spec_layer, random_layer, xorshift};
-
     /// Unpacks one lane of a word vector into the scalar spec's state.
     fn lane_of(words: &[Word], lane: u32) -> Vec<bool> {
         words.iter().map(|&w| (w >> lane) & 1 == 1).collect()
@@ -351,7 +439,7 @@ mod tests {
     fn compiled_layer_matches_scalar_spec_per_lane() {
         let mut row = Vec::new();
         for_each_spec_layer(&mut 0xC0DE, |layer, x, what| {
-            let addrs = layer.width as usize;
+            let addrs = layer.width() as usize;
             let comp = lower_redirected(layer, addrs);
             let before = noisy_state(x, addrs);
             check_every_lane(layer, &comp, &before, &mut row, what);
@@ -365,12 +453,12 @@ mod tests {
     #[test]
     fn first_level_writeback_is_not_seen_by_a_later_leaf() {
         let mut layer = BoomerangLayer::new(8);
-        layer.perm[0] = PermSource::State(0);
-        layer.perm[1] = PermSource::State(1);
-        layer.writeback[0][0] = Some(2); // slot 0 = s0 & s1 → s2 ...
-        layer.perm[6] = PermSource::State(2); // ... which leaf 6 gathers
-        layer.folds[0].ob[3] = true;
-        layer.writeback[0][3] = Some(3); // and passes through to s3.
+        layer.set_perm(0, PermSource::State(0));
+        layer.set_perm(1, PermSource::State(1));
+        layer.set_writeback(0, 0, Some(2)); // slot 0 = s0 & s1 → s2 ...
+        layer.set_perm(6, PermSource::State(2)); // ... which leaf 6 gathers
+        layer.set_const(0, Plane::Ob, 3, true);
+        layer.set_writeback(0, 3, Some(3)); // and passes through to s3.
         let comp = lower_redirected(&layer, 4);
         let mut row = Vec::new();
         let mut x = 0xF05Eu64;
@@ -389,9 +477,10 @@ mod tests {
     #[test]
     fn single_level_layer_writes_back_and_leaves_buffers_reusable() {
         let mut narrow = BoomerangLayer::new(2);
-        narrow.perm = vec![PermSource::State(0), PermSource::State(1)];
-        narrow.folds[0].xb[0] = true;
-        narrow.writeback[0][0] = Some(2); // s2 = s0 & !s1
+        narrow.set_perm(0, PermSource::State(0));
+        narrow.set_perm(1, PermSource::State(1));
+        narrow.set_const(0, Plane::Xb, 0, true);
+        narrow.set_writeback(0, 0, Some(2)); // s2 = s0 & !s1
         let comp = lower_redirected(&narrow, 3);
         let mut row = Vec::new();
         let mut x = 0x2_2u64;
@@ -430,8 +519,8 @@ mod tests {
     #[should_panic(expected = "index out of bounds")]
     fn unredirected_constant_leaf_panics() {
         let mut layer = BoomerangLayer::new(2);
-        layer.perm[0] = PermSource::State(0);
-        layer.writeback[0][0] = Some(1);
+        layer.set_perm(0, PermSource::State(0));
+        layer.set_writeback(0, 0, Some(1));
         let comp = CompiledLayer::lower(&layer);
         assert_eq!(comp.perm[1], PERM_CONST);
         comp.execute_words_into(&mut [0, 0], &mut Vec::new(), &mut Vec::new());
@@ -478,9 +567,9 @@ mod tests {
         // A pass-through layer (ob bypass) carries lane 63 from the
         // source to the writeback target.
         let mut layer = BoomerangLayer::new(2);
-        layer.perm = vec![PermSource::State(0), PermSource::ConstFalse];
-        layer.folds[0].ob[0] = true; // B forced 1 → out = A
-        layer.writeback[0][0] = Some(1);
+        layer.set_perm(0, PermSource::State(0));
+        layer.set_const(0, Plane::Ob, 0, true); // B forced 1 → out = A
+        layer.set_writeback(0, 0, Some(1));
         let mut state: Vec<Word> = vec![1 << 63, 0, 0];
         lower_redirected(&layer, 2).execute_words_into(&mut state, &mut row, &mut Vec::new());
         assert_eq!(state[1], 1 << 63, "lane 63 dropped by pass-through fold");
@@ -499,11 +588,11 @@ mod tests {
     /// is not bypassed.
     fn live_by_definition(layer: &BoomerangLayer, k: usize, j: usize) -> bool {
         let mut slot = j;
-        for m in k..layer.folds.len() {
-            if layer.writeback[m][slot].is_some() {
+        for m in k..layer.fold_levels() {
+            if layer.writeback(m, slot).is_some() {
                 return true;
             }
-            let bypassed = layer.folds.get(m + 1).map(|up| up.ob[slot / 2]);
+            let bypassed = (m + 1 < layer.fold_levels()).then(|| layer.fold(m + 1).ob(slot / 2));
             if bypassed.is_none_or(|ob| slot % 2 == 1 && ob) {
                 return false;
             }
@@ -515,7 +604,7 @@ mod tests {
     /// A plain forward: a slot above the first level that bypasses B
     /// and does not invert A.
     fn forwards(layer: &BoomerangLayer, k: usize, j: usize) -> bool {
-        k > 0 && layer.folds[k].ob[j] && !layer.folds[k].xa[j]
+        k > 0 && layer.fold(k).ob(j) && !layer.fold(k).xa(j)
     }
 
     /// The row word of every live slot, level by level, by the
@@ -525,8 +614,8 @@ mod tests {
     fn row_words(layer: &BoomerangLayer) -> Vec<Vec<Option<u16>>> {
         let mut words: Vec<Vec<Option<u16>>> = Vec::new();
         let mut next = 0u16;
-        for (k, fc) in layer.folds.iter().enumerate() {
-            let level = (0..fc.xa.len())
+        for k in 0..layer.fold_levels() {
+            let level = (0..layer.fold(k).slots())
                 .map(|j| {
                     if !live_by_definition(layer, k, j) {
                         None
@@ -553,33 +642,34 @@ mod tests {
     #[test]
     fn each_level_executes_its_live_slots_minus_plain_forwards() {
         for_each_spec_layer(&mut 0x11FE, |layer, x, what| {
-            let zero = layer.width;
+            let zero = layer.width();
             let comp = lower_redirected(layer, zero as usize);
-            let leaf = |i: usize| match layer.perm[i] {
+            let leaf = |i: usize| match layer.perm(i) {
                 PermSource::State(a) => u32::from(a),
                 PermSource::ConstFalse => zero,
             };
             let words = row_words(layer);
             let word = |k: usize, j: usize| words[k][j].expect("a live slot");
             let (mut perm, mut levels) = (Vec::new(), Vec::new());
-            for (k, fc) in layer.folds.iter().enumerate() {
+            for k in 0..layer.fold_levels() {
+                let fc = layer.fold(k);
                 let (mut operands, mut xa, mut xb, mut writeback) =
                     (vec![], vec![], vec![], vec![]);
-                for j in 0..fc.xa.len() {
-                    if let Some(addr) = layer.writeback[k][j] {
+                for j in 0..fc.slots() {
+                    if let Some(addr) = layer.writeback(k, j) {
                         writeback.push((word(k, j), addr));
                     }
                     if !live_by_definition(layer, k, j) || forwards(layer, k, j) {
                         continue;
                     }
-                    let b = if fc.ob[j] { 2 * j } else { 2 * j + 1 };
+                    let b = if fc.ob(j) { 2 * j } else { 2 * j + 1 };
                     if k == 0 {
                         perm.extend([leaf(2 * j), leaf(b)]);
                     } else {
                         operands.push([word(k - 1, 2 * j), word(k - 1, b)]);
                     }
-                    xa.push(mask_byte(fc.xa[j]));
-                    xb.push(mask_byte(if fc.ob[j] { fc.xa[j] } else { fc.xb[j] }));
+                    xa.push(mask_byte(fc.xa(j)));
+                    xb.push(mask_byte(if fc.ob(j) { fc.xa(j) } else { fc.xb(j) }));
                 }
                 levels.push(FoldOp {
                     operands: operands.into(),
@@ -596,7 +686,7 @@ mod tests {
             }
             assert_eq!(&*comp.perm, &perm[..], "{what}: leaf pairs");
             assert_eq!(&*comp.folds, &levels[..], "{what}: levels");
-            if layer.writeback.iter().flatten().all(Option::is_none) {
+            if layer.writeback_count() == 0 {
                 assert!(comp.perm.is_empty() && comp.folds.is_empty(), "{what}");
                 let mut state = noisy_state(x, zero as usize);
                 let before = state.clone();
@@ -613,13 +703,13 @@ mod tests {
     #[test]
     fn a_forwards_writeback_stores_the_forwarded_word() {
         let mut layer = BoomerangLayer::new(8);
-        layer.perm[0] = PermSource::State(0);
-        layer.perm[1] = PermSource::State(1);
-        layer.folds[1].ob[0] = true;
-        layer.folds[2].ob[0] = true;
-        layer.folds[2].xb[0] = true; // a bypassed B's constant is moot
-        layer.writeback[1][0] = Some(2);
-        layer.writeback[2][0] = Some(3);
+        layer.set_perm(0, PermSource::State(0));
+        layer.set_perm(1, PermSource::State(1));
+        layer.set_const(1, Plane::Ob, 0, true);
+        layer.set_const(2, Plane::Ob, 0, true);
+        layer.set_const(2, Plane::Xb, 0, true); // a bypassed B's constant is moot
+        layer.set_writeback(1, 0, Some(2));
+        layer.set_writeback(2, 0, Some(3));
         let comp = lower_redirected(&layer, 4);
         assert_eq!(&*comp.perm, &[0, 1]);
         assert!(comp.folds[1..].iter().all(|f| f.xa.is_empty()));
@@ -639,17 +729,17 @@ mod tests {
     #[test]
     fn an_inverted_bypass_is_computed_not_forwarded() {
         let mut layer = BoomerangLayer::new(8);
-        layer.perm[0] = PermSource::State(0);
-        layer.perm[1] = PermSource::State(1);
-        layer.perm[2] = PermSource::State(2);
-        layer.folds[0].ob[0] = true;
-        layer.folds[0].xa[0] = true; // level 0, slot 0: !s0
-        layer.folds[1].ob[0] = true;
-        layer.folds[1].xa[0] = true; // level 1, slot 0: s0
-        layer.folds[2].ob[0] = true;
-        layer.folds[2].xa[0] = true; // level 2, slot 0: !s0
-        layer.writeback[0][1] = Some(4); // level 0, slot 1: s2 & 0
-        layer.writeback[2][0] = Some(5);
+        layer.set_perm(0, PermSource::State(0));
+        layer.set_perm(1, PermSource::State(1));
+        layer.set_perm(2, PermSource::State(2));
+        layer.set_const(0, Plane::Ob, 0, true);
+        layer.set_const(0, Plane::Xa, 0, true); // level 0, slot 0: !s0
+        layer.set_const(1, Plane::Ob, 0, true);
+        layer.set_const(1, Plane::Xa, 0, true); // level 1, slot 0: s0
+        layer.set_const(2, Plane::Ob, 0, true);
+        layer.set_const(2, Plane::Xa, 0, true); // level 2, slot 0: !s0
+        layer.set_writeback(0, 1, Some(4)); // level 0, slot 1: s2 & 0
+        layer.set_writeback(2, 0, Some(5));
         let comp = lower_redirected(&layer, 6);
         assert_eq!(&*comp.perm, &[0, 0, 2, 6]);
         assert_eq!(
@@ -677,8 +767,8 @@ mod tests {
         let mut x = 0x0_4DE4u64;
         for case in 0..4 {
             let mut layer = BoomerangLayer::new(8);
-            for (i, p) in layer.perm.iter_mut().enumerate() {
-                *p = PermSource::State(i as u16);
+            for i in 0..8 {
+                layer.set_perm(i, PermSource::State(i as u16));
             }
             let (first, second) = match case {
                 0 => ((0, 0), (0, 3)),
@@ -686,9 +776,9 @@ mod tests {
                 2 => ((0, 2), (1, 0)),
                 _ => ((1, 0), (2, 0)),
             };
-            layer.folds[1].ob[0] = case >= 2; // a forward of slot 0
-            layer.writeback[first.0][first.1] = Some(7);
-            layer.writeback[second.0][second.1] = Some(7);
+            layer.set_const(1, Plane::Ob, 0, case >= 2); // a forward of slot 0
+            layer.set_writeback(first.0, first.1, Some(7));
+            layer.set_writeback(second.0, second.1, Some(7));
             let comp = lower_redirected(&layer, 8);
             let before = noisy_state(&mut x, 8);
             check_every_lane(
@@ -710,18 +800,18 @@ mod tests {
     #[test]
     fn lowering_states_what_u16_row_words_can_hold() {
         let mut layer = BoomerangLayer::new(1 << 17);
-        for (i, p) in layer.perm.iter_mut().enumerate() {
-            *p = PermSource::State((i % 8) as u16);
+        for i in 0..1 << 17 {
+            layer.set_perm(i, PermSource::State((i % 8) as u16));
         }
-        layer.writeback[0].fill(Some(0));
-        layer.folds[1].ob[0] = true;
-        layer.writeback[1][0] = Some(1);
+        layer.set_writebacks((0..1 << 16).map(|j| (0, j, 0)));
+        layer.set_const(1, Plane::Ob, 0, true);
+        layer.set_writeback(1, 0, Some(1));
         let comp = CompiledLayer::lower(&layer);
         assert_eq!(comp.folds[0].xa.len(), ROW_WORDS);
         assert_eq!(&*comp.folds[1].writeback, &[(0, 1)]);
         let last = comp.folds[0].writeback.last().copied();
         assert_eq!(last, Some((u16::MAX, 0)));
-        layer.folds[1].ob[0] = false;
+        layer.set_const(1, Plane::Ob, 0, false);
         let refused = std::panic::catch_unwind(|| CompiledLayer::lower(&layer));
         let message = *refused
             .expect_err("65 537 slots")
@@ -776,13 +866,16 @@ mod tests {
         for width in [2u32, 8, 64, 256] {
             let mut layer = random_layer(&mut u64::from(width), width, 16, 2, 2);
             for keep in [usize::MAX, 1, 0] {
-                let mut kept = 0;
-                for slot in layer.writeback.iter_mut().flatten() {
-                    kept += usize::from(slot.is_some());
-                    if kept > keep {
-                        *slot = None;
-                    }
-                }
+                let all: Vec<_> = (0..layer.fold_levels())
+                    .flat_map(|k| {
+                        layer
+                            .writebacks(k)
+                            .iter()
+                            .map(move |&(j, a)| (k, j.into(), a))
+                    })
+                    .collect();
+                let kept = all.len();
+                layer.set_writebacks(all.into_iter().take(keep));
                 let comp = CompiledLayer::lower(&layer);
                 assert_eq!(comp.shared_accesses(), 2 * u64::from(width));
                 assert_eq!(comp.alu_ops(), u64::from(width) - 1);

@@ -30,12 +30,16 @@
 #![deny(unsafe_code)]
 
 pub mod compiled;
+#[cfg(test)]
+mod dense;
 pub mod layer;
 pub mod packed;
 pub mod placer;
 
 pub use compiled::{CompiledLayer, FoldOp, PERM_CONST};
-pub use layer::{splat, BoomerangLayer, CoreProgram, FoldConsts, OutputSource, PermSource, Word};
+pub use layer::{
+    splat, BoomerangLayer, CoreProgram, FoldConsts, OutputSource, PermSource, Plane, Word,
+};
 pub use packed::{ByteState, PackedLayer};
 pub use placer::{place_partition, place_partition_counted, PlaceError, PlaceOptions, PlaceStats};
 
@@ -44,7 +48,8 @@ pub const CORE_WIDTH: u32 = 8192;
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use crate::{BoomerangLayer, PermSource};
+    use crate::dense::DenseLayer;
+    use crate::BoomerangLayer;
 
     /// splitmix64: the unit tests' generator of random layers and states.
     pub fn xorshift(x: &mut u64) -> u64 {
@@ -66,27 +71,7 @@ pub(crate) mod testutil {
         bypass_in: u64,
         write_in: u64,
     ) -> BoomerangLayer {
-        let mut layer = BoomerangLayer::new(width);
-        for p in layer.perm.iter_mut() {
-            if !xorshift(x).is_multiple_of(4) {
-                *p = PermSource::State((xorshift(x) % u64::from(addrs)) as u16);
-            }
-        }
-        for fc in layer.folds.iter_mut() {
-            for j in 0..fc.xa.len() {
-                fc.xa[j] = xorshift(x) & 1 == 1;
-                fc.xb[j] = xorshift(x) & 1 == 1;
-                fc.ob[j] = xorshift(x).is_multiple_of(bypass_in);
-            }
-        }
-        for wb in layer.writeback.iter_mut() {
-            for slot in wb.iter_mut() {
-                if write_in != 0 && xorshift(x).is_multiple_of(write_in) {
-                    *slot = Some((xorshift(x) % u64::from(addrs)) as u16);
-                }
-            }
-        }
-        layer
+        DenseLayer::random(x, width, addrs, bypass_in, write_in).compact()
     }
 
     /// Calls `check(layer, x, what)` on random layers of every width the
@@ -99,12 +84,17 @@ pub(crate) mod testutil {
         x: &mut u64,
         mut check: impl FnMut(&BoomerangLayer, &mut u64, &str),
     ) {
+        for_each_spec_dense(x, |dense, x, what| check(&dense.compact(), x, what));
+    }
+
+    /// [`for_each_spec_layer`] in the dense reference layout.
+    pub fn for_each_spec_dense(x: &mut u64, mut check: impl FnMut(&DenseLayer, &mut u64, &str)) {
         for log in 1..=13u32 {
             let width = 1u32 << log;
             for addrs in [width, width.min(5)] {
                 for write_in in [2, 16, u64::from(width), 4 * u64::from(width), 0] {
                     for bypass_in in [2, 3, 16] {
-                        let layer = random_layer(x, width, addrs, bypass_in, write_in);
+                        let layer = DenseLayer::random(x, width, addrs, bypass_in, write_in);
                         let what = format!(
                             "width {width}, {addrs} addresses, \
                              1 in {write_in} written, 1 in {bypass_in} bypassed"

@@ -37,7 +37,7 @@
 //! `compiled_lowering` suite.
 
 use crate::compiled::CompiledLayer;
-use crate::layer::{BoomerangLayer, FoldConsts, PermSource, Word};
+use crate::layer::{BoomerangLayer, FoldConsts, PermSource, Plane, Word};
 
 /// Leaves gathered per row word.
 const WORD_LEAVES: usize = u64::BITS as usize;
@@ -127,19 +127,25 @@ pub struct PackedLayer {
     live_levels: usize,
 }
 
-/// Deposits a level's per-slot constants on the even bits of its input
-/// row's words.
+/// Spreads the 32 bits of `half` onto the even bit positions, order
+/// kept: the inverse of one half of [`compress_pair`].
+#[inline]
+fn spread_even(half: u32) -> u64 {
+    let mut x = u64::from(half);
+    x = (x | x << 16) & 0x0000_FFFF_0000_FFFF;
+    x = (x | x << 8) & 0x00FF_00FF_00FF_00FF;
+    x = (x | x << 4) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | x << 2) & 0x3333_3333_3333_3333;
+    (x | x << 1) & EVEN
+}
+
+/// Deposits a level's constant planes on the even bits of its input
+/// row's words: each plane word becomes two.
 fn deposit(fc: &FoldConsts) -> Box<[[u64; 3]]> {
-    let mut words = vec![[0u64; 3]; fc.xa.len().div_ceil(WORD_SLOTS)];
-    for (j, consts) in fc.xa.iter().zip(&fc.xb).zip(&fc.ob).enumerate() {
-        let ((xa, xb), ob) = consts;
-        let shift = 2 * (j % WORD_SLOTS);
-        let w = &mut words[j / WORD_SLOTS];
-        w[0] |= u64::from(*xa) << shift;
-        w[1] |= u64::from(*xb) << shift;
-        w[2] |= u64::from(*ob) << shift;
-    }
-    words.into()
+    let planes = [Plane::Xa, Plane::Xb, Plane::Ob].map(|p| fc.plane(p));
+    (0..fc.slots().div_ceil(WORD_SLOTS))
+        .map(|i| planes.map(|plane| spread_even((plane[i / 2] >> (32 * (i % 2))) as u32)))
+        .collect()
 }
 
 /// One fold level on one row word: slot `j`'s output lands on bit `2j`;
@@ -180,22 +186,21 @@ impl PackedLayer {
     pub fn lower(layer: &BoomerangLayer, zero_slot: u32) -> Option<PackedLayer> {
         let zero = u16::try_from(zero_slot).ok()?;
         let addr = |a: u16| (a < zero).then_some(a);
-        let mut perm = layer
-            .perm
-            .iter()
-            .map(|s| match s {
-                PermSource::State(a) => addr(*a),
+        let mut perm = (0..layer.width() as usize)
+            .map(|j| match layer.perm(j) {
+                PermSource::State(a) => addr(a),
                 PermSource::ConstFalse => Some(zero),
             })
             .collect::<Option<Vec<u16>>>()?;
         perm.resize(perm.len().next_multiple_of(WORD_LEAVES), zero);
+        let levels: Vec<FoldConsts> = (0..layer.fold_levels()).map(|k| layer.fold(k)).collect();
         let mut last_leaf = None;
         let mut live_levels = 0;
-        let mut folds = Vec::with_capacity(layer.folds.len());
-        for (k, (fc, wb)) in layer.folds.iter().zip(&layer.writeback).enumerate() {
-            let mut writeback = Vec::new();
-            for (j, target) in wb.iter().enumerate() {
-                let Some(target) = *target else { continue };
+        let mut folds = Vec::with_capacity(levels.len());
+        for (k, fc) in levels.iter().enumerate() {
+            let mut writeback = Vec::with_capacity(layer.writebacks(k).len());
+            for &(j, target) in layer.writebacks(k) {
+                let j = usize::from(j);
                 writeback.push(Writeback {
                     word: u8::try_from(j / WORD_LEAVES).ok()?,
                     shift: u8::try_from(j % WORD_LEAVES).ok()?,
@@ -204,10 +209,10 @@ impl PackedLayer {
                 live_levels = k + 1;
                 // The right-most leaf this slot's value depends on: at
                 // each level below, operand B unless it is bypassed.
-                let leaf = layer.folds[..=k]
+                let leaf = levels[..=k]
                     .iter()
                     .rev()
-                    .fold(j, |slot, below| 2 * slot + usize::from(!below.ob[slot]));
+                    .fold(j, |slot, below| 2 * slot + usize::from(!below.ob(slot)));
                 last_leaf = last_leaf.max(Some(leaf));
             }
             folds.push(PackedFold {
@@ -216,7 +221,7 @@ impl PackedLayer {
             });
         }
         Some(PackedLayer {
-            width: layer.width,
+            width: layer.width(),
             zero,
             perm: perm.into(),
             folds: folds.into(),
@@ -229,41 +234,30 @@ impl PackedLayer {
     /// [`CompiledLayer::lower`] followed by
     /// [`redirect_consts`](CompiledLayer::redirect_consts) to the zero
     /// slot this layer was lowered with — which is how it is made, from
-    /// the layer this one stores whole. A constant leaf comes back as a
-    /// gather from the zero slot, which is what redirection makes of it.
+    /// the layer this one stores whole. Every gather of the zero slot
+    /// was a constant leaf, and comes back as one.
     pub fn widen(&self) -> CompiledLayer {
-        let folds: Vec<FoldConsts> = (self.folds.iter().enumerate())
-            .map(|(k, f)| {
-                let slots = self.width.checked_shr(k as u32 + 1).unwrap_or(0) as usize;
-                let plane = |which: usize| -> Vec<bool> {
-                    (0..slots)
-                        .map(|j| {
-                            (f.consts[j / WORD_SLOTS][which] >> (2 * (j % WORD_SLOTS))) & 1 == 1
-                        })
-                        .collect()
-                };
-                FoldConsts {
-                    xa: plane(0),
-                    xb: plane(1),
-                    ob: plane(2),
+        let mut layer = BoomerangLayer::new(self.width);
+        for (j, &a) in self.perm[..self.width as usize].iter().enumerate() {
+            if a != self.zero {
+                layer.set_perm(j, PermSource::State(a));
+            }
+        }
+        for (k, f) in self.folds.iter().enumerate() {
+            for (i, pair) in f.consts.chunks(2).enumerate() {
+                for (n, p) in [Plane::Xa, Plane::Xb, Plane::Ob].into_iter().enumerate() {
+                    let hi = pair.get(1).map_or(0, |w| w[n]);
+                    layer.set_plane_word(k, p, i, compress_pair(pair[0][n], hi));
                 }
-            })
-            .collect();
-        let writeback = (self.folds.iter().zip(&folds))
-            .map(|(f, fc)| {
-                let mut slots = vec![None; fc.xa.len()];
-                for wb in f.writeback.iter() {
-                    slots[wb.slot() as usize] = Some(wb.addr);
-                }
-                slots
-            })
-            .collect();
-        let mut wide = CompiledLayer::lower(&BoomerangLayer {
-            width: self.width,
-            perm: self.perm.iter().map(|&p| PermSource::State(p)).collect(),
-            folds,
-            writeback,
+            }
+        }
+        let writebacks = self.folds.iter().enumerate().flat_map(|(k, f)| {
+            f.writeback
+                .iter()
+                .map(move |wb| (k, wb.slot() as usize, wb.addr))
         });
+        layer.set_writebacks(writebacks);
+        let mut wide = CompiledLayer::lower(&layer);
         wide.redirect_consts(u32::from(self.zero));
         wide
     }
@@ -359,9 +353,75 @@ impl PackedLayer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::dense::{DenseFolds, DenseLayer};
     use crate::testutil::{for_each_spec_layer, random_layer, xorshift};
+
+    /// [`PackedLayer::lower`] on the dense reference layout
+    /// (`crate::dense`), as it was written against it.
+    pub(crate) fn lower_dense(layer: &DenseLayer, zero_slot: u32) -> Option<PackedLayer> {
+        let zero = u16::try_from(zero_slot).ok()?;
+        let addr = |a: u16| (a < zero).then_some(a);
+        let mut perm = layer
+            .perm
+            .iter()
+            .map(|s| match s {
+                PermSource::State(a) => addr(*a),
+                PermSource::ConstFalse => Some(zero),
+            })
+            .collect::<Option<Vec<u16>>>()?;
+        perm.resize(perm.len().next_multiple_of(WORD_LEAVES), zero);
+        let mut last_leaf = None;
+        let mut live_levels = 0;
+        let mut folds = Vec::with_capacity(layer.folds.len());
+        for (k, (fc, wb)) in layer.folds.iter().zip(&layer.writeback).enumerate() {
+            let mut writeback = Vec::new();
+            for (j, target) in wb.iter().enumerate() {
+                let Some(target) = *target else { continue };
+                writeback.push(Writeback {
+                    word: u8::try_from(j / WORD_LEAVES).ok()?,
+                    shift: u8::try_from(j % WORD_LEAVES).ok()?,
+                    addr: addr(target)?,
+                });
+                live_levels = k + 1;
+                // The right-most leaf this slot's value depends on: at
+                // each level below, operand B unless it is bypassed.
+                let leaf = layer.folds[..=k]
+                    .iter()
+                    .rev()
+                    .fold(j, |slot, below| 2 * slot + usize::from(!below.ob[slot]));
+                last_leaf = last_leaf.max(Some(leaf));
+            }
+            folds.push(PackedFold {
+                consts: deposit_dense(fc),
+                writeback: writeback.into(),
+            });
+        }
+        Some(PackedLayer {
+            width: layer.width,
+            zero,
+            perm: perm.into(),
+            folds: folds.into(),
+            live_words: last_leaf.map_or(0, |leaf| leaf / WORD_LEAVES + 1),
+            live_levels,
+        })
+    }
+
+    /// Deposits a level's per-slot constants on the even bits of its input
+    /// row's words.
+    fn deposit_dense(fc: &DenseFolds) -> Box<[[u64; 3]]> {
+        let mut words = vec![[0u64; 3]; fc.xa.len().div_ceil(WORD_SLOTS)];
+        for (j, consts) in fc.xa.iter().zip(&fc.xb).zip(&fc.ob).enumerate() {
+            let ((xa, xb), ob) = consts;
+            let shift = 2 * (j % WORD_SLOTS);
+            let w = &mut words[j / WORD_SLOTS];
+            w[0] |= u64::from(*xa) << shift;
+            w[1] |= u64::from(*xb) << shift;
+            w[2] |= u64::from(*ob) << shift;
+        }
+        words.into()
+    }
 
     /// A state of random bits over the whole array, the zero slot clear.
     fn random_state(x: &mut u64, zero: u32) -> ByteState {
@@ -379,7 +439,7 @@ mod tests {
     /// unchanged, so every byte is still 0 or 1. Returns the lowered
     /// layer.
     fn check_against_spec(layer: &BoomerangLayer, x: &mut u64, what: &str) -> PackedLayer {
-        let zero = layer.width;
+        let zero = layer.width();
         let packed = PackedLayer::lower(layer, zero).expect("addresses are below the width");
         let mut got = random_state(x, zero);
         let before = got.0.clone();
@@ -410,7 +470,7 @@ mod tests {
     fn packed_layer_matches_scalar_spec() {
         for_each_spec_layer(&mut 0x9ACC_ED00, |layer, x, what| {
             let packed = check_against_spec(layer, x, what);
-            let writes = layer.writeback.iter().flatten().flatten().count();
+            let writes = layer.writeback_count();
             assert_eq!(packed.written().count(), writes, "{what}");
             assert_eq!(writes == 0, packed.gathered().is_empty(), "{what}");
         });
@@ -425,24 +485,24 @@ mod tests {
         let mut x = 0xB1_5EEDu64;
         for sibling_writes in [false, true] {
             let mut layer = BoomerangLayer::new(256);
-            layer.perm[0] = PermSource::State(0);
-            layer.perm[128] = PermSource::State(1);
-            layer.perm[192] = PermSource::State(2);
+            layer.set_perm(0, PermSource::State(0));
+            layer.set_perm(128, PermSource::State(1));
+            layer.set_perm(192, PermSource::State(2));
             // Leaves 0, 128 and 192 ride up their A operands...
-            for (k, fc) in layer.folds.iter_mut().enumerate() {
+            for k in 0..layer.fold_levels() {
                 for leaf in [0usize, 128, 192] {
                     if (leaf >> (k + 1)) << (k + 1) == leaf {
-                        fc.ob[leaf >> (k + 1)] = true;
+                        layer.set_const(k, Plane::Ob, leaf >> (k + 1), true);
                     }
                 }
             }
             // ...until level 7 slot 1 ANDs 128 and 192 together,
-            layer.folds[6].ob[1] = false;
+            layer.set_const(6, Plane::Ob, 1, false);
             if sibling_writes {
-                layer.writeback[6][1] = Some(3);
+                layer.set_writeback(6, 1, Some(3));
             }
             // and level 8 passes leaf 0 by it.
-            layer.writeback[7][0] = Some(4);
+            layer.set_writeback(7, 0, Some(4));
             let packed = check_against_spec(&layer, &mut x, "rider");
             let words = if sibling_writes { 4 } else { 1 };
             assert_eq!(packed.gathered().len(), words * WORD_LEAVES);
@@ -524,10 +584,10 @@ mod tests {
         let mut layer = BoomerangLayer::new(4);
         assert!(PackedLayer::lower(&layer, 4).is_some());
         assert!(PackedLayer::lower(&layer, 1 << 16).is_none(), "zero slot");
-        layer.perm[3] = PermSource::State(4);
+        layer.set_perm(3, PermSource::State(4));
         assert!(PackedLayer::lower(&layer, 4).is_none(), "gather");
         assert!(PackedLayer::lower(&layer, 5).is_some());
-        layer.writeback[1][0] = Some(5);
+        layer.set_writeback(1, 0, Some(5));
         assert!(PackedLayer::lower(&layer, 5).is_none(), "writeback");
         assert!(PackedLayer::lower(&layer, 6).is_some());
     }
@@ -542,12 +602,12 @@ mod tests {
         assert!(PackedLayer::lower(&layer, 1 << 16).is_none(), "zero slot");
         let zero = u32::from(u16::MAX);
         assert!(PackedLayer::lower(&layer, zero).is_some());
-        layer.writeback[0][VIEW_WORDS * WORD_LEAVES - 1] = Some(0);
+        layer.set_writeback(0, VIEW_WORDS * WORD_LEAVES - 1, Some(0));
         assert!(PackedLayer::lower(&layer, zero).is_some(), "row word 255");
-        layer.writeback[0][VIEW_WORDS * WORD_LEAVES] = Some(0);
+        layer.set_writeback(0, VIEW_WORDS * WORD_LEAVES, Some(0));
         assert!(PackedLayer::lower(&layer, zero).is_none(), "row word 256");
-        layer.writeback[0][VIEW_WORDS * WORD_LEAVES] = None;
-        layer.writeback[1][VIEW_WORDS * WORD_LEAVES - 1] = Some(0);
+        layer.set_writeback(0, VIEW_WORDS * WORD_LEAVES, None);
+        layer.set_writeback(1, VIEW_WORDS * WORD_LEAVES - 1, Some(0));
         assert!(PackedLayer::lower(&layer, zero).is_some(), "second level");
     }
 
@@ -559,9 +619,9 @@ mod tests {
         let mut x = 0x8000u64;
         let width = 1u32 << 15;
         let mut layer = random_layer(&mut x, width, width, 3, 64);
-        let last = layer.writeback[0].len() - 1;
+        let last = layer.fold(0).slots() - 1;
         assert_eq!(last, VIEW_WORDS * WORD_LEAVES - 1);
-        layer.writeback[0][last] = Some(7);
+        layer.set_writeback(0, last, Some(7));
         let packed = check_against_spec(&layer, &mut x, "width 32768");
         assert_eq!(packed.gathered().len(), width as usize);
         let wb = *packed.folds[0].writeback.last().expect("written");

@@ -29,7 +29,7 @@
 //! recursion would have refused (DESIGN.md §4); the mapping is the same
 //! slot for slot.
 
-use crate::layer::{BoomerangLayer, CoreProgram, OutputSource, PermSource};
+use crate::layer::{BoomerangLayer, CoreProgram, OutputSource, PermSource, Plane};
 use gem_aig::{Eaig, Node, NodeId};
 use gem_partition::Partition;
 use std::fmt;
@@ -759,7 +759,7 @@ impl<'a> Placer<'a> {
         for (j, slot) in self.occ[0].iter().enumerate() {
             if let Some(SlotOp::Read { local }) = slot {
                 let a = self.addr[*local as usize].expect("read of unaddressed value");
-                layer.perm[j] = PermSource::State(narrow(a));
+                layer.set_perm(j, PermSource::State(narrow(a)));
             }
         }
         let mut computes = 0u64;
@@ -767,12 +767,12 @@ impl<'a> Placer<'a> {
             for (j, slot) in row.iter().enumerate() {
                 match slot {
                     Some(SlotOp::Compute { xa, xb, .. }) => {
-                        layer.folds[k - 1].xa[j] = *xa;
-                        layer.folds[k - 1].xb[j] = *xb;
+                        layer.set_const(k - 1, Plane::Xa, j, *xa);
+                        layer.set_const(k - 1, Plane::Xb, j, *xb);
                         computes += 1;
                     }
                     Some(SlotOp::Bypass { .. }) => {
-                        layer.folds[k - 1].ob[j] = true;
+                        layer.set_const(k - 1, Plane::Ob, j, true);
                         self.stats.bypass_slots += 1;
                     }
                     _ => {}
@@ -795,6 +795,7 @@ impl<'a> Placer<'a> {
                 self.live_consumers[f as usize] -= 1;
             }
         }
+        let mut writebacks = Vec::new();
         for &v in &newly {
             let v = v as usize;
             let (k, j) = self.placed_at[v]
@@ -805,9 +806,10 @@ impl<'a> Placer<'a> {
                 let a = self.alloc()?;
                 self.addr[v] = Some(a);
                 self.cost[v] = 1;
-                layer.writeback[k - 1][j] = Some(narrow(a));
+                writebacks.push((k - 1, j, narrow(a)));
             }
         }
+        layer.set_writebacks(writebacks);
         // Free addresses whose value can never be read again: a value
         // dies when its last consumer is realized, so only the fan-ins of
         // the gates just realized can have died — and, at the first

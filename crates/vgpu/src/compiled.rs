@@ -436,13 +436,13 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 mod tests {
     use super::*;
     use gem_isa::{ReadEntry, WriteEntry};
-    use gem_place::{BoomerangLayer, PermSource};
+    use gem_place::{BoomerangLayer, PermSource, Plane};
 
     fn sample_core() -> DecodedCore {
         let mut layer = BoomerangLayer::new(4);
-        layer.perm[0] = PermSource::State(0);
-        layer.perm[1] = PermSource::State(1);
-        layer.writeback[0][0] = Some(2);
+        layer.set_perm(0, PermSource::State(0));
+        layer.set_perm(1, PermSource::State(1));
+        layer.set_writeback(0, 0, Some(2));
         DecodedCore {
             width: 4,
             state_size: 3,
@@ -524,8 +524,8 @@ mod tests {
         wide.layers = vec![BoomerangLayer::new(8)];
         wide.reads[1].state = 4; // the 4-wide core's zero slot
         let mut narrow = sample_core();
-        narrow.layers[0].perm[1] = PermSource::ConstFalse;
-        narrow.layers[0].folds[0].xb[0] = true; // out = a & !const
+        narrow.layers[0].set_perm(1, PermSource::ConstFalse);
+        narrow.layers[0].set_const(0, Plane::Xb, 0, true); // out = a & !const
         let mut global: Vec<Word> = vec![0; 9];
         global[5] = 0b1010;
         global[6] = Word::MAX;
@@ -583,12 +583,12 @@ mod tests {
         dirty.reads = (0..8).map(|state| ReadEntry { global: 6, state }).collect();
         let mut core = sample_core();
         core.reads.truncate(1); // state 1 is now undefined: a & 0
-        core.layers[0].folds[0].xb[0] = true; // ... a & !0 = a
-        core.layers[0].perm[2] = PermSource::State(1); // once more,
-        core.layers[0].perm[3] = PermSource::ConstFalse; // against const
-        core.layers[0].folds[0].xa[1] = true;
-        core.layers[0].folds[0].xb[1] = true; // !s1 & !0 = 1
-        core.layers[0].writeback[0][1] = Some(1);
+        core.layers[0].set_const(0, Plane::Xb, 0, true); // ... a & !0 = a
+        core.layers[0].set_perm(2, PermSource::State(1)); // once more,
+        core.layers[0].set_perm(3, PermSource::ConstFalse); // against const
+        core.layers[0].set_const(0, Plane::Xa, 1, true);
+        core.layers[0].set_const(0, Plane::Xb, 1, true); // !s1 & !0 = 1
+        core.layers[0].set_writeback(0, 1, Some(1));
         core.writes.push(WriteEntry {
             global: 4,
             src: WriteSrc::State {
@@ -685,7 +685,7 @@ mod tests {
         };
         assert_eq!(PackedCore::lower(&core), None, "write");
         let mut core = sample_core();
-        core.layers[0].writeback[1][0] = Some(4);
+        core.layers[0].set_writeback(1, 0, Some(4));
         assert_eq!(PackedCore::lower(&core), None, "layer");
         let mut core = sample_core();
         core.width = 1 << 16;

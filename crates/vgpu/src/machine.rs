@@ -810,15 +810,15 @@ mod tests {
     use super::*;
     use crate::ram::tests::ram_binding;
     use gem_isa::{assemble_core, ReadEntry, WriteEntry};
-    use gem_place::{BoomerangLayer, CoreProgram, OutputSource, PermSource};
+    use gem_place::{BoomerangLayer, CoreProgram, OutputSource, PermSource, Plane};
 
     /// A one-core bitstream computing g2 = g0 AND g1 into global 2.
     fn and_bitstream() -> (Bitstream, DeviceConfig) {
         let width = 16u32;
         let mut layer = BoomerangLayer::new(width);
-        layer.perm[0] = PermSource::State(0);
-        layer.perm[1] = PermSource::State(1);
-        layer.writeback[0][0] = Some(2);
+        layer.set_perm(0, PermSource::State(0));
+        layer.set_perm(1, PermSource::State(1));
+        layer.set_writeback(0, 0, Some(2));
         let prog = CoreProgram {
             width,
             state_size: 3,
@@ -1021,15 +1021,18 @@ mod tests {
         let width = 16u32;
         let mk_core = |perm0: u32, perm1: Option<u32>, invert: bool, out_g: u32, deferred: bool| {
             let mut layer = BoomerangLayer::new(width);
-            layer.perm[0] = PermSource::State(0);
-            layer.perm[1] = match perm1 {
-                Some(_) => PermSource::State(1),
-                None => PermSource::ConstFalse,
-            };
+            layer.set_perm(0, PermSource::State(0));
+            layer.set_perm(
+                1,
+                match perm1 {
+                    Some(_) => PermSource::State(1),
+                    None => PermSource::ConstFalse,
+                },
+            );
             if perm1.is_none() {
-                layer.folds[0].ob[0] = true; // bypass: out = A
+                layer.set_const(0, Plane::Ob, 0, true); // bypass: out = A
             }
-            layer.writeback[0][0] = Some(2);
+            layer.set_writeback(0, 0, Some(2));
             let prog = CoreProgram {
                 width,
                 state_size: 3,
@@ -1327,8 +1330,8 @@ mod tests {
         let load = |edit: &dyn Fn(&mut BoomerangLayer)| {
             let width = 16u32;
             let mut layer = BoomerangLayer::new(width);
-            layer.perm[0] = PermSource::State(0);
-            layer.writeback[0][0] = Some(2);
+            layer.set_perm(0, PermSource::State(0));
+            layer.set_writeback(0, 0, Some(2));
             edit(&mut layer);
             let prog = CoreProgram {
                 width,
@@ -1352,12 +1355,12 @@ mod tests {
         };
         assert!(load(&|_| {}).is_ok());
         for bad in [16, 17, 4000] {
-            let gather = load(&|l| l.perm[5] = PermSource::State(bad));
+            let gather = load(&|l| l.set_perm(5, PermSource::State(bad)));
             assert!(
                 matches!(gather, Err(MachineError::BadBinding(_))),
                 "gather {bad}"
             );
-            let writeback = load(&|l| l.writeback[2][1] = Some(bad));
+            let writeback = load(&|l| l.set_writeback(2, 1, Some(bad)));
             assert!(
                 matches!(writeback, Err(MachineError::BadBinding(_))),
                 "writeback {bad}"
@@ -1428,9 +1431,9 @@ mod lane_tests {
     fn and_machine() -> GemGpu {
         let width = 16u32;
         let mut layer = BoomerangLayer::new(width);
-        layer.perm[0] = PermSource::State(0);
-        layer.perm[1] = PermSource::State(1);
-        layer.writeback[0][0] = Some(2);
+        layer.set_perm(0, PermSource::State(0));
+        layer.set_perm(1, PermSource::State(1));
+        layer.set_writeback(0, 0, Some(2));
         let prog = CoreProgram {
             width,
             state_size: 3,
