@@ -224,9 +224,10 @@ pub enum CompileError {
     /// A partition stayed unmappable even after excessive re-partitioning.
     Place(PlaceError),
     /// The static analyzer found error-severity diagnostics (e.g. a
-    /// combinational cycle) or the schedule could not be certified.
+    /// combinational cycle).
     Analyze(String),
-    /// The static bitstream verifier found invariant violations.
+    /// The static bitstream verifier found invariant violations (a
+    /// schedule that cannot be certified among them).
     Verify(String),
     /// A mapping option outside its legal range
     /// ([`CompileOptions::validate`]).
@@ -752,9 +753,9 @@ fn compile_eaig_with(
 
 /// The gate every compile passes before it returns: the `verify` stage
 /// runs the static bitstream verifier (all seven families — the compile
-/// still has its placement programs), then the `certify` stage proves
-/// the schedule's happens-before order. The first failure is the
-/// compile's error and no artifact leaves.
+/// still has its placement programs), whose `schedule` check also proves
+/// the schedule's happens-before order and yields its certificate. A
+/// failure is the compile's error and no artifact leaves.
 fn gate(
     bitstream: &Bitstream,
     device: &DeviceConfig,
@@ -770,30 +771,14 @@ fn gate(
         st.metric(&format!("{}_violations", c.name), c.violations as f64);
         st.metric(&format!("{}_wall_ns", c.name), c.wall_ns as f64);
     }
-    if !vr.passed() {
-        return Err(CompileError::Verify(vr.summary()));
-    }
-    drop(st);
-
-    let mut st = flow.stage("certify");
-    let ctx = crate::verify::context(device, io, Some(programs));
-    match gem_isa::certify_schedule(bitstream, &ctx) {
-        Ok(cert) => {
+    match vr.cert {
+        Some(cert) if vr.passed() => {
             st.metric("reads", f64::from(cert.reads));
             st.metric("barrier_edges", f64::from(cert.barrier_edges));
             st.metric("boundary_edges", f64::from(cert.boundary_edges));
             Ok(cert)
         }
-        Err(violations) => {
-            st.metric("violations", violations.len() as f64);
-            let first = violations
-                .first()
-                .map_or_else(String::new, |v| v.message.clone());
-            Err(CompileError::Analyze(format!(
-                "schedule certification failed with {} violation(s); first: {first}",
-                violations.len()
-            )))
-        }
+        _ => Err(CompileError::Verify(vr.summary())),
     }
 }
 
@@ -845,7 +830,10 @@ mod tests {
     #[test]
     fn the_gate_refuses_corrupted_bitstreams() {
         let c = compile(&counter(), &CompileOptions::small()).expect("compiles");
-        assert_eq!(gate_with(&c, &c.bitstream).0, Ok(c.schedule_cert));
+        let ctx = crate::verify::context(&c.device, &c.io, Some(&c.programs));
+        let certified = gem_isa::certify_schedule(&c.bitstream, &ctx).expect("certifies");
+        assert_eq!(c.schedule_cert, certified);
+        assert_eq!(gate_with(&c, &c.bitstream).0, Ok(certified));
         // Seed 3 is one of `gem verify --fault`'s CI drills.
         let (refused, flow) = gate_with(&c, &corrupt(&c.bitstream, 3));
         assert!(
@@ -854,7 +842,6 @@ mod tests {
         );
         let verify = flow.stage("verify").expect("verify stage recorded");
         assert!(verify.metric("violations").expect("counted") > 0.0);
-        assert!(flow.stage("certify").is_none(), "nothing left to certify");
         // A message that arrives before its producer has run.
         let race = corrupt_from(&c.bitstream, 1, &[MutationClass::MsgBeforeProducer]);
         assert_ne!(race, c.bitstream, "the race class applies to this design");

@@ -194,8 +194,8 @@ impl GemSimulator {
     /// Packed injection path: sets an input port from lane words, one
     /// machine [`Word`] per port bit (bit `k` of `words[i]` is port bit
     /// `i` in lane `k`). This is how a batch driver feeds up to
-    /// [`Self::MAX_LANES`] stimulus streams in one call per port; see
-    /// `gem_sim::LaneBatch::pack`.
+    /// [`Self::MAX_LANES`] stimulus streams in one call per port
+    /// (`docs/BATCH.md` §2).
     ///
     /// # Panics
     ///
@@ -217,7 +217,8 @@ impl GemSimulator {
     }
 
     /// Packed demux path: reads an output port as lane words, one
-    /// machine [`Word`] per port bit; see `gem_sim::LaneBatch::unpack`.
+    /// machine [`Word`] per port bit, in [`Self::set_input_lanes`]'s
+    /// layout.
     ///
     /// # Panics
     ///

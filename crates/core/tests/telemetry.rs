@@ -33,8 +33,7 @@ fn compile_flow_stage_names_are_stable() {
             "merge",
             "place",
             "encode",
-            "verify",
-            "certify"
+            "verify"
         ],
         "stage names/order are part of the metrics-file format"
     );
@@ -43,7 +42,7 @@ fn compile_flow_stage_names_are_stable() {
     let from_eaig = compile_eaig(synth, &CompileOptions::small()).expect("compiles");
     assert_eq!(
         from_eaig.flow.stage_names(),
-        vec!["partition", "merge", "place", "encode", "verify", "certify"]
+        vec!["partition", "merge", "place", "encode", "verify"]
     );
     // The analyze stage records per-pass timings.
     let analyze = compiled.flow.stage("analyze").expect("analyze recorded");

@@ -130,6 +130,10 @@ pub struct VerifyReport {
     pub checks: Vec<CheckResult>,
     /// Every violation found, in check order.
     pub violations: Vec<Violation>,
+    /// The schedule's certificate, as [`crate::certify_schedule`] would
+    /// return it: set by the `schedule` check when every core decoded
+    /// and the happens-before proof found no violation.
+    pub cert: Option<ScheduleCert>,
 }
 
 /// The check families, in execution order.
@@ -231,9 +235,11 @@ pub fn verify_bitstream(bs: &Bitstream, ctx: &VerifyContext<'_>) -> VerifyReport
         check_budget(bs, &decoded, ctx, v)
     });
     run(&mut report, "merge", &mut |v| check_merge(&decoded, ctx, v));
+    let mut cert = None;
     run(&mut report, "schedule", &mut |v| {
-        check_schedule(bs, &decoded, ctx, v)
+        cert = check_schedule(bs, &decoded, ctx, v)
     });
+    report.cert = cert;
     report
 }
 
@@ -870,19 +876,22 @@ fn check_merge(
 /// their producer) and, when the context carries a stored
 /// [`ScheduleCert`], cross-checks it against a from-scratch
 /// recomputation — a stale or forged certificate is a violation even if
-/// the schedule itself is race-free.
+/// the schedule itself is race-free. Returns the recomputed certificate
+/// when the proof reconstructs.
 fn check_schedule(
     bs: &Bitstream,
     decoded: &[Vec<Option<DecodedCore>>],
     ctx: &VerifyContext<'_>,
     v: &mut Vec<Violation>,
-) {
+) -> Option<ScheduleCert> {
     let before = v.len();
     let analysis = schedule::analyze_schedule(decoded, ctx, v);
+    let proved = v.len() == before && decoded.iter().flatten().all(Option::is_some);
+    let recomputed = proved.then(|| schedule::cert_from_analysis(bs, &analysis));
     let Some(stored) = ctx.schedule_cert else {
-        return;
+        return recomputed;
     };
-    if v.len() > before || decoded.iter().flatten().any(|d| d.is_none()) {
+    let Some(recomputed) = recomputed else {
         viol(
             v,
             None,
@@ -890,9 +899,8 @@ fn check_schedule(
              proof does not reconstruct (cert cannot be trusted)"
                 .into(),
         );
-        return;
-    }
-    let recomputed = schedule::cert_from_analysis(bs, &analysis);
+        return None;
+    };
     if *stored != recomputed {
         viol(
             v,
@@ -907,6 +915,7 @@ fn check_schedule(
             ),
         );
     }
+    Some(recomputed)
 }
 
 #[cfg(test)]

@@ -9,29 +9,7 @@ use gem_isa::{
     ReadEntry, WriteEntry, WriteSrc,
 };
 use gem_place::{BoomerangLayer, PermSource, Plane};
-
-/// Local SplitMix64 (the workspace's fixed-seed convention; no external
-/// RNG crates).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed)
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-    fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
-}
+use gem_sim::FuzzRng;
 
 /// A random but *encodable* core: every field stays inside the
 /// encoder's asserted ranges (perm/write state addresses < 2^13,
@@ -39,7 +17,7 @@ impl Rng {
 /// the whole format — empty and dense read/write lists, zero to several
 /// layers, all three write sources. The two wide shapes have fold planes
 /// that span several 64-slot words and writebacks over several words.
-fn random_core(rng: &mut Rng) -> DecodedCore {
+fn random_core(rng: &mut FuzzRng) -> DecodedCore {
     let width = [4u32, 8, 16, 32, 256, 2048][rng.below(6) as usize];
     let state_size = 1 + rng.below(500) as u32;
     let reads = (0..rng.below(u64::from(width) + 1))
@@ -101,7 +79,7 @@ fn random_core(rng: &mut Rng) -> DecodedCore {
 
 #[test]
 fn random_programs_round_trip_bit_exactly() {
-    let mut rng = Rng::new(0x0DEC_0DE5);
+    let mut rng = FuzzRng::new(0x0DEC_0DE5);
     for case in 0..64 {
         let dec = random_core(&mut rng);
         let bytes = assemble_decoded(&dec);
@@ -118,7 +96,7 @@ fn random_programs_round_trip_bit_exactly() {
 
 #[test]
 fn every_truncation_is_a_typed_error_not_a_panic() {
-    let mut rng = Rng::new(0x7256);
+    let mut rng = FuzzRng::new(0x7256);
     for case in 0..8 {
         let bytes = assemble_decoded(&random_core(&mut rng));
         for len in 0..bytes.len() {
@@ -138,7 +116,7 @@ fn every_truncation_is_a_typed_error_not_a_panic() {
 
 #[test]
 fn oversized_buffers_report_trailing_bytes() {
-    let mut rng = Rng::new(0xB16);
+    let mut rng = FuzzRng::new(0xB16);
     for case in 0..8 {
         let bytes = assemble_decoded(&random_core(&mut rng));
         for extra in 1..=9usize {
@@ -163,14 +141,14 @@ fn oversized_buffers_report_trailing_bytes() {
 fn garbage_and_empty_buffers_fail_cleanly() {
     assert_eq!(disassemble_core(&[]), Err(DecodeError::Truncated));
     // A wrong magic word is reported as such, with the offending value.
-    let mut bytes = assemble_decoded(&random_core(&mut Rng::new(3)));
+    let mut bytes = assemble_decoded(&random_core(&mut FuzzRng::new(3)));
     bytes[0] ^= 0xFF;
     assert!(matches!(
         disassemble_core(&bytes),
         Err(DecodeError::BadMagic(_))
     ));
     // Random byte soup: any typed error is fine; a panic is not.
-    let mut rng = Rng::new(0x50_0F);
+    let mut rng = FuzzRng::new(0x50_0F);
     for _ in 0..200 {
         let n = rng.below(64) as usize;
         let buf: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();

@@ -343,8 +343,7 @@ impl BoomerangLayer {
 ///
 /// This alias is the *single* place the lane width is chosen; the whole
 /// execution stack (`gem-vgpu` machine state, the lowered layers' masks
-/// and scratch, `GemSimulator`'s lane APIs, `gem_sim::lanes`
-/// pack/unpack) is written against `Word`.
+/// and scratch, `GemSimulator`'s lane APIs) is written against `Word`.
 pub type Word = u64;
 
 /// Broadcasts a Boolean constant across all bit-lanes of the machine

@@ -516,15 +516,23 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// The `--gpu` timing model (A100 when absent); an unknown name is an
+/// error.
+fn gpu_spec(args: &[String]) -> Result<GpuSpec, String> {
+    match flag(args, "--gpu").as_deref() {
+        None | Some("a100") => Ok(GpuSpec::a100()),
+        Some("3090" | "rtx3090") => Ok(GpuSpec::rtx3090()),
+        Some(other) => Err(format!("unknown --gpu {other:?}, expected a100 or 3090")),
+    }
+}
+
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let input = positional(args)?;
+    let spec = gpu_spec(args)?;
     let (sim, _) = load(input, args)?;
     let opts = ProfileOptions {
         cycles: flag_u64(args, "--cycles", 256)?,
-        spec: match flag(args, "--gpu").as_deref() {
-            Some("3090" | "rtx3090") => GpuSpec::rtx3090(),
-            _ => GpuSpec::a100(),
-        },
+        spec,
     };
     let report = gem_core::profile(sim, input, &opts);
     print!("{}", report.render_table());
@@ -557,6 +565,7 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let input = positional(args)?;
     let cycles = flag_u64(args, "--cycles", 16)?;
+    let spec = gpu_spec(args)?;
     let (mut sim, compile_doc) = load(input, args)?;
     let io = sim.io().clone();
     // Pokes: --poke name=hex (applied every cycle).
@@ -625,28 +634,20 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 }
             }
         }
-        if let Some((path, w, _)) = vcd {
-            std::fs::write(&path, w.finish()).map_err(|e| format!("cannot write {path:?}: {e}"))?;
-            println!("wrote {path}");
-        }
-        if sim.counters().cycles > 0 {
-            let hz = TimingModel::new(GpuSpec::a100()).hz_total(sim.counters());
-            println!("modeled speed on A100: {hz:.0} simulated cycles/second");
-        }
-        return emit_metrics(args, compile_doc, Some(&sim));
-    }
-    for c in 0..cycles {
-        sim.step();
-        let row: String = io
-            .outputs
-            .iter()
-            .map(|p| format!("{:>12}", sim.output(&p.name).to_u64()))
-            .collect();
-        println!("{c:>5}  {row}");
-        if let Some((_, w, vars)) = vcd.as_mut() {
-            w.timestamp(c);
-            for (name, var) in vars.iter() {
-                w.change(*var, &sim.output(name));
+    } else {
+        for c in 0..cycles {
+            sim.step();
+            let row: String = io
+                .outputs
+                .iter()
+                .map(|p| format!("{:>12}", sim.output(&p.name).to_u64()))
+                .collect();
+            println!("{c:>5}  {row}");
+            if let Some((_, w, vars)) = vcd.as_mut() {
+                w.timestamp(c);
+                for (name, var) in vars.iter() {
+                    w.change(*var, &sim.output(name));
+                }
             }
         }
     }
@@ -657,16 +658,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // Modeled speed (hz_total is zero-safe; skip the line when no cycles
     // ran rather than reporting a meaningless 0 Hz).
     if sim.counters().cycles > 0 {
-        let gpu = flag(args, "--gpu").unwrap_or_else(|| "a100".into());
-        let spec = match gpu.as_str() {
-            "3090" | "rtx3090" => GpuSpec::rtx3090(),
-            _ => GpuSpec::a100(),
-        };
-        let hz = TimingModel::new(spec.clone()).hz_total(sim.counters());
-        println!(
-            "modeled speed on {}: {:.0} simulated cycles/second",
-            spec.name, hz
-        );
+        let name = spec.name;
+        let hz = TimingModel::new(spec).hz_total(sim.counters());
+        println!("modeled speed on {name}: {hz:.0} simulated cycles/second");
     }
     emit_metrics(args, compile_doc, Some(&sim))
 }

@@ -78,8 +78,8 @@ pub struct ServerMetrics {
     /// Compiles rejected by the static bitstream verifier (the failing
     /// artifact is negatively cached, never served).
     pub verify_failures: AtomicU64,
-    /// Compiles rejected by the static analyzer or the schedule
-    /// happens-before checker (negatively cached like verify failures).
+    /// Compiles rejected by the static analyzer (negatively cached like
+    /// verify failures).
     pub analyze_failures: AtomicU64,
     /// Summed wait+execution latency of completed jobs, microseconds,
     /// each measured from its arrival at the gate.
@@ -236,7 +236,7 @@ impl ServerMetrics {
         );
         c(
             "gem_server_analyze_failures_total",
-            "Compiles rejected by the static analyzer or schedule certifier",
+            "Compiles rejected by the static analyzer",
             &self.analyze_failures,
         );
         c(

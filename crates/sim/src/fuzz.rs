@@ -15,8 +15,8 @@
 
 use gem_netlist::{Bits, Module, ModuleBuilder, NetId, ReadKind};
 
-/// Deterministic SplitMix64 stream (same algorithm as the workspace's
-/// property tests, packaged for reuse).
+/// Deterministic SplitMix64 stream, shared by the workspace's seeded
+/// tests.
 #[derive(Debug, Clone)]
 pub struct FuzzRng(u64);
 

@@ -25,12 +25,10 @@
 pub mod event;
 pub mod fuzz;
 pub mod golden;
-pub mod lanes;
 pub mod netlist_sim;
 mod state;
 
 pub use event::EventSim;
 pub use fuzz::{random_module, FuzzConfig, FuzzRng};
 pub use golden::EaigSim;
-pub use lanes::{LaneBatch, LaneError, LaneStream, LaneTarget};
 pub use netlist_sim::NetlistSim;

@@ -4,14 +4,11 @@
 //! For every seed the suite builds a random module
 //! ([`gem_sim::random_module`]), compiles it once, and derives 64
 //! *different* stimulus streams from the seed (one per lane, each with
-//! its own `FuzzRng`). The same [`gem_sim::LaneBatch`] then drives:
-//!
-//! * one `GemSimulator` with `set_lanes(64)` — the lane-batched engine,
-//! * 64 independent single-lane `GemSimulator`s — the reference bank,
-//!
-//! through the engine-agnostic [`gem_sim::LaneTarget`] surface, and
-//! [`gem_sim::lanes::first_divergence`] diffs the per-lane traces. A
-//! third of the lanes get a per-lane start skew, exercising the
+//! its own `FuzzRng`). Every cycle, each lane's inputs go both to one
+//! `GemSimulator` with `set_lanes(64)` (through `set_input_lane`) and to
+//! that lane's own single-lane `GemSimulator` (the reference bank);
+//! after the step every lane's outputs are compared with its reference.
+//! A third of the lanes get a per-lane start skew, exercising the
 //! hold-then-replay path.
 //!
 //! A second driver (`run_widen_narrow`) changes the lane count 1 → 64 →
@@ -29,50 +26,12 @@
 //! design, the streams, and the divergence deterministically.
 
 use gem_core::{compile, CompileOptions, Compiled, GemSimulator};
-use gem_netlist::Bits;
-use gem_sim::lanes::first_divergence;
-use gem_sim::{random_module, FuzzConfig, FuzzRng, LaneBatch, LaneStream, LaneTarget};
+use gem_sim::{random_module, FuzzConfig, FuzzRng};
 
 // Run the reference comparison at the machine's full lane width: if any
 // stage of the pipeline silently truncated back to 32 lanes, the high
 // half of the batch would diverge from its independent runs here.
 const LANES: usize = 64;
-
-/// The lane-batched engine as a [`LaneTarget`].
-struct BatchTarget {
-    sim: GemSimulator,
-}
-
-impl LaneTarget for BatchTarget {
-    fn poke_lane(&mut self, lane: usize, port: &str, value: &Bits) {
-        self.sim.set_input_lane(port, lane as u32, value.clone());
-    }
-    fn step(&mut self) {
-        self.sim.step();
-    }
-    fn peek_lane(&mut self, lane: usize, port: &str) -> Bits {
-        self.sim.output_lane(port, lane as u32)
-    }
-}
-
-/// A bank of independent single-lane simulators as a [`LaneTarget`].
-struct BankTarget {
-    sims: Vec<GemSimulator>,
-}
-
-impl LaneTarget for BankTarget {
-    fn poke_lane(&mut self, lane: usize, port: &str, value: &Bits) {
-        self.sims[lane].set_input(port, value.clone());
-    }
-    fn step(&mut self) {
-        for sim in &mut self.sims {
-            sim.step();
-        }
-    }
-    fn peek_lane(&mut self, lane: usize, port: &str) -> Bits {
-        self.sims[lane].output(port)
-    }
-}
 
 fn compile_seed(seed: u64, cfg: &FuzzConfig) -> Compiled {
     let m = random_module(seed, cfg);
@@ -94,71 +53,70 @@ fn compile_seed(seed: u64, cfg: &FuzzConfig) -> Compiled {
         .unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}"))
 }
 
-/// Builds 64 distinct per-lane stimulus streams for a compiled design.
-/// Every third lane starts `lane / 3` cycles late (per-lane reset skew).
-fn batch_for(compiled: &Compiled, seed: u64, cycles: u64) -> LaneBatch {
-    let streams = (0..LANES)
-        .map(|lane| {
-            let mut rng = FuzzRng::new(seed ^ 0xBA7C_4000 ^ (lane as u64) << 40);
-            let skew = if lane % 3 == 0 { lane as u64 / 3 } else { 0 };
-            let cycles = (0..cycles.saturating_sub(skew))
-                .map(|_| {
-                    compiled
-                        .eaig_inputs
-                        .iter()
-                        .map(|p| (p.name.clone(), rng.bits(p.width)))
-                        .collect()
-                })
-                .collect();
-            LaneStream { skew, cycles }
-        })
-        .collect();
-    LaneBatch::new(streams).expect("64 lanes fit")
+/// Every third lane starts `lane / 3` cycles late (per-lane reset
+/// skew): until then it holds its inputs at reset.
+fn skew(lane: usize) -> u64 {
+    if lane.is_multiple_of(3) {
+        lane as u64 / 3
+    } else {
+        0
+    }
 }
 
-/// Runs one seed: batch vs bank, trace-diffed per lane.
+/// Runs one seed: batch vs bank, compared per lane after every step.
+/// Lane `k` draws fresh inputs from its own stream on cycles
+/// `skew(k)..cycles` and holds them otherwise; the run lasts until the
+/// last skew has elapsed, even past `cycles`.
 fn run_lane_equivalence(seed: u64, cycles: u64, cfg: &FuzzConfig) {
     let compiled = compile_seed(seed, cfg);
-    let batch = batch_for(&compiled, seed, cycles);
-    let watch: Vec<&str> = compiled
-        .eaig_outputs
-        .iter()
-        .map(|p| p.name.as_str())
-        .collect();
-
-    let mut sim = GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    sim.set_lanes(LANES as u32)
+    let new_sim = || GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    let mut batch = new_sim();
+    batch
+        .set_lanes(LANES as u32)
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    let mut batched = BatchTarget { sim };
-    let batch_trace = batch.run(&mut batched, &watch);
-
-    let sims = (0..LANES)
-        .map(|_| GemSimulator::new(&compiled).unwrap_or_else(|e| panic!("seed {seed}: {e}")))
+    let mut sims: Vec<GemSimulator> = (0..LANES).map(|_| new_sim()).collect();
+    let mut rngs: Vec<FuzzRng> = (0..LANES)
+        .map(|lane| FuzzRng::new(seed ^ 0xBA7C_4000 ^ (lane as u64) << 40))
         .collect();
-    let mut bank = BankTarget { sims };
-    let bank_trace = batch.run(&mut bank, &watch);
+    let run_cycles = (0..LANES).map(skew).max().unwrap_or(0).max(cycles);
 
-    if let Some(d) = first_divergence(&batch_trace, &bank_trace) {
-        panic!(
-            "seed {seed}: lane {} diverged from its independent run \
-             at cycle {} on output {:?} (batch {:?}, independent {:?})",
-            d.lane,
-            d.cycle,
-            watch[d.port],
-            batch_trace[d.lane][d.cycle][d.port],
-            bank_trace[d.lane][d.cycle][d.port],
-        );
+    for cycle in 0..run_cycles {
+        for (lane, rng) in rngs.iter_mut().enumerate() {
+            if !(skew(lane)..cycles).contains(&cycle) {
+                continue;
+            }
+            for p in &compiled.eaig_inputs {
+                let v = rng.bits(p.width);
+                batch.set_input_lane(&p.name, lane as u32, v.clone());
+                sims[lane].set_input(&p.name, v);
+            }
+        }
+        batch.step();
+        for sim in &mut sims {
+            sim.step();
+        }
+        for (lane, sim) in sims.iter().enumerate() {
+            for p in &compiled.eaig_outputs {
+                let (got, want) = (batch.output_lane(&p.name, lane as u32), sim.output(&p.name));
+                assert!(
+                    got == want,
+                    "seed {seed}: lane {lane} diverged from its independent run \
+                     at cycle {cycle} on output {:?} (batch {got:?}, independent {want:?})",
+                    p.name
+                );
+            }
+        }
     }
 
     // The lane metrics must reconcile on the batched engine: every lane
     // stepped every batch cycle.
-    let snap = batched.sim.metrics();
+    let snap = batch.metrics();
     let lane_fam = snap
         .family("gem_sim_lane_steps_total")
         .expect("lane steps exported");
     assert_eq!(
         lane_fam.total(),
-        (batch.len_cycles() * LANES as u64) as f64,
+        (run_cycles * LANES as u64) as f64,
         "seed {seed}: lane step counters do not reconcile"
     );
     assert_eq!(

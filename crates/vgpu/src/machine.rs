@@ -103,10 +103,6 @@ pub enum MachineError {
     SnapshotMismatch(String),
     /// A lane count outside `1..=`[`GemGpu::MAX_LANES`] was requested.
     BadLanes(u32),
-    /// A snapshot was captured with a different machine lane-word width
-    /// (e.g. a stale 32-wide snapshot restored onto the 64-wide
-    /// machine). The payload is `(snapshot bits, machine bits)`.
-    SnapshotWordWidth(u32, u32),
 }
 
 impl fmt::Display for MachineError {
@@ -119,10 +115,6 @@ impl fmt::Display for MachineError {
                 f,
                 "bad lane count {n}: must be between 1 and {}",
                 GemGpu::MAX_LANES
-            ),
-            MachineError::SnapshotWordWidth(snap, mach) => write!(
-                f,
-                "snapshot lane word is {snap} bits wide, machine word is {mach} bits"
             ),
         }
     }
@@ -244,11 +236,6 @@ pub struct GpuSnapshot {
     global: Vec<Word>,
     ram_mem: Vec<Vec<RamImage>>,
     lanes: u32,
-    /// Lane-word width ([`Word::BITS`]) at capture time. Restoring onto
-    /// a machine with a different word width is a typed error
-    /// ([`MachineError::SnapshotWordWidth`]) — a 32-wide snapshot's
-    /// lane packing is meaningless to the 64-wide machine.
-    word_bits: u32,
     counters: KernelCounters,
     lane_steps: [u64; GemGpu::MAX_LANES as usize],
 }
@@ -271,20 +258,6 @@ impl GpuSnapshot {
     /// Active lane count captured with the state.
     pub fn lanes(&self) -> u32 {
         self.lanes
-    }
-
-    /// Lane-word width (in bits) the snapshot was captured at.
-    pub fn word_bits(&self) -> u32 {
-        self.word_bits
-    }
-
-    /// Returns the snapshot with a forged lane-word width — a test hook
-    /// for exercising the stale-snapshot rejection path (there is no
-    /// other way to fabricate a legacy 32-wide snapshot in-process).
-    #[doc(hidden)]
-    pub fn with_word_bits(mut self, bits: u32) -> Self {
-        self.word_bits = bits;
-        self
     }
 }
 
@@ -726,7 +699,6 @@ impl GemGpu {
             global: self.global.clone(),
             ram_mem: self.ram_mem.clone(),
             lanes: self.lanes,
-            word_bits: Word::BITS,
             counters: self.counters,
             lane_steps: self.lane_steps,
         }
@@ -745,9 +717,6 @@ impl GemGpu {
     /// untouched) when the snapshot belongs to a different program or
     /// any state dimension differs from the loaded design.
     pub fn restore(&mut self, s: &GpuSnapshot) -> Result<(), MachineError> {
-        if s.word_bits != Word::BITS {
-            return Err(MachineError::SnapshotWordWidth(s.word_bits, Word::BITS));
-        }
         // Pointer-equal for a machine's own snapshots and its clones';
         // otherwise the lowered programs are compared structurally.
         if s.program != self.program {
@@ -1568,24 +1537,6 @@ mod lane_tests {
         for lane in 0..5 {
             assert_eq!(other.peek_lane(2, lane), gpu.peek_lane(2, lane));
         }
-    }
-
-    #[test]
-    fn stale_word_width_snapshot_rejected() {
-        let mut gpu = and_machine();
-        gpu.set_lanes(3).expect("3 lanes");
-        let before = gpu.snapshot();
-        assert_eq!(before.word_bits(), Word::BITS);
-        // Forge a legacy 32-wide snapshot: restore must fail with the
-        // typed width error and leave the machine untouched.
-        let stale = gpu.snapshot().with_word_bits(32);
-        assert!(matches!(
-            gpu.restore(&stale),
-            Err(MachineError::SnapshotWordWidth(32, 64))
-        ));
-        assert_eq!(gpu.snapshot(), before, "failed restore must not mutate");
-        let msg = MachineError::SnapshotWordWidth(32, 64).to_string();
-        assert!(msg.contains("32") && msg.contains("64"), "{msg}");
     }
 
     #[test]

@@ -266,11 +266,9 @@ fn ladder_designs_match_bitstream_digests() {
 
 /// A full-width 64-lane snapshot resumes bit-exactly, per lane: a fresh
 /// simulator restored from a mid-run capture tracks the original run
-/// cycle for cycle. And a snapshot whose lane word is a different width
-/// than the machine's (a stale 32-wide capture) is rejected with the
-/// typed error, not silently reinterpreted.
+/// cycle for cycle.
 #[test]
-fn full_width_snapshots_resume_bit_exactly_and_are_width_checked() {
+fn full_width_snapshots_resume_bit_exactly() {
     const LANES: u32 = GemSimulator::MAX_LANES;
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let path = root.join("examples/designs/alu.v");
@@ -327,21 +325,4 @@ fn full_width_snapshots_resume_bit_exactly_and_are_width_checked() {
         resumed, continued,
         "a restored 64-lane snapshot diverged from the run it was taken from"
     );
-    assert_eq!(
-        snap.word_bits(),
-        64,
-        "snapshots must record the lane word width"
-    );
-
-    // A stale snapshot claiming a 32-bit lane word must be refused with
-    // the typed width error — its packed lane data means something else.
-    let stale = sim.snapshot().with_word_bits(32);
-    let mut sim = GemSimulator::new(&compiled).expect("sim");
-    sim.set_lanes(LANES).expect("lanes");
-    match sim.restore(&stale) {
-        Err(gem_vgpu::MachineError::SnapshotWordWidth(snap_bits, mach_bits)) => {
-            assert_eq!((snap_bits, mach_bits), (32, 64));
-        }
-        other => panic!("stale 32-wide snapshot not rejected: {other:?}"),
-    }
 }

@@ -4,31 +4,14 @@
 //! bit-exact behaviour, and the foundational data structures must uphold
 //! their algebraic laws.
 //!
-//! The cases are generated from fixed seeds via SplitMix64 (the sealed
-//! build has no property-testing framework), so every run exercises the
+//! The cases are generated from fixed seeds via SplitMix64
+//! ([`gem_sim::FuzzRng`]; the sealed build has no property-testing
+//! framework), so every run exercises the
 //! same inputs — failures reproduce by seed with no shrinking needed.
 
 use gem_core::{compile, CompileOptions, GemSimulator};
 use gem_netlist::{Bits, Module, ModuleBuilder, NetId};
-use gem_sim::NetlistSim;
-
-/// SplitMix64: a tiny deterministic generator for test-case derivation.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, bound)`.
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
+use gem_sim::{FuzzRng, NetlistSim};
 
 /// A recipe for one random combinational/sequential module.
 #[derive(Debug, Clone)]
@@ -39,7 +22,7 @@ struct Recipe {
 }
 
 impl Recipe {
-    fn random(g: &mut Gen) -> Recipe {
+    fn random(g: &mut FuzzRng) -> Recipe {
         Recipe {
             width: 2 + g.below(8) as u32,
             ops: (0..1 + g.below(13)).map(|_| g.below(10) as u8).collect(),
@@ -93,14 +76,14 @@ fn build(recipe: &Recipe) -> Module {
 #[test]
 fn full_flow_matches_reference() {
     for case in 0..24u64 {
-        let mut g = Gen(0xF10F_0000 + case);
+        let mut g = FuzzRng::new(0xF10F_0000 + case);
         let recipe = Recipe::random(&mut g);
         let m = build(&recipe);
         let compiled = compile(&m, &CompileOptions::small()).expect("compiles");
         let mut gem = GemSimulator::new(&compiled).expect("loads");
         let mut rtl = NetlistSim::new(&m);
         for _ in 0..12 {
-            let state = g.next();
+            let state = g.next_u64();
             let xv = Bits::from_u64(state & ((1 << recipe.width) - 1), recipe.width);
             let yv = Bits::from_u64((state >> 17) & ((1 << recipe.width) - 1), recipe.width);
             rtl.set_input("x", xv.clone());
@@ -122,12 +105,12 @@ fn full_flow_matches_reference() {
 /// Bits arithmetic agrees with u64 arithmetic for widths ≤ 32.
 #[test]
 fn bits_matches_u64() {
-    let mut g = Gen(0xB175);
+    let mut g = FuzzRng::new(0xB175);
     for _ in 0..200 {
         let w = 1 + g.below(32) as u32;
         let mask = if w == 32 { u32::MAX } else { (1u32 << w) - 1 };
-        let av = g.next() as u32 & mask;
-        let bv = g.next() as u32 & mask;
+        let av = g.next_u64() as u32 & mask;
+        let bv = g.next_u64() as u32 & mask;
         let ba = Bits::from_u64(av as u64, w);
         let bb = Bits::from_u64(bv as u64, w);
         assert_eq!(ba.add(&bb).to_u64(), (av.wrapping_add(bv) & mask) as u64);
@@ -143,11 +126,11 @@ fn bits_matches_u64() {
 /// Slicing and concatenation are inverses.
 #[test]
 fn bits_slice_concat_inverse() {
-    let mut g = Gen(0x511CE);
+    let mut g = FuzzRng::new(0x511CE);
     for _ in 0..200 {
         let w = 2 + g.below(47) as u32;
         let cut = 1 + g.below(u64::from(w) - 1) as u32;
-        let v = g.next();
+        let v = g.next_u64();
         let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
         let b = Bits::from_u64(v & mask, w);
         let lo = b.slice(0, cut);
@@ -161,7 +144,7 @@ fn bits_slice_concat_inverse() {
 #[test]
 fn eaig_and_laws() {
     use gem_aig::{Eaig, Lit};
-    let mut gen = Gen(0xA1D);
+    let mut gen = FuzzRng::new(0xA1D);
     for _ in 0..50 {
         let n_inputs = 2 + gen.below(4) as usize;
         let mut g = Eaig::new();
@@ -187,8 +170,8 @@ fn placement_preserves_semantics() {
     use gem_place::{place_partition, PlaceOptions};
     use gem_sim::EaigSim;
     for case in 0..12u64 {
-        let mut gen = Gen(0x91ACE + case);
-        let seed = gen.next();
+        let mut gen = FuzzRng::new(0x91ACE + case);
+        let seed = gen.next_u64();
         let width_pow = 6 + gen.below(3) as u32;
         let mut g = Eaig::new();
         let mut lits: Vec<Lit> = (0..10).map(|i| g.input(format!("i{i}"))).collect();
