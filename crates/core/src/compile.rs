@@ -752,7 +752,7 @@ fn compile_eaig_with(
 }
 
 /// The gate every compile passes before it returns: the `verify` stage
-/// runs the static bitstream verifier (all seven families — the compile
+/// runs the static bitstream verifier (all six families — the compile
 /// still has its placement programs), whose `schedule` check also proves
 /// the schedule's happens-before order and yields its certificate. A
 /// failure is the compile's error and no artifact leaves.

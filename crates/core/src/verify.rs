@@ -55,7 +55,7 @@ pub fn verify(
 
 impl crate::Compiled {
     /// Verifies this compile result's bitstream against its own device,
-    /// I/O, and placement metadata (all seven check families); the
+    /// I/O, and placement metadata (all six check families); the
     /// `schedule` check also cross-checks the stored certificate against
     /// recomputation.
     pub fn verify(&self) -> VerifyReport {

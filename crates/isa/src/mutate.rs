@@ -14,7 +14,7 @@
 //! * **Structured** — decode a core, perturb the [`crate::DecodedCore`],
 //!   re-encode canonically. The mutant is a *well-formed* program whose
 //!   semantics are wrong, so only the semantic checks (`layers`,
-//!   `messages`, `bounds`, `budget`, `merge`) can catch it.
+//!   `bounds`, `budget`, `merge`, `schedule`) can catch it.
 //! * **Raw** — byte-level damage (truncation, trailing garbage, header
 //!   count corruption) that the `roundtrip` check must catch.
 //!
@@ -35,10 +35,10 @@ pub enum MutationClass {
     /// Drop a `READ_GLOBAL` entry — a lost recv (`layers`/`merge`).
     DropRead,
     /// Drop a `WRITE_GLOBAL` entry whose slot someone reads — a lost
-    /// send (`messages`).
+    /// send (`schedule`).
     DropWrite,
     /// Duplicate a write with a flipped source — two senders racing on
-    /// one slot (`messages`, `budget`).
+    /// one slot (`schedule`).
     DupWrite,
     /// Point a read's inbox destination past the state array (`bounds`).
     ReadAddrOob,
@@ -62,11 +62,10 @@ pub enum MutationClass {
     /// Flip a deferred send to immediate so a reader at the same or an
     /// earlier stage receives the message *before* its producer runs —
     /// a happens-before race the `schedule` certification must kill
-    /// (`schedule`, also `messages`).
+    /// (`schedule`).
     MsgBeforeProducer,
     /// Add a second sender to a slot another core already publishes —
-    /// two writers racing on one slot within a cycle (`schedule`, also
-    /// `messages`).
+    /// two writers racing on one slot within a cycle (`schedule`).
     DualWriterSameSlot,
 }
 

@@ -1,27 +1,34 @@
-//! Schedule happens-before certification (the [`ScheduleCert`] artifact).
+//! The schedule's happens-before proof (the [`ScheduleCert`] artifact).
 //!
-//! The `messages` check family answers "does every recv have a matching
-//! send"; this module goes one step further and *certifies the ordering*:
-//! it reconstructs the cross-core message graph from the encoded
-//! bitstream alone and proves, for every inter-core read, a
-//! happens-before edge from the producing write — either a **stage
-//! barrier** (the producer's immediate write ran in a strictly earlier
-//! pipeline stage) or the **cycle boundary** (the slot is defined at
-//! cycle start: a deferred write committed last cycle, a testbench-poked
-//! input, a RAM read-data commit, or a power-on constant). It also
-//! proves no two writers race on one slot within a cycle.
+//! A compiled schedule is correct only if every cross-core message
+//! arrives after its producer has run. This module holds the one walk
+//! over the decoded cores that states every send/receive and ordering
+//! rule; the verifier's `schedule` check family and [`certify_schedule`]
+//! both run it. It requires:
+//!
+//! * one writer per global slot, and no core writing a device-owned slot
+//!   (an input or a RAM read-data slot);
+//! * each core reading a global once, into a distinct inbox bit;
+//! * a happens-before edge for every read: a **stage barrier** (the
+//!   producer's immediate write ran in a strictly earlier pipeline
+//!   stage) or the **cycle boundary** (the slot is defined at cycle
+//!   start: a deferred write committed last cycle, a testbench-poked
+//!   input, or a RAM read-data commit);
+//! * a deferred publisher for every primary output, an immediate one for
+//!   every RAM operand, and a deferred writer for every power-on-one
+//!   slot that is read.
 //!
 //! The proof is summarized into a compact, machine-checkable
 //! [`ScheduleCert`]: per-slot producer/consumer facts are folded into a
 //! canonical FNV digest, and the certificate is pinned to the exact
 //! bitstream bytes it certifies. The `.gemb` package stores the cert
-//! next to the bitstream, and the verifier's `schedule` check family
-//! (see [`crate::verify`]) recomputes it from scratch and rejects any
-//! artifact whose stored cert does not match — so a cert in hand means
-//! the race-freedom argument was re-derived, not trusted.
+//! next to the bitstream, and the `schedule` family recomputes it from
+//! scratch and rejects any artifact whose stored cert does not match —
+//! so a cert in hand means the race-freedom argument was re-derived, not
+//! trusted.
 
-use crate::verify::{VerifyContext, Violation};
-use crate::{disassemble_core_exact, Bitstream, DecodedCore};
+use crate::verify::{cores, decode_cores, viol, VerifyContext, Violation};
+use crate::{Bitstream, DecodedCore};
 use std::collections::{HashMap, HashSet};
 
 /// Format version of [`ScheduleCert`] (bumped on any change to the
@@ -52,7 +59,7 @@ pub struct ScheduleCert {
     /// producer in a strictly earlier stage).
     pub barrier_edges: u32,
     /// Reads whose ordering proof is the cycle boundary (deferred
-    /// producer, input, RAM read-data, or power-on constant).
+    /// producer, input, or RAM read-data).
     pub boundary_edges: u32,
     /// Immediate (same-cycle) `WRITE_GLOBAL` entries.
     pub immediate_writes: u32,
@@ -98,234 +105,266 @@ pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The happens-before facts extracted by one analysis walk, shared
-/// between [`certify_schedule`] and the verifier's `schedule` check.
-pub(crate) struct ScheduleAnalysis {
-    pub reads: u32,
-    pub barrier_edges: u32,
-    pub boundary_edges: u32,
-    pub immediate_writes: u32,
-    pub deferred_writes: u32,
-    pub table_digest: u64,
+/// What the walk knows about one global slot.
+#[derive(Default)]
+struct SlotFacts {
+    /// Every writer as `(stage, core, deferred)`, in core order.
+    writers: Vec<(usize, usize, bool)>,
+    /// Some writer is deferred, so the slot is defined at cycle start.
+    deferred: bool,
+    /// Earliest stage whose immediate write publishes the slot mid-cycle.
+    first_immediate: Option<usize>,
+    /// Earliest stage that reads the slot.
+    first_read: Option<u32>,
+    /// `READ_GLOBAL` entries naming the slot, over all cores.
+    readers: u32,
 }
 
-/// Walks the decoded cores, emits every happens-before violation into
-/// `v`, and returns the analysis summary. The caller stamps the `check`
-/// field of the violations.
-pub(crate) fn analyze_schedule(
+/// The one walk that states every send/receive and ordering rule: emits
+/// each violation into `v` (the caller stamps their `check` field) and
+/// returns the certificate's counts and table digest, `bitstream_fnv`
+/// left 0.
+fn analyze_schedule(
+    bs: &Bitstream,
     decoded: &[Vec<Option<DecodedCore>>],
     ctx: &VerifyContext<'_>,
     v: &mut Vec<Violation>,
-) -> ScheduleAnalysis {
-    // Producer table: every writer of every global slot.
-    let mut writers: HashMap<u32, Vec<(usize, usize, bool)>> = HashMap::new();
-    let mut immediate_writes = 0u32;
-    let mut deferred_writes = 0u32;
-    for (si, stage) in decoded.iter().enumerate() {
-        for (ci, dec) in stage.iter().enumerate() {
-            let Some(dec) = dec else { continue };
-            for w in &dec.writes {
-                writers
-                    .entry(w.global)
-                    .or_default()
-                    .push((si, ci, w.deferred));
-                if w.deferred {
-                    deferred_writes += 1;
-                } else {
-                    immediate_writes += 1;
-                }
+) -> ScheduleCert {
+    let mut cert = ScheduleCert {
+        version: CERT_VERSION,
+        stages: bs.stages.len() as u32,
+        cores: bs.total_cores() as u32,
+        global_bits: bs.global_bits,
+        ..ScheduleCert::default()
+    };
+    // The writer table. Cores come in stage order, so the first
+    // immediate writer seen is the earliest.
+    let mut slots: HashMap<u32, SlotFacts> = HashMap::new();
+    for (si, ci, dec) in cores(decoded) {
+        for w in &dec.writes {
+            let s = slots.entry(w.global).or_default();
+            s.writers.push((si, ci, w.deferred));
+            if w.deferred {
+                s.deferred = true;
+                cert.deferred_writes += 1;
+            } else {
+                s.first_immediate.get_or_insert(si);
+                cert.immediate_writes += 1;
             }
         }
     }
+    let mut written: Vec<u32> = slots.keys().copied().collect();
+    written.sort_unstable();
 
-    // No two writers may race on one slot: within a cycle there is no
-    // ordering between two sends to the same global, whatever their
-    // stages or deferred flags.
-    for (&slot, ws) in &writers {
-        if ws.len() > 1 {
-            let mut sorted = ws.clone();
-            sorted.sort_unstable();
-            let (s0, c0, _) = sorted[0];
-            let (s1, c1, _) = sorted[1];
-            v.push(Violation {
-                check: "",
-                location: Some((s0, c0)),
-                message: format!(
+    // One writer per slot: within a cycle there is no ordering between
+    // two sends to one global, whatever their stages or deferred flags.
+    // The device owns inputs and RAM read-data; no core may publish them.
+    let device_owned: HashSet<u32> = ctx
+        .input_slots
+        .iter()
+        .chain(ctx.rams.iter().flat_map(|r| &r.rdata))
+        .copied()
+        .collect();
+    for slot in &written {
+        let ws = &slots[slot].writers;
+        let (s0, c0, _) = ws[0];
+        if let Some(&(s1, c1, _)) = ws.get(1) {
+            viol(
+                v,
+                Some((s0, c0)),
+                format!(
                     "global {slot} has {} racing writers within one cycle \
                      (stage {s0} core {c0} and stage {s1} core {c1}, no \
                      happens-before edge between sends)",
                     ws.len()
                 ),
-            });
+            );
+        }
+        if device_owned.contains(slot) {
+            viol(
+                v,
+                Some((s0, c0)),
+                format!("write to device-owned global {slot} (input or RAM read-data slot)"),
+            );
         }
     }
 
-    // Slots proven defined at cycle start, and the earliest stage at
-    // which an immediate write defines each slot mid-cycle.
-    let rdata_slots: HashSet<u32> = ctx
-        .rams
-        .iter()
-        .flat_map(|r| r.rdata.iter().copied())
-        .collect();
-    let mut cycle_start: HashSet<u32> = ctx.input_slots.iter().copied().collect();
-    cycle_start.extend(rdata_slots.iter().copied());
-    let mut immediate_stage: HashMap<u32, usize> = HashMap::new();
-    for (&slot, ws) in &writers {
-        for &(si, _, deferred) in ws {
-            if deferred {
-                cycle_start.insert(slot);
+    // Each core reads a global once, into a distinct inbox bit, and
+    // every read needs a happens-before edge from its producer: a stage
+    // barrier (an immediate write in a strictly earlier stage), else the
+    // cycle boundary (the slot is device-owned or deferred-written).
+    let mut dests: HashSet<u16> = HashSet::new();
+    let mut srcs: HashSet<u32> = HashSet::new();
+    for (si, ci, dec) in cores(decoded) {
+        let loc = Some((si, ci));
+        dests.clear();
+        srcs.clear();
+        for r in &dec.reads {
+            if !dests.insert(r.state) {
+                viol(
+                    v,
+                    loc,
+                    format!("two reads land in the same inbox state bit {}", r.state),
+                );
+            }
+            if !srcs.insert(r.global) {
+                viol(
+                    v,
+                    loc,
+                    format!("global {} read twice by one core", r.global),
+                );
+            }
+            cert.reads += 1;
+            let s = slots.entry(r.global).or_default();
+            s.readers += 1;
+            s.first_read.get_or_insert(si as u32);
+            if s.first_immediate.is_some_and(|f| f < si) {
+                cert.barrier_edges += 1;
+            } else if s.deferred || device_owned.contains(&r.global) {
+                cert.boundary_edges += 1;
             } else {
-                let e = immediate_stage.entry(slot).or_insert(si);
-                *e = (*e).min(si);
-            }
-        }
-    }
-    // A power-on constant proves the boundary edge at cycle 0 only; from
-    // cycle 1 on the slot holds whatever was last written. An
-    // initial-one slot whose only writers are immediate therefore has no
-    // steady-state boundary edge — early-stage readers would see the
-    // previous cycle's mid-cycle value, which is exactly the
-    // message-before-producer race.
-    for &slot in &ctx.initial_ones {
-        let immediate_only = writers
-            .get(&slot)
-            .is_some_and(|ws| ws.iter().all(|&(_, _, deferred)| !deferred));
-        if !immediate_only {
-            cycle_start.insert(slot);
-        }
-    }
-
-    // Every read needs a happens-before edge from its producer.
-    let mut reads = 0u32;
-    let mut barrier_edges = 0u32;
-    let mut boundary_edges = 0u32;
-    let mut first_read_stage: HashMap<u32, u32> = HashMap::new();
-    let mut reader_count: HashMap<u32, u32> = HashMap::new();
-    for (si, stage) in decoded.iter().enumerate() {
-        for (ci, dec) in stage.iter().enumerate() {
-            let Some(dec) = dec else { continue };
-            for r in &dec.reads {
-                reads += 1;
-                let e = first_read_stage.entry(r.global).or_insert(si as u32);
-                *e = (*e).min(si as u32);
-                *reader_count.entry(r.global).or_insert(0) += 1;
-                if immediate_stage.get(&r.global).is_some_and(|&s| s < si) {
-                    barrier_edges += 1;
-                } else if cycle_start.contains(&r.global) {
-                    boundary_edges += 1;
-                } else {
-                    let why = match (writers.get(&r.global), immediate_stage.get(&r.global)) {
-                        (Some(_), Some(&ws)) => format!(
-                            "its only producer is an immediate write at stage \
-                             {ws}, not before stage {si} (message would arrive \
-                             before the producer runs)"
-                        ),
-                        (Some(_), None) => "its producers cannot be ordered".to_string(),
-                        (None, _) => "no core ever writes it".to_string(),
-                    };
-                    v.push(Violation {
-                        check: "",
-                        location: Some((si, ci)),
-                        message: format!(
-                            "read of global {} at stage {si} has no \
-                             happens-before edge from a producing write: {why}",
-                            r.global
-                        ),
-                    });
-                }
+                let why = match s.first_immediate {
+                    Some(f) => format!(
+                        "its only producer is an immediate write at stage {f}, \
+                         not before stage {si} (message would arrive before \
+                         the producer runs)"
+                    ),
+                    None => "no core ever writes it (dropped send)".to_string(),
+                };
+                viol(
+                    v,
+                    loc,
+                    format!(
+                        "read of global {} at stage {si} has no happens-before \
+                         edge from a producing write: {why}",
+                        r.global
+                    ),
+                );
             }
         }
     }
 
-    // Canonical per-slot table digest: slot order, producer coordinates
-    // sorted, then consumer facts. Any schedule change perturbs it.
-    let mut slots: Vec<u32> = writers.keys().copied().collect();
-    slots.sort_unstable();
+    // Required sends: primary outputs need a deferred publisher, RAM
+    // operands an immediate one (the RAM phase runs after the last
+    // stage's barrier, before the deferred commit). A power-on one
+    // proves nothing past cycle 0: the compiler marks a slot initial-one
+    // only for a flip-flop, which must republish its next state every
+    // cycle, so one that is read needs a deferred writer.
+    let holds = |slot: &u32, rule: fn(&SlotFacts) -> bool| slots.get(slot).is_some_and(rule);
+    for slot in &ctx.output_slots {
+        if !holds(slot, |s| s.deferred) {
+            viol(
+                v,
+                None,
+                format!("primary-output slot {slot} is never published (deferred write missing)"),
+            );
+        }
+    }
+    for (ri, ram) in ctx.rams.iter().enumerate() {
+        for slot in ram.operand_slots() {
+            if !holds(&slot, |s| s.first_immediate.is_some()) {
+                viol(
+                    v,
+                    None,
+                    format!("RAM {ri} operand slot {slot} has no immediate writer"),
+                );
+            }
+        }
+    }
+    for slot in &ctx.initial_ones {
+        if holds(slot, |s| s.readers > 0 && !s.deferred) {
+            viol(
+                v,
+                None,
+                format!(
+                    "initialized slot {slot} is read but has no deferred writer \
+                     (flip-flop state never updated)"
+                ),
+            );
+        }
+    }
+
+    // Canonical per-slot table digest: written slots in order, producer
+    // coordinates sorted, then consumer facts.
     let mut h = FNV_OFFSET;
-    for slot in slots {
+    for slot in &written {
+        let s = &slots[slot];
         fnv1a(&mut h, &slot.to_le_bytes());
-        let mut ws = writers[&slot].clone();
+        let mut ws = s.writers.clone();
         ws.sort_unstable();
         for (si, ci, deferred) in ws {
             fnv1a(&mut h, &(si as u32).to_le_bytes());
             fnv1a(&mut h, &(ci as u32).to_le_bytes());
             fnv1a(&mut h, &[u8::from(deferred)]);
         }
-        let fr = first_read_stage.get(&slot).copied().unwrap_or(u32::MAX);
-        fnv1a(&mut h, &fr.to_le_bytes());
-        let rc = reader_count.get(&slot).copied().unwrap_or(0);
-        fnv1a(&mut h, &rc.to_le_bytes());
+        fnv1a(&mut h, &s.first_read.unwrap_or(u32::MAX).to_le_bytes());
+        fnv1a(&mut h, &s.readers.to_le_bytes());
     }
-
-    ScheduleAnalysis {
-        reads,
-        barrier_edges,
-        boundary_edges,
-        immediate_writes,
-        deferred_writes,
-        table_digest: h,
-    }
+    cert.table_digest = h;
+    cert
 }
 
-/// Builds the certificate from an analysis and the bitstream it covers.
-pub(crate) fn cert_from_analysis(bs: &Bitstream, a: &ScheduleAnalysis) -> ScheduleCert {
-    ScheduleCert {
-        version: CERT_VERSION,
-        stages: bs.stages.len() as u32,
-        cores: bs.total_cores() as u32,
-        global_bits: bs.global_bits,
-        reads: a.reads,
-        barrier_edges: a.barrier_edges,
-        boundary_edges: a.boundary_edges,
-        immediate_writes: a.immediate_writes,
-        deferred_writes: a.deferred_writes,
-        table_digest: a.table_digest,
-        bitstream_fnv: fnv1a_bytes(&bs.to_bytes()),
+/// The verifier's `schedule` family: runs the walk and, when every core
+/// decoded and the walk found no violation, completes the certificate.
+/// A certificate stored in `ctx` must equal that recomputation — a stale
+/// or forged one is a violation even if the schedule is race-free — and
+/// one stored for a schedule that does not prove cannot be trusted.
+pub(crate) fn check_schedule(
+    bs: &Bitstream,
+    decoded: &[Vec<Option<DecodedCore>>],
+    ctx: &VerifyContext<'_>,
+    v: &mut Vec<Violation>,
+) -> Option<ScheduleCert> {
+    let before = v.len();
+    let mut cert = analyze_schedule(bs, decoded, ctx, v);
+    let proved = v.len() == before && decoded.iter().flatten().all(Option::is_some);
+    if !proved {
+        if ctx.schedule_cert.is_some() {
+            viol(
+                v,
+                None,
+                "a schedule certificate is attached but the happens-before \
+                 proof does not reconstruct (cert cannot be trusted)"
+                    .into(),
+            );
+        }
+        return None;
     }
+    cert.bitstream_fnv = fnv1a_bytes(&bs.to_bytes());
+    if let Some(stored) = ctx.schedule_cert.filter(|&s| *s != cert) {
+        viol(
+            v,
+            None,
+            format!(
+                "stored schedule certificate does not match recomputation \
+                 (stored digest {:016x}/fnv {:016x}, recomputed {:016x}/{:016x})",
+                stored.table_digest, stored.bitstream_fnv, cert.table_digest, cert.bitstream_fnv
+            ),
+        );
+    }
+    Some(cert)
 }
 
 /// Statically proves the compiled schedule race-free and returns its
-/// certificate, or the happens-before violations that block one.
+/// certificate, or the violations that block one.
 ///
-/// A certificate exists iff every core decodes, no two writers race on
-/// one global slot, and every read is ordered after its producing write
-/// by a stage barrier or the cycle boundary. The returned violations are
-/// stamped with the `schedule` check name so they drop straight into a
-/// [`crate::VerifyReport`]-style pipeline.
+/// `Ok` exactly when every core decodes and the verifier's `schedule`
+/// family finds nothing: the two run the same decode and the same walk.
+/// The returned violations are stamped `schedule` so they drop straight
+/// into a [`crate::VerifyReport`]-style pipeline.
 pub fn certify_schedule(
     bs: &Bitstream,
     ctx: &VerifyContext<'_>,
 ) -> Result<ScheduleCert, Vec<Violation>> {
     let mut v = Vec::new();
-    let decoded: Vec<Vec<Option<DecodedCore>>> = bs
-        .stages
-        .iter()
-        .enumerate()
-        .map(|(si, stage)| {
-            stage
-                .iter()
-                .enumerate()
-                .map(|(ci, bytes)| match disassemble_core_exact(bytes) {
-                    Ok(dec) => Some(dec),
-                    Err(e) => {
-                        v.push(Violation {
-                            check: "",
-                            location: Some((si, ci)),
-                            message: format!("cannot certify an undecodable core: {e}"),
-                        });
-                        None
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let analysis = analyze_schedule(&decoded, ctx, &mut v);
-    if v.is_empty() {
-        Ok(cert_from_analysis(bs, &analysis))
-    } else {
-        for viol in &mut v {
-            viol.check = "schedule";
+    let decoded = decode_cores(bs, &mut v);
+    match check_schedule(bs, &decoded, ctx, &mut v) {
+        Some(cert) if v.is_empty() => Ok(cert),
+        _ => {
+            for viol in &mut v {
+                viol.check = "schedule";
+            }
+            Err(v)
         }
-        Err(v)
     }
 }

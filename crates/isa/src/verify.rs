@@ -13,11 +13,10 @@
 //! |-------------|-----------|
 //! | `roundtrip` | decode → canonical re-encode reproduces every core bit-for-bit; the container survives serialization |
 //! | `layers`    | layers are level-monotone: no state bit is gathered before a `READ_GLOBAL` or an earlier layer's write-back defines it, and no layer both gathers and writes the same bit |
-//! | `messages`  | every cross-core read has exactly one matching send scheduled before its first use (immediate sends strictly earlier in the stage pipeline, deferred sends by the previous cycle) and within inbox capacity |
 //! | `bounds`    | state addresses stay inside `state_size`, globals inside the signal array, RAM bindings match the fixed 8192×32 geometry |
 //! | `budget`    | per-core instruction counts account for every encoded byte; inbox/outbox budgets hold |
 //! | `merge`     | the encoded programs are structurally consistent with the placement/merge metadata (when provided) |
-//! | `schedule`  | happens-before certification: every read is ordered after its producing write by a stage barrier or the cycle boundary, no two writers race on a slot, and the stored [`ScheduleCert`] (when provided) matches a from-scratch recomputation |
+//! | `schedule`  | every send/receive and ordering rule of [`crate::schedule`]'s one walk (single writers, matched sends, a stage-barrier or cycle-boundary edge for every read, required publishers), and the stored [`ScheduleCert`] (when provided) matches a from-scratch recomputation |
 //!
 //! The verifier never panics on hostile input: anything the decoder
 //! rejects becomes a `roundtrip` violation and the remaining checks skip
@@ -27,11 +26,11 @@
 //! mutant is killed.
 
 use crate::schedule::{self, ScheduleCert};
+use crate::WriteSrc;
 use crate::{assemble_decoded, core_size_bits, disassemble_core_exact, Bitstream, DecodedCore};
-use crate::{WriteEntry, WriteSrc};
 use gem_aig::{RAM_ADDR_BITS, RAM_DATA_BITS};
 use gem_place::{CoreProgram, OutputSource, PermSource};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::time::Instant;
 
@@ -137,10 +136,9 @@ pub struct VerifyReport {
 }
 
 /// The check families, in execution order.
-pub const CHECK_NAMES: [&str; 7] = [
+pub const CHECK_NAMES: [&str; 6] = [
     "roundtrip",
     "layers",
-    "messages",
     "bounds",
     "budget",
     "merge",
@@ -215,19 +213,11 @@ pub fn verify_bitstream(bs: &Bitstream, ctx: &VerifyContext<'_>) -> VerifyReport
             report.violations.extend(found);
         };
 
-    let mut decoded: Vec<Vec<Option<DecodedCore>>> = bs
-        .stages
-        .iter()
-        .map(|s| s.iter().map(|_| None).collect())
-        .collect();
-
+    let mut decoded = Vec::new();
     run(&mut report, "roundtrip", &mut |v| {
-        check_roundtrip(bs, &mut decoded, v)
+        decoded = check_roundtrip(bs, v)
     });
     run(&mut report, "layers", &mut |v| check_layers(&decoded, v));
-    run(&mut report, "messages", &mut |v| {
-        check_messages(&decoded, ctx, v)
-    });
     run(&mut report, "bounds", &mut |v| {
         check_bounds(bs, &decoded, ctx, v)
     });
@@ -237,13 +227,13 @@ pub fn verify_bitstream(bs: &Bitstream, ctx: &VerifyContext<'_>) -> VerifyReport
     run(&mut report, "merge", &mut |v| check_merge(&decoded, ctx, v));
     let mut cert = None;
     run(&mut report, "schedule", &mut |v| {
-        cert = check_schedule(bs, &decoded, ctx, v)
+        cert = schedule::check_schedule(bs, &decoded, ctx, v)
     });
     report.cert = cert;
     report
 }
 
-fn viol(v: &mut Vec<Violation>, location: Option<(usize, usize)>, message: String) {
+pub(crate) fn viol(v: &mut Vec<Violation>, location: Option<(usize, usize)>, message: String) {
     v.push(Violation {
         check: "",
         location,
@@ -253,7 +243,7 @@ fn viol(v: &mut Vec<Violation>, location: Option<(usize, usize)>, message: Strin
 
 /// Iterate decoded cores, skipping the ones the round-trip check already
 /// rejected.
-fn cores(
+pub(crate) fn cores(
     decoded: &[Vec<Option<DecodedCore>>],
 ) -> impl Iterator<Item = (usize, usize, &DecodedCore)> {
     decoded.iter().enumerate().flat_map(|(si, stage)| {
@@ -266,11 +256,32 @@ fn cores(
 
 // ----------------------------------------------------------- roundtrip --
 
-fn check_roundtrip(
+/// Decodes every core, reporting each one that does not decode; the
+/// semantic checks skip those.
+pub(crate) fn decode_cores(
     bs: &Bitstream,
-    decoded: &mut [Vec<Option<DecodedCore>>],
     v: &mut Vec<Violation>,
-) {
+) -> Vec<Vec<Option<DecodedCore>>> {
+    bs.stages
+        .iter()
+        .enumerate()
+        .map(|(si, stage)| {
+            stage
+                .iter()
+                .enumerate()
+                .map(|(ci, bytes)| match disassemble_core_exact(bytes) {
+                    Ok(dec) => Some(dec),
+                    Err(e) => {
+                        viol(v, Some((si, ci)), format!("decode failed: {e}"));
+                        None
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn check_roundtrip(bs: &Bitstream, v: &mut Vec<Violation>) -> Vec<Vec<Option<DecodedCore>>> {
     // The container first: its two transient copies of the bitstream
     // are gone before the decoded cores (the stage's high-water mark)
     // exist.
@@ -279,26 +290,17 @@ fn check_roundtrip(
         Ok(_) => viol(v, None, "container round trip altered the bitstream".into()),
         Err(e) => viol(v, None, format!("container rejected its own bytes: {e}")),
     }
-    for (si, stage) in bs.stages.iter().enumerate() {
-        for (ci, bytes) in stage.iter().enumerate() {
-            match disassemble_core_exact(bytes) {
-                Ok(dec) => {
-                    let re = assemble_decoded(&dec);
-                    if re != *bytes {
-                        viol(
-                            v,
-                            Some((si, ci)),
-                            "re-encode differs from stored bytes (non-canonical or \
-                             corrupt encoding)"
-                                .into(),
-                        );
-                    }
-                    decoded[si][ci] = Some(dec);
-                }
-                Err(e) => viol(v, Some((si, ci)), format!("decode failed: {e}")),
-            }
+    let decoded = decode_cores(bs, v);
+    for (si, ci, dec) in cores(&decoded) {
+        if assemble_decoded(dec) != bs.stages[si][ci] {
+            viol(
+                v,
+                Some((si, ci)),
+                "re-encode differs from stored bytes (non-canonical or corrupt encoding)".into(),
+            );
         }
     }
+    decoded
 }
 
 // -------------------------------------------------------------- layers --
@@ -385,172 +387,6 @@ fn check_layers(decoded: &[Vec<Option<DecodedCore>>], v: &mut Vec<Violation>) {
                     }
                 }
             }
-        }
-    }
-}
-
-// ------------------------------------------------------------ messages --
-
-fn check_messages(
-    decoded: &[Vec<Option<DecodedCore>>],
-    ctx: &VerifyContext<'_>,
-    v: &mut Vec<Violation>,
-) {
-    // Who writes each global slot.
-    let mut writers: HashMap<u32, Vec<(usize, usize, &WriteEntry)>> = HashMap::new();
-    for (si, ci, dec) in cores(decoded) {
-        for w in &dec.writes {
-            writers.entry(w.global).or_default().push((si, ci, w));
-        }
-    }
-
-    // Slot sets the device owns (cores must not publish into them).
-    let rdata_slots: HashSet<u32> = ctx
-        .rams
-        .iter()
-        .flat_map(|r| r.rdata.iter().copied())
-        .collect();
-    let input_set: HashSet<u32> = ctx.input_slots.iter().copied().collect();
-
-    for (&slot, ws) in &writers {
-        if ws.len() > 1 {
-            let (si, ci, _) = ws[0];
-            viol(
-                v,
-                Some((si, ci)),
-                format!(
-                    "global {slot} has {} writers (one send per signal; first \
-                     conflicting writer shown)",
-                    ws.len()
-                ),
-            );
-        }
-        if input_set.contains(&slot) || rdata_slots.contains(&slot) {
-            let (si, ci, _) = ws[0];
-            viol(
-                v,
-                Some((si, ci)),
-                format!("write to device-owned global {slot} (input or RAM read-data slot)"),
-            );
-        }
-    }
-
-    // Slots defined at cycle start: poked inputs, FF init ones, RAM
-    // read-data (committed at the previous cycle boundary), and every
-    // deferred-write target (FF next-states, primary outputs).
-    let mut cycle_start: HashSet<u32> = input_set.clone();
-    cycle_start.extend(ctx.initial_ones.iter().copied());
-    cycle_start.extend(rdata_slots.iter().copied());
-    let mut immediate_stage: HashMap<u32, usize> = HashMap::new();
-    for (&slot, ws) in &writers {
-        for &(si, _, w) in ws {
-            if w.deferred {
-                cycle_start.insert(slot);
-            } else {
-                let e = immediate_stage.entry(slot).or_insert(si);
-                *e = (*e).min(si);
-            }
-        }
-    }
-
-    let mut read_slots: HashSet<u32> = HashSet::new();
-    for (si, ci, dec) in cores(decoded) {
-        let loc = Some((si, ci));
-        let mut dests: HashSet<u16> = HashSet::new();
-        let mut srcs: HashSet<u32> = HashSet::new();
-        for r in &dec.reads {
-            read_slots.insert(r.global);
-            if !dests.insert(r.state) {
-                viol(
-                    v,
-                    loc,
-                    format!("two reads land in the same inbox state bit {}", r.state),
-                );
-            }
-            if !srcs.insert(r.global) {
-                viol(
-                    v,
-                    loc,
-                    format!("global {} read twice by one core", r.global),
-                );
-            }
-            let available = cycle_start.contains(&r.global)
-                || immediate_stage.get(&r.global).is_some_and(|&s| s < si);
-            if !available {
-                if writers.contains_key(&r.global) {
-                    viol(
-                        v,
-                        loc,
-                        format!(
-                            "read of global {} before its send is scheduled (the only \
-                             write is immediate at stage ≥ {si})",
-                            r.global
-                        ),
-                    );
-                } else {
-                    viol(
-                        v,
-                        loc,
-                        format!(
-                            "read of global {} which no core ever writes (dropped send)",
-                            r.global
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // Required sends: primary outputs need a deferred publisher, RAM
-    // operands an immediate one (the RAM phase runs after the last
-    // stage's barrier, before the deferred commit).
-    for &slot in &ctx.output_slots {
-        let ok = writers
-            .get(&slot)
-            .is_some_and(|ws| ws.iter().any(|(_, _, w)| w.deferred));
-        if !ok {
-            viol(
-                v,
-                None,
-                format!("primary-output slot {slot} is never published (deferred write missing)"),
-            );
-        }
-    }
-    for (ri, ram) in ctx.rams.iter().enumerate() {
-        for slot in ram.operand_slots() {
-            let ok = writers
-                .get(&slot)
-                .is_some_and(|ws| ws.iter().any(|(_, _, w)| !w.deferred));
-            if !ok {
-                viol(
-                    v,
-                    None,
-                    format!("RAM {ri} operand slot {slot} has no immediate writer"),
-                );
-            }
-        }
-    }
-    // Initialized slots are flip-flop state: the compiler only marks a
-    // slot initial-one when an FF with a set power-on value lives
-    // there, and a live FF must republish its next state every cycle.
-    // An initialized slot that is read but never deferred-written is a
-    // dropped send masked by the power-on value.
-    for &slot in &ctx.initial_ones {
-        if !read_slots.contains(&slot) {
-            continue;
-        }
-        let ok = writers
-            .get(&slot)
-            .is_some_and(|ws| ws.iter().any(|(_, _, w)| w.deferred));
-        if !ok {
-            viol(
-                v,
-                None,
-                format!(
-                    "initialized slot {slot} is read but has no deferred writer \
-                     (flip-flop state never updated)"
-                ),
-            );
         }
     }
 }
@@ -728,16 +564,6 @@ fn check_budget(
                 ),
             );
         }
-        let mut outbox: HashSet<u32> = HashSet::new();
-        for w in &dec.writes {
-            if !outbox.insert(w.global) {
-                viol(
-                    v,
-                    loc,
-                    format!("outbox publishes global {} twice from one core", w.global),
-                );
-            }
-        }
     }
 }
 
@@ -869,60 +695,11 @@ fn check_merge(
     }
 }
 
-// ------------------------------------------------------------ schedule --
-
-/// The seventh check family: re-derives the happens-before proof from
-/// the bitstream (racing writers, reads with no ordering edge from
-/// their producer) and, when the context carries a stored
-/// [`ScheduleCert`], cross-checks it against a from-scratch
-/// recomputation — a stale or forged certificate is a violation even if
-/// the schedule itself is race-free. Returns the recomputed certificate
-/// when the proof reconstructs.
-fn check_schedule(
-    bs: &Bitstream,
-    decoded: &[Vec<Option<DecodedCore>>],
-    ctx: &VerifyContext<'_>,
-    v: &mut Vec<Violation>,
-) -> Option<ScheduleCert> {
-    let before = v.len();
-    let analysis = schedule::analyze_schedule(decoded, ctx, v);
-    let proved = v.len() == before && decoded.iter().flatten().all(Option::is_some);
-    let recomputed = proved.then(|| schedule::cert_from_analysis(bs, &analysis));
-    let Some(stored) = ctx.schedule_cert else {
-        return recomputed;
-    };
-    let Some(recomputed) = recomputed else {
-        viol(
-            v,
-            None,
-            "a schedule certificate is attached but the happens-before \
-             proof does not reconstruct (cert cannot be trusted)"
-                .into(),
-        );
-        return None;
-    };
-    if *stored != recomputed {
-        viol(
-            v,
-            None,
-            format!(
-                "stored schedule certificate does not match recomputation \
-                 (stored digest {:016x}/fnv {:016x}, recomputed {:016x}/{:016x})",
-                stored.table_digest,
-                stored.bitstream_fnv,
-                recomputed.table_digest,
-                recomputed.bitstream_fnv
-            ),
-        );
-    }
-    Some(recomputed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::certify_schedule;
-    use crate::{assemble_core, ReadEntry};
+    use crate::{assemble_core, ReadEntry, WriteEntry};
     use gem_place::BoomerangLayer;
 
     /// A two-core, one-stage bitstream: core 0 computes `g0 AND g1` into
@@ -1116,7 +893,37 @@ mod tests {
         let mut bs = bs;
         bs.global_bits = 128;
         let r = verify_bitstream(&bs, &ctx);
-        assert!(r.check("messages").unwrap().violations > 0);
+        assert!(r.check("schedule").unwrap().violations > 0);
+    }
+
+    /// A power-on one proves a read's value at cycle 0 only: a read
+    /// power-on-one slot that no core writes is refused by the verifier
+    /// and by certification alike.
+    #[test]
+    fn unwritten_power_on_one_slot_blocks_certification() {
+        let (mut bs, programs, mut ctx) = tiny();
+        // Core 1 reads global 2 and publishes nothing, so no core writes
+        // slot 2; it powers on as 1.
+        let read2 = ReadEntry {
+            global: 2,
+            state: 0,
+        };
+        bs.stages[0][1] = assemble_core(&programs[0][1], &[read2], &[]);
+        ctx.initial_ones = vec![2];
+        let r = verify_bitstream(&bs, &ctx);
+        assert!(
+            r.check("schedule").unwrap().violations > 0,
+            "{}",
+            r.summary()
+        );
+        assert!(r.cert.is_none());
+        let errs = certify_schedule(&bs, &ctx).expect_err("must not certify");
+        assert!(errs.iter().all(|e| e.check == "schedule"));
+        assert!(
+            errs.iter()
+                .any(|e| e.message.contains("initialized slot 2")),
+            "{errs:?}"
+        );
     }
 
     #[test]

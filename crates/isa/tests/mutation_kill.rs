@@ -208,16 +208,19 @@ fn program_free_classes_die_without_placement_metadata() {
     }
 }
 
-/// The schedule-race classes must be killed *by the happens-before
-/// checker itself* — the `schedule` check family flags them and
-/// [`gem_isa::certify_schedule`] refuses to certify the mutant — not
-/// merely by some other family happening to trip. This is the static
-/// counterpart of the runtime-divergence argument: the race never needs
-/// to manifest on hardware to be rejected.
+/// The send/receive classes — lost and duplicated sends, and the two
+/// races — must be killed *by the happens-before checker itself*: the
+/// `schedule` check family flags them and [`gem_isa::certify_schedule`]
+/// refuses to certify the mutant, not merely some other family happening
+/// to trip. This is the static counterpart of the runtime-divergence
+/// argument: the race never needs to manifest on hardware to be
+/// rejected.
 #[test]
-fn schedule_checker_kills_both_race_classes() {
+fn schedule_checker_kills_every_send_class() {
     let fixtures = fixtures();
     for class in [
+        MutationClass::DropWrite,
+        MutationClass::DupWrite,
         MutationClass::MsgBeforeProducer,
         MutationClass::DualWriterSameSlot,
     ] {
@@ -236,19 +239,19 @@ fn schedule_checker_kills_both_race_classes() {
                 let sched = vr.check("schedule").expect("schedule family ran");
                 assert!(
                     sched.violations > 0,
-                    "{class} seed {seed} on {name}: race not flagged by the \
+                    "{class} seed {seed} on {name}: not flagged by the \
                      schedule check itself ({})",
                     vr.summary()
                 );
-                let errs = gem_isa::certify_schedule(&mutant, &ctx)
-                    .expect_err("racy mutant must not certify");
+                let errs =
+                    gem_isa::certify_schedule(&mutant, &ctx).expect_err("mutant must not certify");
                 assert!(errs.iter().all(|e| e.check == "schedule"));
                 kills += 1;
             }
         }
         assert!(
             kills >= 3,
-            "class {class}: only {kills} schedule-race mutants applied"
+            "class {class}: only {kills} send mutants applied"
         );
     }
 }

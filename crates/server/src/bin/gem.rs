@@ -453,7 +453,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     let input = positional(args)?;
     let fault = flag_u64(args, "--fault", 0)?;
     // Packages carry no placement metadata, so the merge check is
-    // skipped for `.gemb` inputs; fresh compiles run all seven checks.
+    // skipped for `.gemb` inputs; fresh compiles run all six checks.
     let report = if input.ends_with(".gemb") {
         let pkg = read_package(input)?;
         let bitstream = if fault != 0 {
@@ -467,7 +467,14 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         } else {
             pkg.bitstream.clone()
         };
-        gem_core::verify(&bitstream, &pkg.device, &pkg.io, None)
+        // The stored certificate is checked unless a drill corrupted the
+        // bitstream, which makes it stale whether or not a real check
+        // catches the mutant.
+        let mut ctx = gem_core::verify::context(&pkg.device, &pkg.io, None);
+        if fault == 0 {
+            ctx.schedule_cert = pkg.schedule_cert.as_ref();
+        }
+        gem_isa::verify_bitstream(&bitstream, &ctx)
     } else {
         // The compile has passed the verifier already; a drill corrupts
         // the finished artifact and verifies it again, with its programs
