@@ -12,9 +12,7 @@
 //!   [`analyze_with_lints`].
 //! * **Schedule happens-before certification** (re-exported from
 //!   [`gem_isa::schedule`]) proves a compiled bitstream race-free and
-//!   issues the [`ScheduleCert`] stored with `.gemb` artifacts;
-//!   [`diagnostics_from_violations`] converts verifier violations into
-//!   the same [`Diagnostic`] shape for uniform CLI/server reporting.
+//!   issues the [`ScheduleCert`] stored with `.gemb` artifacts.
 //!
 //! Every finding is a typed [`Diagnostic`] `{ code, severity, witness }`
 //! with source names carried from the Verilog frontend, and every pass
@@ -37,7 +35,6 @@
 //! | `GEM-L007` | info     | constant-foldable cone |
 //! | `GEM-L008` | error    | declared net or memory size out of range (zero included) |
 //! | `GEM-L009` | error    | duplicate port name |
-//! | `GEM-S001` | error    | schedule happens-before violation |
 
 #![deny(unsafe_code)]
 
@@ -83,16 +80,15 @@ impl fmt::Display for Severity {
 /// One typed finding with a concrete witness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable code (`GEM-Lnnn` for netlist lints, `GEM-Snnn` for
-    /// schedule findings); the catalog lives in `docs/ANALYZE.md`.
+    /// Stable code (`GEM-Lnnn`); the catalog lives in `docs/ANALYZE.md`.
     pub code: &'static str,
     /// Severity tier.
     pub severity: Severity,
     /// Human-readable statement of the problem.
     pub message: String,
-    /// The concrete evidence: named nets on a cycle, the offending net,
-    /// the racing slot — never empty, always source-level when names
-    /// survived the frontend.
+    /// The concrete evidence: named nets on a cycle, the offending net
+    /// — never empty, always source-level when names survived the
+    /// frontend.
     pub witness: String,
 }
 
@@ -216,24 +212,6 @@ pub fn analyze_with_lints(m: &Module, lints: &[SourceLint]) -> AnalysisReport {
     r.run_pass("dead_cone", |d| passes::dead_cone(m, d));
     r.run_pass("const_cone", |d| passes::const_cone(m, d));
     r
-}
-
-/// Converts schedule/verify violations into [`Diagnostic`]s (code
-/// `GEM-S001`), so happens-before findings render exactly like netlist
-/// lints in the CLI table and JSON output.
-pub fn diagnostics_from_violations(violations: &[gem_isa::verify::Violation]) -> Vec<Diagnostic> {
-    violations
-        .iter()
-        .map(|v| Diagnostic {
-            code: "GEM-S001",
-            severity: Severity::Error,
-            message: format!("schedule happens-before violation: {}", v.message),
-            witness: match v.location {
-                Some((s, c)) => format!("stage {s} core {c}"),
-                None => "whole schedule".to_string(),
-            },
-        })
-        .collect()
 }
 
 /// Converts an analysis report into the `gem_analyze_*` metric families
@@ -478,18 +456,5 @@ mod tests {
                 .len(),
             3
         );
-    }
-
-    #[test]
-    fn violation_conversion_carries_location_witness() {
-        let v = vec![gem_isa::verify::Violation {
-            check: "schedule",
-            location: Some((1, 2)),
-            message: "global 7 has 2 racing writers".into(),
-        }];
-        let d = diagnostics_from_violations(&v);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].code, "GEM-S001");
-        assert!(d[0].witness.contains("stage 1 core 2"));
     }
 }

@@ -143,14 +143,6 @@ pub struct CompileReport {
     pub ram_blocks: u64,
     /// State bits spent polyfilling asynchronous-read memories.
     pub polyfilled_mem_bits: u64,
-    /// Whether the static bitstream verifier passed. Every compile
-    /// verifies; false only in packages written before the verifier
-    /// existed.
-    pub verified: bool,
-    /// Whether the schedule happens-before checker produced a
-    /// [`ScheduleCert`]. Every compile certifies; false only in packages
-    /// written before the certificate existed.
-    pub certified: bool,
 }
 
 impl CompileReport {
@@ -167,8 +159,6 @@ impl CompileReport {
         o.set("replication_cost", self.replication_cost);
         o.set("ram_blocks", self.ram_blocks);
         o.set("polyfilled_mem_bits", self.polyfilled_mem_bits);
-        o.set("verified", self.verified);
-        o.set("certified", self.certified);
         o
     }
 }
@@ -201,7 +191,7 @@ pub struct Compiled {
     /// Output-port layout within the E-AIG's output list.
     pub eaig_outputs: Vec<PortBits>,
     /// Schedule happens-before certificate (stored in the `.gemb`
-    /// package and re-checked on load).
+    /// package; `gem verify` re-checks it against the bitstream).
     pub schedule_cert: ScheduleCert,
 }
 
@@ -382,7 +372,6 @@ fn compile_eaig_with(
             target_parts: parts_goal,
             stages: stages_goal,
             seed: opts.seed,
-            ..Default::default()
         };
         let cand = partitioner.partition(&popts);
         match all_mappable(g, &cand, &place_opts, &mut slot_attempts) {
@@ -725,8 +714,6 @@ fn compile_eaig_with(
         replication_cost: partitioning.replication_cost(),
         ram_blocks: synth.stats.ram_blocks,
         polyfilled_mem_bits: synth.stats.polyfilled_mem_bits,
-        verified: true,
-        certified: true,
     };
     gem_telemetry::info!(
         "compiled: {} gates, {} parts, {} stages, {} layers, {} B bitstream",

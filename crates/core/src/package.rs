@@ -30,9 +30,9 @@ pub struct Package {
     pub report: CompileReport,
     /// The assembled bitstream.
     pub bitstream: Bitstream,
-    /// Schedule happens-before certificate (absent only in packages
-    /// written before certification existed).
-    pub schedule_cert: Option<ScheduleCert>,
+    /// Schedule happens-before certificate of the compile that wrote the
+    /// package (`gem verify` re-checks it against the bitstream).
+    pub schedule_cert: ScheduleCert,
 }
 
 /// Errors from [`Package::from_bytes`].
@@ -221,10 +221,6 @@ pub fn report_from_json(j: &Json) -> Result<CompileReport, ParsePackageError> {
         replication_cost: get_f64(j, "replication_cost")?,
         ram_blocks: get_u64(j, "ram_blocks")?,
         polyfilled_mem_bits: get_u64(j, "polyfilled_mem_bits")?,
-        // Absent in packages written before the verifier existed.
-        verified: j.get("verified").and_then(Json::as_bool).unwrap_or(false),
-        // Absent in packages written before schedule certification.
-        certified: j.get("certified").and_then(Json::as_bool).unwrap_or(false),
     })
 }
 
@@ -275,7 +271,7 @@ impl Package {
             io: c.io.clone(),
             report: c.report,
             bitstream: c.bitstream.clone(),
-            schedule_cert: Some(c.schedule_cert),
+            schedule_cert: c.schedule_cert,
         }
     }
 
@@ -285,9 +281,7 @@ impl Package {
         meta.set("device", device_to_json(&self.device));
         meta.set("io", io_to_json(&self.io));
         meta.set("report", self.report.to_json());
-        if let Some(cert) = &self.schedule_cert {
-            meta.set("schedule_cert", cert_to_json(cert));
-        }
+        meta.set("schedule_cert", cert_to_json(&self.schedule_cert));
         let meta = meta.to_string().into_bytes();
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
@@ -330,7 +324,7 @@ impl Package {
             io: io_from_json(get(&meta, "io")?)?,
             report: report_from_json(get(&meta, "report")?)?,
             bitstream,
-            schedule_cert: meta.get("schedule_cert").map(cert_from_json).transpose()?,
+            schedule_cert: cert_from_json(get(&meta, "schedule_cert")?)?,
         })
     }
 
@@ -395,13 +389,23 @@ mod tests {
         let c = compiled();
         let pkg = Package::from_compiled(&c);
         let back = Package::from_bytes(&pkg.to_bytes()).expect("parses");
-        assert_eq!(back.schedule_cert, Some(c.schedule_cert));
-        assert!(back.report.certified);
-        // A cert-less package (pre-certification writer) still loads.
-        let mut old = pkg.clone();
-        old.schedule_cert = None;
-        let back = Package::from_bytes(&old.to_bytes()).expect("parses");
-        assert_eq!(back.schedule_cert, None);
+        assert_eq!(back.schedule_cert, c.schedule_cert);
+        // Metadata without a certificate is refused, naming the key.
+        let mut meta = Json::object();
+        meta.set("device", device_to_json(&pkg.device));
+        meta.set("io", io_to_json(&pkg.io));
+        meta.set("report", pkg.report.to_json());
+        let meta = meta.to_string().into_bytes();
+        let mut certless = MAGIC.to_vec();
+        certless.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+        certless.extend_from_slice(&meta);
+        certless.extend_from_slice(&pkg.bitstream.to_bytes());
+        assert_eq!(
+            Package::from_bytes(&certless),
+            Err(ParsePackageError::BadMeta(
+                "missing key schedule_cert".into()
+            ))
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   the happens-before certifier covers the whole corpus.
 
 use gem_analyze::{analyze_module, analyze_with_lints, Severity};
-use gem_core::{compile, compile_verilog, CompileOptions};
+use gem_core::{compile, compile_verilog, CompileOptions, Compiled};
 use gem_netlist::verilog;
 use gem_sim::{random_module, FuzzConfig};
 use std::path::{Path, PathBuf};
@@ -24,6 +24,12 @@ fn repo_dir(rel: &str) -> PathBuf {
 
 fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path:?}: {e}"))
+}
+
+/// The violations the compile's `verify` stage counted: the schedule is
+/// certified when that stage ran and found none.
+fn verify_violations(c: &Compiled) -> Option<f64> {
+    c.flow.stage("verify")?.metric("violations")
 }
 
 fn verilog_files(dir: &Path) -> Vec<PathBuf> {
@@ -160,7 +166,11 @@ fn example_corpus_is_warning_free_and_certified() {
         );
         let compiled = compile_verilog(&read(&path), &CompileOptions::small())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(compiled.report.certified, "{name} must carry a cert");
+        assert_eq!(
+            verify_violations(&compiled),
+            Some(0.0),
+            "{name} must certify"
+        );
         let cert = compiled.schedule_cert;
         assert_eq!(cert.reads, cert.barrier_edges + cert.boundary_edges);
     }
@@ -180,6 +190,10 @@ fn fuzz_corpus_is_warning_free_and_certified() {
         );
         let compiled = compile(&module, &CompileOptions::small())
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        assert!(compiled.report.certified, "seed {seed} must carry a cert");
+        assert_eq!(
+            verify_violations(&compiled),
+            Some(0.0),
+            "seed {seed} must certify"
+        );
     }
 }

@@ -901,8 +901,8 @@ mod tests {
     /// stages, split the ways a compile splits them.
     fn fuzz_corpus_sweep(designs: u64) {
         use crate::multistage::{even_cut_levels, StagePlan};
+        use crate::{BALANCE, SINK_SET_CAP};
         use gem_sim::fuzz::{random_module, FuzzConfig};
-        let opts = crate::PartitionOptions::default();
         let mut runs = 0;
         for seed in 0..designs {
             let m = random_module(seed, &FuzzConfig::for_seed(seed));
@@ -912,12 +912,12 @@ mod tests {
             let counts = &mut PartitionCounts::default();
             let cuts = even_cut_levels(&g, 2);
             let plans = [
-                StagePlan::whole(&g, opts.sink_set_cap, counts),
-                StagePlan::with_cuts(&g, &cuts, opts.sink_set_cap, counts),
+                StagePlan::whole(&g, SINK_SET_CAP, counts),
+                StagePlan::with_cuts(&g, &cuts, SINK_SET_CAP, counts),
             ];
             for seg in plans.iter().flat_map(|p| &p.segments) {
                 for k in [2, 3, 4, 8, 16] {
-                    runs += assert_fm_matches_reference(&seg.sinks.h, k, opts.balance, seed);
+                    runs += assert_fm_matches_reference(&seg.sinks.h, k, BALANCE, seed);
                 }
             }
         }

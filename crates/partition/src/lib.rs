@@ -64,23 +64,23 @@ pub struct PartitionOptions {
     pub target_parts: usize,
     /// Number of pipeline stages (1 = plain RepCut; 2+ = GEM multi-stage).
     pub stages: usize,
-    /// Allowed imbalance fraction for bisection (0.1 = ±10 %).
-    pub balance: f64,
     /// RNG seed for deterministic results.
     pub seed: u64,
-    /// Cap on tracked sink-set size during hypergraph construction; nodes
-    /// reaching more sinks are treated as universally shared.
-    pub sink_set_cap: usize,
 }
+
+/// Allowed imbalance fraction for bisection (0.1 = ±10 %).
+pub(crate) const BALANCE: f64 = 0.1;
+
+/// Cap on tracked sink-set size during hypergraph construction; nodes
+/// reaching more sinks are treated as universally shared.
+pub(crate) const SINK_SET_CAP: usize = 64;
 
 impl Default for PartitionOptions {
     fn default() -> Self {
         PartitionOptions {
             target_parts: 8,
             stages: 1,
-            balance: 0.1,
             seed: 0xC1C0,
-            sink_set_cap: 64,
         }
     }
 }

@@ -9,15 +9,15 @@
 //! buys a dramatic replication reduction.
 
 use crate::repcut::{Region, SinkHypergraph};
-use crate::{PartitionCounts, PartitionOptions, Partitioning, Stage};
+use crate::{PartitionCounts, PartitionOptions, Partitioning, Stage, SINK_SET_CAP};
 use gem_aig::{Eaig, Lit, Node};
 
 /// [`crate::partition`] in the form a retry loop keeps between calls.
 ///
 /// What a call computes before it knows the part goal — the cut levels,
 /// crossing sets and regions of every stage and each region's sink
-/// hypergraph — is built once per stage count and sink-set cap and reused
-/// by the next call with the same two. Each sink hypergraph also keeps the
+/// hypergraph — is built once per stage count and reused by the next call
+/// with the same count. Each sink hypergraph also keeps the
 /// bisections it has made, so a call that asks for one again (the same
 /// vertices, fraction, balance and seed) takes it instead of re-running FM.
 /// Neither changes a result: [`Partitioner::partition`] returns exactly
@@ -26,8 +26,8 @@ use gem_aig::{Eaig, Lit, Node};
 pub struct Partitioner<'g> {
     g: &'g Eaig,
     original_gates: usize,
-    /// The plan of the last call, with its `(stages, sink_set_cap)`.
-    plan: Option<((usize, usize), StagePlan)>,
+    /// The plan of the last call, with its stage count.
+    plan: Option<(usize, StagePlan)>,
     counts: PartitionCounts,
 }
 
@@ -46,16 +46,15 @@ impl<'g> Partitioner<'g> {
     /// [`PartitionOptions::target_parts`] partitions each.
     pub fn partition(&mut self, opts: &PartitionOptions) -> Partitioning {
         let stages = opts.stages.max(1);
-        let key = (stages, opts.sink_set_cap);
-        if self.plan.as_ref().is_none_or(|(k, _)| *k != key) {
+        if self.plan.as_ref().is_none_or(|(k, _)| *k != stages) {
             self.plan = None; // the old plan goes before the new one is built
             let plan = if stages == 1 {
-                StagePlan::whole(self.g, opts.sink_set_cap, &mut self.counts)
+                StagePlan::whole(self.g, SINK_SET_CAP, &mut self.counts)
             } else {
                 let cut_levels = even_cut_levels(self.g, stages);
-                StagePlan::with_cuts(self.g, &cut_levels, opts.sink_set_cap, &mut self.counts)
+                StagePlan::with_cuts(self.g, &cut_levels, SINK_SET_CAP, &mut self.counts)
             };
-            self.plan = Some((key, plan));
+            self.plan = Some((stages, plan));
         }
         let (_, plan) = self.plan.as_mut().expect("built above");
         Partitioning {
@@ -88,7 +87,7 @@ pub fn partition_with_cuts(
     original_gates: usize,
 ) -> Partitioning {
     let mut counts = PartitionCounts::default();
-    let mut plan = StagePlan::with_cuts(g, cut_levels, opts.sink_set_cap, &mut counts);
+    let mut plan = StagePlan::with_cuts(g, cut_levels, SINK_SET_CAP, &mut counts);
     Partitioning {
         stages: plan.partition(g, opts, &mut counts),
         original_gates,

@@ -9,7 +9,7 @@
 //! minimizes replicated logic directly.
 
 use crate::hypergraph::{BisectionMemo, Hypergraph};
-use crate::{Partition, PartitionCounts, PartitionOptions};
+use crate::{Partition, PartitionCounts, PartitionOptions, BALANCE, SINK_SET_CAP};
 use gem_aig::{Eaig, Lit, Node, NodeId};
 use std::collections::HashMap;
 
@@ -42,7 +42,7 @@ pub fn partition_region(
     opts: &PartitionOptions,
 ) -> Vec<Partition> {
     let mut counts = PartitionCounts::default();
-    SinkHypergraph::build(g, region, opts.sink_set_cap, &mut counts).partition(
+    SinkHypergraph::build(g, region, SINK_SET_CAP, &mut counts).partition(
         g,
         region,
         parts,
@@ -246,7 +246,7 @@ impl SinkHypergraph {
         let parts = parts.min(nv).max(1);
         let assignment =
             self.h
-                .partition_kway_memo(parts, opts.balance, opts.seed, &mut self.memo, counts);
+                .partition_kway_memo(parts, BALANCE, opts.seed, &mut self.memo, counts);
 
         // Materialize partitions: per part, collect sinks and the cone.
         let mut part_sinks: Vec<Vec<Lit>> = vec![Vec::new(); parts];
@@ -458,11 +458,15 @@ mod tests {
     fn sink_set_cap_does_not_break_partitioning() {
         let g = independent_chains(6, 4);
         let region = Region::whole(&g);
-        let opts = PartitionOptions {
-            sink_set_cap: 1, // force universal classification aggressively
-            ..Default::default()
-        };
-        let parts = partition_region(&g, &region, 3, &opts);
+        let counts = &mut PartitionCounts::default();
+        // A cap of 1 forces universal classification aggressively.
+        let parts = SinkHypergraph::build(&g, &region, 1, counts).partition(
+            &g,
+            &region,
+            3,
+            &PartitionOptions::default(),
+            counts,
+        );
         let covered: usize = parts.iter().map(|p| p.sinks.len()).sum();
         assert_eq!(covered, g.sinks().len());
     }

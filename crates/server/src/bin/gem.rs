@@ -6,7 +6,8 @@
 //!             [--reset port] [--stimulus in.vcd] [--vcd out.vcd]
 //!             [--gpu a100|3090]
 //! gem stats   <design.v>            # Table-I style report
-//! gem lint    <design.v|design.gemb> [--json] [--deny warnings]
+//! gem lint    <design.v> [--json] [--deny warnings]
+//! gem verify  <design.gemb|design.v> [--fault SEED]
 //! gem profile <design.v|design.gemb> [--cycles N] [--json out.json]
 //! gem serve   [--addr host:port] [--workers N] [--queue N] [--cache N]
 //!             [--idle-ms N] [--port-file path]
@@ -25,6 +26,7 @@ use gem_analyze::Severity;
 use gem_core::{compile, CompileOptions, GemSimulator, Package, ProfileOptions, VcdStimulus};
 use gem_netlist::vcd::VcdWriter;
 use gem_netlist::{verilog, Bits};
+use gem_server::protocol::bits_from_hex;
 use gem_server::{ClientError, GemClient, Server, ServerConfig};
 use gem_telemetry::span::{self, TraceCollector};
 use gem_telemetry::{validate_chrome_trace, Json};
@@ -71,9 +73,8 @@ USAGE:
               [--gpu a100|3090]
               [--emit-metrics out.json] [--trace-out trace.json]
   gem stats   <design.v> [--emit-metrics out.json]
-  gem lint    <design.v|design.gemb> [--json] [--deny warnings]
-              [--width N] [--parts N] [--stages N] [--fault SEED]
-              [--emit-metrics out.json]
+  gem lint    <design.v> [--json] [--deny warnings]
+              [--width N] [--parts N] [--stages N] [--emit-metrics out.json]
   gem verify  <design.gemb|design.v> [--width N] [--parts N] [--stages N]
               [--fault SEED] [--emit-metrics out.json]
   gem profile <design.v|design.gemb> [--cycles N]
@@ -101,21 +102,20 @@ per-partition runtime counters (when it is run). For `serve` it writes
 the gem_server_* families after shutdown; for `verify` it writes the
 gem_verify_* families.
 
-`lint` runs the whole-program static analyzer (docs/ANALYZE.md).
-On Verilog source it prints every netlist diagnostic (comb loops with
+`lint` runs the whole-program static analyzer (docs/ANALYZE.md) over
+Verilog source. It prints every netlist diagnostic (comb loops with
 the cycle named, undriven/multiply-driven nets, width mismatches, dead
 and constant cones) and, when the netlist is error-free, compiles to
-attach the schedule happens-before certificate. On a `.gemb` package
-it re-checks the stored certificate against the bitstream. Exit is
-nonzero on any error-severity finding; --deny warnings extends that to
-warnings (the CI gate). --fault SEED (packages only) injects a seeded
-schedule-race mutation first — the command must then FAIL.
+attach the schedule happens-before certificate. Exit is nonzero on any
+error-severity finding; --deny warnings extends that to warnings (the
+CI gate).
 
 `verify` runs the static bitstream checker (docs/VERIFY.md) over a
 package or a freshly compiled design, prints a per-check table, and
-exits nonzero on any violation. --fault SEED corrupts the finished
-bitstream with a seeded mutation first (the command must then FAIL — a
-gate self-test).
+exits nonzero on any violation. On a package it also re-checks the
+stored schedule certificate against the bitstream. --fault SEED
+(nonzero) corrupts the finished bitstream with a seeded mutation first
+(the command must then FAIL — a gate self-test).
 
 `profile` loads a package (or compiles a design), runs it for --cycles
 cycles, and prints hotspot attribution from the machine's own
@@ -128,6 +128,53 @@ Chrome-trace JSON file loadable in Perfetto (ui.perfetto.dev) or
 chrome://tracing. `trace-check` validates such a file: well-formed
 JSON, balanced begin/end pairs, monotonic per-thread timestamps.
 ";
+
+/// Each subcommand lists its flags once, as space-separated names; a
+/// trailing `=` marks a flag that takes a value.
+const MAPPING: &str = "--width= --parts= --stages=";
+const COMPILE: &[&str] = &[MAPPING, "-o= --emit-metrics="];
+const RUN: &[&str] = &[
+    MAPPING,
+    "--cycles= --poke= --reset= --stimulus= --vcd= --gpu= --emit-metrics= --trace-out=",
+];
+const STATS: &[&str] = &[MAPPING, "--emit-metrics="];
+const LINT: &[&str] = &[MAPPING, "--json --deny= --emit-metrics="];
+const VERIFY: &[&str] = &[MAPPING, "--fault= --emit-metrics="];
+const PROFILE: &[&str] = &[MAPPING, "--cycles= --gpu= --json= --trace-out="];
+const SERVE: &[&str] =
+    &["--addr= --workers= --queue= --cache= --idle-ms= --port-file= --emit-metrics="];
+
+/// The arguments that are neither flags nor flag values. An argument
+/// that starts with `-` and is not one of `flags`, or a value flag
+/// without its value, is refused.
+fn positionals<'a>(args: &'a [String], flags: &[&str]) -> Result<Vec<&'a String>, String> {
+    let mut found = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with('-') {
+            found.push(a);
+            continue;
+        }
+        let takes_value = flags
+            .iter()
+            .flat_map(|f| f.split_whitespace())
+            .find_map(|f| (f.trim_end_matches('=') == a).then(|| f.ends_with('=')))
+            .ok_or_else(|| format!("unknown flag {a:?} (see `gem --help`)"))?;
+        if takes_value && it.next().is_none() {
+            return Err(format!("{a} expects a value"));
+        }
+    }
+    Ok(found)
+}
+
+/// The input file: the first argument that is neither a flag nor a flag
+/// value.
+fn positional<'a>(args: &'a [String], flags: &[&str]) -> Result<&'a String, String> {
+    positionals(args, flags)?
+        .into_iter()
+        .next()
+        .ok_or_else(|| "missing input file".to_string())
+}
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -209,12 +256,6 @@ fn traced(args: &[String], cmd: fn(&[String]) -> Result<(), String>) -> Result<(
     result.and(write)
 }
 
-fn positional(args: &[String]) -> Result<&String, String> {
-    args.iter()
-        .find(|a| !a.starts_with("--") && !a.starts_with('-'))
-        .ok_or_else(|| "missing input file".to_string())
-}
-
 fn compile_verilog(path: &str, args: &[String]) -> Result<gem_core::Compiled, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
     let opts = mapping_opts(args)?;
@@ -256,7 +297,7 @@ fn load(input: &str, args: &[String]) -> Result<(GemSimulator, Option<Json>), St
 }
 
 fn cmd_compile(args: &[String]) -> Result<(), String> {
-    let input = positional(args)?;
+    let input = positional(args, COMPILE)?;
     let compiled = compile_verilog(input, args)?;
     let out = flag(args, "-o").unwrap_or_else(|| {
         std::path::Path::new(input)
@@ -276,7 +317,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let input = positional(args)?;
+    let input = positional(args, STATS)?;
     let compiled = compile_verilog(input, args)?;
     let r = &compiled.report;
     println!("design:            {input}");
@@ -292,13 +333,17 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     emit_metrics(args, Some(compiled.metrics_json()), None)
 }
 
-/// `gem lint`: whole-program static analysis. Verilog source runs the
-/// netlist lint passes and (when error-free) a full compile to attach
-/// the schedule happens-before certificate; a `.gemb` package re-checks
-/// its stored certificate against the bitstream. Error-severity
+/// `gem lint`: whole-program static analysis of Verilog source: the
+/// netlist lint passes and, when they find no error, a full compile to
+/// attach the schedule happens-before certificate. Error-severity
 /// findings exit nonzero; `--deny warnings` extends that to warnings.
 fn cmd_lint(args: &[String]) -> Result<(), String> {
-    let input = positional(args)?;
+    let input = positional(args, LINT)?;
+    if input.ends_with(".gemb") {
+        return Err(format!(
+            "{input}: lint reads Verilog source; re-check a package with `gem verify {input}`"
+        ));
+    }
     let json_mode = args.iter().any(|a| a == "--json");
     let deny_floor = match flag(args, "--deny").as_deref() {
         None => None,
@@ -306,74 +351,20 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         Some(other) => return Err(format!("--deny expects \"warnings\", got {other:?}")),
     };
 
-    let diagnostics: Vec<gem_analyze::Diagnostic>;
-    let summary: String;
-    let mut certified = false;
+    let src = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
+    let (module, lints) = verilog::parse_with_lints(&src).map_err(|e| format!("{input}: {e}"))?;
+    let report = gem_analyze::analyze_with_lints(&module, &lints);
+    let diagnostics = &report.diagnostics;
     let mut cert_line: Option<String> = None;
-    let mut analysis: Option<gem_analyze::AnalysisReport> = None;
     let mut compile_error: Option<String> = None;
-    let metrics_doc: Json;
-
-    if input.ends_with(".gemb") {
-        let pkg = read_package(input)?;
-        let fault = flag_u64(args, "--fault", 0)?;
-        let bitstream = if fault != 0 {
-            // Drill specifically against the happens-before checker:
-            // both race classes must be killed by the schedule family.
-            gem_isa::mutate::corrupt_from(
-                &pkg.bitstream,
-                fault,
-                &[
-                    gem_isa::mutate::MutationClass::MsgBeforeProducer,
-                    gem_isa::mutate::MutationClass::DualWriterSameSlot,
-                ],
-            )
-        } else {
-            pkg.bitstream.clone()
-        };
-        let mut ctx = gem_core::verify::context(&pkg.device, &pkg.io, None);
-        ctx.schedule_cert = pkg.schedule_cert.as_ref();
-        let report = gem_isa::verify_bitstream(&bitstream, &ctx);
-        let schedule: Vec<_> = report
-            .violations
-            .iter()
-            .filter(|v| v.check == "schedule")
-            .cloned()
-            .collect();
-        let other = report.violations.len() - schedule.len();
-        if other > 0 {
-            compile_error = Some(format!("{other} non-schedule verifier violation(s)"));
+    if report.clean(Severity::Error) {
+        match compile(&module, &mapping_opts(args)?) {
+            Ok(c) => cert_line = Some(c.schedule_cert.summary()),
+            Err(e) => compile_error = Some(e.to_string()),
         }
-        diagnostics = gem_analyze::diagnostics_from_violations(&schedule);
-        certified = report.passed() && pkg.schedule_cert.is_some();
-        cert_line = pkg.schedule_cert.as_ref().map(|c| c.summary());
-        summary = format!("package re-check: {}", report.summary());
-        metrics_doc = gem_core::verify_metrics(&report).to_json();
-    } else {
-        if flag(args, "--fault").is_some() {
-            return Err(
-                "--fault drills need a .gemb package (compile one with `gem compile`)".into(),
-            );
-        }
-        let src =
-            std::fs::read_to_string(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
-        let (module, lints) =
-            verilog::parse_with_lints(&src).map_err(|e| format!("{input}: {e}"))?;
-        let report = gem_analyze::analyze_with_lints(&module, &lints);
-        diagnostics = report.diagnostics.clone();
-        summary = report.summary();
-        if report.clean(Severity::Error) {
-            match compile(&module, &mapping_opts(args)?) {
-                Ok(c) => {
-                    certified = c.report.certified;
-                    cert_line = Some(c.schedule_cert.summary());
-                }
-                Err(e) => compile_error = Some(e.to_string()),
-            }
-        }
-        metrics_doc = gem_analyze::analyze_metrics(&report).to_json();
-        analysis = Some(report);
     }
+    // A compile that returns has certified its schedule.
+    let certified = cert_line.is_some();
 
     if json_mode {
         let mut doc = Json::object();
@@ -381,7 +372,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
             "diagnostics",
             Json::Array(diagnostics.iter().map(|d| d.to_json()).collect()),
         );
-        doc.set("summary", summary.clone());
+        doc.set("summary", report.summary());
         doc.set(
             "clean",
             diagnostics.iter().all(|d| d.severity < Severity::Warning),
@@ -396,21 +387,19 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         println!("{}", doc.to_string_pretty());
     } else {
         println!("design:   {input}");
-        if let Some(r) = &analysis {
-            println!("{:<12} {:>9} {:>12}", "pass", "findings", "wall");
-            for p in &r.passes {
-                println!(
-                    "{:<12} {:>9} {:>9.2} µs",
-                    p.name,
-                    p.diagnostics,
-                    p.wall_ns as f64 / 1e3
-                );
-            }
+        println!("{:<12} {:>9} {:>12}", "pass", "findings", "wall");
+        for p in &report.passes {
+            println!(
+                "{:<12} {:>9} {:>9.2} µs",
+                p.name,
+                p.diagnostics,
+                p.wall_ns as f64 / 1e3
+            );
         }
-        for d in &diagnostics {
+        for d in diagnostics {
             println!("  {d}");
         }
-        println!("summary:  {summary}");
+        println!("summary:  {}", report.summary());
         match &cert_line {
             Some(c) => println!("schedule: {c}"),
             None => println!("schedule: no certificate"),
@@ -420,7 +409,8 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         }
     }
     if let Some(path) = flag(args, "--emit-metrics") {
-        std::fs::write(&path, metrics_doc.to_string_pretty())
+        let doc = gem_analyze::analyze_metrics(&report).to_json();
+        std::fs::write(&path, doc.to_string_pretty())
             .map_err(|e| format!("cannot write {path:?}: {e}"))?;
         // Stderr so `--json` stdout stays machine-parseable.
         eprintln!("wrote {path}");
@@ -450,30 +440,33 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let input = positional(args)?;
-    let fault = flag_u64(args, "--fault", 0)?;
-    // Packages carry no placement metadata, so the merge check is
-    // skipped for `.gemb` inputs; fresh compiles run all six checks.
+    let input = positional(args, VERIFY)?;
+    let fault = flag(args, "--fault")
+        .map(|_| flag_u64(args, "--fault", 0))
+        .transpose()?;
+    if fault == Some(0) {
+        // Seed 0 would corrupt nothing and then report PASS.
+        return Err("--fault expects a nonzero seed".into());
+    }
     let report = if input.ends_with(".gemb") {
         let pkg = read_package(input)?;
-        let bitstream = if fault != 0 {
-            // Packages carry no placement metadata, so restrict the
-            // injection to classes detectable without the merge check.
-            gem_isa::mutate::corrupt_from(
-                &pkg.bitstream,
-                fault,
-                &gem_isa::mutate::PROGRAM_FREE_CLASSES,
-            )
-        } else {
-            pkg.bitstream.clone()
-        };
+        // Packages carry no placement metadata, so the merge check is
+        // skipped and a drill injects only classes detectable without it.
         // The stored certificate is checked unless a drill corrupted the
         // bitstream, which makes it stale whether or not a real check
         // catches the mutant.
         let mut ctx = gem_core::verify::context(&pkg.device, &pkg.io, None);
-        if fault == 0 {
-            ctx.schedule_cert = pkg.schedule_cert.as_ref();
-        }
+        let bitstream = match fault {
+            Some(seed) => gem_isa::mutate::corrupt_from(
+                &pkg.bitstream,
+                seed,
+                &gem_isa::mutate::PROGRAM_FREE_CLASSES,
+            ),
+            None => {
+                ctx.schedule_cert = Some(&pkg.schedule_cert);
+                pkg.bitstream.clone()
+            }
+        };
         gem_isa::verify_bitstream(&bitstream, &ctx)
     } else {
         // The compile has passed the verifier already; a drill corrupts
@@ -481,8 +474,8 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         // but not its certificate — any mutation would make that stale,
         // and the drill must be caught by a real check.
         let mut compiled = compile_verilog(input, args)?;
-        if fault != 0 {
-            compiled.bitstream = gem_isa::mutate::corrupt(&compiled.bitstream, fault);
+        if let Some(seed) = fault {
+            compiled.bitstream = gem_isa::mutate::corrupt(&compiled.bitstream, seed);
         }
         gem_core::verify(
             &compiled.bitstream,
@@ -534,7 +527,7 @@ fn gpu_spec(args: &[String]) -> Result<GpuSpec, String> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
-    let input = positional(args)?;
+    let input = positional(args, PROFILE)?;
     let spec = gpu_spec(args)?;
     let (sim, _) = load(input, args)?;
     let opts = ProfileOptions {
@@ -552,7 +545,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace_check(args: &[String]) -> Result<(), String> {
-    let input = positional(args)?;
+    let input = positional(args, &[])?;
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input:?}: {e}"))?;
     let doc =
         gem_telemetry::parse_json(&text).map_err(|e| format!("{input}: invalid JSON: {e}"))?;
@@ -570,7 +563,7 @@ fn cmd_trace_check(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let input = positional(args)?;
+    let input = positional(args, RUN)?;
     let cycles = flag_u64(args, "--cycles", 16)?;
     let spec = gpu_spec(args)?;
     let (mut sim, compile_doc) = load(input, args)?;
@@ -588,9 +581,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             let port = io
                 .input(name)
                 .ok_or_else(|| format!("no input port named {name:?}"))?;
-            let v = u64::from_str_radix(val.trim_start_matches("0x"), 16)
-                .map_err(|_| format!("bad hex value in {spec:?}"))?;
-            pokes.push((name.to_string(), Bits::from_u64(v, port.bits.len() as u32)));
+            let v = bits_from_hex(val, port.bits.len() as u32)
+                .map_err(|e| format!("bad poke {spec:?}: {e}"))?;
+            pokes.push((name.to_string(), v));
         }
     }
     let mut vcd = flag(args, "--vcd").map(|path| {
@@ -675,6 +668,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 // ------------------------------------------------------------- serving --
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    positionals(args, SERVE)?;
     let cfg = ServerConfig {
         addr: flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into()),
         workers: flag_num(args, "--workers", 4)?,
@@ -718,22 +712,37 @@ fn client_err(e: ClientError) -> String {
 }
 
 fn cmd_client(args: &[String]) -> Result<(), String> {
+    // The action is the first argument that is neither a flag nor the
+    // value of `--addr`, which may come before or after it.
+    let at = (0..args.len())
+        .find(|&i| !args[i].starts_with('-') && (i == 0 || args[i - 1] != "--addr"))
+        .ok_or_else(|| format!("missing client action\n{USAGE}"))?;
+    let action = args[at].as_str();
+    let mut rest = args.to_vec();
+    rest.remove(at);
+    let flags = match action {
+        "ping" => "--delay-ms=",
+        "compile" | "open" => MAPPING,
+        "poke" => "--session= --port= --value=",
+        "peek" => "--session= --port=",
+        "step" => "--session= --cycles= --poke=",
+        "replay" => "--session= --stimulus= --vcd=",
+        "profile" => "--width= --parts= --stages= --cycles=",
+        "close" => "--session=",
+        "stats" | "shutdown" => "",
+        other => return Err(format!("unknown client action {other:?}\n{USAGE}")),
+    };
+    let files = positionals(&rest, &["--addr=", flags])?;
     let addr =
-        flag(args, "--addr").ok_or_else(|| "client requires --addr host:port".to_string())?;
-    let action = args
-        .iter()
-        .find(|a| !a.starts_with('-') && **a != addr)
-        .ok_or_else(|| format!("missing client action\n{USAGE}"))?
-        .clone();
-    let rest: Vec<String> = args
-        .iter()
-        .skip_while(|a| **a != action)
-        .skip(1)
-        .cloned()
-        .collect();
+        flag(&rest, "--addr").ok_or_else(|| "client requires --addr host:port".to_string())?;
     let mut client =
         GemClient::connect(&addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    match action.as_str() {
+    let file = || {
+        files
+            .first()
+            .ok_or_else(|| "missing input file".to_string())
+    };
+    match action {
         "ping" => {
             client
                 .ping(flag_u64(&rest, "--delay-ms", 0)?)
@@ -741,7 +750,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             println!("pong");
         }
         "compile" | "open" => {
-            let file = positional(&rest)?;
+            let file = file()?;
             let src =
                 std::fs::read_to_string(file).map_err(|e| format!("cannot read {file:?}: {e}"))?;
             let opts = client_opts(&rest)?;
@@ -815,7 +824,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             }
         }
         "profile" => {
-            let file = positional(&rest)?;
+            let file = file()?;
             let src =
                 std::fs::read_to_string(file).map_err(|e| format!("cannot read {file:?}: {e}"))?;
             let opts = client_opts(&rest)?;
@@ -837,7 +846,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             client.shutdown().map_err(client_err)?;
             println!("server shutting down");
         }
-        other => return Err(format!("unknown client action {other:?}\n{USAGE}")),
+        _ => unreachable!("every action has its flags above"),
     }
     Ok(())
 }

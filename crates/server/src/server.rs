@@ -777,7 +777,8 @@ fn cmd_lint(state: &ServerState, id: u64, req: &Json) -> CmdResult {
         r.set("summary", report.summary());
         r.set("clean", report.clean(gem_analyze::Severity::Warning));
         // Certification needs the compiled schedule; skip it when the
-        // netlist already has error-severity findings.
+        // netlist already has error-severity findings. Every compile that
+        // returns a design has certified its schedule.
         let mut certified = false;
         if report.clean(gem_analyze::Severity::Error) {
             let (key, result, cached) = state.cache.get_or_compile(source, &opts);
@@ -785,10 +786,8 @@ fn cmd_lint(state: &ServerState, id: u64, req: &Json) -> CmdResult {
             r.set("cached", cached);
             match result {
                 Ok(design) => {
-                    certified = design.package.report.certified;
-                    if let Some(cert) = &design.package.schedule_cert {
-                        r.set("cert", cert.summary());
-                    }
+                    certified = true;
+                    r.set("cert", design.package.schedule_cert.summary());
                 }
                 Err(e) => {
                     r.set("compile_error", e.as_str());
@@ -1149,8 +1148,8 @@ endmodule
         let drilled = client.compile(COUNTER, drill).expect("fault ignored");
         assert_eq!(drilled.get("key"), plain.get("key"));
         assert_eq!(drilled.get("cached").and_then(Json::as_bool), Some(true));
-        let verified = |r: &Json| r.get("report")?.get("verified")?.as_bool();
-        assert_eq!(verified(&drilled), Some(true));
+        assert_eq!(drilled.get("report"), plain.get("report"));
+        assert_eq!(srv.state.cache.len(), 1, "one verified compile, cached");
         assert_eq!(srv.state.metrics.verify_failures.load(Ordering::Relaxed), 0);
         drop(client);
         srv.stop();

@@ -1,6 +1,6 @@
-//! `gem verify <pkg.gemb>` checks the package's stored schedule
-//! certificate: a package whose certificate no longer matches its
-//! bitstream is refused, as `gem lint` refuses it.
+//! `gem verify <pkg.gemb>` is the one package re-check: it checks the
+//! package's stored schedule certificate, refusing a package whose
+//! certificate no longer matches its bitstream, and runs the fault drills.
 
 use gem_core::Package;
 use std::path::{Path, PathBuf};
@@ -12,9 +12,12 @@ module acc(input clk, input [3:0] x, output reg [3:0] q);
 endmodule
 ";
 
-/// Compiles the design into a package under a directory of its own.
-fn package() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_verify");
+/// Compiles the design into a package under a directory of its own, one
+/// per test: tests run in parallel.
+fn package(test: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join("cli_verify")
+        .join(test);
     std::fs::create_dir_all(&dir).expect("fixture dir");
     let (design, pkg) = (dir.join("acc.v"), dir.join("acc.gemb"));
     std::fs::write(&design, DESIGN).expect("write design");
@@ -45,7 +48,7 @@ fn verify(pkg: &Path) -> Output {
 
 #[test]
 fn a_tampered_certificate_fails_verify() {
-    let pkg = package();
+    let pkg = package("tampered");
     let clean = verify(&pkg);
     assert!(
         clean.status.success(),
@@ -54,14 +57,29 @@ fn a_tampered_certificate_fails_verify() {
     );
 
     let mut p = Package::from_bytes(&std::fs::read(&pkg).unwrap()).expect("package parses");
-    p.schedule_cert
-        .as_mut()
-        .expect("package carries a cert")
-        .table_digest ^= 1;
+    p.schedule_cert.table_digest ^= 1;
     let tampered = pkg.with_file_name("tampered.gemb");
     std::fs::write(&tampered, p.to_bytes()).unwrap();
     let out = verify(&tampered);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!out.status.success(), "tampered cert passed:\n{stdout}");
     assert!(stdout.contains("stored schedule certificate"), "{stdout}");
+}
+
+#[test]
+fn lint_refuses_a_package_and_names_verify() {
+    let pkg = package("lint");
+    let out = gem(&["lint", pkg.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "lint accepted a package");
+    assert!(stderr.contains("gem verify"), "{stderr}");
+}
+
+#[test]
+fn a_zero_fault_seed_is_refused() {
+    let pkg = package("fault0");
+    let out = gem(&["verify", pkg.to_str().unwrap(), "--fault", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "seed 0 ran no drill and passed");
+    assert!(stderr.contains("nonzero seed"), "{stderr}");
 }

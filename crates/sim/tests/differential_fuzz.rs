@@ -76,11 +76,12 @@ fn run_differential_with(seed: u64, cycles: u64, cfg: &FuzzConfig) -> usize {
         )
     });
     let compiled = compiled.unwrap_or_else(|e| panic!("seed {seed}: compile failed: {e}"));
-    // Every fuzz compile goes through the static bitstream verifier
-    // (`CompileOptions::default` enables it); a compile that skipped it
-    // would silently weaken the whole suite.
-    assert!(
-        compiled.report.verified,
+    // Every fuzz compile goes through the static bitstream verifier; a
+    // compile that skipped it would silently weaken the whole suite.
+    let verify = compiled.flow.stage("verify");
+    assert_eq!(
+        verify.and_then(|st| st.metric("violations")),
+        Some(0.0),
         "seed {seed}: compile skipped bitstream verification"
     );
     let levels = compiled.eaig.levels();

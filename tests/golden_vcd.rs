@@ -77,7 +77,12 @@ fn waveform(path: &Path) -> (String, Vec<u8>) {
         ..Default::default()
     };
     let compiled = compile(&module, &opts).unwrap_or_else(|e| panic!("{name}: compile: {e}"));
-    assert!(compiled.report.verified, "{name}: verifier did not run");
+    let verify = compiled.flow.stage("verify");
+    assert_eq!(
+        verify.and_then(|st| st.metric("violations")),
+        Some(0.0),
+        "{name}: verifier did not run"
+    );
 
     let mut w = VcdWriter::new(&name);
     let vars: Vec<_> = module
