@@ -56,6 +56,6 @@ pub use package::{
     report_from_json, Package, ParsePackageError,
 };
 pub use profile::{profile, LayerProfile, PartitionProfile, ProfileOptions, ProfileReport};
-pub use replay::{StimulusError, VcdStimulus};
+pub use replay::{replay_lanes, OutputRecorder, StimulusError, VcdStimulus};
 pub use simulator::GemSimulator;
 pub use verify::{verify, verify_metrics};

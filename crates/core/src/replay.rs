@@ -2,14 +2,16 @@
 //!
 //! The paper's execution stage consumes "input stimuli, provided as
 //! waveforms or recorded signal patterns (e.g., VCD or FSDB format)".
-//! [`VcdStimulus`] parses a VCD dump, matches its variables against the
-//! compiled design's input ports by name, and drives the simulator one
-//! cycle per VCD timestamp (values persist between changes, as in a real
-//! waveform).
+//! [`VcdStimulus`] parses a VCD dump and matches its variables against
+//! the compiled design's input ports by name. [`replay_lanes`] is the one
+//! driver: it walks one stimulus per lane in lockstep, one cycle per VCD
+//! timestamp (values persist between changes, as in a real waveform), and
+//! a single waveform is a lane batch of one. [`OutputRecorder`] keeps what
+//! one lane observed and renders it as the output VCD.
 
 use crate::simulator::GemSimulator;
 use crate::IoMap;
-use gem_netlist::vcd::{ParseVcdError, VarId, VcdDump};
+use gem_netlist::vcd::{ParseVcdError, VarId, VcdDump, VcdWriter};
 use gem_netlist::Bits;
 use std::collections::HashMap;
 use std::fmt;
@@ -105,7 +107,6 @@ impl VcdStimulus {
                 }
             }
         }
-        times.dedup();
         Ok(VcdStimulus { changes, times })
     }
 
@@ -116,9 +117,8 @@ impl VcdStimulus {
     }
 
     /// The input changes belonging to cycle index `k` (the `k`-th
-    /// distinct timestamp). Empty past the end of the waveform — a
-    /// driver interleaving several stimuli in lockstep (lane-batched
-    /// replay) just holds the last values on exhausted streams.
+    /// distinct timestamp). Empty past the end of the waveform, so a
+    /// stream shorter than its batch holds its last values.
     pub fn changes_at(&self, k: usize) -> &[(u64, String, Bits)] {
         let Some(&t) = self.times.get(k) else {
             return &[];
@@ -127,22 +127,108 @@ impl VcdStimulus {
         let hi = self.changes.partition_point(|c| c.0 <= t);
         &self.changes[lo..hi]
     }
+}
 
-    /// Replays the waveform: for each timestamp, applies its changes and
-    /// runs one cycle. Returns the outputs observed at every cycle.
-    pub fn replay(&self, sim: &mut GemSimulator) -> Vec<Vec<(String, Bits)>> {
-        let mut out = Vec::with_capacity(self.times.len());
-        let mut ci = 0usize;
-        for &t in &self.times {
-            let mut applied = Vec::new();
-            while ci < self.changes.len() && self.changes[ci].0 == t {
-                let (_, name, v) = &self.changes[ci];
-                applied.push((name.as_str(), v.clone()));
-                ci += 1;
+/// Replays `stims[k]` on lane `k` in lockstep: cycle `t` applies the
+/// `t`-th timestamp's changes of every stimulus to its lane, steps once,
+/// and hands the outputs to every recorder. Runs as many cycles as the
+/// longest stimulus; a shorter one holds its last values, as a waveform
+/// that stops changing does. Passing one stimulus for every active lane
+/// drives the machine exactly as scalar [`GemSimulator::set_input`] pokes
+/// would. Returns the number of cycles run.
+///
+/// # Panics
+///
+/// Panics if there are more stimuli than active lanes.
+pub fn replay_lanes(
+    sim: &mut GemSimulator,
+    stims: &[&VcdStimulus],
+    recorders: &mut [OutputRecorder],
+) -> usize {
+    let cycles = stims.iter().map(|s| s.cycles()).max().unwrap_or(0);
+    for t in 0..cycles {
+        for (lane, stim) in stims.iter().enumerate() {
+            for (_, name, v) in stim.changes_at(t) {
+                sim.set_input_lane(name, lane as u32, v.clone());
             }
-            out.push(sim.cycle(&applied));
         }
-        out
+        sim.step();
+        for r in recorders.iter_mut() {
+            r.record(sim);
+        }
+    }
+    cycles
+}
+
+/// The outputs one lane observed, one row per cycle in `io.outputs`
+/// order, and the VCD they render to: scope `gem`, one variable per
+/// output, timestamp = cycle index.
+#[derive(Debug, Clone)]
+pub struct OutputRecorder {
+    lane: u32,
+    /// (name, width) of every output port.
+    ports: Vec<(String, u32)>,
+    rows: Vec<Vec<Bits>>,
+}
+
+impl OutputRecorder {
+    /// An empty recording of `lane`'s outputs.
+    pub fn new(io: &IoMap, lane: u32) -> Self {
+        let ports = io
+            .outputs
+            .iter()
+            .map(|p| (p.name.clone(), p.bits.len() as u32))
+            .collect();
+        OutputRecorder {
+            lane,
+            ports,
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends the outputs the lane observed during the last step and
+    /// returns that row.
+    pub fn record(&mut self, sim: &GemSimulator) -> &[Bits] {
+        let row = self
+            .ports
+            .iter()
+            .map(|(name, _)| sim.output_lane(name, self.lane))
+            .collect();
+        self.rows.push(row);
+        &self.rows[self.rows.len() - 1]
+    }
+
+    /// Drops the rows recorded so far.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+    }
+
+    /// Output port names, in the order of every row.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.ports.iter().map(|(name, _)| name.as_str())
+    }
+
+    /// The recorded rows, one per cycle.
+    pub fn rows(&self) -> &[Vec<Bits>] {
+        &self.rows
+    }
+
+    /// Renders the recording as a VCD document.
+    pub fn to_vcd(&self) -> String {
+        let mut w = VcdWriter::new("gem");
+        let vars: Vec<_> = self
+            .ports
+            .iter()
+            .map(|(name, width)| w.add_var(name, *width))
+            .collect();
+        w.begin();
+        for (t, row) in self.rows.iter().enumerate() {
+            w.timestamp(t as u64);
+            for (var, v) in vars.iter().zip(row) {
+                w.change(*var, v);
+            }
+        }
+        w.finish()
     }
 }
 
@@ -150,8 +236,15 @@ impl VcdStimulus {
 mod tests {
     use super::*;
     use crate::{compile, CompileOptions};
-    use gem_netlist::vcd::VcdWriter;
     use gem_netlist::ModuleBuilder;
+
+    /// Replays one stimulus as a lane batch of one; lane 0's rows.
+    fn replay(stim: &VcdStimulus, sim: &mut GemSimulator) -> Vec<Vec<Bits>> {
+        let mut rec = OutputRecorder::new(sim.io(), 0);
+        let cycles = replay_lanes(sim, &[stim], std::slice::from_mut(&mut rec));
+        assert_eq!(cycles, rec.rows().len());
+        rec.rows().to_vec()
+    }
 
     fn adder_design() -> crate::Compiled {
         let mut b = ModuleBuilder::new("adder");
@@ -184,9 +277,106 @@ mod tests {
         let stim = VcdStimulus::new(&waveform(), &compiled.io).expect("binds");
         assert_eq!(stim.cycles(), 4);
         let mut sim = crate::GemSimulator::new(&compiled).expect("loads");
-        let outs = stim.replay(&mut sim);
-        let sums: Vec<u64> = outs.iter().map(|cycle| cycle[0].1.to_u64()).collect();
+        let outs = replay(&stim, &mut sim);
+        let sums: Vec<u64> = outs.iter().map(|cycle| cycle[0].to_u64()).collect();
         assert_eq!(sums, vec![3, 7, 15, 0 /* 15+1 wraps */]);
+    }
+
+    #[test]
+    fn time_running_backwards_is_refused() {
+        // A cursor walk of this waveform applied x=4 at its second cycle
+        // and x=1, y=2 at its first ([3, 6, 12]); a walk by timestamp
+        // found nothing at its first cycle ([0, 6, 12]). It is refused
+        // before either can run.
+        let compiled = adder_design();
+        let mut w = VcdWriter::new("tb");
+        let vx = w.add_var("x", 4);
+        let vy = w.add_var("y", 4);
+        w.begin();
+        w.timestamp(10);
+        w.change(vx, &Bits::from_u64(1, 4));
+        w.change(vy, &Bits::from_u64(2, 4));
+        w.timestamp(5);
+        w.change(vx, &Bits::from_u64(4, 4));
+        w.timestamp(20);
+        w.change(vy, &Bits::from_u64(8, 4));
+        let err = VcdStimulus::new(&w.finish(), &compiled.io).unwrap_err();
+        assert_eq!(
+            err,
+            StimulusError::Parse(ParseVcdError::BackwardsTime {
+                line: 10,
+                time: 5,
+                previous: 10
+            })
+        );
+    }
+
+    #[test]
+    fn lanes_replay_in_lockstep_and_short_streams_hold() {
+        let compiled = adder_design();
+        let long = VcdStimulus::new(&waveform(), &compiled.io).expect("binds");
+        let mut w = VcdWriter::new("tb");
+        let vx = w.add_var("x", 4);
+        let vy = w.add_var("y", 4);
+        w.begin();
+        w.timestamp(0);
+        w.change(vx, &Bits::from_u64(2, 4));
+        w.change(vy, &Bits::from_u64(2, 4));
+        let short = VcdStimulus::new(&w.finish(), &compiled.io).expect("binds");
+        let mut sim = GemSimulator::new(&compiled).expect("loads");
+        sim.set_lanes(2).expect("two lanes");
+        let mut recs = [
+            OutputRecorder::new(&compiled.io, 0),
+            OutputRecorder::new(&compiled.io, 1),
+        ];
+        assert_eq!(replay_lanes(&mut sim, &[&long, &short], &mut recs), 4);
+        let sums = |r: &OutputRecorder| r.rows().iter().map(|c| c[0].to_u64()).collect::<Vec<_>>();
+        assert_eq!(sums(&recs[0]), [3, 7, 15, 0]);
+        assert_eq!(sums(&recs[1]), [4, 4, 4, 4], "exhausted stream holds");
+    }
+
+    #[test]
+    fn one_stimulus_on_every_lane_is_a_scalar_replay() {
+        let compiled = adder_design();
+        let stim = VcdStimulus::new(&waveform(), &compiled.io).expect("binds");
+        let mut scalar = GemSimulator::new(&compiled).expect("loads");
+        let want = replay(&stim, &mut scalar);
+        let mut sim = GemSimulator::new(&compiled).expect("loads");
+        sim.set_lanes(3).expect("three lanes");
+        let mut recs: Vec<_> = (0..3)
+            .map(|l| OutputRecorder::new(&compiled.io, l))
+            .collect();
+        replay_lanes(&mut sim, &[&stim; 3], &mut recs);
+        for rec in &recs {
+            assert_eq!(rec.rows(), want);
+        }
+        // Every lane word is a splat, as a scalar poke leaves it.
+        for w in sim.output_lanes("s") {
+            assert!(w == 0 || w == !0, "{w:#x}");
+        }
+    }
+
+    #[test]
+    fn recorder_renders_the_output_vcd() {
+        let compiled = adder_design();
+        let stim = VcdStimulus::new(&waveform(), &compiled.io).expect("binds");
+        let mut sim = GemSimulator::new(&compiled).expect("loads");
+        let mut rec = OutputRecorder::new(&compiled.io, 0);
+        replay_lanes(&mut sim, &[&stim], std::slice::from_mut(&mut rec));
+        assert_eq!(rec.names().collect::<Vec<_>>(), ["s"]);
+        let text = rec.to_vcd();
+        assert!(
+            text.starts_with("$timescale 1ns $end\n$scope module gem $end\n$var wire 4 ! s $end\n")
+        );
+        let dump = VcdDump::parse(&text).expect("parses");
+        let rows: Vec<(u64, u64)> = dump
+            .changes
+            .iter()
+            .map(|(t, _, v)| (*t, v.to_u64()))
+            .collect();
+        assert_eq!(rows, [(0, 3), (1, 7), (2, 15), (3, 0)]);
+        rec.clear();
+        assert!(rec.rows().is_empty());
     }
 
     #[test]
@@ -219,8 +409,8 @@ mod tests {
         w.change(vy, &Bits::from_u64(2, 4)); // x holds its value
         let stim = VcdStimulus::new(&w.finish(), &compiled.io).expect("binds");
         let mut sim = crate::GemSimulator::new(&compiled).expect("loads");
-        let outs = stim.replay(&mut sim);
-        assert_eq!(outs[1][0].1.to_u64(), 7);
+        let outs = replay(&stim, &mut sim);
+        assert_eq!(outs[1][0].to_u64(), 7);
     }
 
     #[test]
@@ -235,7 +425,7 @@ mod tests {
         let stim = VcdStimulus::new(&w.finish(), &compiled.io).expect("binds");
         assert_eq!(stim.cycles(), 0);
         let mut sim = crate::GemSimulator::new(&compiled).expect("loads");
-        let outs = stim.replay(&mut sim);
+        let outs = replay(&stim, &mut sim);
         assert!(outs.is_empty());
         assert_eq!(sim.counters().cycles, 0);
     }
@@ -265,13 +455,13 @@ mod tests {
         let stim = VcdStimulus::new(&w.finish(), &compiled.io).expect("binds");
         assert_eq!(stim.cycles(), 6);
         let mut sim = crate::GemSimulator::new(&compiled).expect("loads");
-        let outs = stim.replay(&mut sim);
+        let outs = replay(&stim, &mut sim);
         assert_eq!(outs.len(), 6);
         assert_eq!(sim.counters().cycles, 6);
         // clk=1 on odd timestamps: the counter increments on 3 of the 6
         // cycles; the last cycle (t=5, clk=1) observes q after 2 earlier
         // enabled edges.
-        assert_eq!(outs[5][0].1.to_u64(), 2);
+        assert_eq!(outs[5][0].to_u64(), 2);
     }
 
     #[test]
@@ -288,8 +478,8 @@ mod tests {
         let stim = VcdStimulus::new(text, &compiled.io).expect("binds");
         assert_eq!(stim.cycles(), 3);
         let mut sim = crate::GemSimulator::new(&compiled).expect("loads");
-        let outs = stim.replay(&mut sim);
-        let sums: Vec<u64> = outs.iter().map(|c| c[0].1.to_u64()).collect();
+        let outs = replay(&stim, &mut sim);
+        let sums: Vec<u64> = outs.iter().map(|c| c[0].to_u64()).collect();
         // 3+1, then the x/x checkpoint cycle (reads as 0+0), then 4+2.
         assert_eq!(sums, vec![4, 0, 6]);
     }
@@ -312,8 +502,8 @@ mod tests {
         w.timestamp(0);
         w.change(vx, &Bits::from_u64(4, 4));
         let stim = VcdStimulus::new(&w.finish(), &compiled.io).expect("binds");
-        let outs = stim.replay(&mut sim);
-        assert_eq!(outs[0][0].1.to_u64(), 5, "poked y persists into replay");
+        let outs = replay(&stim, &mut sim);
+        assert_eq!(outs[0][0].to_u64(), 5, "poked y persists into replay");
         // Back to pokes: x holds the replayed 4.
         sim.set_input("y", Bits::from_u64(8, 4));
         sim.step();

@@ -231,19 +231,6 @@ impl GemSimulator {
         port.bits.iter().map(|&g| self.gpu.peek_lanes(g)).collect()
     }
 
-    /// Convenience: apply inputs, run a cycle, collect all outputs.
-    pub fn cycle(&mut self, inputs: &[(&str, Bits)]) -> Vec<(String, Bits)> {
-        for (n, v) in inputs {
-            self.set_input(n, v.clone());
-        }
-        self.step();
-        self.io
-            .outputs
-            .iter()
-            .map(|p| (p.name.clone(), self.output(&p.name)))
-            .collect()
-    }
-
     /// Architectural event counters accumulated so far (for the timing
     /// model).
     pub fn counters(&self) -> &KernelCounters {

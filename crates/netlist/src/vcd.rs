@@ -144,6 +144,16 @@ pub enum ParseVcdError {
     UnknownId(String),
     /// A line could not be interpreted.
     BadLine(String),
+    /// A `#t` timestamp lower than the one before it: a waveform's time
+    /// only moves forward (repeating a timestamp is legal).
+    BackwardsTime {
+        /// 1-based line number of the offending `#t`.
+        line: usize,
+        /// The timestamp on that line.
+        time: u64,
+        /// The timestamp it goes back from.
+        previous: u64,
+    },
 }
 
 impl std::fmt::Display for ParseVcdError {
@@ -152,6 +162,14 @@ impl std::fmt::Display for ParseVcdError {
             ParseVcdError::BadVar(s) => write!(f, "malformed $var: {s}"),
             ParseVcdError::UnknownId(s) => write!(f, "unknown identifier code {s:?}"),
             ParseVcdError::BadLine(s) => write!(f, "unparseable line {s:?}"),
+            ParseVcdError::BackwardsTime {
+                line,
+                time,
+                previous,
+            } => write!(
+                f,
+                "line {line}: timestamp #{time} goes back from #{previous}"
+            ),
         }
     }
 }
@@ -163,14 +181,15 @@ impl VcdDump {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseVcdError`] on malformed declarations or changes.
+    /// Returns a [`ParseVcdError`] on malformed declarations or changes,
+    /// and on a timestamp lower than the one before it.
     pub fn parse(text: &str) -> Result<Self, ParseVcdError> {
         let mut vars = Vec::new();
         let mut codes: HashMap<String, VarId> = HashMap::new();
         let mut changes = Vec::new();
         let mut time = 0u64;
         let mut in_header = true;
-        for raw in text.lines() {
+        for (n, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() {
                 continue;
@@ -196,7 +215,15 @@ impl VcdDump {
                 continue;
             }
             if let Some(t) = line.strip_prefix('#') {
-                time = t.parse().map_err(|_| ParseVcdError::BadLine(line.into()))?;
+                let t: u64 = t.parse().map_err(|_| ParseVcdError::BadLine(line.into()))?;
+                if t < time {
+                    return Err(ParseVcdError::BackwardsTime {
+                        line: n + 1,
+                        time: t,
+                        previous: time,
+                    });
+                }
+                time = t;
             } else if let Some(rest) = line.strip_prefix('b') {
                 let mut it = rest.split_whitespace();
                 let bits = it
@@ -299,6 +326,25 @@ mod tests {
         let d = VcdDump::parse(text).unwrap();
         let vals: Vec<(u64, u64)> = d.changes.iter().map(|(t, _, v)| (*t, v.to_u64())).collect();
         assert_eq!(vals, vec![(0, 0), (0, 1), (5, 0), (10, 1)]);
+    }
+
+    #[test]
+    fn parse_rejects_time_running_backwards() {
+        let text = "$var wire 1 ! v $end\n$enddefinitions $end\n\
+                    #10\n1!\n#10\n0!\n#5\n1!\n";
+        let err = VcdDump::parse(text).unwrap_err();
+        assert_eq!(
+            err,
+            ParseVcdError::BackwardsTime {
+                line: 7,
+                time: 5,
+                previous: 10
+            }
+        );
+        assert_eq!(err.to_string(), "line 7: timestamp #5 goes back from #10");
+        // The same timestamp repeated is legal.
+        let d = VcdDump::parse("$enddefinitions $end\n#3\n#3\n#4\n").unwrap();
+        assert!(d.changes.is_empty());
     }
 
     #[test]

@@ -78,22 +78,6 @@ pub(crate) fn even_cut_levels(g: &Eaig, stages: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Partitions with explicit cut levels (exposed for experiments that sweep
-/// the cut position).
-pub fn partition_with_cuts(
-    g: &Eaig,
-    cut_levels: &[u32],
-    opts: &PartitionOptions,
-    original_gates: usize,
-) -> Partitioning {
-    let mut counts = PartitionCounts::default();
-    let mut plan = StagePlan::with_cuts(g, cut_levels, SINK_SET_CAP, &mut counts);
-    Partitioning {
-        stages: plan.partition(g, opts, &mut counts),
-        original_gates,
-    }
-}
-
 /// The stages of one partitioning before the part goal is known.
 #[derive(Debug)]
 pub(crate) struct StagePlan {

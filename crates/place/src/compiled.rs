@@ -209,25 +209,6 @@ impl CompiledLayer {
         }
     }
 
-    /// Shared-memory accesses the cost model charges one execution
-    /// (gather + fold reads = `2 × width`): the architectural layer's,
-    /// whatever liveness lets the host skip.
-    pub fn shared_accesses(&self) -> u64 {
-        2 * u64::from(self.width)
-    }
-
-    /// Fold ALU operations the cost model charges (`width − 1` slots in
-    /// the full pyramid).
-    pub fn alu_ops(&self) -> u64 {
-        u64::from(self.width).saturating_sub(1)
-    }
-
-    /// Block-level synchronizations the cost model charges (one per
-    /// fold level plus the gather barrier).
-    pub fn block_syncs(&self) -> u64 {
-        1 + u64::from(self.width.trailing_zeros())
-    }
-
     /// Executes the lowered layer lane-wise against `state`, with `row`
     /// as the fold row buffer (grown as needed and never shrunk, so
     /// steady-state execution allocates nothing; its contents on entry
@@ -857,10 +838,10 @@ pub(crate) mod tests {
         assert_eq!(layers, 2_520);
     }
 
-    /// The lowered op counts are the cost model's layer charges — of the
-    /// packed form too, whatever either's liveness analysis lets the
-    /// host skip (here: nothing, the levels above the one writeback
-    /// left, and the whole layer): that is not the GPU's saving.
+    /// The packed form writes back exactly the writebacks it was given,
+    /// whatever its liveness analysis lets the host skip (here: nothing,
+    /// the levels above the one writeback left, and the whole layer).
+    /// What the GPU is charged is the machine's, from the decoded width.
     #[test]
     fn op_counts_match_cost_model() {
         for width in [2u32, 8, 64, 256] {
@@ -876,15 +857,8 @@ pub(crate) mod tests {
                     .collect();
                 let kept = all.len();
                 layer.set_writebacks(all.into_iter().take(keep));
-                let comp = CompiledLayer::lower(&layer);
-                assert_eq!(comp.shared_accesses(), 2 * u64::from(width));
-                assert_eq!(comp.alu_ops(), u64::from(width) - 1);
-                assert_eq!(comp.block_syncs(), 1 + u64::from(width.trailing_zeros()));
                 let packed = crate::PackedLayer::lower(&layer, 256).expect("lowers");
                 assert_eq!(packed.written().count(), kept.min(keep));
-                assert_eq!(packed.shared_accesses(), comp.shared_accesses());
-                assert_eq!(packed.alu_ops(), comp.alu_ops());
-                assert_eq!(packed.block_syncs(), comp.block_syncs());
             }
         }
     }

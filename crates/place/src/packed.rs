@@ -262,24 +262,6 @@ impl PackedLayer {
         wide
     }
 
-    /// Shared-memory accesses the cost model charges one execution:
-    /// the architectural layer's, as [`CompiledLayer::shared_accesses`]
-    /// — what liveness lets the host skip is not the GPU's saving.
-    pub fn shared_accesses(&self) -> u64 {
-        2 * u64::from(self.width)
-    }
-
-    /// Fold ALU operations the cost model charges (`width − 1`).
-    pub fn alu_ops(&self) -> u64 {
-        u64::from(self.width) - 1
-    }
-
-    /// Block-level synchronizations the cost model charges (one per
-    /// fold level plus the gather barrier).
-    pub fn block_syncs(&self) -> u64 {
-        1 + self.folds.len() as u64
-    }
-
     /// The state addresses one execution gathers, before any of its
     /// writebacks land.
     pub fn gathered(&self) -> &[u16] {

@@ -23,11 +23,13 @@
 //! (`docs/SERVER.md`); `client` drives one against a running server.
 
 use gem_analyze::Severity;
-use gem_core::{compile, CompileOptions, GemSimulator, Package, ProfileOptions, VcdStimulus};
-use gem_netlist::vcd::VcdWriter;
+use gem_core::{
+    compile, replay_lanes, CompileOptions, GemSimulator, OutputRecorder, Package, ProfileOptions,
+    VcdStimulus,
+};
 use gem_netlist::{verilog, Bits};
-use gem_server::protocol::bits_from_hex;
-use gem_server::{ClientError, GemClient, Server, ServerConfig};
+use gem_server::protocol::{bits_from_hex, set_lint_fields};
+use gem_server::{mapping_defaults, ClientError, GemClient, Server, ServerConfig};
 use gem_telemetry::span::{self, TraceCollector};
 use gem_telemetry::{validate_chrome_trace, Json};
 use gem_vgpu::{GpuSpec, TimingModel};
@@ -202,11 +204,12 @@ fn flag_num<T: TryFrom<u64>>(args: &[String], name: &str, default: u64) -> Resul
 /// The mapping options every compiling subcommand takes. Their legal
 /// ranges are `CompileOptions::validate`'s, checked by the compile.
 fn mapping_opts(args: &[String]) -> Result<CompileOptions, String> {
+    let d = mapping_defaults();
     Ok(CompileOptions {
-        core_width: flag_num(args, "--width", 2048)?,
-        target_parts: flag_num(args, "--parts", 8)?,
-        stages: flag_num(args, "--stages", 1)?,
-        ..Default::default()
+        core_width: flag_num(args, "--width", d.core_width.into())?,
+        target_parts: flag_num(args, "--parts", d.target_parts as u64)?,
+        stages: flag_num(args, "--stages", d.stages as u64)?,
+        ..d
     })
 }
 
@@ -355,35 +358,19 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     let (module, lints) = verilog::parse_with_lints(&src).map_err(|e| format!("{input}: {e}"))?;
     let report = gem_analyze::analyze_with_lints(&module, &lints);
     let diagnostics = &report.diagnostics;
-    let mut cert_line: Option<String> = None;
-    let mut compile_error: Option<String> = None;
-    if report.clean(Severity::Error) {
-        match compile(&module, &mapping_opts(args)?) {
-            Ok(c) => cert_line = Some(c.schedule_cert.summary()),
-            Err(e) => compile_error = Some(e.to_string()),
-        }
-    }
-    // A compile that returns has certified its schedule.
-    let certified = cert_line.is_some();
+    let compiled = if report.clean(Severity::Error) {
+        let c = compile(&module, &mapping_opts(args)?);
+        Some(
+            c.map(|c| c.schedule_cert.summary())
+                .map_err(|e| e.to_string()),
+        )
+    } else {
+        None
+    };
 
     if json_mode {
         let mut doc = Json::object();
-        doc.set(
-            "diagnostics",
-            Json::Array(diagnostics.iter().map(|d| d.to_json()).collect()),
-        );
-        doc.set("summary", report.summary());
-        doc.set(
-            "clean",
-            diagnostics.iter().all(|d| d.severity < Severity::Warning),
-        );
-        doc.set("certified", certified);
-        if let Some(c) = &cert_line {
-            doc.set("cert", c.clone());
-        }
-        if let Some(e) = &compile_error {
-            doc.set("compile_error", e.clone());
-        }
+        set_lint_fields(&mut doc, &report, compiled.as_ref());
         println!("{}", doc.to_string_pretty());
     } else {
         println!("design:   {input}");
@@ -400,11 +387,11 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
             println!("  {d}");
         }
         println!("summary:  {}", report.summary());
-        match &cert_line {
-            Some(c) => println!("schedule: {c}"),
-            None => println!("schedule: no certificate"),
+        match &compiled {
+            Some(Ok(c)) => println!("schedule: {c}"),
+            _ => println!("schedule: no certificate"),
         }
-        if let Some(e) = &compile_error {
+        if let Some(Err(e)) = &compiled {
             println!("compile:  {e}");
         }
     }
@@ -423,7 +410,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     if errors > 0 {
         return Err(format!("FAIL: {errors} error-severity finding(s)"));
     }
-    if let Some(e) = compile_error {
+    if let Some(Err(e)) = compiled {
         return Err(format!(
             "FAIL: analysis clean but compile/certification failed: {e}"
         ));
@@ -586,16 +573,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             pokes.push((name.to_string(), v));
         }
     }
-    let mut vcd = flag(args, "--vcd").map(|path| {
-        let mut w = VcdWriter::new("gem");
-        let vars: Vec<_> = io
-            .outputs
-            .iter()
-            .map(|p| (p.name.clone(), w.add_var(&p.name, p.bits.len() as u32)))
-            .collect();
-        w.begin();
-        (path, w, vars)
-    });
     for (name, v) in &pokes {
         sim.set_input(name, v.clone());
     }
@@ -615,44 +592,32 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .map(|p| format!("{:>12}", p.name))
             .collect::<String>()
     );
+    let print_row = |c: usize, row: &[Bits]| {
+        let row: String = row.iter().map(|v| format!("{:>12}", v.to_u64())).collect();
+        println!("{c:>5}  {row}");
+    };
+    let vcd = flag(args, "--vcd");
+    let mut rec = OutputRecorder::new(&io, 0);
     // Waveform-driven run replaces the free-running loop.
     if let Some(path) = flag(args, "--stimulus") {
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
         let stim = VcdStimulus::new(&text, &io).map_err(|e| e.to_string())?;
-        let outs = stim.replay(&mut sim);
-        for (c, cycle_outs) in outs.iter().enumerate() {
-            let row: String = cycle_outs
-                .iter()
-                .map(|(_, v)| format!("{:>12}", v.to_u64()))
-                .collect();
-            println!("{c:>5}  {row}");
-            if let Some((_, w, vars)) = vcd.as_mut() {
-                w.timestamp(c as u64);
-                for ((_, var), (_, v)) in vars.iter().zip(cycle_outs) {
-                    w.change(*var, v);
-                }
-            }
+        replay_lanes(&mut sim, &[&stim], std::slice::from_mut(&mut rec));
+        for (c, row) in rec.rows().iter().enumerate() {
+            print_row(c, row);
         }
     } else {
-        for c in 0..cycles {
+        for c in 0..cycles as usize {
             sim.step();
-            let row: String = io
-                .outputs
-                .iter()
-                .map(|p| format!("{:>12}", sim.output(&p.name).to_u64()))
-                .collect();
-            println!("{c:>5}  {row}");
-            if let Some((_, w, vars)) = vcd.as_mut() {
-                w.timestamp(c);
-                for (name, var) in vars.iter() {
-                    w.change(*var, &sim.output(name));
-                }
+            print_row(c, rec.record(&sim));
+            if vcd.is_none() {
+                rec.clear();
             }
         }
     }
-    if let Some((path, w, _)) = vcd {
-        std::fs::write(&path, w.finish()).map_err(|e| format!("cannot write {path:?}: {e}"))?;
+    if let Some(path) = vcd {
+        std::fs::write(&path, rec.to_vcd()).map_err(|e| format!("cannot write {path:?}: {e}"))?;
         println!("wrote {path}");
     }
     // Modeled speed (hz_total is zero-safe; skip the line when no cycles
@@ -700,10 +665,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 // -------------------------------------------------------------- client --
 
 fn client_opts(args: &[String]) -> Result<Json, String> {
+    let d = mapping_defaults();
     let mut o = Json::object();
-    o.set("width", flag_u64(args, "--width", 2048)?);
-    o.set("parts", flag_u64(args, "--parts", 8)?);
-    o.set("stages", flag_u64(args, "--stages", 1)?);
+    o.set("width", flag_u64(args, "--width", d.core_width.into())?);
+    o.set("parts", flag_u64(args, "--parts", d.target_parts as u64)?);
+    o.set("stages", flag_u64(args, "--stages", d.stages as u64)?);
     Ok(o)
 }
 

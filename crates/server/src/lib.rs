@@ -37,7 +37,7 @@ pub mod session;
 pub use cache::{content_hash, CachedDesign, CompileCache};
 pub use client::{ClientError, GemClient};
 pub use metrics::ServerMetrics;
-pub use server::{Server, ServerConfig};
+pub use server::{mapping_defaults, Server, ServerConfig};
 pub use session::{SessionEntry, SessionTable};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

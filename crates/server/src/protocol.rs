@@ -16,6 +16,7 @@
 //! always taken from the design's IO map, never from the string length.
 //! See `docs/SERVER.md` for the full command table.
 
+use gem_analyze::{AnalysisReport, Severity};
 use gem_netlist::Bits;
 use gem_telemetry::Json;
 
@@ -45,6 +46,29 @@ pub fn ok_response(id: u64) -> Json {
     r.set("id", id);
     r.set("ok", true);
     r
+}
+
+/// Sets the fields of a lint document, the server's `lint` answer and
+/// `gem lint --json` alike: `diagnostics`, `summary`, `clean` (nothing at
+/// warning severity or above), `certified`, and `cert` or `compile_error`
+/// once the design was compiled. `compiled` is `None` when error-severity
+/// findings skipped the compile, else its certificate summary or error.
+pub fn set_lint_fields(
+    doc: &mut Json,
+    report: &AnalysisReport,
+    compiled: Option<&Result<String, String>>,
+) {
+    let diagnostics = report.diagnostics.iter().map(|d| d.to_json()).collect();
+    doc.set("diagnostics", Json::Array(diagnostics));
+    doc.set("summary", report.summary());
+    doc.set("clean", report.clean(Severity::Warning));
+    // Every compile that returns a design has certified its schedule.
+    doc.set("certified", matches!(compiled, Some(Ok(_))));
+    match compiled {
+        Some(Ok(cert)) => doc.set("cert", cert.as_str()),
+        Some(Err(e)) => doc.set("compile_error", e.as_str()),
+        None => {}
+    }
 }
 
 /// Builds an error envelope with a machine-readable `code` from

@@ -21,8 +21,9 @@ use crate::lock;
 use crate::metrics::{add, dec, inc, ServerMetrics};
 use crate::protocol::{self, codes};
 use crate::session::{SessionEntry, SessionTable};
-use gem_core::{CompileOptions, GemSimulator, ProfileOptions, VcdStimulus};
-use gem_netlist::vcd::VcdWriter;
+use gem_core::{
+    replay_lanes, CompileOptions, GemSimulator, OutputRecorder, ProfileOptions, VcdStimulus,
+};
 use gem_telemetry::span;
 use gem_telemetry::{read_frame, write_frame, FrameError, Json, DEFAULT_MAX_FRAME};
 use std::collections::HashMap;
@@ -400,15 +401,22 @@ fn gated(state: &ServerState, name: &str, job: impl FnOnce() -> CmdResult) -> Cm
     }
 }
 
-/// Parses and range-checks the optional `opts` object of requests that
-/// compile, before the gate: a bad option is a cheap `bad_request`.
-fn compile_opts(req: &Json) -> Result<CompileOptions, CmdError> {
-    let mut opts = CompileOptions {
+/// The mapping options a front end compiles with unless told otherwise:
+/// 2048-bit cores, 8 parts, 1 stage. The wire's `opts` and the CLI's
+/// `--width`/`--parts`/`--stages` override them.
+pub fn mapping_defaults() -> CompileOptions {
+    CompileOptions {
         core_width: 2048,
         target_parts: 8,
         stages: 1,
         ..Default::default()
-    };
+    }
+}
+
+/// Parses and range-checks the optional `opts` object of requests that
+/// compile, before the gate: a bad option is a cheap `bad_request`.
+fn compile_opts(req: &Json) -> Result<CompileOptions, CmdError> {
+    let mut opts = mapping_defaults();
     if let Some(o) = req.get("opts") {
         opts.core_width = protocol::opt_uint(o, "width", opts.core_width).map_err(bad)?;
         opts.target_parts = protocol::opt_uint(o, "parts", opts.target_parts).map_err(bad)?;
@@ -614,57 +622,18 @@ fn cmd_step(state: &ServerState, id: u64, req: &Json) -> CmdResult {
     })
 }
 
+/// `replay`: drives the session through the one lockstep driver,
+/// [`replay_lanes`]. The `"vcd"` form replays its stimulus on every lane,
+/// as a scalar poke drives every lane, and answers lane 0's outputs per
+/// cycle and as a VCD document, so a client can `read-vcd` without a
+/// second round trip. The `"vcds": [text, …]` form replays stimulus k on
+/// lane k; streams may have different lengths (an exhausted one holds its
+/// last values) and the response carries one output VCD per stimulus.
 fn cmd_replay(state: &ServerState, id: u64, req: &Json) -> CmdResult {
     let entry = session_of(state, req)?;
-    // Batch form: `"vcds": [text, …]` replays one stimulus VCD per lane
-    // in lockstep (see cmd_replay_batch). Mutually exclusive with the
-    // single-stimulus `"vcd"` field.
-    if req.get("vcds").is_some() {
-        return cmd_replay_batch(state, id, req, &entry);
-    }
-    let vcd_text = protocol::req_str(req, "vcd").map_err(bad)?;
-    gated(state, "replay", || {
-        let mut sim = entry.sim().map_err(broken)?;
-        let stim = VcdStimulus::new(vcd_text, sim.io()).map_err(|e| bad(e.to_string()))?;
-        let rows = stim.replay(&mut sim);
-        add(&state.metrics.cycles_total, rows.len() as u64);
-        // The response carries the outputs both structured (per-cycle hex
-        // maps) and as a VCD document, so a client can `read-vcd` without
-        // a second round trip.
-        let mut w = VcdWriter::new("gem");
-        let vars: Vec<_> = sim
-            .io()
-            .outputs
-            .iter()
-            .map(|p| w.add_var(&p.name, p.bits.len() as u32))
-            .collect();
-        w.begin();
-        let mut cycles_json = Vec::with_capacity(rows.len());
-        for (t, row) in rows.iter().enumerate() {
-            w.timestamp(t as u64);
-            let mut obj = Json::object();
-            for (var, (name, v)) in vars.iter().zip(row) {
-                w.change(*var, v);
-                obj.set(name, protocol::bits_to_hex(v));
-            }
-            cycles_json.push(obj);
-        }
-        let mut r = protocol::ok_response(id);
-        r.set("cycles", rows.len() as u64);
-        r.set("outputs", Json::Array(cycles_json));
-        r.set("vcd", w.finish());
-        Ok(r)
-    })
-}
-
-/// Batch replay: one stimulus VCD per lane, advanced in lockstep (the
-/// k-th timestamp of every stimulus lands on the same machine cycle).
-/// Streams may have different lengths; a lane whose stimulus is
-/// exhausted simply holds its last values, exactly like a waveform that
-/// stops changing. The response carries one output VCD per stimulus
-/// lane in the same order.
-fn cmd_replay_batch(state: &ServerState, id: u64, req: &Json, entry: &SessionEntry) -> CmdResult {
+    let batch = req.get("vcds").is_some();
     let texts: Vec<&str> = match req.get("vcds") {
+        None => vec![protocol::req_str(req, "vcd").map_err(bad)?],
         Some(Json::Array(items)) => items
             .iter()
             .map(|v| {
@@ -672,9 +641,9 @@ fn cmd_replay_batch(state: &ServerState, id: u64, req: &Json, entry: &SessionEnt
                     .ok_or_else(|| bad("\"vcds\" entries must be VCD strings"))
             })
             .collect::<Result<_, _>>()?,
-        _ => return Err(bad("\"vcds\" must be an array of VCD strings")),
+        Some(_) => return Err(bad("\"vcds\" must be an array of VCD strings")),
     };
-    if texts.is_empty() || texts.len() > entry.lanes as usize {
+    if batch && (texts.is_empty() || texts.len() > entry.lanes as usize) {
         return Err((
             codes::BAD_LANES,
             format!(
@@ -688,50 +657,43 @@ fn cmd_replay_batch(state: &ServerState, id: u64, req: &Json, entry: &SessionEnt
         let mut sim = entry.sim().map_err(broken)?;
         let mut stims = Vec::with_capacity(texts.len());
         for (lane, text) in texts.iter().enumerate() {
-            let stim = VcdStimulus::new(text, sim.io())
-                .map_err(|e| bad(format!("stimulus VCD for lane {lane}: {e}")))?;
+            let stim = VcdStimulus::new(text, sim.io()).map_err(|e| {
+                bad(if batch {
+                    format!("stimulus VCD for lane {lane}: {e}")
+                } else {
+                    e.to_string()
+                })
+            })?;
             stims.push(stim);
         }
-        let total = stims.iter().map(VcdStimulus::cycles).max().unwrap_or(0);
-        let mut writers: Vec<(VcdWriter, Vec<_>)> = (0..stims.len())
-            .map(|_| {
-                let mut w = VcdWriter::new("gem");
-                let vars: Vec<_> = sim
-                    .io()
-                    .outputs
-                    .iter()
-                    .map(|p| w.add_var(&p.name, p.bits.len() as u32))
-                    .collect();
-                w.begin();
-                (w, vars)
-            })
+        let mut recorders: Vec<OutputRecorder> = (0..stims.len() as u32)
+            .map(|lane| OutputRecorder::new(sim.io(), lane))
             .collect();
-        for t in 0..total {
-            for (lane, stim) in stims.iter().enumerate() {
-                for (_, name, v) in stim.changes_at(t) {
-                    sim.set_input_lane(name, lane as u32, v.clone());
-                }
-            }
-            sim.step();
-            for (lane, (w, vars)) in writers.iter_mut().enumerate() {
-                w.timestamp(t as u64);
-                for (var, p) in vars.iter().zip(sim.io().outputs.iter()) {
-                    w.change(*var, &sim.output_lane(&p.name, lane as u32));
-                }
-            }
-        }
-        add(&state.metrics.cycles_total, total as u64);
+        // The `vcd` form drives every lane, as a scalar poke does.
+        let lanes: Vec<&VcdStimulus> = if batch {
+            stims.iter().collect()
+        } else {
+            vec![&stims[0]; sim.lanes() as usize]
+        };
+        let cycles = replay_lanes(&mut sim, &lanes, &mut recorders);
+        add(&state.metrics.cycles_total, cycles as u64);
         let mut r = protocol::ok_response(id);
-        r.set("cycles", total as u64);
-        r.set(
-            "vcds",
-            Json::Array(
-                writers
-                    .into_iter()
-                    .map(|(w, _)| Json::Str(w.finish()))
-                    .collect(),
-            ),
-        );
+        r.set("cycles", cycles as u64);
+        if batch {
+            let vcds = recorders.iter().map(|rec| Json::Str(rec.to_vcd()));
+            r.set("vcds", Json::Array(vcds.collect()));
+        } else {
+            let lane0 = &recorders[0];
+            let rows = lane0.rows().iter().map(|row| {
+                let mut obj = Json::object();
+                for (name, v) in lane0.names().zip(row) {
+                    obj.set(name, protocol::bits_to_hex(v));
+                }
+                obj
+            });
+            r.set("outputs", Json::Array(rows.collect()));
+            r.set("vcd", lane0.to_vcd());
+        }
         Ok(r)
     })
 }
@@ -771,30 +733,17 @@ fn cmd_lint(state: &ServerState, id: u64, req: &Json) -> CmdResult {
         let (module, lints) = gem_netlist::verilog::parse_with_lints(source)
             .map_err(|e| (codes::COMPILE_FAILED, e.to_string()))?;
         let report = gem_analyze::analyze_with_lints(&module, &lints);
-        let diagnostics: Vec<Json> = report.diagnostics.iter().map(|d| d.to_json()).collect();
         let mut r = protocol::ok_response(id);
-        r.set("diagnostics", Json::Array(diagnostics));
-        r.set("summary", report.summary());
-        r.set("clean", report.clean(gem_analyze::Severity::Warning));
         // Certification needs the compiled schedule; skip it when the
-        // netlist already has error-severity findings. Every compile that
-        // returns a design has certified its schedule.
-        let mut certified = false;
+        // netlist already has error-severity findings.
+        let mut compiled = None;
         if report.clean(gem_analyze::Severity::Error) {
             let (key, result, cached) = state.cache.get_or_compile(source, &opts);
             r.set("key", format!("{key:016x}"));
             r.set("cached", cached);
-            match result {
-                Ok(design) => {
-                    certified = true;
-                    r.set("cert", design.package.schedule_cert.summary());
-                }
-                Err(e) => {
-                    r.set("compile_error", e.as_str());
-                }
-            }
+            compiled = Some(result.map(|design| design.package.schedule_cert.summary()));
         }
-        r.set("certified", certified);
+        protocol::set_lint_fields(&mut r, &report, compiled.as_ref());
         Ok(r)
     })
 }

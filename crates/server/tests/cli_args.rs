@@ -1,6 +1,7 @@
 //! The `gem` CLI's argument scan and `run --poke`: a flag's value is never
 //! taken for the input, a flag the subcommand does not list is refused by
-//! name, and a poked value must fit its port, however wide.
+//! name, and a poked value must fit its port, however wide. A stimulus
+//! waveform whose time runs backwards is refused naming its line.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -140,4 +141,23 @@ fn a_poke_wider_than_64_bits_reaches_the_port() {
         .split_whitespace()
         .collect();
     assert_eq!(row, ["0", "171", "255"], "{stdout}");
+}
+
+#[test]
+fn a_stimulus_whose_time_runs_backwards_is_refused() {
+    let wide = wide("backwards");
+    let stim = wide.with_file_name("backwards.vcd");
+    std::fs::write(
+        &stim,
+        "$scope module tb $end\n$var wire 8 ! a $end\n$upscope $end\n\
+         $enddefinitions $end\n#10\nb1 !\n#5\nb10 !\n",
+    )
+    .expect("write stimulus");
+    let out = gem(&[
+        "run",
+        wide.to_str().unwrap(),
+        "--stimulus",
+        stim.to_str().unwrap(),
+    ]);
+    assert_refused(&out, "line 7: timestamp #5 goes back from #10");
 }

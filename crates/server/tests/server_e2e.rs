@@ -1019,6 +1019,77 @@ fn full_width_batch_matches_independent_sessions() {
     shutdown_and_join(addr, server);
 }
 
+/// The single-stimulus `replay` form on a batch session drives every
+/// lane, as a scalar poke does: after it, each lane reads what lane 0
+/// reads on every output.
+#[test]
+fn scalar_replay_drives_every_lane_of_a_batch_session() {
+    let (addr, server) = start_server(ServerConfig::default());
+    let mut client = GemClient::connect(addr).expect("connect");
+    let resp = client
+        .open_lanes(DESIGN_B, wire_opts(), 4)
+        .expect("open 4-lane batch");
+    let session = resp.get("session").and_then(Json::as_u64).unwrap();
+    let mut w = VcdWriter::new("tb");
+    let va = w.add_var("a", 8);
+    let vb = w.add_var("b", 8);
+    w.begin();
+    for t in 0..5u64 {
+        w.timestamp(t);
+        w.change(va, &Bits::from_u64(t * 37 + 3, 8));
+        w.change(vb, &Bits::from_u64(t * 11 + 90, 8));
+    }
+    let resp = client.replay(session, &w.finish()).expect("replay");
+    assert_eq!(resp.get("cycles").and_then(Json::as_u64), Some(5));
+    for port in ["x", "r"] {
+        let lane0 = client.peek_lane(session, 0, port).expect("peek lane 0");
+        for lane in 1..4 {
+            let got = client.peek_lane(session, lane, port).expect("peek lane");
+            assert_eq!(got, lane0, "lane {lane} port {port}");
+        }
+    }
+    shutdown_and_join(addr, server);
+}
+
+/// A stimulus whose time runs backwards is a `bad_request` naming the
+/// line, in both wire forms of `replay`, and the session serves on.
+#[test]
+fn backwards_time_is_refused_by_both_replay_forms() {
+    let (addr, server) = start_server(ServerConfig::default());
+    let mut client = GemClient::connect(addr).expect("connect");
+    let resp = client
+        .open_lanes(DESIGN_B, wire_opts(), 2)
+        .expect("open 2-lane batch");
+    let session = resp.get("session").and_then(Json::as_u64).unwrap();
+    let text = "$scope module tb $end\n$var wire 8 ! a $end\n\
+                $upscope $end\n$enddefinitions $end\n#10\nb1 !\n#5\nb10 !\n";
+    let forward = text.replace("#5", "#20");
+    for (form, result) in [
+        ("vcd", client.replay(session, text)),
+        ("vcds", client.replay_batch(session, &[&forward, text])),
+    ] {
+        match result.expect_err("backwards time") {
+            gem_server::ClientError::Server { code, message, .. } => {
+                assert_eq!(code, "bad_request", "{form}");
+                assert!(
+                    message.contains("line 7: timestamp #5 goes back from #10"),
+                    "{form}: {message}"
+                );
+                if form == "vcds" {
+                    assert!(
+                        message.starts_with("stimulus VCD for lane 1: "),
+                        "{message}"
+                    );
+                }
+            }
+            other => panic!("{form}: expected server error, got {other}"),
+        }
+    }
+    let resp = client.replay(session, &forward).expect("replay serves on");
+    assert_eq!(resp.get("cycles").and_then(Json::as_u64), Some(2));
+    shutdown_and_join(addr, server);
+}
+
 /// The `profile` wire op end to end: the response carries the cache
 /// key, the rendered table and a report with per-partition and
 /// per-layer attribution. A legacy `"threads"` field (removed with the

@@ -298,11 +298,6 @@ impl<'a> NetlistSim<'a> {
         outs
     }
 
-    /// Reads a memory word (for test setup and inspection).
-    pub fn mem_word(&self, mem: usize, addr: usize) -> &Bits {
-        &self.mem[mem][addr]
-    }
-
     /// Overwrites a memory word (e.g. to preload a program image).
     pub fn set_mem_word(&mut self, mem: usize, addr: usize, v: Bits) {
         assert_eq!(v.width(), self.m.memories()[mem].width);

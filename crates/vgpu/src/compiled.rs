@@ -92,11 +92,6 @@ fn lower_writes(dec: &DecodedCore) -> (Box<[CompiledWrite]>, Box<[CompiledWrite]
     (list(false), list(true))
 }
 
-/// Sums per-layer `(shared_accesses, alu_ops, block_syncs)` charges.
-fn op_totals(layers: impl Iterator<Item = (u64, u64, u64)>) -> (u64, u64, u64) {
-    layers.fold((0, 0, 0), |acc, l| (acc.0 + l.0, acc.1 + l.1, acc.2 + l.2))
-}
-
 /// Appends the lane words `writes` publish from `state`.
 fn publish(writes: &[CompiledWrite], state: &[Word], out: &mut Vec<(u32, Word)>) {
     out.extend(writes.iter().map(|w| (w.global, w.value(state))));
@@ -240,18 +235,6 @@ impl CompiledCore {
         }
         publish(&self.immediate, state, imm_out);
         publish(&self.deferred, state, def_out);
-    }
-
-    /// Total lowered ops per execution as the counter model charges
-    /// them: `(shared_accesses, alu_ops, block_syncs)` summed over
-    /// layers. Reconciles with the static `KernelCounters` delta the
-    /// machine computes from the decoded program.
-    pub fn layer_op_totals(&self) -> (u64, u64, u64) {
-        op_totals(
-            self.layers
-                .iter()
-                .map(|l| (l.shared_accesses(), l.alu_ops(), l.block_syncs())),
-        )
     }
 }
 
@@ -397,16 +380,6 @@ impl PackedCore {
         imm_out.extend(self.immediate.iter().map(publish));
         def_out.extend(self.deferred.iter().map(publish));
     }
-
-    /// As [`CompiledCore::layer_op_totals`], and equal to it: the cost
-    /// model charges the architectural layer whichever form runs.
-    pub fn layer_op_totals(&self) -> (u64, u64, u64) {
-        op_totals(
-            self.layers
-                .iter()
-                .map(|l| (l.shared_accesses(), l.alu_ops(), l.block_syncs())),
-        )
-    }
 }
 
 /// Reusable per-thread execution buffers: the core state of each form
@@ -535,17 +508,6 @@ mod tests {
         imm.clear();
         CompiledCore::lower(&narrow).execute_words_into(&global, &mut scratch, &mut imm, &mut def);
         assert_eq!(imm, vec![(7, !(0b1010 as Word))]);
-    }
-
-    #[test]
-    fn op_totals_follow_layer_costs() {
-        let comp = CompiledCore::lower(&sample_core());
-        // One 4-wide layer: 8 shared accesses, 3 ALU ops, 3 syncs.
-        assert_eq!(comp.layer_op_totals(), (8, 3, 3));
-        // The packed form runs one fold level of the two (nothing writes
-        // back above it) and is charged the same.
-        let packed = PackedCore::lower(&sample_core()).expect("lowers");
-        assert_eq!(packed.layer_op_totals(), (8, 3, 3));
     }
 
     #[test]

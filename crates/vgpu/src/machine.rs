@@ -755,11 +755,6 @@ impl GemGpu {
         Ok(())
     }
 
-    /// Number of pipeline stages.
-    pub fn num_stages(&self) -> usize {
-        self.program.stages.len()
-    }
-
     /// Total cores (thread blocks) across stages.
     pub fn num_cores(&self) -> usize {
         self.program.stages.iter().map(Vec::len).sum()
