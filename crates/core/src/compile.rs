@@ -5,9 +5,9 @@ use gem_analyze::{AnalysisReport, Severity};
 use gem_isa::{assemble_core, Bitstream, ReadEntry, ScheduleCert, WriteEntry, WriteSrc};
 use gem_netlist::verilog::SourceLint;
 use gem_netlist::Module;
-use gem_partition::merge::{estimate_width, merge_partitions_with};
+use gem_partition::merge::{estimate_width, merge_with_payloads};
 use gem_partition::repcut::Region;
-use gem_partition::{PartitionOptions, Partitioner, Partitioning};
+use gem_partition::{Partition, PartitionOptions, Partitioner, Partitioning};
 use gem_place::{place_partition_counted, CoreProgram, OutputSource, PlaceError, PlaceOptions};
 use gem_synth::{synthesize, PortBits, SynthError, SynthOptions, SynthResult};
 use gem_telemetry::{FlowRecorder, FlowReport, Json};
@@ -358,12 +358,18 @@ fn compile_eaig_with(
     // cones whose live *width* exceeds the core regardless of count, so
     // the retry schedule grows both.
     // Attempts at one stage count share the partitioner's stage plan and
-    // every bisection it has already made.
+    // every bisection it has already made. Each stage of a plan is first
+    // offered whole to the merge's oracle: a stage that fits one core is
+    // where merging any split of it ends (DESIGN.md §4), so it is mapped
+    // as that one partition and never split.
+    // Every placement made from here on travels with its partition to
+    // the end of the flow: none is made twice.
     let mut partitioner = Partitioner::new(g);
     let (mut parts_goal, mut stages_goal) = (opts.target_parts, opts.stages);
-    let mut partitioning = None;
+    let mut accepted = None;
     let mut last_err = None;
     let mut attempts = 0u32;
+    let mut whole_oracle = OracleCounts::default();
     let mut slot_attempts = 0u64;
     let mut part_stage = flow.stage("partition");
     for attempt in 0..8 {
@@ -373,10 +379,19 @@ fn compile_eaig_with(
             stages: stages_goal,
             seed: opts.seed,
         };
-        let cand = partitioner.partition(&popts);
-        match all_mappable(g, &cand, &place_opts, &mut slot_attempts) {
-            Ok(()) => {
-                partitioning = Some(cand);
+        let width = opts.core_width as usize;
+        let cand = partitioner.partition_whole_first(&popts, width, |p| {
+            whole_oracle.place_if_mappable(g, p, &place_opts)
+        });
+        match all_mappable(
+            g,
+            &cand,
+            partitioner.whole(),
+            &place_opts,
+            &mut slot_attempts,
+        ) {
+            Ok(programs) => {
+                accepted = Some((cand, programs));
                 break;
             }
             Err(e) => {
@@ -390,33 +405,40 @@ fn compile_eaig_with(
         }
     }
     let counts = partitioner.counts();
-    drop(partitioner);
+    let whole = partitioner.into_whole();
     part_stage.metric("attempts", f64::from(attempts));
-    part_stage.metric("slot_attempts", slot_attempts as f64);
+    part_stage.metric(
+        "slot_attempts",
+        (slot_attempts + whole_oracle.slot_attempts) as f64,
+    );
     part_stage.metric("hypergraphs_built", counts.hypergraphs_built as f64);
     part_stage.metric("bisections", counts.bisections as f64);
     part_stage.metric("bisections_reused", counts.bisections_reused as f64);
     part_stage.metric("fm_gain_updates", counts.fm_gain_updates as f64);
-    if let Some(p) = &partitioning {
+    if let Some((p, _)) = &accepted {
         part_stage.metric("parts", p.max_parts() as f64);
         part_stage.metric("stages", p.stages.len() as f64);
+        part_stage.metric("whole_stages", whole.iter().flatten().count() as f64);
         part_stage.metric("replication_cost", p.replication_cost());
     }
     drop(part_stage);
-    let partitioning =
-        partitioning.ok_or_else(|| CompileError::Place(last_err.expect("tried at least once")))?;
+    let (partitioning, mut programs) =
+        accepted.ok_or_else(|| CompileError::Place(last_err.expect("tried at least once")))?;
+    for (programs, whole) in programs.iter_mut().zip(whole) {
+        programs.extend(whole); // the one program of a stage mapped whole
+    }
 
     // --- Algorithm 1: merge back under the width constraint. The oracle
-    // is placement itself behind the cheap width filter, and a placement
-    // it accepts is the partition's final one: it travels with the
-    // partition and only partitions no merge touched are placed below.
+    // is placement itself behind the cheap width filter. Every partition
+    // enters with its placement, and a merged one leaves with the one
+    // the oracle built when it accepted it.
     let mut merge_stage = flow.stage("merge");
     let mut merged_stages = Vec::new();
     let mut placements: Vec<Vec<Option<CoreProgram>>> = Vec::new();
     let mut stop = vec![false; g.len()];
     let (mut oracle_calls, mut repeats_skipped) = (0usize, 0usize);
-    let (mut width_rejects, mut place_rejects, mut slot_attempts) = (0u64, 0u64, 0u64);
-    for stage in &partitioning.stages {
+    let mut oracle = OracleCounts::default();
+    for (stage, programs) in partitioning.stages.iter().zip(programs) {
         let region = Region {
             sinks: stage
                 .partitions
@@ -425,15 +447,9 @@ fn compile_eaig_with(
                 .collect(),
             stop: stop.clone(),
         };
-        let (merged, placed, stats) = merge_partitions_with(g, &region, stage, |p| {
-            if estimate_width(g, p) > opts.core_width as usize {
-                width_rejects += 1;
-                return None;
-            }
-            let (placed, stats) = place_partition_counted(g, p, &place_opts);
-            slot_attempts += stats.slot_attempts;
-            place_rejects += u64::from(placed.is_err());
-            placed.ok()
+        let payloads = programs.into_iter().map(Some).collect();
+        let (merged, placed, stats) = merge_with_payloads(g, &region, stage, payloads, |p| {
+            oracle.place_if_mappable(g, p, &place_opts)
         });
         oracle_calls += stats.oracle_calls;
         repeats_skipped += stats.repeats_skipped;
@@ -458,31 +474,19 @@ fn compile_eaig_with(
     );
     merge_stage.metric("replication_cost", partitioning.replication_cost());
     merge_stage.metric("oracle_calls", oracle_calls as f64);
-    merge_stage.metric("width_rejects", width_rejects as f64);
-    merge_stage.metric("place_rejects", place_rejects as f64);
+    merge_stage.metric("width_rejects", oracle.width_rejects as f64);
+    merge_stage.metric("place_rejects", oracle.place_rejects as f64);
     merge_stage.metric("repeats_skipped", repeats_skipped as f64);
-    merge_stage.metric("slot_attempts", slot_attempts as f64);
+    merge_stage.metric("slot_attempts", oracle.slot_attempts as f64);
     drop(merge_stage);
 
-    // --- Final placement of what the merge did not place.
+    // --- Collect the placements: every partition arrives with its own.
     let mut place_stage = flow.stage("place");
-    let mut programs: Vec<Vec<CoreProgram>> = Vec::new();
-    let (mut reused, mut slot_attempts) = (0usize, 0u64);
-    for (stage, placed) in partitioning.stages.iter().zip(placements) {
-        let mut progs = Vec::new();
-        for (p, prog) in stage.partitions.iter().zip(placed) {
-            reused += usize::from(prog.is_some());
-            progs.push(match prog {
-                Some(prog) => prog,
-                None => {
-                    let (prog, stats) = place_partition_counted(g, p, &place_opts);
-                    slot_attempts += stats.slot_attempts;
-                    prog.map_err(CompileError::Place)?
-                }
-            });
-        }
-        programs.push(progs);
-    }
+    let programs: Vec<Vec<CoreProgram>> = placements
+        .into_iter()
+        .map(|stage| stage.into_iter().collect::<Option<Vec<_>>>())
+        .collect::<Option<_>>()
+        .ok_or_else(|| CompileError::Internal("a partition left the merge unplaced".into()))?;
     let cores = programs.iter().map(Vec::len).sum::<usize>();
     let max_layers = programs
         .iter()
@@ -492,9 +496,8 @@ fn compile_eaig_with(
         .unwrap_or(0);
     place_stage.metric("max_layers", f64::from(max_layers));
     place_stage.metric("cores", cores as f64);
-    place_stage.metric("reused", reused as f64);
-    place_stage.metric("placed", (cores - reused) as f64);
-    place_stage.metric("slot_attempts", slot_attempts as f64);
+    place_stage.metric("reused", cores as f64);
+    place_stage.metric("placed", 0.0);
     drop(place_stage);
 
     // --- Global signal space.
@@ -781,20 +784,61 @@ fn retry_goals(attempt: u32, parts: usize, stages: usize) -> (usize, usize) {
     (parts * 2, stages)
 }
 
-/// Places every partition, stopping at the first that does not fit;
-/// `slot_attempts` accumulates the placer's work either way.
+/// Places every partition of the stages not mapped whole (`whole[s]` is
+/// `None`), stopping at the first that does not fit; `slot_attempts`
+/// accumulates the placer's work either way. Returns the programs, in
+/// partition order, with none for a stage mapped whole.
 fn all_mappable(
     g: &Eaig,
     parts: &Partitioning,
+    whole: &[Option<CoreProgram>],
     opts: &PlaceOptions,
     slot_attempts: &mut u64,
-) -> Result<(), PlaceError> {
-    for p in parts.stages.iter().flat_map(|s| &s.partitions) {
+) -> Result<Vec<Vec<CoreProgram>>, PlaceError> {
+    let mut place = |p| {
         let (placed, stats) = place_partition_counted(g, p, opts);
         *slot_attempts += stats.slot_attempts;
-        placed?;
+        placed
+    };
+    parts
+        .stages
+        .iter()
+        .zip(whole)
+        .map(|(stage, whole)| match whole {
+            Some(_) => Ok(Vec::new()),
+            None => stage.partitions.iter().map(&mut place).collect(),
+        })
+        .collect()
+}
+
+/// What the merge's mappability oracle has done: the candidates it
+/// refused by the width estimate and by placement, and the placer's
+/// slot attempts.
+#[derive(Debug, Default)]
+struct OracleCounts {
+    width_rejects: u64,
+    place_rejects: u64,
+    slot_attempts: u64,
+}
+
+impl OracleCounts {
+    /// The merge's oracle: `p`'s placement, unless [`estimate_width`]
+    /// puts it over the core or it fails to place.
+    fn place_if_mappable(
+        &mut self,
+        g: &Eaig,
+        p: &Partition,
+        opts: &PlaceOptions,
+    ) -> Option<CoreProgram> {
+        if estimate_width(g, p) > opts.core_width as usize {
+            self.width_rejects += 1;
+            return None;
+        }
+        let (placed, stats) = place_partition_counted(g, p, opts);
+        self.slot_attempts += stats.slot_attempts;
+        self.place_rejects += u64::from(placed.is_err());
+        placed.ok()
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -243,10 +243,27 @@ fn fifo_placement_option_still_correct() {
     cosim(&m, &opts, 50, 7);
 }
 
-/// Every program the compile ships — whether the merge's oracle built it
-/// or the place stage did — equals a fresh placement of its partition.
-/// Returns the place stage's (reused, placed) counts.
-fn reuse_equals_redoing(m: &Module, opts: &CompileOptions) -> (usize, usize) {
+/// Where the programs of a compile were built, read off its flow report.
+#[derive(Debug, Clone, Copy)]
+struct Shipped {
+    /// Programs the place stage shipped without placing them: all.
+    reused: usize,
+    /// Stages mapped whole: one program each, built by the whole-stage
+    /// check.
+    whole: usize,
+    /// Merges the oracle accepted: at least one shipped program came with
+    /// a merge when there was any (a merged partition only grows).
+    merges: usize,
+    /// At least this many programs were built by the accepted partition
+    /// attempt and kept: every program of a stage not mapped whole that
+    /// no merge built.
+    kept: usize,
+}
+
+/// Every program the compile ships — whether the whole-stage check, the
+/// accepted partition attempt or the merge's oracle built it — equals a
+/// fresh placement of its partition, and none is placed twice.
+fn reuse_equals_redoing(m: &Module, opts: &CompileOptions) -> Shipped {
     let compiled = compile(m, opts).expect("compiles");
     let place_opts = PlaceOptions {
         core_width: opts.core_width,
@@ -267,28 +284,44 @@ fn reuse_equals_redoing(m: &Module, opts: &CompileOptions) -> (usize, usize) {
         }
     }
     assert_eq!(compiled.report.layers, max_layers);
-    let place = compiled.flow.stage("place").expect("place stage ran");
-    let metric = |name| place.metric(name).expect("place stage metric") as usize;
-    let (reused, placed) = (metric("reused"), metric("placed"));
-    assert_eq!(reused + placed, metric("cores"));
-    assert_eq!(metric("cores"), compiled.bitstream.total_cores());
-    (reused, placed)
+    let metric = |stage, name| {
+        let st = compiled.flow.stage(stage).expect("stage ran");
+        st.metric(name).expect("stage metric") as usize
+    };
+    let (reused, placed) = (metric("place", "reused"), metric("place", "placed"));
+    assert_eq!(reused + placed, metric("place", "cores"));
+    assert_eq!(metric("place", "cores"), compiled.bitstream.total_cores());
+    assert_eq!(placed, 0, "the place stage placed a partition again");
+    let merges = metric("merge", "oracle_calls")
+        - metric("merge", "width_rejects")
+        - metric("merge", "place_rejects");
+    let whole = metric("partition", "whole_stages");
+    Shipped {
+        reused,
+        whole,
+        merges,
+        kept: reused.saturating_sub(whole + merges),
+    }
 }
 
 #[test]
 fn reused_placements_equal_fresh_ones() {
-    // One with a native RAM block, one with two stages.
-    let (reused, _) = reuse_equals_redoing(&native_ram_module(), &CompileOptions::small());
-    assert!(reused > 0, "nothing merged");
+    // One with a native RAM block, one with two stages: both fit their
+    // cores, so each stage is mapped whole.
+    let ram = reuse_equals_redoing(&native_ram_module(), &CompileOptions::small());
+    assert!(ram.reused > 0, "nothing merged");
+    assert_eq!(ram.whole, 1, "{ram:?}");
     let two_stages = CompileOptions {
         stages: 2,
         ..CompileOptions::small()
     };
-    let (reused, _) = reuse_equals_redoing(&deep_module(), &two_stages);
-    assert!(reused > 0, "nothing merged");
+    let deep = reuse_equals_redoing(&deep_module(), &two_stages);
+    assert!(deep.reused > 0, "nothing merged");
+    assert_eq!(deep.whole, 2, "{deep:?}");
 
     // One where cores are too narrow for every partition to find a
-    // partner: some are placed by the merge, some by the place stage.
+    // partner: some programs come from merges, some were placed by the
+    // accepted partition attempt and kept.
     let mut b = ModuleBuilder::new("wide");
     for k in 0..6 {
         let x = b.input(format!("x{k}"), 12);
@@ -303,6 +336,6 @@ fn reused_placements_equal_fresh_ones() {
         core_width: 128,
         ..Default::default()
     };
-    let (reused, placed) = reuse_equals_redoing(&b.finish().unwrap(), &opts);
-    assert!(reused > 0 && placed > 0, "reused {reused}, placed {placed}");
+    let narrow = reuse_equals_redoing(&b.finish().unwrap(), &opts);
+    assert!(narrow.merges > 0 && narrow.kept > 0, "{narrow:?}");
 }

@@ -901,7 +901,7 @@ mod tests {
     /// stages, split the ways a compile splits them.
     fn fuzz_corpus_sweep(designs: u64) {
         use crate::multistage::{even_cut_levels, StagePlan};
-        use crate::{BALANCE, SINK_SET_CAP};
+        use crate::BALANCE;
         use gem_sim::fuzz::{random_module, FuzzConfig};
         let mut runs = 0;
         for seed in 0..designs {
@@ -911,13 +911,11 @@ mod tests {
                 .eaig;
             let counts = &mut PartitionCounts::default();
             let cuts = even_cut_levels(&g, 2);
-            let plans = [
-                StagePlan::whole(&g, SINK_SET_CAP, counts),
-                StagePlan::with_cuts(&g, &cuts, SINK_SET_CAP, counts),
-            ];
-            for seg in plans.iter().flat_map(|p| &p.segments) {
+            let mut plans = [StagePlan::whole(&g), StagePlan::with_cuts(&g, &cuts)];
+            for seg in plans.iter_mut().flat_map(|p| &mut p.segments) {
+                let h = &seg.hypergraph(&g, counts).h;
                 for k in [2, 3, 4, 8, 16] {
-                    runs += assert_fm_matches_reference(&seg.sinks.h, k, BALANCE, seed);
+                    runs += assert_fm_matches_reference(h, k, BALANCE, seed);
                 }
             }
         }

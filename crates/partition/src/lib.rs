@@ -23,7 +23,9 @@
 //! Fiduccia–Mattheyses recursive bisection (no external hMETIS). A caller
 //! that partitions one graph more than once — the compiler's retry
 //! schedule — keeps a [`Partitioner`], which builds what the part goal does
-//! not change once and reuses it.
+//! not change once and reuses it, and which can first offer each stage
+//! whole to the merge's oracle: a stage that fits one core is where
+//! merging any split of it ends.
 //!
 //! # Example
 //!
@@ -161,7 +163,8 @@ impl Partitioning {
 /// stage). Every count repeats exactly from run to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionCounts {
-    /// Sink hypergraphs built, one per stage region per stage count.
+    /// Sink hypergraphs built, one per stage region split, per stage
+    /// count (a stage mapped whole builds none).
     pub hypergraphs_built: u64,
     /// Bisections computed (each runs FM from several restarts).
     pub bisections: u64,
@@ -178,5 +181,5 @@ pub struct PartitionCounts {
 /// afterwards to enforce the boomerang width constraint. A one-shot use of
 /// [`Partitioner`].
 pub fn partition(g: &Eaig, opts: &PartitionOptions) -> Partitioning {
-    Partitioner::new(g).partition(opts)
+    Partitioner::<()>::new(g).partition(opts)
 }

@@ -152,12 +152,33 @@ pub fn merge_partitions_with<T>(
     g: &Eaig,
     region: &Region,
     stage: &Stage,
+    accept: impl FnMut(&Partition) -> Option<T>,
+) -> (Stage, Vec<Option<T>>, MergeStats) {
+    let payloads = stage.partitions.iter().map(|_| None).collect();
+    merge_with_payloads(g, region, stage, payloads, accept)
+}
+
+/// [`merge_partitions_with`] from partitions that already carry payloads
+/// (`payloads[i]` is `stage.partitions[i]`'s): a partition no merge
+/// touches comes back with its own.
+pub fn merge_with_payloads<T>(
+    g: &Eaig,
+    region: &Region,
+    stage: &Stage,
+    payloads: Vec<Option<T>>,
     mut accept: impl FnMut(&Partition) -> Option<T>,
 ) -> (Stage, Vec<Option<T>>, MergeStats) {
+    assert_eq!(
+        payloads.len(),
+        stage.partitions.len(),
+        "one payload a partition"
+    );
     let mut parts: Vec<Option<(Partition, Option<T>)>> = stage
         .partitions
         .iter()
-        .map(|p| Some((p.clone(), None)))
+        .cloned()
+        .zip(payloads)
+        .map(Some)
         .collect();
     let len = parts.len();
     let mut stats = MergeStats {
@@ -387,6 +408,36 @@ mod tests {
     }
 
     #[test]
+    fn an_unmerged_partition_keeps_the_payload_it_came_with() {
+        let (g, region, stage) = sixteen_chains();
+        let loner = stage.partitions[5].sinks[0];
+        let fits = |p: &Partition| width_mappable(&g, p, 16) && !p.sinks.contains(&loner);
+        let own = stage
+            .partitions
+            .iter()
+            .map(|p| Some((p.sinks.clone(), false)));
+        let (merged, payloads, stats) =
+            merge_with_payloads(&g, &region, &stage, own.collect(), |p| {
+                fits(p).then(|| (p.sinks.clone(), true))
+            });
+        // Every partition comes back with a payload that is its own: the
+        // oracle's for a merged one, the one it came with otherwise.
+        for (p, payload) in merged.partitions.iter().zip(&payloads) {
+            let (sinks, built) = payload.as_ref().expect("every partition came with one");
+            assert_eq!(sinks, &p.sinks);
+            assert_eq!(*built, !stage.partitions.contains(p));
+        }
+        assert!(
+            payloads.iter().flatten().any(|(_, built)| !built),
+            "the loner merged"
+        );
+        // The payloads a merge starts with change none of its decisions.
+        let (plain, _, plain_stats) =
+            merge_partitions_with(&g, &region, &stage, |p| fits(p).then_some(()));
+        assert_eq!((plain, plain_stats), (merged, stats));
+    }
+
+    #[test]
     fn an_unmerged_partition_has_no_payload() {
         let (g, region, stage) = sixteen_chains();
         let (merged, payloads, stats) = merge_partitions_with(&g, &region, &stage, |_| None::<()>);
@@ -505,7 +556,9 @@ mod tests {
     /// is off in release. Also holds [`estimate_width`] monotone under
     /// cone growth, the half of the merge oracle whose refusals are
     /// remembered by proof: a union is at least as wide as either half.
-    /// Returns the pairs checked.
+    /// And holds it to the two counts the whole-stage check refuses by
+    /// before estimating: a partition is at least as wide as its sink
+    /// nodes and its sources are many. Returns the pairs checked.
     fn union_cone_is_extract_cone(seeds: u64) -> usize {
         use gem_sim::fuzz::{random_module, FuzzConfig};
         let mut checked = 0usize;
@@ -528,6 +581,14 @@ mod tests {
                     let what = format!("seed {seed}, {target_parts} parts, {stages} stages");
                     for (i, p) in stage.partitions.iter().enumerate() {
                         assert_eq!(p, &extract_cone(&g, &region, &p.sinks), "{what}");
+                        let mut sink_nodes: Vec<_> = p.sinks.iter().map(|l| l.node()).collect();
+                        sink_nodes.sort_unstable();
+                        sink_nodes.dedup();
+                        let width = estimate_width(&g, p);
+                        assert!(
+                            width >= sink_nodes.len() && width >= p.sources.len(),
+                            "{what}"
+                        );
                         for q in &stage.partitions[i + 1..] {
                             let union = union_cone(p, q);
                             let cone = extract_cone(&g, &region, &union.sinks);
