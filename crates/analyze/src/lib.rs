@@ -1,18 +1,12 @@
 //! Whole-program static analyzer for the GEM flow.
 //!
-//! Two pass families, one diagnostic vocabulary:
-//!
-//! * **Netlist lints** ([`analyze_module`]) walk a [`gem_netlist::Module`]
-//!   — validated or not. The structural ones are the findings of the one
-//!   checker, [`gem_netlist::check`] (what [`gem_netlist::validate`]
-//!   returns the first of), reported in full with source-named witnesses;
-//!   dead cones and constant-foldable cones are advisory and this
-//!   crate's own. Frontend findings
-//!   ([`gem_netlist::verilog::SourceLint`]) fold into the same report via
-//!   [`analyze_with_lints`].
-//! * **Schedule happens-before certification** (re-exported from
-//!   [`gem_isa::schedule`]) proves a compiled bitstream race-free and
-//!   issues the [`ScheduleCert`] stored with `.gemb` artifacts.
+//! **Netlist lints** ([`analyze_module`]) walk a [`gem_netlist::Module`]
+//! — validated or not. The structural ones are the findings of the one
+//! checker, [`gem_netlist::check`] (what [`gem_netlist::validate`]
+//! returns the first of), reported in full with source-named witnesses;
+//! dead cones and constant-foldable cones are advisory and this crate's
+//! own. Frontend findings ([`gem_netlist::verilog::SourceLint`]) fold
+//! into the same report via [`analyze_with_lints`].
 //!
 //! Every finding is a typed [`Diagnostic`] `{ code, severity, witness }`
 //! with source names carried from the Verilog frontend, and every pass
@@ -45,8 +39,6 @@ use gem_netlist::{check, Module};
 use gem_telemetry::{Json, MetricFamily, MetricKind, MetricsSnapshot, Sample};
 use std::fmt;
 use std::time::Instant;
-
-pub use gem_isa::schedule::{certify_schedule, ScheduleCert, CERT_VERSION};
 
 /// How bad a finding is. `Error` blocks compilation; `Warning` fails
 /// `--deny warnings`; `Info` is advisory (the optimizer handles it).

@@ -9,7 +9,7 @@ use gem_partition::merge::{estimate_width, merge_with_payloads};
 use gem_partition::repcut::Region;
 use gem_partition::{Partition, PartitionOptions, Partitioner, Partitioning};
 use gem_place::{place_partition_counted, CoreProgram, OutputSource, PlaceError, PlaceOptions};
-use gem_synth::{synthesize, PortBits, SynthError, SynthOptions, SynthResult};
+use gem_synth::{synthesize, PortBits, SynthError, SynthOptions};
 use gem_telemetry::{FlowRecorder, FlowReport, Json};
 use gem_vgpu::{DeviceConfig, RamBinding};
 use std::collections::HashMap;
@@ -315,7 +315,7 @@ fn compile_with(
     opts: &CompileOptions,
     mut flow: FlowRecorder,
 ) -> Result<Compiled, CompileError> {
-    let synth = {
+    let mut synth = {
         let mut st = flow.stage("synth");
         let synth = synthesize(m, &opts.synth)?;
         st.metric("gates", synth.stats.gates as f64);
@@ -327,20 +327,6 @@ fn compile_with(
         );
         synth
     };
-    compile_eaig_with(synth, opts, flow)
-}
-
-/// Compiles a synthesized design (entry point for callers that build the
-/// E-AIG directly).
-pub fn compile_eaig(synth: SynthResult, opts: &CompileOptions) -> Result<Compiled, CompileError> {
-    compile_eaig_with(synth, opts, FlowRecorder::new("compile"))
-}
-
-fn compile_eaig_with(
-    mut synth: SynthResult,
-    opts: &CompileOptions,
-    mut flow: FlowRecorder,
-) -> Result<Compiled, CompileError> {
     opts.validate()?;
     // Construction is over: the graph is read from here to the end of
     // the run it is kept for (`Compiled::eaig`), so it sheds its
@@ -496,8 +482,6 @@ fn compile_eaig_with(
         .unwrap_or(0);
     place_stage.metric("max_layers", f64::from(max_layers));
     place_stage.metric("cores", cores as f64);
-    place_stage.metric("reused", cores as f64);
-    place_stage.metric("placed", 0.0);
     drop(place_stage);
 
     // --- Global signal space.

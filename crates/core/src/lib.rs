@@ -47,8 +47,8 @@ pub mod simulator;
 pub mod verify;
 
 pub use compile::{
-    compile, compile_eaig, compile_verilog, CompileError, CompileOptions, CompileReport, Compiled,
-    IoMap, PortIndices,
+    compile, compile_verilog, CompileError, CompileOptions, CompileReport, Compiled, IoMap,
+    PortIndices,
 };
 pub use gem_isa::ScheduleCert;
 pub use package::{

@@ -108,7 +108,6 @@ pub fn profile(mut sim: GemSimulator, design: &str, opts: &ProfileOptions) -> Pr
     let wall_seconds = started.elapsed().as_secs_f64();
     let model = TimingModel::new(opts.spec.clone());
     let bd = sim.breakdown();
-    let spec = &opts.spec;
 
     // Per-partition modeled cost: memory vs. compute, per cycle.
     let mut partitions: Vec<PartitionProfile> = bd
@@ -118,8 +117,7 @@ pub fn profile(mut sim: GemSimulator, design: &str, opts: &ProfileOptions) -> Pr
             let c = &p.counters;
             let bytes = c.global_bytes as f64 / cycles as f64;
             let ops = (c.shared_accesses + c.alu_ops) as f64 / cycles as f64;
-            let t_mem = bytes / (spec.mem_bandwidth_gbps * 1e9);
-            let t_compute = ops / spec.threads_per_block as f64 / (spec.clock_ghz * 1e9);
+            let (t_mem, t_compute) = model.mem_and_compute_seconds(bytes, ops, 1.0);
             PartitionProfile {
                 stage: p.stage,
                 core: p.core,

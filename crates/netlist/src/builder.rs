@@ -66,13 +66,9 @@ impl ModuleBuilder {
         id
     }
 
-    fn width(&self, n: NetId) -> u32 {
-        self.nets[n.0 as usize].width
-    }
-
     /// Width of a net under construction.
-    pub(crate) fn peek_width(&self, n: NetId) -> u32 {
-        self.width(n)
+    pub(crate) fn width(&self, n: NetId) -> u32 {
+        self.nets[n.0 as usize].width
     }
 
     fn push_cell(&mut self, kind: CellKind, out_width: u32) -> NetId {

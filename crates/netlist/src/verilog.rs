@@ -927,7 +927,7 @@ impl Elab<'_> {
     /// Resizes `n` to `want` bits, recording a truncation lint when high
     /// bits are dropped.
     fn sized_to(&mut self, n: NetId, want: u32, target: &str) -> NetId {
-        let have = self.width(n);
+        let have = self.b.width(n);
         if have > want {
             self.lints.push(SourceLint::WidthTruncation {
                 target: target.to_string(),
@@ -983,7 +983,7 @@ impl Elab<'_> {
                     _ => {}
                 }
                 // Extend both to common width (Verilog self-determined-ish).
-                let (wa, wb) = (self.width(an), self.width(bn));
+                let (wa, wb) = (self.b.width(an), self.b.width(bn));
                 let w = wa.max(wb);
                 an = self.b.resize(an, w);
                 bn = self.b.resize(bn, w);
@@ -1014,14 +1014,14 @@ impl Elab<'_> {
             }
             Expr::Ternary(c, t, f) => {
                 let cn0 = self.expr(c)?;
-                let cn = if self.width(cn0) > 1 {
+                let cn = if self.b.width(cn0) > 1 {
                     self.b.reduce_or(cn0)
                 } else {
                     cn0
                 };
                 let mut tn = self.expr(t)?;
                 let mut fn_ = self.expr(f)?;
-                let w = self.width(tn).max(self.width(fn_));
+                let w = self.b.width(tn).max(self.b.width(fn_));
                 tn = self.b.resize(tn, w);
                 fn_ = self.b.resize(fn_, w);
                 Ok(self.b.mux(cn, tn, fn_))
@@ -1032,7 +1032,7 @@ impl Elab<'_> {
                 for p in parts.iter().rev() {
                     nets.push(self.expr(p)?);
                 }
-                let bits = nets.iter().map(|&n| u64::from(self.width(n))).sum();
+                let bits = nets.iter().map(|&n| u64::from(self.b.width(n))).sum();
                 net_width(bits, "concatenation").or_else(syntax_err)?;
                 Ok(self.b.concat(&nets))
             }
@@ -1051,7 +1051,7 @@ impl Elab<'_> {
                         Ok(self.b.bit(a, i))
                     } else {
                         let i = self.expr(idx)?;
-                        let iw = self.width(a);
+                        let iw = self.b.width(a);
                         let ir = self.b.resize(i, iw);
                         let shifted = self.b.lshr(a, ir);
                         Ok(self.b.bit(shifted, 0))
@@ -1066,12 +1066,6 @@ impl Elab<'_> {
                 Ok(self.b.slice(a, *lo, width))
             }
         }
-    }
-
-    fn width(&self, n: NetId) -> u32 {
-        // ModuleBuilder doesn't expose width; track via a probe slice trick.
-        // Instead we mirror: builder keeps nets internally; add a helper.
-        self.b.net_width(n)
     }
 
     /// Executes a statement list under a path condition, updating the
@@ -1125,7 +1119,7 @@ impl Elab<'_> {
                     else_branch,
                 } => {
                     let c0 = self.expr(cond)?;
-                    let c = if self.width(c0) > 1 {
+                    let c = if self.b.width(c0) > 1 {
                         self.b.reduce_or(c0)
                     } else {
                         c0
@@ -1152,13 +1146,6 @@ impl Elab<'_> {
             }
         }
         self.expr(e)
-    }
-}
-
-impl ModuleBuilder {
-    /// Width of a net under construction (used by the Verilog elaborator).
-    pub fn net_width(&self, n: NetId) -> u32 {
-        self.peek_width(n)
     }
 }
 

@@ -13,9 +13,6 @@ use crate::repcut::{extract_cone, sorted_union, Region};
 use crate::{Partition, Stage};
 use gem_aig::{Eaig, Node};
 
-/// Upper bound on live bits in one virtual Boolean processor core.
-pub const CORE_WIDTH: usize = 8192;
-
 /// Estimates the peak number of simultaneously-live bits when evaluating a
 /// partition level by level: partition sources and computed values are
 /// live from their defining level until their last use (sinks stay live to
@@ -79,12 +76,6 @@ pub fn estimate_width(g: &Eaig, p: &Partition) -> usize {
     peak as usize
 }
 
-/// True if the partition passes the [`estimate_width`] filter for a core
-/// of `width` bits.
-pub fn width_mappable(g: &Eaig, p: &Partition, width: usize) -> bool {
-    estimate_width(g, p) <= width
-}
-
 /// The cone of `p`'s and `q`'s sinks together, from the two cones: under
 /// one stop set a node is in the cone of `S₁ ∪ S₂` exactly when it is in
 /// the cone of `S₁` or of `S₂`, and whether it is a source or a gate
@@ -121,46 +112,36 @@ pub struct MergeStats {
 
 /// Algorithm 1: greedily merges a stage's partitions, trying candidates in
 /// descending node-overlap order and committing whenever `mappable`
-/// accepts the merged partition.
-///
-/// Every partition of `stage` must be the cone ([`extract_cone`]) of its
-/// sinks in `region`, the region the stage was partitioned from. A
-/// merged cone is then the union of its halves' (DESIGN.md §4), and
-/// `region` is read only by a debug check of that.
+/// accepts the merged partition. [`merge_with_payloads`] with a `bool`
+/// oracle and no payloads.
 pub fn merge_partitions(
     g: &Eaig,
     region: &Region,
     stage: &Stage,
     mappable: &dyn Fn(&Partition) -> bool,
 ) -> (Stage, MergeStats) {
-    let (merged, _, stats) = merge_partitions_with(g, region, stage, |p| mappable(p).then_some(()));
+    let payloads = stage.partitions.iter().map(|_| None).collect();
+    let (merged, _, stats) =
+        merge_with_payloads(g, region, stage, payloads, |p| mappable(p).then_some(()));
     (merged, stats)
 }
 
-/// [`merge_partitions`] with an oracle that hands back what it built to
-/// find its answer (a placement, say): `Some(payload)` accepts the merged
-/// partition. The second result holds, for every partition of the merged
-/// stage, the payload of the call that accepted exactly that partition,
-/// or `None` for one no merge touched; a payload is dropped when a later
-/// merge supersedes its partition.
+/// Algorithm 1 with an oracle that hands back what it built to find its
+/// answer (a placement, say): `Some(payload)` accepts the merged
+/// partition. Every partition comes with a payload (`payloads[i]` is
+/// `stage.partitions[i]`'s, `None` for none) and leaves with the payload
+/// of the call that accepted exactly it, or its own if no merge touched
+/// it; a payload is dropped when a later merge supersedes its partition.
+///
+/// Every partition of `stage` must be the cone ([`extract_cone`]) of its
+/// sinks in `region`, the region the stage was partitioned from. A
+/// merged cone is then the union of its halves' (DESIGN.md §4), and
+/// `region` is read only by a debug check of that.
 ///
 /// `accept` is treated as monotone under cone growth: a slot's partition
 /// only grows, so two slots refused once stay refused, and a slot that
 /// absorbs another inherits its refusals. [`estimate_width`] is monotone;
 /// placement is not proven to be (DESIGN.md §4 measures it).
-pub fn merge_partitions_with<T>(
-    g: &Eaig,
-    region: &Region,
-    stage: &Stage,
-    accept: impl FnMut(&Partition) -> Option<T>,
-) -> (Stage, Vec<Option<T>>, MergeStats) {
-    let payloads = stage.partitions.iter().map(|_| None).collect();
-    merge_with_payloads(g, region, stage, payloads, accept)
-}
-
-/// [`merge_partitions_with`] from partitions that already carry payloads
-/// (`payloads[i]` is `stage.partitions[i]`'s): a partition no merge
-/// touches comes back with its own.
 pub fn merge_with_payloads<T>(
     g: &Eaig,
     region: &Region,
@@ -302,7 +283,8 @@ mod tests {
             partitions: parts,
             cut_lits: vec![],
         };
-        let (merged, stats) = merge_partitions(&g, &region, &stage, &|p| width_mappable(&g, p, 64));
+        let (merged, stats) =
+            merge_partitions(&g, &region, &stage, &|p| estimate_width(&g, p) <= 64);
         assert!(stats.after < stats.before);
         assert_eq!(stats.before - stats.merges, stats.after);
         // All sinks still covered.
@@ -320,7 +302,8 @@ mod tests {
             cut_lits: vec![],
         };
         let limit = 16;
-        let (merged, _) = merge_partitions(&g, &region, &stage, &|p| width_mappable(&g, p, limit));
+        let (merged, _) =
+            merge_partitions(&g, &region, &stage, &|p| estimate_width(&g, p) <= limit);
         for p in &merged.partitions {
             assert!(estimate_width(&g, p) <= limit);
         }
@@ -352,7 +335,7 @@ mod tests {
             cut_lits: vec![],
         };
         let cap = 128;
-        let (merged, _) = merge_partitions(&g, &region, &stage, &|p| width_mappable(&g, p, cap));
+        let (merged, _) = merge_partitions(&g, &region, &stage, &|p| estimate_width(&g, p) <= cap);
         let utilized = merged
             .partitions
             .iter()
@@ -364,6 +347,11 @@ mod tests {
             merged.partitions.len()
         );
         let _ = Lit::FALSE;
+    }
+
+    /// One `None` payload per partition of `stage`.
+    fn no_payloads<T>(stage: &Stage) -> Vec<Option<T>> {
+        stage.partitions.iter().map(|_| None).collect()
     }
 
     /// 16 chains in 16 partitions: the stage the payload tests merge.
@@ -384,12 +372,13 @@ mod tests {
         // A few chains fit one core, and one partition merges with nothing.
         let limit = 16;
         let loner = stage.partitions[5].sinks[0];
-        let fits = |p: &Partition| width_mappable(&g, p, limit) && !p.sinks.contains(&loner);
+        let fits = |p: &Partition| estimate_width(&g, p) <= limit && !p.sinks.contains(&loner);
         let mut calls = 0usize;
-        let (merged, payloads, stats) = merge_partitions_with(&g, &region, &stage, |p| {
-            calls += 1;
-            fits(p).then(|| p.sinks.clone())
-        });
+        let (merged, payloads, stats) =
+            merge_with_payloads(&g, &region, &stage, no_payloads(&stage), |p| {
+                calls += 1;
+                fits(p).then(|| p.sinks.clone())
+            });
         assert_eq!(stats.oracle_calls, calls);
         assert_eq!(payloads.len(), merged.partitions.len());
         assert!(stats.merges > 0 && stats.after > 1, "{stats:?}");
@@ -411,7 +400,7 @@ mod tests {
     fn an_unmerged_partition_keeps_the_payload_it_came_with() {
         let (g, region, stage) = sixteen_chains();
         let loner = stage.partitions[5].sinks[0];
-        let fits = |p: &Partition| width_mappable(&g, p, 16) && !p.sinks.contains(&loner);
+        let fits = |p: &Partition| estimate_width(&g, p) <= 16 && !p.sinks.contains(&loner);
         let own = stage
             .partitions
             .iter()
@@ -433,14 +422,17 @@ mod tests {
         );
         // The payloads a merge starts with change none of its decisions.
         let (plain, _, plain_stats) =
-            merge_partitions_with(&g, &region, &stage, |p| fits(p).then_some(()));
+            merge_with_payloads(&g, &region, &stage, no_payloads(&stage), |p| {
+                fits(p).then_some(())
+            });
         assert_eq!((plain, plain_stats), (merged, stats));
     }
 
     #[test]
     fn an_unmerged_partition_has_no_payload() {
         let (g, region, stage) = sixteen_chains();
-        let (merged, payloads, stats) = merge_partitions_with(&g, &region, &stage, |_| None::<()>);
+        let (merged, payloads, stats) =
+            merge_with_payloads(&g, &region, &stage, no_payloads(&stage), |_| None::<()>);
         assert_eq!(merged.partitions, stage.partitions);
         assert!(payloads.iter().all(Option::is_none));
         // 16 partitions meet pairwise once, not once from each side.
@@ -454,13 +446,13 @@ mod tests {
         let mut refused: Vec<Vec<Lit>> = Vec::new();
         let mut calls = 0usize;
         let limit = 16;
-        let (_, _, stats) = merge_partitions_with(&g, &region, &stage, |p| {
+        let (_, _, stats) = merge_with_payloads(&g, &region, &stage, no_payloads(&stage), |p| {
             calls += 1;
             for r in &refused {
                 let contains = r.iter().all(|s| p.sinks.contains(s));
                 assert!(!contains, "asked about {:?} ⊇ refused {r:?}", p.sinks);
             }
-            let fits = width_mappable(&g, p, limit);
+            let fits = estimate_width(&g, p) <= limit;
             if !fits {
                 refused.push(p.sinks.clone());
             }

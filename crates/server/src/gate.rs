@@ -173,9 +173,11 @@ mod tests {
             let (release, _) = occupy(s, &gate);
             s.spawn(|| gate.run(|| {}).expect("the one waiter is admitted"));
             until_queued(&m, 1);
-            let t0 = Instant::now();
             assert_eq!(gate.run(|| {}), Err(SubmitError::Full { queued: 1 }));
-            assert!(t0.elapsed() < Duration::from_secs(1), "refusal blocked");
+            // Refused while the job ahead of it still holds the slot and
+            // the waiter is still in line.
+            assert_eq!(count(&m.jobs_completed), 0, "refusal blocked");
+            assert_eq!(count(&m.queue_depth), 1, "refusal blocked");
             drop(release);
         });
         assert_eq!(count(&m.jobs_completed), 2);

@@ -7,7 +7,7 @@ use gem_netlist::vcd::VcdWriter;
 use gem_netlist::{verilog, Bits};
 use gem_server::{GemClient, Server, ServerConfig};
 use gem_sim::EaigSim;
-use gem_telemetry::{read_frame, write_frame, Json, DEFAULT_MAX_FRAME};
+use gem_telemetry::Json;
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -319,61 +319,26 @@ module nvdla_mac(input clk, input rst, input start,
 endmodule
 ";
 
-/// Median wall time of `n` calls of `op`.
-fn median_latency(n: usize, mut op: impl FnMut()) -> Duration {
-    let mut took: Vec<Duration> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            op();
-            t.elapsed()
-        })
-        .collect();
-    took.sort();
-    took[n / 2]
-}
-
-/// A round trip costs what the work costs. A frame sent as two writes
-/// with Nagle on waits out the peer's delayed-ACK timer in each
-/// direction: 88 ms for a `ping` that does nothing. Healthy is under
-/// 0.1 ms, so the bound sits two orders of magnitude from either.
+/// A frame of several TCP segments (`open` sources and `replay` VCDs
+/// are this size) round-trips like a small one. Whether a round trip
+/// waits out a delayed ACK is asserted where it is decided: TCP_NODELAY
+/// on both ends (`accepted_streams_have_nagle_off`,
+/// `connect_disables_nagle`) and one `write` per frame
+/// (`one_write_per_frame_and_none_when_too_large`); the ladder's
+/// `server_mac` times it.
 #[test]
-fn round_trips_do_not_wait_for_delayed_acks() {
-    const BOUND: Duration = Duration::from_millis(10);
+fn a_frame_of_many_segments_round_trips() {
     let (addr, server) = start_server(ServerConfig::default());
     let mut client = GemClient::connect(addr).expect("connect");
     let opened = client.open(NVDLA_MAC, Json::object()).expect("opens");
     let session = opened.get("session").and_then(Json::as_u64).unwrap();
     client.poke(session, "rst", "0").expect("pokes");
-
-    let ping = median_latency(64, || client.ping(0).expect("pong"));
-    assert!(ping < BOUND, "median ping took {ping:?}");
-    let step = median_latency(64, || {
-        client.step(session, 1, Vec::new()).expect("steps");
-    });
-    assert!(step < BOUND, "median one-cycle step took {step:?}");
-    // A frame of several segments must not stall on its tail either
-    // (`open` sources and `replay` VCDs are this size). Escaping and
-    // parsing 200 KiB is real work — 12 ms in a debug build — so the
-    // bound is on what the wire adds to the codec's own cost.
+    client.step(session, 1, Vec::new()).expect("steps");
     let pad = Json::Str("x".repeat(200 * 1024));
-    let mut frame = Json::object();
-    frame.set("cmd", "ping");
-    frame.set("ignored", pad.clone());
-    let mut buf = Vec::new();
-    let codec = median_latency(9, || {
-        buf.clear();
-        write_frame(&mut buf, &frame, DEFAULT_MAX_FRAME).expect("fits");
-        read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME).expect("parses");
-    });
-    let padded = median_latency(9, || {
-        client
-            .request("ping", vec![("ignored", pad.clone())])
-            .expect("pong");
-    });
-    assert!(
-        padded < codec + BOUND,
-        "median 200 KiB ping took {padded:?}, its codec work {codec:?}"
-    );
+    client
+        .request("ping", vec![("ignored", pad)])
+        .expect("pong");
+    client.ping(0).expect("the connection still serves");
 
     drop(client);
     shutdown_and_join(addr, server);
@@ -435,8 +400,8 @@ fn sessions_step_independently_and_outlive_their_cache_entry() {
     shutdown_and_join(addr, server);
 }
 
-/// A full queue answers `busy` with a retry hint — immediately, not
-/// after the queue drains.
+/// A full queue answers `busy` with a retry hint — while the job queued
+/// ahead of it is still waiting, not after the queue drains.
 #[test]
 fn full_queue_rejects_with_retry_hint() {
     let (addr, server) = start_server(ServerConfig {
@@ -455,14 +420,11 @@ fn full_queue_rejects_with_retry_hint() {
     });
     std::thread::sleep(Duration::from_millis(100));
 
-    // Third delayed ping must be rejected busy, fast.
+    // Third delayed ping must be rejected busy before ping 2, which
+    // waits for ping 1, has run.
     let mut c3 = GemClient::connect(addr).expect("connect");
-    let t0 = Instant::now();
     let err = c3.ping(10).expect_err("queue is full");
-    assert!(
-        t0.elapsed() < Duration::from_millis(250),
-        "reject was not immediate"
-    );
+    assert!(!t2.is_finished(), "the refusal waited for the queue");
     assert!(err.is_busy(), "expected busy, got {err}");
     match err {
         gem_server::ClientError::Server { retry_after_ms, .. } => {

@@ -33,22 +33,40 @@ impl TimingModel {
         TimingModel { spec }
     }
 
+    /// Thread-block waves that run `blocks` blocks: as many as are
+    /// resident at once make one wave.
+    fn waves(&self, blocks: f64) -> f64 {
+        (blocks / self.spec.resident_blocks() as f64)
+            .ceil()
+            .max(1.0)
+    }
+
+    /// The two overlapping terms of a cycle, in seconds: term 1 streams
+    /// `global_bytes` through global memory, term 2 retires `ops`
+    /// shared-memory accesses and fold operations spread over `blocks`
+    /// thread blocks, in waves. A cycle costs the larger of the two plus
+    /// its synchronization; one partition's cost is the larger of the two
+    /// at one block.
+    pub fn mem_and_compute_seconds(&self, global_bytes: f64, ops: f64, blocks: f64) -> (f64, f64) {
+        let s = &self.spec;
+        let t_mem = global_bytes / (s.mem_bandwidth_gbps * 1e9);
+        let per_block_thread_ops = ops / blocks / s.threads_per_block as f64;
+        // Shared-memory ops retire roughly one per clock per thread.
+        let t_compute = self.waves(blocks) * per_block_thread_ops / (s.clock_ghz * 1e9);
+        (t_mem, t_compute)
+    }
+
     /// Estimated wall-clock seconds per simulated cycle given *per-cycle*
     /// counters (see [`KernelCounters::per_cycle`]).
     pub fn cycle_seconds(&self, c: &KernelCounters) -> f64 {
         let s = &self.spec;
-        // Term 1: global memory traffic.
-        let t_mem = c.global_bytes as f64 / (s.mem_bandwidth_gbps * 1e9);
-        // Term 2: compute, distributed over resident blocks in waves.
         let blocks = c.blocks_run.max(1) as f64;
-        let waves = (blocks / s.resident_blocks() as f64).ceil().max(1.0);
-        let per_block_thread_ops =
-            (c.shared_accesses + c.alu_ops) as f64 / blocks / s.threads_per_block as f64;
-        // Shared-memory ops retire roughly one per clock per thread.
-        let t_compute = waves * per_block_thread_ops / (s.clock_ghz * 1e9);
+        let ops = (c.shared_accesses + c.alu_ops) as f64;
+        let (t_mem, t_compute) = self.mem_and_compute_seconds(c.global_bytes as f64, ops, blocks);
         // Term 3: synchronization. Device-wide barriers are serial;
         // block barriers cost ~30 cycles each and overlap across blocks.
-        let block_sync_s = (c.block_syncs as f64 / blocks) * waves * 30.0 / (s.clock_ghz * 1e9);
+        let block_sync_s =
+            (c.block_syncs as f64 / blocks) * self.waves(blocks) * 30.0 / (s.clock_ghz * 1e9);
         let t_sync = c.device_syncs as f64 * s.device_sync_us * 1e-6 + block_sync_s;
         t_mem.max(t_compute) + t_sync
     }
