@@ -5,9 +5,9 @@ use gem_analyze::{AnalysisReport, Severity};
 use gem_isa::{assemble_core, Bitstream, ReadEntry, ScheduleCert, WriteEntry, WriteSrc};
 use gem_netlist::verilog::SourceLint;
 use gem_netlist::Module;
-use gem_partition::merge::{estimate_width, merge_with_payloads};
+use gem_partition::merge::{estimate_width_in, merge_with_payloads};
 use gem_partition::repcut::Region;
-use gem_partition::{Partition, PartitionOptions, Partitioner, Partitioning};
+use gem_partition::{NodeScratch, Partition, PartitionOptions, Partitioner, Partitioning};
 use gem_place::{place_partition_counted, CoreProgram, OutputSource, PlaceError, PlaceOptions};
 use gem_synth::{synthesize, PortBits, SynthError, SynthOptions};
 use gem_telemetry::{FlowRecorder, FlowReport, Json};
@@ -358,6 +358,9 @@ fn compile_with(
     let mut whole_oracle = OracleCounts::default();
     let mut slot_attempts = 0u64;
     let mut part_stage = flow.stage("partition");
+    // Each stage that asks for placements lends every call one node
+    // table, and drops it when the stage ends.
+    let mut scratch = NodeScratch::new(g);
     for attempt in 0..8 {
         attempts = attempt + 1;
         let popts = PartitionOptions {
@@ -367,13 +370,14 @@ fn compile_with(
         };
         let width = opts.core_width as usize;
         let cand = partitioner.partition_whole_first(&popts, width, |p| {
-            whole_oracle.place_if_mappable(g, p, &place_opts)
+            whole_oracle.place_if_mappable(g, p, &place_opts, &mut scratch)
         });
         match all_mappable(
             g,
             &cand,
             partitioner.whole(),
             &place_opts,
+            &mut scratch,
             &mut slot_attempts,
         ) {
             Ok(programs) => {
@@ -407,6 +411,7 @@ fn compile_with(
         part_stage.metric("whole_stages", whole.iter().flatten().count() as f64);
         part_stage.metric("replication_cost", p.replication_cost());
     }
+    drop(scratch);
     drop(part_stage);
     let (partitioning, mut programs) =
         accepted.ok_or_else(|| CompileError::Place(last_err.expect("tried at least once")))?;
@@ -424,6 +429,7 @@ fn compile_with(
     let mut stop = vec![false; g.len()];
     let (mut oracle_calls, mut repeats_skipped) = (0usize, 0usize);
     let mut oracle = OracleCounts::default();
+    let mut scratch = NodeScratch::new(g);
     for (stage, programs) in partitioning.stages.iter().zip(programs) {
         let region = Region {
             sinks: stage
@@ -435,7 +441,7 @@ fn compile_with(
         };
         let payloads = programs.into_iter().map(Some).collect();
         let (merged, placed, stats) = merge_with_payloads(g, &region, stage, payloads, |p| {
-            oracle.place_if_mappable(g, p, &place_opts)
+            oracle.place_if_mappable(g, p, &place_opts, &mut scratch)
         });
         oracle_calls += stats.oracle_calls;
         repeats_skipped += stats.repeats_skipped;
@@ -464,6 +470,7 @@ fn compile_with(
     merge_stage.metric("place_rejects", oracle.place_rejects as f64);
     merge_stage.metric("repeats_skipped", repeats_skipped as f64);
     merge_stage.metric("slot_attempts", oracle.slot_attempts as f64);
+    drop(scratch);
     drop(merge_stage);
 
     // --- Collect the placements: every partition arrives with its own.
@@ -777,10 +784,11 @@ fn all_mappable(
     parts: &Partitioning,
     whole: &[Option<CoreProgram>],
     opts: &PlaceOptions,
+    scratch: &mut NodeScratch,
     slot_attempts: &mut u64,
 ) -> Result<Vec<Vec<CoreProgram>>, PlaceError> {
     let mut place = |p| {
-        let (placed, stats) = place_partition_counted(g, p, opts);
+        let (placed, stats) = place_partition_counted(g, p, opts, scratch);
         *slot_attempts += stats.slot_attempts;
         placed
     };
@@ -806,19 +814,20 @@ struct OracleCounts {
 }
 
 impl OracleCounts {
-    /// The merge's oracle: `p`'s placement, unless [`estimate_width`]
+    /// The merge's oracle: `p`'s placement, unless [`estimate_width_in`]
     /// puts it over the core or it fails to place.
     fn place_if_mappable(
         &mut self,
         g: &Eaig,
         p: &Partition,
         opts: &PlaceOptions,
+        scratch: &mut NodeScratch,
     ) -> Option<CoreProgram> {
-        if estimate_width(g, p) > opts.core_width as usize {
+        if estimate_width_in(g, p, scratch) > opts.core_width as usize {
             self.width_rejects += 1;
             return None;
         }
-        let (placed, stats) = place_partition_counted(g, p, opts);
+        let (placed, stats) = place_partition_counted(g, p, opts, scratch);
         self.slot_attempts += stats.slot_attempts;
         self.place_rejects += u64::from(placed.is_err());
         placed.ok()

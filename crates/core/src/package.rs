@@ -11,7 +11,7 @@
 //! ```
 
 use crate::compile::{CompileReport, Compiled, IoMap, PortIndices};
-use gem_isa::{Bitstream, ScheduleCert};
+use gem_isa::{Bitstream, ContainerError, ScheduleCert};
 use gem_telemetry::Json;
 use gem_vgpu::{DeviceConfig, RamBinding};
 use std::fmt;
@@ -44,8 +44,9 @@ pub enum ParsePackageError {
     Truncated,
     /// Metadata JSON failed to parse; the string names the violation.
     BadMeta(String),
-    /// The embedded bitstream container failed to parse.
-    BadBitstream(String),
+    /// The embedded bitstream container failed to parse (bytes after
+    /// its last core included).
+    BadBitstream(ContainerError),
 }
 
 impl fmt::Display for ParsePackageError {
@@ -283,11 +284,14 @@ impl Package {
         meta.set("report", self.report.to_json());
         meta.set("schedule_cert", cert_to_json(&self.schedule_cert));
         let meta = meta.to_string().into_bytes();
-        let mut out = Vec::new();
+        // One buffer of the exact length: the container is written
+        // straight into it.
+        let len = MAGIC.len() + 4 + meta.len() + self.bitstream.serialized_len();
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
         out.extend_from_slice(&meta);
-        out.extend_from_slice(&self.bitstream.to_bytes());
+        self.bitstream.write_into(&mut out);
         out
     }
 
@@ -422,6 +426,15 @@ mod tests {
         let mut trunc = bytes.clone();
         trunc.truncate(bytes.len() - 10);
         assert!(Package::from_bytes(&trunc).is_err());
+        // Bytes after the last core are refused, and counted.
+        let mut long = bytes.clone();
+        long.extend_from_slice(&[0; 27]);
+        assert_eq!(
+            Package::from_bytes(&long),
+            Err(ParsePackageError::BadBitstream(
+                ContainerError::TrailingBytes(27)
+            ))
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Bitstream assembly.
 
-use crate::{init_bits, io_bits, io_entries, perm_words, wb_entries, wide_bits};
+use crate::{core_size_bits, init_bits, io_bits, io_entries, perm_words, wb_entries, wide_bits};
 use gem_place::{BoomerangLayer, CoreProgram, Plane};
+use std::fmt;
 
 /// One `READ_GLOBAL` entry: load global bit `global` into core state bit
 /// `state` at the start of each cycle.
@@ -134,6 +135,10 @@ fn assemble(
     writes: &[WriteEntry],
 ) -> Vec<u8> {
     let folds = w.trailing_zeros() as usize;
+    // The buffer is sized once, exactly: a core holds no growth slack.
+    let wb_counts: Vec<usize> = layers.iter().map(BoomerangLayer::writeback_count).collect();
+    let bits = core_size_bits(w, reads.len(), writes.len(), &wb_counts);
+    out.bytes.reserve_exact(bits / 8);
 
     // INIT word.
     let base = out.bit;
@@ -221,6 +226,7 @@ fn assemble(
         out.pad_to(base + io_bits(w));
     }
 
+    debug_assert_eq!(out.bit, bits, "size accounting disagrees with the encoder");
     out.bytes
 }
 
@@ -347,20 +353,42 @@ impl Bitstream {
         self.stages.iter().map(Vec::len).sum()
     }
 
+    /// Length in bytes of [`to_bytes`](Self::to_bytes)' container.
+    pub fn serialized_len(&self) -> usize {
+        16 + self
+            .stages
+            .iter()
+            .map(|s| 4 + s.iter().map(|c| 4 + c.len()).sum::<usize>())
+            .sum::<usize>()
+    }
+
+    /// Hands the container to `emit` piece by piece, in order: the one
+    /// description of the format, which every serializer and digest of
+    /// it goes through.
+    pub(crate) fn for_each_piece(&self, mut emit: impl FnMut(&[u8])) {
+        emit(b"GEMS");
+        emit(&self.width.to_le_bytes());
+        emit(&self.global_bits.to_le_bytes());
+        emit(&(self.stages.len() as u32).to_le_bytes());
+        for s in &self.stages {
+            emit(&(s.len() as u32).to_le_bytes());
+            for c in s {
+                emit(&(c.len() as u32).to_le_bytes());
+                emit(c);
+            }
+        }
+    }
+
+    /// Appends the container to `out`, which grows at most once.
+    pub fn write_into(&self, out: &mut Vec<u8>) {
+        out.reserve_exact(self.serialized_len());
+        self.for_each_piece(|piece| out.extend_from_slice(piece));
+    }
+
     /// Serializes the container (header + programs) for storage.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut v = Vec::new();
-        v.extend_from_slice(b"GEMS");
-        v.extend_from_slice(&self.width.to_le_bytes());
-        v.extend_from_slice(&self.global_bits.to_le_bytes());
-        v.extend_from_slice(&(self.stages.len() as u32).to_le_bytes());
-        for s in &self.stages {
-            v.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            for c in s {
-                v.extend_from_slice(&(c.len() as u32).to_le_bytes());
-                v.extend_from_slice(c);
-            }
-        }
+        self.write_into(&mut v);
         v
     }
 
@@ -368,30 +396,79 @@ impl Bitstream {
     ///
     /// # Errors
     ///
-    /// Returns a message when the container is truncated or has a bad
-    /// magic number.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-            if *pos + n > bytes.len() {
-                return Err("truncated bitstream container".into());
+    /// Returns a [`ContainerError`] when the container is truncated, has
+    /// a bad magic number, or has bytes after its last core.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ContainerError> {
+        let view = ContainerView::parse(bytes)?;
+        Ok(Bitstream {
+            width: view.width,
+            global_bits: view.global_bits,
+            stages: view
+                .stages
+                .into_iter()
+                .map(|s| s.into_iter().map(<[u8]>::to_vec).collect())
+                .collect(),
+        })
+    }
+}
+
+/// Why a bitstream container does not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ContainerError {
+    /// The container is shorter than its counts claim.
+    Truncated,
+    /// The container does not start with `GEMS`.
+    BadMagic,
+    /// The buffer holds this many bytes after the last core.
+    TrailingBytes(usize),
+}
+
+impl fmt::Display for ContainerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ContainerError::Truncated => write!(f, "truncated bitstream container"),
+            ContainerError::BadMagic => write!(f, "bad container magic"),
+            ContainerError::TrailingBytes(n) => {
+                write!(f, "{n} trailing byte(s) after the last core")
             }
-            let s = &bytes[*pos..*pos + n];
+        }
+    }
+}
+
+impl std::error::Error for ContainerError {}
+
+/// A parsed container whose cores borrow the bytes it was parsed from:
+/// the one container parser, behind [`Bitstream::from_bytes`] and the
+/// verifier's container round trip.
+#[derive(Debug)]
+pub(crate) struct ContainerView<'a> {
+    pub(crate) width: u32,
+    pub(crate) global_bits: u32,
+    pub(crate) stages: Vec<Vec<&'a [u8]>>,
+}
+
+impl<'a> ContainerView<'a> {
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, ContainerError> {
+        let mut pos = 0usize;
+        let take = |pos: &mut usize, n: usize| -> Result<&'a [u8], ContainerError> {
+            let s = bytes
+                .get(*pos..(*pos).saturating_add(n))
+                .ok_or(ContainerError::Truncated)?;
             *pos += n;
             Ok(s)
         };
-        let u32_at = |pos: &mut usize| -> Result<u32, String> {
+        let u32_at = |pos: &mut usize| -> Result<u32, ContainerError> {
             let s = take(pos, 4)?;
             Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
         };
         if take(&mut pos, 4)? != b"GEMS" {
-            return Err("bad container magic".into());
+            return Err(ContainerError::BadMagic);
         }
         let width = u32_at(&mut pos)?;
         let global_bits = u32_at(&mut pos)?;
         // A count reserves no more than the bytes left could hold (each
         // stage and each core is at least a 4-byte count), so a corrupt
-        // count is a `truncated` error, not a giant allocation.
+        // count is a `Truncated` error, not a giant allocation.
         let fits = |pos: usize, n: usize| n.min((bytes.len() - pos) / 4);
         let n_stages = u32_at(&mut pos)? as usize;
         let mut stages = Vec::with_capacity(fits(pos, n_stages));
@@ -400,15 +477,29 @@ impl Bitstream {
             let mut cores = Vec::with_capacity(fits(pos, n_cores));
             for _ in 0..n_cores {
                 let len = u32_at(&mut pos)? as usize;
-                cores.push(take(&mut pos, len)?.to_vec());
+                cores.push(take(&mut pos, len)?);
             }
             stages.push(cores);
         }
-        Ok(Bitstream {
+        if pos < bytes.len() {
+            return Err(ContainerError::TrailingBytes(bytes.len() - pos));
+        }
+        Ok(ContainerView {
             width,
             global_bits,
             stages,
         })
+    }
+
+    /// True when the view holds exactly `bs`.
+    pub(crate) fn holds(&self, bs: &Bitstream) -> bool {
+        self.width == bs.width
+            && self.global_bits == bs.global_bits
+            && self.stages.len() == bs.stages.len()
+            && self.stages.iter().zip(&bs.stages).all(|(mine, theirs)| {
+                mine.len() == theirs.len()
+                    && mine.iter().zip(theirs).all(|(a, b)| *a == b.as_slice())
+            })
     }
 }
 

@@ -37,7 +37,9 @@ pub mod schedule;
 pub mod verify;
 
 pub use decode::{disassemble_core, disassemble_core_exact, DecodeError, DecodedCore};
-pub use encode::{assemble_core, assemble_decoded, Bitstream, ReadEntry, WriteEntry, WriteSrc};
+pub use encode::{
+    assemble_core, assemble_decoded, Bitstream, ContainerError, ReadEntry, WriteEntry, WriteSrc,
+};
 pub use schedule::{certify_schedule, ScheduleCert, CERT_VERSION};
 pub use verify::{verify_bitstream, VerifyContext, VerifyReport};
 

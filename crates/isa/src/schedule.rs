@@ -27,8 +27,8 @@
 //! so a cert in hand means the race-freedom argument was re-derived, not
 //! trusted.
 
-use crate::verify::{cores, decode_cores, viol, VerifyContext, Violation};
-use crate::{Bitstream, DecodedCore};
+use crate::verify::{decode_core, viol, VerifyContext, Violation};
+use crate::{Bitstream, DecodedCore, ReadEntry, WriteEntry};
 use std::collections::{HashMap, HashSet};
 
 /// Format version of [`ScheduleCert`] (bumped on any change to the
@@ -98,11 +98,30 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// FNV-1a over a byte slice from the standard offset basis.
-pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv1a(&mut h, bytes);
-    h
+/// What the walk keeps of one decoded core: its messages, not its
+/// layers.
+pub(crate) struct CoreIo {
+    reads: Vec<ReadEntry>,
+    writes: Vec<WriteEntry>,
+}
+
+impl From<DecodedCore> for CoreIo {
+    fn from(dec: DecodedCore) -> Self {
+        CoreIo {
+            reads: dec.reads,
+            writes: dec.writes,
+        }
+    }
+}
+
+/// The cores that decoded, as `(stage, core, messages)`.
+fn cores(io: &[Vec<Option<CoreIo>>]) -> impl Iterator<Item = (usize, usize, &CoreIo)> {
+    io.iter().enumerate().flat_map(|(si, stage)| {
+        stage
+            .iter()
+            .enumerate()
+            .filter_map(move |(ci, c)| c.as_ref().map(|c| (si, ci, c)))
+    })
 }
 
 /// What the walk knows about one global slot.
@@ -126,7 +145,7 @@ struct SlotFacts {
 /// left 0.
 fn analyze_schedule(
     bs: &Bitstream,
-    decoded: &[Vec<Option<DecodedCore>>],
+    io: &[Vec<Option<CoreIo>>],
     ctx: &VerifyContext<'_>,
     v: &mut Vec<Violation>,
 ) -> ScheduleCert {
@@ -140,8 +159,8 @@ fn analyze_schedule(
     // The writer table. Cores come in stage order, so the first
     // immediate writer seen is the earliest.
     let mut slots: HashMap<u32, SlotFacts> = HashMap::new();
-    for (si, ci, dec) in cores(decoded) {
-        for w in &dec.writes {
+    for (si, ci, core) in cores(io) {
+        for w in &core.writes {
             let s = slots.entry(w.global).or_default();
             s.writers.push((si, ci, w.deferred));
             if w.deferred {
@@ -195,11 +214,11 @@ fn analyze_schedule(
     // cycle boundary (the slot is device-owned or deferred-written).
     let mut dests: HashSet<u16> = HashSet::new();
     let mut srcs: HashSet<u32> = HashSet::new();
-    for (si, ci, dec) in cores(decoded) {
+    for (si, ci, core) in cores(io) {
         let loc = Some((si, ci));
         dests.clear();
         srcs.clear();
-        for r in &dec.reads {
+        for r in &core.reads {
             if !dests.insert(r.state) {
                 viol(
                     v,
@@ -311,13 +330,13 @@ fn analyze_schedule(
 /// one stored for a schedule that does not prove cannot be trusted.
 pub(crate) fn check_schedule(
     bs: &Bitstream,
-    decoded: &[Vec<Option<DecodedCore>>],
+    io: &[Vec<Option<CoreIo>>],
     ctx: &VerifyContext<'_>,
     v: &mut Vec<Violation>,
 ) -> Option<ScheduleCert> {
     let before = v.len();
-    let mut cert = analyze_schedule(bs, decoded, ctx, v);
-    let proved = v.len() == before && decoded.iter().flatten().all(Option::is_some);
+    let mut cert = analyze_schedule(bs, io, ctx, v);
+    let proved = v.len() == before && io.iter().flatten().all(Option::is_some);
     if !proved {
         if ctx.schedule_cert.is_some() {
             viol(
@@ -330,7 +349,9 @@ pub(crate) fn check_schedule(
         }
         return None;
     }
-    cert.bitstream_fnv = fnv1a_bytes(&bs.to_bytes());
+    let mut h = FNV_OFFSET;
+    bs.for_each_piece(|piece| fnv1a(&mut h, piece));
+    cert.bitstream_fnv = h;
     if let Some(stored) = ctx.schedule_cert.filter(|&s| *s != cert) {
         viol(
             v,
@@ -350,6 +371,8 @@ pub(crate) fn check_schedule(
 ///
 /// `Ok` exactly when every core decodes and the verifier's `schedule`
 /// family finds nothing: the two run the same decode and the same walk.
+/// Like the verifier, it decodes one core at a time and keeps only the
+/// core's reads and writes.
 /// The returned violations are stamped `schedule` so they drop straight
 /// into a [`crate::VerifyReport`]-style pipeline.
 pub fn certify_schedule(
@@ -357,8 +380,15 @@ pub fn certify_schedule(
     ctx: &VerifyContext<'_>,
 ) -> Result<ScheduleCert, Vec<Violation>> {
     let mut v = Vec::new();
-    let decoded = decode_cores(bs, &mut v);
-    match check_schedule(bs, &decoded, ctx, &mut v) {
+    let mut io = Vec::with_capacity(bs.stages.len());
+    for (si, stage) in bs.stages.iter().enumerate() {
+        let mut stage_io = Vec::with_capacity(stage.len());
+        for (ci, bytes) in stage.iter().enumerate() {
+            stage_io.push(decode_core(Some((si, ci)), bytes, &mut v).map(CoreIo::from));
+        }
+        io.push(stage_io);
+    }
+    match check_schedule(bs, &io, ctx, &mut v) {
         Some(cert) if v.is_empty() => Ok(cert),
         _ => {
             for viol in &mut v {

@@ -25,14 +25,15 @@
 //! every class [`crate::mutate::MutationClass`] knows and asserts each
 //! mutant is killed.
 
-use crate::schedule::{self, ScheduleCert};
+use crate::encode::ContainerView;
+use crate::schedule::{self, CoreIo, ScheduleCert};
 use crate::WriteSrc;
 use crate::{assemble_decoded, core_size_bits, disassemble_core_exact, Bitstream, DecodedCore};
 use gem_aig::{RAM_ADDR_BITS, RAM_DATA_BITS};
 use gem_place::{CoreProgram, OutputSource, PermSource};
 use std::collections::HashSet;
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Global-slot binding of one RAM block. Mirrors the virtual GPU's
 /// `RamBinding` without depending on the machine crate (the ISA layer
@@ -189,48 +190,96 @@ impl VerifyReport {
 
 /// Runs the full static check suite over a bitstream.
 ///
+/// Cores are decoded one at a time, in stage and core order: each runs
+/// through the per-core families (`roundtrip`'s re-encode, `layers`,
+/// `bounds`, `budget`, `merge`) and then drops its layers, keeping only
+/// the reads and writes the cross-core `schedule` walk needs. Each family
+/// buffers its own violations, so the report lists them family by family
+/// as if each family had walked every core in turn.
+///
 /// Never panics on malformed input: undecodable cores surface as
 /// `roundtrip` violations and are skipped by the semantic checks.
 pub fn verify_bitstream(bs: &Bitstream, ctx: &VerifyContext<'_>) -> VerifyReport {
+    let mut families = CHECK_NAMES.map(Family::new);
+    let [roundtrip, layers, bounds, budget, merge, schedule] = &mut families;
+    // `roundtrip` lists every decode failure before any re-encode
+    // mismatch.
+    let mut reencoded = Family::new("roundtrip");
+    roundtrip.run(|v| check_container(bs, v));
+    bounds.run(|v| check_global_bounds(bs, ctx, v));
+    let programs = merge.run(|v| merge_programs(bs, ctx, v));
+    let mut io = Vec::with_capacity(bs.stages.len());
+    for (si, stage) in bs.stages.iter().enumerate() {
+        let progs = programs.and_then(|p| merge.run(|v| merge_stage(si, &p[si], stage.len(), v)));
+        let mut stage_io = Vec::with_capacity(stage.len());
+        for (ci, bytes) in stage.iter().enumerate() {
+            let loc = Some((si, ci));
+            let Some(dec) = roundtrip.run(|v| decode_core(loc, bytes, v)) else {
+                stage_io.push(None);
+                continue;
+            };
+            reencoded.run(|v| check_reencode(loc, bytes, &dec, v));
+            layers.run(|v| check_layers(loc, &dec, v));
+            bounds.run(|v| check_core_bounds(bs, loc, &dec, ctx, v));
+            budget.run(|v| check_budget(loc, bytes, &dec, ctx, v));
+            if let Some(progs) = progs {
+                merge.run(|v| check_merge(loc, &progs[ci], &dec, v));
+            }
+            stage_io.push(Some(CoreIo::from(dec)));
+        }
+        io.push(stage_io);
+    }
+    roundtrip.absorb(reencoded);
+    let cert = schedule.run(|v| schedule::check_schedule(bs, &io, ctx, v));
+
     let mut report = VerifyReport {
         cores: bs.total_cores(),
+        cert,
         ..Default::default()
     };
-
-    let run =
-        |report: &mut VerifyReport, name: &'static str, f: &mut dyn FnMut(&mut Vec<Violation>)| {
-            let start = Instant::now();
-            let mut found = Vec::new();
-            f(&mut found);
-            for v in &mut found {
-                v.check = name;
-            }
-            report.checks.push(CheckResult {
-                name,
-                violations: found.len(),
-                wall_ns: start.elapsed().as_nanos() as u64,
-            });
-            report.violations.extend(found);
-        };
-
-    let mut decoded = Vec::new();
-    run(&mut report, "roundtrip", &mut |v| {
-        decoded = check_roundtrip(bs, v)
-    });
-    run(&mut report, "layers", &mut |v| check_layers(&decoded, v));
-    run(&mut report, "bounds", &mut |v| {
-        check_bounds(bs, &decoded, ctx, v)
-    });
-    run(&mut report, "budget", &mut |v| {
-        check_budget(bs, &decoded, ctx, v)
-    });
-    run(&mut report, "merge", &mut |v| check_merge(&decoded, ctx, v));
-    let mut cert = None;
-    run(&mut report, "schedule", &mut |v| {
-        cert = schedule::check_schedule(bs, &decoded, ctx, v)
-    });
-    report.cert = cert;
+    for family in families {
+        report.checks.push(CheckResult {
+            name: family.name,
+            violations: family.found.len(),
+            wall_ns: family.wall.as_nanos() as u64,
+        });
+        report.violations.extend(family.found);
+    }
     report
+}
+
+/// One check family's violations and wall time, gathered core by core.
+struct Family {
+    name: &'static str,
+    found: Vec<Violation>,
+    wall: Duration,
+}
+
+impl Family {
+    fn new(name: &'static str) -> Self {
+        Family {
+            name,
+            found: Vec::new(),
+            wall: Duration::ZERO,
+        }
+    }
+
+    /// Runs one piece of the family's work, stamping what it finds.
+    fn run<R>(&mut self, f: impl FnOnce(&mut Vec<Violation>) -> R) -> R {
+        let (start, before) = (Instant::now(), self.found.len());
+        let r = f(&mut self.found);
+        for v in &mut self.found[before..] {
+            v.check = self.name;
+        }
+        self.wall += start.elapsed();
+        r
+    }
+
+    /// Appends `other`'s violations and time to this family's.
+    fn absorb(&mut self, other: Family) {
+        self.found.extend(other.found);
+        self.wall += other.wall;
+    }
 }
 
 pub(crate) fn viol(v: &mut Vec<Violation>, location: Option<(usize, usize)>, message: String) {
@@ -241,66 +290,44 @@ pub(crate) fn viol(v: &mut Vec<Violation>, location: Option<(usize, usize)>, mes
     });
 }
 
-/// Iterate decoded cores, skipping the ones the round-trip check already
-/// rejected.
-pub(crate) fn cores(
-    decoded: &[Vec<Option<DecodedCore>>],
-) -> impl Iterator<Item = (usize, usize, &DecodedCore)> {
-    decoded.iter().enumerate().flat_map(|(si, stage)| {
-        stage
-            .iter()
-            .enumerate()
-            .filter_map(move |(ci, d)| d.as_ref().map(|d| (si, ci, d)))
-    })
-}
-
 // ----------------------------------------------------------- roundtrip --
 
-/// Decodes every core, reporting each one that does not decode; the
-/// semantic checks skip those.
-pub(crate) fn decode_cores(
-    bs: &Bitstream,
+/// Decodes one core, reporting it if it does not decode; the semantic
+/// checks skip such a core.
+pub(crate) fn decode_core(
+    loc: Option<(usize, usize)>,
+    bytes: &[u8],
     v: &mut Vec<Violation>,
-) -> Vec<Vec<Option<DecodedCore>>> {
-    bs.stages
-        .iter()
-        .enumerate()
-        .map(|(si, stage)| {
-            stage
-                .iter()
-                .enumerate()
-                .map(|(ci, bytes)| match disassemble_core_exact(bytes) {
-                    Ok(dec) => Some(dec),
-                    Err(e) => {
-                        viol(v, Some((si, ci)), format!("decode failed: {e}"));
-                        None
-                    }
-                })
-                .collect()
-        })
-        .collect()
+) -> Option<DecodedCore> {
+    disassemble_core_exact(bytes)
+        .map_err(|e| viol(v, loc, format!("decode failed: {e}")))
+        .ok()
 }
 
-fn check_roundtrip(bs: &Bitstream, v: &mut Vec<Violation>) -> Vec<Vec<Option<DecodedCore>>> {
-    // The container first: its two transient copies of the bitstream
-    // are gone before the decoded cores (the stage's high-water mark)
-    // exist.
-    match Bitstream::from_bytes(&bs.to_bytes()) {
-        Ok(back) if back == *bs => {}
+/// The container survives serialization: its bytes parse back, in place,
+/// to exactly this bitstream.
+fn check_container(bs: &Bitstream, v: &mut Vec<Violation>) {
+    let bytes = bs.to_bytes();
+    match ContainerView::parse(&bytes) {
+        Ok(back) if back.holds(bs) => {}
         Ok(_) => viol(v, None, "container round trip altered the bitstream".into()),
         Err(e) => viol(v, None, format!("container rejected its own bytes: {e}")),
     }
-    let decoded = decode_cores(bs, v);
-    for (si, ci, dec) in cores(&decoded) {
-        if assemble_decoded(dec) != bs.stages[si][ci] {
-            viol(
-                v,
-                Some((si, ci)),
-                "re-encode differs from stored bytes (non-canonical or corrupt encoding)".into(),
-            );
-        }
+}
+
+fn check_reencode(
+    loc: Option<(usize, usize)>,
+    bytes: &[u8],
+    dec: &DecodedCore,
+    v: &mut Vec<Violation>,
+) {
+    if assemble_decoded(dec) != bytes {
+        viol(
+            v,
+            loc,
+            "re-encode differs from stored bytes (non-canonical or corrupt encoding)".into(),
+        );
     }
-    decoded
 }
 
 // -------------------------------------------------------------- layers --
@@ -325,66 +352,63 @@ impl AddrMarks {
     }
 }
 
-fn check_layers(decoded: &[Vec<Option<DecodedCore>>], v: &mut Vec<Violation>) {
+fn check_layers(loc: Option<(usize, usize)>, dec: &DecodedCore, v: &mut Vec<Violation>) {
     const DEFINED: u32 = 1;
-    for (si, ci, dec) in cores(decoded) {
-        let loc = Some((si, ci));
-        let folds = dec.width.trailing_zeros() as usize;
-        let marks = || AddrMarks(vec![0; dec.width as usize]);
-        // A state bit is *defined* once a READ_GLOBAL loads it or a
-        // preceding layer writes it back. The placer recycles addresses
-        // across layers, so the defined set only ever grows — an address
-        // freed and re-allocated is written again before any later read.
-        let mut defined = marks();
-        for r in &dec.reads {
-            defined.mark(r.state, DEFINED);
+    let folds = dec.width.trailing_zeros() as usize;
+    let marks = || AddrMarks(vec![0; dec.width as usize]);
+    // A state bit is *defined* once a READ_GLOBAL loads it or a
+    // preceding layer writes it back. The placer recycles addresses
+    // across layers, so the defined set only ever grows — an address
+    // freed and re-allocated is written again before any later read.
+    let mut defined = marks();
+    for r in &dec.reads {
+        defined.mark(r.state, DEFINED);
+    }
+    // `gathered` and `written` hold layer `li`'s marks as `li + 1`.
+    let (mut gathered, mut written) = (marks(), marks());
+    for (li, layer) in dec.layers.iter().enumerate() {
+        if layer.width() != dec.width || layer.fold_levels() != folds {
+            viol(v, loc, format!("layer {li}: width/fold shape mismatch"));
+            continue;
         }
-        // `gathered` and `written` hold layer `li`'s marks as `li + 1`.
-        let (mut gathered, mut written) = (marks(), marks());
-        for (li, layer) in dec.layers.iter().enumerate() {
-            if layer.width() != dec.width || layer.fold_levels() != folds {
-                viol(v, loc, format!("layer {li}: width/fold shape mismatch"));
-                continue;
-            }
-            let stamp = li as u32 + 1;
-            for row in 0..layer.width() as usize {
-                if let PermSource::State(a) = layer.perm(row) {
-                    if !defined.is(a, DEFINED) {
-                        viol(
-                            v,
-                            loc,
-                            format!(
-                                "layer {li}: row {row} gathers state {a} before any \
-                                 write defines it (level-monotonicity violation)"
-                            ),
-                        );
-                    }
-                    gathered.mark(a, stamp);
+        let stamp = li as u32 + 1;
+        for row in 0..layer.width() as usize {
+            if let PermSource::State(a) = layer.perm(row) {
+                if !defined.is(a, DEFINED) {
+                    viol(
+                        v,
+                        loc,
+                        format!(
+                            "layer {li}: row {row} gathers state {a} before any \
+                             write defines it (level-monotonicity violation)"
+                        ),
+                    );
                 }
+                gathered.mark(a, stamp);
             }
-            for k in 0..folds {
-                for &(_, addr) in layer.writebacks(k) {
-                    if written.is(addr, stamp) {
-                        viol(
-                            v,
-                            loc,
-                            format!("layer {li}: state {addr} written back twice in one layer"),
-                        );
-                    }
-                    written.mark(addr, stamp);
-                    // Nothing in this layer reads `defined` any more.
-                    defined.mark(addr, DEFINED);
-                    if gathered.is(addr, stamp) {
-                        viol(
-                            v,
-                            loc,
-                            format!(
-                                "layer {li}: state {addr} both gathered and written in \
-                                 one layer (read/write hazard at fold level {})",
-                                k + 1
-                            ),
-                        );
-                    }
+        }
+        for k in 0..folds {
+            for &(_, addr) in layer.writebacks(k) {
+                if written.is(addr, stamp) {
+                    viol(
+                        v,
+                        loc,
+                        format!("layer {li}: state {addr} written back twice in one layer"),
+                    );
+                }
+                written.mark(addr, stamp);
+                // Nothing in this layer reads `defined` any more.
+                defined.mark(addr, DEFINED);
+                if gathered.is(addr, stamp) {
+                    viol(
+                        v,
+                        loc,
+                        format!(
+                            "layer {li}: state {addr} both gathered and written in \
+                             one layer (read/write hazard at fold level {})",
+                            k + 1
+                        ),
+                    );
                 }
             }
         }
@@ -393,12 +417,8 @@ fn check_layers(decoded: &[Vec<Option<DecodedCore>>], v: &mut Vec<Violation>) {
 
 // -------------------------------------------------------------- bounds --
 
-fn check_bounds(
-    bs: &Bitstream,
-    decoded: &[Vec<Option<DecodedCore>>],
-    ctx: &VerifyContext<'_>,
-    v: &mut Vec<Violation>,
-) {
+/// The bounds of the device context and of the bitstream header.
+fn check_global_bounds(bs: &Bitstream, ctx: &VerifyContext<'_>, v: &mut Vec<Violation>) {
     let gb = ctx.global_bits;
     if bs.global_bits != gb {
         viol(
@@ -451,68 +471,75 @@ fn check_bounds(
     for &s in &ctx.output_slots {
         slot_ck(v, &"output", s);
     }
+}
 
-    for (si, ci, dec) in cores(decoded) {
-        let loc = Some((si, ci));
-        if dec.width != bs.width {
+/// The bounds of one decoded core's addresses.
+fn check_core_bounds(
+    bs: &Bitstream,
+    loc: Option<(usize, usize)>,
+    dec: &DecodedCore,
+    ctx: &VerifyContext<'_>,
+    v: &mut Vec<Violation>,
+) {
+    let gb = ctx.global_bits;
+    if dec.width != bs.width {
+        viol(
+            v,
+            loc,
+            format!("core width {} != bitstream width {}", dec.width, bs.width),
+        );
+    }
+    let ss = dec.state_size;
+    if ss == 0 || ss > dec.width {
+        viol(
+            v,
+            loc,
+            format!("state size {ss} outside 1..={} (core width)", dec.width),
+        );
+        return;
+    }
+    // `what` is formatted only for a violation: the layers hold
+    // hundreds of thousands of in-range addresses.
+    let addr_ck = |v: &mut Vec<Violation>, what: &dyn fmt::Display, addr: u32| {
+        if addr >= ss {
             viol(
                 v,
                 loc,
-                format!("core width {} != bitstream width {}", dec.width, bs.width),
+                format!("{what} state address {addr} >= state size {ss}"),
             );
         }
-        let ss = dec.state_size;
-        if ss == 0 || ss > dec.width {
+    };
+    for r in &dec.reads {
+        addr_ck(v, &"read destination", u32::from(r.state));
+        if r.global >= gb {
             viol(
                 v,
                 loc,
-                format!("state size {ss} outside 1..={} (core width)", dec.width),
+                format!("read of global {} outside array of {gb}", r.global),
             );
-            continue;
         }
-        // `what` is formatted only for a violation: the layers hold
-        // hundreds of thousands of in-range addresses.
-        let addr_ck = |v: &mut Vec<Violation>, what: &dyn fmt::Display, addr: u32| {
-            if addr >= ss {
-                viol(
-                    v,
-                    loc,
-                    format!("{what} state address {addr} >= state size {ss}"),
-                );
-            }
-        };
-        for r in &dec.reads {
-            addr_ck(v, &"read destination", u32::from(r.state));
-            if r.global >= gb {
-                viol(
-                    v,
-                    loc,
-                    format!("read of global {} outside array of {gb}", r.global),
-                );
+    }
+    for w in &dec.writes {
+        if let WriteSrc::State { addr, .. } = w.src {
+            addr_ck(v, &"write source", u32::from(addr));
+        }
+        if w.global >= gb {
+            viol(
+                v,
+                loc,
+                format!("write to global {} outside array of {gb}", w.global),
+            );
+        }
+    }
+    for (li, layer) in dec.layers.iter().enumerate() {
+        for j in 0..layer.width() as usize {
+            if let PermSource::State(a) = layer.perm(j) {
+                addr_ck(v, &format_args!("layer {li} gather"), u32::from(a));
             }
         }
-        for w in &dec.writes {
-            if let WriteSrc::State { addr, .. } = w.src {
-                addr_ck(v, &"write source", u32::from(addr));
-            }
-            if w.global >= gb {
-                viol(
-                    v,
-                    loc,
-                    format!("write to global {} outside array of {gb}", w.global),
-                );
-            }
-        }
-        for (li, layer) in dec.layers.iter().enumerate() {
-            for j in 0..layer.width() as usize {
-                if let PermSource::State(a) = layer.perm(j) {
-                    addr_ck(v, &format_args!("layer {li} gather"), u32::from(a));
-                }
-            }
-            for k in 0..layer.fold_levels() {
-                for &(_, addr) in layer.writebacks(k) {
-                    addr_ck(v, &format_args!("layer {li} writeback"), u32::from(addr));
-                }
+        for k in 0..layer.fold_levels() {
+            for &(_, addr) in layer.writebacks(k) {
+                addr_ck(v, &format_args!("layer {li} writeback"), u32::from(addr));
             }
         }
     }
@@ -521,174 +548,185 @@ fn check_bounds(
 // -------------------------------------------------------------- budget --
 
 fn check_budget(
-    bs: &Bitstream,
-    decoded: &[Vec<Option<DecodedCore>>],
+    loc: Option<(usize, usize)>,
+    bytes: &[u8],
+    dec: &DecodedCore,
     ctx: &VerifyContext<'_>,
     v: &mut Vec<Violation>,
 ) {
-    for (si, ci, dec) in cores(decoded) {
-        let loc = Some((si, ci));
-        let bytes = &bs.stages[si][ci];
-        let wb_counts: Vec<usize> = dec.layers.iter().map(|l| l.writeback_count()).collect();
-        let expect = core_size_bits(dec.width, dec.reads.len(), dec.writes.len(), &wb_counts);
-        if bytes.len() * 8 != expect {
-            viol(
-                v,
-                loc,
-                format!(
-                    "encoded size {} bits does not match the instruction-count \
-                     accounting of {expect} bits",
-                    bytes.len() * 8
-                ),
-            );
-        }
-        if dec.reads.len() > dec.width as usize {
-            viol(
-                v,
-                loc,
-                format!(
-                    "inbox over capacity: {} reads > core width {}",
-                    dec.reads.len(),
-                    dec.width
-                ),
-            );
-        }
-        if dec.writes.len() > ctx.global_bits as usize {
-            viol(
-                v,
-                loc,
-                format!(
-                    "outbox over budget: {} writes > {} global bits",
-                    dec.writes.len(),
-                    ctx.global_bits
-                ),
-            );
-        }
+    let wb_counts: Vec<usize> = dec.layers.iter().map(|l| l.writeback_count()).collect();
+    let expect = core_size_bits(dec.width, dec.reads.len(), dec.writes.len(), &wb_counts);
+    if bytes.len() * 8 != expect {
+        viol(
+            v,
+            loc,
+            format!(
+                "encoded size {} bits does not match the instruction-count \
+                 accounting of {expect} bits",
+                bytes.len() * 8
+            ),
+        );
+    }
+    if dec.reads.len() > dec.width as usize {
+        viol(
+            v,
+            loc,
+            format!(
+                "inbox over capacity: {} reads > core width {}",
+                dec.reads.len(),
+                dec.width
+            ),
+        );
+    }
+    if dec.writes.len() > ctx.global_bits as usize {
+        viol(
+            v,
+            loc,
+            format!(
+                "outbox over budget: {} writes > {} global bits",
+                dec.writes.len(),
+                ctx.global_bits
+            ),
+        );
     }
 }
 
 // --------------------------------------------------------------- merge --
 
-fn check_merge(
-    decoded: &[Vec<Option<DecodedCore>>],
-    ctx: &VerifyContext<'_>,
+/// The placement programs `merge` holds the bitstream to: `None`, which
+/// skips the family, without programs or when their stage count is not
+/// the bitstream's (a violation).
+fn merge_programs<'a>(
+    bs: &Bitstream,
+    ctx: &VerifyContext<'a>,
     v: &mut Vec<Violation>,
-) {
-    let Some(programs) = ctx.programs else {
-        return;
-    };
-    if programs.len() != decoded.len() {
+) -> Option<&'a [Vec<CoreProgram>]> {
+    let programs = ctx.programs?;
+    if programs.len() != bs.stages.len() {
         viol(
             v,
             None,
             format!(
                 "placement has {} stage(s), bitstream has {}",
                 programs.len(),
-                decoded.len()
+                bs.stages.len()
             ),
         );
-        return;
+        return None;
     }
-    for (si, (progs, stage)) in programs.iter().zip(decoded).enumerate() {
-        if progs.len() != stage.len() {
-            viol(
-                v,
-                None,
-                format!(
-                    "stage {si}: placement has {} core(s), bitstream has {}",
-                    progs.len(),
-                    stage.len()
-                ),
-            );
-            continue;
+    Some(programs)
+}
+
+/// Stage `si`'s programs, or `None` (a violation, which skips the stage)
+/// when their count is not the stage's core count.
+fn merge_stage<'a>(
+    si: usize,
+    progs: &'a [CoreProgram],
+    cores: usize,
+    v: &mut Vec<Violation>,
+) -> Option<&'a [CoreProgram]> {
+    if progs.len() != cores {
+        viol(
+            v,
+            None,
+            format!(
+                "stage {si}: placement has {} core(s), bitstream has {cores}",
+                progs.len()
+            ),
+        );
+        return None;
+    }
+    Some(progs)
+}
+
+fn check_merge(
+    loc: Option<(usize, usize)>,
+    prog: &CoreProgram,
+    dec: &DecodedCore,
+    v: &mut Vec<Violation>,
+) {
+    if dec.width != prog.width || dec.state_size != prog.state_size {
+        viol(
+            v,
+            loc,
+            format!(
+                "encoded geometry {}w/{}s diverges from placed {}w/{}s",
+                dec.width, dec.state_size, prog.width, prog.state_size
+            ),
+        );
+    }
+    if dec.layers != prog.layers {
+        viol(
+            v,
+            loc,
+            "encoded layers diverge from the placed program".into(),
+        );
+    }
+    if dec.reads.len() != prog.inputs.len() {
+        viol(
+            v,
+            loc,
+            format!(
+                "{} encoded reads for {} placed sources (recv dropped or added)",
+                dec.reads.len(),
+                prog.inputs.len()
+            ),
+        );
+    } else {
+        for (r, &(node, state)) in dec.reads.iter().zip(&prog.inputs) {
+            if u32::from(r.state) != state {
+                viol(
+                    v,
+                    loc,
+                    format!(
+                        "source n{} lands in state {} but placement assigned {state}",
+                        node.0, r.state
+                    ),
+                );
+            }
         }
-        for (ci, (prog, dec)) in progs.iter().zip(stage).enumerate() {
-            let Some(dec) = dec else { continue };
-            let loc = Some((si, ci));
-            if dec.width != prog.width || dec.state_size != prog.state_size {
-                viol(
-                    v,
-                    loc,
-                    format!(
-                        "encoded geometry {}w/{}s diverges from placed {}w/{}s",
-                        dec.width, dec.state_size, prog.width, prog.state_size
-                    ),
-                );
-            }
-            if dec.layers != prog.layers {
-                viol(
-                    v,
-                    loc,
-                    "encoded layers diverge from the placed program".into(),
-                );
-            }
-            if dec.reads.len() != prog.inputs.len() {
-                viol(
-                    v,
-                    loc,
-                    format!(
-                        "{} encoded reads for {} placed sources (recv dropped or added)",
-                        dec.reads.len(),
-                        prog.inputs.len()
-                    ),
-                );
-            } else {
-                for (r, &(node, state)) in dec.reads.iter().zip(&prog.inputs) {
-                    if u32::from(r.state) != state {
-                        viol(
-                            v,
-                            loc,
-                            format!(
-                                "source n{} lands in state {} but placement assigned {state}",
-                                node.0, r.state
-                            ),
-                        );
-                    }
+    }
+    // Every published state bit must be one of the partition's sink
+    // sources; constants may additionally come from the compiler's
+    // designated constant publisher (stage 0, core 0).
+    let sink_addrs: HashSet<u32> = prog
+        .outputs
+        .iter()
+        .filter_map(|o| match o {
+            OutputSource::State { addr, .. } => Some(*addr),
+            OutputSource::Const(_) => None,
+        })
+        .collect();
+    let has_const_sink = prog
+        .outputs
+        .iter()
+        .any(|o| matches!(o, OutputSource::Const(_)));
+    for w in &dec.writes {
+        match w.src {
+            WriteSrc::State { addr, .. } => {
+                if !sink_addrs.contains(&u32::from(addr)) {
+                    viol(
+                        v,
+                        loc,
+                        format!(
+                            "write of global {} reads state {addr}, which is \
+                             not a placed sink",
+                            w.global
+                        ),
+                    );
                 }
             }
-            // Every published state bit must be one of the partition's
-            // sink sources; constants may additionally come from the
-            // compiler's designated constant publisher (stage 0, core 0).
-            let sink_addrs: HashSet<u32> = prog
-                .outputs
-                .iter()
-                .filter_map(|o| match o {
-                    OutputSource::State { addr, .. } => Some(*addr),
-                    OutputSource::Const(_) => None,
-                })
-                .collect();
-            let has_const_sink = prog
-                .outputs
-                .iter()
-                .any(|o| matches!(o, OutputSource::Const(_)));
-            for w in &dec.writes {
-                match w.src {
-                    WriteSrc::State { addr, .. } => {
-                        if !sink_addrs.contains(&u32::from(addr)) {
-                            viol(
-                                v,
-                                loc,
-                                format!(
-                                    "write of global {} reads state {addr}, which is \
-                                     not a placed sink",
-                                    w.global
-                                ),
-                            );
-                        }
-                    }
-                    WriteSrc::Const(_) => {
-                        if !(has_const_sink || (si, ci) == (0, 0)) {
-                            viol(
-                                v,
-                                loc,
-                                format!(
-                                    "constant write of global {} from a core with no \
-                                     constant sink",
-                                    w.global
-                                ),
-                            );
-                        }
-                    }
+            WriteSrc::Const(_) => {
+                if !(has_const_sink || loc == Some((0, 0))) {
+                    viol(
+                        v,
+                        loc,
+                        format!(
+                            "constant write of global {} from a core with no \
+                             constant sink",
+                            w.global
+                        ),
+                    );
                 }
             }
         }

@@ -2,11 +2,12 @@
 //! round-trip bit-exactly through encode → decode → encode, and every
 //! malformed buffer — truncated at any byte, padded with trailing
 //! bytes, or scribbled over — must come back as a typed
-//! [`DecodeError`], never a panic.
+//! [`DecodeError`], never a panic. A container with bytes after its
+//! last core is a typed [`ContainerError`].
 
 use gem_isa::{
-    assemble_decoded, disassemble_core, disassemble_core_exact, DecodeError, DecodedCore,
-    ReadEntry, WriteEntry, WriteSrc,
+    assemble_decoded, disassemble_core, disassemble_core_exact, Bitstream, ContainerError,
+    DecodeError, DecodedCore, ReadEntry, WriteEntry, WriteSrc,
 };
 use gem_place::{BoomerangLayer, PermSource, Plane};
 use gem_sim::FuzzRng;
@@ -134,6 +135,48 @@ fn oversized_buffers_report_trailing_bytes() {
                 .unwrap_or_else(|e| panic!("case {case}: lenient decode failed: {e}"));
             assert_eq!(assemble_decoded(&lenient), bytes);
         }
+    }
+}
+
+/// A container refuses bytes after its last core, naming their count,
+/// as [`disassemble_core_exact`] does for a core; a prefix is truncated.
+#[test]
+fn containers_refuse_trailing_bytes() {
+    let mut rng = FuzzRng::new(0xC0DE);
+    for case in 0..8 {
+        let stages = (0..1 + rng.below(3))
+            .map(|_| {
+                (0..1 + rng.below(3))
+                    .map(|_| assemble_decoded(&random_core(&mut rng)))
+                    .collect()
+            })
+            .collect();
+        let bs = Bitstream {
+            width: 1 << rng.below(14),
+            global_bits: rng.below(4000) as u32,
+            stages,
+        };
+        let bytes = bs.to_bytes();
+        assert_eq!(bytes.len(), bs.serialized_len(), "case {case}");
+        assert_eq!(
+            Bitstream::from_bytes(&bytes).as_ref(),
+            Ok(&bs),
+            "case {case}"
+        );
+        for extra in [1usize, 3, 4, 27] {
+            let mut padded = bytes.clone();
+            padded.extend(std::iter::repeat_n(0u8, extra));
+            assert_eq!(
+                Bitstream::from_bytes(&padded),
+                Err(ContainerError::TrailingBytes(extra)),
+                "case {case} extra {extra}"
+            );
+        }
+        assert_eq!(
+            Bitstream::from_bytes(&bytes[..bytes.len() - 1]),
+            Err(ContainerError::Truncated),
+            "case {case}"
+        );
     }
 }
 

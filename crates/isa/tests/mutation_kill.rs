@@ -14,7 +14,8 @@
 
 use gem_core::{compile, CompileOptions, Compiled};
 use gem_isa::mutate::{mutate, MutationClass, ALL_CLASSES};
-use gem_isa::verify_bitstream;
+use gem_isa::verify::Violation;
+use gem_isa::{verify_bitstream, ScheduleCert, VerifyContext, VerifyReport};
 use gem_netlist::{Module, ModuleBuilder, ReadKind};
 use gem_sim::{random_module, FuzzConfig};
 
@@ -284,4 +285,102 @@ fn merge_only_classes_die_with_placement_metadata() {
         }
         assert!(kills >= 3, "class {class}: only {kills} mutants applied");
     }
+}
+
+/// FNV-1a, continued over `bytes`.
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x100_0000_01B3);
+    }
+}
+
+/// Folds into `h` everything a [`VerifyReport`] says but its wall
+/// times: the core count, each check's name and violation count, every
+/// violation's check, location and message in report order, and the
+/// certificate.
+fn fold_report(h: &mut u64, r: &VerifyReport) {
+    fnv1a(h, format!("cores {}\n", r.cores).as_bytes());
+    for c in &r.checks {
+        fnv1a(h, format!("{} {}\n", c.name, c.violations).as_bytes());
+    }
+    for v in &r.violations {
+        fnv1a(
+            h,
+            format!("{} {:?} {}\n", v.check, v.location, v.message).as_bytes(),
+        );
+    }
+    fnv1a(h, format!("{:?}\n", r.cert).as_bytes());
+}
+
+/// Folds into `h` one [`gem_isa::certify_schedule`] result: the
+/// certificate, or every refusing violation in order.
+fn fold_certify(h: &mut u64, r: &Result<ScheduleCert, Vec<Violation>>) {
+    match r {
+        Ok(cert) => fnv1a(h, format!("ok {cert:?}\n").as_bytes()),
+        Err(vs) => {
+            for v in vs {
+                fnv1a(
+                    h,
+                    format!("{} {:?} {}\n", v.check, v.location, v.message).as_bytes(),
+                );
+            }
+        }
+    }
+}
+
+/// The verifier's and the certifier's answers, pinned: every seeded
+/// mutant of every fixture, and every clean fixture and example design,
+/// each under three contexts (with placement programs, without, and
+/// without but carrying the clean compile's stored certificate). One
+/// digest folds every [`VerifyReport`], the other every
+/// [`gem_isa::certify_schedule`] result. A change to how the gate walks
+/// a bitstream that claims to keep its verdicts must leave both alone;
+/// a change to a check's verdicts or messages re-pins them.
+#[test]
+fn verify_reports_match_their_pinned_digests() {
+    let mut designs = fixtures();
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/designs");
+    for name in ["alu", "counter", "regfile"] {
+        let src = std::fs::read_to_string(examples.join(format!("{name}.v"))).expect("example");
+        let o = CompileOptions {
+            core_width: 256,
+            target_parts: 4,
+            ..Default::default()
+        };
+        let c = gem_core::compile_verilog(&src, &o).expect("example compiles");
+        designs.push((format!("example {name}"), c));
+    }
+    let (mut reports, mut certs) = (0xCBF2_9CE4_8422_2325u64, 0xCBF2_9CE4_8422_2325u64);
+    let mut cases = 0usize;
+    for (_, c) in &designs {
+        let mut bitstreams = vec![c.bitstream.clone()];
+        for class in ALL_CLASSES {
+            for seed in 1..=4u64 {
+                bitstreams.extend(mutate(&c.bitstream, class, seed));
+            }
+        }
+        let with_programs = gem_core::verify::context(&c.device, &c.io, Some(&c.programs));
+        let without = gem_core::verify::context(&c.device, &c.io, None);
+        let stored = VerifyContext {
+            schedule_cert: Some(&c.schedule_cert),
+            ..without.clone()
+        };
+        for bs in &bitstreams {
+            for ctx in [&with_programs, &without, &stored] {
+                fold_report(&mut reports, &verify_bitstream(bs, ctx));
+                fold_certify(&mut certs, &gem_isa::certify_schedule(bs, ctx));
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(
+        (cases, format!("{reports:016x}"), format!("{certs:016x}")),
+        (
+            1479,
+            "04d9f41ba10d24a5".to_string(),
+            "0d483ea0174680ca".to_string()
+        ),
+        "verify / certify digests moved"
+    );
 }

@@ -107,6 +107,39 @@ impl Partition {
     }
 }
 
+/// One `u32` per node of a graph, [`NodeScratch::UNSET`] everywhere
+/// between calls. A call that looks nodes up by id borrows it for one
+/// partition's nodes and leaves them unset again, so the call costs the
+/// partition, not the graph: a stage that asks the merge's oracle many
+/// times makes one and lends it to every call.
+#[derive(Debug)]
+pub struct NodeScratch(Vec<u32>);
+
+impl NodeScratch {
+    /// The value of every entry outside a call.
+    pub const UNSET: u32 = u32::MAX;
+
+    /// A table for every node of `g`.
+    pub fn new(g: &Eaig) -> Self {
+        NodeScratch(vec![Self::UNSET; g.len()])
+    }
+
+    /// Lends the table, indexed by node id, to `f`, which may set the
+    /// entries of `p`'s sources and nodes and no other; those are unset
+    /// again when `f` returns.
+    pub fn for_partition<R>(&mut self, p: &Partition, f: impl FnOnce(&mut [u32]) -> R) -> R {
+        let r = f(&mut self.0);
+        for n in p.sources.iter().chain(&p.nodes) {
+            self.0[n.0 as usize] = Self::UNSET;
+        }
+        debug_assert!(
+            self.0.iter().all(|&v| v == Self::UNSET),
+            "an entry outside the partition was set"
+        );
+        r
+    }
+}
+
 /// The partitions of one pipeline stage; partitions within a stage are
 /// mutually independent and synchronize only at the stage boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -10,7 +10,7 @@
 //! this way.
 
 use crate::repcut::{extract_cone, sorted_union, Region};
-use crate::{Partition, Stage};
+use crate::{NodeScratch, Partition, Stage};
 use gem_aig::{Eaig, Node};
 
 /// Estimates the peak number of simultaneously-live bits when evaluating a
@@ -24,7 +24,12 @@ use gem_aig::{Eaig, Node};
 /// still fail to place (DESIGN.md §4 has the ladder's counts), because the
 /// boomerang layers hold values longer than a level-by-level sweep does.
 pub fn estimate_width(g: &Eaig, p: &Partition) -> usize {
-    const OUTSIDE: u32 = u32::MAX;
+    estimate_width_in(g, p, &mut NodeScratch::new(g))
+}
+
+/// [`estimate_width`] with its per-node table borrowed from `scratch`.
+pub fn estimate_width_in(g: &Eaig, p: &Partition, scratch: &mut NodeScratch) -> usize {
+    const OUTSIDE: u32 = NodeScratch::UNSET;
     let node_levels = g.node_levels();
     let depth = p
         .nodes
@@ -35,38 +40,39 @@ pub fn estimate_width(g: &Eaig, p: &Partition) -> usize {
     // Last-use level per signal of the partition, indexed by node id;
     // the defining level is 0 for a source and the node's own otherwise.
     // (`sources` and `nodes` name each signal once: see `extract_cone`.)
-    let mut last_use = vec![OUTSIDE; g.len()];
-    for n in p.sources.iter().chain(&p.nodes) {
-        last_use[n.0 as usize] = 0;
-    }
-    for &n in &p.nodes {
-        if let Node::And(a, b) = g.node(n) {
-            let ul = node_levels[n.0 as usize];
-            for x in [a.node(), b.node()] {
-                let last = &mut last_use[x.0 as usize];
-                if *last != OUTSIDE {
-                    *last = (*last).max(ul);
+    let mut delta = vec![0i64; depth as usize + 3];
+    scratch.for_partition(p, |last_use| {
+        for n in p.sources.iter().chain(&p.nodes) {
+            last_use[n.0 as usize] = 0;
+        }
+        for &n in &p.nodes {
+            if let Node::And(a, b) = g.node(n) {
+                let ul = node_levels[n.0 as usize];
+                for x in [a.node(), b.node()] {
+                    let last = &mut last_use[x.0 as usize];
+                    if *last != OUTSIDE {
+                        *last = (*last).max(ul);
+                    }
                 }
             }
         }
-    }
-    // Sinks live to the end.
-    for s in &p.sinks {
-        let last = &mut last_use[s.node().0 as usize];
-        if *last != OUTSIDE {
-            *last = depth + 1;
+        // Sinks live to the end.
+        for s in &p.sinks {
+            let last = &mut last_use[s.node().0 as usize];
+            if *last != OUTSIDE {
+                *last = depth + 1;
+            }
         }
-    }
-    // Sweep: +1 at (def+1), -1 after last use. Live span is (def, last].
-    let mut delta = vec![0i64; depth as usize + 3];
-    let gates = p.nodes.iter().map(|n| (n, node_levels[n.0 as usize]));
-    for (n, def) in gates.chain(p.sources.iter().map(|n| (n, 0))) {
-        let last = last_use[n.0 as usize];
-        if last > def {
-            delta[def as usize + 1] += 1;
-            delta[last as usize + 1] -= 1;
+        // Sweep: +1 at (def+1), -1 after last use. Live span is (def, last].
+        let gates = p.nodes.iter().map(|n| (n, node_levels[n.0 as usize]));
+        for (n, def) in gates.chain(p.sources.iter().map(|n| (n, 0))) {
+            let last = last_use[n.0 as usize];
+            if last > def {
+                delta[def as usize + 1] += 1;
+                delta[last as usize + 1] -= 1;
+            }
         }
-    }
+    });
     let mut live = 0i64;
     let mut peak = 0i64;
     for d in delta {

@@ -31,7 +31,7 @@
 
 use crate::layer::{BoomerangLayer, CoreProgram, OutputSource, PermSource, Plane};
 use gem_aig::{Eaig, Node, NodeId};
-use gem_partition::Partition;
+use gem_partition::{NodeScratch, Partition};
 use std::fmt;
 
 /// Placement options.
@@ -115,19 +115,21 @@ pub fn place_partition(
     p: &Partition,
     opts: &PlaceOptions,
 ) -> Result<(CoreProgram, PlaceStats), PlaceError> {
-    let (placed, stats) = place_partition_counted(g, p, opts);
+    let (placed, stats) = place_partition_counted(g, p, opts, &mut NodeScratch::new(g));
     placed.map(|prog| (prog, stats))
 }
 
 /// [`place_partition`] with the statistics of a failed placement too
 /// (as far as it got): a flow that tries placements to find out whether
-/// they exist pays for the ones that do not.
+/// they exist pays for the ones that do not. Its per-node table is
+/// borrowed from `scratch`.
 pub fn place_partition_counted(
     g: &Eaig,
     p: &Partition,
     opts: &PlaceOptions,
+    scratch: &mut NodeScratch,
 ) -> (Result<CoreProgram, PlaceError>, PlaceStats) {
-    let mut placer = Placer::new(g, p, opts);
+    let mut placer = Placer::new(g, p, opts, scratch);
     let placed = placer.run();
     (placed, placer.stats)
 }
@@ -264,35 +266,48 @@ impl Audit {
 }
 
 impl<'a> Placer<'a> {
-    fn new(g: &'a Eaig, p: &'a Partition, opts: &'a PlaceOptions) -> Self {
-        const NOT_LOCAL: u32 = u32::MAX;
-        let mut locals = Vec::with_capacity(p.sources.len() + p.nodes.len());
-        let mut local_of = vec![NOT_LOCAL; g.len()];
-        for &s in &p.sources {
-            local_of[s.0 as usize] = locals.len() as u32;
-            locals.push(s);
-        }
+    fn new(
+        g: &'a Eaig,
+        p: &'a Partition,
+        opts: &'a PlaceOptions,
+        scratch: &mut NodeScratch,
+    ) -> Self {
+        const NOT_LOCAL: u32 = NodeScratch::UNSET;
+        let mut locals: Vec<NodeId> = Vec::with_capacity(p.sources.len() + p.nodes.len());
+        locals.extend(&p.sources);
         let n_sources = locals.len();
-        for &n in &p.nodes {
-            local_of[n.0 as usize] = locals.len() as u32;
-            locals.push(n);
-        }
+        locals.extend(&p.nodes);
         let n = locals.len();
-        let fanin = |l: gem_aig::Lit| {
-            let li = local_of[l.node().0 as usize];
-            assert_ne!(
-                li,
-                NOT_LOCAL,
-                "fan-in n{} outside the partition",
-                l.node().0
-            );
-            (li, l.is_inverted())
-        };
-        let mut fanins = vec![[(0u32, false); 2]; n];
+        let (fanins, sink_locals) = scratch.for_partition(p, |local_of| {
+            for (li, node) in locals.iter().enumerate() {
+                local_of[node.0 as usize] = li as u32;
+            }
+            let fanin = |l: gem_aig::Lit| {
+                let li = local_of[l.node().0 as usize];
+                assert_ne!(
+                    li,
+                    NOT_LOCAL,
+                    "fan-in n{} outside the partition",
+                    l.node().0
+                );
+                (li, l.is_inverted())
+            };
+            let mut fanins = vec![[(0u32, false); 2]; n];
+            for (li, &node) in locals.iter().enumerate().skip(n_sources) {
+                if let Node::And(a, b) = g.node(node) {
+                    fanins[li] = [fanin(a), fanin(b)];
+                }
+            }
+            let sink_locals: Vec<Option<u32>> = p
+                .sinks
+                .iter()
+                .map(|s| Some(local_of[s.node().0 as usize]).filter(|&li| li != NOT_LOCAL))
+                .collect();
+            (fanins, sink_locals)
+        });
         let mut consumers_from = vec![0u32; n + 1];
         for (li, &node) in locals.iter().enumerate().skip(n_sources) {
-            if let Node::And(a, b) = g.node(node) {
-                fanins[li] = [fanin(a), fanin(b)];
+            if matches!(g.node(node), Node::And(..)) {
                 for (f, _) in fanins[li] {
                     consumers_from[f as usize + 1] += 1;
                 }
@@ -315,11 +330,6 @@ impl<'a> Placer<'a> {
         for r in realized.iter_mut().take(n_sources) {
             *r = true;
         }
-        let sink_locals: Vec<Option<u32>> = p
-            .sinks
-            .iter()
-            .map(|s| Some(local_of[s.node().0 as usize]).filter(|&li| li != NOT_LOCAL))
-            .collect();
         let mut is_sink = vec![false; n];
         for &li in sink_locals.iter().flatten() {
             is_sink[li as usize] = true;
@@ -1011,10 +1021,11 @@ mod tests {
     /// plain scan (the asserts are in `audit_rejection`/`audit_window`),
     /// and checks the audit changed nothing.
     fn audited(g: &Eaig, p: &Partition, opts: &PlaceOptions) -> (Audit, Option<PlaceError>) {
-        let mut placer = Placer::new(g, p, opts);
+        let mut scratch = NodeScratch::new(g);
+        let mut placer = Placer::new(g, p, opts, &mut scratch);
         placer.audit.on = true;
         let placed = placer.run();
-        let (plain, plain_stats) = place_partition_counted(g, p, opts);
+        let (plain, plain_stats) = place_partition_counted(g, p, opts, &mut scratch);
         assert_eq!(placed, plain, "the audit changed the placement");
         assert_eq!(
             placer.stats, plain_stats,
