@@ -139,8 +139,9 @@ impl GemSimulator {
 
     /// Cycles stepped per active lane (index = lane). Part of the machine
     /// state: [`restore`](Self::restore) rewinds it with the cycle
-    /// counter, so the sum over lanes stays Σ_cycles lanes_active — the
-    /// invariant the metrics tests assert.
+    /// counter, so the sum over lanes stays Σ_cycles lanes_active while
+    /// the lane count only grows — the invariant the metrics tests
+    /// assert. Narrowing drops the deactivated lanes' counts.
     pub fn lane_steps(&self) -> &[u64] {
         self.gpu.lane_steps()
     }

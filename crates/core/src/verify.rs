@@ -7,7 +7,6 @@
 //! `gem_verify_*` metric families of a [`MetricsSnapshot`].
 
 use crate::IoMap;
-use gem_isa::verify::RamSlots;
 use gem_isa::{verify_bitstream, Bitstream, VerifyContext, VerifyReport};
 use gem_place::CoreProgram;
 use gem_telemetry::{MetricFamily, MetricKind, MetricsSnapshot, Sample};
@@ -21,17 +20,7 @@ pub fn context<'a>(
 ) -> VerifyContext<'a> {
     VerifyContext {
         global_bits: device.global_bits,
-        rams: device
-            .rams
-            .iter()
-            .map(|r| RamSlots {
-                raddr: r.raddr.to_vec(),
-                waddr: r.waddr.to_vec(),
-                wdata: r.wdata.to_vec(),
-                we: r.we,
-                rdata: r.rdata.to_vec(),
-            })
-            .collect(),
+        rams: device.rams.clone(),
         initial_ones: device.initial_ones.clone(),
         input_slots: io.inputs.iter().flat_map(|p| p.bits.clone()).collect(),
         output_slots: io.outputs.iter().flat_map(|p| p.bits.clone()).collect(),

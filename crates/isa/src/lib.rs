@@ -41,7 +41,7 @@ pub use encode::{
     assemble_core, assemble_decoded, Bitstream, ContainerError, ReadEntry, WriteEntry, WriteSrc,
 };
 pub use schedule::{certify_schedule, ScheduleCert, CERT_VERSION};
-pub use verify::{verify_bitstream, VerifyContext, VerifyReport};
+pub use verify::{verify_bitstream, RamBinding, VerifyContext, VerifyReport};
 
 /// Bits in an `INIT` word for core width `w` (floored so headers fit at
 /// the tiny widths used in tests; equals `w` from `w = 256` up).

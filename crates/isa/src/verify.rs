@@ -13,7 +13,7 @@
 //! |-------------|-----------|
 //! | `roundtrip` | decode → canonical re-encode reproduces every core bit-for-bit; the container survives serialization |
 //! | `layers`    | layers are level-monotone: no state bit is gathered before a `READ_GLOBAL` or an earlier layer's write-back defines it, and no layer both gathers and writes the same bit |
-//! | `bounds`    | state addresses stay inside `state_size`, globals inside the signal array, RAM bindings match the fixed 8192×32 geometry |
+//! | `bounds`    | state addresses stay inside `state_size`, globals inside the signal array |
 //! | `budget`    | per-core instruction counts account for every encoded byte; inbox/outbox budgets hold |
 //! | `merge`     | the encoded programs are structurally consistent with the placement/merge metadata (when provided) |
 //! | `schedule`  | every send/receive and ordering rule of [`crate::schedule`]'s one walk (single writers, matched sends, a stage-barrier or cycle-boundary edge for every read, required publishers), and the stored [`ScheduleCert`] (when provided) matches a from-scratch recomputation |
@@ -35,24 +35,26 @@ use std::collections::HashSet;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-/// Global-slot binding of one RAM block. Mirrors the virtual GPU's
-/// `RamBinding` without depending on the machine crate (the ISA layer
-/// sits below it).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RamSlots {
-    /// Read-address operand slots, LSB first (`RAM_ADDR_BITS` of them).
-    pub raddr: Vec<u32>,
+/// Global-memory binding of one RAM block: every index is a slot of the
+/// device-global signal array, and the arrays fix the 13-bit × 32-bit
+/// geometry. The virtual GPU's device configuration holds these as they
+/// are (`gem_vgpu::RamBinding` is this type).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RamBinding {
+    /// Read-address operand slots, LSB first (immediate region).
+    pub raddr: [u32; RAM_ADDR_BITS],
     /// Write-address operand slots.
-    pub waddr: Vec<u32>,
-    /// Write-data operand slots (`RAM_DATA_BITS` of them).
-    pub wdata: Vec<u32>,
+    pub waddr: [u32; RAM_ADDR_BITS],
+    /// Write-data operand slots.
+    pub wdata: [u32; RAM_DATA_BITS],
     /// Write-enable operand slot.
     pub we: u32,
-    /// Read-data result slots (device-written at the cycle boundary).
-    pub rdata: Vec<u32>,
+    /// Read-data result slots (device-written at the cycle boundary;
+    /// deferred region).
+    pub rdata: [u32; RAM_DATA_BITS],
 }
 
-impl RamSlots {
+impl RamBinding {
     /// All operand slots a core must publish with an *immediate* write.
     pub fn operand_slots(&self) -> impl Iterator<Item = u32> + '_ {
         self.raddr
@@ -71,8 +73,8 @@ impl RamSlots {
 pub struct VerifyContext<'a> {
     /// Size of the device-global signal array.
     pub global_bits: u32,
-    /// RAM block bindings (fixed 8192×32 geometry).
-    pub rams: Vec<RamSlots>,
+    /// RAM block bindings.
+    pub rams: Vec<RamBinding>,
     /// Global slots holding 1 at cycle 0 (FF init values).
     pub initial_ones: Vec<u32>,
     /// Testbench-poked input slots (defined at every cycle start).
@@ -440,24 +442,6 @@ fn check_global_bounds(bs: &Bitstream, ctx: &VerifyContext<'_>, v: &mut Vec<Viol
         }
     };
     for (ri, ram) in ctx.rams.iter().enumerate() {
-        if ram.raddr.len() != RAM_ADDR_BITS
-            || ram.waddr.len() != RAM_ADDR_BITS
-            || ram.wdata.len() != RAM_DATA_BITS
-            || ram.rdata.len() != RAM_DATA_BITS
-        {
-            viol(
-                v,
-                None,
-                format!(
-                    "RAM {ri} binding shape {}a/{}a/{}d/{}d differs from the fixed \
-                     {RAM_ADDR_BITS}-bit × {RAM_DATA_BITS}-bit geometry",
-                    ram.raddr.len(),
-                    ram.waddr.len(),
-                    ram.wdata.len(),
-                    ram.rdata.len()
-                ),
-            );
-        }
         for slot in ram.operand_slots().chain(ram.rdata.iter().copied()) {
             slot_ck(v, &format_args!("RAM {ri}"), slot);
         }

@@ -8,10 +8,10 @@
 //! stimulus, so a failing seed printed by a fuzz test is a complete
 //! reproducer.
 //!
-//! The intended consumer is the differential fuzz suite
-//! (`crates/sim/tests/differential_fuzz.rs`): golden
-//! [`crate::EaigSim`] vs the compiled design on the virtual GPU at 1,
-//! 32 and 64 lanes, bit-exact every cycle.
+//! The intended consumer is the workspace's differential corpus
+//! (`tests/differential.rs`): the compiled design on the virtual GPU at
+//! 1, 4, 32 and 64 lanes, every lane bit-exact every cycle against a
+//! golden [`crate::EaigSim`] run of its own stimulus stream.
 
 use gem_netlist::{Bits, Module, ModuleBuilder, NetId, ReadKind};
 
@@ -99,7 +99,9 @@ impl FuzzConfig {
     /// and every memory carries both a sync and an async read port
     /// (`dual_read`). This is the corpus for the tier-1 RAM smoke — the
     /// plain [`FuzzConfig::for_seed`] corpus only has memories ~2/3 of
-    /// the time and only one read kind per memory.
+    /// the time and only one read kind per memory. Synthesis polyfills a
+    /// memory with an async read port with flip-flops, so no design of
+    /// this corpus maps a RAM block.
     pub fn ram_heavy(seed: u64) -> FuzzConfig {
         let mut r = FuzzRng::new(seed ^ 0x4A3);
         FuzzConfig {

@@ -34,6 +34,7 @@ pub use compiled::{CompiledCore, CompiledWrite, PackedCore, WRITE_CONST};
 pub use counters::{
     CounterBreakdown, KernelCounters, KernelRates, LayerCounters, PartitionCounters,
 };
-pub use machine::{DeviceConfig, GemGpu, GpuSnapshot, MachineError, RamBinding};
+pub use gem_isa::RamBinding;
+pub use machine::{DeviceConfig, GemGpu, GpuSnapshot, MachineError};
 pub use spec::GpuSpec;
 pub use timing::TimingModel;

@@ -55,29 +55,13 @@
 use crate::compiled::{with_scratch, CompiledCore, PackedCore};
 use crate::counters::{CounterBreakdown, KernelCounters, LayerCounters, PartitionCounters};
 use crate::ram::{ram_phase, RamImage, RAM_BYTES_PER_LANE, RAM_TRANSACTIONS_PER_LANE};
-use gem_isa::{disassemble_core, Bitstream, DecodeError, WriteSrc};
+use gem_isa::{disassemble_core, Bitstream, DecodeError, RamBinding, WriteSrc};
 use gem_place::{splat, Word};
 use gem_telemetry::span;
 use gem_telemetry::{MetricKind, MetricsSnapshot};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// Global-memory binding of one RAM block (all indices are bit positions
-/// in the device-global signal array).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RamBinding {
-    /// Read-address bits, LSB first (immediate region).
-    pub raddr: [u32; 13],
-    /// Write-address bits.
-    pub waddr: [u32; 13],
-    /// Write-data bits.
-    pub wdata: [u32; 32],
-    /// Write enable.
-    pub we: u32,
-    /// Registered read-data bits (deferred region).
-    pub rdata: [u32; 32],
-}
 
 /// Device-level configuration produced by the compiler.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -22,7 +22,8 @@
 //! to. An unwritten page reads as zeros and costs nothing, so 64 lanes of
 //! a block that touches one page hold 64 pages, not 64 × 32 KiB.
 
-use crate::machine::{lane_mask, RamBinding};
+use crate::machine::lane_mask;
+use gem_isa::RamBinding;
 use gem_place::{splat, Word};
 
 /// RAM-phase global traffic per RAM block per active lane: one word
