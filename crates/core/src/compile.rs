@@ -1,6 +1,6 @@
 //! The end-to-end GEM compiler (RTL → bitstream).
 
-use gem_aig::{Eaig, Lit, Node, RAM_ADDR_BITS, RAM_DATA_BITS};
+use gem_aig::{Eaig, Lit, Node, NodeId};
 use gem_analyze::{AnalysisReport, Severity};
 use gem_isa::{assemble_core, Bitstream, ReadEntry, ScheduleCert, WriteEntry, WriteSrc};
 use gem_netlist::verilog::SourceLint;
@@ -9,10 +9,9 @@ use gem_partition::merge::{estimate_width_in, merge_with_payloads};
 use gem_partition::repcut::Region;
 use gem_partition::{NodeScratch, Partition, PartitionOptions, Partitioner, Partitioning};
 use gem_place::{place_partition_counted, CoreProgram, OutputSource, PlaceError, PlaceOptions};
-use gem_synth::{synthesize, PortBits, SynthError, SynthOptions};
+use gem_synth::{synthesize, PortBits, SynthError, SynthOptions, SynthResult};
 use gem_telemetry::{FlowRecorder, FlowReport, Json};
 use gem_vgpu::{DeviceConfig, RamBinding};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Options for [`compile`].
@@ -315,394 +314,23 @@ fn compile_with(
     opts: &CompileOptions,
     mut flow: FlowRecorder,
 ) -> Result<Compiled, CompileError> {
-    let mut synth = {
-        let mut st = flow.stage("synth");
-        let synth = synthesize(m, &opts.synth)?;
-        st.metric("gates", synth.stats.gates as f64);
-        st.metric("levels", f64::from(synth.stats.levels));
-        st.metric("ram_blocks", synth.stats.ram_blocks as f64);
-        st.metric(
-            "polyfilled_mem_bits",
-            synth.stats.polyfilled_mem_bits as f64,
-        );
-        synth
-    };
+    let synth = synth_stage(m, &opts.synth, &mut flow)?;
     opts.validate()?;
-    // Construction is over: the graph is read from here to the end of
-    // the run it is kept for (`Compiled::eaig`), so it sheds its
-    // structural-hashing table and growth slack before the mapping flow
-    // allocates beside it.
-    synth.eaig.shrink_to_fit();
     let g = &synth.eaig;
-    let place_opts = PlaceOptions {
+    let place = PlaceOptions {
         core_width: opts.core_width,
         timing_driven: opts.timing_driven,
     };
-
-    // --- Partition, excessively if needed, until everything is mappable.
-    // More partitions shrink cone *sizes*; more stages cut deep shared
-    // cones whose live *width* exceeds the core regardless of count, so
-    // the retry schedule grows both.
-    // Attempts at one stage count share the partitioner's stage plan and
-    // every bisection it has already made. Each stage of a plan is first
-    // offered whole to the merge's oracle: a stage that fits one core is
-    // where merging any split of it ends (DESIGN.md §4), so it is mapped
-    // as that one partition and never split.
-    // Every placement made from here on travels with its partition to
-    // the end of the flow: none is made twice.
-    let mut partitioner = Partitioner::new(g);
-    let (mut parts_goal, mut stages_goal) = (opts.target_parts, opts.stages);
-    let mut accepted = None;
-    let mut last_err = None;
-    let mut attempts = 0u32;
-    let mut whole_oracle = OracleCounts::default();
-    let mut slot_attempts = 0u64;
-    let mut part_stage = flow.stage("partition");
-    // Each stage that asks for placements lends every call one node
-    // table, and drops it when the stage ends.
-    let mut scratch = NodeScratch::new(g);
-    for attempt in 0..8 {
-        attempts = attempt + 1;
-        let popts = PartitionOptions {
-            target_parts: parts_goal,
-            stages: stages_goal,
-            seed: opts.seed,
-        };
-        let width = opts.core_width as usize;
-        let cand = partitioner.partition_whole_first(&popts, width, |p| {
-            whole_oracle.place_if_mappable(g, p, &place_opts, &mut scratch)
-        });
-        match all_mappable(
-            g,
-            &cand,
-            partitioner.whole(),
-            &place_opts,
-            &mut scratch,
-            &mut slot_attempts,
-        ) {
-            Ok(programs) => {
-                accepted = Some((cand, programs));
-                break;
-            }
-            Err(e) => {
-                (parts_goal, stages_goal) = retry_goals(attempt, parts_goal, stages_goal);
-                gem_telemetry::debug!(
-                    "partition attempt {attempts} unmappable ({e}); retrying with \
-                     {parts_goal} parts / {stages_goal} stages"
-                );
-                last_err = Some(e);
-            }
-        }
-    }
-    let counts = partitioner.counts();
-    let whole = partitioner.into_whole();
-    part_stage.metric("attempts", f64::from(attempts));
-    part_stage.metric(
-        "slot_attempts",
-        (slot_attempts + whole_oracle.slot_attempts) as f64,
-    );
-    part_stage.metric("hypergraphs_built", counts.hypergraphs_built as f64);
-    part_stage.metric("bisections", counts.bisections as f64);
-    part_stage.metric("bisections_reused", counts.bisections_reused as f64);
-    part_stage.metric("fm_gain_updates", counts.fm_gain_updates as f64);
-    if let Some((p, _)) = &accepted {
-        part_stage.metric("parts", p.max_parts() as f64);
-        part_stage.metric("stages", p.stages.len() as f64);
-        part_stage.metric("whole_stages", whole.iter().flatten().count() as f64);
-        part_stage.metric("replication_cost", p.replication_cost());
-    }
-    drop(scratch);
-    drop(part_stage);
-    let (partitioning, mut programs) =
-        accepted.ok_or_else(|| CompileError::Place(last_err.expect("tried at least once")))?;
-    for (programs, whole) in programs.iter_mut().zip(whole) {
-        programs.extend(whole); // the one program of a stage mapped whole
-    }
-
-    // --- Algorithm 1: merge back under the width constraint. The oracle
-    // is placement itself behind the cheap width filter. Every partition
-    // enters with its placement, and a merged one leaves with the one
-    // the oracle built when it accepted it.
-    let mut merge_stage = flow.stage("merge");
-    let mut merged_stages = Vec::new();
-    let mut placements: Vec<Vec<Option<CoreProgram>>> = Vec::new();
-    let mut stop = vec![false; g.len()];
-    let (mut oracle_calls, mut repeats_skipped) = (0usize, 0usize);
-    let mut oracle = OracleCounts::default();
-    let mut scratch = NodeScratch::new(g);
-    for (stage, programs) in partitioning.stages.iter().zip(programs) {
-        let region = Region {
-            sinks: stage
-                .partitions
-                .iter()
-                .flat_map(|p| p.sinks.iter().copied())
-                .collect(),
-            stop: stop.clone(),
-        };
-        let payloads = programs.into_iter().map(Some).collect();
-        let (merged, placed, stats) = merge_with_payloads(g, &region, stage, payloads, |p| {
-            oracle.place_if_mappable(g, p, &place_opts, &mut scratch)
-        });
-        oracle_calls += stats.oracle_calls;
-        repeats_skipped += stats.repeats_skipped;
-        for l in &merged.cut_lits {
-            stop[l.node().0 as usize] = true;
-        }
-        merged_stages.push(merged);
-        placements.push(placed);
-    }
-    let partitioning = Partitioning {
-        stages: merged_stages,
-        original_gates: partitioning.original_gates,
-    };
-    merge_stage.metric("parts", partitioning.max_parts() as f64);
-    merge_stage.metric(
-        "cut_lits",
-        partitioning
-            .stages
-            .iter()
-            .map(|s| s.cut_lits.len())
-            .sum::<usize>() as f64,
-    );
-    merge_stage.metric("replication_cost", partitioning.replication_cost());
-    merge_stage.metric("oracle_calls", oracle_calls as f64);
-    merge_stage.metric("width_rejects", oracle.width_rejects as f64);
-    merge_stage.metric("place_rejects", oracle.place_rejects as f64);
-    merge_stage.metric("repeats_skipped", repeats_skipped as f64);
-    merge_stage.metric("slot_attempts", oracle.slot_attempts as f64);
-    drop(scratch);
-    drop(merge_stage);
-
-    // --- Collect the placements: every partition arrives with its own.
-    let mut place_stage = flow.stage("place");
-    let programs: Vec<Vec<CoreProgram>> = placements
-        .into_iter()
-        .map(|stage| stage.into_iter().collect::<Option<Vec<_>>>())
-        .collect::<Option<_>>()
-        .ok_or_else(|| CompileError::Internal("a partition left the merge unplaced".into()))?;
-    let cores = programs.iter().map(Vec::len).sum::<usize>();
-    let max_layers = programs
-        .iter()
-        .flatten()
-        .map(|prog| prog.layers.len() as u32)
-        .max()
-        .unwrap_or(0);
-    place_stage.metric("max_layers", f64::from(max_layers));
-    place_stage.metric("cores", cores as f64);
-    drop(place_stage);
-
-    // --- Global signal space.
-    let mut encode_stage = flow.stage("encode");
-    let mut global_of: HashMap<u32, u32> = HashMap::new(); // node -> slot
-    let mut next_slot = 0u32;
-    let slot = |global_of: &mut HashMap<u32, u32>, next: &mut u32, node: u32| -> u32 {
-        *global_of.entry(node).or_insert_with(|| {
-            let s = *next;
-            *next += 1;
-            s
-        })
-    };
-    for (_, id) in g.inputs() {
-        slot(&mut global_of, &mut next_slot, id.0);
-    }
-    let mut initial_ones = Vec::new();
-    for f in g.ffs() {
-        let sl = slot(&mut global_of, &mut next_slot, f.out.0);
-        if f.init {
-            initial_ones.push(sl);
-        }
-    }
-    for r in g.rams() {
-        for o in r.out {
-            slot(&mut global_of, &mut next_slot, o.0);
-        }
-    }
-    for stage in &partitioning.stages {
-        for l in &stage.cut_lits {
-            slot(&mut global_of, &mut next_slot, l.node().0);
-        }
-    }
-    // Destinations: (lit, global index, deferred).
-    let mut dests: Vec<(Lit, u32, bool)> = Vec::new();
-    for f in g.ffs() {
-        dests.push((f.next, global_of[&f.out.0], true));
-    }
-    let mut ram_bindings = Vec::new();
-    for r in g.rams() {
-        let mut bind = RamBinding {
-            raddr: [0; RAM_ADDR_BITS],
-            waddr: [0; RAM_ADDR_BITS],
-            wdata: [0; RAM_DATA_BITS],
-            we: 0,
-            rdata: [0; RAM_DATA_BITS],
-        };
-        for (k, &l) in r.read_addr.iter().enumerate() {
-            bind.raddr[k] = next_slot;
-            dests.push((l, next_slot, false));
-            next_slot += 1;
-        }
-        for (k, &l) in r.write_addr.iter().enumerate() {
-            bind.waddr[k] = next_slot;
-            dests.push((l, next_slot, false));
-            next_slot += 1;
-        }
-        for (k, &l) in r.write_data.iter().enumerate() {
-            bind.wdata[k] = next_slot;
-            dests.push((l, next_slot, false));
-            next_slot += 1;
-        }
-        bind.we = next_slot;
-        dests.push((r.write_en, next_slot, false));
-        next_slot += 1;
-        for (k, o) in r.out.iter().enumerate() {
-            bind.rdata[k] = global_of[&o.0];
-        }
-        ram_bindings.push(bind);
-    }
-    // Cut signals publish into their own node's slot (immediate).
-    for stage in &partitioning.stages {
-        for &l in &stage.cut_lits {
-            dests.push((l, global_of[&l.node().0], false));
-        }
-    }
-    // Primary outputs get dedicated slots (deferred).
-    let mut po_slots = Vec::new();
-    for (_, l) in g.outputs() {
-        po_slots.push(next_slot);
-        dests.push((*l, next_slot, true));
-        next_slot += 1;
-    }
-    let global_bits = next_slot;
-
-    // --- Ownership: which core publishes each sink literal.
-    // lit code -> (stage, core, OutputSource)
-    let mut owner: HashMap<u32, (usize, usize, OutputSource)> = HashMap::new();
-    for (si, stage) in partitioning.stages.iter().enumerate() {
-        for (ci, p) in stage.partitions.iter().enumerate() {
-            for (k, &sink) in p.sinks.iter().enumerate() {
-                owner
-                    .entry(sink.code())
-                    .or_insert((si, ci, programs[si][ci].outputs[k]));
-            }
-        }
-    }
-    let resolve = |l: Lit| -> Result<(usize, usize, OutputSource), CompileError> {
-        if let Some(&o) = owner.get(&l.code()) {
-            return Ok(o);
-        }
-        if let Some(&(si, ci, src)) = owner.get(&l.flip().code()) {
-            let flipped = match src {
-                OutputSource::State { addr, invert } => OutputSource::State {
-                    addr,
-                    invert: !invert,
-                },
-                OutputSource::Const(v) => OutputSource::Const(!v),
-            };
-            return Ok((si, ci, flipped));
-        }
-        Err(CompileError::Internal(format!(
-            "sink {l} not published by any partition"
-        )))
-    };
-
-    // --- Per-core global reads/writes, then assembly.
-    let mut writes_per_core: Vec<Vec<Vec<WriteEntry>>> = programs
-        .iter()
-        .map(|s| s.iter().map(|_| Vec::new()).collect())
-        .collect();
-    for &(lit, global, deferred) in &dests {
-        if matches!(g.node(lit.node()), Node::Const0) {
-            // Constant destinations are published by stage 0, core 0 (any
-            // core could; constants need no state).
-            writes_per_core[0][0].push(WriteEntry {
-                global,
-                src: WriteSrc::Const(lit.is_inverted()),
-                deferred,
-            });
-            continue;
-        }
-        let (si, ci, src) = resolve(lit)?;
-        let src = match src {
-            OutputSource::State { addr, invert } => WriteSrc::State {
-                addr: addr as u16,
-                invert,
-            },
-            OutputSource::Const(v) => WriteSrc::Const(v),
-        };
-        writes_per_core[si][ci].push(WriteEntry {
-            global,
-            src,
-            deferred,
-        });
-    }
-    let mut stages_bytes = Vec::new();
-    for (si, progs) in programs.iter().enumerate() {
-        let mut cores = Vec::new();
-        for (ci, prog) in progs.iter().enumerate() {
-            let reads: Vec<ReadEntry> = prog
-                .inputs
-                .iter()
-                .map(|&(node, state)| {
-                    let global = *global_of.get(&node.0).ok_or_else(|| {
-                        CompileError::Internal(format!("source n{} has no global slot", node.0))
-                    })?;
-                    Ok(ReadEntry {
-                        global,
-                        state: state as u16,
-                    })
-                })
-                .collect::<Result<_, CompileError>>()?;
-            cores.push(assemble_core(prog, &reads, &writes_per_core[si][ci]));
-        }
-        stages_bytes.push(cores);
-    }
-    let bitstream = Bitstream {
-        width: opts.core_width,
-        global_bits,
-        stages: stages_bytes,
-    };
-
-    // --- I/O map.
-    let node_slot = |idx: usize| -> u32 {
-        let (_, id) = &g.inputs()[idx];
-        global_of[&id.0]
-    };
-    let mut io = IoMap::default();
-    for pb in &synth.inputs {
-        io.inputs.push(PortIndices {
-            name: pb.name.clone(),
-            bits: (0..pb.width as usize)
-                .map(|i| node_slot(pb.lsb_index + i))
-                .collect(),
-        });
-    }
-    for pb in &synth.outputs {
-        io.outputs.push(PortIndices {
-            name: pb.name.clone(),
-            bits: (0..pb.width as usize)
-                .map(|i| po_slots[pb.lsb_index + i])
-                .collect(),
-        });
-    }
-
-    encode_stage.metric("bitstream_bytes", bitstream.total_bytes() as f64);
-    encode_stage.metric("global_bits", f64::from(global_bits));
-    encode_stage.metric("ram_blocks", ram_bindings.len() as f64);
-    drop(encode_stage);
-
-    let device = DeviceConfig {
-        global_bits,
-        rams: ram_bindings,
-        initial_ones,
-    };
-
+    let (split, programs) = partition_stage(g, opts, &place, &mut flow)?;
+    let (partitioning, programs) = merge_stage(g, split, programs, &place, &mut flow);
+    let (bitstream, device, io) =
+        encode_stage(&synth, &partitioning, &programs, opts.core_width, &mut flow)?;
     let schedule_cert = gate(&bitstream, &device, &io, &programs, &mut flow)?;
-
     let report = CompileReport {
         gates: synth.stats.gates,
         levels: synth.stats.levels,
         stages: partitioning.stages.len() as u32,
-        layers: max_layers,
+        layers: max_layers(&programs),
         parts: partitioning.max_parts() as u32,
         bitstream_bytes: bitstream.total_bytes() as u64,
         replication_cost: partitioning.replication_cost(),
@@ -730,6 +358,330 @@ fn compile_with(
         eaig_outputs: synth.outputs,
         schedule_cert,
     })
+}
+
+/// The `synth` stage. Construction ends with it: the graph is read from
+/// here to the end of the run it is kept for (`Compiled::eaig`), so it
+/// sheds its structural-hashing table and growth slack before the
+/// mapping flow allocates beside it.
+fn synth_stage(
+    m: &Module,
+    opts: &SynthOptions,
+    flow: &mut FlowRecorder,
+) -> Result<SynthResult, CompileError> {
+    let mut st = flow.stage("synth");
+    let mut synth = synthesize(m, opts)?;
+    st.metric("gates", synth.stats.gates as f64);
+    st.metric("levels", f64::from(synth.stats.levels));
+    st.metric("ram_blocks", synth.stats.ram_blocks as f64);
+    let polyfilled = synth.stats.polyfilled_mem_bits;
+    st.metric("polyfilled_mem_bits", polyfilled as f64);
+    synth.eaig.shrink_to_fit();
+    Ok(synth)
+}
+
+/// The `partition` stage: partitions, excessively if needed, until every
+/// partition places, and returns them with their programs. More
+/// partitions shrink cone *sizes*; more stages cut deep shared cones
+/// whose live *width* exceeds the core regardless of count, so the retry
+/// schedule grows both.
+///
+/// Attempts at one stage count share the partitioner's stage plan and
+/// every bisection it has already made. Each stage of a plan is first
+/// offered whole to the merge's oracle: a stage that fits one core is
+/// where merging any split of it ends (DESIGN.md §4), so it is mapped as
+/// that one partition and never split. Every placement made from here on
+/// travels with its partition to the end of the flow: none is made twice.
+fn partition_stage(
+    g: &Eaig,
+    opts: &CompileOptions,
+    place: &PlaceOptions,
+    flow: &mut FlowRecorder,
+) -> Result<(Partitioning, Vec<Vec<CoreProgram>>), CompileError> {
+    let mut st = flow.stage("partition");
+    // Each stage that asks for placements lends every call one node
+    // table, and drops it when the stage ends.
+    let mut scratch = NodeScratch::new(g);
+    let mut partitioner = Partitioner::new(g);
+    let (mut parts_goal, mut stages_goal) = (opts.target_parts, opts.stages);
+    let (mut whole_oracle, mut slot_attempts, mut attempts) = (OracleCounts::default(), 0, 0);
+    let accepted = loop {
+        attempts += 1;
+        let popts = PartitionOptions {
+            target_parts: parts_goal,
+            stages: stages_goal,
+            seed: opts.seed,
+        };
+        let width = opts.core_width as usize;
+        let cand = partitioner.partition_whole_first(&popts, width, |p| {
+            whole_oracle.place_if_mappable(g, p, place, &mut scratch)
+        });
+        let whole = partitioner.whole();
+        match all_mappable(g, &cand, whole, place, &mut scratch, &mut slot_attempts) {
+            Ok(programs) => break Ok((cand, programs)),
+            Err(e) if attempts == 8 => break Err(e),
+            Err(e) => {
+                (parts_goal, stages_goal) = retry_goals(attempts - 1, parts_goal, stages_goal);
+                gem_telemetry::debug!(
+                    "partition attempt {attempts} unmappable ({e}); retrying with \
+                     {parts_goal} parts / {stages_goal} stages"
+                );
+            }
+        }
+    };
+    let counts = partitioner.counts();
+    let whole = partitioner.into_whole();
+    st.metric("attempts", f64::from(attempts));
+    let slot_attempts = slot_attempts + whole_oracle.slot_attempts;
+    st.metric("slot_attempts", slot_attempts as f64);
+    st.metric("hypergraphs_built", counts.hypergraphs_built as f64);
+    st.metric("bisections", counts.bisections as f64);
+    st.metric("bisections_reused", counts.bisections_reused as f64);
+    st.metric("fm_gain_updates", counts.fm_gain_updates as f64);
+    let (partitioning, mut programs) = accepted.map_err(CompileError::Place)?;
+    st.metric("parts", partitioning.max_parts() as f64);
+    st.metric("stages", partitioning.stages.len() as f64);
+    st.metric("whole_stages", whole.iter().flatten().count() as f64);
+    st.metric("replication_cost", partitioning.replication_cost());
+    for (programs, whole) in programs.iter_mut().zip(whole) {
+        programs.extend(whole); // the one program of a stage mapped whole
+    }
+    Ok((partitioning, programs))
+}
+
+/// The `merge` stage, Algorithm 1: merges each stage's partitions back
+/// under the width constraint. The oracle is placement itself behind the
+/// cheap width filter. Every partition enters with its program, and a
+/// merged one leaves with the one the oracle built when it accepted it,
+/// so the stage ends with every core's program.
+fn merge_stage(
+    g: &Eaig,
+    split: Partitioning,
+    programs: Vec<Vec<CoreProgram>>,
+    place: &PlaceOptions,
+    flow: &mut FlowRecorder,
+) -> (Partitioning, Vec<Vec<CoreProgram>>) {
+    let mut st = flow.stage("merge");
+    let mut scratch = NodeScratch::new(g);
+    let mut oracle = OracleCounts::default();
+    let (mut oracle_calls, mut repeats_skipped) = (0usize, 0usize);
+    // A stage's region stops at the cut signals of the stages before it.
+    let mut region = Region {
+        sinks: Vec::new(),
+        stop: vec![false; g.len()],
+    };
+    let (mut stages, mut merged_programs) = (Vec::new(), Vec::new());
+    for (stage, programs) in split.stages.into_iter().zip(programs) {
+        let sinks = stage.partitions.iter().flat_map(|p| p.sinks.iter());
+        region.sinks = sinks.copied().collect();
+        let (merged, programs, stats) = merge_with_payloads(g, &region, stage, programs, |p| {
+            oracle.place_if_mappable(g, p, place, &mut scratch)
+        });
+        oracle_calls += stats.oracle_calls;
+        repeats_skipped += stats.repeats_skipped;
+        for l in &merged.cut_lits {
+            region.stop[l.node().0 as usize] = true;
+        }
+        stages.push(merged);
+        merged_programs.push(programs);
+    }
+    let partitioning = Partitioning {
+        stages,
+        original_gates: split.original_gates,
+    };
+    st.metric("parts", partitioning.max_parts() as f64);
+    let cut_lits = partitioning.stages.iter().map(|s| s.cut_lits.len());
+    st.metric("cut_lits", cut_lits.sum::<usize>() as f64);
+    st.metric("replication_cost", partitioning.replication_cost());
+    st.metric("oracle_calls", oracle_calls as f64);
+    st.metric("width_rejects", oracle.width_rejects as f64);
+    st.metric("place_rejects", oracle.place_rejects as f64);
+    st.metric("repeats_skipped", repeats_skipped as f64);
+    st.metric("slot_attempts", oracle.slot_attempts as f64);
+    let cores = merged_programs.iter().map(Vec::len).sum::<usize>();
+    st.metric("cores", cores as f64);
+    st.metric("max_layers", f64::from(max_layers(&merged_programs)));
+    (partitioning, merged_programs)
+}
+
+/// The most boomerang layers on any core.
+fn max_layers(programs: &[Vec<CoreProgram>]) -> u32 {
+    let layers = programs.iter().flatten().map(|p| p.layers.len() as u32);
+    layers.max().unwrap_or(0)
+}
+
+/// The `encode` stage: lays out the device-global signal space, gives
+/// every sink literal the core that publishes it, and assembles each
+/// core's bitstream with its global reads and writes.
+fn encode_stage(
+    synth: &SynthResult,
+    partitioning: &Partitioning,
+    programs: &[Vec<CoreProgram>],
+    width: u32,
+    flow: &mut FlowRecorder,
+) -> Result<(Bitstream, DeviceConfig, IoMap), CompileError> {
+    const UNSET: u32 = u32::MAX;
+    let mut st = flow.stage("encode");
+    let g = &synth.eaig;
+    // --- Global signal space: a slot per source signal, by node id.
+    let mut global_of = vec![UNSET; g.len()];
+    let mut global_bits = 0u32;
+    let sources = (g.inputs().iter().map(|&(_, id)| id))
+        .chain(g.ffs().iter().map(|f| f.out))
+        .chain(g.rams().iter().flat_map(|r| r.out))
+        .chain(
+            partitioning
+                .stages
+                .iter()
+                .flat_map(|s| s.cut_lits.iter().map(|l| l.node())),
+        );
+    for node in sources {
+        let slot = &mut global_of[node.0 as usize];
+        if *slot == UNSET {
+            *slot = global_bits;
+            global_bits += 1;
+        }
+    }
+    let source = |node: NodeId| global_of[node.0 as usize];
+    let initial_ones = g.ffs().iter().filter(|f| f.init).map(|f| source(f.out));
+    let initial_ones = initial_ones.collect();
+    // Destinations (lit, global index, deferred): RAM ports and primary
+    // outputs (deferred) get slots of their own, and cut signals publish
+    // into their own node's (immediate).
+    let mut dests: Vec<(Lit, u32, bool)> = g
+        .ffs()
+        .iter()
+        .map(|f| (f.next, source(f.out), true))
+        .collect();
+    let mut fresh = |dests: &mut Vec<_>, l: Lit, deferred: bool| {
+        dests.push((l, global_bits, deferred));
+        global_bits += 1;
+        global_bits - 1
+    };
+    let rams = g.rams().iter().map(|r| RamBinding {
+        raddr: r.read_addr.map(|l| fresh(&mut dests, l, false)),
+        waddr: r.write_addr.map(|l| fresh(&mut dests, l, false)),
+        wdata: r.write_data.map(|l| fresh(&mut dests, l, false)),
+        we: fresh(&mut dests, r.write_en, false),
+        rdata: r.out.map(source),
+    });
+    let rams: Vec<_> = rams.collect();
+    for &l in partitioning.stages.iter().flat_map(|s| &s.cut_lits) {
+        dests.push((l, source(l.node()), false));
+    }
+    let po_slots: Vec<u32> = (g.outputs().iter())
+        .map(|&(_, l)| fresh(&mut dests, l, true))
+        .collect();
+
+    // --- Ownership: the first core, in stage order, to publish each
+    // sink literal, and where its program holds it. A list of the sinks
+    // sorted by literal code, not a table over every node: on a graph of
+    // 1.9 M nodes such a table (8 B a node) raised the compile's resident
+    // peak by 11 MB.
+    let mut owned = Vec::new();
+    for (si, (stage, progs)) in partitioning.stages.iter().zip(programs).enumerate() {
+        for (ci, (p, prog)) in stage.partitions.iter().zip(progs).enumerate() {
+            for (sink, &src) in p.sinks.iter().zip(&prog.outputs) {
+                owned.push((sink.code(), si, ci, src));
+            }
+        }
+    }
+    owned.sort_by_key(|o| o.0); // stable: the first publisher stays first
+    owned.dedup_by_key(|o| o.0);
+    let find = |l: Lit| {
+        owned
+            .binary_search_by_key(&l.code(), |o| o.0)
+            .ok()
+            .map(|i| owned[i])
+    };
+    let resolve = |l: Lit| -> Result<(usize, usize, WriteSrc), CompileError> {
+        let (flip, owner) = match find(l) {
+            Some(o) => (false, Some(o)),
+            None => (true, find(l.flip())),
+        };
+        let (_, si, ci, src) = owner.ok_or_else(|| {
+            CompileError::Internal(format!("sink {l} not published by any partition"))
+        })?;
+        let src = match src {
+            OutputSource::State { addr, invert } => WriteSrc::State {
+                addr: addr as u16,
+                invert: invert != flip,
+            },
+            OutputSource::Const(v) => WriteSrc::Const(v != flip),
+        };
+        Ok((si, ci, src))
+    };
+
+    // --- Per-core global reads and writes, then assembly.
+    let mut writes: Vec<Vec<Vec<WriteEntry>>> =
+        programs.iter().map(|s| vec![Vec::new(); s.len()]).collect();
+    for (lit, global, deferred) in dests {
+        // Constant destinations are published by stage 0, core 0 (any
+        // core could; constants need no state).
+        let (si, ci, src) = match g.node(lit.node()) {
+            Node::Const0 => (0, 0, WriteSrc::Const(lit.is_inverted())),
+            _ => resolve(lit)?,
+        };
+        writes[si][ci].push(WriteEntry {
+            global,
+            src,
+            deferred,
+        });
+    }
+    let assemble = |prog: &CoreProgram, writes: &Vec<WriteEntry>| {
+        let reads = prog.inputs.iter().map(|&(node, state)| match source(node) {
+            UNSET => Err(CompileError::Internal(format!(
+                "source n{} has no global slot",
+                node.0
+            ))),
+            global => Ok(ReadEntry {
+                global,
+                state: state as u16,
+            }),
+        });
+        let reads = reads.collect::<Result<Vec<_>, _>>()?;
+        Ok(assemble_core(prog, &reads, writes))
+    };
+    let stages = (programs.iter().zip(&writes))
+        .map(|(progs, writes)| {
+            progs
+                .iter()
+                .zip(writes)
+                .map(|(p, w)| assemble(p, w))
+                .collect()
+        })
+        .collect::<Result<_, CompileError>>()?;
+    let bitstream = Bitstream {
+        width,
+        global_bits,
+        stages,
+    };
+
+    // --- I/O map.
+    let port = |pb: &PortBits, slot: &dyn Fn(usize) -> u32| PortIndices {
+        name: pb.name.clone(),
+        bits: (pb.lsb_index..pb.lsb_index + pb.width as usize)
+            .map(slot)
+            .collect(),
+    };
+    let input = |i: usize| source(g.inputs()[i].1);
+    let io = IoMap {
+        inputs: synth.inputs.iter().map(|pb| port(pb, &input)).collect(),
+        outputs: synth
+            .outputs
+            .iter()
+            .map(|pb| port(pb, &|i| po_slots[i]))
+            .collect(),
+    };
+    st.metric("bitstream_bytes", bitstream.total_bytes() as f64);
+    st.metric("global_bits", f64::from(global_bits));
+    st.metric("ram_blocks", rams.len() as f64);
+    let device = DeviceConfig {
+        global_bits,
+        rams,
+        initial_ones,
+    };
+    Ok((bitstream, device, io))
 }
 
 /// The gate every compile passes before it returns: the `verify` stage

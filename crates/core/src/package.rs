@@ -323,9 +323,21 @@ impl Package {
             .map_err(|e| ParsePackageError::BadMeta(e.to_string()))?;
         let bitstream = Bitstream::from_bytes(&bytes[meta_start + meta_len..])
             .map_err(ParsePackageError::BadBitstream)?;
+        let device = device_from_json(get(&meta, "device")?)?;
+        let io = io_from_json(get(&meta, "io")?)?;
+        // A port bit names a slot of the global array that `set_input` and
+        // `output` index unchecked.
+        for p in io.inputs.iter().chain(&io.outputs) {
+            if let Some(b) = p.bits.iter().find(|&&b| b >= device.global_bits) {
+                return Err(bad(&format!(
+                    "port {} binds global bit {b} of {}",
+                    p.name, device.global_bits
+                )));
+            }
+        }
         Ok(Package {
-            device: device_from_json(get(&meta, "device")?)?,
-            io: io_from_json(get(&meta, "io")?)?,
+            device,
+            io,
             report: report_from_json(get(&meta, "report")?)?,
             bitstream,
             schedule_cert: cert_from_json(get(&meta, "schedule_cert")?)?,
@@ -409,6 +421,19 @@ mod tests {
             Err(ParsePackageError::BadMeta(
                 "missing key schedule_cert".into()
             ))
+        );
+    }
+
+    #[test]
+    fn a_port_bit_outside_the_global_array_is_refused() {
+        let mut pkg = Package::from_compiled(&compiled());
+        let outside = pkg.device.global_bits;
+        pkg.io.outputs[0].bits[2] = outside;
+        assert_eq!(
+            Package::from_bytes(&pkg.to_bytes()),
+            Err(ParsePackageError::BadMeta(format!(
+                "port q binds global bit {outside} of {outside}"
+            )))
         );
     }
 

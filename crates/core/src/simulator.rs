@@ -137,11 +137,12 @@ impl GemSimulator {
         self.gpu.lanes()
     }
 
-    /// Cycles stepped per active lane (index = lane). Part of the machine
-    /// state: [`restore`](Self::restore) rewinds it with the cycle
-    /// counter, so the sum over lanes stays Σ_cycles lanes_active while
-    /// the lane count only grows — the invariant the metrics tests
-    /// assert. Narrowing drops the deactivated lanes' counts.
+    /// Cycles stepped per lane (index = lane), for every lane that is
+    /// active or has stepped. Part of the machine state:
+    /// [`restore`](Self::restore) rewinds it with the cycle counter, and
+    /// narrowing keeps the deactivated lanes' counts, so the sum over
+    /// lanes is always Σ_cycles lanes_active — the invariant the metrics
+    /// tests assert.
     pub fn lane_steps(&self) -> &[u64] {
         self.gpu.lane_steps()
     }

@@ -288,7 +288,7 @@ fn reuse_equals_redoing(m: &Module, opts: &CompileOptions) -> Shipped {
         let st = compiled.flow.stage(stage).expect("stage ran");
         st.metric(name).expect("stage metric") as usize
     };
-    let cores = metric("place", "cores");
+    let cores = metric("merge", "cores");
     assert_eq!(cores, compiled.bitstream.total_cores());
     let merges = metric("merge", "oracle_calls")
         - metric("merge", "width_rejects")

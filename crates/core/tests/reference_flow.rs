@@ -237,11 +237,9 @@ impl Tally {
             let accept = |p: &Partition| oracle(g, p, &place);
             let (forgetful, calls) = forgetful_merge(g, stage, programs.clone(), accept);
             self.oracle_calls[0] += calls;
-            let payloads = programs.into_iter().map(Some).collect();
             let (merged, programs, stats) =
-                merge_with_payloads(g, &region, stage, payloads, accept);
+                merge_with_payloads(g, &region, stage.clone(), programs, accept);
             self.oracle_calls[1] += stats.oracle_calls;
-            let programs = programs.into_iter().map(|p| p.expect("came with one"));
             let remembering: MappedStage = merged.partitions.into_iter().zip(programs).collect();
             let sinks = |m: &MappedStage| -> Vec<Vec<Lit>> {
                 m.iter().map(|(p, _)| p.sinks.clone()).collect()

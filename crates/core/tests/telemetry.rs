@@ -25,15 +25,7 @@ fn compile_flow_stage_names_are_stable() {
     let compiled = compile(&m, &CompileOptions::small()).expect("compiles");
     assert_eq!(
         compiled.flow.stage_names(),
-        vec![
-            "analyze",
-            "synth",
-            "partition",
-            "merge",
-            "place",
-            "encode",
-            "verify"
-        ],
+        vec!["analyze", "synth", "partition", "merge", "encode", "verify"],
         "stage names/order are part of the metrics-file format"
     );
     // The analyze stage records per-pass timings.
@@ -51,7 +43,7 @@ fn compile_flow_stage_names_are_stable() {
             .unwrap()
             >= 1.0
     );
-    assert!(report.stage("place").unwrap().metric("max_layers").unwrap() >= 1.0);
+    assert!(report.stage("merge").unwrap().metric("max_layers").unwrap() >= 1.0);
     assert!(
         report
             .stage("encode")

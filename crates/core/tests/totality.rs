@@ -1,4 +1,4 @@
-//! Totality at the Verilog boundary, in process.
+//! Totality at the Verilog and the `.gemb` boundaries, in process.
 //!
 //! Fixed-seed loops per the workspace convention: a `gem_sim::FuzzRng`
 //! stream mutates the shipped designs (`examples/designs/*.v` and the lint
@@ -21,9 +21,16 @@
 //! yet (`*` is quadratic in its width; the gate budget is ROADMAP 1(d)):
 //! a mutant that widens a multiplier to thousands of bits is accepted,
 //! correctly, and compiles for minutes.
+//!
+//! The packages of the three designs are mutated the same way, by one to
+//! four bit flips, a truncation, or a changed digit inside the metadata
+//! JSON. Each mutant goes through `Package::from_bytes`, and what parses
+//! is loaded (`into_simulator`) and run for four cycles with every input
+//! poked and every output read: a typed error or a clean run, never a
+//! panic.
 
 use gem_analyze::{analyze_with_lints, Severity};
-use gem_core::{compile_verilog, CompileOptions};
+use gem_core::{compile_verilog, CompileOptions, Package};
 use gem_netlist::{validate, verilog};
 use gem_sim::FuzzRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -121,14 +128,15 @@ fn mutate(rng: &mut FuzzRng, src: &str) -> String {
     toks.concat()
 }
 
+fn caught(what: &str, panic: Box<dyn std::any::Any + Send>) -> String {
+    let message = (panic.downcast_ref::<String>().map(String::as_str))
+        .or_else(|| panic.downcast_ref::<&str>().copied())
+        .unwrap_or("non-string payload");
+    format!("{what} panicked: {message}")
+}
+
 /// Runs one mutant through every property; `Err` says which one broke.
 fn check(text: &str) -> Result<(), String> {
-    let caught = |what: &str, panic: Box<dyn std::any::Any + Send>| {
-        let message = (panic.downcast_ref::<String>().map(String::as_str))
-            .or_else(|| panic.downcast_ref::<&str>().copied())
-            .unwrap_or("non-string payload");
-        format!("{what} panicked: {message}")
-    };
     let parsed = catch_unwind(|| verilog::parse_with_lints(text))
         .map_err(|p| caught("parse_with_lints", p))?;
     let Ok((module, lints)) = parsed else {
@@ -206,4 +214,107 @@ fn mutants_never_panic_and_get_one_verdict() {
 #[ignore = "12 000 mutants: run with --release -- --ignored"]
 fn mutant_sweep() {
     sweep(0x5EED, 12_000);
+}
+
+/// The packages of the three designs (the fixtures are refused by the
+/// analyzer, so they have none).
+fn packages() -> Vec<Vec<u8>> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/designs");
+    let package = |design: &str| {
+        let text = std::fs::read_to_string(root.join(format!("{design}.v")));
+        let text = text.expect("design reads");
+        let c = compile_verilog(&text, &CompileOptions::small()).expect("design compiles");
+        Package::from_compiled(&c).to_bytes()
+    };
+    ["alu", "counter", "regfile"].map(package).into()
+}
+
+/// One to four bit flips, a truncation, or one digit of the metadata
+/// JSON changed to another.
+fn mutate_package(rng: &mut FuzzRng, bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let pick = |rng: &mut FuzzRng, n: usize| rng.below(n as u64) as usize;
+    match rng.below(3) {
+        0 => {
+            for _ in 0..=rng.below(4) {
+                let at = pick(rng, out.len());
+                out[at] ^= 1 << rng.below(8);
+            }
+        }
+        1 => out.truncate(pick(rng, out.len())),
+        _ => {
+            // "GEMPKG1\n", the metadata length, then the metadata.
+            let meta_len = u32::from_le_bytes(out[8..12].try_into().expect("4 bytes"));
+            let meta = 12..12 + meta_len as usize;
+            let digits: Vec<usize> = meta.filter(|&i| out[i].is_ascii_digit()).collect();
+            let at = digits[pick(rng, digits.len())];
+            out[at] = b'0' + ((out[at] - b'0' + 1 + rng.below(9) as u8) % 10);
+        }
+    }
+    out
+}
+
+/// Parses `bytes` as a package and, if it parses, runs it for four
+/// cycles, poking every input and reading every output; `Err` names the
+/// step that panicked.
+fn check_package(bytes: &[u8]) -> Result<(), String> {
+    let parsed =
+        catch_unwind(|| Package::from_bytes(bytes)).map_err(|p| caught("from_bytes", p))?;
+    let Ok(package) = parsed else {
+        return Ok(());
+    };
+    let io = package.io.clone();
+    let run = || {
+        let Ok(mut sim) = package.into_simulator() else {
+            return;
+        };
+        let mut stimulus = FuzzRng::new(bytes.len() as u64);
+        for _ in 0..4 {
+            for p in &io.inputs {
+                sim.set_input(&p.name, stimulus.bits(p.bits.len() as u32));
+            }
+            sim.step();
+            for p in &io.outputs {
+                sim.output(&p.name);
+            }
+        }
+    };
+    catch_unwind(AssertUnwindSafe(run)).map_err(|p| caught("into_simulator or a cycle", p))
+}
+
+/// `mutants` mutants of the three packages from `seed`; panics with
+/// every one that panicked.
+fn package_sweep(seed: u64, mutants: usize) {
+    let packages = packages();
+    for bytes in &packages {
+        Package::from_bytes(bytes).expect("an unmutated package parses");
+        check_package(bytes).expect("and runs");
+    }
+    let mut rng = FuzzRng::new(seed);
+    let broken: Vec<String> = (0..mutants)
+        .filter_map(|case| {
+            let mutant = mutate_package(&mut rng, &packages[case % packages.len()]);
+            check_package(&mutant)
+                .err()
+                .map(|why| format!("case {case}: {why}"))
+        })
+        .collect();
+    assert!(
+        broken.is_empty(),
+        "{} of {mutants} package mutants panicked:\n{}",
+        broken.len(),
+        broken.join("\n")
+    );
+}
+
+#[test]
+fn package_mutants_never_panic() {
+    package_sweep(0x6E3B, 300);
+}
+
+/// The package sweep CI's fuzz job runs in release.
+#[test]
+#[ignore = "10 000 package mutants: run with --release -- --ignored"]
+fn package_mutant_sweep() {
+    package_sweep(0x6E3C, 10_000);
 }

@@ -40,7 +40,7 @@ fn compile_and_run_produce_a_valid_nested_timeline() {
         .iter()
         .find(|e| e.name == "compile" && e.ph == Phase::Begin)
         .expect("compile root span");
-    for stage in ["synth", "partition", "merge", "place", "encode", "verify"] {
+    for stage in ["synth", "partition", "merge", "encode", "verify"] {
         let b = events
             .iter()
             .find(|e| e.name == stage && e.ph == Phase::Begin)

@@ -118,26 +118,29 @@ pub struct MergeStats {
 
 /// Algorithm 1: greedily merges a stage's partitions, trying candidates in
 /// descending node-overlap order and committing whenever `mappable`
-/// accepts the merged partition. [`merge_with_payloads`] with a `bool`
-/// oracle and no payloads.
+/// accepts the merged partition. [`merge_with_payloads`] on a copy of
+/// `stage`, with a `bool` oracle and no payloads.
 pub fn merge_partitions(
     g: &Eaig,
     region: &Region,
     stage: &Stage,
     mappable: &dyn Fn(&Partition) -> bool,
 ) -> (Stage, MergeStats) {
-    let payloads = stage.partitions.iter().map(|_| None).collect();
-    let (merged, _, stats) =
-        merge_with_payloads(g, region, stage, payloads, |p| mappable(p).then_some(()));
+    let units = vec![(); stage.partitions.len()];
+    let (merged, _, stats) = merge_with_payloads(g, region, stage.clone(), units, |p| {
+        mappable(p).then_some(())
+    });
     (merged, stats)
 }
 
 /// Algorithm 1 with an oracle that hands back what it built to find its
 /// answer (a placement, say): `Some(payload)` accepts the merged
-/// partition. Every partition comes with a payload (`payloads[i]` is
-/// `stage.partitions[i]`'s, `None` for none) and leaves with the payload
-/// of the call that accepted exactly it, or its own if no merge touched
-/// it; a payload is dropped when a later merge supersedes its partition.
+/// partition. Takes the stage and its payloads by value, one payload a
+/// partition (`payloads[i]` is `stage.partitions[i]`'s), and returns the
+/// merged stage with one payload a partition: the payload of the call
+/// that accepted exactly it, or its own if no merge touched it. A
+/// payload is dropped when a later merge supersedes its partition, and
+/// nothing the stage holds is copied.
 ///
 /// Every partition of `stage` must be the cone ([`extract_cone`]) of its
 /// sinks in `region`, the region the stage was partitioned from. A
@@ -151,23 +154,18 @@ pub fn merge_partitions(
 pub fn merge_with_payloads<T>(
     g: &Eaig,
     region: &Region,
-    stage: &Stage,
-    payloads: Vec<Option<T>>,
+    stage: Stage,
+    payloads: Vec<T>,
     mut accept: impl FnMut(&Partition) -> Option<T>,
-) -> (Stage, Vec<Option<T>>, MergeStats) {
-    assert_eq!(
-        payloads.len(),
-        stage.partitions.len(),
-        "one payload a partition"
-    );
-    let mut parts: Vec<Option<(Partition, Option<T>)>> = stage
+) -> (Stage, Vec<T>, MergeStats) {
+    let len = stage.partitions.len();
+    assert_eq!(payloads.len(), len, "one payload a partition");
+    let mut parts: Vec<Option<(Partition, T)>> = stage
         .partitions
-        .iter()
-        .cloned()
+        .into_iter()
         .zip(payloads)
         .map(Some)
         .collect();
-    let len = parts.len();
     let mut stats = MergeStats {
         before: len,
         ..Default::default()
@@ -232,17 +230,16 @@ pub fn merge_with_payloads<T>(
                 refused[pi * len + r] |= refused[qi * len + r];
                 refused[r * len + pi] |= refused[r * len + qi];
             }
-            parts[pi] = Some((merged, Some(payload)));
+            parts[pi] = Some((merged, payload));
             parts[qi] = None;
             stats.merges += 1;
         }
     }
-    let (partitions, payloads): (Vec<Partition>, Vec<Option<T>>) =
-        parts.into_iter().flatten().unzip();
+    let (partitions, payloads): (Vec<Partition>, Vec<T>) = parts.into_iter().flatten().unzip();
     stats.after = partitions.len();
     let merged = Stage {
         partitions,
-        cut_lits: stage.cut_lits.clone(),
+        cut_lits: stage.cut_lits,
     };
     (merged, payloads, stats)
 }
@@ -355,11 +352,6 @@ mod tests {
         let _ = Lit::FALSE;
     }
 
-    /// One `None` payload per partition of `stage`.
-    fn no_payloads<T>(stage: &Stage) -> Vec<Option<T>> {
-        stage.partitions.iter().map(|_| None).collect()
-    }
-
     /// 16 chains in 16 partitions: the stage the payload tests merge.
     fn sixteen_chains() -> (Eaig, Region, Stage) {
         let g = chains(16, 4);
@@ -376,71 +368,37 @@ mod tests {
     fn payloads_belong_to_the_partitions_they_come_back_with() {
         let (g, region, stage) = sixteen_chains();
         // A few chains fit one core, and one partition merges with nothing.
-        let limit = 16;
         let loner = stage.partitions[5].sinks[0];
-        let fits = |p: &Partition| estimate_width(&g, p) <= limit && !p.sinks.contains(&loner);
+        let fits = |p: &Partition| estimate_width(&g, p) <= 16 && !p.sinks.contains(&loner);
+        let own = stage.partitions.iter().map(|p| (p.sinks.clone(), false));
         let mut calls = 0usize;
         let (merged, payloads, stats) =
-            merge_with_payloads(&g, &region, &stage, no_payloads(&stage), |p| {
+            merge_with_payloads(&g, &region, stage.clone(), own.collect(), |p| {
                 calls += 1;
-                fits(p).then(|| p.sinks.clone())
+                fits(p).then(|| (p.sinks.clone(), true))
             });
         assert_eq!(stats.oracle_calls, calls);
         assert_eq!(payloads.len(), merged.partitions.len());
         assert!(stats.merges > 0 && stats.after > 1, "{stats:?}");
-        assert!(payloads.iter().any(Option::is_none), "the loner merged");
-        for (p, payload) in merged.partitions.iter().zip(&payloads) {
-            match payload {
-                // The call that accepted exactly this sink set.
-                Some(sinks) => assert_eq!(sinks, &p.sinks),
-                // Never merged: still one of the stage's own partitions.
-                None => assert!(stage.partitions.contains(p)),
-            }
+        // Every partition comes back with a payload that is its own: the
+        // oracle's for a merged one, the one it came with otherwise.
+        for (p, (sinks, built)) in merged.partitions.iter().zip(&payloads) {
+            assert_eq!(sinks, &p.sinks);
+            assert_eq!(*built, !stage.partitions.contains(p));
         }
+        assert!(payloads.iter().any(|(_, built)| !built), "the loner merged");
         // The bool form is the same algorithm without the payloads.
         let (plain, plain_stats) = merge_partitions(&g, &region, &stage, &fits);
         assert_eq!((plain, plain_stats), (merged, stats));
     }
 
     #[test]
-    fn an_unmerged_partition_keeps_the_payload_it_came_with() {
-        let (g, region, stage) = sixteen_chains();
-        let loner = stage.partitions[5].sinks[0];
-        let fits = |p: &Partition| estimate_width(&g, p) <= 16 && !p.sinks.contains(&loner);
-        let own = stage
-            .partitions
-            .iter()
-            .map(|p| Some((p.sinks.clone(), false)));
-        let (merged, payloads, stats) =
-            merge_with_payloads(&g, &region, &stage, own.collect(), |p| {
-                fits(p).then(|| (p.sinks.clone(), true))
-            });
-        // Every partition comes back with a payload that is its own: the
-        // oracle's for a merged one, the one it came with otherwise.
-        for (p, payload) in merged.partitions.iter().zip(&payloads) {
-            let (sinks, built) = payload.as_ref().expect("every partition came with one");
-            assert_eq!(sinks, &p.sinks);
-            assert_eq!(*built, !stage.partitions.contains(p));
-        }
-        assert!(
-            payloads.iter().flatten().any(|(_, built)| !built),
-            "the loner merged"
-        );
-        // The payloads a merge starts with change none of its decisions.
-        let (plain, _, plain_stats) =
-            merge_with_payloads(&g, &region, &stage, no_payloads(&stage), |p| {
-                fits(p).then_some(())
-            });
-        assert_eq!((plain, plain_stats), (merged, stats));
-    }
-
-    #[test]
-    fn an_unmerged_partition_has_no_payload() {
+    fn a_stage_nothing_merges_in_keeps_its_payloads() {
         let (g, region, stage) = sixteen_chains();
         let (merged, payloads, stats) =
-            merge_with_payloads(&g, &region, &stage, no_payloads(&stage), |_| None::<()>);
-        assert_eq!(merged.partitions, stage.partitions);
-        assert!(payloads.iter().all(Option::is_none));
+            merge_with_payloads(&g, &region, stage.clone(), (0..16).collect(), |_| None);
+        assert_eq!(merged, stage);
+        assert_eq!(payloads, (0..16).collect::<Vec<_>>());
         // 16 partitions meet pairwise once, not once from each side.
         assert_eq!(stats.oracle_calls, 16 * 15 / 2);
         assert_eq!(stats.repeats_skipped, 16 * 15 / 2);
@@ -452,7 +410,8 @@ mod tests {
         let mut refused: Vec<Vec<Lit>> = Vec::new();
         let mut calls = 0usize;
         let limit = 16;
-        let (_, _, stats) = merge_with_payloads(&g, &region, &stage, no_payloads(&stage), |p| {
+        let units = vec![(); stage.partitions.len()];
+        let (_, _, stats) = merge_with_payloads(&g, &region, stage, units, |p| {
             calls += 1;
             for r in &refused {
                 let contains = r.iter().all(|s| p.sinks.contains(s));

@@ -127,7 +127,7 @@ fn one_correlation_id_links_wire_frames_and_spans() {
     let open_names = names_with_rid(&events, open_rid);
     assert!(open_names.contains(&"request:open"), "{open_names:?}");
     assert!(open_names.contains(&"job:open"), "{open_names:?}");
-    for stage in ["synth", "partition", "merge", "place", "encode", "verify"] {
+    for stage in ["synth", "partition", "merge", "encode", "verify"] {
         assert!(
             open_names.contains(&stage),
             "compile stage {stage:?} must carry the open request's id: {open_names:?}"

@@ -274,10 +274,17 @@ impl GemGpu {
     ///
     /// # Errors
     ///
-    /// Returns [`MachineError`] on undecodable programs or out-of-range
-    /// global indices / state addresses.
+    /// Returns [`MachineError`] on undecodable programs, a device whose
+    /// global space is not the bitstream's (checked before anything is
+    /// sized by it), or out-of-range global indices / state addresses.
     pub fn load(bitstream: &Bitstream, cfg: DeviceConfig) -> Result<Self, MachineError> {
         let gb = cfg.global_bits;
+        if gb != bitstream.global_bits {
+            return Err(MachineError::BadBinding(format!(
+                "device has {gb} global bits, the bitstream {}",
+                bitstream.global_bits
+            )));
+        }
         let mut stages = Vec::with_capacity(bitstream.stages.len());
         for (si, stage) in bitstream.stages.iter().enumerate() {
             let mut cores = Vec::with_capacity(stage.len());
@@ -617,11 +624,14 @@ impl GemGpu {
         &self.counters
     }
 
-    /// Cycles stepped per active lane (index = lane). Lane 0 is always
-    /// active, so its count is `counters().cycles`; the sum over lanes
-    /// is Σ over cycles of the lane count active at that cycle.
+    /// Cycles stepped per lane (index = lane), for every lane that is
+    /// active or has stepped: a lane narrowed away keeps its count. Lane 0
+    /// is always active, so its count is `counters().cycles`; the sum over
+    /// lanes is Σ over cycles of the lane count active at that cycle.
     pub fn lane_steps(&self) -> &[u64] {
-        &self.lane_steps[..self.lanes as usize]
+        // Active lanes are the low ones, so the counts fall with the index.
+        let stepped = self.lane_steps.iter().take_while(|&&s| s > 0).count();
+        &self.lane_steps[..stepped.max(self.lanes as usize)]
     }
 
     /// Device totals refined per partition and per boomerang layer.
@@ -952,6 +962,21 @@ mod tests {
         assert!(matches!(
             GemGpu::load(&bs, cfg),
             Err(MachineError::BadBinding(_))
+        ));
+    }
+
+    #[test]
+    fn a_device_sized_apart_from_its_bitstream_is_refused() {
+        let (bs, cfg) = and_bitstream();
+        // Refused before the global array is sized: this one would be
+        // 32 GiB of lane words.
+        let huge = DeviceConfig {
+            global_bits: u32::MAX,
+            ..cfg
+        };
+        assert!(matches!(
+            GemGpu::load(&bs, huge),
+            Err(MachineError::BadBinding(why)) if why.contains("4294967295 global bits")
         ));
     }
 

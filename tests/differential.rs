@@ -28,7 +28,7 @@
 //! (what makes `Levels::depth` the Verilator model's barrier count), and
 //! that every simulator's counters reconcile: partition sums equal
 //! totals, `gem_sim_lane_steps_total` sums the lanes stepped each cycle
-//! (narrowing keeps lane 0's count only) and `gem_sim_lanes_active` is
+//! (narrowing keeps every lane's count) and `gem_sim_lanes_active` is
 //! the lane count. Each test's corpus must contain a multi-core
 //! placement.
 //!
@@ -290,6 +290,7 @@ fn run_seed(seed: u64, ram: bool, cycles: u64, widen: bool, tally: &mut Tally) {
                 let lane_steps = wide.end + (wide.end - wide.start) * u64::from(STREAMS - 1);
                 reconcile(sim, lane_steps, STREAMS, at);
                 sim.set_lanes(1).expect("narrow");
+                reconcile(sim, lane_steps, 1, at);
             }
             for lane in (0..sim.lanes()).filter(|&l| drew[l as usize]) {
                 streams[lane as usize].poke(sim, lane, &c);
@@ -316,8 +317,9 @@ fn run_seed(seed: u64, ram: bool, cycles: u64, widen: bool, tally: &mut Tally) {
         reconcile(sim, run * u64::from(lanes), lanes, at);
     }
     if let Some((sim, _)) = &widening {
-        // Narrowing keeps lane 0's count only.
-        reconcile(sim, run, 1, at);
+        // Narrowing keeps the widened lanes' counts.
+        let widened = (wide.end - wide.start) * u64::from(STREAMS - 1);
+        reconcile(sim, run + widened, 1, at);
     }
 }
 
@@ -333,10 +335,10 @@ fn fuzz_smoke() {
 }
 
 /// Tier-1 RAM smoke: 15 RAM-heavy designs, every one with a memory and
-/// every memory with both a sync and an async read port. Synthesis
-/// polyfills a memory with an async port with flip-flops, so this band
-/// holds the polyfill to golden; the plain corpus's sync-only memories
-/// are the ones mapped to RAM blocks. Seed 3 also goes 1 → 64 → 1.
+/// every memory with a second, sync read port. A memory whose first port
+/// is sync maps to RAM blocks, so the RAM phase runs; one whose first
+/// port is async is polyfilled with flip-flops. Seed 3 also goes
+/// 1 → 64 → 1.
 #[test]
 fn ram_smoke() {
     let mut tally = Tally::default();
@@ -344,6 +346,7 @@ fn ram_smoke() {
         run_seed(seed, true, 10, seed == 3, &mut tally);
     }
     tally.finish("ram_smoke");
+    assert!(tally.ram_designs > 0, "ram_smoke mapped no RAM block");
 }
 
 /// Full sweep: 220 plain designs × 24 cycles a stream, every seed through
@@ -367,4 +370,5 @@ fn ram_sweep() {
         run_seed(seed, true, 16, true, &mut tally);
     }
     tally.finish("ram_sweep");
+    assert!(tally.ram_designs > 0, "ram_sweep mapped no RAM block");
 }
