@@ -96,16 +96,8 @@ pub fn measure_event(d: &Design, c: &Compiled, w: &Workload, cycles: u64) -> (f6
 }
 
 /// Speed of the levelized full-cycle ("Verilator") baseline, [`EaigSim`],
-/// at 1 and at 8 threads.
-///
-/// One thread is measured in wall-clock. Eight are *modeled* from that
-/// measurement: compute scales by `threads − 1` (imbalance leaves one
-/// thread's worth on the table) and each logic level of the live logic
-/// costs one barrier (≈0.6 µs on a Xeon-class host). Measuring a thread
-/// pool for real requires a multi-core host; this harness must also run
-/// on single-core CI boxes, and the model reproduces the paper's observed
-/// 2–4× scaling with its per-level saturation.
-pub fn measure_levelized(d: &Design, c: &Compiled, w: &Workload, cycles: u64) -> (f64, f64) {
+/// at one thread, measured in wall-clock.
+pub fn measure_levelized(d: &Design, c: &Compiled, w: &Workload, cycles: u64) -> f64 {
     let widths = |n: &str| port_width(d, n);
     let mut stim = w.stimulus(&widths);
     let mut sim = EaigSim::new(&c.eaig);
@@ -115,16 +107,11 @@ pub fn measure_levelized(d: &Design, c: &Compiled, w: &Workload, cycles: u64) ->
         apply_to_bitvec(&c.eaig_inputs, &ins, &mut bits);
         sim.cycle(&bits);
     }
-    let hz1 = measure_hz(cycles, || {
+    measure_hz(cycles, || {
         let ins = stim.next_inputs();
         apply_to_bitvec(&c.eaig_inputs, &ins, &mut bits);
         sim.cycle(&bits);
-    });
-    const THREADS: f64 = 8.0;
-    const BARRIER_S: f64 = 0.6e-6;
-    let t1 = 1.0 / hz1;
-    let t_mt = t1 / (THREADS - 1.0) + f64::from(c.eaig.levels().depth) * BARRIER_S;
-    (hz1, 1.0 / t_mt)
+    })
 }
 
 /// Modeled speed of the GL0AM-style gate-level GPU baseline (A100): the

@@ -253,15 +253,15 @@ fn table2_row(d: &Design, c: &Compiled, w: &Workload, cycles: u64) -> Json {
     let gem_a100 = TimingModel::new(GpuSpec::a100()).hz_total(&counters);
     let gem_3090 = TimingModel::new(GpuSpec::rtx3090()).hz_total(&counters);
     let (comm, events) = measure_event(d, c, w, cycles);
-    let (v1, v8) = measure_levelized(d, c, w, cycles);
+    let v1 = measure_levelized(d, c, w, cycles);
     let gl0am = measure_gl0am(d, c, w, cycles.min(500));
     json!({
         "design": d.name.as_str(), "test": w.name.as_str(),
-        "commercial_hz": comm, "verilator8_hz": v8, "verilator1_hz": v1,
+        "commercial_hz": comm, "verilator1_hz": v1,
         "gl0am_hz": gl0am, "gem_a100_hz": gem_a100, "gem_3090_hz": gem_3090,
         "events_per_cycle": events,
-        "speedup_comm": gem_a100 / comm, "speedup_v8": gem_a100 / v8,
-        "speedup_v1": gem_a100 / v1, "speedup_gl0am": gem_a100 / gl0am,
+        "speedup_comm": gem_a100 / comm, "speedup_v1": gem_a100 / v1,
+        "speedup_gl0am": gem_a100 / gl0am,
         "a100_per_3090": gem_a100 / gem_3090,
         "gem_counters": json!({
             "global_bytes": counters.global_bytes,
@@ -488,12 +488,6 @@ fn verdicts(r: &Records) -> Vec<Verdict> {
             "9.15×",
         )
         .reads(r, Mean, "table2", "speedup_comm"),
-        row(
-            "T2.avg_vs_verilator8",
-            "Avg speed-up vs Verilator-8t (modeled from 1t)",
-            "5.98×",
-        )
-        .reads(r, Mean, "table2", "speedup_v8"),
         row(
             "T2.avg_vs_verilator1",
             "Avg speed-up vs Verilator-1t",

@@ -1,4 +1,4 @@
-//! Totality at the Verilog and the `.gemb` boundaries, in process.
+//! Totality at the Verilog, `.gemb` and VCD boundaries, in process.
 //!
 //! Fixed-seed loops per the workspace convention: a `gem_sim::FuzzRng`
 //! stream mutates the shipped designs (`examples/designs/*.v` and the lint
@@ -28,9 +28,23 @@
 //! is loaded (`into_simulator`) and run for four cycles with every input
 //! poked and every output read: a typed error or a clean run, never a
 //! panic.
+//!
+//! A small waveform over `regfile.v`'s inputs is mutated byte by byte
+//! (as the Verilog text is) and line by line (a line swapped with
+//! another, duplicated or deleted). Each mutant goes through
+//! `VcdStimulus::new` (which parses it with `VcdDump::parse`) and what
+//! binds is replayed (`replay_lanes`) into the design's simulator: again
+//! a typed error or a clean run.
+//!
+//! One driver ([`sweep`]) runs every boundary's mutants and collects
+//! what broke.
 
 use gem_analyze::{analyze_with_lints, Severity};
-use gem_core::{compile_verilog, CompileOptions, Package};
+use gem_core::{
+    compile_verilog, replay_lanes, CompileOptions, Compiled, GemSimulator, OutputRecorder, Package,
+    VcdStimulus,
+};
+use gem_netlist::vcd::VcdWriter;
 use gem_netlist::{validate, verilog};
 use gem_sim::FuzzRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -89,20 +103,29 @@ fn tokens(src: &str) -> Vec<&str> {
     out
 }
 
+fn pick(rng: &mut FuzzRng, n: usize) -> usize {
+    rng.below(n as u64) as usize
+}
+
+/// One byte of `src` flipped, inserted or deleted; invalid UTF-8 reads
+/// as U+FFFD.
+fn mutate_bytes(rng: &mut FuzzRng, src: &str) -> String {
+    let mut bytes = src.as_bytes().to_vec();
+    let at = pick(rng, bytes.len());
+    match rng.below(3) {
+        0 => bytes[at] ^= 1 << rng.below(8),
+        1 => bytes.insert(at, rng.below(256) as u8),
+        _ => drop(bytes.remove(at)),
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
 fn mutate(rng: &mut FuzzRng, src: &str) -> String {
-    let pick = |rng: &mut FuzzRng, n: usize| rng.below(n as u64) as usize;
     if src.is_empty() {
         return String::new();
     }
     if rng.chance(1, 2) {
-        let mut bytes = src.as_bytes().to_vec();
-        let at = pick(rng, bytes.len());
-        match rng.below(3) {
-            0 => bytes[at] ^= 1 << rng.below(8),
-            1 => bytes.insert(at, rng.below(256) as u8),
-            _ => drop(bytes.remove(at)),
-        }
-        return String::from_utf8_lossy(&bytes).into_owned();
+        return mutate_bytes(rng, src);
     }
     let mut toks = tokens(src);
     let literals: Vec<usize> = (0..toks.len())
@@ -166,32 +189,52 @@ fn check(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `mutants` mutants of the corpus, one to three mutations each, from
-/// `seed`; panics with every broken property and the text that broke it.
-fn sweep(seed: u64, mutants: usize) {
-    let corpus = corpus();
+/// The one mutation driver: `mutants` mutants from `seed`, case `i` made
+/// by `mutate` from `corpus[i % corpus.len()]` and run through `check`;
+/// panics with every case that broke a property.
+fn sweep<T>(
+    corpus: &[T],
+    seed: u64,
+    mutants: usize,
+    mut mutate: impl FnMut(&mut FuzzRng, &T) -> T,
+    mut check: impl FnMut(&T) -> Result<(), String>,
+) {
     let mut rng = FuzzRng::new(seed);
-    let mut broken = Vec::new();
-    for case in 0..mutants {
-        let mut text = corpus[case % corpus.len()].clone();
-        for _ in 0..=rng.below(3) {
-            text = mutate(&mut rng, &text);
-        }
-        let started = Instant::now();
-        let verdict = check(&text);
-        if started.elapsed() > Duration::from_secs(10) {
-            broken.push(format!("case {case}: took {:?}\n{text}", started.elapsed()));
-        }
-        if let Err(why) = verdict {
-            broken.push(format!("case {case}: {why}\n{text}"));
-        }
-    }
+    let broken: Vec<String> = (0..mutants)
+        .filter_map(|case| {
+            let mutant = mutate(&mut rng, &corpus[case % corpus.len()]);
+            check(&mutant)
+                .err()
+                .map(|why| format!("case {case}: {why}"))
+        })
+        .collect();
     assert!(
         broken.is_empty(),
         "{} of {mutants} mutants broke a property:\n{}",
         broken.len(),
         broken.join("\n---\n")
     );
+}
+
+/// `mutants` mutants of the Verilog corpus, one to three mutations each,
+/// from `seed`; a failure shows the text that broke the property.
+fn verilog_sweep(seed: u64, mutants: usize) {
+    let mutate = |rng: &mut FuzzRng, text: &String| {
+        let mut text = text.clone();
+        for _ in 0..=rng.below(3) {
+            text = mutate(rng, &text);
+        }
+        text
+    };
+    let timed_check = |text: &String| {
+        let started = Instant::now();
+        check(text).map_err(|why| format!("{why}\n{text}"))?;
+        match started.elapsed() {
+            took if took > Duration::from_secs(10) => Err(format!("took {took:?}\n{text}")),
+            _ => Ok(()),
+        }
+    };
+    sweep(&corpus(), seed, mutants, mutate, timed_check);
 }
 
 /// The unmutated corpus holds the properties too (and all of it parses:
@@ -206,14 +249,14 @@ fn the_corpus_itself_is_total() {
 
 #[test]
 fn mutants_never_panic_and_get_one_verdict() {
-    sweep(0x707A, 400);
+    verilog_sweep(0x707A, 400);
 }
 
 /// The sweep CI's fuzz job runs in release.
 #[test]
 #[ignore = "12 000 mutants: run with --release -- --ignored"]
 fn mutant_sweep() {
-    sweep(0x5EED, 12_000);
+    verilog_sweep(0x5EED, 12_000);
 }
 
 /// The packages of the three designs (the fixtures are refused by the
@@ -233,7 +276,6 @@ fn packages() -> Vec<Vec<u8>> {
 /// JSON changed to another.
 fn mutate_package(rng: &mut FuzzRng, bytes: &[u8]) -> Vec<u8> {
     let mut out = bytes.to_vec();
-    let pick = |rng: &mut FuzzRng, n: usize| rng.below(n as u64) as usize;
     match rng.below(3) {
         0 => {
             for _ in 0..=rng.below(4) {
@@ -282,29 +324,16 @@ fn check_package(bytes: &[u8]) -> Result<(), String> {
     catch_unwind(AssertUnwindSafe(run)).map_err(|p| caught("into_simulator or a cycle", p))
 }
 
-/// `mutants` mutants of the three packages from `seed`; panics with
-/// every one that panicked.
+/// `mutants` mutants of the three packages from `seed`.
 fn package_sweep(seed: u64, mutants: usize) {
     let packages = packages();
     for bytes in &packages {
         Package::from_bytes(bytes).expect("an unmutated package parses");
         check_package(bytes).expect("and runs");
     }
-    let mut rng = FuzzRng::new(seed);
-    let broken: Vec<String> = (0..mutants)
-        .filter_map(|case| {
-            let mutant = mutate_package(&mut rng, &packages[case % packages.len()]);
-            check_package(&mutant)
-                .err()
-                .map(|why| format!("case {case}: {why}"))
-        })
-        .collect();
-    assert!(
-        broken.is_empty(),
-        "{} of {mutants} package mutants panicked:\n{}",
-        broken.len(),
-        broken.join("\n")
-    );
+    let mutate = |rng: &mut FuzzRng, bytes: &Vec<u8>| mutate_package(rng, bytes);
+    let check = |bytes: &Vec<u8>| check_package(bytes);
+    sweep(&packages, seed, mutants, mutate, check);
 }
 
 #[test]
@@ -317,4 +346,91 @@ fn package_mutants_never_panic() {
 #[ignore = "10 000 package mutants: run with --release -- --ignored"]
 fn package_mutant_sweep() {
     package_sweep(0x6E3C, 10_000);
+}
+
+/// `regfile.v`, compiled, and a six-cycle waveform over its inputs that
+/// also carries a variable the design does not have.
+fn waveform_design() -> (Compiled, String) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/designs");
+    let text = std::fs::read_to_string(root.join("regfile.v")).expect("design reads");
+    let c = compile_verilog(&text, &CompileOptions::small()).expect("design compiles");
+    let mut w = VcdWriter::new("tb");
+    let vars: Vec<_> = (c.io.inputs.iter())
+        .map(|p| (w.add_var(&p.name, p.bits.len() as u32), p.bits.len() as u32))
+        .collect();
+    let other = w.add_var("other", 3);
+    w.begin();
+    let mut values = FuzzRng::new(0xACD);
+    for t in 0..6 {
+        w.timestamp(t * 5);
+        for &(var, width) in &vars {
+            w.change(var, &values.bits(width));
+        }
+        w.change(other, &values.bits(3));
+    }
+    (c, w.finish())
+}
+
+/// A byte mutant, or one line swapped with another, duplicated or
+/// deleted.
+fn mutate_waveform(rng: &mut FuzzRng, text: &str) -> String {
+    if rng.chance(1, 2) {
+        return mutate_bytes(rng, text);
+    }
+    let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+    match rng.below(3) {
+        0 => {
+            let (a, b) = (pick(rng, lines.len()), pick(rng, lines.len()));
+            lines.swap(a, b);
+        }
+        1 => {
+            let at = pick(rng, lines.len());
+            lines.insert(at, lines[at]);
+        }
+        _ => drop(lines.remove(pick(rng, lines.len()))),
+    }
+    lines.concat()
+}
+
+/// Binds `text` to the inputs of `sim`'s design and, if it binds,
+/// replays it from wherever `sim` stands; `Err` names the step that
+/// panicked.
+fn check_waveform(sim: &mut GemSimulator, text: &str) -> Result<(), String> {
+    let io = sim.io().clone();
+    let bound =
+        catch_unwind(|| VcdStimulus::new(text, &io)).map_err(|p| caught("VcdStimulus::new", p))?;
+    let Ok(stimulus) = bound else {
+        return Ok(());
+    };
+    let mut recorder = [OutputRecorder::new(&io, 0)];
+    let run = || replay_lanes(sim, &[&stimulus], &mut recorder);
+    catch_unwind(AssertUnwindSafe(run))
+        .map(drop)
+        .map_err(|p| caught("replay_lanes", p))
+}
+
+/// `mutants` mutants of the waveform from `seed`; a failure shows the
+/// text that broke.
+fn waveform_sweep(seed: u64, mutants: usize) {
+    let (c, waveform) = waveform_design();
+    let stimulus = VcdStimulus::new(&waveform, &c.io).expect("the waveform binds");
+    assert_eq!(stimulus.cycles(), 6);
+    let mut sim = GemSimulator::new(&c).expect("the design loads");
+    check_waveform(&mut sim, &waveform).expect("and replays");
+    let check =
+        |text: &String| check_waveform(&mut sim, text).map_err(|why| format!("{why}\n{text}"));
+    let mutate = |rng: &mut FuzzRng, text: &String| mutate_waveform(rng, text);
+    sweep(&[waveform], seed, mutants, mutate, check);
+}
+
+#[test]
+fn waveform_mutants_never_panic() {
+    waveform_sweep(0x7CD, 300);
+}
+
+/// The waveform sweep CI's fuzz job runs in release.
+#[test]
+#[ignore = "10 000 waveform mutants: run with --release -- --ignored"]
+fn waveform_mutant_sweep() {
+    waveform_sweep(0x7CE, 10_000);
 }

@@ -185,15 +185,15 @@ fn read_layer(
     Ok((layer, cursor))
 }
 
-/// Reads `n` layers of width `width` from `bytes` into the dense
-/// reference layout (`crate::dense`), a bit at a time, as the decoder
-/// did before layers were compact.
+/// Reads `n` layers of width `width` from `bytes` a bit at a time,
+/// setting each slot through the layer's setters: the reference decoder
+/// that `crate::dense` holds [`read_layer`] to.
 #[cfg(test)]
 pub(crate) fn read_dense_layers(
     bytes: &[u8],
     width: u32,
     n: usize,
-) -> Result<Vec<crate::dense::DenseLayer>, DecodeError> {
+) -> Result<Vec<BoomerangLayer>, DecodeError> {
     let mut r = BitReader {
         bitwise: true,
         ..BitReader::new(bytes)
@@ -202,7 +202,7 @@ pub(crate) fn read_dense_layers(
     let mut cursor = 0;
     let mut layers = Vec::new();
     for _ in 0..n {
-        let mut layer = crate::dense::DenseLayer::new(width);
+        let mut layer = BoomerangLayer::new(width);
         let pw = perm_words(width);
         let codes_per_word = (width as usize).div_ceil(pw);
         let mut idx = 0usize;
@@ -210,20 +210,23 @@ pub(crate) fn read_dense_layers(
             let word_base = cursor;
             for _ in 0..codes_per_word.min(width as usize - idx) {
                 let code = r.read_bits(16)? as u16;
-                layer.perm[idx] = if code & 0x8000 != 0 {
+                let source = if code & 0x8000 != 0 {
                     PermSource::ConstFalse
                 } else {
                     PermSource::State(code)
                 };
+                layer.set_perm(idx, source);
                 idx += 1;
             }
             cursor = word_base + wide_bits(width);
             r.seek(cursor)?;
         }
         let fold_base = cursor;
-        for planes in &mut layer.planes {
-            for b in planes.iter_mut().flatten() {
-                *b = r.read_bit()?;
+        for k in 0..folds {
+            for p in [Plane::Xa, Plane::Xb, Plane::Ob] {
+                for j in 0..(width as usize >> (k + 1)) {
+                    layer.set_const(k, p, j, r.read_bit()?);
+                }
             }
         }
         r.seek(fold_base + wide_bits(width) - 32)?;
@@ -245,7 +248,7 @@ pub(crate) fn read_dense_layers(
                         "writeback level {level} slot {slot}"
                     )));
                 }
-                layer.writeback[level - 1][slot] = Some(addr);
+                layer.set_writeback(level - 1, slot, Some(addr));
             }
             cursor = word_base + wide_bits(width);
             r.seek(cursor)?;

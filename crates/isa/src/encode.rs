@@ -267,10 +267,11 @@ pub(crate) fn assemble_reference(dec: &crate::DecodedCore) -> Vec<u8> {
     )
 }
 
-/// The layer words of `layers` as the encoder wrote them from the dense
-/// reference layout (`crate::dense`), a bit at a time.
+/// The layer words of `layers` written a bit at a time, reading each
+/// slot through the layer's accessors: the reference the word-wise
+/// encoder is held to (`crate::dense`).
 #[cfg(test)]
-pub(crate) fn assemble_dense_layers(w: u32, layers: &[crate::dense::DenseLayer]) -> Vec<u8> {
+pub(crate) fn assemble_dense_layers(w: u32, layers: &[BoomerangLayer]) -> Vec<u8> {
     use gem_place::PermSource;
     let mut out = BitWriter {
         bitwise: true,
@@ -278,14 +279,15 @@ pub(crate) fn assemble_dense_layers(w: u32, layers: &[crate::dense::DenseLayer])
     };
     for layer in layers {
         let pw = perm_words(w);
-        let codes_per_word = layer.perm.len().div_ceil(pw);
-        for chunk in layer.perm.chunks(codes_per_word) {
+        let codes_per_word = (w as usize).div_ceil(pw);
+        for word in 0..pw {
             let base = out.bit;
-            for s in chunk {
-                let code: u16 = match s {
+            let first = word * codes_per_word;
+            for j in first..(first + codes_per_word).min(w as usize) {
+                let code: u16 = match layer.perm(j) {
                     PermSource::State(a) => {
-                        assert!(*a < 0x8000, "state address too wide");
-                        *a
+                        assert!(a < 0x8000, "state address too wide");
+                        a
                     }
                     PermSource::ConstFalse => 0x8000,
                 };
@@ -294,18 +296,20 @@ pub(crate) fn assemble_dense_layers(w: u32, layers: &[crate::dense::DenseLayer])
             out.pad_to(base + wide_bits(w));
         }
         let base = out.bit;
-        for planes in &layer.planes {
-            for &b in planes.iter().flatten() {
-                out.push_bit(b);
+        for k in 0..layer.fold_levels() {
+            let fc = layer.fold(k);
+            for p in [Plane::Xa, Plane::Xb, Plane::Ob] {
+                for j in 0..fc.slots() {
+                    out.push_bit(fc.get(p, j));
+                }
             }
         }
-        let wb: Vec<(u32, u32, u32)> = layer
-            .writeback
-            .iter()
-            .enumerate()
-            .flat_map(|(k, slots)| {
-                slots.iter().enumerate().filter_map(move |(j, a)| {
-                    a.map(|addr| (k as u32 + 1, j as u32, u32::from(addr)))
+        let wb: Vec<(u32, u32, u32)> = (0..layer.fold_levels())
+            .flat_map(|k| {
+                (0..layer.fold(k).slots()).filter_map(move |j| {
+                    layer
+                        .writeback(k, j)
+                        .map(|addr| (k as u32 + 1, j as u32, u32::from(addr)))
                 })
             })
             .collect();

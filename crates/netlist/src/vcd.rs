@@ -250,12 +250,20 @@ impl VcdDump {
                 // the x-value entries inside a `$dumpoff` block parse as
                 // ordinary changes (x reads as 0).
             } else {
-                let (vch, code) = line.split_at(1);
+                // A scalar change: one value character, then the code. On
+                // a wider variable it is zero-extended, as a short vector
+                // value is.
+                let mut chars = line.chars();
+                let vch = chars.next();
+                let code = chars.as_str();
                 let id = *codes
                     .get(code)
                     .ok_or_else(|| ParseVcdError::UnknownId(code.into()))?;
-                let bit = vch == "1";
-                changes.push((time, id, Bits::from(bit)));
+                let mut v = Bits::zeros(vars[id.0 as usize].1);
+                if vch == Some('1') && v.width() > 0 {
+                    v.set_bit(0, true);
+                }
+                changes.push((time, id, v));
             }
         }
         Ok(VcdDump { vars, changes })
@@ -345,6 +353,22 @@ mod tests {
         // The same timestamp repeated is legal.
         let d = VcdDump::parse("$enddefinitions $end\n#3\n#3\n#4\n").unwrap();
         assert!(d.changes.is_empty());
+    }
+
+    #[test]
+    fn a_scalar_change_may_start_with_any_character() {
+        // A change line is split after its first character, not its
+        // first byte; a value other than `1` reads as 0, as `x` does.
+        let text = "$var wire 1 ! v $end\n$enddefinitions $end\n#0\n\u{FFFD}!\n";
+        let d = VcdDump::parse(text).unwrap();
+        assert_eq!(d.changes, [(0, VarId(0), Bits::from(false))]);
+    }
+
+    #[test]
+    fn a_scalar_change_takes_its_variables_width() {
+        let text = "$var wire 4 ! v $end\n$enddefinitions $end\n#0\n1!\n";
+        let d = VcdDump::parse(text).unwrap();
+        assert_eq!(d.changes, [(0, VarId(0), Bits::from_u64(1, 4))]);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! the executor and both lowerings written against it. Random layers
 //! are built both ways and must agree on every accessor, on
 //! [`BoomerangLayer::execute`] and on [`CompiledLayer::lower`] and
-//! [`PackedLayer::lower`]; `gem-isa` holds its codec to the same layout.
+//! [`PackedLayer::lower`]. `gem-isa` holds its codec to a bit-at-a-time
+//! reference that reads and sets layers through the accessors checked
+//! here.
 
 use crate::layer::{BoomerangLayer, PermSource, Plane};
 use crate::testutil::xorshift;

@@ -6,10 +6,8 @@
 //! flat array of the live AND gates in level order, one value byte per
 //! node, executed unconditionally every cycle. It defines the semantics
 //! every other engine is checked against, and `gem_bench::measure_levelized`
-//! times its [`cycle`](EaigSim::cycle) for the 1-thread column; the
-//! 8-thread column is modeled from that time and one barrier per logic
-//! level ([`Eaig::levels`]`.depth`). The state a clock
-//! edge carries, and the edge itself, live in `state.rs`.
+//! times its [`cycle`](EaigSim::cycle) for the 1-thread column. The
+//! state a clock edge carries, and the edge itself, live in `state.rs`.
 
 use crate::state::State;
 use gem_aig::{Eaig, Lit, Node};

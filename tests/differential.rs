@@ -1,14 +1,18 @@
 //! The differential corpus: random designs ([`gem_sim::random_module`])
-//! compiled onto the virtual GPU, every lane of every lane count held to
-//! the golden E-AIG model, cycle for cycle.
+//! held, cycle for cycle, along one chain: the RTL netlist ↔ the golden
+//! model of its synthesized E-AIG ↔ every lane of GEM on the virtual GPU
+//! at every lane count.
 //!
 //! Each seed's design is compiled once, with 64-bit cores and 4 parts
 //! (the widest core that still forces multi-core placements on this
 //! corpus; the few designs that need more live state fall back to 256
 //! bits), and stepped in lockstep:
 //!
-//! * 64 stimulus streams, each with its own golden [`EaigSim`], and
-//!   [`EventSim`] on stream 0;
+//! * 64 stimulus streams, each with its own golden [`EaigSim`], and on
+//!   stream 0 the word-level RTL model ([`NetlistSim`], driven by port
+//!   name) and [`EventSim`]. Every output bit of the RTL is compared with
+//!   golden before any GEM check, so a synthesis fault reads "RTL
+//!   diverged from golden" rather than as a GEM lane diverging;
 //! * `GemSimulator`s at 1, 4, 32 and 64 lanes, lane `k` of each running
 //!   stream `k`. One lane runs the signal-packed kernel, more the
 //!   lane-word one; below 7 lanes the RAM phase moves data bit by bit,
@@ -25,7 +29,8 @@
 //!
 //! Per seed the suite also asserts that the compile's verify stage found
 //! 0 violations, that no logic level between 1 and the depth is empty
-//! (what makes `Levels::depth` the Verilator model's barrier count), and
+//! (so `Levels::depth`, which Table I's `levels` column and
+//! `T1.layers_vs_levels` read, counts only occupied levels), and
 //! that every simulator's counters reconcile: partition sums equal
 //! totals, `gem_sim_lane_steps_total` sums the lanes stepped each cycle
 //! (narrowing keeps every lane's count) and `gem_sim_lanes_active` is
@@ -44,7 +49,7 @@
 
 use gem_core::{compile, CompileOptions, Compiled, GemSimulator};
 use gem_netlist::Bits;
-use gem_sim::{random_module, EaigSim, EventSim, FuzzConfig, FuzzRng};
+use gem_sim::{random_module, EaigSim, EventSim, FuzzConfig, FuzzRng, NetlistSim};
 
 /// The lane counts every seed runs at.
 const WIDTHS: [u32; 4] = [1, 4, 32, 64];
@@ -71,6 +76,8 @@ struct Tally {
     ram_designs: usize,
     /// Cycles run; `EventSim` is compared with golden on each.
     cycles: u64,
+    /// Cycles on which every RTL output bit was compared with golden.
+    rtl_cycles: u64,
     /// `GemSimulator` lane-cycles compared with golden.
     lane_cycles: u64,
     /// Most partitions any design was placed on.
@@ -80,6 +87,7 @@ struct Tally {
 impl Tally {
     fn finish(&self, test: &str) {
         println!("{test}: {self:?}");
+        assert!(self.rtl_cycles > 0, "{test}: no RTL cycle was compared");
         assert!(
             self.widest > 1,
             "{test}: no design was placed on more than one core"
@@ -134,21 +142,33 @@ impl Stream {
     }
 }
 
-/// Asserts that `lane` of `sim` observed `want`, the golden outputs of
-/// its stream, during the last step.
-fn check(sim: &GemSimulator, lane: u32, want: &[bool], c: &Compiled, at: &str, cycle: u64) {
+/// Asserts that `who` observed `want`, the golden outputs of its stream,
+/// during the last step; `output` reads one of its output ports by name.
+fn compare(
+    who: std::fmt::Arguments,
+    output: impl Fn(&str) -> Bits,
+    want: &[bool],
+    c: &Compiled,
+    at: &str,
+    cycle: u64,
+) {
     for p in &c.eaig_outputs {
-        let got = sim.output_lane(&p.name, lane);
+        let got = output(&p.name);
         for i in 0..p.width {
             assert_eq!(
                 got.bit(i),
                 want[p.lsb_index + i as usize],
-                "{at} cycle {cycle}: lane {lane} of the {}-lane sim diverged from golden on {}[{i}]",
-                sim.lanes(),
+                "{at} cycle {cycle}: {who} diverged from golden on {}[{i}]",
                 p.name
             );
         }
     }
+}
+
+/// [`compare`] for `lane` of `sim`.
+fn check(sim: &GemSimulator, lane: u32, want: &[bool], c: &Compiled, at: &str, cycle: u64) {
+    let who = format_args!("lane {lane} of the {}-lane sim", sim.lanes());
+    compare(who, |p| sim.output_lane(p, lane), want, c, at, cycle);
 }
 
 /// Asserts that `sim`'s counters reconcile after `lane_steps` lane-cycles
@@ -242,6 +262,7 @@ fn run_seed(seed: u64, ram: bool, cycles: u64, widen: bool, tally: &mut Tally) {
     let golden = || EaigSim::new(&c.eaig);
     let mut sims = WIDTHS.map(new_sim);
     let mut gold: Vec<EaigSim> = (0..STREAMS).map(|_| golden()).collect();
+    let mut rtl = NetlistSim::new(&m);
     let mut event = EventSim::new(&c.eaig);
     let mut streams: Vec<Stream> = (0..STREAMS).map(|k| Stream::new(seed, k, &c)).collect();
     // The widening sim and, for its lanes 1..64, golden runs forked from
@@ -265,6 +286,20 @@ fn run_seed(seed: u64, ram: bool, cycles: u64, widen: bool, tally: &mut Tally) {
             .zip(&streams)
             .map(|(g, s)| g.cycle(&s.bits))
             .collect();
+        for (p, v) in c.eaig_inputs.iter().zip(&streams[0].ports) {
+            rtl.set_input(&p.name, v.clone());
+        }
+        rtl.eval();
+        compare(
+            format_args!("RTL"),
+            |p| rtl.output(p),
+            &want[0],
+            &c,
+            at,
+            cycle,
+        );
+        rtl.step();
+        tally.rtl_cycles += 1;
         assert_eq!(
             event.cycle(&streams[0].bits),
             want[0],
