@@ -220,6 +220,19 @@ pub fn fmt_hz(hz: f64) -> String {
 mod tests {
     use super::*;
 
+    /// `nvdla_like` builds past its old cap of 64 lanes: scale 2's 96
+    /// lanes compile at the suite's options and run bit-exact against the
+    /// golden model, through the 1 500-cycle buffer fill and past it.
+    #[test]
+    #[ignore = "compiles scale 2's NVDLA: run with --release -- --ignored"]
+    fn nvdla_at_scale_2_runs_bit_exact() {
+        let d = gem_designs::nvdla_like(96);
+        let c = compile_design(&d, &compile_options_for(&d.name));
+        for w in &d.workloads {
+            verify_gem(&d, &c, w, 1_600);
+        }
+    }
+
     #[test]
     fn fmt_hz_groups_thousands() {
         assert_eq!(fmt_hz(65385.2), "65,385");

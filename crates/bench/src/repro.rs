@@ -35,12 +35,13 @@ const USAGE: &str = "usage: repro [--scale N]
   --scale N   suite size: 0 = CI (seconds), 1 = EXPERIMENTS.md (default)";
 
 /// Parses the binary's arguments (program name already skipped) into the
-/// scale.
+/// scale, refusing before anything compiles a scale at which a generator
+/// would not build its design as asked.
 ///
 /// # Errors
 ///
-/// An unknown flag, a missing value or an unparsable value, as the message
-/// to print above [`USAGE`].
+/// An unknown flag, a missing value, an unparsable value or a refused
+/// scale, as the message to print above [`USAGE`].
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<u32, String> {
     let mut scale = 1;
     let mut args = args.into_iter();
@@ -53,6 +54,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<u32, String> {
             .parse()
             .map_err(|_| format!("--scale {value:?} is not a non-negative integer"))?;
     }
+    gem_designs::suite_sizes(scale).map_err(|e| format!("--scale {scale}: {e}"))?;
     Ok(scale)
 }
 
@@ -742,6 +744,11 @@ mod tests {
         let parse = |args: &[&str]| parse_args(args.iter().map(|s| s.to_string()));
         assert_eq!(parse(&[]), Ok(1));
         assert_eq!(parse(&["--scale", "0"]), Ok(0));
+        assert_eq!(parse(&["--scale", "2"]), Ok(2), "no generator caps scale 2");
+        let past = parse(&["--scale", "4294967295"]).unwrap_err();
+        assert!(past.contains("nvdla_like"), "{past}");
+        let wide = parse(&["--scale", "683"]).unwrap_err();
+        assert!(wide.contains("gemmini_like(8196): n must be in"), "{wide}");
         for bad in [
             &["--scale", "x"][..],
             &["--scale", "-1"],

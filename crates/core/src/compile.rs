@@ -10,7 +10,7 @@ use gem_partition::repcut::Region;
 use gem_partition::{NodeScratch, Partition, PartitionOptions, Partitioner, Partitioning};
 use gem_place::{place_partition_counted, CoreProgram, OutputSource, PlaceError, PlaceOptions};
 use gem_synth::{synthesize, PortBits, SynthError, SynthOptions, SynthResult};
-use gem_telemetry::{FlowRecorder, FlowReport, Json};
+use gem_telemetry::{span, FlowRecorder, FlowReport, Json};
 use gem_vgpu::{DeviceConfig, RamBinding};
 use std::fmt;
 
@@ -35,7 +35,7 @@ pub struct CompileOptions {
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
-            synth: SynthOptions::default(),
+            synth: SynthOptions,
             target_parts: 216,
             stages: 1,
             core_width: 8192,
@@ -337,14 +337,6 @@ fn compile_with(
         ram_blocks: synth.stats.ram_blocks,
         polyfilled_mem_bits: synth.stats.polyfilled_mem_bits,
     };
-    gem_telemetry::info!(
-        "compiled: {} gates, {} parts, {} stages, {} layers, {} B bitstream",
-        report.gates,
-        report.parts,
-        report.stages,
-        report.layers,
-        report.bitstream_bytes
-    );
     Ok(Compiled {
         bitstream,
         device,
@@ -422,9 +414,17 @@ fn partition_stage(
             Err(e) if attempts == 8 => break Err(e),
             Err(e) => {
                 (parts_goal, stages_goal) = retry_goals(attempts - 1, parts_goal, stages_goal);
-                gem_telemetry::debug!(
-                    "partition attempt {attempts} unmappable ({e}); retrying with \
-                     {parts_goal} parts / {stages_goal} stages"
+                // The one record of a retry: the attempt that did not
+                // place, why, and the goals the next attempt takes.
+                span::instant(
+                    "partition_retry",
+                    "flow",
+                    vec![
+                        ("attempt".into(), u64::from(attempts).into()),
+                        ("error".into(), e.to_string().into()),
+                        ("parts".into(), (parts_goal as u64).into()),
+                        ("stages".into(), (stages_goal as u64).into()),
+                    ],
                 );
             }
         }

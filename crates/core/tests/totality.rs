@@ -38,6 +38,14 @@
 //!
 //! One driver ([`sweep`]) runs every boundary's mutants and collects
 //! what broke.
+//!
+//! Four texts grow by size, not by mutation: 100 000 nested parentheses,
+//! a 100 000-term `a ^ a ^ …` chain, a 100 000-wire `assign` chain
+//! declared in reverse of its dependencies and a 100 000-arm `else if`
+//! chain. Each is parsed on a 2 MiB
+//! stack, the stack a `gem-server` connection thread parses on, and must
+//! end in a typed error or a module: a stack overflow aborts the process,
+//! and no `catch_unwind` contains one.
 
 use gem_analyze::{analyze_with_lints, Severity};
 use gem_core::{
@@ -257,6 +265,97 @@ fn mutants_never_panic_and_get_one_verdict() {
 #[ignore = "12 000 mutants: run with --release -- --ignored"]
 fn mutant_sweep() {
     verilog_sweep(0x5EED, 12_000);
+}
+
+/// Parses `text` on a thread with a connection thread's 2 MiB stack.
+fn parse_on_a_server_stack(text: String) -> Result<(), verilog::ParseVerilogError> {
+    let parse = move || verilog::parse(&text).map(drop);
+    let thread = std::thread::Builder::new().stack_size(2 << 20).spawn(parse);
+    thread
+        .expect("thread spawns")
+        .join()
+        .expect("parse returns")
+}
+
+/// `n` nested parentheses, an `n`-term XOR chain, `n` wires each
+/// assigned from the next one declared (so that elaborating the first
+/// needs all the others first), and an `n`-arm `else if` chain.
+fn deep_texts(n: usize) -> [String; 4] {
+    let parens = format!(
+        "module p(input a, output y);\n  assign y = {}a{};\nendmodule\n",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let xor = format!(
+        "module x(input a, output y);\n  assign y = a{};\nendmodule\n",
+        " ^ a".repeat(n - 1)
+    );
+    let mut wires = String::from("module w(input a, output y);\n  assign y = w0;\n");
+    for i in 0..n {
+        wires += &format!("  wire w{i};\n");
+    }
+    for i in 1..n {
+        wires += &format!("  assign w{} = w{i} ^ a;\n", i - 1);
+    }
+    wires += &format!("  assign w{} = a;\nendmodule\n", n - 1);
+    let arms = format!(
+        "module i(input clk, input [7:0] a, output reg y);\n  always @(posedge clk)\n    \
+         if (a == 0) y <= 0;\n{}    else y <= 1;\nendmodule\n",
+        (1..n)
+            .map(|k| format!("    else if (a == {}) y <= {};\n", k % 256, k % 2))
+            .collect::<String>()
+    );
+    [parens, xor, wires, arms]
+}
+
+#[test]
+fn text_deep_or_long_is_an_answer_on_a_server_stack() {
+    let [parens, xor, wires, arms] = deep_texts(100_000);
+    let refused = parse_on_a_server_stack(parens).expect_err("too deep");
+    let message = refused.to_string();
+    assert!(
+        message.starts_with("syntax error at line 2: nesting"),
+        "{message}"
+    );
+    parse_on_a_server_stack(xor).expect("a chain is not nesting");
+    parse_on_a_server_stack(wires).expect("nor is a chain of wires");
+    parse_on_a_server_stack(arms).expect("nor an `else if` chain");
+}
+
+/// The deepest text the frontend takes parses on the same stack:
+/// parentheses alone (the most parser stack a level); every kind of
+/// nesting in turn; and every level a parenthesized operand at the end of
+/// a chain through all ten precedence levels, the deepest syntax tree a
+/// level can hold (dropping it recurses through the tree). Then `if`
+/// statements. One level more is refused.
+#[test]
+fn the_deepest_accepted_text_fits_a_server_stack() {
+    // The assigned expression is the first level; each wrapper adds one.
+    let levels = verilog::MAX_NESTING - 1;
+    let wrap = |kind: usize, x: String| match kind {
+        0 => format!("({x})"),
+        1 => format!("a ? {x} : a"),
+        2 => format!("{{{x}}}"),
+        3 => format!("~{x}"),
+        4 => format!("a[{x}]"),
+        _ => format!("a || a && a | a ^ a & a == a < a << a + a * ({x})"),
+    };
+    for kinds in [&[0][..], &[0, 1, 2, 3, 4, 5], &[5]] {
+        let expr = (0..levels).fold("a".to_string(), |x, k| wrap(kinds[k % kinds.len()], x));
+        let text =
+            |e: &str| format!("module e(input a, output y);\n  assign y = {e};\nendmodule\n");
+        parse_on_a_server_stack(text(&expr)).expect("at the bound");
+        let refused = parse_on_a_server_stack(text(&wrap(0, expr))).expect_err("past it");
+        assert!(refused.to_string().contains("nesting"), "{refused}");
+    }
+    let ifs = |n: usize| {
+        format!(
+            "module s(input clk, input a, output reg y);\n  always @(posedge clk)\n{}    y <= a;\nendmodule\n",
+            "    if (a)\n".repeat(n)
+        )
+    };
+    parse_on_a_server_stack(ifs(levels)).expect("at the bound");
+    parse_on_a_server_stack(ifs(levels + 1)).expect_err("past it");
 }
 
 /// The packages of the three designs (the fixtures are refused by the

@@ -8,7 +8,7 @@
 use gem_core::{compile, CompileOptions, GemSimulator};
 use gem_netlist::ModuleBuilder;
 use gem_telemetry::span;
-use gem_telemetry::span::Phase;
+use gem_telemetry::span::{ArgValue, Phase};
 
 fn acc_module() -> gem_netlist::Module {
     let mut b = ModuleBuilder::new("acc");
@@ -32,7 +32,17 @@ fn compile_and_run_produce_a_valid_nested_timeline() {
         sim.step();
     }
     drop(sim);
+    // One 64-bit core does not hold the whole accumulator, two do: the
+    // first partition attempt does not place, the second does.
+    let narrow = CompileOptions {
+        target_parts: 1,
+        core_width: 64,
+        ..CompileOptions::small()
+    };
+    let retried = compile(&m, &narrow).expect("compiles on the retry");
     span::uninstall();
+    let partition = retried.flow.stage("partition").expect("partition ran");
+    assert_eq!(partition.metric("attempts"), Some(2.0));
 
     let events = collector.drain();
     // Compile stages nest under the compile root span.
@@ -64,6 +74,31 @@ fn compile_and_run_produce_a_valid_nested_timeline() {
             .any(|e| e.ph == Phase::Complete && e.name.starts_with("core s")),
         "per-core execution events"
     );
+
+    // The retry is on the timeline, under the partition stage: the attempt
+    // that did not place, why, and the goals the next one took.
+    let retries: Vec<_> = events
+        .iter()
+        .filter(|e| e.name == "partition_retry")
+        .collect();
+    assert_eq!(retries.len(), 1, "one retry, in the narrow compile");
+    let retry = retries[0];
+    assert_eq!(retry.ph, Phase::Instant);
+    let partition_span = events
+        .iter()
+        .rfind(|e| e.name == "partition" && e.ph == Phase::Begin)
+        .expect("the narrow compile's partition span");
+    assert_eq!(retry.parent_id, partition_span.span_id);
+    let arg = |k: &str| {
+        let found = retry.args.iter().find(|(name, _)| name == k);
+        found
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("no {k} arg"))
+    };
+    assert_eq!(arg("attempt"), ArgValue::F64(1.0));
+    assert_eq!(arg("parts"), ArgValue::F64(2.0));
+    assert_eq!(arg("stages"), ArgValue::F64(1.0));
+    assert!(matches!(arg("error"), ArgValue::Str(e) if !e.is_empty()));
 
     // The exported document passes the CI validator.
     let doc = span::events_to_chrome_trace(&events);

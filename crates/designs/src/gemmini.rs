@@ -11,9 +11,16 @@ use crate::workload::{Workload, WorkloadSpec};
 use crate::Design;
 use gem_netlist::{Bits, ModuleBuilder};
 
-/// Builds an `n`×`n` systolic array (8-bit operands, 24-bit partial sums).
+/// The `n` [`gemmini_like`] builds: its two buses are `8 n`-bit nets.
+pub const ROWS: std::ops::RangeInclusive<u32> = 1..=gem_netlist::check::MAX_NET_BITS / 8;
+
+/// Builds an `n`×`n` systolic array (8-bit operands, 24-bit partial sums);
+/// panics on an `n` outside [`ROWS`].
 pub fn gemmini_like(n: u32) -> Design {
-    let n = n.clamp(2, 16);
+    assert!(
+        ROWS.contains(&n),
+        "gemmini_like({n}): n must be in {ROWS:?}"
+    );
     let mut b = ModuleBuilder::new("gemmini_like");
     let rst = b.input("rst", 1);
     let load_w = b.input("load_w", 1);
@@ -103,18 +110,17 @@ pub fn gemmini_like(n: u32) -> Design {
 pub fn gemmini_reference_checksum(n: u32, cycles: u64) -> Bits {
     let d = gemmini_like(n);
     let mut sim = gem_sim::NetlistSim::new(&d.module);
-    let nn = n.clamp(2, 16);
     sim.set_input("rst", Bits::from_u64(0, 1));
     sim.set_input("load_w", Bits::from_u64(1, 1));
     for c in 0..cycles {
         let pattern = 0x0123_4567_89AB_CDEFu64.rotate_left(c as u32);
         sim.set_input(
             "a_bus",
-            Bits::from_u64(pattern & ((1u64 << (8 * nn).min(63)) - 1), 8 * nn),
+            Bits::from_u64(pattern & ((1u64 << (8 * n).min(63)) - 1), 8 * n),
         );
         sim.set_input(
             "w_bus",
-            Bits::from_u64((pattern >> 8) & ((1u64 << (8 * nn).min(63)) - 1), 8 * nn),
+            Bits::from_u64((pattern >> 8) & ((1u64 << (8 * n).min(63)) - 1), 8 * n),
         );
         sim.eval();
         sim.step();
@@ -130,8 +136,8 @@ mod tests {
     #[test]
     fn deepest_logic_of_the_suite() {
         let d = gemmini_like(4);
-        let synth = gem_synth::synthesize(&d.module, &gem_synth::SynthOptions::default())
-            .expect("synthesizable");
+        let synth =
+            gem_synth::synthesize(&d.module, &gem_synth::SynthOptions).expect("synthesizable");
         // Chained MACs through 4 rows must be deep.
         assert!(
             synth.stats.levels > 30,

@@ -58,22 +58,56 @@ impl Design {
 
 /// The five evaluation designs at a given scale factor. Scale 1 is the
 /// default harness scale (design sizes ≈ 1/15 of the paper's, with the
-/// same relative proportions); scale 0 is a tiny smoke-test suite.
+/// same relative proportions); scale 0 is a tiny smoke-test suite. Panics
+/// on a scale [`suite_sizes`] refuses.
 pub fn all_designs(scale: u32) -> Vec<Design> {
-    if scale == 0 {
-        return vec![
-            nvdla_like(4),
-            rocket_like(),
-            gemmini_like(3),
-            openpiton_like(1),
-            openpiton_like(2),
-        ];
-    }
+    let (lanes, rows, tiles) = suite_sizes(scale).unwrap_or_else(|e| panic!("{e}"));
     vec![
-        nvdla_like(48 * scale),
+        nvdla_like(lanes),
         rocket_like(),
-        gemmini_like(12 * scale),
+        gemmini_like(rows),
         openpiton_like(1),
-        openpiton_like(8),
+        openpiton_like(tiles),
     ]
+}
+
+/// NVDLA's lanes, Gemmini's rows and the larger OpenPiton's tiles at
+/// `scale`: what [`all_designs`] asks the generators for.
+///
+/// # Errors
+///
+/// A size a generator would refuse, named with the generator: NVDLA's
+/// lanes past `u32`, or Gemmini's rows outside [`gemmini::ROWS`].
+pub fn suite_sizes(scale: u32) -> Result<(u32, u32, u32), String> {
+    if scale == 0 {
+        return Ok((4, 3, 2));
+    }
+    let (lanes, rows) = (u64::from(scale) * 48, u64::from(scale) * 12);
+    match (u32::try_from(lanes), u32::try_from(rows)) {
+        (Err(_), _) => Err(format!("nvdla_like({lanes}): lanes past 2^32")),
+        (Ok(lanes), Ok(rows)) if gemmini::ROWS.contains(&rows) => Ok((lanes, rows, 8)),
+        _ => Err(format!(
+            "gemmini_like({rows}): n must be in {:?}",
+            gemmini::ROWS
+        )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::catch_unwind;
+
+    #[test]
+    fn a_size_out_of_range_is_refused_not_resized() {
+        for scale in [0, 1, 2] {
+            suite_sizes(scale).expect("the suite builds");
+        }
+        let refused = suite_sizes(683).unwrap_err();
+        assert_eq!(refused, "gemmini_like(8196): n must be in 1..=8192");
+        assert!(catch_unwind(|| openpiton_like(9)).is_err());
+        assert!(catch_unwind(|| gemmini_like(0)).is_err());
+        assert!(catch_unwind(|| nvdla_like(0)).is_err());
+        assert!(suite_sizes(u32::MAX).is_err());
+    }
 }

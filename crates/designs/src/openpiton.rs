@@ -14,9 +14,13 @@ use crate::workload::{Workload, WorkloadSpec};
 use crate::Design;
 use gem_netlist::ModuleBuilder;
 
-/// Builds an `n`-tile design (`n` in 1..=8; the paper evaluates 1 and 8).
+/// Builds an `n`-tile design (the paper evaluates 1 and 8); panics on an
+/// `n` outside 1..=8, since `tile_sel` is 3 bits.
 pub fn openpiton_like(n: u32) -> Design {
-    let n = n.clamp(1, 8);
+    assert!(
+        (1..=8).contains(&n),
+        "openpiton_like({n}): n must be in 1..=8"
+    );
     let mut b = ModuleBuilder::new("openpiton_like");
     let rst = b.input("rst", 1);
     let host_we = b.input("host_we", 1);

@@ -18,6 +18,15 @@
 //! identifier in `@(posedge ...)` is checked to be a 1-bit input and
 //! otherwise ignored.
 //!
+//! Nesting is bounded: parentheses, concatenations, indexes, `?:`
+//! then-branches, unary operators and `if` statements nest at most
+//! [`MAX_NESTING`] levels (an assigned expression is the first), and
+//! deeper text is a syntax error naming its line. Length is not bounded:
+//! operator chains, `?:` else-chains, `else if` chains and `assign`
+//! chains in any order are walked without recursion, so no source
+//! overflows a `gem-server` connection thread's 2 MiB stack: at the bound
+//! parsing takes under 1 MiB of it in a debug build, 192 KiB in release.
+//!
 //! # Example
 //!
 //! ```
@@ -38,7 +47,7 @@
 use crate::builder::ModuleBuilder;
 use crate::check::{MAX_MEMORY_BITS, MAX_NET_BITS};
 use crate::module::{Module, NetId, ReadKind, ValidateError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Errors from [`parse`].
@@ -135,7 +144,11 @@ pub fn parse(src: &str) -> Result<Module, ParseVerilogError> {
 /// downstream allocates by it.
 pub fn parse_with_lints(src: &str) -> Result<(Module, Vec<SourceLint>), ParseVerilogError> {
     let tokens = lex(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let ast = parser.module()?;
     elaborate(&ast)
 }
@@ -289,32 +302,43 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseVerilogError> {
 
 // ----------------------------------------------------------------- AST --
 
-#[derive(Debug, Clone)]
+/// An expression. Operators of one precedence level form one flat
+/// [`Chain`](Expr::Chain), and `c0 ? t0 : c1 ? t1 : f` one flat
+/// [`Select`](Expr::Select), so a long operand list is a `Vec`, not a
+/// tree as deep as it is long: the tree's depth is bounded by
+/// [`MAX_NESTING`], and neither elaboration nor drop recurses per term.
+#[derive(Debug)]
 enum Expr {
     Ident(String),
-    Number { width: Option<u32>, value: u64 },
+    Number {
+        width: Option<u32>,
+        value: u64,
+    },
     Unary(&'static str, Box<Expr>),
-    Binary(&'static str, Box<Expr>, Box<Expr>),
-    Ternary(Box<Expr>, Box<Expr>, Box<Expr>),
+    /// `first op0 e0 op1 e1 …`, left-associative.
+    Chain(Box<Expr>, Vec<(&'static str, Expr)>),
+    /// `c0 ? t0 : c1 ? t1 : … : else`.
+    Select(Vec<(Expr, Expr)>, Box<Expr>),
     Concat(Vec<Expr>),
     Index(String, Box<Expr>), // ident[expr] — bit select or memory read
     Range(String, u32, u32),  // ident[hi:lo]
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Stmt {
     NonBlocking {
         target: Target,
         rhs: Expr,
     },
+    /// `if (c0) t0 else if (c1) t1 … else otherwise`: an `else if`
+    /// chain is one flat statement, not one nesting level per arm.
     If {
-        cond: Expr,
-        then_branch: Vec<Stmt>,
-        else_branch: Vec<Stmt>,
+        arms: Vec<(Expr, Vec<Stmt>)>,
+        otherwise: Vec<Stmt>,
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Target {
     Reg(String),
     MemWord(String, Expr),
@@ -341,20 +365,50 @@ struct Decl {
 struct AstModule {
     name: String,
     decls: Vec<Decl>,
-    assigns: Vec<(Target2, Expr, u32)>, // lhs, rhs, line
-    always: Vec<(String, Vec<Stmt>)>,   // clock name, body
-}
-
-#[derive(Debug, Clone)]
-enum Target2 {
-    Whole(String),
+    assigns: Vec<(String, Expr)>,     // lhs, rhs
+    always: Vec<(String, Vec<Stmt>)>, // clock name, body
 }
 
 // -------------------------------------------------------------- parser --
 
+/// Binary operators by precedence, loosest first; every level is
+/// left-associative. Tighter than the last bind unary operators.
+const BINARY: [&[&str]; 10] = [
+    &["||"],
+    &["&&"],
+    &["|"],
+    &["^"],
+    &["&"],
+    &["==", "!="],
+    &["<=", ">=", "<", ">"],
+    &["<<", ">>"],
+    &["+", "-"],
+    &["*"],
+];
+
+/// A chain [`Parser::binary`] has open: level, first operand, links so
+/// far, and the operator waiting for the next operand.
+type OpenChain = (usize, Expr, Vec<(&'static str, Expr)>, &'static str);
+
+/// Prefix operators and the names elaboration knows them by.
+const UNARY: [(&str, &str); 6] = [
+    ("~", "~"),
+    ("!", "!"),
+    ("-", "neg"),
+    ("&", "&red"),
+    ("|", "|red"),
+    ("^", "^red"),
+];
+
+/// Most nesting levels the frontend parses (see the module docs); the
+/// JSON parser bounds its nesting the same way.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser {
     tokens: Vec<SpannedTok>,
     pos: usize,
+    /// Current nesting, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -374,6 +428,20 @@ impl Parser {
 
     fn peek(&self) -> Option<&Tok> {
         self.tokens.get(self.pos).map(|t| &t.tok)
+    }
+
+    /// Runs `f` one nesting level deeper, or refuses past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseVerilogError>,
+    ) -> Result<T, ParseVerilogError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
     }
 
     fn next(&mut self) -> Option<Tok> {
@@ -506,12 +574,11 @@ impl Parser {
             } {
                 decls.push(self.finish_decl(DeclKind::Wire)?);
             } else if self.eat_kw("assign") {
-                let line = self.line();
                 let lhs = self.ident()?;
                 self.expect_punct("=")?;
                 let rhs = self.expr()?;
                 self.expect_punct(";")?;
-                assigns.push((Target2::Whole(lhs), rhs, line));
+                assigns.push((lhs, rhs));
             } else if self.eat_kw("always") {
                 self.expect_punct("@")?;
                 self.expect_punct("(")?;
@@ -580,19 +647,24 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt, ParseVerilogError> {
         if self.eat_kw("if") {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let then_branch = self.stmt_block()?;
-            let else_branch = if self.eat_kw("else") {
-                self.stmt_block()?
-            } else {
-                Vec::new()
-            };
-            Ok(Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
+            self.nested(|p| {
+                let mut arms = Vec::new();
+                loop {
+                    p.expect_punct("(")?;
+                    let cond = p.expr()?;
+                    p.expect_punct(")")?;
+                    arms.push((cond, p.stmt_block()?));
+                    if !p.eat_kw("else") {
+                        return Ok(Stmt::If {
+                            arms,
+                            otherwise: Vec::new(),
+                        });
+                    }
+                    if !p.eat_kw("if") {
+                        let otherwise = p.stmt_block()?;
+                        return Ok(Stmt::If { arms, otherwise });
+                    }
+                }
             })
         } else {
             let name = self.ident()?;
@@ -610,82 +682,71 @@ impl Parser {
         }
     }
 
-    // Expression precedence (loosest to tightest):
-    // ?: || && | ^ & (== !=) (< <= > >=) (<< >>) (+ -) (*) unary primary
+    /// `c0 ? t0 : c1 ? t1 : … : else`, or a plain [`binary`](Self::binary)
+    /// expression. A then-branch nests; the else-branch continues the
+    /// flat [`Expr::Select`].
     fn expr(&mut self) -> Result<Expr, ParseVerilogError> {
-        let cond = self.expr_or()?;
-        if self.eat_punct("?") {
-            let t = self.expr()?;
-            self.expect_punct(":")?;
-            let f = self.expr()?;
-            Ok(Expr::Ternary(Box::new(cond), Box::new(t), Box::new(f)))
-        } else {
-            Ok(cond)
-        }
-    }
-
-    fn left_assoc(
-        &mut self,
-        ops: &[&'static str],
-        next: fn(&mut Self) -> Result<Expr, ParseVerilogError>,
-    ) -> Result<Expr, ParseVerilogError> {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for &op in ops {
-                if self.eat_punct(op) {
-                    let rhs = next(self)?;
-                    lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-                    continue 'outer;
+        self.nested(|p| {
+            let mut arms = Vec::new();
+            loop {
+                let cond = p.binary()?;
+                if !p.eat_punct("?") {
+                    return Ok(if arms.is_empty() {
+                        cond
+                    } else {
+                        Expr::Select(arms, Box::new(cond))
+                    });
                 }
+                let then = p.expr()?;
+                p.expect_punct(":")?;
+                arms.push((cond, then));
             }
-            return Ok(lhs);
-        }
+        })
     }
 
-    fn expr_or(&mut self) -> Result<Expr, ParseVerilogError> {
-        self.left_assoc(&["||"], Self::expr_and)
+    /// Unary operands joined by [`BINARY`] operators, in one frame: the
+    /// chains still open are kept loosest first, each with the operator
+    /// that waits for its next operand. An operator closes every chain
+    /// tighter than itself, then extends the chain of its own level or
+    /// opens one. The trees are those of one recursive function per level.
+    fn binary(&mut self) -> Result<Expr, ParseVerilogError> {
+        let mut open: Vec<OpenChain> = Vec::new();
+        let mut operand = self.expr_unary()?;
+        while let Some((level, op)) = self.binary_op() {
+            while let Some((_, first, mut links, waiting)) = open.pop_if(|c| c.0 > level) {
+                links.push((waiting, operand));
+                operand = Expr::Chain(Box::new(first), links);
+            }
+            match open.last_mut() {
+                Some((l, _, links, waiting)) if *l == level => {
+                    links.push((std::mem::replace(waiting, op), operand));
+                }
+                _ => open.push((level, operand, Vec::new(), op)),
+            }
+            operand = self.expr_unary()?;
+        }
+        while let Some((_, first, mut links, waiting)) = open.pop() {
+            links.push((waiting, operand));
+            operand = Expr::Chain(Box::new(first), links);
+        }
+        Ok(operand)
     }
-    fn expr_and(&mut self) -> Result<Expr, ParseVerilogError> {
-        self.left_assoc(&["&&"], Self::expr_bitor)
-    }
-    fn expr_bitor(&mut self) -> Result<Expr, ParseVerilogError> {
-        self.left_assoc(&["|"], Self::expr_bitxor)
-    }
-    fn expr_bitxor(&mut self) -> Result<Expr, ParseVerilogError> {
-        self.left_assoc(&["^"], Self::expr_bitand)
-    }
-    fn expr_bitand(&mut self) -> Result<Expr, ParseVerilogError> {
-        self.left_assoc(&["&"], Self::expr_eq)
-    }
-    fn expr_eq(&mut self) -> Result<Expr, ParseVerilogError> {
-        self.left_assoc(&["==", "!="], Self::expr_rel)
-    }
-    fn expr_rel(&mut self) -> Result<Expr, ParseVerilogError> {
-        self.left_assoc(&["<=", ">=", "<", ">"], Self::expr_shift)
-    }
-    fn expr_shift(&mut self) -> Result<Expr, ParseVerilogError> {
-        self.left_assoc(&["<<", ">>"], Self::expr_add)
-    }
-    fn expr_add(&mut self) -> Result<Expr, ParseVerilogError> {
-        self.left_assoc(&["+", "-"], Self::expr_mul)
-    }
-    fn expr_mul(&mut self) -> Result<Expr, ParseVerilogError> {
-        self.left_assoc(&["*"], Self::expr_unary)
+
+    /// Takes a binary operator, if one is next, with its precedence level.
+    fn binary_op(&mut self) -> Option<(usize, &'static str)> {
+        let Some(Tok::Punct(p)) = self.peek() else {
+            return None;
+        };
+        let p: &'static str = p;
+        let level = BINARY.iter().position(|ops| ops.contains(&p))?;
+        self.pos += 1;
+        Some((level, p))
     }
 
     fn expr_unary(&mut self) -> Result<Expr, ParseVerilogError> {
-        for op in ["~", "!", "-", "&", "|", "^"] {
-            if self.eat_punct(op) {
-                let inner = self.expr_unary()?;
-                let op: &'static str = match op {
-                    "~" => "~",
-                    "!" => "!",
-                    "-" => "neg",
-                    "&" => "&red",
-                    "|" => "|red",
-                    "^" => "^red",
-                    _ => unreachable!(),
-                };
+        for (token, op) in UNARY {
+            if self.eat_punct(token) {
+                let inner = self.nested(Self::expr_unary)?;
                 return Ok(Expr::Unary(op, Box::new(inner)));
             }
         }
@@ -753,17 +814,48 @@ struct Elab<'a> {
     decls: HashMap<String, Decl>,
     nets: HashMap<String, NetId>,
     mems: HashMap<String, crate::module::MemId>,
-    ast: &'a AstModule,
+    /// Every `assign`'s right-hand side, by the wire it drives, in source
+    /// order.
+    assigns: HashMap<&'a str, Vec<&'a Expr>>,
     /// Wires whose `assign` is currently being elaborated; re-entering one
     /// means a combinational cycle, which is broken with a forward net so
-    /// the loop becomes structural (and diagnosable) instead of recursing
-    /// forever.
-    in_flight: Vec<String>,
+    /// the loop becomes structural (and diagnosable) instead of never
+    /// ending.
+    in_flight: HashSet<&'a str>,
     /// Forward nets created to break cycles, keyed by wire name; the
-    /// owning `resolve` closes the loop with `drive` when its RHS lands.
-    placeholders: HashMap<String, NetId>,
+    /// wire's own elaboration closes the loop with `drive` when its RHS
+    /// lands.
+    placeholders: HashMap<&'a str, NetId>,
     /// Frontend lints collected along the way (width truncations).
     lints: Vec<SourceLint>,
+}
+
+/// One step of [`Elab::run`]: a post-order walk of an expression, where a
+/// wire not yet elaborated expands, in place, into its `assign`. Nets are
+/// made in the order a recursive walk would make them, on a heap stack.
+enum Task<'a> {
+    /// Push the net of this expression.
+    Eval(&'a Expr),
+    /// Push the net of a named wire, reg or input.
+    Name(&'a str),
+    /// Pop this node's operands, push its net.
+    Apply(&'a Expr),
+    /// Pop a chain's right operand and its left; push `left op right`.
+    Link(&'static str),
+    /// Reduce the condition on top to one bit.
+    Cond,
+    /// Pop an else-value, a then-value and a condition; push the mux.
+    Mux,
+    /// Pop a wire's one RHS and name it, or close the cycle through it.
+    Assigned(&'a str, u32),
+    /// Pop one RHS of a multiply assigned wire and drive its net from it.
+    Drive(&'a str, NetId),
+}
+
+/// The operand on top of an evaluation stack; [`Elab::run`] pushes one
+/// for every pop.
+fn pop(nets: &mut Vec<NetId>) -> NetId {
+    nets.pop().expect("an operand per pop")
 }
 
 fn syntax_err<T>(m: impl Into<String>) -> Result<T, ParseVerilogError> {
@@ -774,13 +866,17 @@ fn syntax_err<T>(m: impl Into<String>) -> Result<T, ParseVerilogError> {
 }
 
 fn elaborate(ast: &AstModule) -> Result<(Module, Vec<SourceLint>), ParseVerilogError> {
+    let mut assigns: HashMap<&str, Vec<&Expr>> = HashMap::new();
+    for (lhs, rhs) in &ast.assigns {
+        assigns.entry(lhs).or_default().push(rhs);
+    }
     let mut e = Elab {
         b: ModuleBuilder::new(ast.name.clone()),
         decls: HashMap::new(),
         nets: HashMap::new(),
         mems: HashMap::new(),
-        ast,
-        in_flight: Vec::new(),
+        assigns,
+        in_flight: HashSet::new(),
         placeholders: HashMap::new(),
         lints: Vec::new(),
     };
@@ -812,22 +908,12 @@ fn elaborate(ast: &AstModule) -> Result<(Module, Vec<SourceLint>), ParseVerilogE
     }
     // Pass 2: assigns. Wires may reference each other in any order, so
     // elaborate on demand with memoization.
-    let names: Vec<String> = ast
-        .decls
-        .iter()
-        .filter(|d| matches!(d.kind, DeclKind::Wire | DeclKind::Output) && d.mem_depth.is_none())
-        .map(|d| d.name.clone())
-        .collect();
-    for name in &names {
-        e.resolve(name)?;
+    for d in &ast.decls {
+        if matches!(d.kind, DeclKind::Wire | DeclKind::Output) && d.mem_depth.is_none() {
+            e.run(Task::Name(&d.name))?;
+        }
     }
     // Pass 3: always blocks.
-    let ffs: Vec<String> = ast
-        .decls
-        .iter()
-        .filter(|d| matches!(d.kind, DeclKind::Reg | DeclKind::OutputReg) && d.mem_depth.is_none())
-        .map(|d| d.name.clone())
-        .collect();
     let mut next: HashMap<String, NetId> = HashMap::new();
     for (clk, body) in &ast.always {
         match e.decls.get(clk) {
@@ -837,16 +923,18 @@ fn elaborate(ast: &AstModule) -> Result<(Module, Vec<SourceLint>), ParseVerilogE
         let true_net = e.b.lit(1, 1);
         e.exec_block(body, true_net, &mut next)?;
     }
-    for name in &ffs {
-        let q = e.nets[name];
-        let d = next.remove(name).unwrap_or(q); // unassigned reg holds value
-        e.b.connect_dff(q, d);
+    for d in &ast.decls {
+        if matches!(d.kind, DeclKind::Reg | DeclKind::OutputReg) && d.mem_depth.is_none() {
+            let q = e.nets[&d.name];
+            let next = next.remove(&d.name).unwrap_or(q); // unassigned reg holds value
+            e.b.connect_dff(q, next);
+        }
     }
     // Pass 4: output ports.
     for d in &ast.decls {
         match d.kind {
             DeclKind::Output => {
-                let n = e.resolve(&d.name)?;
+                let n = e.run(Task::Name(&d.name))?;
                 e.b.output(&d.name, n);
             }
             DeclKind::OutputReg => {
@@ -859,69 +947,276 @@ fn elaborate(ast: &AstModule) -> Result<(Module, Vec<SourceLint>), ParseVerilogE
     Ok((e.b.finish_raw(), e.lints))
 }
 
-impl Elab<'_> {
-    /// Net for a named wire/reg/input, elaborating its `assign` on demand.
-    fn resolve(&mut self, name: &str) -> Result<NetId, ParseVerilogError> {
-        if let Some(&n) = self.nets.get(name) {
-            return Ok(n);
-        }
-        let decl = match self.decls.get(name) {
-            Some(d) => d.clone(),
-            None => return syntax_err(format!("undeclared identifier {name:?}")),
-        };
-        if self.in_flight.iter().any(|f| f == name) {
-            // A combinational `assign` cycle: break it with a forward net
-            // so the loop becomes a structural cycle in the module (which
-            // validation and the analyzer then name), rather than
-            // recursing without bound here.
-            let p = self.b.forward(decl.width);
-            self.b.name_net(p, name);
-            self.nets.insert(name.to_string(), p);
-            self.placeholders.insert(name.to_string(), p);
-            return Ok(p);
-        }
-        let assigns: Vec<(Target2, Expr, u32)> = self
-            .ast
-            .assigns
-            .iter()
-            .filter(|(Target2::Whole(t), _, _)| t == name)
-            .cloned()
-            .collect();
-        if assigns.is_empty() {
-            return syntax_err(format!("wire {name:?} has no assign"));
-        }
-        if assigns.len() > 1 {
-            // Multiply assigned wire: elaborate every RHS and drive one
-            // shared net from each, so validation/analysis reports the
-            // multiple drivers by name instead of silently using the
-            // first assign.
-            let p = self.b.forward(decl.width);
-            self.b.name_net(p, name);
-            self.nets.insert(name.to_string(), p);
-            for (_, rhs, _) in &assigns {
-                self.in_flight.push(name.to_string());
-                let res = self.expr(rhs);
-                self.in_flight.pop();
-                let n = self.sized_to(res?, decl.width, name);
-                self.b.drive(p, n);
+impl<'a> Elab<'a> {
+    fn expr(&mut self, e: &'a Expr) -> Result<NetId, ParseVerilogError> {
+        self.run(Task::Eval(e))
+    }
+
+    /// Runs `root` and every task it spawns; returns the one net left.
+    /// `Task::Name` gives a named wire/reg/input's net, elaborating a
+    /// wire's `assign` on demand.
+    fn run(&mut self, root: Task<'a>) -> Result<NetId, ParseVerilogError> {
+        let (mut tasks, mut nets) = (vec![root], Vec::new());
+        while let Some(task) = tasks.pop() {
+            match task {
+                Task::Eval(e) => self.eval(e, &mut tasks, &mut nets)?,
+                Task::Name(name) => self.name(name, &mut tasks, &mut nets)?,
+                task => {
+                    let made = self.apply(task, &mut nets)?;
+                    nets.extend(made);
+                }
             }
-            return Ok(p);
         }
-        let (_, rhs, _) = &assigns[0];
-        self.in_flight.push(name.to_string());
-        let res = self.expr(rhs);
-        self.in_flight.pop();
-        let n = self.sized_to(res?, decl.width, name);
-        if let Some(&p) = self.placeholders.get(name) {
-            // The RHS looped back through this wire; close the structural
-            // cycle on the forward net that broke the recursion.
-            self.b.drive(p, n);
-            Ok(p)
+        Ok(pop(&mut nets))
+    }
+
+    /// A named net, or the tasks that elaborate its wire's `assign`.
+    fn name(
+        &mut self,
+        name: &'a str,
+        tasks: &mut Vec<Task<'a>>,
+        nets: &mut Vec<NetId>,
+    ) -> Result<(), ParseVerilogError> {
+        if let Some(&n) = self.nets.get(name) {
+            nets.push(n);
+            return Ok(());
+        }
+        let Some(width) = self.decls.get(name).map(|d| d.width) else {
+            return syntax_err(format!("undeclared identifier {name:?}"));
+        };
+        let all = self.assigns.get(name).map_or(&[][..], Vec::as_slice);
+        let cycle = self.in_flight.contains(name);
+        if cycle || all.len() > 1 {
+            // A forward net. Reached again while its own `assign` is being
+            // elaborated, it breaks a combinational cycle, so the loop is
+            // a structural cycle in the module (which validation and the
+            // analyzer then name). For a multiply assigned wire, every RHS
+            // drives it, so they report the drivers by name instead of
+            // silently using the first assign.
+            let p = self.b.forward(width);
+            self.b.name_net(p, name);
+            self.nets.insert(name.to_string(), p);
+            nets.push(p);
+            if cycle {
+                self.placeholders.insert(name, p);
+            } else {
+                for &rhs in all.iter().rev() {
+                    tasks.extend([Task::Drive(name, p), Task::Eval(rhs)]);
+                }
+            }
+            return Ok(());
+        }
+        let [rhs] = all else {
+            return syntax_err(format!("wire {name:?} has no assign"));
+        };
+        self.in_flight.insert(name);
+        tasks.extend([Task::Assigned(name, width), Task::Eval(rhs)]);
+        Ok(())
+    }
+
+    /// Pushes the net of a leaf, or the tasks of an inner node: operands
+    /// are popped in reverse, so they run left to right.
+    fn eval(
+        &mut self,
+        e: &'a Expr,
+        tasks: &mut Vec<Task<'a>>,
+        nets: &mut Vec<NetId>,
+    ) -> Result<(), ParseVerilogError> {
+        match e {
+            Expr::Ident(name) => tasks.push(Task::Name(name)),
+            Expr::Number { width, value } => nets.push(self.b.lit(*value, width.unwrap_or(32))),
+            Expr::Unary(_, a) => tasks.extend([Task::Apply(e), Task::Eval(a)]),
+            Expr::Chain(first, rest) => {
+                for (op, operand) in rest.iter().rev() {
+                    tasks.extend([Task::Link(op), Task::Eval(operand)]);
+                }
+                tasks.push(Task::Eval(first));
+            }
+            Expr::Select(arms, otherwise) => {
+                tasks.extend(arms.iter().map(|_| Task::Mux));
+                tasks.push(Task::Eval(otherwise));
+                for (cond, then) in arms.iter().rev() {
+                    tasks.extend([Task::Eval(then), Task::Cond, Task::Eval(cond)]);
+                }
+            }
+            // Verilog concat is MSB-first, builder concat LSB-first: the
+            // last part is made first.
+            Expr::Concat(parts) => tasks.extend(
+                [Task::Apply(e)]
+                    .into_iter()
+                    .chain(parts.iter().map(Task::Eval)),
+            ),
+            Expr::Index(name, idx) if self.mems.contains_key(name) => {
+                tasks.extend([Task::Apply(e), Task::Eval(idx)]);
+            }
+            Expr::Index(name, idx) => {
+                // Constant index → slice; dynamic index → shift+mask.
+                tasks.push(Task::Apply(e));
+                if !matches!(**idx, Expr::Number { .. }) {
+                    tasks.push(Task::Eval(idx));
+                }
+                tasks.push(Task::Name(name));
+            }
+            Expr::Range(name, hi, lo) => {
+                // The parser refused hi < lo.
+                let select = format!("part-select {name}[{hi}:{lo}]");
+                net_width(u64::from(hi - lo) + 1, &select).or_else(syntax_err)?;
+                tasks.extend([Task::Apply(e), Task::Name(name)]);
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs a task that pops its operands from `nets`; returns the net it
+    /// makes, if any.
+    fn apply(
+        &mut self,
+        task: Task<'a>,
+        nets: &mut Vec<NetId>,
+    ) -> Result<Option<NetId>, ParseVerilogError> {
+        let made = match task {
+            Task::Link(op) => {
+                let rhs = pop(nets);
+                let lhs = pop(nets);
+                self.binary(op, lhs, rhs)?
+            }
+            Task::Cond => {
+                let c = pop(nets);
+                self.bool_of(c)
+            }
+            Task::Mux => {
+                let f = pop(nets);
+                let t = pop(nets);
+                let c = pop(nets);
+                let w = self.b.width(t).max(self.b.width(f));
+                let t = self.b.resize(t, w);
+                let f = self.b.resize(f, w);
+                self.b.mux(c, t, f)
+            }
+            Task::Assigned(name, width) => {
+                self.in_flight.remove(name);
+                let rhs = pop(nets);
+                let n = self.sized_to(rhs, width, name);
+                if let Some(&p) = self.placeholders.get(name) {
+                    // The RHS looped back through this wire; close the
+                    // structural cycle on the forward net that broke it.
+                    self.b.drive(p, n);
+                    p
+                } else {
+                    self.b.name_net(n, name);
+                    self.nets.insert(name.to_string(), n);
+                    n
+                }
+            }
+            Task::Drive(name, p) => {
+                let rhs = pop(nets);
+                let n = self.sized_to(rhs, self.b.width(p), name);
+                self.b.drive(p, n);
+                return Ok(None);
+            }
+            Task::Apply(Expr::Unary(op, _)) => {
+                let an = pop(nets);
+                match *op {
+                    "~" => self.b.not(an),
+                    "neg" => self.b.neg(an),
+                    "!" => {
+                        let r = self.b.reduce_or(an);
+                        self.b.not(r)
+                    }
+                    "&red" => self.b.reduce_and(an),
+                    "|red" => self.b.reduce_or(an),
+                    "^red" => self.b.reduce_xor(an),
+                    _ => unreachable!(),
+                }
+            }
+            Task::Apply(Expr::Concat(parts)) => {
+                let parts = nets.split_off(nets.len() - parts.len());
+                let bits = parts.iter().map(|&n| u64::from(self.b.width(n))).sum();
+                net_width(bits, "concatenation").or_else(syntax_err)?;
+                self.b.concat(&parts)
+            }
+            Task::Apply(Expr::Index(name, _)) if self.mems.contains_key(name) => {
+                let addr = pop(nets);
+                self.b.read_port(self.mems[name], addr, ReadKind::Async)
+            }
+            Task::Apply(Expr::Index(name, idx)) => {
+                if let Expr::Number { value, .. } = **idx {
+                    let a = pop(nets);
+                    let Ok(i) = u32::try_from(value) else {
+                        return syntax_err(format!("index {name}[{value}] is out of range"));
+                    };
+                    self.b.bit(a, i)
+                } else {
+                    let i = pop(nets);
+                    let a = pop(nets);
+                    let iw = self.b.width(a);
+                    let ir = self.b.resize(i, iw);
+                    let shifted = self.b.lshr(a, ir);
+                    self.b.bit(shifted, 0)
+                }
+            }
+            Task::Apply(Expr::Range(_, hi, lo)) => {
+                let a = pop(nets);
+                self.b.slice(a, *lo, hi - lo + 1)
+            }
+            _ => unreachable!("eval and name take the other tasks"),
+        };
+        Ok(Some(made))
+    }
+
+    /// `c` as a condition: one bit, the OR of its bits.
+    fn bool_of(&mut self, c: NetId) -> NetId {
+        if self.b.width(c) > 1 {
+            self.b.reduce_or(c)
         } else {
-            self.b.name_net(n, name);
-            self.nets.insert(name.to_string(), n);
-            Ok(n)
+            c
         }
+    }
+
+    /// `an op bn`, operands extended to a common width where Verilog does.
+    fn binary(&mut self, op: &str, an: NetId, bn: NetId) -> Result<NetId, ParseVerilogError> {
+        match op {
+            "&&" | "||" => {
+                let an = self.b.reduce_or(an);
+                let bn = self.b.reduce_or(bn);
+                return Ok(if op == "&&" {
+                    self.b.and(an, bn)
+                } else {
+                    self.b.or(an, bn)
+                });
+            }
+            "<<" => return Ok(self.b.shl(an, bn)),
+            ">>" => return Ok(self.b.lshr(an, bn)),
+            _ => {}
+        }
+        // Extend both to common width (Verilog self-determined-ish).
+        let w = self.b.width(an).max(self.b.width(bn));
+        let an = self.b.resize(an, w);
+        let bn = self.b.resize(bn, w);
+        Ok(match op {
+            "&" => self.b.and(an, bn),
+            "|" => self.b.or(an, bn),
+            "^" => self.b.xor(an, bn),
+            "+" => self.b.add(an, bn),
+            "-" => self.b.sub(an, bn),
+            "*" => self.b.mul(an, bn),
+            "==" => self.b.eq(an, bn),
+            "!=" => {
+                let r = self.b.eq(an, bn);
+                self.b.not(r)
+            }
+            "<" => self.b.ult(an, bn),
+            ">" => self.b.ult(bn, an),
+            "<=" => {
+                let r = self.b.ult(bn, an);
+                self.b.not(r)
+            }
+            ">=" => {
+                let r = self.b.ult(an, bn);
+                self.b.not(r)
+            }
+            other => return syntax_err(format!("unsupported operator {other:?}")),
+        })
     }
 
     /// Resizes `n` to `want` bits, recording a truncation lint when high
@@ -938,143 +1233,13 @@ impl Elab<'_> {
         self.b.resize(n, want)
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<NetId, ParseVerilogError> {
-        match e {
-            Expr::Ident(name) => self.resolve(name),
-            Expr::Number { width, value } => {
-                let w = width.unwrap_or(32);
-                Ok(self.b.lit(*value, w))
-            }
-            Expr::Unary(op, a) => {
-                let an = self.expr(a)?;
-                Ok(match *op {
-                    "~" => self.b.not(an),
-                    "neg" => self.b.neg(an),
-                    "!" => {
-                        let r = self.b.reduce_or(an);
-                        self.b.not(r)
-                    }
-                    "&red" => self.b.reduce_and(an),
-                    "|red" => self.b.reduce_or(an),
-                    "^red" => self.b.reduce_xor(an),
-                    _ => unreachable!(),
-                })
-            }
-            Expr::Binary(op, a, b) => {
-                let mut an = self.expr(a)?;
-                let mut bn = self.expr(b)?;
-                match *op {
-                    "&&" | "||" => {
-                        an = self.b.reduce_or(an);
-                        bn = self.b.reduce_or(bn);
-                        return Ok(if *op == "&&" {
-                            self.b.and(an, bn)
-                        } else {
-                            self.b.or(an, bn)
-                        });
-                    }
-                    "<<" | ">>" => {
-                        return Ok(if *op == "<<" {
-                            self.b.shl(an, bn)
-                        } else {
-                            self.b.lshr(an, bn)
-                        });
-                    }
-                    _ => {}
-                }
-                // Extend both to common width (Verilog self-determined-ish).
-                let (wa, wb) = (self.b.width(an), self.b.width(bn));
-                let w = wa.max(wb);
-                an = self.b.resize(an, w);
-                bn = self.b.resize(bn, w);
-                Ok(match *op {
-                    "&" => self.b.and(an, bn),
-                    "|" => self.b.or(an, bn),
-                    "^" => self.b.xor(an, bn),
-                    "+" => self.b.add(an, bn),
-                    "-" => self.b.sub(an, bn),
-                    "*" => self.b.mul(an, bn),
-                    "==" => self.b.eq(an, bn),
-                    "!=" => {
-                        let r = self.b.eq(an, bn);
-                        self.b.not(r)
-                    }
-                    "<" => self.b.ult(an, bn),
-                    ">" => self.b.ult(bn, an),
-                    "<=" => {
-                        let r = self.b.ult(bn, an);
-                        self.b.not(r)
-                    }
-                    ">=" => {
-                        let r = self.b.ult(an, bn);
-                        self.b.not(r)
-                    }
-                    other => return syntax_err(format!("unsupported operator {other:?}")),
-                })
-            }
-            Expr::Ternary(c, t, f) => {
-                let cn0 = self.expr(c)?;
-                let cn = if self.b.width(cn0) > 1 {
-                    self.b.reduce_or(cn0)
-                } else {
-                    cn0
-                };
-                let mut tn = self.expr(t)?;
-                let mut fn_ = self.expr(f)?;
-                let w = self.b.width(tn).max(self.b.width(fn_));
-                tn = self.b.resize(tn, w);
-                fn_ = self.b.resize(fn_, w);
-                Ok(self.b.mux(cn, tn, fn_))
-            }
-            Expr::Concat(parts) => {
-                // Verilog concat is MSB-first; builder concat is LSB-first.
-                let mut nets = Vec::new();
-                for p in parts.iter().rev() {
-                    nets.push(self.expr(p)?);
-                }
-                let bits = nets.iter().map(|&n| u64::from(self.b.width(n))).sum();
-                net_width(bits, "concatenation").or_else(syntax_err)?;
-                Ok(self.b.concat(&nets))
-            }
-            Expr::Index(name, idx) => {
-                if self.mems.contains_key(name) {
-                    let mem = self.mems[name];
-                    let addr = self.expr(idx)?;
-                    Ok(self.b.read_port(mem, addr, ReadKind::Async))
-                } else {
-                    let a = self.resolve(name)?;
-                    // Constant index → slice; dynamic index → shift+mask.
-                    if let Expr::Number { value, .. } = **idx {
-                        let Ok(i) = u32::try_from(value) else {
-                            return syntax_err(format!("index {name}[{value}] is out of range"));
-                        };
-                        Ok(self.b.bit(a, i))
-                    } else {
-                        let i = self.expr(idx)?;
-                        let iw = self.b.width(a);
-                        let ir = self.b.resize(i, iw);
-                        let shifted = self.b.lshr(a, ir);
-                        Ok(self.b.bit(shifted, 0))
-                    }
-                }
-            }
-            Expr::Range(name, hi, lo) => {
-                // The parser refused hi < lo.
-                let select = format!("part-select {name}[{hi}:{lo}]");
-                let width = net_width(u64::from(hi - lo) + 1, &select).or_else(syntax_err)?;
-                let a = self.resolve(name)?;
-                Ok(self.b.slice(a, *lo, width))
-            }
-        }
-    }
-
     /// Executes a statement list under a path condition, updating the
     /// next-state map (`reg name -> next-value net`). Memory writes create
     /// write ports guarded by the path condition; memory reads on RHS
     /// become synchronous read ports.
     fn exec_block(
         &mut self,
-        stmts: &[Stmt],
+        stmts: &'a [Stmt],
         path: NetId,
         next: &mut HashMap<String, NetId>,
     ) -> Result<(), ParseVerilogError> {
@@ -1113,22 +1278,18 @@ impl Elab<'_> {
                         self.b.write_port(mem, addr, data, path);
                     }
                 },
-                Stmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    let c0 = self.expr(cond)?;
-                    let c = if self.b.width(c0) > 1 {
-                        self.b.reduce_or(c0)
-                    } else {
-                        c0
-                    };
-                    let then_path = self.b.and(path, c);
-                    let nc = self.b.not(c);
-                    let else_path = self.b.and(path, nc);
-                    self.exec_block(then_branch, then_path, next)?;
-                    self.exec_block(else_branch, else_path, next)?;
+                Stmt::If { arms, otherwise } => {
+                    // Each arm runs where every earlier condition failed.
+                    let mut path = path;
+                    for (cond, body) in arms {
+                        let c0 = self.expr(cond)?;
+                        let c = self.bool_of(c0);
+                        let then_path = self.b.and(path, c);
+                        let nc = self.b.not(c);
+                        path = self.b.and(path, nc);
+                        self.exec_block(body, then_path, next)?;
+                    }
+                    self.exec_block(otherwise, path, next)?;
                 }
             }
         }
@@ -1137,7 +1298,7 @@ impl Elab<'_> {
 
     /// Like [`expr`](Self::expr) but memory reads become *synchronous* read
     /// ports (they sit behind the clock edge).
-    fn rhs_expr(&mut self, e: &Expr) -> Result<NetId, ParseVerilogError> {
+    fn rhs_expr(&mut self, e: &'a Expr) -> Result<NetId, ParseVerilogError> {
         if let Expr::Index(name, idx) = e {
             if self.mems.contains_key(name) {
                 let mem = self.mems[name];

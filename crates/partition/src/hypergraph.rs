@@ -906,7 +906,7 @@ mod tests {
         let mut runs = 0;
         for seed in 0..designs {
             let m = random_module(seed, &FuzzConfig::for_seed(seed));
-            let g = gem_synth::synthesize(&m, &gem_synth::SynthOptions::default())
+            let g = gem_synth::synthesize(&m, &gem_synth::SynthOptions)
                 .expect("fuzz designs synthesize")
                 .eaig;
             let counts = &mut PartitionCounts::default();

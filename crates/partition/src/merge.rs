@@ -480,7 +480,7 @@ mod tests {
         let mut checked = 0usize;
         for seed in 0..48u64 {
             let m = random_module(seed, &FuzzConfig::for_seed(seed));
-            let g = gem_synth::synthesize(&m, &gem_synth::SynthOptions::default())
+            let g = gem_synth::synthesize(&m, &gem_synth::SynthOptions)
                 .expect("fuzz designs synthesize")
                 .eaig;
             for (target_parts, stages) in [(1, 1), (3, 1), (4, 2)] {
@@ -521,7 +521,7 @@ mod tests {
         let mut checked = 0usize;
         for seed in 0..seeds {
             let m = random_module(seed, &FuzzConfig::for_seed(seed));
-            let g = gem_synth::synthesize(&m, &gem_synth::SynthOptions::default())
+            let g = gem_synth::synthesize(&m, &gem_synth::SynthOptions)
                 .expect("fuzz designs synthesize")
                 .eaig;
             for (target_parts, stages) in [(3, 1), (4, 2), (8, 2)] {

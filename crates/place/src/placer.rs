@@ -1095,7 +1095,7 @@ mod tests {
         let mut placements = 0usize;
         for seed in 0..100u64 {
             let m = random_module(seed, &FuzzConfig::for_seed(seed));
-            let g = gem_synth::synthesize(&m, &gem_synth::SynthOptions::default())
+            let g = gem_synth::synthesize(&m, &gem_synth::SynthOptions)
                 .expect("fuzz designs synthesize")
                 .eaig;
             let popts = PartitionOptions {

@@ -131,7 +131,7 @@ fn synthesized_alu_places_correctly() {
     b.output("r", r);
     b.output("acc", acc);
     let m = b.finish().unwrap();
-    let synth = synthesize(&m, &SynthOptions::default()).unwrap();
+    let synth = synthesize(&m, &SynthOptions).unwrap();
     let parts = partition(
         &synth.eaig,
         &PartitionOptions {

@@ -83,8 +83,8 @@ USAGE:
               [--gpu a100|3090] [--width N] [--parts N] [--stages N]
               [--json out.json] [--trace-out trace.json]
   gem trace-check <trace.json>
-  gem serve   [--addr 127.0.0.1:0] [--workers 4] [--queue 32] [--cache 8]
-              [--idle-ms 300000] [--port-file path]
+  gem serve   [--addr host:port] [--workers N] [--queue N] [--cache N]
+              [--idle-ms N] [--port-file path]
               [--emit-metrics out.json]
   gem client  --addr host:port <action>
       ping     [--delay-ms N]
@@ -518,7 +518,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let spec = gpu_spec(args)?;
     let (sim, _) = load(input, args)?;
     let opts = ProfileOptions {
-        cycles: flag_u64(args, "--cycles", 256)?,
+        cycles: flag_u64(args, "--cycles", ProfileOptions::default().cycles)?,
         spec,
     };
     let report = gem_core::profile(sim, input, &opts);
@@ -634,13 +634,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     positionals(args, SERVE)?;
+    let d = ServerConfig::default();
+    let idle_ms = d.idle_timeout.as_millis() as u64;
     let cfg = ServerConfig {
-        addr: flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into()),
-        workers: flag_num(args, "--workers", 4)?,
-        queue: flag_num(args, "--queue", 32)?,
-        cache: flag_num(args, "--cache", 8)?,
-        idle_timeout: Duration::from_millis(flag_u64(args, "--idle-ms", 300_000)?),
-        ..ServerConfig::default()
+        addr: flag(args, "--addr").unwrap_or(d.addr),
+        workers: flag_num(args, "--workers", d.workers as u64)?,
+        queue: flag_num(args, "--queue", d.queue as u64)?,
+        cache: flag_num(args, "--cache", d.cache as u64)?,
+        idle_timeout: Duration::from_millis(flag_u64(args, "--idle-ms", idle_ms)?),
     };
     let server = Server::bind(cfg).map_err(|e| format!("cannot bind: {e}"))?;
     let addr = server.local_addr();
@@ -794,7 +795,7 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             let src =
                 std::fs::read_to_string(file).map_err(|e| format!("cannot read {file:?}: {e}"))?;
             let opts = client_opts(&rest)?;
-            let cycles = flag_u64(&rest, "--cycles", 256)?;
+            let cycles = flag_u64(&rest, "--cycles", ProfileOptions::default().cycles)?;
             let resp = client.profile(&src, opts, cycles).map_err(client_err)?;
             print!("{}", resp.get("table").and_then(Json::as_str).unwrap_or(""));
         }

@@ -32,8 +32,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 /// FNV-1a 64-bit over the design source and the compile options.
 ///
 /// The options participate through their canonical `Debug` form — every
-/// field of [`CompileOptions`] (and its nested `SynthOptions`) derives
-/// `Debug`, so any option change perturbs the key.
+/// field of [`CompileOptions`] derives `Debug`, so any option change
+/// perturbs the key.
 pub fn content_hash(source: &str, opts: &CompileOptions) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {

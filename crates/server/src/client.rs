@@ -62,7 +62,6 @@ impl ClientError {
 pub struct GemClient {
     stream: TcpStream,
     next_id: u64,
-    max_frame: usize,
 }
 
 impl GemClient {
@@ -76,11 +75,7 @@ impl GemClient {
         // Request/response traffic: a frame is one write, and its tail
         // segment must not wait for the peer's delayed ACK.
         stream.set_nodelay(true)?;
-        Ok(GemClient {
-            stream,
-            next_id: 1,
-            max_frame: DEFAULT_MAX_FRAME,
-        })
+        Ok(GemClient { stream, next_id: 1 })
     }
 
     /// Sends `cmd` with extra `fields` and returns the success response.
@@ -98,8 +93,8 @@ impl GemClient {
         for (k, v) in fields {
             req.set(k, v);
         }
-        write_frame(&mut self.stream, &req, self.max_frame)?;
-        let resp = read_frame(&mut self.stream, self.max_frame)?;
+        write_frame(&mut self.stream, &req, DEFAULT_MAX_FRAME)?;
+        let resp = read_frame(&mut self.stream, DEFAULT_MAX_FRAME)?;
         if resp.get("id").and_then(Json::as_u64) != Some(id) {
             return Err(ClientError::Protocol(format!(
                 "response id does not match request id {id}"

@@ -10,7 +10,7 @@
 //!   `retry_after_ms` hint instead of a blocked handler. A request that
 //!   panics is caught here and costs that request, nothing else;
 //! * **one reaper thread** evicts sessions idle past the configured
-//!   timeout;
+//!   timeout, scanning every `REAP_INTERVAL`;
 //! * the **accept loop** owns everything and joins all of it on
 //!   `shutdown`, so `Server::run` returning means no thread of this
 //!   server is left behind.
@@ -48,11 +48,12 @@ pub struct ServerConfig {
     pub cache: usize,
     /// Sessions idle longer than this are evicted.
     pub idle_timeout: Duration,
-    /// Largest accepted/emitted frame payload, bytes.
-    pub max_frame: usize,
-    /// How often the reaper scans for idle sessions.
-    pub reap_interval: Duration,
 }
+
+/// How often the reaper scans for idle sessions. `run` joins the reaper
+/// at shutdown, so this also bounds how long that join can wait; it is
+/// not derived from the idle timeout for that reason.
+const REAP_INTERVAL: Duration = Duration::from_millis(100);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -62,8 +63,6 @@ impl Default for ServerConfig {
             queue: 32,
             cache: 8,
             idle_timeout: Duration::from_secs(300),
-            max_frame: DEFAULT_MAX_FRAME,
-            reap_interval: Duration::from_millis(100),
         }
     }
 }
@@ -157,7 +156,7 @@ impl Server {
                 .name("gem-reaper".into())
                 .spawn(move || {
                     while !state.stop.load(Ordering::SeqCst) {
-                        std::thread::sleep(state.cfg.reap_interval);
+                        std::thread::sleep(REAP_INTERVAL);
                         state.sessions.evict_idle(state.cfg.idle_timeout);
                     }
                 })?
@@ -189,7 +188,7 @@ impl Server {
                 // the peer sees a closed socket, the server keeps serving.
                 Err(e) => {
                     inc(&state.metrics.connections_dropped);
-                    gem_telemetry::warn!("connection dropped, no handler thread: {e}");
+                    eprintln!("gem-server: connection dropped, no handler thread: {e}");
                 }
             }
         }
@@ -245,14 +244,14 @@ impl Drop for Connection {
 fn handle_connection(conn: &Connection, mut stream: TcpStream) {
     let state = &*conn.state;
     loop {
-        let req = match read_frame(&mut stream, state.cfg.max_frame) {
+        let req = match read_frame(&mut stream, DEFAULT_MAX_FRAME) {
             Ok(v) => v,
             Err(FrameError::Closed) => break,
             Err(e) => {
                 // Framing is broken; report once (best effort) and drop.
                 let resp =
                     protocol::err_response(0, codes::BAD_REQUEST, &format!("bad frame: {e}"));
-                let _ = write_frame(&mut stream, &resp, state.cfg.max_frame);
+                let _ = write_frame(&mut stream, &resp, DEFAULT_MAX_FRAME);
                 break;
             }
         };
@@ -285,7 +284,7 @@ fn handle_connection(conn: &Connection, mut stream: TcpStream) {
             .metrics
             .observe_request_latency(started.elapsed().as_nanos() as f64 / 1e3);
         resp.set("rid", rid);
-        if write_frame(&mut stream, &resp, state.cfg.max_frame).is_err() {
+        if write_frame(&mut stream, &resp, DEFAULT_MAX_FRAME).is_err() {
             break;
         }
         if shutdown {
@@ -320,7 +319,7 @@ fn answer_panic(
         "server",
         vec![("cmd".into(), cmd.into()), ("message".into(), what.into())],
     );
-    gem_telemetry::error!("request {rid} ({cmd}) panicked: {what}");
+    eprintln!("gem-server: request {rid} ({cmd}) panicked: {what}");
     protocol::err_response(id, codes::INTERNAL, &format!("request panicked: {what}"))
 }
 
@@ -421,7 +420,6 @@ fn compile_opts(req: &Json) -> Result<CompileOptions, CmdError> {
         opts.core_width = protocol::opt_uint(o, "width", opts.core_width).map_err(bad)?;
         opts.target_parts = protocol::opt_uint(o, "parts", opts.target_parts).map_err(bad)?;
         opts.stages = protocol::opt_uint(o, "stages", opts.stages).map_err(bad)?;
-        opts.seed = protocol::opt_uint(o, "seed", opts.seed).map_err(bad)?;
     }
     opts.validate().map_err(|e| bad(e.to_string()))?;
     Ok(opts)
@@ -704,7 +702,8 @@ fn cmd_replay(state: &ServerState, id: u64, req: &Json) -> CmdResult {
 fn cmd_profile(state: &ServerState, id: u64, req: &Json) -> CmdResult {
     let source = protocol::req_str(req, "source").map_err(bad)?;
     let opts = compile_opts(req)?;
-    let cycles = protocol::opt_uint(req, "cycles", 256u64).map_err(bad)?;
+    let cycles = protocol::opt_uint(req, "cycles", ProfileOptions::default().cycles);
+    let cycles = cycles.map_err(bad)?;
     let design_name = req.get("design").and_then(Json::as_str).unwrap_or("design");
     gated(state, "profile", || {
         let (key, result, cached) = state.cache.get_or_compile(source, &opts);

@@ -524,6 +524,21 @@ fn hostile_text_and_options_are_typed_errors_and_the_server_serves_on() {
         }
     }
 
+    // Seven hundred parentheses, about 1.4 KB of text: past the frontend's
+    // nesting bound they are a syntax error where they nest. Unbounded,
+    // the parser overflowed this thread's stack, which aborts the whole
+    // process (no `catch_unwind` contains that).
+    let nested = format!(
+        "module m(input a, output y);\n assign y = {}a{};\nendmodule",
+        "(".repeat(700),
+        ")".repeat(700)
+    );
+    let (code, message) = refusal(client.compile(&nested, wire_opts()));
+    assert_eq!(code, "compile_failed");
+    assert!(message.contains("syntax error at line 2"), "{message}");
+    assert!(message.contains("nesting deeper than"), "{message}");
+    client.ping(0).expect("and the server answers on");
+
     for width in [3u64, 100, 65536, 1 << 32] {
         let mut opts = wire_opts();
         opts.set("width", width);
@@ -543,8 +558,8 @@ fn hostile_text_and_options_are_typed_errors_and_the_server_serves_on() {
     assert_eq!(metric(&stats, "gem_server_panics_total"), 0.0);
     assert_eq!(
         metric(&stats, "gem_server_compiles_total"),
-        5.0,
-        "four refused texts and one good design, each compiled once"
+        6.0,
+        "five refused texts and one good design, each compiled once"
     );
     assert_eq!(metric(&stats, "gem_server_cache_hits_total"), 3.0);
     assert_eq!(
@@ -552,7 +567,7 @@ fn hostile_text_and_options_are_typed_errors_and_the_server_serves_on() {
         metric(&stats, "gem_server_jobs_completed_total"),
         "bad options never reached the gate, and nothing was refused there"
     );
-    assert_eq!(metric(&stats, "gem_server_jobs_completed_total"), 11.0);
+    assert_eq!(metric(&stats, "gem_server_jobs_completed_total"), 12.0);
     shutdown_and_join(addr, server);
 }
 
@@ -563,7 +578,6 @@ fn hostile_text_and_options_are_typed_errors_and_the_server_serves_on() {
 fn lifecycle_checkpoints_replay_and_errors() {
     let (addr, server) = start_server(ServerConfig {
         idle_timeout: Duration::from_millis(400),
-        reap_interval: Duration::from_millis(25),
         ..ServerConfig::default()
     });
     let mut client = GemClient::connect(addr).expect("connect");

@@ -2,19 +2,17 @@
 //!
 //! Depth is the scarce resource in GEM (each boomerang layer absorbs a
 //! bounded number of logic levels), so all constructions here are
-//! depth-optimized when [`SynthOptions::depth_optimize`] is set: Sklansky
-//! prefix adders, balanced reduction trees, logarithmic barrel shifters.
-//! The non-optimized (ripple/linear) forms are kept for ablation.
+//! depth-optimized: Sklansky prefix adders, balanced reduction trees,
+//! logarithmic barrel shifters.
 
 use crate::memory::{self, MemImpl};
-use crate::{PortBits, SynthError, SynthOptions, SynthResult, SynthStats};
+use crate::{PortBits, SynthError, SynthResult, SynthStats};
 use gem_aig::{Eaig, Lit};
 use gem_netlist::{Binary, CellKind, Module, NetId, Unary};
 
 /// Drives one synthesis run; see [`crate::synthesize`].
 pub(crate) struct Lowerer<'a> {
     pub(crate) m: &'a Module,
-    pub(crate) opts: &'a SynthOptions,
     pub(crate) g: Eaig,
     /// Bit literals per net, filled as lowering progresses.
     pub(crate) bits: Vec<Option<Vec<Lit>>>,
@@ -23,10 +21,9 @@ pub(crate) struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
-    pub(crate) fn new(m: &'a Module, opts: &'a SynthOptions) -> Self {
+    pub(crate) fn new(m: &'a Module) -> Self {
         Lowerer {
             m,
-            opts,
             g: Eaig::new(),
             bits: vec![None; m.nets().len()],
             mem_impls: Vec::new(),
@@ -151,9 +148,9 @@ impl<'a> Lowerer<'a> {
                         let (sum, _) = self.adder(&inv, &zeros, Lit::TRUE);
                         sum
                     }
-                    Unary::ReduceAnd => vec![self.reduce(&av, ReduceOp::And)],
-                    Unary::ReduceOr => vec![self.reduce(&av, ReduceOp::Or)],
-                    Unary::ReduceXor => vec![self.reduce(&av, ReduceOp::Xor)],
+                    Unary::ReduceAnd => vec![self.g.and_many(&av)],
+                    Unary::ReduceOr => vec![self.g.or_many(&av)],
+                    Unary::ReduceXor => vec![self.g.xor_many(&av)],
                 }
             }
             CellKind::Binary { op, a, b } => {
@@ -175,7 +172,7 @@ impl<'a> Lowerer<'a> {
                             .iter()
                             .map(|l| l.flip())
                             .collect();
-                        vec![self.reduce(&xnors, ReduceOp::And)]
+                        vec![self.g.and_many(&xnors)]
                     }
                     Binary::Ult => {
                         // a < b  ⇔  no carry out of a + !b + 1.
@@ -225,49 +222,12 @@ impl<'a> Lowerer<'a> {
             .collect()
     }
 
-    /// Balanced (or linear, for ablation) reduction.
-    pub(crate) fn reduce(&mut self, lits: &[Lit], op: ReduceOp) -> Lit {
-        if self.opts.depth_optimize {
-            match op {
-                ReduceOp::And => self.g.and_many(lits),
-                ReduceOp::Or => self.g.or_many(lits),
-                ReduceOp::Xor => self.g.xor_many(lits),
-            }
-        } else {
-            let mut acc = match op {
-                ReduceOp::And => Lit::TRUE,
-                ReduceOp::Or | ReduceOp::Xor => Lit::FALSE,
-            };
-            for &l in lits {
-                acc = match op {
-                    ReduceOp::And => self.g.and(acc, l),
-                    ReduceOp::Or => self.g.or(acc, l),
-                    ReduceOp::Xor => self.g.xor(acc, l),
-                };
-            }
-            acc
-        }
-    }
-
-    /// Adder with carry-in; returns (sum, carry-out). Sklansky prefix when
-    /// depth-optimizing, ripple-carry otherwise.
+    /// Sklansky prefix adder with carry-in; returns (sum, carry-out).
     pub(crate) fn adder(&mut self, a: &[Lit], b: &[Lit], cin: Lit) -> (Vec<Lit>, Lit) {
         assert_eq!(a.len(), b.len());
         let n = a.len();
         if n == 0 {
             return (vec![], cin);
-        }
-        if !self.opts.depth_optimize {
-            let mut carry = cin;
-            let mut sum = Vec::with_capacity(n);
-            for i in 0..n {
-                let axb = self.g.xor(a[i], b[i]);
-                sum.push(self.g.xor(axb, carry));
-                let ab = self.g.and(a[i], b[i]);
-                let ac = self.g.and(axb, carry);
-                carry = self.g.or(ab, ac);
-            }
-            return (sum, carry);
         }
         // Generate/propagate, with the carry-in folded into bit 0.
         let mut gen: Vec<Lit> = Vec::with_capacity(n);
@@ -382,7 +342,7 @@ impl<'a> Lowerer<'a> {
         if high_bits.is_empty() {
             return cur;
         }
-        let any_high = self.reduce(&high_bits, ReduceOp::Or);
+        let any_high = self.g.or_many(&high_bits);
         cur.iter()
             .map(|&c| self.g.and(c, any_high.flip()))
             .collect()
@@ -427,7 +387,7 @@ impl<'a> Lowerer<'a> {
             .enumerate()
             .map(|(i, &b)| b.flip_if((k >> i) & 1 == 0))
             .collect();
-        self.reduce(&terms, ReduceOp::And)
+        self.g.and_many(&terms)
     }
 
     /// Topological order over combinational cells and async read ports.
@@ -504,14 +464,6 @@ impl<'a> Lowerer<'a> {
         }
         order
     }
-}
-
-/// Reduction operator selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReduceOp {
-    And,
-    Or,
-    Xor,
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -10,8 +10,7 @@
 //!   address bits registered to steer a bank-select mux on the read side
 //!   and decoded into per-bank write enables;
 //! * extra synchronous read ports replicate the whole block array;
-//! * memories with *asynchronous* read ports (or when RAM mapping is
-//!   disabled) are **polyfilled** with a flip-flop matrix plus write
+//! * memories with *asynchronous* read ports are **polyfilled** with a flip-flop matrix plus write
 //!   decoders and read mux trees — the expensive fallback the paper calls
 //!   out ("RAMs with asynchronous read ports ... can only be implemented
 //!   inefficiently with FFs and decoder logic").
@@ -20,7 +19,7 @@
 //! native block has a single write port and two simultaneous writes to
 //! different addresses cannot be merged into one.
 
-use crate::lower::{Lowerer, ReduceOp};
+use crate::lower::Lowerer;
 use crate::SynthError;
 use gem_aig::{Lit, RamId, RAM_ADDR_BITS, RAM_DATA_BITS};
 use gem_netlist::ReadKind;
@@ -61,7 +60,7 @@ pub(crate) fn prepass(lw: &mut Lowerer<'_>) -> Result<(), SynthError> {
     for mi in 0..lw.m.memories().len() {
         let mm = lw.m.memories()[mi].clone();
         let all_sync = mm.read_ports.iter().all(|r| r.kind == ReadKind::Sync);
-        let ram_mapped = lw.opts.ram_mapping && all_sync && mm.write_ports.len() <= 1;
+        let ram_mapped = all_sync && mm.write_ports.len() <= 1;
         if mm.words == 0 {
             return Err(SynthError::UnsupportedMemory(format!(
                 "memory {} has zero words",
@@ -189,7 +188,7 @@ fn read_words(lw: &mut Lowerer<'_>, words: &[Vec<Lit>], addr: &[Lit], width: u32
     let extra: Vec<Lit> = addr.iter().copied().skip(need).collect();
     let mut in_range_extra = Lit::TRUE;
     if !extra.is_empty() {
-        let any = lw.reduce(&extra, ReduceOp::Or);
+        let any = lw.g.or_many(&extra);
         in_range_extra = any.flip();
     }
     // Non-power-of-two word counts: the mux tree already returns zero for

@@ -50,16 +50,6 @@ fn cosim(m: &Module, opts: &SynthOptions, cycles: usize, seed: u64) -> SynthResu
     r
 }
 
-fn both_option_sets() -> [SynthOptions; 2] {
-    [
-        SynthOptions::default(),
-        SynthOptions {
-            depth_optimize: false,
-            ram_mapping: true,
-        },
-    ]
-}
-
 #[test]
 fn arithmetic_ops_equivalent() {
     let mut b = ModuleBuilder::new("arith");
@@ -74,9 +64,7 @@ fn arithmetic_ops_equivalent() {
     b.output("neg", neg);
     b.output("mul", mul);
     let m = b.finish().unwrap();
-    for opts in both_option_sets() {
-        cosim(&m, &opts, 64, 1);
-    }
+    cosim(&m, &SynthOptions, 64, 1);
 }
 
 #[test]
@@ -89,9 +77,7 @@ fn comparison_ops_equivalent() {
     b.output("eq", eq);
     b.output("lt", lt);
     let m = b.finish().unwrap();
-    for opts in both_option_sets() {
-        cosim(&m, &opts, 128, 2);
-    }
+    cosim(&m, &SynthOptions, 128, 2);
 }
 
 #[test]
@@ -118,9 +104,7 @@ fn bitwise_and_reductions_equivalent() {
         b.output(n, v);
     }
     let m = b.finish().unwrap();
-    for opts in both_option_sets() {
-        cosim(&m, &opts, 64, 3);
-    }
+    cosim(&m, &SynthOptions, 64, 3);
 }
 
 #[test]
@@ -135,9 +119,7 @@ fn shifts_equivalent_including_overflow_amounts() {
     b.output("shl", shl);
     b.output("shr", shr);
     let m = b.finish().unwrap();
-    for opts in both_option_sets() {
-        cosim(&m, &opts, 200, 4);
-    }
+    cosim(&m, &SynthOptions, 200, 4);
 }
 
 #[test]
@@ -152,7 +134,7 @@ fn mux_slice_concat_equivalent() {
     b.output("mx", mx);
     b.output("cat", cat);
     let m = b.finish().unwrap();
-    cosim(&m, &SynthOptions::default(), 64, 5);
+    cosim(&m, &SynthOptions, 64, 5);
 }
 
 #[test]
@@ -169,7 +151,7 @@ fn registers_with_enable_and_reset_equivalent() {
     b.connect_dff(q, next);
     b.output("q", q);
     let m = b.finish().unwrap();
-    cosim(&m, &SynthOptions::default(), 100, 6);
+    cosim(&m, &SynthOptions, 100, 6);
 }
 
 /// A cone feeding no output, register or memory stays in the E-AIG but
@@ -184,7 +166,7 @@ fn dead_cone_skipped_and_outputs_equivalent() {
     let s = b.add(x, y);
     b.output("s", s);
     let m = b.finish().unwrap();
-    let r = cosim(&m, &SynthOptions::default(), 64, 17);
+    let r = cosim(&m, &SynthOptions, 64, 17);
     assert!(
         r.eaig.num_live_ands() < r.eaig.num_ands(),
         "the unread multiplier left no dead gates"
@@ -200,7 +182,7 @@ fn counter_feedback_equivalent() {
     b.connect_dff(q, n);
     b.output("q", q);
     let m = b.finish().unwrap();
-    cosim(&m, &SynthOptions::default(), 64, 7);
+    cosim(&m, &SynthOptions, 64, 7);
 }
 
 fn sync_ram_module(words: u32, width: u32) -> Module {
@@ -221,7 +203,7 @@ fn sync_ram_module(words: u32, width: u32) -> Module {
 #[test]
 fn sync_ram_maps_to_blocks_and_matches() {
     let m = sync_ram_module(64, 8);
-    let r = cosim(&m, &SynthOptions::default(), 300, 8);
+    let r = cosim(&m, &SynthOptions, 300, 8);
     assert_eq!(r.stats.ram_blocks, 1);
     assert_eq!(r.stats.polyfilled_mem_bits, 0);
 }
@@ -231,27 +213,15 @@ fn sync_ram_non_power_of_two_depth_matches() {
     // 40 words: addresses 40..63 exist in the address space but must read
     // as zero and drop writes.
     let m = sync_ram_module(40, 8);
-    let r = cosim(&m, &SynthOptions::default(), 400, 9);
+    let r = cosim(&m, &SynthOptions, 400, 9);
     assert_eq!(r.stats.ram_blocks, 1);
 }
 
 #[test]
 fn wide_ram_splits_into_segments() {
     let m = sync_ram_module(16, 70); // 3 segments of 32 bits
-    let r = cosim(&m, &SynthOptions::default(), 200, 10);
+    let r = cosim(&m, &SynthOptions, 200, 10);
     assert_eq!(r.stats.ram_blocks, 3);
-}
-
-#[test]
-fn sync_ram_polyfilled_when_mapping_disabled() {
-    let m = sync_ram_module(16, 4);
-    let opts = SynthOptions {
-        ram_mapping: false,
-        ..SynthOptions::default()
-    };
-    let r = cosim(&m, &opts, 300, 11);
-    assert_eq!(r.stats.ram_blocks, 0);
-    assert_eq!(r.stats.polyfilled_mem_bits, 64);
 }
 
 #[test]
@@ -266,7 +236,7 @@ fn async_ram_polyfilled_and_matches() {
     let q = b.read_port(mem, ra, ReadKind::Async);
     b.output("q", q);
     let m = b.finish().unwrap();
-    let r = cosim(&m, &SynthOptions::default(), 300, 12);
+    let r = cosim(&m, &SynthOptions, 300, 12);
     assert_eq!(r.stats.ram_blocks, 0);
     assert_eq!(r.stats.polyfilled_mem_bits, 128);
 }
@@ -287,8 +257,9 @@ fn multi_write_port_memory_polyfills_and_matches() {
     let q = b.read_port(mem, ra, ReadKind::Sync);
     b.output("q", q);
     let m = b.finish().unwrap();
-    let r = cosim(&m, &SynthOptions::default(), 400, 13);
+    let r = cosim(&m, &SynthOptions, 400, 13);
     assert_eq!(r.stats.ram_blocks, 0, "multi-write must polyfill");
+    assert_eq!(r.stats.polyfilled_mem_bits, 8 * 4, "every word, every bit");
 }
 
 #[test]
@@ -306,7 +277,7 @@ fn two_read_ports_replicate_blocks() {
     b.output("q0", q0);
     b.output("q1", q1);
     let m = b.finish().unwrap();
-    let r = cosim(&m, &SynthOptions::default(), 300, 14);
+    let r = cosim(&m, &SynthOptions, 300, 14);
     assert_eq!(r.stats.ram_blocks, 2, "one block per read port");
 }
 
@@ -314,27 +285,43 @@ fn two_read_ports_replicate_blocks() {
 fn deep_ram_banks() {
     // 3 × 8192 words deep: 3 banks, high address bits steer the mux.
     let m = sync_ram_module(3 * 8192, 8);
-    let r = cosim(&m, &SynthOptions::default(), 200, 15);
+    let r = cosim(&m, &SynthOptions, 200, 15);
     assert_eq!(r.stats.ram_blocks, 3);
 }
 
+/// The prefix adder against a ripple-carry adder built from 1-bit cells
+/// (EXPERIMENTS.md A2): synthesis cannot reshape a chain the netlist
+/// spells out, so the ripple keeps its linear depth.
 #[test]
 fn depth_optimization_reduces_levels() {
-    let mut b = ModuleBuilder::new("deep");
-    let x = b.input("x", 64);
-    let y = b.input("y", 64);
-    let s = b.add(x, y);
-    b.output("s", s);
-    let m = b.finish().unwrap();
-    let fast = synthesize(&m, &SynthOptions::default()).unwrap();
-    let slow = synthesize(
-        &m,
-        &SynthOptions {
-            depth_optimize: false,
-            ram_mapping: true,
-        },
-    )
-    .unwrap();
+    let prefix = {
+        let mut b = ModuleBuilder::new("prefix");
+        let x = b.input("x", 64);
+        let y = b.input("y", 64);
+        let s = b.add(x, y);
+        b.output("s", s);
+        b.finish().unwrap()
+    };
+    let ripple = {
+        let mut b = ModuleBuilder::new("ripple");
+        let x = b.input("x", 64);
+        let y = b.input("y", 64);
+        let mut carry = b.lit(0, 1);
+        let mut sum = Vec::new();
+        for i in 0..64 {
+            let (xi, yi) = (b.bit(x, i), b.bit(y, i));
+            let p = b.xor(xi, yi);
+            sum.push(b.xor(p, carry));
+            let g = b.and(xi, yi);
+            let pc = b.and(p, carry);
+            carry = b.or(g, pc);
+        }
+        let s = b.concat(&sum);
+        b.output("s", s);
+        b.finish().unwrap()
+    };
+    let fast = cosim(&prefix, &SynthOptions, 64, 18);
+    let slow = cosim(&ripple, &SynthOptions, 64, 18);
     assert!(
         fast.stats.levels * 3 < slow.stats.levels,
         "prefix adder ({}) should be much shallower than ripple ({})",
@@ -352,5 +339,5 @@ fn verilog_frontend_to_eaig_pipeline() {
         endmodule
     "#;
     let m = gem_netlist::verilog::parse(src).unwrap();
-    cosim(&m, &SynthOptions::default(), 100, 16);
+    cosim(&m, &SynthOptions, 100, 16);
 }

@@ -3,9 +3,8 @@
 //! [`FlowRecorder`] is the write side: open one per flow run, call
 //! [`stage`](FlowRecorder::stage) around each phase, attach size metrics,
 //! and [`finish`](FlowRecorder::finish) into an immutable [`FlowReport`].
-//! Every stage also logs a `"<flow>::<stage> done in …"` line at info
-//! level, so a run is observable live (`GEM_LOG=info` on stderr) and
-//! post-hoc (the report JSON) from the same instrumentation.
+//! Every stage is also a span, so a traced run (`--trace-out`) shows the
+//! same stages, with the same metrics as arguments, on its timeline.
 
 use crate::json::Json;
 use crate::span;
@@ -154,16 +153,6 @@ impl Drop for StageGuard<'_> {
         for (k, v) in &metrics {
             self.span.arg(k, *v);
         }
-        crate::info!(
-            "{}::{} done in {:.3?}{}",
-            self.rec.flow,
-            self.name,
-            wall,
-            metrics
-                .iter()
-                .map(|(k, v)| format!(" {k}={v}"))
-                .collect::<String>()
-        );
         self.rec.stages.push(StageRecord {
             name: self.name.to_string(),
             wall_ns: wall.as_nanos() as u64,

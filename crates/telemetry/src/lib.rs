@@ -5,10 +5,6 @@
 //! a self-contained facade in the spirit of `tracing` +
 //! `tracing-subscriber` plus the serialization the workspace needs:
 //!
-//! * [`mod@trace`] — leveled log events ([`error!`](crate::error) …
-//!   [`trace!`](macro@crate::trace)) written to **stderr**, filtered by
-//!   the `GEM_LOG` environment variable (`error|warn|info|debug|trace`,
-//!   default `warn`), keeping stdout clean for CLI output.
 //! * [`span`] — structured span timelines: begin/end/complete/instant
 //!   events with thread ids, parent spans, and request correlation ids,
 //!   collected per thread and exported as Chrome-trace/Perfetto JSON
@@ -32,12 +28,10 @@ pub mod flow;
 pub mod json;
 pub mod metrics;
 pub mod span;
-pub mod trace;
 pub mod wire;
 
 pub use flow::{FlowRecorder, FlowReport, StageGuard, StageRecord};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::{Histogram, MetricFamily, MetricKind, MetricsSnapshot, Sample};
 pub use span::{validate_chrome_trace, SpanGuard, TraceCollector, TraceEvent, TraceSummary};
-pub use trace::{dispatch_event, Level};
 pub use wire::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};

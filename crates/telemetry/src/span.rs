@@ -1,9 +1,9 @@
 //! Structured span tracing: per-thread timeline buffers exported as
 //! Chrome-trace/Perfetto JSON.
 //!
-//! Where [`mod@crate::trace`] answers *"what happened"* (leveled log events,
-//! closed-span durations), this module answers *"when, on which thread,
-//! and inside what"*: every begin/end/complete/instant event carries a
+//! Where [`crate::flow`] answers *"how long and how much"* per compile
+//! stage, this module answers *"when, on which thread, and inside
+//! what"*: every begin/end/complete/instant event carries a
 //! collector-relative timestamp, a stable thread id, the id of the
 //! enclosing span, and numeric/string args. The resulting timeline loads
 //! directly in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
