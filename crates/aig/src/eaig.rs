@@ -64,11 +64,6 @@ impl Lit {
     pub fn code(self) -> u32 {
         self.0
     }
-
-    /// Rebuilds a literal from [`code`](Self::code).
-    pub fn from_code(code: u32) -> Lit {
-        Lit(code)
-    }
 }
 
 impl fmt::Debug for Lit {
@@ -438,22 +433,6 @@ impl Eaig {
         &self.rams
     }
 
-    /// Number of AND gates.
-    pub fn num_ands(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::And(..)))
-            .count()
-    }
-
-    /// Fan-in literals of a node (empty for sources).
-    pub fn fanins(&self, id: NodeId) -> Vec<Lit> {
-        match self.nodes[id.0 as usize] {
-            Node::And(a, b) => vec![a, b],
-            _ => vec![],
-        }
-    }
-
     /// All sink literals that must be computed each cycle: primary
     /// outputs, flip-flop next-states, and every RAM port bit.
     pub fn sinks(&self) -> Vec<Lit> {
@@ -514,6 +493,14 @@ impl Eaig {
 mod tests {
     use super::*;
 
+    /// AND gates in `g`, live or not.
+    fn num_ands(g: &Eaig) -> usize {
+        g.nodes()
+            .iter()
+            .filter(|n| matches!(n, Node::And(..)))
+            .count()
+    }
+
     #[test]
     fn constant_folding() {
         let mut g = Eaig::new();
@@ -522,7 +509,7 @@ mod tests {
         assert_eq!(g.and(a, Lit::TRUE), a);
         assert_eq!(g.and(a, a), a);
         assert_eq!(g.and(a, a.flip()), Lit::FALSE);
-        assert_eq!(g.num_ands(), 0);
+        assert_eq!(num_ands(&g), 0);
     }
 
     #[test]
@@ -533,7 +520,7 @@ mod tests {
         let x = g.and(a, b);
         let y = g.and(b, a);
         assert_eq!(x, y);
-        assert_eq!(g.num_ands(), 1);
+        assert_eq!(num_ands(&g), 1);
     }
 
     /// A released graph is still a graph under construction: an existing
@@ -557,7 +544,7 @@ mod tests {
         assert_eq!(ac.node(), NodeId(nodes.len() as u32));
         g.shrink_to_fit();
         assert_eq!(g.and(c, a), ac);
-        assert_eq!(g.num_ands(), 3);
+        assert_eq!(num_ands(&g), 3);
     }
 
     #[test]
@@ -570,7 +557,7 @@ mod tests {
         let x = g.xor(a, b);
         g.output("x", x);
         // xor = 3 ands
-        assert_eq!(g.num_ands(), 3);
+        assert_eq!(num_ands(&g), 3);
     }
 
     #[test]
@@ -654,7 +641,7 @@ mod tests {
         let _dead = g.and(a, b);
         let live_gate = g.or(a, b);
         g.output("o", live_gate);
-        assert_eq!(g.num_ands(), 2);
+        assert_eq!(num_ands(&g), 2);
         assert_eq!(g.num_live_ands(), 1);
     }
 
@@ -671,9 +658,9 @@ mod tests {
     }
 
     #[test]
-    fn lit_code_round_trip() {
+    fn lit_code_packs_node_and_inversion() {
         let l = Lit::from_node(NodeId(42)).flip();
-        assert_eq!(Lit::from_code(l.code()), l);
+        assert_eq!(l.code(), 42 << 1 | 1);
         assert!(l.is_inverted());
         assert_eq!(l.node(), NodeId(42));
     }

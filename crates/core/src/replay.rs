@@ -350,9 +350,10 @@ mod tests {
         for rec in &recs {
             assert_eq!(rec.rows(), want);
         }
-        // Every lane word is a splat, as a scalar poke leaves it.
-        for w in sim.output_lanes("s") {
-            assert!(w == 0 || w == !0, "{w:#x}");
+        // Every lane, active or mirrored, reads lane 0's value, as a
+        // scalar poke leaves it.
+        for lane in 0..GemSimulator::MAX_LANES {
+            assert_eq!(sim.output_lane("s", lane), sim.output("s"), "lane {lane}");
         }
     }
 

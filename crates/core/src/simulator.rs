@@ -218,21 +218,6 @@ impl GemSimulator {
         }
     }
 
-    /// Packed demux path: reads an output port as lane words, one
-    /// machine [`Word`] per port bit, in [`Self::set_input_lanes`]'s
-    /// layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port does not exist.
-    pub fn output_lanes(&self, name: &str) -> Vec<Word> {
-        let port = self
-            .io
-            .output(name)
-            .unwrap_or_else(|| panic!("no output port named {name:?}"));
-        port.bits.iter().map(|&g| self.gpu.peek_lanes(g)).collect()
-    }
-
     /// Architectural event counters accumulated so far (for the timing
     /// model).
     pub fn counters(&self) -> &KernelCounters {
@@ -296,17 +281,6 @@ impl GemSimulator {
     /// shape does not match this design; the simulator is left untouched.
     pub fn restore(&mut self, s: &GpuSnapshot) -> Result<(), MachineError> {
         self.gpu.restore(s)
-    }
-
-    /// Direct access to a RAM block word (test setup, e.g. preloading a
-    /// program image).
-    pub fn set_ram_word(&mut self, ram: usize, addr: usize, value: u32) {
-        self.gpu.set_ram_word(ram, addr, value);
-    }
-
-    /// Reads a RAM block word.
-    pub fn ram_word(&self, ram: usize, addr: usize) -> u32 {
-        self.gpu.ram_word(ram, addr)
     }
 
     /// Whether both simulators run one lowered program in memory (see
@@ -405,16 +379,9 @@ mod tests {
         sim.set_input_lanes("x", &x_words);
         sim.set_input_lanes("y", &y_words);
         sim.step();
-        let z_words = sim.output_lanes("z");
-        for (i, z) in z_words.iter().enumerate() {
-            assert_eq!(*z, x_words[i] ^ y_words[i], "port bit {i}");
-        }
-        // The packed view agrees with the per-lane view.
         for lane in 0..64 {
-            assert_eq!(
-                sim.output_lane("z", lane).to_u64(),
-                (0..4).map(|i| ((z_words[i] >> lane) & 1) << i).sum::<u64>()
-            );
+            let z = (0..4).map(|i| ((x_words[i] ^ y_words[i]) >> lane & 1) << i);
+            assert_eq!(sim.output_lane("z", lane).to_u64(), z.sum::<u64>());
         }
     }
 

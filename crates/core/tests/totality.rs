@@ -36,6 +36,14 @@
 //! binds is replayed (`replay_lanes`) into the design's simulator: again
 //! a typed error or a clean run.
 //!
+//! The frames `write_frame` makes of `open`, `step`, `peek` and `replay`
+//! requests are mutated by one to four bit flips, a truncation, a new
+//! length prefix (at the bounds `read_frame` checks, or random), or one
+//! byte of the JSON payload replaced, mostly by a byte JSON gives a
+//! meaning. `read_frame` reads each mutant, frame after frame, until it
+//! stops with a typed error: a `Json` or a `FrameError`, never a panic or
+//! a hang.
+//!
 //! One driver ([`sweep`]) runs every boundary's mutants and collects
 //! what broke.
 //!
@@ -55,6 +63,7 @@ use gem_core::{
 use gem_netlist::vcd::VcdWriter;
 use gem_netlist::{validate, verilog};
 use gem_sim::FuzzRng;
+use gem_telemetry::{parse_json, read_frame, write_frame, FrameError, Json, DEFAULT_MAX_FRAME};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -532,4 +541,122 @@ fn waveform_mutants_never_panic() {
 #[ignore = "10 000 waveform mutants: run with --release -- --ignored"]
 fn waveform_mutant_sweep() {
     waveform_sweep(0x7CE, 10_000);
+}
+
+/// The frames of an `open`, a `step`, a `peek` and a `replay` request,
+/// as `GemClient` writes them, with lane fields where the op takes one.
+fn frames() -> Vec<Vec<u8>> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/designs");
+    let source = std::fs::read_to_string(root.join("alu.v")).expect("design reads");
+    let vcd = "$var wire 4 ! a $end\n$enddefinitions $end\n#0\nb1010 !\n#5\nb0110 !\n";
+    let requests = [
+        format!(
+            r#"{{"id":1,"cmd":"open","source":{},"opts":{{"width":64,"parts":8}},"lanes":4}}"#,
+            Json::from(source)
+        ),
+        r#"{"id":2,"cmd":"step","session":1,"cycles":3,"pokes":{"a":"0x5","op":"3"}}"#.into(),
+        r#"{"id":3,"cmd":"peek","session":1,"lane":2,"port":"y"}"#.into(),
+        format!(
+            r#"{{"id":4,"cmd":"replay","session":1,"vcds":[{v},{v}]}}"#,
+            v = Json::from(vcd)
+        ),
+    ];
+    let frame = |text: &String| {
+        let request = parse_json(text).expect("a request parses");
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &request, DEFAULT_MAX_FRAME).expect("a request frames");
+        bytes
+    };
+    requests.iter().map(frame).collect()
+}
+
+/// One to four bit flips, a truncation, a new length prefix, or one
+/// payload byte replaced.
+fn mutate_frame(rng: &mut FuzzRng, bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    match rng.below(4) {
+        0 => {
+            for _ in 0..=rng.below(4) {
+                let at = pick(rng, out.len());
+                out[at] ^= 1 << rng.below(8);
+            }
+        }
+        1 => out.truncate(pick(rng, out.len())),
+        2 => {
+            let len = out.len() as u64 - 4;
+            let max = DEFAULT_MAX_FRAME as u64;
+            let lens = [
+                0,
+                1,
+                len - 1,
+                len + 1,
+                2 * len,
+                max,
+                max + 1,
+                u64::from(u32::MAX),
+            ];
+            let new = if rng.chance(1, 4) {
+                rng.below(1 << 32)
+            } else {
+                lens[pick(rng, lens.len())]
+            };
+            out[..4].copy_from_slice(&(new as u32).to_le_bytes());
+        }
+        _ => {
+            const MEANINGFUL: &[u8] = b"{}[]\",:\\-+.eE0123456789 \ntrufalsn";
+            let at = 4 + pick(rng, out.len() - 4);
+            out[at] = if rng.chance(3, 4) {
+                MEANINGFUL[pick(rng, MEANINGFUL.len())]
+            } else {
+                rng.below(256) as u8
+            };
+        }
+    }
+    out
+}
+
+/// Reads `bytes` frame after frame until `read_frame` stops with an
+/// error; `Err` says it panicked or took over 10 s.
+fn check_frames(bytes: &[u8]) -> Result<(), String> {
+    let started = Instant::now();
+    let mut rest = bytes;
+    let read = catch_unwind(AssertUnwindSafe(|| loop {
+        if let Err(e) = read_frame(&mut rest, DEFAULT_MAX_FRAME) {
+            break e;
+        }
+    }))
+    .map_err(|p| caught("read_frame", p))?;
+    let _typed: FrameError = read;
+    match started.elapsed() {
+        took if took > Duration::from_secs(10) => Err(format!("took {took:?}")),
+        _ => Ok(()),
+    }
+}
+
+/// `mutants` mutants of the four frames from `seed`; a failure shows the
+/// bytes that broke.
+fn frame_sweep(seed: u64, mutants: usize) {
+    let frames = frames();
+    for bytes in &frames {
+        let request = read_frame(&mut &bytes[..], DEFAULT_MAX_FRAME).expect("a frame reads");
+        assert!(request.get("cmd").is_some(), "and is the request");
+        check_frames(bytes).expect("and ends at a clean EOF");
+    }
+    let mutate = |rng: &mut FuzzRng, bytes: &Vec<u8>| mutate_frame(rng, bytes);
+    let check = |bytes: &Vec<u8>| {
+        check_frames(bytes).map_err(|why| format!("{why}\n{}", String::from_utf8_lossy(bytes)))
+    };
+    sweep(&frames, seed, mutants, mutate, check);
+}
+
+#[test]
+fn frame_mutants_never_panic() {
+    frame_sweep(0x3F1, 300);
+}
+
+/// The wire-frame sweep CI's fuzz job runs in release.
+#[test]
+#[ignore = "10 000 wire-frame mutants: run with --release -- --ignored"]
+fn frame_mutant_sweep() {
+    frame_sweep(0x3F2, 10_000);
 }

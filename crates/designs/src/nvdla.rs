@@ -143,15 +143,21 @@ mod tests {
     fn accumulates_products() {
         let d = nvdla_like(4);
         let mut sim = NetlistSim::new(&d.module);
-        // Preload act[0]=3 per byte, wgt[0]=2 per byte, then run.
-        sim.set_mem_word(0, 0, Bits::from_u64(0x03030303, 32));
-        sim.set_mem_word(1, 0, Bits::from_u64(0x02020202, 32));
+        // Load act[0]=3 per byte, then wgt[0]=2 per byte, through the
+        // host port, then run.
         sim.set_input("rst", Bits::from_u64(0, 1));
-        sim.set_input("start", Bits::from_u64(1, 1));
-        sim.set_input("host_we", Bits::from_u64(0, 1));
-        sim.set_input("host_sel", Bits::from_u64(0, 1));
+        sim.set_input("start", Bits::from_u64(0, 1));
+        sim.set_input("host_we", Bits::from_u64(1, 1));
         sim.set_input("host_addr", Bits::from_u64(0, 10));
+        for (sel, word) in [(0, 0x03030303), (1, 0x02020202)] {
+            sim.set_input("host_sel", Bits::from_u64(sel, 1));
+            sim.set_input("host_data", Bits::from_u64(word, 32));
+            sim.eval();
+            sim.step();
+        }
+        sim.set_input("host_we", Bits::from_u64(0, 1));
         sim.set_input("host_data", Bits::from_u64(0, 32));
+        sim.set_input("start", Bits::from_u64(1, 1));
         let mut last = 0;
         for _ in 0..4 {
             sim.eval();

@@ -327,14 +327,6 @@ impl ModuleBuilder {
         });
     }
 
-    /// Convenience: a register whose next state is an expression already in
-    /// hand (no feedback). Returns the state net.
-    pub fn reg_next(&mut self, d: NetId, init: Bits) -> NetId {
-        let q = self.dff_init(init);
-        self.connect_dff(q, d);
-        q
-    }
-
     /// Declares a *forward* net: a net with the given width and no driver
     /// yet, to be driven later with [`drive`](Self::drive). This is the
     /// combinational analogue of the [`dff`](Self::dff)/
@@ -567,19 +559,11 @@ mod tests {
     }
 
     #[test]
-    fn reg_next_helper() {
-        let mut b = ModuleBuilder::new("m");
-        let a = b.input("a", 8);
-        let q = b.reg_next(a, Bits::zeros(8));
-        b.output("q", q);
-        assert!(b.finish().is_ok());
-    }
-
-    #[test]
     fn state_bits_counts_ffs_and_memories() {
         let mut b = ModuleBuilder::new("m");
         let a = b.input("a", 8);
-        let q = b.reg_next(a, Bits::zeros(8));
+        let q = b.dff(8);
+        b.connect_dff(q, a);
         b.output("q", q);
         let mem = b.memory("ram", 4, 4);
         let addr = b.input("addr", 2);

@@ -68,15 +68,6 @@ impl Bits {
         b
     }
 
-    /// Creates a value from individual bits, index 0 being the LSB.
-    pub fn from_bools(bits: &[bool]) -> Self {
-        let mut b = Bits::zeros(bits.len() as u32);
-        for (i, &bit) in bits.iter().enumerate() {
-            b.set_bit(i as u32, bit);
-        }
-        b
-    }
-
     fn limb_count(width: u32) -> usize {
         width.div_ceil(64) as usize
     }
@@ -467,12 +458,5 @@ mod tests {
         let b = Bits::ones(65);
         assert!(b.bit(64));
         assert_eq!(b.limbs[1], 1);
-    }
-
-    #[test]
-    fn from_bools_round_trip() {
-        let v = [true, false, true, true];
-        let b = Bits::from_bools(&v);
-        assert_eq!(b.iter().collect::<Vec<_>>(), v);
     }
 }

@@ -423,13 +423,8 @@ impl Hypergraph {
     }
 
     /// Recursive bisection into `k` parts; returns a part id per vertex.
-    pub fn partition_kway(&self, k: usize, balance: f64, seed: u64) -> Vec<u32> {
-        let mut memo = BisectionMemo::default();
-        self.partition_kway_memo(k, balance, seed, &mut memo, &mut PartitionCounts::default())
-    }
-
-    /// [`Hypergraph::partition_kway`] that takes each bisection from
-    /// `memo` when it is there and records it there when it is not.
+    /// Takes each bisection from `memo` when it is there and records it
+    /// there when it is not.
     pub(crate) fn partition_kway_memo(
         &self,
         k: usize,
@@ -453,9 +448,9 @@ impl Hypergraph {
         })
     }
 
-    /// The recursion of [`Hypergraph::partition_kway`] with the bisection
-    /// supplied: `bisect(verts, frac, seed)` returns the side of each of
-    /// `verts` in a bisection of the subgraph they induce.
+    /// The recursion of [`Hypergraph::partition_kway_memo`] with the
+    /// bisection supplied: `bisect(verts, frac, seed)` returns the side of
+    /// each of `verts` in a bisection of the subgraph they induce.
     fn kway_by(
         &self,
         k: usize,
@@ -554,6 +549,15 @@ impl Hypergraph {
 mod tests {
     use super::*;
     use rand::Rng;
+
+    impl Hypergraph {
+        /// [`Hypergraph::partition_kway_memo`] with a memo of its own.
+        fn partition_kway(&self, k: usize, balance: f64, seed: u64) -> Vec<u32> {
+            let mut memo = BisectionMemo::default();
+            let mut counts = PartitionCounts::default();
+            self.partition_kway_memo(k, balance, seed, &mut memo, &mut counts)
+        }
+    }
 
     /// Two 10-vertex cliques joined by one light edge: the obvious
     /// bisection cuts only the bridge.

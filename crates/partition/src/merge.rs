@@ -247,7 +247,7 @@ pub fn merge_with_payloads<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repcut::partition_region;
+    use crate::repcut::tests::partition_region;
     use crate::PartitionOptions;
     use gem_aig::{Eaig, Lit};
 

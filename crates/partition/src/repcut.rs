@@ -9,7 +9,7 @@
 //! minimizes replicated logic directly.
 
 use crate::hypergraph::{BisectionMemo, Hypergraph};
-use crate::{Partition, PartitionCounts, PartitionOptions, BALANCE, SINK_SET_CAP};
+use crate::{Partition, PartitionCounts, PartitionOptions, BALANCE};
 use gem_aig::{Eaig, Lit, Node, NodeId};
 use std::collections::HashMap;
 
@@ -32,23 +32,6 @@ impl Region {
             stop: vec![false; g.len()],
         }
     }
-}
-
-/// Partitions a region into (at most) `parts` partitions.
-pub fn partition_region(
-    g: &Eaig,
-    region: &Region,
-    parts: usize,
-    opts: &PartitionOptions,
-) -> Vec<Partition> {
-    let mut counts = PartitionCounts::default();
-    SinkHypergraph::build(g, region, SINK_SET_CAP, &mut counts).partition(
-        g,
-        region,
-        parts,
-        opts,
-        &mut counts,
-    )
 }
 
 /// A region's sink hypergraph with the sinks behind each vertex. It
@@ -362,9 +345,27 @@ fn sorted_union_into<T: Ord + Copy>(a: &[T], b: &[T], union: &mut Vec<T>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::PartitionOptions;
+    use crate::{PartitionOptions, SINK_SET_CAP};
+
+    /// Partitions a region into (at most) `parts` partitions, through a
+    /// sink hypergraph of its own.
+    pub(crate) fn partition_region(
+        g: &Eaig,
+        region: &Region,
+        parts: usize,
+        opts: &PartitionOptions,
+    ) -> Vec<Partition> {
+        let mut counts = PartitionCounts::default();
+        SinkHypergraph::build(g, region, SINK_SET_CAP, &mut counts).partition(
+            g,
+            region,
+            parts,
+            opts,
+            &mut counts,
+        )
+    }
 
     /// `n` independent XOR-accumulator chains — perfectly partitionable.
     fn independent_chains(n: usize, depth: usize) -> Eaig {

@@ -150,25 +150,6 @@ impl GemClient {
         )
     }
 
-    /// Opens a *batch* session: `lanes` independent stimulus streams
-    /// stepped together (1..=64). Returns the full response (`session`,
-    /// `lanes`, `key`, `cached`, `report`).
-    pub fn open_lanes(
-        &mut self,
-        source: &str,
-        opts: Json,
-        lanes: u32,
-    ) -> Result<Json, ClientError> {
-        self.request(
-            "open",
-            vec![
-                ("source", Json::Str(source.into())),
-                ("opts", opts),
-                ("lanes", Json::U64(lanes as u64)),
-            ],
-        )
-    }
-
     /// Sets an input port to a hex value for upcoming cycles.
     pub fn poke(&mut self, session: u64, port: &str, hex: &str) -> Result<(), ClientError> {
         self.request(
@@ -188,49 +169,6 @@ impl GemClient {
             "peek",
             vec![
                 ("session", Json::U64(session)),
-                ("port", Json::Str(port.into())),
-            ],
-        )?;
-        r.get("value")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ClientError::Protocol("peek response missing \"value\"".into()))
-    }
-
-    /// Sets an input port on one lane of a batch session (a lane-less
-    /// [`poke`](Self::poke) broadcasts to every lane instead).
-    pub fn poke_lane(
-        &mut self,
-        session: u64,
-        lane: u32,
-        port: &str,
-        hex: &str,
-    ) -> Result<(), ClientError> {
-        self.request(
-            "poke",
-            vec![
-                ("session", Json::U64(session)),
-                ("lane", Json::U64(lane as u64)),
-                ("port", Json::Str(port.into())),
-                ("value", Json::Str(hex.into())),
-            ],
-        )
-        .map(|_| ())
-    }
-
-    /// Reads an output port on one lane of a batch session (a lane-less
-    /// [`peek`](Self::peek) reads lane 0, the scalar view).
-    pub fn peek_lane(
-        &mut self,
-        session: u64,
-        lane: u32,
-        port: &str,
-    ) -> Result<String, ClientError> {
-        let r = self.request(
-            "peek",
-            vec![
-                ("session", Json::U64(session)),
-                ("lane", Json::U64(lane as u64)),
                 ("port", Json::Str(port.into())),
             ],
         )?;
@@ -274,21 +212,6 @@ impl GemClient {
         )
     }
 
-    /// Replays one stimulus VCD per lane in lockstep on a batch session;
-    /// returns the full response (`cycles`, per-lane output `vcds`).
-    pub fn replay_batch(&mut self, session: u64, vcds: &[&str]) -> Result<Json, ClientError> {
-        self.request(
-            "replay",
-            vec![
-                ("session", Json::U64(session)),
-                (
-                    "vcds",
-                    Json::Array(vcds.iter().map(|s| Json::Str((*s).into())).collect()),
-                ),
-            ],
-        )
-    }
-
     /// Profiles a design server-side: compiles (through the cache), runs
     /// `cycles` cycles on a clone of the cached power-on machine, and
     /// returns hotspot attribution (`profile` JSON report plus a rendered
@@ -302,29 +225,6 @@ impl GemClient {
                 ("cycles", Json::U64(cycles)),
             ],
         )
-    }
-
-    /// Lints a design server-side: runs the static analyzer and, when
-    /// the netlist is error-free, compiles (through the cache) to attach
-    /// the schedule certificate. Returns the full response
-    /// (`diagnostics`, `summary`, `clean`, `certified`, optional `cert`).
-    pub fn lint(&mut self, source: &str, opts: Json) -> Result<Json, ClientError> {
-        self.request(
-            "lint",
-            vec![("source", Json::Str(source.into())), ("opts", opts)],
-        )
-    }
-
-    /// Checkpoints the session's machine state server-side.
-    pub fn save(&mut self, session: u64) -> Result<(), ClientError> {
-        self.request("save", vec![("session", Json::U64(session))])
-            .map(|_| ())
-    }
-
-    /// Restores the last checkpoint taken with [`save`](Self::save).
-    pub fn restore(&mut self, session: u64) -> Result<(), ClientError> {
-        self.request("restore", vec![("session", Json::U64(session))])
-            .map(|_| ())
     }
 
     /// Closes a session.

@@ -5,8 +5,8 @@
 //! fields but two are relaxed atomics — the registry is on the request
 //! hot path and never blocks. [`ServerMetrics::snapshot`] converts the
 //! registry into the workspace's standard [`MetricsSnapshot`] form, so
-//! server metrics flow through the same exporters (`--emit-metrics`
-//! JSON, Prometheus text) as the compile-flow and virtual-GPU families.
+//! server metrics flow through the same JSON export (`stats`,
+//! `--emit-metrics`) as the compile-flow and virtual-GPU families.
 //!
 //! Reconciliation invariants (asserted by the integration tests and
 //! documented in `docs/OBSERVABILITY.md`):
@@ -320,6 +320,19 @@ impl ServerMetrics {
 mod tests {
     use super::*;
 
+    /// The value of `family`'s one sample labeled `label = value`.
+    fn labeled(s: &MetricsSnapshot, family: &str, label: (&str, &str)) -> f64 {
+        let fam = s.family(family).expect("family exported");
+        let mut hits = fam.samples.iter().filter(|smp| {
+            smp.labels
+                .iter()
+                .any(|(k, v)| (k.as_str(), v.as_str()) == label)
+        });
+        let hit = hits.next().expect("sample exported");
+        assert!(hits.next().is_none(), "one sample per label value");
+        hit.value
+    }
+
     #[test]
     fn snapshot_exports_all_families() {
         let m = ServerMetrics::default();
@@ -330,10 +343,8 @@ mod tests {
         assert_eq!(s.family("gem_server_requests_total").unwrap().total(), 1.0);
         assert_eq!(s.family("gem_server_cycles_total").unwrap().total(), 42.0);
         assert!(s.family("gem_server_queue_depth").is_some());
-        // Prometheus export goes through the shared exporter unmodified.
-        assert!(s
-            .to_prometheus_text()
-            .contains("# TYPE gem_server_sessions_active gauge"));
+        let active = s.family("gem_server_sessions_active").unwrap();
+        assert_eq!(active.kind, MetricKind::Gauge);
     }
 
     #[test]
@@ -345,9 +356,9 @@ mod tests {
         let s = m.snapshot();
         let fam = s.family("gem_server_rejected_total").unwrap();
         assert_eq!(fam.total(), 3.0);
-        let text = s.to_prometheus_text();
-        assert!(text.contains("gem_server_rejected_total{reason=\"queue_full\"} 2"));
-        assert!(text.contains("gem_server_rejected_total{reason=\"shutting_down\"} 1"));
+        let reason = |r| labeled(&s, "gem_server_rejected_total", ("reason", r));
+        assert_eq!(reason("queue_full"), 2.0);
+        assert_eq!(reason("shutting_down"), 1.0);
     }
 
     #[test]
@@ -359,9 +370,12 @@ mod tests {
         m.count_panic("step");
         m.count_panic("compile");
         assert_eq!(fam(&m).expect("exported").total(), 3.0);
-        let text = m.snapshot().to_prometheus_text();
-        assert!(text.contains("gem_server_panics_total{cmd=\"step\"} 2"));
-        assert!(text.contains("gem_server_panics_total{cmd=\"compile\"} 1"));
+        let s = m.snapshot();
+        assert_eq!(labeled(&s, "gem_server_panics_total", ("cmd", "step")), 2.0);
+        assert_eq!(
+            labeled(&s, "gem_server_panics_total", ("cmd", "compile")),
+            1.0
+        );
     }
 
     #[test]
@@ -380,8 +394,8 @@ mod tests {
                 "missing p{q}"
             );
         }
-        let text = s.to_prometheus_text();
-        assert!(text.contains("gem_server_request_latency_micros_count 5"));
-        assert!(text.contains("gem_server_request_latency_micros_bucket{le="));
+        let latency = "gem_server_request_latency_micros";
+        assert_eq!(labeled(&s, latency, ("agg", "count")), 5.0);
+        assert_eq!(labeled(&s, latency, ("le", "+Inf")), 5.0);
     }
 }

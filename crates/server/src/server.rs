@@ -968,27 +968,38 @@ endmodule
     fn save_reports_the_pages_the_lanes_hold() {
         let srv = Running::start();
         let mut client = srv.connect();
-        let r = client.open_lanes(RAM32, Json::object(), 64).expect("opens");
+        let fields = vec![
+            ("source", Json::from(RAM32)),
+            ("opts", Json::object()),
+            ("lanes", Json::U64(64)),
+        ];
+        let r = client.request("open", fields).expect("opens");
         let session = r.get("session").and_then(Json::as_u64).expect("session id");
         let entry = srv.state.sessions.get(session).expect("live");
         let device = &entry.design.package.device;
         assert_eq!(device.rams.len(), 1, "the memory is one RAM block");
         let global = u64::from(device.global_bits) * u64::from(GemSimulator::MAX_LANES / 8);
         assert_eq!(saved_bytes(&mut client, session), global);
-        client.poke_lane(session, 5, "we", "1").expect("pokes");
-        client.poke_lane(session, 5, "wd", "2a").expect("pokes");
+        let on_lane = |lane: u64, port: &str| {
+            vec![
+                ("session", Json::U64(session)),
+                ("lane", Json::U64(lane)),
+                ("port", Json::from(port)),
+            ]
+        };
+        for (port, value) in [("we", "1"), ("wd", "2a")] {
+            let mut fields = on_lane(5, port);
+            fields.push(("value", Json::from(value)));
+            client.request("poke", fields).expect("pokes");
+        }
         client
             .step(session, 1, vec![("wa", "3"), ("ra", "3")])
             .expect("steps");
         client.step(session, 3, Vec::new()).expect("steps");
-        assert_eq!(
-            client.peek_lane(session, 5, "q").expect("peeks"),
-            "0000002a"
-        );
-        assert_eq!(
-            client.peek_lane(session, 4, "q").expect("peeks"),
-            "00000000"
-        );
+        for (lane, want) in [(5, "0000002a"), (4, "00000000")] {
+            let r = client.request("peek", on_lane(lane, "q")).expect("peeks");
+            assert_eq!(r.get("value").and_then(Json::as_str), Some(want));
+        }
         assert_eq!(saved_bytes(&mut client, session), global + 4096);
         drop(client);
         srv.stop();
@@ -1139,7 +1150,7 @@ endmodule
         };
         let mut same = srv.connect();
         let victim = open(&mut same);
-        same.save(victim)
+        same.request("save", vec![("session", Json::U64(victim))])
             .expect("a checkpoint for `restore` to find");
         let healthy = serves(&mut same);
         for (at, says) in [

@@ -5,7 +5,7 @@
 use gem_core::{compile, CompileOptions, Compiled};
 use gem_netlist::vcd::VcdWriter;
 use gem_netlist::{verilog, Bits};
-use gem_server::{GemClient, Server, ServerConfig};
+use gem_server::{ClientError, GemClient, Server, ServerConfig};
 use gem_sim::EaigSim;
 use gem_telemetry::Json;
 use std::net::SocketAddr;
@@ -47,6 +47,85 @@ fn wire_opts() -> Json {
     o.set("parts", 4u64);
     o.set("stages", 1u64);
     o
+}
+
+/// The wire ops no binary sends, spelled as `GemClient::request` calls
+/// (`docs/SERVER.md` §2, `docs/BATCH.md` §3).
+trait WireOps {
+    fn open_lanes(&mut self, source: &str, opts: Json, lanes: u32) -> Result<Json, ClientError>;
+    fn poke_lane(
+        &mut self,
+        session: u64,
+        lane: u32,
+        port: &str,
+        hex: &str,
+    ) -> Result<(), ClientError>;
+    fn peek_lane(&mut self, session: u64, lane: u32, port: &str) -> Result<String, ClientError>;
+    fn replay_batch(&mut self, session: u64, vcds: &[&str]) -> Result<Json, ClientError>;
+    fn lint(&mut self, source: &str, opts: Json) -> Result<Json, ClientError>;
+    fn save(&mut self, session: u64) -> Result<Json, ClientError>;
+    fn restore(&mut self, session: u64) -> Result<Json, ClientError>;
+}
+
+impl WireOps for GemClient {
+    fn open_lanes(&mut self, source: &str, opts: Json, lanes: u32) -> Result<Json, ClientError> {
+        let lanes = Json::U64(lanes.into());
+        let fields = vec![
+            ("source", Json::from(source)),
+            ("opts", opts),
+            ("lanes", lanes),
+        ];
+        self.request("open", fields)
+    }
+
+    fn poke_lane(
+        &mut self,
+        session: u64,
+        lane: u32,
+        port: &str,
+        hex: &str,
+    ) -> Result<(), ClientError> {
+        let fields = vec![
+            ("session", Json::U64(session)),
+            ("lane", Json::U64(lane.into())),
+            ("port", Json::from(port)),
+            ("value", Json::from(hex)),
+        ];
+        self.request("poke", fields).map(|_| ())
+    }
+
+    fn peek_lane(&mut self, session: u64, lane: u32, port: &str) -> Result<String, ClientError> {
+        let fields = vec![
+            ("session", Json::U64(session)),
+            ("lane", Json::U64(lane.into())),
+            ("port", Json::from(port)),
+        ];
+        let r = self.request("peek", fields)?;
+        Ok(r.get("value")
+            .and_then(Json::as_str)
+            .expect("value")
+            .to_string())
+    }
+
+    fn replay_batch(&mut self, session: u64, vcds: &[&str]) -> Result<Json, ClientError> {
+        let vcds = Json::Array(vcds.iter().map(|&v| Json::from(v)).collect());
+        self.request(
+            "replay",
+            vec![("session", Json::U64(session)), ("vcds", vcds)],
+        )
+    }
+
+    fn lint(&mut self, source: &str, opts: Json) -> Result<Json, ClientError> {
+        self.request("lint", vec![("source", Json::from(source)), ("opts", opts)])
+    }
+
+    fn save(&mut self, session: u64) -> Result<Json, ClientError> {
+        self.request("save", vec![("session", Json::U64(session))])
+    }
+
+    fn restore(&mut self, session: u64) -> Result<Json, ClientError> {
+        self.request("restore", vec![("session", Json::U64(session))])
+    }
 }
 
 fn start_server(cfg: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<()>>) {
@@ -427,7 +506,7 @@ fn full_queue_rejects_with_retry_hint() {
     assert!(!t2.is_finished(), "the refusal waited for the queue");
     assert!(err.is_busy(), "expected busy, got {err}");
     match err {
-        gem_server::ClientError::Server { retry_after_ms, .. } => {
+        ClientError::Server { retry_after_ms, .. } => {
             assert!(retry_after_ms.is_some(), "busy must carry retry_after_ms");
         }
         other => panic!("expected server error, got {other}"),
@@ -484,8 +563,8 @@ fn hostile_text_and_options_are_typed_errors_and_the_server_serves_on() {
         ..ServerConfig::default()
     });
     let mut client = GemClient::connect(addr).expect("connect");
-    let refusal = |r: Result<Json, gem_server::ClientError>| match r {
-        Err(gem_server::ClientError::Server { code, message, .. }) => (code, message),
+    let refusal = |r: Result<Json, ClientError>| match r {
+        Err(ClientError::Server { code, message, .. }) => (code, message),
         other => panic!("expected a typed server error, got {other:?}"),
     };
 
@@ -646,19 +725,19 @@ fn lifecycle_checkpoints_replay_and_errors() {
         )
         .expect_err("bad source");
     match err {
-        gem_server::ClientError::Server { code, .. } => assert_eq!(code, "compile_failed"),
+        ClientError::Server { code, .. } => assert_eq!(code, "compile_failed"),
         other => panic!("expected server error, got {other}"),
     }
     let err = client.peek(999_999, "acc").expect_err("unknown session");
     match err {
-        gem_server::ClientError::Server { code, .. } => assert_eq!(code, "not_found"),
+        ClientError::Server { code, .. } => assert_eq!(code, "not_found"),
         other => panic!("expected server error, got {other}"),
     }
     let err = client
         .request("frobnicate", Vec::new())
         .expect_err("unknown command");
     match err {
-        gem_server::ClientError::Server { code, .. } => assert_eq!(code, "bad_request"),
+        ClientError::Server { code, .. } => assert_eq!(code, "bad_request"),
         other => panic!("expected server error, got {other}"),
     }
 
@@ -669,7 +748,7 @@ fn lifecycle_checkpoints_replay_and_errors() {
     let err = client.peek(session, "acc").expect_err("evicted session");
     assert!(matches!(
         err,
-        gem_server::ClientError::Server { ref code, .. } if code == "not_found"
+        ClientError::Server { ref code, .. } if code == "not_found"
     ));
     let stats = quiesced_stats(&mut client);
     assert!(metric(&stats, "gem_server_sessions_evicted_total") >= 2.0);
@@ -710,7 +789,7 @@ fn batch_sessions_fan_lanes_over_the_wire() {
             .open_lanes(DESIGN_A, wire_opts(), lanes)
             .expect_err("bad lane count must be rejected");
         match err {
-            gem_server::ClientError::Server { code, message, .. } => {
+            ClientError::Server { code, message, .. } => {
                 assert_eq!(code, "bad_lanes", "lanes={lanes}");
                 assert!(message.contains("between 1 and 64"), "got: {message}");
             }
@@ -789,14 +868,14 @@ fn batch_sessions_fan_lanes_over_the_wire() {
         .expect_err("lane index out of range");
     assert!(matches!(
         err,
-        gem_server::ClientError::Server { ref code, .. } if code == "bad_lanes"
+        ClientError::Server { ref code, .. } if code == "bad_lanes"
     ));
     let err = client
         .poke_lane(accum, 31, "delta", "00")
         .expect_err("lane index beyond session lanes");
     assert!(matches!(
         err,
-        gem_server::ClientError::Server { ref code, .. } if code == "bad_lanes"
+        ClientError::Server { ref code, .. } if code == "bad_lanes"
     ));
 
     // --- lockstep batch replay vs. per-lane golden models ---------------
@@ -845,7 +924,7 @@ fn batch_sessions_fan_lanes_over_the_wire() {
         .expect_err("5 stimuli on a 4-lane session");
     assert!(matches!(
         err,
-        gem_server::ClientError::Server { ref code, .. } if code == "bad_lanes"
+        ClientError::Server { ref code, .. } if code == "bad_lanes"
     ));
 
     let text_refs: Vec<&str> = texts.iter().map(String::as_str).collect();
@@ -1045,7 +1124,7 @@ fn backwards_time_is_refused_by_both_replay_forms() {
         ("vcds", client.replay_batch(session, &[&forward, text])),
     ] {
         match result.expect_err("backwards time") {
-            gem_server::ClientError::Server { code, message, .. } => {
+            ClientError::Server { code, message, .. } => {
                 assert_eq!(code, "bad_request", "{form}");
                 assert!(
                     message.contains("line 7: timestamp #5 goes back from #10"),

@@ -46,10 +46,10 @@ fn read_code(vals: &[u8], code: u32) -> bool {
 /// let mut sim = EaigSim::new(&g);
 /// sim.set_input(0, true);
 /// sim.eval();
-/// assert!(!sim.output_by_name("q").unwrap()); // not yet clocked
+/// assert!(!sim.output(0)); // not yet clocked
 /// sim.step();
 /// sim.eval();
-/// assert!(sim.output_by_name("q").unwrap());
+/// assert!(sim.output(0));
 /// ```
 #[derive(Debug)]
 pub struct EaigSim<'a> {
@@ -104,16 +104,6 @@ impl<'a> EaigSim<'a> {
         self.evaluated = false;
     }
 
-    /// Sets an input by name; returns `false` if no such input exists.
-    pub fn set_input_by_name(&mut self, name: &str, v: bool) -> bool {
-        if let Some(idx) = self.g.inputs().iter().position(|(n, _)| n == name) {
-            self.set_input(idx, v);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Evaluates the combinational logic for the current cycle.
     pub fn eval(&mut self) {
         for (node, v) in self.state.sources(self.g) {
@@ -146,15 +136,6 @@ impl<'a> EaigSim<'a> {
     /// Value of primary output `idx` (creation order).
     pub fn output(&self, idx: usize) -> bool {
         self.lit(self.g.outputs()[idx].1)
-    }
-
-    /// Value of a named primary output.
-    pub fn output_by_name(&self, name: &str) -> Option<bool> {
-        self.g
-            .outputs()
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, l)| self.lit(*l))
     }
 
     /// Advances one clock edge (`state.rs`): flip-flops load their
@@ -295,18 +276,5 @@ mod tests {
         assert!(!o[0], "read-first must capture the pre-write word");
         let o = s.cycle(&[false, false]);
         assert!(o[0], "subsequent read sees the written word");
-    }
-
-    #[test]
-    fn named_access() {
-        let mut g = Eaig::new();
-        let a = g.input("a");
-        g.output("y", a.flip());
-        let mut s = EaigSim::new(&g);
-        assert!(s.set_input_by_name("a", false));
-        assert!(!s.set_input_by_name("zzz", false));
-        s.eval();
-        assert_eq!(s.output_by_name("y"), Some(true));
-        assert_eq!(s.output_by_name("zzz"), None);
     }
 }

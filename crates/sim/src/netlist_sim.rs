@@ -297,12 +297,6 @@ impl<'a> NetlistSim<'a> {
         self.step();
         outs
     }
-
-    /// Overwrites a memory word (e.g. to preload a program image).
-    pub fn set_mem_word(&mut self, mem: usize, addr: usize, v: Bits) {
-        assert_eq!(v.width(), self.m.memories()[mem].width);
-        self.mem[mem][addr] = v;
-    }
 }
 
 /// Topological order of combinational work items. Plain cell indexes are

@@ -2,6 +2,7 @@
 //! model) against the synthesized E-AIG (bit-level golden model) on random
 //! stimuli, for every operator class and both memory implementations.
 
+use gem_aig::Node;
 use gem_netlist::{Bits, Module, ModuleBuilder, ReadKind};
 use gem_sim::{EaigSim, NetlistSim};
 use gem_synth::{synthesize, SynthOptions, SynthResult};
@@ -167,8 +168,9 @@ fn dead_cone_skipped_and_outputs_equivalent() {
     b.output("s", s);
     let m = b.finish().unwrap();
     let r = cosim(&m, &SynthOptions, 64, 17);
+    let ands = r.eaig.nodes().iter().filter(|n| matches!(n, Node::And(..)));
     assert!(
-        r.eaig.num_live_ands() < r.eaig.num_ands(),
+        r.eaig.num_live_ands() < ands.count(),
         "the unread multiplier left no dead gates"
     );
 }

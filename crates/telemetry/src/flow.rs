@@ -43,11 +43,6 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    /// Stage names in execution order.
-    pub fn stage_names(&self) -> Vec<&str> {
-        self.stages.iter().map(|s| s.name.as_str()).collect()
-    }
-
     /// Looks up a stage by name.
     pub fn stage(&self, name: &str) -> Option<&StageRecord> {
         self.stages.iter().find(|s| s.name == name)
@@ -176,7 +171,8 @@ mod tests {
             rec.stage("beta");
         }
         let report = rec.finish();
-        assert_eq!(report.stage_names(), vec!["alpha", "beta"]);
+        let names: Vec<&str> = report.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["alpha", "beta"]);
         assert_eq!(report.stage("alpha").unwrap().metric("n"), Some(4.0));
         assert_eq!(report.stage("beta").unwrap().metrics.len(), 0);
     }

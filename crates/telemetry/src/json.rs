@@ -92,16 +92,6 @@ impl Json {
         }
     }
 
-    /// The value as an i64.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::U64(v) => i64::try_from(v).ok(),
-            Json::I64(v) => Some(v),
-            Json::F64(v) if v.fract() == 0.0 => Some(v as i64),
-            _ => None,
-        }
-    }
-
     /// The value as an f64 (any number).
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
@@ -656,7 +646,7 @@ mod tests {
         let v = parse("{\"a\": 7, \"b\": -2, \"c\": 1.5}").unwrap();
         assert_eq!(v.get("a").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("a").unwrap().as_f64(), Some(7.0));
-        assert_eq!(v.get("b").unwrap().as_i64(), Some(-2));
+        assert_eq!(v.get("b"), Some(&Json::I64(-2)));
         assert_eq!(v.get("b").unwrap().as_u64(), None);
         assert_eq!(v.get("c").unwrap().as_f64(), Some(1.5));
     }

@@ -13,8 +13,8 @@
 //!   compiler stage with wall time and size metrics (the machine-readable
 //!   form of Table I's per-design statistics).
 //! * [`metrics`] — [`MetricsSnapshot`] is a label-oriented counter/gauge
-//!   snapshot (per-partition, per-layer virtual-GPU counters) with JSON
-//!   and Prometheus-text exporters.
+//!   snapshot (per-partition, per-layer virtual-GPU counters) with a JSON
+//!   exporter.
 //! * [`mod@json`] — the minimal JSON value, parser, and
 //!   [`json!`](macro@crate::json) macro everything above serializes
 //!   through.

@@ -1,11 +1,11 @@
-//! Label-oriented runtime metrics: snapshots and their exporters.
+//! Label-oriented runtime metrics: snapshots and their JSON export.
 //!
 //! A [`MetricsSnapshot`] is a point-in-time set of metric families, each a
-//! list of labeled samples — the shape both the JSON exporter
-//! ([`MetricsSnapshot::to_json`]) and the Prometheus text exposition
-//! ([`MetricsSnapshot::to_prometheus_text`]) understand natively. The
-//! virtual GPU converts its per-partition/per-layer counters into this
-//! form; the server keeps its own families in the same shape.
+//! list of labeled samples, exported by [`MetricsSnapshot::to_json`]. The
+//! families follow Prometheus' data model (counter, gauge, histogram;
+//! `le` buckets), so the export maps onto it one to one. The virtual GPU
+//! converts its per-partition/per-layer counters into this form; the
+//! server keeps its own families in the same shape.
 
 use crate::json::Json;
 
@@ -293,69 +293,6 @@ impl MetricsSnapshot {
         o.set("families", Json::Array(families));
         o
     }
-
-    /// Serializes the snapshot in the Prometheus text exposition format.
-    ///
-    /// Histogram families render as `name_bucket{le="…"}` / `name_sum` /
-    /// `name_count`; their precomputed quantile samples render in summary
-    /// syntax (`name{quantile="…"}`) so scrapers get percentiles without
-    /// re-deriving them from buckets.
-    pub fn to_prometheus_text(&self) -> String {
-        fn label_text(labels: &[(String, String)]) -> String {
-            let parts: Vec<String> = labels
-                .iter()
-                .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
-                .collect();
-            parts.join(",")
-        }
-        let mut out = String::new();
-        for f in &self.families {
-            out.push_str(&format!("# HELP {} {}\n", f.name, f.help));
-            out.push_str(&format!("# TYPE {} {}\n", f.name, f.kind.prometheus_name()));
-            for s in &f.samples {
-                if f.kind == MetricKind::Histogram {
-                    let agg = s
-                        .labels
-                        .iter()
-                        .find(|(k, _)| k == "agg")
-                        .map(|(_, v)| v.as_str());
-                    let rest: Vec<(String, String)> = s
-                        .labels
-                        .iter()
-                        .filter(|(k, _)| k != "agg")
-                        .cloned()
-                        .collect();
-                    let has = |key: &str| s.labels.iter().any(|(k, _)| k == key);
-                    let (name, labels) = match agg {
-                        Some("sum") => (format!("{}_sum", f.name), rest),
-                        Some("count") => (format!("{}_count", f.name), rest),
-                        _ if has("le") => (format!("{}_bucket", f.name), rest),
-                        _ => (f.name.clone(), rest),
-                    };
-                    if labels.is_empty() {
-                        out.push_str(&format!("{} {}\n", name, s.value));
-                    } else {
-                        out.push_str(&format!(
-                            "{}{{{}}} {}\n",
-                            name,
-                            label_text(&labels),
-                            s.value
-                        ));
-                    }
-                } else if s.labels.is_empty() {
-                    out.push_str(&format!("{} {}\n", f.name, s.value));
-                } else {
-                    out.push_str(&format!(
-                        "{}{{{}}} {}\n",
-                        f.name,
-                        label_text(&s.labels),
-                        s.value
-                    ));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -392,14 +329,6 @@ mod tests {
     fn family_total_sums_samples() {
         let s = snapshot();
         assert_eq!(s.family("gem_alu_ops_total").unwrap().total(), 15.0);
-    }
-
-    #[test]
-    fn prometheus_text_shape() {
-        let text = snapshot().to_prometheus_text();
-        assert!(text.contains("# TYPE gem_cycles_total counter"));
-        assert!(text.contains("gem_cycles_total 7\n"));
-        assert!(text.contains("gem_alu_ops_total{stage=\"0\",core=\"1\"} 5\n"));
     }
 
     #[test]
@@ -512,52 +441,62 @@ mod tests {
         assert!((h.mean() - 500.5).abs() < 1e-9);
     }
 
+    /// `push_histogram`'s family, through the JSON export and back:
+    /// cumulative `le` buckets exactly as [`Histogram::cumulative_buckets`]
+    /// gives them, then the `sum` and `count` aggregates and the three
+    /// quantiles.
     #[test]
-    fn histogram_prometheus_exposition_round_trips() {
+    fn histogram_family_round_trips_through_json() {
         let mut h = Histogram::new();
         for v in [1.0, 3.0, 3.0, 100.0, 5000.0] {
             h.observe(v);
         }
         let mut s = MetricsSnapshot::default();
         s.push_histogram("gem_req_latency_micros", "Request latency", &h);
-        let text = s.to_prometheus_text();
-        assert!(text.contains("# TYPE gem_req_latency_micros histogram"));
-        assert!(text.contains("gem_req_latency_micros_bucket{le=\"1\"} 1\n"));
-        assert!(text.contains("gem_req_latency_micros_bucket{le=\"4\"} 3\n"));
-        assert!(text.contains("gem_req_latency_micros_bucket{le=\"+Inf\"} 5\n"));
-        assert!(text.contains("gem_req_latency_micros_sum 5107\n"));
-        assert!(text.contains("gem_req_latency_micros_count 5\n"));
-        assert!(text.contains("gem_req_latency_micros{quantile=\"0.99\"}"));
-        // Parse the exposition back and verify the cumulative counts
-        // survive the text round trip exactly.
-        let mut buckets: Vec<(String, f64)> = Vec::new();
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            if let Some(rest) = line.strip_prefix("gem_req_latency_micros_bucket{le=\"") {
-                let (le, tail) = rest.split_once('"').expect("closing quote");
-                let value: f64 = tail
-                    .trim_start_matches('}')
-                    .trim()
-                    .parse()
-                    .expect("numeric value");
-                buckets.push((le.to_string(), value));
-            }
-        }
-        let expect: Vec<(String, f64)> = h
+        let parsed = crate::json::parse(&s.to_json().to_string()).expect("parses");
+        let fam = &parsed.get("families").unwrap().as_array().unwrap()[0];
+        assert_eq!(fam.get("kind").unwrap().as_str().unwrap(), "histogram");
+        let samples: Vec<(String, String, f64)> = fam
+            .get("samples")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|smp| {
+                let Some(Json::Object(pairs)) = smp.get("labels") else {
+                    panic!("labels are an object");
+                };
+                assert_eq!(pairs.len(), 1, "one reserved label per sample");
+                let (k, v) = &pairs[0];
+                let value = smp.get("value").unwrap().as_f64().unwrap();
+                (k.clone(), v.as_str().unwrap().to_string(), value)
+            })
+            .collect();
+        let mut want: Vec<(String, String, f64)> = h
             .cumulative_buckets()
             .iter()
-            .map(|(b, c)| {
+            .map(|&(b, c)| {
                 let le = if b.is_infinite() {
                     "+Inf".to_string()
                 } else {
                     format!("{b}")
                 };
-                (le, *c as f64)
+                ("le".to_string(), le, c as f64)
             })
             .collect();
-        assert_eq!(buckets, expect);
-        // And the JSON exporter keeps the reserved labels intact.
-        let parsed = crate::json::parse(&s.to_json().to_string()).expect("parses");
-        let fam = &parsed.get("families").unwrap().as_array().unwrap()[0];
-        assert_eq!(fam.get("kind").unwrap().as_str().unwrap(), "histogram");
+        assert_eq!(want[0], ("le".into(), "1".into(), 1.0));
+        assert_eq!(want[1], ("le".into(), "4".into(), 3.0));
+        assert_eq!(want.last().unwrap().2, 5.0);
+        want.push(("agg".into(), "sum".into(), 5107.0));
+        want.push(("agg".into(), "count".into(), 5.0));
+        assert_eq!(samples[..want.len()], want[..]);
+        let quantiles: Vec<&str> = samples[want.len()..]
+            .iter()
+            .map(|(k, v, _)| {
+                assert_eq!(k, "quantile");
+                v.as_str()
+            })
+            .collect();
+        assert_eq!(quantiles, ["0.5", "0.95", "0.99"]);
     }
 }

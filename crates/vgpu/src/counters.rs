@@ -92,17 +92,6 @@ impl KernelCounters {
         })
     }
 
-    /// Per-cycle averages that saturate to all-zeros (with `cycles: 1`)
-    /// when no cycles ran, so callers need no `None` branch. Prefer this
-    /// over `per_cycle().expect(..)` anywhere a zero-cycle run is merely
-    /// uninteresting rather than a logic error.
-    pub fn per_cycle_saturating(&self) -> KernelCounters {
-        self.per_cycle().unwrap_or(KernelCounters {
-            cycles: 1,
-            ..Default::default()
-        })
-    }
-
     /// Exact per-cycle rates as floats (all zero when no cycles ran).
     /// Unlike [`per_cycle`](Self::per_cycle), nothing is truncated, so
     /// small counts over many cycles stay visible.
@@ -327,17 +316,8 @@ mod tests {
     }
 
     #[test]
-    fn per_cycle_saturating_handles_zero_cycles() {
-        let empty = KernelCounters::default();
-        assert_eq!(empty.per_cycle(), None);
-        let sat = empty.per_cycle_saturating();
-        assert_eq!(sat.cycles, 1);
-        assert_eq!(sat.global_bytes, 0);
-        // With cycles run, it matches per_cycle exactly.
-        assert_eq!(
-            sample().per_cycle_saturating(),
-            sample().per_cycle().unwrap()
-        );
+    fn per_cycle_is_none_without_cycles() {
+        assert_eq!(KernelCounters::default().per_cycle(), None);
     }
 
     #[test]

@@ -521,27 +521,6 @@ impl GemGpu {
         self.global[index as usize]
     }
 
-    /// Directly reads a word of RAM block `ram` (test setup/inspection).
-    /// Reads lane 0's image — the single-stimulus view.
-    pub fn ram_word(&self, ram: usize, addr: usize) -> u32 {
-        self.ram_mem[ram][0].get(addr)
-    }
-
-    /// Reads a word of RAM block `ram` as lane `lane` sees it (inactive
-    /// lanes see lane 0's image).
-    pub fn ram_word_lane(&self, ram: usize, lane: u32, addr: usize) -> u32 {
-        let img = if lane < self.lanes { lane as usize } else { 0 };
-        self.ram_mem[ram][img].get(addr)
-    }
-
-    /// Directly writes a word of RAM block `ram` (e.g. program loading).
-    /// Broadcasts to every lane image — the single-stimulus view.
-    pub fn set_ram_word(&mut self, ram: usize, addr: usize, value: u32) {
-        for image in &mut self.ram_mem[ram] {
-            image.set(addr, value);
-        }
-    }
-
     /// Executes one simulated design cycle: all stages, the RAM phase,
     /// then the deferred commit.
     pub fn step_cycle(&mut self) {
@@ -769,6 +748,29 @@ mod tests {
     use crate::ram::tests::ram_binding;
     use gem_isa::{assemble_core, ReadEntry, WriteEntry};
     use gem_place::{BoomerangLayer, CoreProgram, OutputSource, PermSource, Plane};
+
+    /// Direct RAM access for the unit tests: the machine reads and writes
+    /// its RAM blocks only through the RAM phase.
+    impl GemGpu {
+        /// A word of RAM block `ram` as lane 0 sees it.
+        pub(crate) fn ram_word(&self, ram: usize, addr: usize) -> u32 {
+            self.ram_mem[ram][0].get(addr)
+        }
+
+        /// A word of RAM block `ram` as lane `lane` sees it (inactive lanes
+        /// see lane 0's image).
+        pub(crate) fn ram_word_lane(&self, ram: usize, lane: u32, addr: usize) -> u32 {
+            let img = if lane < self.lanes { lane as usize } else { 0 };
+            self.ram_mem[ram][img].get(addr)
+        }
+
+        /// Writes a word of RAM block `ram` into every lane's image.
+        pub(crate) fn set_ram_word(&mut self, ram: usize, addr: usize, value: u32) {
+            for image in &mut self.ram_mem[ram] {
+                image.set(addr, value);
+            }
+        }
+    }
 
     /// A one-core bitstream computing g2 = g0 AND g1 into global 2.
     fn and_bitstream() -> (Bitstream, DeviceConfig) {
